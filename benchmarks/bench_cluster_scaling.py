@@ -18,12 +18,11 @@ Two CI gates ride on it:
   translation-cache hit rate > ``MIN_AFFINITY_HIT_RATE``: content-key
   routing sends every request for a matrix to the host that already holds
   its translation, so only the first task per (matrix, host) may miss.
-* **push/pin** — the same repeat workload run once over protocol v3
-  (matrix and operand bytes pushed once per host, task frames reference
-  keys) and once with v2-capped workers (operands embedded in every task
-  frame) must show ≥ ``MIN_PUSHPIN_SAVINGS``× lower matrix bytes per
-  request on the v3 wire, with ``store_hits > 0`` and bit-identical
-  results between the two runs.
+* **push/pin** — the same repeat workload must ship matrix and operand
+  bytes once per host (task frames reference keys): the bytes re-shipping
+  them with every task would have moved — what was sent plus the head's
+  own ``bytes_saved`` counter — must be ≥ ``MIN_PUSHPIN_SAVINGS``× the
+  matrix bytes actually sent, with ``store_hits > 0`` and zero failures.
 
 Results land in ``benchmarks/results/cluster_scaling.json`` for the CI
 artifact upload.  Run standalone
@@ -68,9 +67,9 @@ AFFINITY_REQUESTS = 12
 MIN_SCALING = 1.2
 #: Affinity gate: remote translation-cache hit rate on a repeat workload.
 MIN_AFFINITY_HIT_RATE = 0.8
-#: Repeat-matrix requests of the push/pin phase (per wire version).
+#: Repeat-matrix requests of the push/pin phase.
 PUSHPIN_REQUESTS = 12
-#: Push/pin gate: v2 re-shipping over v3 matrix bytes per request.
+#: Push/pin gate: matrix bytes re-shipping would have moved over those sent.
 MIN_PUSHPIN_SAVINGS = 5.0
 
 RESULTS_JSON = Path(__file__).resolve().parent / "results" / "cluster_scaling.json"
@@ -156,48 +155,35 @@ def _measure_affinity(matrices, b) -> dict:
 
 
 def _measure_pushpin(matrices, b) -> dict:
-    """Repeat workload over v3 push/pin vs. v2-capped re-shipping.
+    """Repeat workload over push/pin: what re-shipping would have cost.
 
     "Matrix bytes" is everything that carries operand payloads head→worker:
-    task frames plus (on v3) ``store_put`` frames, read from the split
-    ``bytes_by_frame_type`` accounting.  Both runs must agree bit-exactly —
-    the saving may never cost numerics.
+    task frames plus ``store_put`` frames, read from the split
+    ``bytes_by_frame_type`` accounting.  ``bytes_saved`` is the payload the
+    tasks referenced by store key instead of shipping again, so
+    ``(matrix_bytes + bytes_saved) / matrix_bytes`` is the factor by which
+    shipping operands with every task would have inflated the traffic.
     """
-    runs = {}
-    outputs = {}
-    for label, options in (("v3", {}), ("v2", {"worker_protocol_version": 2})):
-        with Server(
-            backend="cluster", hosts=2, device="rtx4090", cluster_options=options
-        ) as server:
-            outs = []
-            for _ in range(PUSHPIN_REQUESTS):
-                for csr in matrices:
-                    outs.append(server.submit_spmm(csr, b).result(300).values)
-            cluster = server.scheduler.stats_snapshot()
-        requests = PUSHPIN_REQUESTS * len(matrices)
-        by_type = cluster["bytes_by_frame_type"]
-        matrix_bytes = by_type.get("task", {}).get("sent", 0) + by_type.get(
-            "store_put", {}
-        ).get("sent", 0)
-        outputs[label] = outs
-        runs[label] = {
-            "requests": requests,
-            "matrix_bytes_sent": matrix_bytes,
-            "matrix_bytes_per_request": matrix_bytes / requests,
-            "store_puts": cluster["store_puts"],
-            "store_hits": cluster["store_hits"],
-            "store_misses": cluster["store_misses"],
-            "bytes_saved": cluster["bytes_saved"],
-            "task_failures": cluster["task_failures"],
-        }
-    for v3_out, v2_out in zip(outputs["v3"], outputs["v2"]):
-        np.testing.assert_array_equal(v3_out, v2_out)
+    with Server(backend="cluster", hosts=2, device="rtx4090") as server:
+        for _ in range(PUSHPIN_REQUESTS):
+            for csr in matrices:
+                server.submit_spmm(csr, b).result(300)
+        cluster = server.scheduler.stats_snapshot()
+    requests = PUSHPIN_REQUESTS * len(matrices)
+    by_type = cluster["bytes_by_frame_type"]
+    matrix_bytes = by_type.get("task", {}).get("sent", 0) + by_type.get(
+        "store_put", {}
+    ).get("sent", 0)
     return {
-        **{label: run for label, run in runs.items()},
-        "savings": (
-            runs["v2"]["matrix_bytes_per_request"]
-            / max(1e-9, runs["v3"]["matrix_bytes_per_request"])
-        ),
+        "requests": requests,
+        "matrix_bytes_sent": matrix_bytes,
+        "matrix_bytes_per_request": matrix_bytes / requests,
+        "store_puts": cluster["store_puts"],
+        "store_hits": cluster["store_hits"],
+        "store_misses": cluster["store_misses"],
+        "bytes_saved": cluster["bytes_saved"],
+        "task_failures": cluster["task_failures"],
+        "savings": (matrix_bytes + cluster["bytes_saved"]) / max(1, matrix_bytes),
     }
 
 
@@ -256,13 +242,13 @@ def _emit(report: dict) -> None:
     pushpin = report["pushpin"]
     rows.append(
         [
-            "push/pin savings (v2 / v3)",
+            "push/pin savings (re-shipped / sent)",
             pushpin["savings"],
             0.0,
             0.0,
-            f"{pushpin['v3']['store_puts']}p/{pushpin['v3']['store_hits']}h "
-            f"({pushpin['v3']['matrix_bytes_per_request'] / 1e3:.0f} vs "
-            f"{pushpin['v2']['matrix_bytes_per_request'] / 1e3:.0f} kB/req)",
+            f"{pushpin['store_puts']}p/{pushpin['store_hits']}h "
+            f"({pushpin['matrix_bytes_per_request'] / 1e3:.0f} kB/req sent, "
+            f"{pushpin['bytes_saved'] / pushpin['requests'] / 1e3:.0f} kB/req saved)",
         ]
     )
     try:
@@ -290,13 +276,12 @@ def _check(report: dict) -> None:
         f"{affinity['remote_misses']} misses)"
     )
     pushpin = report["pushpin"]
-    assert pushpin["v3"]["store_hits"] > 0, "push/pin never hit the ledger"
-    assert pushpin["v3"]["task_failures"] == 0 and pushpin["v2"]["task_failures"] == 0
+    assert pushpin["store_hits"] > 0, "push/pin never hit the ledger"
+    assert pushpin["task_failures"] == 0
     assert pushpin["savings"] >= MIN_PUSHPIN_SAVINGS, (
-        f"push/pin savings regressed: v3 ships "
-        f"{pushpin['v3']['matrix_bytes_per_request']:.0f} matrix bytes/request "
-        f"vs {pushpin['v2']['matrix_bytes_per_request']:.0f} on v2 — "
-        f"{pushpin['savings']:.1f}x < {MIN_PUSHPIN_SAVINGS}x"
+        f"push/pin savings regressed: {pushpin['matrix_bytes_per_request']:.0f} "
+        f"matrix bytes/request sent, {pushpin['bytes_saved'] / pushpin['requests']:.0f} "
+        f"saved — {pushpin['savings']:.1f}x < {MIN_PUSHPIN_SAVINGS}x"
     )
     cpus = os.cpu_count() or 1
     if cpus < 2:

@@ -1,14 +1,14 @@
-"""Fused layer serving benchmark — protocol v4 vs forced-v3 composed.
+"""Fused layer serving benchmark — one fused request vs the three-call composition.
 
 A repeated AGNN layer workload (fresh feature panels every iteration, as
 in training — so the attention matrix differs per layer evaluation) runs
 twice against a two-host cluster server:
 
-* **fused** — protocol v4: each layer is one ``submit_layer`` request;
-  the worker executes SDDMM → scale → softmax → SpMM in place and only
-  the output rows travel.
-* **composed** — workers capped at protocol v3: each layer is the classic
-  three requests (``submit_sddmm`` → ``submit_edge_softmax`` →
+* **fused** — each layer is one ``submit_layer`` request; the worker
+  executes SDDMM → scale → softmax → SpMM in place and only the output
+  rows travel.
+* **composed** — ``ServedBackend(mode="composed")``: each layer is the
+  classic three requests (``submit_sddmm`` → ``submit_edge_softmax`` →
   ``submit_spmm``), shipping the SDDMM intermediate back to the client
   and a fresh attention-matrix bundle back out to a worker every layer.
 
@@ -75,10 +75,7 @@ def _drive(server: Server, csr, mode: str) -> tuple[list, "object"]:
 
 
 def _measure(mode: str, csr) -> tuple[dict, list]:
-    options = {} if mode == "fused" else {"worker_protocol_version": 3}
-    with Server(
-        backend="cluster", hosts=2, device="rtx4090", cluster_options=options
-    ) as server:
+    with Server(backend="cluster", hosts=2, device="rtx4090") as server:
         outputs, stats = _drive(server, csr, mode)
         snap = server.snapshot()
         cluster = server.scheduler.stats_snapshot()
@@ -165,7 +162,7 @@ def _emit(report: dict) -> None:
                 "MB received",
             ],
             rows,
-            title="Fused v4 layer serving vs forced-v3 composed: "
+            title="Fused layer serving vs the three-call composition: "
             f"{report['config']['iterations']}x{report['config']['layers_per_iteration']} "
             f"AGNN layers, {report['config']['nnz']} edges",
         )

@@ -22,7 +22,7 @@ through the same retry machinery, never silently computed on.  Routing is
 by matrix content key under rendezvous
 hashing, so every host's own translation cache serves repeat requests
 for "its" matrices — the multi-host analogue of the serving frontend's
-content-keyed translation dedup.  On top of that, the v3 data plane
+content-keyed translation dedup.  On top of that, the data plane
 pushes matrix and operand bytes **once per (host, content key)**
 (:mod:`repro.cluster.store`): workers pin pushed bundles in a
 byte-budgeted :class:`~repro.cluster.store.PinnedStore` and repeat task

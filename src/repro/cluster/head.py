@@ -2,9 +2,9 @@
 
 The :class:`ClusterScheduler` is the multi-host counterpart of the
 single-host :class:`~repro.serve.scheduler.ShardScheduler` and presents the
-same execution interface (``run_spmm`` / ``run_sddmm``, ``close``,
-``stats_snapshot``), so the serving frontend plugs it in unchanged.  What
-changes underneath:
+same execution interface (``run_spmm`` / ``run_sddmm`` / ``run_layer`` /
+``run_segment_matmul``, ``close``, ``stats_snapshot``), so the serving
+frontend plugs it in unchanged.  What changes underneath:
 
 * **Hosts, not processes.**  Each worker host is a separate process owning
   its own translation cache, reached over a long-lived TCP connection
@@ -42,25 +42,25 @@ changes underneath:
   exactly like a transport failure: the connection recycles, the shard
   re-sends, and the request completes bit-identically — corruption costs
   a retry, never wrong numerics.
-* **Push/pin data plane (protocol v3).**  Operand bytes ship **once per
-  (host, content key)**, not once per task: each host client keeps a
-  ledger of what its worker has pinned (:mod:`repro.cluster.store`),
-  pushes ledger-missing CSR bundles and dense panels in ``store_put``
-  frames, and sends task frames that reference keys only.  A
-  ``store_miss`` (eviction, cold restart) is handled like a transient
-  transport failure — re-push, bounded, with task-embedded operands as
-  the last resort — and legacy v2 peers keep working with embedded
-  operands after version negotiation.
+* **Push/pin data plane.**  Operand bytes ship **once per (host, content
+  key)**, not once per task: each host client keeps a ledger of what its
+  worker has pinned (:mod:`repro.cluster.store`), pushes ledger-missing
+  CSR bundles and dense panels in ``store_put`` frames, and sends kernel
+  and layer task frames that reference keys only.  A ``store_miss``
+  (eviction, cold restart) is handled like a transient transport failure
+  — re-push, bounded; a shard whose store keeps missing (a budget smaller
+  than one request's working set) runs in-parent instead, so a thrashing
+  store costs throughput, never the request.
 * **Assembly, not shared memory.**  Shard results return as transport
   payloads and are reassembled by :mod:`repro.cluster.assembly` with
   overlap/completeness checks — there is no shared output buffer to
   scatter into across machines.
 
 Bit-exactness carries over from the single-host scheduler: workers run the
-same whole-window shard reductions on a bit-identical translation, so the
-cluster result equals the single-process one-shot result exactly, for any
-shard size, any host count, and across mid-shard host deaths, reconnects
-and speculative duplicates.
+same shard-table entries (:data:`repro.kernels.engine.SHARD_OPS`) on a
+bit-identical translation, so the cluster result equals the single-process
+one-shot result exactly, for any shard size, any host count, and across
+mid-shard host deaths, reconnects and speculative duplicates.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from repro.cluster.membership import (
     MembershipProbe,
 )
 from repro.cluster.metrics import ClusterMetrics
-from repro.cluster.store import csr_store_key, operand_store_key
+from repro.cluster.store import StoreMissError, csr_store_key, operand_store_key
 from repro.cluster.transport import (
     AuthenticationError,
     FrameIntegrityError,
@@ -100,22 +100,14 @@ from repro.cluster.transport import (
     recv_message,
     send_message,
 )
-from repro.cluster.worker import run_worker
+from repro.cluster.worker import run_worker, shard_params
 from repro.formats.blocked import BlockedVectorFormat
-from repro.formats.cache import cached_mebcrs, cached_sgt16
 from repro.formats.csr import CSRMatrix
 from repro.formats.sgt16 import SGT16Matrix
-from repro.kernels.engine import (
-    layer_shard_rows,
-    layer_softmax_mapping,
-    sddmm_a_window,
-    sddmm_shard_values,
-    spmm_shard_rows,
-    window_aligned_ranges,
-)
-from repro.ops import segment_matmul, segment_softmax
+from repro.kernels.engine import SHARD_OPS
+from repro.ops import segment_matmul
 from repro.precision.types import Precision
-from repro.serve.program import LayerProgram, attention_csr, gather_edge_values
+from repro.serve.program import LayerProgram
 
 #: Idle gap after which a host client probes its host with a ping.
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.5
@@ -165,16 +157,16 @@ class _Stop:
 class _Task:
     """One shard task travelling through a host client.
 
-    ``store_plan`` is the push/pin decomposition of ``arrays``: a list of
-    ``(store_key, arrays)`` groups whose concatenation equals the embedded
-    payload, with the CSR bundle first by convention.  On a v3 connection
-    the client pushes ledger-missing groups once and sends the task frame
-    with keys only; ``arrays`` stays attached as the embedded fallback
-    (legacy peer, or a store that keeps missing under a tiny budget).
+    A frame has a store plan *or* inline arrays, never both.  Kernel and
+    layer tasks carry a ``store_plan`` — ``(store_key, arrays)`` groups,
+    the CSR bundle first, then one group per dense operand: the client
+    pushes ledger-missing groups once and sends the task frame with keys
+    only.  ``segmm_task`` carries its one-shot operands inline in
+    ``arrays`` (nothing worth pinning).
     """
 
     header: dict
-    arrays: list
+    arrays: list = field(default_factory=list)
     store_plan: list = field(default_factory=list)
     future: Future = field(default_factory=Future)
 
@@ -240,9 +232,6 @@ class _HostClient(threading.Thread):
         self._wake = threading.Event()  # interrupts backoff sleeps on stop()
         self._in_flight = False
         self._reconnect_epoch = 0  # keys the jitter stream per SUSPECT episode
-        #: Wire version negotiated on the current connection (v2 until the
-        #: first handshake says otherwise; push/pin needs >= 3).
-        self.wire_version = 2
         #: Store keys the head believes this worker has pinned.  It lives
         #: on the client, so a DEAD host's ledger dies with it (a restarted
         #: worker is never assumed warm) and readmission starts from the
@@ -289,7 +278,7 @@ class _HostClient(threading.Thread):
                 sock = self.ssl_context.wrap_socket(sock)
             if self.fault_plan is not None:
                 sock = self.fault_plan.wrap(sock, scope=self.host_id)
-            sent, received, negotiated = client_handshake(sock, auth_token=self.auth_token)
+            sent, received = client_handshake(sock, auth_token=self.auth_token)
         except BaseException as exc:
             try:
                 sock.close()
@@ -301,7 +290,6 @@ class _HostClient(threading.Thread):
                 )
             raise
         self.metrics.record_transport_bytes(self.host_id, sent=sent, received=received)
-        self.wire_version = negotiated
         return sock
 
     def connect(self) -> None:
@@ -319,7 +307,7 @@ class _HostClient(threading.Thread):
         inventory and gets everything pushed again on first use.
         """
         self._sock.settimeout(self.heartbeat_timeout_s)
-        sent = send_message(self._sock, {"type": "ping"}, version=self.wire_version)
+        sent = send_message(self._sock, {"type": "ping"})
         header, _, received = recv_message(
             self._sock, max_frame_bytes=self.max_frame_bytes
         )
@@ -473,9 +461,9 @@ class _HostClient(threading.Thread):
 
         One ``store_put`` + ``store_ack`` round trip per missing group;
         groups already in the ledger are counted as ``bytes_saved`` — the
-        payload a v2 task frame would have embedded.  The ack's eviction
-        list prunes the ledger immediately, so a tiny store budget costs
-        a re-push on next use rather than a guaranteed ``store_miss``.
+        payload that did not have to cross the wire again.  The ack's
+        eviction list prunes the ledger immediately, so a tiny store budget
+        costs a re-push on next use rather than a guaranteed ``store_miss``.
         Transport failures propagate to the caller's recovery path.
         """
         for key, arrays in plan:
@@ -483,12 +471,7 @@ class _HostClient(threading.Thread):
             if key in self.ledger:
                 self.metrics.record_store_hit(self.host_id, nbytes)
                 continue
-            sent = send_message(
-                self._sock,
-                {"type": "store_put", "store_key": key},
-                arrays,
-                version=self.wire_version,
-            )
+            sent = send_message(self._sock, {"type": "store_put", "store_key": key}, arrays)
             self.metrics.record_store_put(self.host_id, sent)
             header, _, received = recv_message(
                 self._sock, max_frame_bytes=self.max_frame_bytes
@@ -506,32 +489,16 @@ class _HostClient(threading.Thread):
         self._in_flight = True
         recoveries = 0
         miss_retries = 0
-        # Embedded fallback once the wire is v2 or the store keeps missing
-        # (a budget smaller than the working set): costs bytes, never the
-        # request.
-        use_store = bool(task.store_plan)
         try:
             while True:
                 try:
                     self._sock.settimeout(self.task_timeout_s)
-                    by_reference = use_store and self.wire_version >= 3
-                    if by_reference:
+                    header = task.header
+                    if task.store_plan:
                         self._push_missing(task.store_plan)
-                        header = dict(task.header)
-                        header["store_csr"] = task.store_plan[0][0]
-                        header["store_operands"] = [
-                            key for key, _ in task.store_plan[1:]
-                        ]
-                        sent = send_message(
-                            self._sock, header, [], version=self.wire_version
-                        )
-                    else:
-                        sent = send_message(
-                            self._sock,
-                            task.header,
-                            task.arrays,
-                            version=self.wire_version,
-                        )
+                        keys = [key for key, _ in task.store_plan]
+                        header = dict(header, store_csr=keys[0], store_operands=keys[1:])
+                    sent = send_message(self._sock, header, task.arrays)
                     self.metrics.record_task_sent(self.host_id, sent)
                     header, arrays, received = recv_message(
                         self._sock, max_frame_bytes=self.max_frame_bytes
@@ -575,18 +542,20 @@ class _HostClient(threading.Thread):
                     # The worker no longer holds keys the ledger promised
                     # (evicted under budget pressure, or a restarted cold
                     # process).  Treated like a transient failure: drop the
-                    # stale entries and re-push, bounded — past the budget
-                    # the task ships with embedded operands instead, so a
-                    # thrashing store can cost bytes but never the request.
+                    # stale entries and re-push, bounded.  Past the budget
+                    # the store is thrashing (smaller than this request's
+                    # working set): hand the shard back for in-parent
+                    # execution — the host itself is fine.
                     self.metrics.record_store_miss(self.host_id)
                     self.metrics.record_transport_bytes(
                         self.host_id, received=received, frame_type="store_miss"
                     )
-                    for key in header.get("missing", ()):
-                        self.ledger.discard(key)
+                    missing = list(header.get("missing", ()))
+                    self.ledger.difference_update(missing)
                     miss_retries += 1
                     if miss_retries > max(1, self.retry_policy.max_attempts):
-                        use_store = False
+                        task.future.set_exception(StoreMissError(missing))
+                        return
                     continue
                 if header.get("type") == "error":
                     # The *computation* failed on a live host: deterministic,
@@ -616,7 +585,7 @@ class _HostClient(threading.Thread):
             return
         try:
             self._sock.settimeout(self.heartbeat_timeout_s)
-            sent = send_message(self._sock, {"type": "ping"}, version=self.wire_version)
+            sent = send_message(self._sock, {"type": "ping"})
             self.metrics.record_transport_bytes(self.host_id, sent=sent)
             header, _, received = recv_message(
                 self._sock, max_frame_bytes=self.max_frame_bytes
@@ -648,8 +617,9 @@ class _HostClient(threading.Thread):
     def _shutdown_host(self) -> None:
         try:
             self._sock.settimeout(self.heartbeat_timeout_s)
-            send_message(self._sock, {"type": "shutdown"}, version=self.wire_version)
-            recv_message(self._sock)  # the worker's "bye"
+            send_message(self._sock, {"type": "shutdown"})
+            # The worker's "bye" — bounded like every other head-side read.
+            recv_message(self._sock, max_frame_bytes=self.max_frame_bytes)
         except (TransportError, OSError):
             pass
         self._mark_dead(None, record=False)
@@ -767,13 +737,8 @@ class ClusterScheduler:
         the same certificate.
     store_bytes:
         Pin-store budget (bytes) for spawned loopback workers — the
-        protocol v3 push/pin cache of matrix and operand bytes (default:
-        the worker's own 256 MiB; external workers take ``--store-bytes``).
-    worker_protocol_version:
-        Cap on the wire version spawned workers advertise.  ``2`` makes
-        every worker a legacy peer: the head negotiates down and embeds
-        operand bytes in every task frame — what the mixed-version tests
-        and the benchmark's v2 baseline use.
+        push/pin cache of matrix and operand bytes (default: the worker's
+        own 256 MiB; external workers take ``--store-bytes``).
     """
 
     def __init__(
@@ -796,7 +761,6 @@ class ClusterScheduler:
         tls_key: str | None = None,
         tls_ca: str | None = None,
         store_bytes: int | None = None,
-        worker_protocol_version: int | None = None,
     ):
         if addresses is None and int(hosts) < 0:
             raise ValueError("hosts must be >= 0")
@@ -850,8 +814,6 @@ class ClusterScheduler:
                     worker_kwargs["tls_ca"] = tls_ca
                 if store_bytes is not None:
                     worker_kwargs["store_bytes"] = int(store_bytes)
-                if worker_protocol_version is not None:
-                    worker_kwargs["protocol_version"] = int(worker_protocol_version)
                 for _ in range(int(hosts)):
                     host_id = self._new_host_id()
                     kwargs = dict(worker_kwargs)
@@ -910,22 +872,15 @@ class ClusterScheduler:
             if not h.removed and h.state is HostHealth.DEAD and not h.client._stopping
         ]
 
-    def affinity_host(self, content_key: str, min_wire: int = 0) -> HostState | None:
+    def affinity_host(self, content_key: str) -> HostState | None:
         """The host that rendezvous routing assigns ``content_key``.
 
         Hosts in a preferred state (HEALTHY / RECOVERING) win; SUSPECT
         hosts are used only when no preferred host exists for the key, so
         routing does not flap on a sub-second blip but also does not pile
-        new work onto a host that is busy re-dialling.  ``min_wire``
-        restricts the pool to hosts whose negotiated connection speaks at
-        least that protocol version — fused ``layer_task`` dispatch (and
-        its failover) must never hand a v4 frame to a v3 peer.
+        new work onto a host that is busy re-dialling.
         """
-        candidates = {
-            h.host_id: h
-            for h in self._hosts_view()
-            if h.accepting and h.client.wire_version >= min_wire
-        }
+        candidates = {h.host_id: h for h in self._hosts_view() if h.accepting}
         if not candidates:
             return None
         preferred = {
@@ -938,17 +893,12 @@ class ClusterScheduler:
             return pool[host_id]
         return None  # pragma: no cover - pool is never empty here
 
-    def _speculation_target(
-        self, content_key: str, exclude: str, min_wire: int = 0
-    ) -> HostState | None:
+    def _speculation_target(self, content_key: str, exclude: str) -> HostState | None:
         """Backup host for a speculative duplicate (never the suspect one)."""
         pool = {
             h.host_id: h
             for h in self._hosts_view()
-            if h.host_id != exclude
-            and h.accepting
-            and h.state in PREFERRED_STATES
-            and h.client.wire_version >= min_wire
+            if h.host_id != exclude and h.accepting and h.state in PREFERRED_STATES
         }
         for host_id in rendezvous_rank(content_key, list(pool)):
             return pool[host_id]
@@ -1085,26 +1035,7 @@ class ClusterScheduler:
         self.close()
 
     # -------------------------------------------------------------- dispatch
-    def _resolve_identity(self, fmt, csr, content_key):
-        """The CSR payload and routing key for ``fmt``.
-
-        The serving frontend passes the request's own CSR; direct callers
-        may omit it, in which case the blocked format is converted back
-        (an exact structural round-trip for these formats).
-        """
-        if csr is None:
-            csr = fmt.to_csr()
-        if content_key is None:
-            content_key = csr.content_key()
-        return csr, content_key
-
-    def _default_target(self, num_blocks: int) -> int:
-        shards = max(2, SHARDS_PER_HOST * max(1, len(self.hosts)))
-        return max(1, -(-num_blocks // shards))
-
-    def _dispatch(
-        self, tasks: list[dict], content_key: str, inline_body, min_wire: int = 0
-    ) -> list[list]:
+    def _dispatch(self, tasks: list[dict], content_key: str, inline_body) -> list[list]:
         """Run shard ``tasks``, failing over dead hosts; returns per-task
         **lists** of ``(header, arrays)`` payloads — normally one, two when
         a speculative duplicate also answered (assembly suppresses the
@@ -1113,14 +1044,17 @@ class ClusterScheduler:
         Routing: all tasks go to the key's first preferred host in
         rendezvous order; every re-dispatch moves the *unfinished* tasks to
         the next live host.  When the rank is exhausted (or the cluster has
-        no hosts) the head runs the remainder in-parent.
+        no hosts) the head runs the remainder in-parent — as it does a
+        shard whose host's store kept missing, which another trip to the
+        same thrashing host would not fix.
         """
         self.metrics.record_request(len(tasks))
         results: dict[int, list] = {}
         pending = list(range(len(tasks)))
+        inline: list[int] = []
         first_attempt = True
         while pending:
-            target = self.affinity_host(content_key, min_wire=min_wire)
+            target = self.affinity_host(content_key)
             if target is None:
                 break  # no live host: in-parent fallback below
             if not first_attempt:
@@ -1128,37 +1062,31 @@ class ClusterScheduler:
             first_attempt = False
             submitted: list[tuple[int, _Task]] = []
             for index in pending:
-                task = _Task(
-                    header=tasks[index]["header"],
-                    arrays=tasks[index]["arrays"],
-                    store_plan=tasks[index].get("store_plan", []),
-                )
+                task = _Task(**tasks[index]["frame"])
                 if not target.client.submit(task):
                     break  # died mid-submit: the rest re-route next round
                 submitted.append((index, task))
             still_pending = pending[len(submitted) :]
             for index, task in submitted:
-                payloads = self._collect(
-                    target, task, tasks[index], content_key, min_wire=min_wire
-                )
+                try:
+                    payloads = self._collect(target, task, tasks[index]["frame"], content_key)
+                except StoreMissError:
+                    inline.append(index)
+                    continue
                 if payloads:
                     results[index] = payloads
                 else:
                     still_pending.append(index)
             pending = sorted(still_pending)
-        if pending:
-            self.metrics.record_inline_fallback(len(pending))
-            for index in pending:
+        inline += pending
+        if inline:
+            self.metrics.record_inline_fallback(len(inline))
+            for index in inline:
                 results[index] = [inline_body(tasks[index])]
         return [results[i] for i in range(len(tasks))]
 
     def _collect(
-        self,
-        target: HostState,
-        task: _Task,
-        source: dict,
-        content_key: str,
-        min_wire: int = 0,
+        self, target: HostState, task: _Task, frame: dict, content_key: str
     ) -> list[tuple]:
         """Await one shard's result, speculating if its host turns SUSPECT.
 
@@ -1169,7 +1097,9 @@ class ClusterScheduler:
         suppresses the duplicate).  Returns an empty list when every copy
         failed with :class:`HostDeadError` (the caller re-dispatches) and
         raises when the shard computation itself failed — that error is
-        deterministic, so retrying elsewhere would only reproduce it.
+        deterministic, so retrying elsewhere would only reproduce it — or
+        when the host's store kept missing (:class:`StoreMissError`; the
+        caller runs the shard in-parent).
         """
         attempts: list[_Task] = [task]
         speculated = False
@@ -1194,18 +1124,12 @@ class ClusterScheduler:
                 )
                 continue
             if target.client.state is HostHealth.SUSPECT:
-                backup = self._speculation_target(
-                    content_key, exclude=target.host_id, min_wire=min_wire
-                )
+                backup = self._speculation_target(content_key, exclude=target.host_id)
                 if backup is not None:
                     # The duplicate carries the same store plan: the backup
                     # host's client pushes whatever *its* ledger is missing
                     # before referencing keys — failover re-push for free.
-                    duplicate = _Task(
-                        header=source["header"],
-                        arrays=source["arrays"],
-                        store_plan=source.get("store_plan", []),
-                    )
+                    duplicate = _Task(**frame)
                     if backup.client.submit(duplicate):
                         attempts.append(duplicate)
                         self.metrics.record_speculation(backup.host_id)
@@ -1234,27 +1158,89 @@ class ClusterScheduler:
             raise fatal
         return []
 
-    def _task_header(self, op, fmt, csr, content_key, r, index, extra=None) -> dict:
-        header = {
-            "type": "task",
-            "task_id": index,
-            "op": op,
+    # ------------------------------------------------------------ kernel ops
+    def _run(
+        self,
+        op_name: str,
+        fmt: BlockedVectorFormat,
+        operands: list[np.ndarray],
+        precision: Precision,
+        header_extra: dict,
+        frame_type: str = "task",
+        target_blocks: int | None = None,
+        csr: CSRMatrix | None = None,
+        content_key: str | None = None,
+    ) -> tuple[np.ndarray, dict]:
+        """Plan → dispatch → assemble for one table op (see
+        :data:`repro.kernels.engine.SHARD_OPS`).
+
+        ``header_extra`` holds the op's own task-header fields; the
+        in-parent fallback reads its settings off the same header a worker
+        would (:func:`repro.cluster.worker.shard_params`).  Returns the
+        assembled output plus the per-stage seconds the shards reported,
+        summed.
+        """
+        op = SHARD_OPS[op_name]
+        group = header_extra.get("group")
+        shards = max(2, SHARDS_PER_HOST * max(1, len(self.hosts)))
+        ranges, out_shape = op.plan(fmt, operands, group, shards, target_blocks)
+        if not ranges:
+            return np.zeros(out_shape, dtype=np.float32), {}
+        # The serving frontend passes the request's own CSR; direct callers
+        # may omit it, in which case the blocked format is converted back
+        # (an exact structural round-trip for these formats).
+        if csr is None:
+            csr = fmt.to_csr()
+        if content_key is None:
+            content_key = csr.content_key()
+        operands = [np.ascontiguousarray(o, dtype=np.float32) for o in operands]
+
+        # One store plan per request: the CSR bundle keyed by the routing
+        # content key, each dense panel keyed by its own content hash —
+        # every shard of this request references the same keys, so a host
+        # receives the bytes once, not once per shard (and repeat requests
+        # for a pinned matrix ship no matrix bytes at all).
+        store_plan = [(csr_store_key(content_key), [csr.indptr, csr.indices, csr.data])]
+        store_plan += [(operand_store_key(o), [o]) for o in operands]
+        base = {
+            "type": frame_type,
+            "op": op_name,
             "fmt": "sgt16" if isinstance(fmt, SGT16Matrix) else "mebcrs",
-            "precision": extra.pop("precision"),
+            "precision": precision.value,
             "shape": list(csr.shape),
             "content_key": content_key,
-            "lo": r.lo,
-            "hi": r.hi,
-            "w0": r.w0,
-            "w1": r.w1,
+            **header_extra,
         }
+        params = shard_params(base)
         if self.inject_task_delay_s:
-            header["delay_s"] = float(self.inject_task_delay_s)
-        if extra:
-            header.update(extra)
-        return header
+            base["delay_s"] = float(self.inject_task_delay_s)
+        tasks = []
+        for i, r in enumerate(ranges):
+            header = dict(base, task_id=i, lo=r.lo, hi=r.hi, w0=r.w0, w1=r.w1)
+            tasks.append({"frame": {"header": header, "store_plan": store_plan}, "range": r})
 
-    # ------------------------------------------------------------------ SpMM
+        def inline(task: dict) -> tuple:
+            sliced = op.slice(fmt, task["range"], group, csr.indptr)
+            outputs, timings = op.run(sliced, operands, params)
+            return {"row0": sliced.get("row0"), "timings": timings}, outputs
+
+        if op.scatter:
+            assembly = SddmmAssembly(out_shape, num_shards=len(ranges))
+        else:
+            assembly = SpmmAssembly(*out_shape, num_shards=len(ranges))
+        stage_seconds: dict[str, float] = {}
+        for i, payloads in enumerate(self._dispatch(tasks, content_key, inline)):
+            for j, (header, arrays) in enumerate(payloads):
+                if op.scatter:
+                    assembly.add(i, arrays[0], arrays[1])
+                else:
+                    assembly.add(i, header["row0"], arrays[0])
+                if j == 0:  # don't double-count a speculative duplicate
+                    for stage, s in (header.get("timings") or {}).items():
+                        stage_seconds[stage] = stage_seconds.get(stage, 0.0) + float(s)
+        self.metrics.record_duplicates_suppressed(assembly.duplicates_suppressed)
+        return assembly.result(), stage_seconds
+
     def run_spmm(
         self,
         fmt: BlockedVectorFormat,
@@ -1270,60 +1256,18 @@ class ClusterScheduler:
         convention); ``csr`` / ``content_key`` identify the request payload
         for routing (derived from ``fmt`` when omitted).
         """
-        n_rows = fmt.shape[0]
-        n_dense = b_q.shape[1]
-        batch = fmt.blocks_as_arrays()
-        offsets = batch.window_offsets
-        if target_blocks is None:
-            target_blocks = self._default_target(batch.num_blocks)
-        ranges = window_aligned_ranges(offsets, target_blocks)
-        if batch.num_blocks == 0 or n_dense == 0 or not ranges:
-            return np.zeros((n_rows, n_dense), dtype=np.float32)
-        csr, content_key = self._resolve_identity(fmt, csr, content_key)
-        b_q = np.ascontiguousarray(b_q, dtype=np.float32)
+        out, _ = self._run(
+            "spmm",
+            fmt,
+            [b_q],
+            precision,
+            {},
+            target_blocks=target_blocks,
+            csr=csr,
+            content_key=content_key,
+        )
+        return out
 
-        # One store plan per request: the CSR bundle keyed by the routing
-        # content key, the dense panel keyed by its own content hash —
-        # every shard of this request references the same keys, so a host
-        # receives the bytes once, not once per shard (and repeat requests
-        # for a pinned matrix ship no matrix bytes at all).
-        store_plan = [
-            (csr_store_key(content_key), [csr.indptr, csr.indices, csr.data]),
-            (operand_store_key(b_q), [b_q]),
-        ]
-        tasks = []
-        for i, r in enumerate(ranges):
-            header = self._task_header(
-                "spmm", fmt, csr, content_key, r, i, {"precision": precision.value}
-            )
-            tasks.append(
-                {
-                    "header": header,
-                    "arrays": [csr.indptr, csr.indices, csr.data, b_q],
-                    "store_plan": store_plan,
-                    "range": r,
-                }
-            )
-
-        def inline(task: dict) -> tuple:
-            r = task["range"]
-            rows = spmm_shard_rows(
-                batch.values[r.lo : r.hi],
-                batch.columns[r.lo : r.hi],
-                offsets[r.w0 : r.w1 + 1] - offsets[r.w0],
-                b_q,
-                precision,
-            )
-            return {"row0": r.w0 * fmt.vector_size}, [rows]
-
-        assembly = SpmmAssembly(n_rows, n_dense, num_shards=len(ranges))
-        for i, payloads in enumerate(self._dispatch(tasks, content_key, inline)):
-            for header, arrays in payloads:
-                assembly.add(i, header["row0"], arrays[0])
-        self.metrics.record_duplicates_suppressed(assembly.duplicates_suppressed)
-        return assembly.result()
-
-    # ----------------------------------------------------------------- SDDMM
     def run_sddmm(
         self,
         fmt: BlockedVectorFormat,
@@ -1341,71 +1285,18 @@ class ClusterScheduler:
         Returns the ``(num_nonzero_vectors, vector_size)`` value array in
         the layout of ``fmt.vector_values``.
         """
-        v = fmt.vector_size
-        k_dense = a_q.shape[1]
-        batch = fmt.blocks_as_arrays(group)
-        offsets = batch.window_offsets
-        if target_blocks is None:
-            target_blocks = self._default_target(batch.num_blocks)
-        ranges = window_aligned_ranges(offsets, target_blocks)
-        out_shape = fmt.vector_values.shape
-        if batch.num_blocks == 0 or k_dense == 0 or not ranges:
-            return np.zeros(out_shape, dtype=np.float32)
-        csr, content_key = self._resolve_identity(fmt, csr, content_key)
-        a_q = np.ascontiguousarray(a_q, dtype=np.float32)
-        b_q = np.ascontiguousarray(b_q, dtype=np.float32)
+        out, _ = self._run(
+            "sddmm",
+            fmt,
+            [a_q, b_q],
+            precision,
+            {"group": int(group), "scale_by_mask": bool(scale_by_mask)},
+            target_blocks=target_blocks,
+            csr=csr,
+            content_key=content_key,
+        )
+        return out
 
-        store_plan = [
-            (csr_store_key(content_key), [csr.indptr, csr.indices, csr.data]),
-            (operand_store_key(a_q), [a_q]),
-            (operand_store_key(b_q), [b_q]),
-        ]
-        tasks = []
-        for i, r in enumerate(ranges):
-            header = self._task_header(
-                "sddmm",
-                fmt,
-                csr,
-                content_key,
-                r,
-                i,
-                {
-                    "precision": precision.value,
-                    "group": int(group),
-                    "scale_by_mask": bool(scale_by_mask),
-                },
-            )
-            tasks.append(
-                {
-                    "header": header,
-                    "arrays": [csr.indptr, csr.indices, csr.data, a_q, b_q],
-                    "store_plan": store_plan,
-                    "range": r,
-                }
-            )
-
-        def inline(task: dict) -> tuple:
-            r = task["range"]
-            idx, vals = sddmm_shard_values(
-                batch.values[r.lo : r.hi],
-                batch.columns[r.lo : r.hi],
-                batch.lane_valid[r.lo : r.hi],
-                batch.vector_index[r.lo : r.hi],
-                batch.window_of_block[r.lo : r.hi] - r.w0,
-                sddmm_a_window(a_q, r.w0, r.w1, v),
-                b_q,
-                bool(scale_by_mask),
-            )
-            return {}, [np.asarray(idx, dtype=np.int64), vals]
-
-        assembly = SddmmAssembly(out_shape, num_shards=len(ranges))
-        for i, payloads in enumerate(self._dispatch(tasks, content_key, inline)):
-            for _, arrays in payloads:
-                assembly.add(i, arrays[0], arrays[1])
-        self.metrics.record_duplicates_suppressed(assembly.duplicates_suppressed)
-        return assembly.result()
-
-    # ------------------------------------------------------------ layer (v4)
     def run_layer(
         self,
         fmt: BlockedVectorFormat,
@@ -1422,221 +1313,64 @@ class ClusterScheduler:
         content_key: str | None = None,
     ) -> tuple[np.ndarray, dict]:
         """One whole attention layer — SDDMM → scale → softmax → SpMM — in a
-        single cluster round trip per shard (protocol v4).
+        single cluster round trip per shard.
 
-        When the key's affinity host negotiated v4, every shard ships as
-        one ``layer_task`` frame: the CSR bundle and all three dense panels
-        ride the pinned store (so repeat layers over a pinned matrix ship
-        no operand bytes at all), the worker runs the fused engine hook on
-        its cached translation, and only the final dense rows come back —
-        the SDDMM intermediate and the per-evaluation attention matrix
-        never touch the wire.  A v3 affinity host gets the composed
-        fallback instead: the same three-kernel pipeline driven from the
-        head, bit-identical, just three round trips and the intermediate
-        traffic the fused path exists to avoid.
+        Every shard ships as one ``layer_task`` frame: the CSR bundle and
+        all three dense panels ride the pinned store (so repeat layers over
+        a pinned matrix ship no operand bytes at all), the worker runs the
+        fused engine hook on its cached translation, and only the final
+        dense rows come back — the SDDMM intermediate and the
+        per-evaluation attention matrix never touch the wire.  ``indptr``
+        is the mask's CSR row layout; the cluster reads it off ``csr``.
 
         Returns ``(rows, stage_seconds)`` — the dense layer output plus
         the per-stage wall-clock split summed across shards, matching
         :meth:`repro.serve.scheduler.ShardScheduler.run_layer`.
         """
-        v = fmt.vector_size
-        n_rows = fmt.shape[0]
-        n_dense = x_q.shape[1]
-        pbatch = fmt.blocks_as_arrays()
-        offsets = pbatch.window_offsets
-        if target_blocks is None:
-            target_blocks = self._default_target(pbatch.num_blocks)
-        ranges = window_aligned_ranges(offsets, target_blocks)
-        if pbatch.num_blocks == 0 or n_dense == 0 or not ranges:
-            return np.zeros((n_rows, n_dense), dtype=np.float32), {}
-        csr, content_key = self._resolve_identity(fmt, csr, content_key)
-        a_q = np.ascontiguousarray(a_q, dtype=np.float32)
-        b_q = np.ascontiguousarray(b_q, dtype=np.float32)
-        x_q = np.ascontiguousarray(x_q, dtype=np.float32)
-
-        target = self.affinity_host(content_key)
-        if target is not None and target.client.wire_version < 4:
-            return self._run_layer_composed(
-                fmt,
-                csr,
-                content_key,
-                a_q,
-                b_q,
-                x_q,
-                precision,
-                group,
-                scale,
-                scale_by_mask,
-                target_blocks,
-            )
-
+        if csr is None:
+            csr = fmt.to_csr()
         program = LayerProgram.attention_layer(scale=scale, scale_by_mask=scale_by_mask)
-        store_plan = [
-            (csr_store_key(content_key), [csr.indptr, csr.indices, csr.data]),
-            (operand_store_key(a_q), [a_q]),
-            (operand_store_key(b_q), [b_q]),
-            (operand_store_key(x_q), [x_q]),
-        ]
-        tasks = []
-        for i, r in enumerate(ranges):
-            header = self._task_header(
-                "layer",
-                fmt,
-                csr,
-                content_key,
-                r,
-                i,
-                {
-                    "precision": precision.value,
-                    "group": int(group),
-                    "program": program.to_wire(),
-                },
-            )
-            header["type"] = "layer_task"
-            tasks.append(
-                {
-                    "header": header,
-                    "arrays": [csr.indptr, csr.indices, csr.data, a_q, b_q, x_q],
-                    "store_plan": store_plan,
-                    "range": r,
-                }
-            )
-
-        def inline(task: dict) -> tuple:
-            # In-parent last resort when no v4 host survives: the same
-            # fused hook the workers run, on the head's own translation.
-            r = task["range"]
-            sbatch = fmt.blocks_as_arrays(group)
-            soffsets = sbatch.window_offsets
-            slo, shi = int(soffsets[r.w0]), int(soffsets[r.w1])
-            local_indptr, entry_vector, entry_lane, vec_lo, vec_count = (
-                layer_softmax_mapping(
-                    csr.indptr,
-                    fmt.partition.nnz_vector_of_entry,
-                    fmt.partition.window_ptr,
-                    r.w0,
-                    r.w1,
-                    v,
-                    n_rows,
-                )
-            )
-            rows, timings = layer_shard_rows(
-                sbatch.values[slo:shi],
-                sbatch.columns[slo:shi],
-                sbatch.lane_valid[slo:shi],
-                sbatch.vector_index[slo:shi],
-                sbatch.window_of_block[slo:shi] - r.w0,
-                pbatch.columns[r.lo : r.hi],
-                offsets[r.w0 : r.w1 + 1] - offsets[r.w0],
-                pbatch.lane_valid[r.lo : r.hi],
-                pbatch.vector_index[r.lo : r.hi],
-                local_indptr,
-                entry_vector,
-                entry_lane,
-                vec_lo,
-                vec_count,
-                sddmm_a_window(a_q, r.w0, r.w1, v),
-                b_q,
-                x_q,
-                precision,
-                scale,
-                scale_by_mask,
-            )
-            return {"row0": r.w0 * v, "timings": timings}, [rows]
-
-        assembly = SpmmAssembly(n_rows, n_dense, num_shards=len(ranges))
-        stage_seconds: dict[str, float] = {}
-        for i, payloads in enumerate(
-            self._dispatch(tasks, content_key, inline, min_wire=4)
-        ):
-            for j, (header, arrays) in enumerate(payloads):
-                assembly.add(i, header["row0"], arrays[0])
-                if j == 0:  # don't double-count a speculative duplicate
-                    for stage, s in (header.get("timings") or {}).items():
-                        stage_seconds[stage] = stage_seconds.get(stage, 0.0) + float(s)
-        self.metrics.record_duplicates_suppressed(assembly.duplicates_suppressed)
-        # What the composed path would have moved over the wire and the
-        # fused path did not: the SDDMM intermediate pulled back to the
-        # head (float32 values + int64 vector indices) plus the attention
-        # CSR bundle pushed out again for the SpMM — never pinnable, its
-        # values change every layer evaluation.
-        n_vec = int(fmt.vector_values.shape[0])
-        intermediate_bytes = (
-            n_vec * v * 4
-            + n_vec * 8
-            + int(csr.indptr.nbytes)
-            + int(csr.indices.nbytes)
-            + int(csr.nnz) * 4
-        )
-        self.metrics.record_layer_request(
-            fused=True, round_trips_saved=2, operand_bytes_saved=intermediate_bytes
-        )
-        return assembly.result(), stage_seconds
-
-    def _run_layer_composed(
-        self,
-        fmt: BlockedVectorFormat,
-        csr: CSRMatrix,
-        content_key: str,
-        a_q: np.ndarray,
-        b_q: np.ndarray,
-        x_q: np.ndarray,
-        precision: Precision,
-        group: int,
-        scale: float | None,
-        scale_by_mask: bool,
-        target_blocks: int | None,
-    ) -> tuple[np.ndarray, dict]:
-        """Per-kernel fallback for a v3 affinity host: the literal
-        SDDMM → scale → softmax → SpMM composition, bit-identical to the
-        fused path (the parity tests pin this), at per-kernel cost."""
-        t0 = time.perf_counter()
-        sddmm_vals = self.run_sddmm(
+        out, stage_seconds = self._run(
+            "layer",
             fmt,
-            a_q,
-            b_q,
+            [a_q, b_q, x_q],
             precision,
-            group,
-            scale_by_mask=scale_by_mask,
+            {"group": int(group), "program": program.to_wire()},
+            frame_type="layer_task",
             target_blocks=target_blocks,
             csr=csr,
             content_key=content_key,
         )
-        t1 = time.perf_counter()
-        logits = gather_edge_values(fmt.partition, csr.indptr, sddmm_vals)
-        if scale is not None:
-            logits = logits * np.float32(scale)
-        attention = segment_softmax(logits, csr.indptr)
-        acsr = attention_csr(csr, attention)
-        translate = cached_sgt16 if isinstance(fmt, SGT16Matrix) else cached_mebcrs
-        afmt = translate(acsr, precision, by_content=True)
-        t2 = time.perf_counter()
-        rows = self.run_spmm(
-            afmt,
-            x_q,
-            precision,
-            target_blocks=target_blocks,
-            csr=acsr,
-            content_key=acsr.content_key(),
-        )
-        t3 = time.perf_counter()
-        self.metrics.record_layer_request(fused=False)
-        return rows, {
-            "sddmm_s": t1 - t0,
-            "edge_softmax_s": t2 - t1,
-            "spmm_s": t3 - t2,
-        }
+        if stage_seconds:  # an all-empty layer dispatched nothing
+            # What the three-call composition would have moved over the
+            # wire and the fused path did not: the SDDMM intermediate
+            # pulled back to the head (float32 values + int64 vector
+            # indices) plus the attention CSR bundle pushed out again for
+            # the SpMM — never pinnable, its values change every layer
+            # evaluation.
+            n_vec, v = fmt.vector_values.shape
+            intermediate_bytes = (
+                n_vec * v * 4
+                + n_vec * 8
+                + int(csr.indptr.nbytes)
+                + int(csr.indices.nbytes)
+                + int(csr.nnz) * 4
+            )
+            self.metrics.record_layer_request(
+                round_trips_saved=2, operand_bytes_saved=intermediate_bytes
+            )
+        return out, stage_seconds
 
-    # ------------------------------------------------------------ segmm (v4)
+    # ----------------------------------------------------------------- segmm
     def run_segment_matmul(
         self, data: np.ndarray, offsets: np.ndarray, weights
     ) -> np.ndarray:
         """Served :func:`repro.ops.segment_matmul` (RGCN-style typed linear).
 
-        One ``segmm_task`` frame to the operand's affinity host when it
-        speaks v4; otherwise (v3 peer, or no live host) the product runs
-        in-parent.  Serving requires uniform-width weights — the wire
-        format is one stacked ``(segments, K, N)`` panel.
+        One ``segmm_task`` frame, operands inline, to the operand's
+        affinity host; with no live host the product runs in-parent.
+        Serving requires uniform-width weights — the wire format is one
+        stacked ``(segments, K, N)`` panel.
         """
         data = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
         offsets = np.ascontiguousarray(np.asarray(offsets, dtype=np.int64))
@@ -1645,17 +1379,13 @@ class ClusterScheduler:
         )
         self.metrics.record_segmm_request()
         routing_key = operand_store_key(data)
-        tasks = [
-            {
-                "header": {"type": "segmm_task", "op": "segmm", "task_id": 0},
-                "arrays": [data, offsets, stack],
-            }
-        ]
+        header = {"type": "segmm_task", "op": "segmm", "task_id": 0}
+        tasks = [{"frame": {"header": header, "arrays": [data, offsets, stack]}}]
 
         def inline(task: dict) -> tuple:
             return {}, [
                 np.ascontiguousarray(segment_matmul(data, offsets, list(stack)))
             ]
 
-        payloads = self._dispatch(tasks, routing_key, inline, min_wire=4)
+        payloads = self._dispatch(tasks, routing_key, inline)
         return np.asarray(payloads[0][0][1][0], dtype=np.float32)

@@ -74,15 +74,15 @@ class ClusterMetrics:
             "integrity_failures": 0,
             "auth_rejects": 0,
             "handshake_failures": 0,
-            # Matrix push/pin (protocol v3).  ``bytes_saved`` is the wire
-            # volume a task *would* have carried embedded but shipped as a
-            # store-key reference instead — the push/pin payoff, directly.
+            # Matrix push/pin.  ``bytes_saved`` is the payload volume tasks
+            # referenced by store key instead of shipping again — the
+            # push/pin payoff, directly.
             "store_puts": 0,
             "store_put_bytes": 0,
             "store_hits": 0,
             "store_misses": 0,
             "bytes_saved": 0,
-            # Fused layer programs (protocol v4).  ``round_trips_saved``
+            # Fused layer programs.  ``round_trips_saved``
             # counts the head↔worker request cycles a fused ``layer_task``
             # avoided versus the three-kernel composition (two per layer);
             # ``operand_bytes_saved`` is the intermediate traffic the
@@ -91,7 +91,6 @@ class ClusterMetrics:
             # pushed out again (never pinnable: its values change every
             # layer evaluation).
             "layer_requests": 0,
-            "layer_requests_composed": 0,
             "segmm_requests": 0,
             "round_trips_saved": 0,
             "operand_bytes_saved": 0,
@@ -143,17 +142,12 @@ class ClusterMetrics:
             self._counters["requests"] += 1
             self._counters["shards"] += int(shards)
 
-    def record_layer_request(
-        self, fused: bool, round_trips_saved: int = 0, operand_bytes_saved: int = 0
-    ) -> None:
-        """One ``run_layer`` call; fused v4 dispatch or composed fallback."""
+    def record_layer_request(self, round_trips_saved: int, operand_bytes_saved: int) -> None:
+        """One fused ``run_layer`` call and what it kept off the wire."""
         with self._lock:
-            if fused:
-                self._counters["layer_requests"] += 1
-                self._counters["round_trips_saved"] += int(round_trips_saved)
-                self._counters["operand_bytes_saved"] += int(operand_bytes_saved)
-            else:
-                self._counters["layer_requests_composed"] += 1
+            self._counters["layer_requests"] += 1
+            self._counters["round_trips_saved"] += int(round_trips_saved)
+            self._counters["operand_bytes_saved"] += int(operand_bytes_saved)
 
     def record_segmm_request(self) -> None:
         """One ``run_segment_matmul`` call."""

@@ -3,24 +3,25 @@
 Before this module, every shard task re-shipped the matrix's full CSR
 buffers (indptr/indices/data) plus the dense operands over TCP, even
 though affinity routing sends all shards of a matrix to the same host and
-repeat traffic keeps hitting the same content key.  Protocol v3 replaces
+repeat traffic keeps hitting the same content key.  This module replaces
 that with the "place data once, reference it by name" shape of DGL's
-distributed kvstore, layered over the trusted v2 frame protocol:
+distributed kvstore, layered over the checksummed frame protocol:
 
 * The head keeps a **per-host ledger** of which content keys each worker
   has pinned (it lives on the host client, so a DEAD host's ledger dies
   with its client and a restarted worker is never assumed warm).
 * On first use of a matrix the head sends one ``store_put`` frame — the
-  CSR buffers plus their store key, CRC-checked like any v2 payload —
-  and the worker pins the bytes in its :class:`PinnedStore`.
-* Every subsequent task frame for that matrix carries **only the key**;
-  dense operands are likewise content-keyed, so the N shards of one
-  request ship the A/B panels to a host once, not N times.
+  CSR buffers plus their store key, CRC-checked like any payload — and
+  the worker pins the bytes in its :class:`PinnedStore`.
+* Every task frame for that matrix carries **only the key**; dense
+  operands are likewise content-keyed, so the N shards of one request
+  ship the A/B panels to a host once, not N times.
 * A worker that evicted (or never had) a key answers ``store_miss``,
   which the head treats like a transient transport failure: re-push and
-  resend under the retry budget, falling back to a task with embedded
-  operands as the last resort — a cold or undersized store costs bytes,
-  never a failed request.
+  resend under the retry budget.  A store too small for one request's
+  working set keeps missing; past the budget the head runs that shard
+  in-parent — an undersized store costs throughput, never a failed
+  request.
 
 The :class:`PinnedStore` itself is a byte-budgeted LRU: entries are
 evicted oldest-first once ``pinned_bytes`` exceeds the budget, except
@@ -89,8 +90,8 @@ class StoreMissError(RuntimeError):
     Carries the complete ``missing`` key list so the head re-pushes
     everything in one round trip.  On the wire this is the ``store_miss``
     reply frame; the head treats it like a transient transport failure
-    (re-push under the retry budget, embedded-operand fallback as the
-    last resort), so it never surfaces as a failed request.
+    (re-push under the retry budget, in-parent execution of the shard as
+    the last resort), so it never surfaces as a failed request.
     """
 
     def __init__(self, missing):

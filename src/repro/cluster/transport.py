@@ -23,59 +23,50 @@ to the socket.  Array dtype and shape travel in ``header["arrays"]`` so
 the receiver can rebuild each ndarray with ``np.frombuffer`` (backed by a
 ``bytearray``, so the rebuilt arrays are writable).
 
-Protocol version 2 adds the **trusted data plane**:
+There is **one protocol version** (:data:`VERSION`, the prefix's version
+byte).  A frame carrying any other version byte raises
+:class:`VersionMismatchError` without being parsed — the prefix layout
+is all that is assumed of a foreign peer.  During the handshake
+the worker answers such a peer with a structured ``reject`` (reason
+``"version"``) before dropping the connection, so a mismatched peer reads
+a parseable refusal instead of hanging.
 
 * **Payload integrity.**  Every buffer descriptor carries a ``crc32``
   (zlib) over the buffer's raw bytes, computed at send and verified at
   receive.  A flipped bit anywhere in an ndarray payload — NIC, switch,
   proxy, cosmic ray — surfaces as :class:`FrameIntegrityError` instead of
-  flowing silently into SpMM/SDDMM numerics.  Version-2 frames *must*
-  carry checksums; a v2 frame without them is a protocol violation.
+  flowing silently into SpMM/SDDMM numerics.  A descriptor without a
+  checksum is a protocol violation.
 * **Connection handshake.**  Before any task flows, the server sends a
-  CHALLENGE (protocol version + a random nonce), the client answers with
-  a HELLO (its version + an HMAC-SHA256 of the nonce under the shared
+  CHALLENGE (its protocol version + a random nonce), the client answers
+  with a HELLO (an HMAC-SHA256 of the nonce under the shared
   ``auth_token``), and the server replies WELCOME — or a structured
-  REJECT naming the reason (``version`` / ``auth`` / ``protocol``),
-  written with the *peer's* wire version so even a VERSION=1 peer reads
-  a parseable reject instead of hanging.  See :func:`client_handshake`
-  and :func:`server_handshake`.
+  REJECT naming the reason (``version`` / ``auth`` / ``protocol``).  See
+  :func:`client_handshake` and :func:`server_handshake`.
 * **Optional TLS.**  :func:`make_server_ssl_context` /
   :func:`make_client_ssl_context` build ``ssl.SSLContext`` objects for
   wrapping either side of the stream; the frame protocol (and the fault
   injection wrapper) layer on top unchanged.
 
-Protocol version 3 adds the **content-addressed store** (push/pin): the
-handshake negotiates the highest version both ends speak (``min`` of the
-two advertisements, never below :data:`MIN_VERSION`), and a v3 connection
-additionally carries the :mod:`repro.cluster.store` frames — a v3 head
-talking to a v2 worker simply keeps embedding operand bytes in every task
-frame, so mixed-version clusters work unchanged.
-
-Protocol version 4 adds **fused layer serving**: a ``layer_task`` frame
-carries one window-aligned shard of a whole GNN layer program (SDDMM →
-scale → edge softmax → SpMM executed in one worker pass; see
-:mod:`repro.serve.program`) and a ``segmm_task`` frame one served
-:func:`repro.ops.segment_matmul`.  Dense operand panels ride the v3
-pinned store, so a layer's panels ship once per host.  The min-of-maxes
-negotiation makes the fallback transparent: a v4 head talking to a v3
-worker sends three per-kernel task frames per layer instead, with
-bit-identical results.
-
 Message types (the ``type`` header field) used by the cluster:
 
 * ``challenge`` / ``hello`` / ``welcome`` / ``reject``: the connection
   handshake (before anything else on a fresh stream),
-* ``task`` (head → worker): one window-aligned shard of one SpMM/SDDMM —
-  with the CSR + dense operand buffers embedded (v2), or referencing
-  pinned store keys with no payload at all (v3),
-* ``layer_task`` (v4, head → worker): one window-aligned shard of a whole
-  fused layer program; operands embedded or store-referenced like ``task``,
-* ``segmm_task`` (v4, head → worker): one served segment matmul,
-* ``store_put`` / ``store_ack`` (v3): pin a content-keyed buffer bundle
-  on the worker / confirm it,
-* ``store_miss`` (v3, worker → head): a task referenced keys the worker
-  does not hold (evicted, or a restarted process) — the head re-pushes
-  and resends,
+* ``task`` (head → worker): one window-aligned shard of one SpMM/SDDMM.
+  The frame has no payload: ``store_csr`` / ``store_operands`` name the
+  pinned CSR bundle and dense panels (:mod:`repro.cluster.store`),
+* ``layer_task`` (head → worker): one window-aligned shard of a whole
+  fused layer program (SDDMM → scale → edge softmax → SpMM in one worker
+  pass; see :mod:`repro.serve.program`); store-referenced like ``task``,
+* ``segmm_task`` (head → worker): one served
+  :func:`repro.ops.segment_matmul`, operands inline (one-shot data,
+  nothing to pin) — a frame names store keys *or* carries arrays, never
+  both,
+* ``store_put`` / ``store_ack``: pin a content-keyed buffer bundle on the
+  worker / confirm it,
+* ``store_miss`` (worker → head): a task referenced keys the worker does
+  not hold (evicted, or a restarted process) — the head re-pushes and
+  resends,
 * ``result`` / ``error`` (worker → head): the shard's output or the remote
   failure (message + traceback text),
 * ``ping`` / ``pong``: heartbeat probes; the pong carries the worker's
@@ -103,17 +94,9 @@ _PREFIX = struct.Struct("!4sBBI")
 _BUF_LEN = struct.Struct("!Q")
 
 MAGIC = b"FSRP"
-#: Highest wire protocol version this end speaks (v2 = checksummed +
-#: handshake; v3 = content-addressed store push/pin frames; v4 = fused
-#: ``layer_task`` / ``segmm_task`` frames).
+#: The wire protocol version: the prefix byte of every frame this end
+#: writes, and the only one it reads.
 VERSION = 4
-#: Lowest version this end will negotiate down to: v2 is the floor —
-#: payload checksums and the authenticated handshake are not optional.
-MIN_VERSION = 2
-#: Prefix versions the parser will read at all.  v1 frames are accepted
-#: only so the handshake can answer a legacy peer with a structured
-#: reject it can parse; every post-handshake frame is v2, v3 or v4.
-SUPPORTED_VERSIONS = frozenset({1, 2, 3, 4})
 
 #: Sanity bounds — a corrupt or hostile prefix must not trigger a huge
 #: allocation before the magic/shape checks can reject it.
@@ -122,7 +105,7 @@ MAX_BUFFERS = 64
 MAX_BUFFER_BYTES = 16 * 1024**3
 
 #: Handshake frames are tiny; anything bigger arriving mid-handshake is
-#: not a handshake (e.g. a legacy peer's first task frame).
+#: not a handshake (e.g. a peer opening with a task frame).
 HANDSHAKE_MAX_BYTES = 64 * 1024
 
 
@@ -250,15 +233,13 @@ def _array_descriptor(array: np.ndarray) -> dict:
     }
 
 
-def send_message(sock: socket.socket, header: dict, arrays=(), version: int = VERSION) -> int:
+def send_message(sock: socket.socket, header: dict, arrays=()) -> int:
     """Send one frame; returns the total bytes written.
 
     ``header`` must be JSON-serialisable; an ``arrays`` descriptor list
     (dtype, shape and a CRC32 over the raw bytes of each buffer) is added
     automatically.  Arrays are made contiguous (a no-op for the batch
-    slices the cluster sends) and streamed as raw bytes.  ``version``
-    overrides the prefix version byte — only the handshake uses this, to
-    write a reject a legacy peer can parse.
+    slices the cluster sends) and streamed as raw bytes.
     """
     arrays = [np.ascontiguousarray(a) for a in arrays]
     if len(arrays) > MAX_BUFFERS:
@@ -268,7 +249,7 @@ def send_message(sock: socket.socket, header: dict, arrays=(), version: int = VE
     if len(header_bytes) > MAX_HEADER_BYTES:
         raise TransportError(f"header too large ({len(header_bytes)} bytes)")
     parts = [
-        _PREFIX.pack(MAGIC, int(version), len(arrays), len(header_bytes)),
+        _PREFIX.pack(MAGIC, VERSION, len(arrays), len(header_bytes)),
         header_bytes,
     ]
     for array in arrays:
@@ -299,8 +280,9 @@ def recv_message(
     whose expiry surfaces as the standard ``socket.timeout``).  The
     returned arrays are writable (backed by the receive buffer, no extra
     copy) and every buffer's CRC32 has been verified against its header
-    descriptor (:class:`FrameIntegrityError` on mismatch).  The peer's
-    prefix version is reported as ``header["_version"]``.
+    descriptor (:class:`FrameIntegrityError` on mismatch).  A prefix whose
+    version byte is not :data:`VERSION` raises
+    :class:`VersionMismatchError` before anything is parsed.
 
     ``max_frame_bytes`` bounds the *declared* total frame size for this
     connection.  The header's descriptor list is walked **before** the
@@ -332,8 +314,6 @@ def _recv_frame(
     magic, version, n_bufs, header_len = _PREFIX.unpack(bytes(prefix))
     if magic != MAGIC:
         raise TransportError(f"bad frame magic {magic!r}")
-    if version not in SUPPORTED_VERSIONS:
-        raise TransportError(f"unsupported protocol version {version}")
     if header_len > MAX_HEADER_BYTES:
         raise TransportError(f"header too large ({header_len} bytes)")
     total = _PREFIX.size + header_len
@@ -342,15 +322,22 @@ def _recv_frame(
             f"frame header declares {header_len} bytes; the frame already "
             f"exceeds this connection's max_frame_bytes={max_frame_bytes}"
         )
-    try:
-        header = json.loads(bytes(_recv_exact(sock, header_len)).decode("utf-8"))
-    except ValueError as exc:
-        progress[0] += header_len
-        raise TransportError(f"undecodable frame header: {exc}") from exc
+    raw_header = bytes(_recv_exact(sock, header_len))
     progress[0] += header_len
+    if version != VERSION:
+        # Only the prefix layout is assumed of a foreign version.  Its
+        # (bounded) header bytes were still consumed, unparsed, so a
+        # buffer-less frame such as a hello leaves the stream at a frame
+        # boundary and the handshake's reject is not chased by a reset.
+        raise VersionMismatchError(
+            f"peer wrote protocol version {version}, this end speaks {VERSION}"
+        )
+    try:
+        header = json.loads(raw_header.decode("utf-8"))
+    except ValueError as exc:
+        raise TransportError(f"undecodable frame header: {exc}") from exc
     if not isinstance(header, dict):
         raise TransportError(f"frame header is not an object: {header!r}")
-    header["_version"] = version
     descriptors = header.get("arrays", [])
     if len(descriptors) != n_bufs:
         raise TransportError(
@@ -358,8 +345,8 @@ def _recv_frame(
         )
     # Pre-scan every descriptor before the buffer loop allocates anything:
     # the cumulative declared byte total must clear max_frame_bytes up
-    # front, and v2 descriptors must all carry checksums.
-    plan: list[tuple[np.dtype, tuple, int, int | None]] = []
+    # front, and every descriptor must carry a checksum.
+    plan: list[tuple[np.dtype, tuple, int, int]] = []
     declared = total
     for i, desc in enumerate(descriptors):
         try:
@@ -380,11 +367,8 @@ def _recv_frame(
                 f"max_frame_bytes={max_frame_bytes}"
             )
         crc = desc.get("crc32")
-        if version >= 2:
-            if not isinstance(crc, int):
-                raise TransportError(f"v{version} descriptor {i} carries no checksum")
-        else:
-            crc = None
+        if not isinstance(crc, int):
+            raise TransportError(f"descriptor {i} carries no checksum")
         plan.append((dtype, shape, nbytes, crc))
     arrays: list[np.ndarray] = []
     for i, (dtype, shape, expected, crc) in enumerate(plan):
@@ -397,7 +381,7 @@ def _recv_frame(
             )
         raw = _recv_exact(sock, nbytes)
         progress[0] += nbytes
-        if crc is not None and _crc32(raw) != crc:
+        if _crc32(raw) != crc:
             raise FrameIntegrityError(
                 f"buffer {i} of {header.get('type')!r} frame failed its CRC32 "
                 f"check — payload corrupted in flight"
@@ -425,40 +409,33 @@ def _raise_reject(header: dict) -> None:
     raise HandshakeError(f"peer rejected the handshake ({reason}): {message}")
 
 
-def _send_reject(sock, peer_version: int, reason: str, message: str) -> int:
-    """Best-effort structured reject, written in the peer's wire version."""
-    wire = peer_version if peer_version in SUPPORTED_VERSIONS else VERSION
+def _send_reject(sock, reason: str, message: str) -> None:
+    """Best-effort structured reject (the peer may already be gone)."""
     try:
-        return send_message(
+        send_message(
             sock,
             {"type": "reject", "version": VERSION, "reason": reason, "message": message},
-            version=wire,
         )
     except (TransportError, OSError):
-        return 0
+        pass
 
 
-def client_handshake(
-    sock, auth_token: str | None = None, max_version: int = VERSION
-) -> tuple[int, int, int]:
+def client_handshake(sock, auth_token: str | None = None) -> tuple[int, int]:
     """Authenticate a fresh connection from the client (head) side.
 
-    Reads the server's CHALLENGE (which advertises the highest protocol
-    version the server speaks), answers with a HELLO carrying the
-    **negotiated** version — ``min(max_version, server's)`` — and (when
+    Reads the server's CHALLENGE, answers with a HELLO carrying (when
     ``auth_token`` is set) the HMAC-SHA256 of the challenge nonce, then
-    waits for the WELCOME.  Returns
-    ``(bytes_sent, bytes_received, negotiated_version)``: the byte totals
-    feed transport accounting and the negotiated version tells the caller
-    which frames this connection may carry (store push/pin needs v3; a v2
-    peer gets task-embedded operands).  Raises
-    :class:`AuthenticationError` / :class:`VersionMismatchError` /
-    :class:`HandshakeError` when the server rejects us (structured reject
-    frames map to the matching exception).
+    waits for the WELCOME.  Returns ``(bytes_sent, bytes_received)`` for
+    transport accounting.  Raises :class:`AuthenticationError` /
+    :class:`VersionMismatchError` / :class:`HandshakeError` when the server
+    rejects us (structured reject frames map to the matching exception) or
+    writes a foreign protocol version.
     """
     sent = received = 0
     try:
         header, _, n = recv_message(sock, max_frame_bytes=HANDSHAKE_MAX_BYTES)
+    except VersionMismatchError:
+        raise
     except TransportError as exc:
         raise HandshakeError(f"no challenge from peer: {exc}") from exc
     received += n
@@ -467,22 +444,14 @@ def client_handshake(
         _raise_reject(header)
     if kind != "challenge":
         raise HandshakeError(f"expected a challenge frame, got {kind!r}")
-    version = min(int(header.get("version") or 0), int(max_version))
-    if version < MIN_VERSION:
-        raise VersionMismatchError(
-            f"server speaks protocol version {header.get('version')}, below "
-            f"this end's floor v{MIN_VERSION}"
-        )
     if auth_token is None and header.get("auth_required"):
         raise AuthenticationError(
             "server requires an auth token and none is configured on this end"
         )
-    hello = {"type": "hello", "version": version}
+    hello = {"type": "hello"}
     if auth_token is not None:
         hello["auth"] = _auth_digest(auth_token, str(header.get("nonce", "")))
-    # The hello (and everything after) is written in the negotiated wire
-    # version, so a v2-only server never sees a prefix byte it can't parse.
-    sent += send_message(sock, hello, version=version)
+    sent += send_message(sock, hello)
     try:
         header, _, n = recv_message(sock, max_frame_bytes=HANDSHAKE_MAX_BYTES)
     except TransportError as exc:
@@ -492,80 +461,49 @@ def client_handshake(
         _raise_reject(header)
     if header.get("type") != "welcome":
         raise HandshakeError(f"expected a welcome frame, got {header.get('type')!r}")
-    return sent, received, version
+    return sent, received
 
 
-def server_handshake(
-    sock, auth_token: str | None = None, max_version: int = VERSION
-) -> tuple[int, int, int]:
+def server_handshake(sock, auth_token: str | None = None) -> tuple[int, int]:
     """Authenticate a fresh connection from the server (worker) side.
 
-    Sends the CHALLENGE (the highest protocol version this end speaks + a
-    random nonce), validates the peer's HELLO — frame shape, a negotiated
-    protocol version within ``[MIN_VERSION, max_version]``, and (when
+    Sends the CHALLENGE (protocol version + a random nonce), validates the
+    peer's HELLO — protocol version byte, frame shape, and (when
     ``auth_token`` is set) a constant-time comparison of the HMAC digest —
-    and answers WELCOME in the negotiated wire version.  A failing peer
-    gets a structured REJECT written in *its* prefix version (so a
-    VERSION=1 peer reads a parseable frame, not a hang) before the
+    and answers WELCOME.  A failing peer gets a structured REJECT (so a peer speaking another
+    protocol version reads a parseable frame, not a hang) before the
     matching exception is raised to the caller, which should drop the
-    connection and keep accepting.  Returns
-    ``(bytes_sent, bytes_received, negotiated_version)``.
+    connection and keep accepting.  Returns ``(bytes_sent, bytes_received)``.
     """
     nonce = secrets.token_hex(16)
-    # The challenge is written at the v2 floor so a legacy v2-only peer can
-    # parse it and negotiate down; the body advertises the real maximum.
     sent = send_message(
         sock,
         {
             "type": "challenge",
-            "version": int(max_version),
+            "version": VERSION,
             "nonce": nonce,
             "auth_required": auth_token is not None,
         },
-        version=MIN_VERSION,
     )
-    received = 0
     try:
-        header, _, n = recv_message(sock, max_frame_bytes=HANDSHAKE_MAX_BYTES)
+        header, _, received = recv_message(sock, max_frame_bytes=HANDSHAKE_MAX_BYTES)
+    except VersionMismatchError as exc:
+        _send_reject(sock, "version", str(exc))
+        raise
     except TransportError as exc:
-        received += getattr(exc, "bytes_read", 0)
         raise HandshakeError(f"no parseable hello from peer: {exc}") from exc
-    received += n
-    peer_version = int(header.get("_version") or 0)
     if header.get("type") != "hello":
-        sent += _send_reject(
-            sock,
-            peer_version,
-            "protocol",
-            f"expected a hello frame, got {header.get('type')!r}",
-        )
+        _send_reject(sock, "protocol", f"expected a hello frame, got {header.get('type')!r}")
         raise HandshakeError(f"peer opened with {header.get('type')!r}, not hello")
-    hello_version = int(header.get("version") or peer_version or 0)
-    if hello_version < MIN_VERSION or hello_version > int(max_version):
-        sent += _send_reject(
-            sock,
-            peer_version,
-            "version",
-            f"peer negotiated protocol version {hello_version}, this end "
-            f"speaks {MIN_VERSION}..{int(max_version)}",
-        )
-        raise VersionMismatchError(
-            f"peer negotiated protocol version {hello_version}, this end "
-            f"speaks {MIN_VERSION}..{int(max_version)}"
-        )
     if auth_token is not None:
         digest = header.get("auth")
         if not isinstance(digest, str) or not hmac.compare_digest(
             digest, _auth_digest(auth_token, nonce)
         ):
-            sent += _send_reject(
-                sock, peer_version, "auth", "missing or invalid auth digest"
-            )
+            _send_reject(sock, "auth", "missing or invalid auth digest")
             raise AuthenticationError("peer presented a missing or invalid auth digest")
-    sent += send_message(
-        sock, {"type": "welcome", "version": hello_version}, version=hello_version
-    )
-    return sent, received, hello_version
+    sent += send_message(sock, {"type": "welcome"})
+    return sent, received
 
 
 # ----------------------------------------------------------------------- TLS

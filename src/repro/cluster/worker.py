@@ -13,16 +13,15 @@ of :mod:`repro.cluster.transport`.  Per task it
    affinity payoff observable from the head),
 3. slices the task's window-aligned block range out of the format's batch
    arrays (translation is deterministic, so the worker's batch is
-   bit-identical to the head's) and runs the engine shard hooks
-   :func:`~repro.kernels.engine.spmm_shard_rows` /
-   :func:`~repro.kernels.engine.sddmm_shard_values` — the same one-shot
-   whole-window reductions the single-host scheduler runs, hence
-   bit-identical results, and
-4. streams the shard output back (dense row slice for SpMM,
-   ``(vector_index, values)`` scatter pairs for SDDMM).
+   bit-identical to the head's) and runs the op's entry in the engine's
+   shard table (:data:`repro.kernels.engine.SHARD_OPS`) — the same
+   ``run(slice(...))`` the single-host scheduler and the head's in-parent
+   fallback execute, hence bit-identical results, and
+4. streams the shard output back (dense row slice for SpMM and fused
+   layers, ``(vector_index, values)`` scatter pairs for SDDMM).
 
 **Trust at the door.**  Every accepted connection must clear the
-HELLO/CHALLENGE handshake (protocol version negotiation plus, when an
+HELLO/CHALLENGE handshake (the protocol version byte plus, when an
 ``auth_token`` is configured, an HMAC-SHA256 proof over the worker's
 nonce) before a single task frame is read; a peer that fails is sent a
 structured reject, counted (``auth_rejects`` / ``handshake_failures`` in
@@ -59,7 +58,6 @@ import numpy as np
 
 from repro.cluster.store import DEFAULT_STORE_BYTES, PinnedStore, StoreMissError
 from repro.cluster.transport import (
-    VERSION,
     AuthenticationError,
     FrameIntegrityError,
     FrameTooLargeError,
@@ -76,13 +74,7 @@ from repro.formats.cache import (
     cached_sgt16,
 )
 from repro.formats.csr import CSRMatrix
-from repro.kernels.engine import (
-    layer_shard_rows,
-    layer_softmax_mapping,
-    sddmm_a_window,
-    sddmm_shard_values,
-    spmm_shard_rows,
-)
+from repro.kernels.engine import SHARD_OPS, ShardRange
 from repro.ops import segment_matmul
 from repro.precision.types import Precision
 from repro.serve.program import LayerProgram
@@ -99,6 +91,21 @@ AUTH_TOKEN_ENV = "REPRO_CLUSTER_AUTH_TOKEN"
 DEFAULT_HANDSHAKE_TIMEOUT_S = 10.0
 
 
+def shard_params(header: dict) -> dict:
+    """The shard-table ``params`` a kernel or layer task header encodes.
+
+    The one wire → engine mapping: the worker applies it to the frames it
+    receives and the head's in-parent fallback to the headers it would
+    have sent, so both run a shard with exactly the same settings.
+    """
+    scale, scale_by_mask = None, bool(header.get("scale_by_mask", False))
+    if header["op"] == "layer":
+        # The fused stages and their constants travel as a validated
+        # program, not as loose header fields.
+        scale, scale_by_mask = LayerProgram.from_wire(header["program"]).canonical()
+    return {"precision": header["precision"], "scale": scale, "scale_by_mask": scale_by_mask}
+
+
 class WorkerHost:
     """State of one worker host: its translation cache and task counters."""
 
@@ -108,11 +115,10 @@ class WorkerHost:
         max_frame_bytes: int | None = None,
         auth_token: str | None = None,
         store_bytes: int = DEFAULT_STORE_BYTES,
-        protocol_version: int | None = None,
     ):
         self.cache = TranslationCache(maxsize=cache_maxsize)
-        #: Content-addressed pin store (protocol v3): CSR bundles and dense
-        #: operand panels the head pushed once, referenced by key per task.
+        #: Content-addressed pin store: CSR bundles and dense operand
+        #: panels the head pushed once, referenced by key per task.
         self.store = PinnedStore(budget_bytes=store_bytes)
         self.tasks_done = 0
         #: Per-connection bound on declared frame sizes (None = unbounded):
@@ -121,10 +127,6 @@ class WorkerHost:
         self.max_frame_bytes = max_frame_bytes
         #: Shared secret gating the connection handshake (None = open).
         self.auth_token = auth_token
-        #: Highest wire version this host advertises (None = the library's
-        #: VERSION).  Pinning it at 2 simulates a legacy host: the head
-        #: negotiates down and embeds operand bytes in every task frame.
-        self.protocol_version = VERSION if protocol_version is None else int(protocol_version)
         self.frames_oversized = 0
         #: Inbound frames whose payload CRC32 failed verification.
         self.integrity_failures = 0
@@ -133,9 +135,6 @@ class WorkerHost:
         #: Handshakes dropped for any non-auth reason (version mismatch,
         #: protocol garbage, TLS failure) — disjoint from auth_rejects.
         self.handshake_failures = 0
-        #: Wire version negotiated on the connection being served (the host
-        #: serves one head connection at a time).
-        self.wire_version = self.protocol_version
 
     # --------------------------------------------------------------- helpers
     def _status(self) -> dict:
@@ -163,138 +162,55 @@ class WorkerHost:
         translate = _TRANSLATORS.get(header.get("fmt", "mebcrs"))
         if translate is None:
             raise ValueError(f"unknown format kind {header.get('fmt')!r}")
-        precision = Precision(header["precision"])
-        fmt = translate(csr, precision, by_content=True, cache=self.cache)
-        return fmt, precision
-
-    def _resolve_payload(self, header: dict, arrays: list) -> tuple[list, tuple]:
-        """The task's operand arrays, from the frame or the pin store.
-
-        A v3 task frame carries no payload: ``store_csr`` names the pinned
-        CSR bundle and ``store_operands`` the pinned dense panels, in the
-        exact positional order the embedded layout uses — so the kernels
-        downstream cannot tell the difference.  Returns the payload plus
-        the acquired store keys (refcounted: eviction cannot pull a buffer
-        out from under this task; the caller releases them when done).
-        Raises :class:`StoreMissError` naming every absent key when the
-        store no longer holds the referenced bytes.
-        """
-        if not header.get("store_csr"):
-            return list(arrays), ()
-        keys = (header["store_csr"], *header.get("store_operands", ()))
-        bundles = self.store.acquire(*keys)
-        return [array for bundle in bundles for array in bundle], keys
+        return translate(csr, Precision(header["precision"]), by_content=True, cache=self.cache)
 
     # ------------------------------------------------------------ task bodies
     def run_task(self, header: dict, arrays: list[np.ndarray]) -> tuple[dict, list]:
-        """Execute one shard task; returns the reply ``(header, arrays)``."""
-        arrays, acquired = self._resolve_payload(header, arrays)
-        try:
-            return self._run_task_body(header, arrays)
-        finally:
-            self.store.release(*acquired)
+        """Execute one shard task; returns the reply ``(header, arrays)``.
 
-    def _run_task_body(self, header: dict, arrays: list) -> tuple[dict, list]:
+        A ``segmm_task`` carries its operands inline.  A kernel or layer
+        task carries none: ``store_csr`` names the pinned CSR bundle and
+        ``store_operands`` the pinned dense panels, in operand order.  The
+        keys are acquired for the duration of the task (refcounted:
+        eviction cannot pull a buffer out from under it); a store that no
+        longer holds them raises :class:`StoreMissError` naming every
+        absent key.
+        """
         delay = float(header.get("delay_s") or 0.0)
         if delay > 0.0:  # failure-injection hook for the kill-mid-shard tests
             time.sleep(delay)
-        op = header["op"]
-        lo, hi = int(header.get("lo", 0)), int(header.get("hi", 0))
-        w0, w1 = int(header.get("w0", 0)), int(header.get("w1", 0))
-        if op == "spmm":
-            indptr, indices, data, b_q = arrays
-            fmt, precision = self._translate(header, indptr, indices, data)
-            batch = fmt.blocks_as_arrays()
-            offsets = batch.window_offsets
-            rows = spmm_shard_rows(
-                batch.values[lo:hi],
-                batch.columns[lo:hi],
-                offsets[w0 : w1 + 1] - offsets[w0],
-                b_q,
-                precision,
-            )
-            reply = {"type": "result", "row0": w0 * fmt.vector_size}
-            payload = [rows]
-        elif op == "sddmm":
-            indptr, indices, data, a_q, b_q = arrays
-            fmt, precision = self._translate(header, indptr, indices, data)
-            batch = fmt.blocks_as_arrays(int(header["group"]))
-            v = fmt.vector_size
-            idx, vals = sddmm_shard_values(
-                batch.values[lo:hi],
-                batch.columns[lo:hi],
-                batch.lane_valid[lo:hi],
-                batch.vector_index[lo:hi],
-                batch.window_of_block[lo:hi] - w0,
-                sddmm_a_window(a_q, w0, w1, v),
-                b_q,
-                bool(header.get("scale_by_mask", False)),
-            )
-            reply = {"type": "result"}
-            payload = [np.asarray(idx, dtype=np.int64), vals]
-        elif op == "layer":
-            # One window-aligned shard of a whole fused layer program
-            # (protocol v4): SDDMM → scale → edge softmax → SpMM in one
-            # pass, reusing the shared translation.  Everything the softmax
-            # stage needs — the CSR↔vector mapping — derives locally from
-            # the partition and the CSR indptr; only the window range
-            # travels in the header.
-            indptr, indices, data, a_q, b_q, x_q = arrays
-            fmt, precision = self._translate(header, indptr, indices, data)
-            scale, scale_by_mask = LayerProgram.from_wire(header["program"]).canonical()
-            v = fmt.vector_size
-            pbatch = fmt.blocks_as_arrays()
-            sbatch = fmt.blocks_as_arrays(int(header["group"]))
-            offsets = pbatch.window_offsets
-            soffsets = sbatch.window_offsets
-            lo, hi = int(offsets[w0]), int(offsets[w1])
-            slo, shi = int(soffsets[w0]), int(soffsets[w1])
-            local_indptr, entry_vector, entry_lane, vec_lo, vec_count = (
-                layer_softmax_mapping(
-                    np.asarray(indptr),
-                    fmt.partition.nnz_vector_of_entry,
-                    fmt.partition.window_ptr,
-                    w0,
-                    w1,
-                    v,
-                    fmt.shape[0],
-                )
-            )
-            rows, timings = layer_shard_rows(
-                sbatch.values[slo:shi],
-                sbatch.columns[slo:shi],
-                sbatch.lane_valid[slo:shi],
-                sbatch.vector_index[slo:shi],
-                sbatch.window_of_block[slo:shi] - w0,
-                pbatch.columns[lo:hi],
-                offsets[w0 : w1 + 1] - lo,
-                pbatch.lane_valid[lo:hi],
-                pbatch.vector_index[lo:hi],
-                local_indptr,
-                entry_vector,
-                entry_lane,
-                vec_lo,
-                vec_count,
-                sddmm_a_window(a_q, w0, w1, v),
-                b_q,
-                x_q,
-                precision,
-                scale,
-                scale_by_mask,
-            )
-            reply = {"type": "result", "row0": w0 * v, "timings": timings}
-            payload = [rows]
-        elif op == "segmm":
+        if header["op"] == "segmm":
             data, offsets, weights = arrays
             out = segment_matmul(data, np.asarray(offsets, dtype=np.int64), list(weights))
-            reply = {"type": "result"}
-            payload = [np.ascontiguousarray(out)]
+            reply, payload = {"type": "result"}, [np.ascontiguousarray(out)]
         else:
-            raise ValueError(f"unknown op {op!r}")
+            keys = (header["store_csr"], *header["store_operands"])
+            bundles = self.store.acquire(*keys)
+            try:
+                reply, payload = self._run_shard(header, bundles[0], [b[0] for b in bundles[1:]])
+            finally:
+                self.store.release(*keys)
         self.tasks_done += 1
         reply["task_id"] = header.get("task_id")
         reply.update(self._status())
         return reply, payload
+
+    def _run_shard(self, header: dict, csr_bundle: list, operands: list) -> tuple[dict, list]:
+        """One window-aligned shard of a table op on this host's translation."""
+        op = SHARD_OPS.get(header["op"])
+        if op is None:
+            raise ValueError(f"unknown op {header['op']!r}")
+        indptr, indices, data = csr_bundle
+        fmt = self._translate(header, indptr, indices, data)
+        r = ShardRange(int(header["lo"]), int(header["hi"]), int(header["w0"]), int(header["w1"]))
+        sliced = op.slice(fmt, r, header.get("group"), np.asarray(indptr))
+        outputs, timings = op.run(sliced, operands, shard_params(header))
+        reply = {"type": "result"}
+        if not op.scatter:
+            reply["row0"] = sliced["row0"]
+        if timings:
+            reply["timings"] = timings
+        return reply, outputs
 
     # ------------------------------------------------------------ connection
     def handshake(self, conn: socket.socket) -> bool:
@@ -306,9 +222,7 @@ class WorkerHost:
         else (version mismatch, protocol garbage, stream loss).
         """
         try:
-            *_, self.wire_version = server_handshake(
-                conn, auth_token=self.auth_token, max_version=self.protocol_version
-            )
+            server_handshake(conn, auth_token=self.auth_token)
             return True
         except AuthenticationError:
             self.auth_rejects += 1
@@ -345,7 +259,6 @@ class WorkerHost:
             except (TransportError, OSError):
                 return False  # head went away: back to accept
             kind = header.get("type")
-            wire = self.wire_version
             try:
                 if kind == "ping":
                     # The pong carries the pin store's key inventory on top
@@ -359,11 +272,10 @@ class WorkerHost:
                             "store_keys": self.store.keys(),
                             **self._status(),
                         },
-                        version=wire,
                     )
                 elif kind == "shutdown":
                     try:
-                        send_message(conn, {"type": "bye", **self._status()}, version=wire)
+                        send_message(conn, {"type": "bye", **self._status()})
                     except (TransportError, OSError):
                         pass
                     return True
@@ -381,7 +293,6 @@ class WorkerHost:
                             "evicted": evicted,
                             **self._status(),
                         },
-                        version=wire,
                     )
                 elif kind in ("task", "layer_task", "segmm_task"):
                     try:
@@ -398,7 +309,6 @@ class WorkerHost:
                                 "missing": exc.missing,
                                 **self._status(),
                             },
-                            version=wire,
                         )
                     except Exception as exc:  # computation error: report, stay up
                         send_message(
@@ -410,15 +320,13 @@ class WorkerHost:
                                 "traceback": traceback.format_exc(),
                                 **self._status(),
                             },
-                            version=wire,
                         )
                     else:
-                        send_message(conn, reply, payload, version=wire)
+                        send_message(conn, reply, payload)
                 else:
                     send_message(
                         conn,
                         {"type": "error", "message": f"unknown message type {kind!r}"},
-                        version=wire,
                     )
             except (TransportError, OSError):
                 return False  # reply undeliverable: back to accept
@@ -437,7 +345,6 @@ def run_worker(
     tls_ca: str | None = None,
     handshake_timeout_s: float = DEFAULT_HANDSHAKE_TIMEOUT_S,
     store_bytes: int = DEFAULT_STORE_BYTES,
-    protocol_version: int | None = None,
 ) -> None:
     """Bind, announce the bound address, and serve until told to shut down.
 
@@ -456,17 +363,13 @@ def run_worker(
     ``handshake_timeout_s`` — a peer that stalls there is dropped without
     blocking the accept loop for anyone else.
 
-    ``store_bytes`` budgets the pin store (protocol v3 push/pin);
-    ``protocol_version`` caps the wire version this host advertises —
-    pinning it at 2 makes the host behave as a legacy peer, which the
-    mixed-version tests use.
+    ``store_bytes`` budgets the pin store (push/pin).
     """
     state = WorkerHost(
         cache_maxsize=cache_maxsize,
         max_frame_bytes=max_frame_bytes,
         auth_token=auth_token,
         store_bytes=store_bytes,
-        protocol_version=protocol_version,
     )
     ssl_context = (
         make_server_ssl_context(tls_cert, tls_key, cafile=tls_ca)
@@ -533,13 +436,7 @@ def main(argv=None) -> None:  # pragma: no cover - thin CLI wrapper
         "--store-bytes",
         type=int,
         default=DEFAULT_STORE_BYTES,
-        help="pin-store budget for pushed matrix bytes (protocol v3 push/pin)",
-    )
-    parser.add_argument(
-        "--protocol-version",
-        type=int,
-        default=None,
-        help="cap the advertised wire version (e.g. 2 to act as a legacy host)",
+        help="pin-store budget for pushed matrix and operand bytes",
     )
     parser.add_argument(
         "--auth-token",
@@ -572,7 +469,6 @@ def main(argv=None) -> None:  # pragma: no cover - thin CLI wrapper
         tls_key=args.tls_key,
         tls_ca=args.tls_ca,
         store_bytes=args.store_bytes,
-        protocol_version=args.protocol_version,
     )
 
 

@@ -50,6 +50,7 @@ to FP32 round-off, not bit-exactly.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -560,3 +561,194 @@ def layer_shard_rows(
         "spmm_s": t3 - t2,
     }
     return rows, timings
+
+
+# ---------------------------------------------------------------------------
+# Shard table (one body per served op)
+# ---------------------------------------------------------------------------
+# Every carrier of a shard task — the in-parent call, the shared-memory pool
+# (:mod:`repro.serve.scheduler`) and the TCP cluster
+# (:mod:`repro.cluster.head` / :mod:`repro.cluster.worker`) — executes a
+# shard as ``op.run(op.slice(fmt, r, group, indptr), operands, params)``
+# and differs only in where the two halves run: the pool slices in the
+# parent and pickles the result to a child, a worker host slices its own
+# (bit-identical) translation, the in-parent fallback does both in place.
+#
+# ``slice`` returns a dict of plain ndarrays and ints (cheap to pickle);
+# ``run`` takes that dict, the op's dense operands in wire order and
+# ``params`` — ``{"precision": str, "scale": float | None,
+# "scale_by_mask": bool}``, of which each op reads the keys it needs (plain
+# types: a pool task pickles them, a worker host rebuilds them from its
+# frame header) — and returns ``(outputs, stage_seconds)``.  The entries
+# reach the hooks above through their module-level names at call time, so a
+# tracer that rebinds ``engine.spmm_shard_rows`` sees every served shard.
+
+
+def _slice_spmm(fmt: BlockedVectorFormat, r: ShardRange, group, indptr) -> dict:
+    del group, indptr
+    batch = fmt.blocks_as_arrays()
+    return {
+        "values": batch.values[r.lo : r.hi],
+        "columns": batch.columns[r.lo : r.hi],
+        "local_offsets": batch.window_offsets[r.w0 : r.w1 + 1] - r.lo,
+        "row0": r.w0 * fmt.vector_size,
+    }
+
+
+def _run_spmm(s: dict, operands, params: dict) -> tuple[list, dict]:
+    (b_q,) = operands
+    rows = spmm_shard_rows(
+        s["values"], s["columns"], s["local_offsets"], b_q, Precision(params["precision"])
+    )
+    return [rows], {}
+
+
+def _slice_sddmm(fmt: BlockedVectorFormat, r: ShardRange, group, indptr) -> dict:
+    del indptr
+    batch = fmt.blocks_as_arrays(group)
+    return {
+        "values": batch.values[r.lo : r.hi],
+        "columns": batch.columns[r.lo : r.hi],
+        "lane_valid": batch.lane_valid[r.lo : r.hi],
+        "vector_index": batch.vector_index[r.lo : r.hi],
+        "local_window_of_block": batch.window_of_block[r.lo : r.hi] - r.w0,
+        "w0": r.w0,
+        "w1": r.w1,
+        "v": fmt.vector_size,
+    }
+
+
+def _run_sddmm(s: dict, operands, params: dict) -> tuple[list, dict]:
+    a_q, b_q = operands
+    idx, vals = sddmm_shard_values(
+        s["values"],
+        s["columns"],
+        s["lane_valid"],
+        s["vector_index"],
+        s["local_window_of_block"],
+        sddmm_a_window(a_q, s["w0"], s["w1"], s["v"]),
+        b_q,
+        bool(params["scale_by_mask"]),
+    )
+    return [np.asarray(idx, dtype=np.int64), vals], {}
+
+
+def _slice_layer(fmt: BlockedVectorFormat, r: ShardRange, group, indptr) -> dict:
+    # ``r`` is cut on the SpMM grouping; the SDDMM grouping covers the same
+    # windows with different block counts, so it is sliced at the same
+    # window bounds through its own offsets.
+    pbatch = fmt.blocks_as_arrays()
+    soffsets = fmt.blocks_as_arrays(group).window_offsets
+    s_range = ShardRange(int(soffsets[r.w0]), int(soffsets[r.w1]), r.w0, r.w1)
+    local_indptr, entry_vector, entry_lane, vec_lo, vec_count = layer_softmax_mapping(
+        indptr,
+        fmt.partition.nnz_vector_of_entry,
+        fmt.partition.window_ptr,
+        r.w0,
+        r.w1,
+        fmt.vector_size,
+        fmt.shape[0],
+    )
+    return {
+        "sddmm": _slice_sddmm(fmt, s_range, group, None),
+        "spmm_columns": pbatch.columns[r.lo : r.hi],
+        "spmm_local_offsets": pbatch.window_offsets[r.w0 : r.w1 + 1] - r.lo,
+        "spmm_lane_valid": pbatch.lane_valid[r.lo : r.hi],
+        "spmm_vector_index": pbatch.vector_index[r.lo : r.hi],
+        "local_indptr": local_indptr,
+        "entry_vector": entry_vector,
+        "entry_lane": entry_lane,
+        "vec_lo": vec_lo,
+        "vec_count": vec_count,
+        "row0": r.w0 * fmt.vector_size,
+    }
+
+
+def _run_layer(s: dict, operands, params: dict) -> tuple[list, dict]:
+    a_q, b_q, x_q = operands
+    d = s["sddmm"]
+    rows, timings = layer_shard_rows(
+        d["values"],
+        d["columns"],
+        d["lane_valid"],
+        d["vector_index"],
+        d["local_window_of_block"],
+        s["spmm_columns"],
+        s["spmm_local_offsets"],
+        s["spmm_lane_valid"],
+        s["spmm_vector_index"],
+        s["local_indptr"],
+        s["entry_vector"],
+        s["entry_lane"],
+        s["vec_lo"],
+        s["vec_count"],
+        sddmm_a_window(a_q, d["w0"], d["w1"], d["v"]),
+        b_q,
+        x_q,
+        Precision(params["precision"]),
+        params["scale"],
+        bool(params["scale_by_mask"]),
+    )
+    return [rows], timings
+
+
+@dataclass(frozen=True)
+class ShardOp:
+    """One served op as every shard carrier sees it.
+
+    ``sddmm_grouped`` says which block grouping the shard ranges are cut
+    on (the SDDMM output grouping, or the default SpMM one); ``scatter``
+    is the placement rule — ``False``: ``outputs[0]`` is a dense row block
+    starting at ``sliced["row0"]`` (tail window clipped at ``n_rows``);
+    ``True``: ``outputs`` is a ``(vector_index, values)`` scatter pair into
+    the ``fmt.vector_values`` layout.
+    """
+
+    slice: Callable[..., dict]
+    run: Callable[..., tuple[list, dict]]
+    sddmm_grouped: bool = False
+    scatter: bool = False
+
+    def plan(
+        self,
+        fmt: BlockedVectorFormat,
+        operands,
+        group: int | None,
+        shards: int,
+        target_blocks: int | None,
+    ) -> tuple[list[ShardRange], tuple]:
+        """``(ranges, out_shape)`` for one request.
+
+        ``target_blocks`` defaults to an even split into ``shards``.  The
+        ranges are empty when there is nothing to compute (no blocks, or a
+        zero-width operand) — the result is then all zeros.
+        """
+        batch = fmt.blocks_as_arrays(group) if self.sddmm_grouped else fmt.blocks_as_arrays()
+        width = operands[-1].shape[1]
+        out_shape = fmt.vector_values.shape if self.scatter else (fmt.shape[0], width)
+        if batch.num_blocks == 0 or width == 0:
+            return [], out_shape
+        if target_blocks is None:
+            target_blocks = max(1, -(-batch.num_blocks // max(1, int(shards))))
+        return window_aligned_ranges(batch.window_offsets, target_blocks), out_shape
+
+    def place(self, out: np.ndarray, sliced: dict, outputs: list) -> None:
+        """Write one shard's ``outputs`` into the request's output array.
+
+        Shards own disjoint rows / vectors (window alignment), so
+        concurrent placements into one shared buffer need no lock.
+        """
+        if self.scatter:
+            out[outputs[0]] = outputs[1]
+            return
+        rows, row0 = outputs[0], sliced["row0"]
+        stop = min(row0 + rows.shape[0], out.shape[0])
+        out[row0:stop] = rows[: stop - row0]
+
+
+#: The served kernels, by the ``op`` name task dicts and frame headers carry.
+SHARD_OPS = {
+    "spmm": ShardOp(_slice_spmm, _run_spmm),
+    "sddmm": ShardOp(_slice_sddmm, _run_sddmm, sddmm_grouped=True, scatter=True),
+    "layer": ShardOp(_slice_layer, _run_layer),
+}

@@ -18,13 +18,12 @@ defines the program representation the whole stack fuses on:
 * :func:`gather_edge_values` / :func:`attention_csr` — the two
   representational hops the *composed* execution needs (SDDMM's
   nonzero-vector output → CSR edge order → a values-only CSR rebuild for
-  the SpMM).  The head's v3 per-kernel fallback, the served-composed GNN
-  path and the parity tests all share these, so "composed" means exactly
-  one thing everywhere.
+  the SpMM).  The served-composed GNN path and the parity tests share
+  these, so "composed" means exactly one thing everywhere.
 
 The program is deliberately small: steps carry operand *names* (``"a"``,
 ``"b"``, ``"x"``), the dense panels themselves travel separately (and, on
-protocol v4, ride the content-addressed pinned store so a layer's panels
+the cluster, ride the content-addressed pinned store so a layer's panels
 ship once per host).
 """
 
@@ -184,7 +183,7 @@ class LayerProgram:
 
     # ------------------------------------------------------------------ wire
     def to_wire(self) -> list[dict]:
-        """JSON-safe form for the v4 ``layer_task`` header."""
+        """JSON-safe form for the ``layer_task`` header."""
         return [step.to_wire() for step in self.steps]
 
     @classmethod

@@ -24,8 +24,9 @@ Execution model
 
 Bit-exactness
 -------------
-Every shard runs the one-shot reduction of
-:func:`repro.kernels.engine.spmm_shard_rows` /
+Every shard runs its op's entry in the engine's shard table
+(:data:`repro.kernels.engine.SHARD_OPS`) — the one-shot reduction of
+:func:`~repro.kernels.engine.spmm_shard_rows` /
 :func:`~repro.kernels.engine.sddmm_shard_values` over whole windows, which
 reproduces the single-process ``engine="batched"`` one-shot values
 bit-for-bit (see the engine module docstring).  The parity tests assert
@@ -42,15 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.formats.blocked import BlockedVectorFormat
-from repro.kernels.engine import (
-    ShardRange,
-    layer_shard_rows,
-    layer_softmax_mapping,
-    sddmm_a_window,
-    sddmm_shard_values,
-    spmm_shard_rows,
-    window_aligned_ranges,
-)
+from repro.kernels.engine import SHARD_OPS
 from repro.ops import segment_matmul
 from repro.precision.types import Precision
 
@@ -118,109 +111,30 @@ def _attach(desc: ShmArray) -> tuple["shared_memory.SharedMemory", np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side task bodies (module-level: picklable by every start method)
+# Worker-side task body (module-level: picklable by every start method)
 # ---------------------------------------------------------------------------
-def _maybe_fail(task: dict) -> None:
-    """Deterministic failure injection for the retry tests."""
-    if task["attempt"] <= task.get("fail_times", 0):
+def _run_task(task: dict) -> dict:
+    """Run one shard in a pool worker: attach the shared operands and
+    output, execute the op's shard-table entry on the parent-sliced arrays,
+    place the result.  Returns the shard's per-stage seconds."""
+    if task["attempt"] <= task["fail_times"]:  # failure injection (retry tests)
         raise RuntimeError(
             f"injected shard failure (shard {task['shard']}, attempt {task['attempt']})"
         )
-
-
-def _run_spmm_shard(task: dict) -> int:
-    """Compute one SpMM shard and write its rows into the shared output."""
-    _maybe_fail(task)
-    b_shm, b_q = _attach(task["b"])
-    out_shm, out = _attach(task["out"])
+    op = SHARD_OPS[task["op"]]
+    segments, views = [], []
     try:
-        rows = spmm_shard_rows(
-            task["values"],
-            task["columns"],
-            task["local_offsets"],
-            b_q,
-            Precision(task["precision"]),
-        )
-        row0 = task["row0"]
-        stop = min(row0 + rows.shape[0], out.shape[0])
-        out[row0:stop] = rows[: stop - row0]
+        for desc in (*task["operands"], task["out"]):
+            shm, view = _attach(desc)
+            segments.append(shm)
+            views.append(view)
+        *operands, out = views
+        outputs, timings = op.run(task["sliced"], operands, task["params"])
+        op.place(out, task["sliced"], outputs)
     finally:
-        b_shm.close()
-        out_shm.close()
-    return task["shard"]
-
-
-def _run_sddmm_shard(task: dict) -> int:
-    """Compute one SDDMM shard and scatter its values into the shared output."""
-    _maybe_fail(task)
-    a_shm, a_q = _attach(task["a"])
-    b_shm, b_q = _attach(task["b"])
-    out_shm, out = _attach(task["out"])
-    try:
-        idx, vals = sddmm_shard_values(
-            task["values"],
-            task["columns"],
-            task["lane_valid"],
-            task["vector_index"],
-            task["local_window_of_block"],
-            sddmm_a_window(a_q, task["w0"], task["w1"], task["v"]),
-            b_q,
-            task["scale_by_mask"],
-        )
-        out[idx] = vals
-    finally:
-        a_shm.close()
-        b_shm.close()
-        out_shm.close()
-    return task["shard"]
-
-
-def _run_layer_shard(task: dict) -> tuple[int, dict]:
-    """Run one fused-layer shard (SDDMM → softmax → SpMM) end to end."""
-    _maybe_fail(task)
-    a_shm, a_q = _attach(task["a"])
-    b_shm, b_q = _attach(task["b"])
-    x_shm, x_q = _attach(task["x"])
-    out_shm, out = _attach(task["out"])
-    try:
-        rows, timings = layer_shard_rows(
-            task["sddmm_values"],
-            task["sddmm_columns"],
-            task["sddmm_lane_valid"],
-            task["sddmm_vector_index"],
-            task["sddmm_local_window_of_block"],
-            task["spmm_columns"],
-            task["spmm_local_offsets"],
-            task["spmm_lane_valid"],
-            task["spmm_vector_index"],
-            task["local_indptr"],
-            task["entry_vector"],
-            task["entry_lane"],
-            task["vec_lo"],
-            task["vec_count"],
-            sddmm_a_window(a_q, task["w0"], task["w1"], task["v"]),
-            b_q,
-            x_q,
-            Precision(task["precision"]),
-            task["scale"],
-            task["scale_by_mask"],
-        )
-        row0 = task["row0"]
-        stop = min(row0 + rows.shape[0], out.shape[0])
-        out[row0:stop] = rows[: stop - row0]
-    finally:
-        a_shm.close()
-        b_shm.close()
-        x_shm.close()
-        out_shm.close()
-    return task["shard"], timings
-
-
-_WORKER_BODIES = {"spmm": _run_spmm_shard, "sddmm": _run_sddmm_shard, "layer": _run_layer_shard}
-
-
-def _run_task(task: dict) -> int:
-    return _WORKER_BODIES[task["kind"]](task)
+        for shm in segments:
+            shm.close()
+    return timings
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +214,13 @@ class ShardScheduler:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _dispatch(self, tasks: list[dict], inline_body, on_result=None) -> None:
+    def _dispatch(self, tasks: list[dict], inline_body, on_result) -> None:
         """Run ``tasks`` on the pool with per-shard retry and inline fallback.
 
         ``inline_body(task)`` is the parent-side fallback executed against
         the parent's own arrays once a shard exhausts its retries (or when
-        the pool itself breaks).  ``on_result`` (optional) receives each
-        pool future's return value — the fused-layer path collects its
-        per-stage timings through it (inline bodies record their own).
+        the pool itself breaks).  ``on_result`` receives each pool shard's
+        per-stage timings (inline bodies record their own).
         """
         self._count("requests")
         self._count("shards", len(tasks))
@@ -321,8 +234,7 @@ class ShardScheduler:
             for future in done:
                 task = pending.pop(future)
                 if future.exception() is None:
-                    if on_result is not None:
-                        on_result(future.result())
+                    on_result(future.result())
                     continue
                 if task["attempt"] <= self.retries:
                     task = dict(task, attempt=task["attempt"] + 1)
@@ -339,7 +251,78 @@ class ShardScheduler:
                     self._count("fallbacks")
                     inline_body(task)
 
-    # ------------------------------------------------------------------ SpMM
+    # ------------------------------------------------------------ kernel ops
+    def _run(
+        self,
+        op_name: str,
+        fmt: BlockedVectorFormat,
+        operands: list[np.ndarray],
+        params: dict,
+        group: int | None = None,
+        indptr: np.ndarray | None = None,
+        target_blocks: int | None = None,
+        inject_failures: dict | None = None,
+    ) -> tuple[np.ndarray, dict]:
+        """Plan → dispatch → assemble for one table op (see
+        :data:`repro.kernels.engine.SHARD_OPS`).
+
+        The dense ``operands`` and the output go to shared memory once; each
+        shard's sparse slices are cut here and travel in its pickled task,
+        so pool workers stay stateless.  Returns the output plus the
+        per-stage seconds summed across shards (all zero for single-stage
+        ops).
+        """
+        op = SHARD_OPS[op_name]
+        ranges, out_shape = op.plan(fmt, operands, group, self.workers, target_blocks)
+        stage_seconds = {"sddmm_s": 0.0, "edge_softmax_s": 0.0, "spmm_s": 0.0}
+        if not ranges:
+            return np.zeros(out_shape, dtype=np.float32), stage_seconds
+
+        segments = []
+        try:
+            if self.workers > 1 and shared_memory is not None:
+                descs = []
+                for operand in operands:
+                    shm, desc = _create_shm(operand)
+                    segments.append(shm)
+                    descs.append(desc)
+                out_shm, out_desc = _create_shm_zeros(out_shape, np.float32)
+                segments.append(out_shm)
+                out_view = np.ndarray(out_shape, np.float32, buffer=out_shm.buf)
+            else:
+                descs = out_desc = None
+                out_view = np.zeros(out_shape, dtype=np.float32)
+
+            tasks = [
+                {
+                    "op": op_name,
+                    "shard": i,
+                    "attempt": 1,
+                    "fail_times": (inject_failures or {}).get(i, 0),
+                    "sliced": op.slice(fmt, r, group, indptr),
+                    "params": params,
+                    "operands": descs,
+                    "out": out_desc,
+                }
+                for i, r in enumerate(ranges)
+            ]
+
+            def add_timings(timings: dict) -> None:
+                for key, seconds in timings.items():
+                    stage_seconds[key] += seconds
+
+            def inline(task: dict) -> None:
+                outputs, timings = op.run(task["sliced"], operands, params)
+                op.place(out_view, task["sliced"], outputs)
+                add_timings(timings)
+
+            self._dispatch(tasks, inline, on_result=add_timings)
+            return np.array(out_view, copy=True), stage_seconds
+        finally:
+            for shm in segments:
+                shm.close()
+                shm.unlink()
+
     def run_spmm(
         self,
         fmt: BlockedVectorFormat,
@@ -356,66 +339,17 @@ class ShardScheduler:
         ``_inject_failures`` maps shard index → number of times that shard
         fails (test hook for the retry path).
         """
-        v = fmt.vector_size
-        n_rows = fmt.shape[0]
-        n_dense = b_q.shape[1]
-        batch = fmt.blocks_as_arrays()
-        offsets = batch.window_offsets
-        if target_blocks is None:
-            target_blocks = max(1, -(-batch.num_blocks // self.workers))
-        ranges = window_aligned_ranges(offsets, target_blocks)
-        if batch.num_blocks == 0 or n_dense == 0 or not ranges:
-            return np.zeros((n_rows, n_dense), dtype=np.float32)
+        params = {"precision": precision.value}
+        out, _ = self._run(
+            "spmm",
+            fmt,
+            [b_q],
+            params,
+            target_blocks=target_blocks,
+            inject_failures=_inject_failures,
+        )
+        return out
 
-        use_pool = self.workers > 1 and shared_memory is not None
-        segments = []
-        try:
-            if use_pool:
-                b_shm, b_desc = _create_shm(b_q)
-                out_shm, out_desc = _create_shm_zeros((n_rows, n_dense), np.float32)
-                segments = [b_shm, out_shm]
-                out_view = np.ndarray((n_rows, n_dense), np.float32, buffer=out_shm.buf)
-            else:
-                b_desc = out_desc = None
-                out_view = np.zeros((n_rows, n_dense), dtype=np.float32)
-
-            tasks = [
-                self._spmm_task(batch, offsets, r, i, b_desc, out_desc, precision, _inject_failures)
-                for i, r in enumerate(ranges)
-            ]
-
-            def inline(task: dict) -> None:
-                rows = spmm_shard_rows(
-                    task["values"], task["columns"], task["local_offsets"], b_q, precision
-                )
-                row0 = task["row0"]
-                stop = min(row0 + rows.shape[0], n_rows)
-                out_view[row0:stop] = rows[: stop - row0]
-
-            self._dispatch(tasks, inline)
-            return np.array(out_view, copy=True)
-        finally:
-            for shm in segments:
-                shm.close()
-                shm.unlink()
-
-    @staticmethod
-    def _spmm_task(batch, offsets, r: ShardRange, index, b_desc, out_desc, precision, inject):
-        return {
-            "kind": "spmm",
-            "shard": index,
-            "attempt": 1,
-            "fail_times": (inject or {}).get(index, 0),
-            "values": batch.values[r.lo : r.hi],
-            "columns": batch.columns[r.lo : r.hi],
-            "local_offsets": offsets[r.w0 : r.w1 + 1] - offsets[r.w0],
-            "row0": r.w0 * batch.values.shape[1],
-            "precision": precision.value,
-            "b": b_desc,
-            "out": out_desc,
-        }
-
-    # ----------------------------------------------------------------- SDDMM
     def run_sddmm(
         self,
         fmt: BlockedVectorFormat,
@@ -432,74 +366,18 @@ class ShardScheduler:
         Returns the ``(num_nonzero_vectors, vector_size)`` value array in
         the layout of ``fmt.vector_values``.
         """
-        v = fmt.vector_size
-        k_dense = a_q.shape[1]
-        batch = fmt.blocks_as_arrays(group)
-        offsets = batch.window_offsets
-        if target_blocks is None:
-            target_blocks = max(1, -(-batch.num_blocks // self.workers))
-        ranges = window_aligned_ranges(offsets, target_blocks)
-        out_shape = fmt.vector_values.shape
-        if batch.num_blocks == 0 or k_dense == 0 or not ranges:
-            return np.zeros(out_shape, dtype=np.float32)
+        params = {"precision": precision.value, "scale_by_mask": bool(scale_by_mask)}
+        out, _ = self._run(
+            "sddmm",
+            fmt,
+            [a_q, b_q],
+            params,
+            group=group,
+            target_blocks=target_blocks,
+            inject_failures=_inject_failures,
+        )
+        return out
 
-        use_pool = self.workers > 1 and shared_memory is not None
-        segments = []
-        try:
-            if use_pool:
-                a_shm, a_desc = _create_shm(a_q)
-                b_shm, b_desc = _create_shm(b_q)
-                out_shm, out_desc = _create_shm_zeros(out_shape, np.float32)
-                segments = [a_shm, b_shm, out_shm]
-                out_view = np.ndarray(out_shape, np.float32, buffer=out_shm.buf)
-            else:
-                a_desc = b_desc = out_desc = None
-                out_view = np.zeros(out_shape, dtype=np.float32)
-
-            tasks = []
-            for i, r in enumerate(ranges):
-                tasks.append(
-                    {
-                        "kind": "sddmm",
-                        "shard": i,
-                        "attempt": 1,
-                        "fail_times": (_inject_failures or {}).get(i, 0),
-                        "values": batch.values[r.lo : r.hi],
-                        "columns": batch.columns[r.lo : r.hi],
-                        "lane_valid": batch.lane_valid[r.lo : r.hi],
-                        "vector_index": batch.vector_index[r.lo : r.hi],
-                        "local_window_of_block": batch.window_of_block[r.lo : r.hi] - r.w0,
-                        "w0": r.w0,
-                        "w1": r.w1,
-                        "v": v,
-                        "scale_by_mask": bool(scale_by_mask),
-                        "a": a_desc,
-                        "b": b_desc,
-                        "out": out_desc,
-                    }
-                )
-
-            def inline(task: dict) -> None:
-                idx, vals = sddmm_shard_values(
-                    task["values"],
-                    task["columns"],
-                    task["lane_valid"],
-                    task["vector_index"],
-                    task["local_window_of_block"],
-                    sddmm_a_window(a_q, task["w0"], task["w1"], v),
-                    b_q,
-                    task["scale_by_mask"],
-                )
-                out_view[idx] = vals
-
-            self._dispatch(tasks, inline)
-            return np.array(out_view, copy=True)
-        finally:
-            for shm in segments:
-                shm.close()
-                shm.unlink()
-
-    # ----------------------------------------------------------- fused layer
     def run_layer(
         self,
         fmt: BlockedVectorFormat,
@@ -529,120 +407,21 @@ class ShardScheduler:
         stage's wall clock across shards
         (``{"sddmm_s", "edge_softmax_s", "spmm_s"}``).
         """
-        v = fmt.vector_size
-        n_rows = fmt.shape[0]
-        n_dense = x_q.shape[1]
-        pbatch = fmt.blocks_as_arrays()
-        sbatch = fmt.blocks_as_arrays(group)
-        offsets = pbatch.window_offsets
-        soffsets = sbatch.window_offsets
-        if target_blocks is None:
-            target_blocks = max(1, -(-pbatch.num_blocks // self.workers))
-        ranges = window_aligned_ranges(offsets, target_blocks)
-        stage_seconds = {"sddmm_s": 0.0, "edge_softmax_s": 0.0, "spmm_s": 0.0}
-        if pbatch.num_blocks == 0 or n_dense == 0 or not ranges:
-            return np.zeros((n_rows, n_dense), dtype=np.float32), stage_seconds
-
-        use_pool = self.workers > 1 and shared_memory is not None
-        segments = []
-        try:
-            if use_pool:
-                a_shm, a_desc = _create_shm(a_q)
-                b_shm, b_desc = _create_shm(b_q)
-                x_shm, x_desc = _create_shm(x_q)
-                out_shm, out_desc = _create_shm_zeros((n_rows, n_dense), np.float32)
-                segments = [a_shm, b_shm, x_shm, out_shm]
-                out_view = np.ndarray((n_rows, n_dense), np.float32, buffer=out_shm.buf)
-            else:
-                a_desc = b_desc = x_desc = out_desc = None
-                out_view = np.zeros((n_rows, n_dense), dtype=np.float32)
-
-            tasks = []
-            for i, r in enumerate(ranges):
-                slo, shi = int(soffsets[r.w0]), int(soffsets[r.w1])
-                local_indptr, entry_vector, entry_lane, vec_lo, vec_count = (
-                    layer_softmax_mapping(
-                        indptr,
-                        fmt.partition.nnz_vector_of_entry,
-                        fmt.partition.window_ptr,
-                        r.w0,
-                        r.w1,
-                        v,
-                        n_rows,
-                    )
-                )
-                tasks.append(
-                    {
-                        "kind": "layer",
-                        "shard": i,
-                        "attempt": 1,
-                        "fail_times": (_inject_failures or {}).get(i, 0),
-                        "sddmm_values": sbatch.values[slo:shi],
-                        "sddmm_columns": sbatch.columns[slo:shi],
-                        "sddmm_lane_valid": sbatch.lane_valid[slo:shi],
-                        "sddmm_vector_index": sbatch.vector_index[slo:shi],
-                        "sddmm_local_window_of_block": sbatch.window_of_block[slo:shi] - r.w0,
-                        "spmm_columns": pbatch.columns[r.lo : r.hi],
-                        "spmm_local_offsets": offsets[r.w0 : r.w1 + 1] - r.lo,
-                        "spmm_lane_valid": pbatch.lane_valid[r.lo : r.hi],
-                        "spmm_vector_index": pbatch.vector_index[r.lo : r.hi],
-                        "local_indptr": local_indptr,
-                        "entry_vector": entry_vector,
-                        "entry_lane": entry_lane,
-                        "vec_lo": vec_lo,
-                        "vec_count": vec_count,
-                        "w0": r.w0,
-                        "w1": r.w1,
-                        "v": v,
-                        "row0": r.w0 * v,
-                        "precision": precision.value,
-                        "scale": None if scale is None else float(scale),
-                        "scale_by_mask": bool(scale_by_mask),
-                        "a": a_desc,
-                        "b": b_desc,
-                        "x": x_desc,
-                        "out": out_desc,
-                    }
-                )
-
-            def add_timings(timings: dict) -> None:
-                for key in stage_seconds:
-                    stage_seconds[key] += timings.get(key, 0.0)
-
-            def inline(task: dict) -> None:
-                rows, timings = layer_shard_rows(
-                    task["sddmm_values"],
-                    task["sddmm_columns"],
-                    task["sddmm_lane_valid"],
-                    task["sddmm_vector_index"],
-                    task["sddmm_local_window_of_block"],
-                    task["spmm_columns"],
-                    task["spmm_local_offsets"],
-                    task["spmm_lane_valid"],
-                    task["spmm_vector_index"],
-                    task["local_indptr"],
-                    task["entry_vector"],
-                    task["entry_lane"],
-                    task["vec_lo"],
-                    task["vec_count"],
-                    sddmm_a_window(a_q, task["w0"], task["w1"], v),
-                    b_q,
-                    x_q,
-                    precision,
-                    task["scale"],
-                    task["scale_by_mask"],
-                )
-                row0 = task["row0"]
-                stop = min(row0 + rows.shape[0], n_rows)
-                out_view[row0:stop] = rows[: stop - row0]
-                add_timings(timings)
-
-            self._dispatch(tasks, inline, on_result=lambda res: add_timings(res[1]))
-            return np.array(out_view, copy=True), stage_seconds
-        finally:
-            for shm in segments:
-                shm.close()
-                shm.unlink()
+        params = {
+            "precision": precision.value,
+            "scale": None if scale is None else float(scale),
+            "scale_by_mask": bool(scale_by_mask),
+        }
+        return self._run(
+            "layer",
+            fmt,
+            [a_q, b_q, x_q],
+            params,
+            group=group,
+            indptr=indptr,
+            target_blocks=target_blocks,
+            inject_failures=_inject_failures,
+        )
 
     # -------------------------------------------------------- segment matmul
     def run_segment_matmul(self, data: np.ndarray, offsets: np.ndarray, weights) -> np.ndarray:

@@ -102,6 +102,7 @@ import os
 import queue
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -372,7 +373,10 @@ class Server:
         self.group_concurrency = (
             default_concurrency if group_concurrency is None else max(1, int(group_concurrency))
         )
-        self._plans: "OrderedDict[tuple, tuple[BlockedVectorFormat, ServePlan]]" = OrderedDict()
+        #: (op, id(fmt), width, hosts) -> (weakref to fmt, plan).  Weak, so
+        #: the plan cache never keeps a translation alive after the
+        #: translation cache's own (smaller) LRU let it go.
+        self._plans: "OrderedDict[tuple, tuple[weakref.ref, ServePlan]]" = OrderedDict()
         self._plan_capacity = PLAN_CACHE_CAPACITY
         self._plans_lock = threading.Lock()
         self._queue: "queue.SimpleQueue[ServeRequest | _Stop]" = queue.SimpleQueue()
@@ -479,7 +483,7 @@ class Server:
         request; returns a Future of :class:`LayerResult`.
 
         The layer executes as one fused pass per shard (one scheduler
-        round trip — and on the v4 cluster backend one wire round trip —
+        round trip — and on the cluster backend one wire round trip —
         instead of three), bit-identical to submitting the three kernels
         separately.  ``timeout`` / ``priority`` as for :meth:`submit_spmm`.
         Layer requests over the same matrix, logits panels and scale
@@ -569,7 +573,7 @@ class Server:
         :class:`SegmentMatmulResult`.
 
         ``weights`` must be uniform-width — one ``(segments, K, N)`` stack
-        is the wire format (the v4 ``segmm_task`` frame).
+        is the wire format (the ``segmm_task`` frame).
         """
         data = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
         if data.ndim != 2:
@@ -1018,10 +1022,10 @@ class Server:
         with self._plans_lock:
             key = (op, id(fmt), width, hosts)
             entry = self._plans.get(key)
-            # The pinned fmt reference both prevents id-reuse aliasing (a
-            # GC'd format's id recycled by a different matrix) and is
-            # verified anyway.
-            if entry is not None and entry[0] is fmt:
+            # The identity check guards against id reuse (a collected
+            # format's id recycled by a different matrix); a dead referent
+            # is simply a miss.
+            if entry is not None and entry[0]() is fmt:
                 self._plans.move_to_end(key)
                 return entry[1]
             planner = plan_spmm if op == "spmm" else plan_sddmm
@@ -1033,7 +1037,7 @@ class Server:
             if self.workspace_fraction is not None:
                 kwargs["workspace_fraction"] = self.workspace_fraction
             plan = planner(fmt, width, device=self.device, precision=self.precision, **kwargs)
-            self._plans[key] = (fmt, plan)
+            self._plans[key] = (weakref.ref(fmt), plan)
             self._plans.move_to_end(key)
             while len(self._plans) > self._plan_capacity:
                 self._plans.popitem(last=False)

@@ -197,9 +197,9 @@ class FaultPlan:
 
         This is the silent-corruption fault: the frame stays structurally
         valid — magic, header, lengths all parse — but the payload bytes no
-        longer match their declared CRC32, so a v2 receiver detects it as a
-        :class:`~repro.cluster.transport.FrameIntegrityError` (a v1
-        receiver would have fed the flipped bits straight into a kernel).
+        longer match their declared CRC32, so the receiver detects it as a
+        :class:`~repro.cluster.transport.FrameIntegrityError` instead of
+        feeding the flipped bits straight into a kernel.
         """
         return self._arm(
             _ArmedFault(

@@ -30,3 +30,71 @@ def random_csr(
         dense[0, 0] = 1.0
         csr = CSRMatrix.from_dense(dense)
     return csr
+
+
+def raw_frame(version: int, header: dict, buffers=(), n_bufs: int | None = None) -> bytes:
+    """A wire frame written by hand: any version byte, array descriptors
+    exactly as given in ``header["arrays"]`` (checksums only if the caller
+    put them there), and a buffer count that need not match the buffers
+    that follow — what a foreign or hostile peer could send."""
+    import json
+
+    from repro.cluster.transport import _BUF_LEN, _PREFIX, MAGIC
+
+    raw = json.dumps(header, separators=(",", ":")).encode()
+    count = len(buffers) if n_bufs is None else n_bufs
+    out = _PREFIX.pack(MAGIC, version, count, len(raw)) + raw
+    for buf in buffers:
+        out += _BUF_LEN.pack(len(buf)) + bytes(buf)
+    return out
+
+
+def scripted_worker(on_task=None, on_shutdown=None):
+    """Start a fake worker host that speaks the real handshake, answers
+    pings and store puts honestly, and hands ``task`` / ``shutdown`` frames
+    to the given ``callback(conn, header)`` scripts (default: the honest
+    ``bye``; tasks need a script).  Serves connections until a shutdown
+    frame; returns ``(address, thread)``.
+    """
+    import socket
+    import threading
+
+    from repro.cluster.transport import (
+        TransportError,
+        recv_message,
+        send_message,
+        server_handshake,
+    )
+
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve() -> None:
+        with listener:
+            while True:
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(30)
+                    try:
+                        server_handshake(conn)
+                        while True:
+                            header, _, _ = recv_message(conn)
+                            kind = header["type"]
+                            if kind == "ping":
+                                send_message(conn, {"type": "pong", "store_keys": []})
+                            elif kind == "store_put":
+                                reply = {"type": "store_ack", "store_key": header["store_key"]}
+                                send_message(conn, reply)
+                            elif kind == "shutdown":
+                                if on_shutdown is None:
+                                    send_message(conn, {"type": "bye"})
+                                else:
+                                    on_shutdown(conn, header)
+                                return
+                            else:
+                                on_task(conn, header)
+                    except (TransportError, OSError):
+                        continue  # the head hung up: back to accept
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname(), thread

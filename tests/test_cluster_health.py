@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_csr
+from helpers import random_csr, raw_frame, scripted_worker
 
 from repro.cluster import ClusterScheduler, RetryPolicy
 from repro.cluster.head import spawn_local_host
@@ -196,3 +196,39 @@ def test_head_side_frame_limit_bounds_result_frames_then_fails_over():
         if process.is_alive():
             process.terminate()
         process.join(10)
+
+
+def test_head_side_frame_limit_also_bounds_the_shutdown_reply():
+    """The worker's ``bye`` is read under the same ``max_frame_bytes`` as
+    every other reply: an over-limit declaration there raises before a
+    byte of it is allocated or awaited, and ``close()`` still returns."""
+    import time
+    import tracemalloc
+
+    from repro.cluster.transport import _BUF_LEN, VERSION
+
+    def oversized_bye(conn, header):
+        huge = {"dtype": "<f4", "shape": [1 << 28], "crc32": 0}  # declares 1 GiB
+        conn.sendall(raw_frame(VERSION, {"type": "bye", "arrays": [huge]}, n_bufs=1))
+        conn.sendall(_BUF_LEN.pack(1 << 30))
+        conn.settimeout(60)
+        conn.recv(1)  # never sends the payload; waits for the head to hang up
+
+    address, thread = scripted_worker(on_shutdown=oversized_bye)
+    sched = ClusterScheduler(
+        addresses=[address],
+        max_frame_bytes=4096,
+        heartbeat_timeout_s=30.0,  # what an unbounded read would sit out
+        auto_readmit=False,
+    )
+    tracemalloc.start()
+    started = time.monotonic()
+    try:
+        sched.close()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - started < 5.0
+    assert peak < 64 * 1024 * 1024
+    thread.join(10)
+    assert not thread.is_alive()

@@ -1,17 +1,12 @@
-"""Protocol v4 fused layer serving across the cluster.
+"""Fused layer serving across the cluster.
 
-The multi-host contract extends the fused-layer one: a v4 ``layer_task``
-runs the whole SDDMM → scale → softmax → SpMM pipeline inside the worker
-host and is **bit-identical** to the three-call composition — across
-formats, shard sizes, host counts, under fault-injected failover, and when
-the peer only speaks protocol v3, in which case the head transparently
-falls back to the per-kernel composed pipeline (two cluster requests)
-with, again, bit-identical output.
+The multi-host contract extends the fused-layer one: a ``layer_task`` runs
+the whole SDDMM → scale → softmax → SpMM pipeline inside the worker host
+and is **bit-identical** to the three-call composition — across formats,
+shard sizes, host counts, and under fault-injected failover.
 """
 
 from __future__ import annotations
-
-import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -19,7 +14,6 @@ import pytest
 from helpers import random_csr
 
 from repro.cluster import ClusterScheduler, RetryPolicy
-from repro.cluster.head import spawn_local_host
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
 from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK as FLASH_GROUP
@@ -155,7 +149,7 @@ def test_fused_layer_survives_dropped_connection_bit_identically():
 
 def test_fused_layer_fails_over_when_retries_exhaust():
     """The victim's retries run dry mid-layer: the shards fail over to the
-    survivor (still protocol v4) and the output stays bit-identical."""
+    survivor and the output stays bit-identical."""
     csr, fmt, group, a_q, b_q, x_q, base = _layer_workload(seed=11)
     plan = FaultPlan(seed=2)
     with ClusterScheduler(
@@ -174,51 +168,6 @@ def test_fused_layer_fails_over_when_retries_exhaust():
         assert snap["failovers"] >= 1 and snap["shards_failed_over"] >= 1
 
 
-# --------------------------------------------------------- version negotiation
-def test_v3_only_cluster_falls_back_to_composed_bit_identically():
-    """``worker_protocol_version=3`` pins every worker below the
-    ``layer_task`` frame: the head must run the composed per-kernel
-    pipeline over the v3 wire — and match the fused output exactly."""
-    csr, fmt, group, a_q, b_q, x_q, base = _layer_workload(seed=12)
-    with ClusterScheduler(hosts=2, worker_protocol_version=3) as sched:
-        out, stages = _run_layer(sched, csr, fmt, group, a_q, b_q, x_q)
-        np.testing.assert_array_equal(out, base)
-        assert set(stages) == {"sddmm_s", "edge_softmax_s", "spmm_s"}
-        snap = sched.metrics.snapshot()
-        assert snap["layer_requests_composed"] == 1
-        assert snap["layer_requests"] == 0
-        # Composed over the cluster = two dispatched requests (SDDMM, SpMM).
-        assert snap["requests"] == 2
-        assert snap["tasks_sent"] >= 2
-
-
-def test_mixed_v3_v4_cluster_routes_per_host_and_stays_bit_identical():
-    """One v4 host + one externally spawned v3 host in the same cluster:
-    layers whose affinity lands on the v4 host run fused, the v3 host's
-    run composed — every one of them bit-identical to the reference."""
-    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
-    process, address = spawn_local_host(ctx, "legacy-v3", protocol_version=3)
-    try:
-        with ClusterScheduler(hosts=1) as sched:
-            sched.add_host(address, host_id="legacy-v3")
-            for seed in range(40, 48):
-                csr, fmt, group, a_q, b_q, x_q, base = _layer_workload(
-                    seed=seed, rows=90, cols=80
-                )
-                out, _ = _run_layer(sched, csr, fmt, group, a_q, b_q, x_q)
-                np.testing.assert_array_equal(out, base)
-            snap = sched.metrics.snapshot()
-            # Rendezvous spread the eight keys over both hosts: both the
-            # fused and the composed path ran, and nothing was dropped.
-            assert snap["layer_requests"] >= 1
-            assert snap["layer_requests_composed"] >= 1
-            assert snap["layer_requests"] + snap["layer_requests_composed"] == 8
-    finally:
-        if process.is_alive():
-            process.terminate()
-        process.join(10)
-
-
 # ------------------------------------------------------------ segment matmul
 def test_cluster_segment_matmul_parity(cluster):
     rng = np.random.default_rng(31)
@@ -230,16 +179,3 @@ def test_cluster_segment_matmul_parity(cluster):
     out = cluster.run_segment_matmul(data, offsets, weights)
     np.testing.assert_array_equal(out, ref)
     assert cluster.metrics.snapshot()["segmm_requests"] == before + 1
-
-
-def test_segment_matmul_falls_back_inline_on_v3_peers():
-    rng = np.random.default_rng(33)
-    data = rng.standard_normal((24, 5)).astype(np.float32)
-    offsets = np.array([0, 9, 24], dtype=np.int64)
-    weights = [rng.standard_normal((5, 4)).astype(np.float32) for _ in range(2)]
-    ref = np.asarray(segment_matmul(data, offsets, weights), dtype=np.float32)
-    with ClusterScheduler(hosts=1, worker_protocol_version=3) as sched:
-        out = sched.run_segment_matmul(data, offsets, weights)
-        np.testing.assert_array_equal(out, ref)
-        # The v3 host never saw a segmm frame; the op ran in-parent.
-        assert sched.stats_snapshot()["inline_fallbacks"] > 0

@@ -263,12 +263,15 @@ def test_worker_survives_head_disconnect_and_reconnect():
         batch = fmt.blocks_as_arrays()
         task["hi"], task["w1"] = batch.num_blocks, fmt.num_windows
         b_q = np.ones((50, 4), np.float32)
-        payload = [csr.indptr, csr.indices, csr.data, b_q]
+        task["store_csr"], task["store_operands"] = "csr/k@0", ["op/b@0"]
 
         first = socket_mod.create_connection(address, timeout=10)
         first.settimeout(10)
         client_handshake(first)
-        send_message(first, task, payload)
+        for key, bundle in (("csr/k@0", [csr.indptr, csr.indices, csr.data]), ("op/b@0", [b_q])):
+            send_message(first, {"type": "store_put", "store_key": key}, bundle)
+            assert recv_message(first)[0]["type"] == "store_ack"
+        send_message(first, task)
         first.close()  # vanish while the worker is still computing
         time.sleep(0.6)  # let the worker finish the task and hit the send
         assert process.is_alive(), "worker died on the reply-send failure"
@@ -276,10 +279,11 @@ def test_worker_survives_head_disconnect_and_reconnect():
         second = socket_mod.create_connection(address, timeout=10)
         second.settimeout(10)
         client_handshake(second)
-        send_message(second, dict(task, delay_s=0.0), payload)
+        send_message(second, dict(task, delay_s=0.0))
         header, arrays, _ = recv_message(second)
         assert header["type"] == "result"
-        # The warm cache served the repeat: the first task's miss, this hit.
+        # The warm cache served the repeat: the first task's miss, this hit
+        # — and the pinned store outlived the first connection too.
         assert header["cache"]["hits"] >= 1
         send_message(second, {"type": "shutdown"})
         recv_message(second)

@@ -400,3 +400,26 @@ def test_plan_cache_hot_key_survives_default_capacity_overflow():
         assert len(srv._plans) <= srv._plan_capacity
     finally:
         srv.close()
+
+
+def test_plan_cache_does_not_pin_translated_formats():
+    """The plan cache (capacity 256) must not keep a translation alive after
+    the translation cache's own, smaller LRU dropped it — otherwise every
+    fresh matrix a long-running server sees stays resident."""
+    import gc
+    import weakref
+
+    from repro.formats.cache import FORMAT_CACHE_MAXSIZE
+
+    n_matrices = FORMAT_CACHE_MAXSIZE + 8
+    formats = []
+    with Server(workers=1) as srv:
+        for seed in range(n_matrices):
+            csr = random_csr(48, 40, 0.1, seed=100 + seed)
+            srv.submit_spmm(csr, np.ones((40, 3), np.float32)).result(TIMEOUT)
+            fmt = cached_mebcrs(csr, srv.precision, by_content=True)  # the served one
+            formats.append(weakref.ref(fmt))
+            del fmt
+        gc.collect()
+        alive = sum(ref() is not None for ref in formats)
+    assert alive <= FORMAT_CACHE_MAXSIZE

@@ -176,29 +176,30 @@ def test_window_aligned_ranges_invariants():
     assert window_aligned_ranges(np.array([0, 0, 0]), 4) == []
 
 
-def test_pool_survives_broken_worker_process():
+def test_pool_survives_broken_worker_process(tmp_path, monkeypatch):
     """A shard that kills its worker outright still completes via retry or
     fallback, and the scheduler can serve the next request."""
+    import dataclasses
+    import os
+
+    from repro.kernels import engine
+
     fmt, _, b_q, base, _ = _workload(seed=23)
+    original = engine.SHARD_OPS["spmm"]
+    parent, died = os.getpid(), tmp_path / "died"
+
+    def killer(sliced, operands, params):
+        # The pool forks after this patch, so workers inherit it: the first
+        # worker to run a shard crashes outright (no exception), once.
+        if os.getpid() != parent and not died.exists():
+            died.touch()
+            os._exit(13)
+        return original.run(sliced, operands, params)
+
+    monkeypatch.setitem(engine.SHARD_OPS, "spmm", dataclasses.replace(original, run=killer))
     with ShardScheduler(workers=2, retries=1) as sched:
-        import repro.serve.scheduler as sched_mod
-
-        original = sched_mod._WORKER_BODIES["spmm"]
-
-        def killer(task):
-            if task.get("fail_times", 0) >= 100 and task["attempt"] == 1:
-                import os
-
-                os._exit(13)  # simulate a crashed worker, not an exception
-            return original(task)
-
-        sched_mod._WORKER_BODIES["spmm"] = killer
-        try:
-            out = sched.run_spmm(
-                fmt, b_q, Precision.FP16, target_blocks=7, _inject_failures={1: 100}
-            )
-        finally:
-            sched_mod._WORKER_BODIES["spmm"] = original
+        out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7)
+        assert died.exists()
         np.testing.assert_array_equal(out, base)
         # The scheduler still works after the pool broke.
         out2 = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7)
