@@ -5,13 +5,24 @@ the per-(window, block, tile) interpreter overhead of the reference loops.
 This benchmark records the wall-clock of both engines on a fig11-style
 synthetic workload (Erdős–Rényi / power-law matrices, N = 128) and reports
 the speedup.  It doubles as a regression gate: the batched SpMM must stay at
-least 10× faster than the reference loop.
+least 10× faster than the reference loop, and — against an external floor
+rather than our own slower path — within 8× of SciPy's fp32 CSR ``A @ B`` on
+the same matrices (the row-wise accumulate measures ~3×; the per-block
+product + ``reduceat`` it replaced measured ~38×, so a return of a
+reduction-shaped cost fails here).
 
 Run standalone (``python benchmarks/bench_engine_speedup.py``) or through
 pytest (``pytest benchmarks/bench_engine_speedup.py --benchmark-only``).
 """
 
 from __future__ import annotations
+
+import os
+
+# One BLAS thread, set before NumPy loads: the floor gate compares two
+# single-threaded kernels.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import time
 
@@ -27,9 +38,13 @@ from repro.kernels.sddmm_flash import sddmm_flash_execute
 N_DENSE = 128
 #: Minimum batched-over-reference SpMM speedup the engine must sustain.
 MIN_SPMM_SPEEDUP = 10.0
+#: Maximum batched SpMM wall-clock as a multiple of SciPy's fp32 CSR ``A @ B``.
+MAX_SPMM_FLOOR_RATIO = 8.0
 #: Wall-clock samples per engine; best-of-N keeps the CI gate robust to
 #: scheduling noise on shared runners.
 TIMING_ROUNDS = 3
+#: Samples per side of the floor gate (both sides take milliseconds).
+FLOOR_ROUNDS = 5
 
 
 def _workload():
@@ -40,9 +55,9 @@ def _workload():
     ]
 
 
-def _time(fn) -> float:
+def _time(fn, rounds: int = TIMING_ROUNDS) -> float:
     best = float("inf")
-    for _ in range(TIMING_ROUNDS):
+    for _ in range(rounds):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -73,7 +88,23 @@ def run_engine_speedup():
     return rows
 
 
-def _emit(rows) -> None:
+def run_spmm_floor():
+    """Rows of (matrix, SciPy fp32 CSR ``A @ B`` s, batched SpMM s, ratio)."""
+    rng = np.random.default_rng(20260730)
+    rows = []
+    for name, csr in _workload():
+        b = rng.standard_normal((csr.shape[1], N_DENSE))
+        b32 = b.astype(np.float32)
+        scipy_csr = csr.to_scipy().astype(np.float32)
+        config = FlashSparseConfig(precision="fp16", engine="batched")
+        spmm_flash_execute(csr, b, config)  # warm: translation, lane view
+        floor = _time(lambda: scipy_csr @ b32, FLOOR_ROUNDS)
+        batched = _time(lambda: spmm_flash_execute(csr, b, config), FLOOR_ROUNDS)
+        rows.append([name, floor, batched, batched / floor])
+    return rows
+
+
+def _emit(rows, floor_rows) -> None:
     from bench_common import emit_table
 
     emit_table(
@@ -82,14 +113,25 @@ def _emit(rows) -> None:
         rows,
         title="Batched execution engine vs reference emulation loop (N=128, fp16)",
     )
+    emit_table(
+        "engine_spmm_floor",
+        ["Matrix", "SciPy CSR (s)", "Batched SpMM (s)", "x floor"],
+        floor_rows,
+        title="Batched SpMM vs SciPy fp32 CSR A @ B (N=128, one thread)",
+    )
 
 
-def _check(rows) -> None:
+def _check(rows, floor_rows) -> None:
     spmm_speedups = [r[4] for r in rows if r[1] == "spmm"]
     worst = min(spmm_speedups)
     assert worst >= MIN_SPMM_SPEEDUP, (
         f"batched SpMM engine regressed: worst speedup {worst:.1f}x < "
         f"{MIN_SPMM_SPEEDUP:.0f}x over the reference loop"
+    )
+    furthest = max(r[3] for r in floor_rows)
+    assert furthest <= MAX_SPMM_FLOOR_RATIO, (
+        f"batched SpMM drifted from its floor: {furthest:.1f}x SciPy's CSR A @ B "
+        f"> {MAX_SPMM_FLOOR_RATIO:.0f}x"
     )
 
 
@@ -98,23 +140,29 @@ try:  # the `benchmark` fixture only exists with the plugin installed
 
     def test_engine_speedup(benchmark):
         rows = benchmark.pedantic(run_engine_speedup, rounds=1, iterations=1)
-        _emit(rows)
-        _check(rows)
+        floor_rows = run_spmm_floor()
+        _emit(rows, floor_rows)
+        _check(rows, floor_rows)
 
 except ImportError:
 
     def test_engine_speedup():
-        rows = run_engine_speedup()
-        _emit(rows)
-        _check(rows)
+        rows, floor_rows = run_engine_speedup(), run_spmm_floor()
+        _emit(rows, floor_rows)
+        _check(rows, floor_rows)
 
 
 if __name__ == "__main__":
-    result_rows = run_engine_speedup()
+    result_rows, result_floor_rows = run_engine_speedup(), run_spmm_floor()
     try:
-        _emit(result_rows)
+        _emit(result_rows, result_floor_rows)
     except ImportError:  # standalone invocation without the harness on sys.path
         for row in result_rows:
             print(f"{row[0]:>20} {row[1]:>6}: reference {row[2]:.3f}s  batched {row[3]:.3f}s  {row[4]:.1f}x")
-    _check(result_rows)
-    print(f"OK: batched SpMM engine >= {MIN_SPMM_SPEEDUP:.0f}x faster than the reference loop")
+        for row in result_floor_rows:
+            print(f"{row[0]:>20}   spmm: scipy {row[1]:.4f}s  batched {row[2]:.4f}s  {row[3]:.1f}x floor")
+    _check(result_rows, result_floor_rows)
+    print(
+        f"OK: batched SpMM engine >= {MIN_SPMM_SPEEDUP:.0f}x faster than the reference loop "
+        f"and <= {MAX_SPMM_FLOOR_RATIO:.0f}x SciPy's CSR A @ B"
+    )

@@ -273,15 +273,13 @@ def spmm(
     engine:
         ``"batched"`` (default) for the vectorized execution engine,
         ``"reference"`` for the per-block emulation loop.
-    block_chunk / max_intermediate_bytes:
-        Memory-bounded streaming: iterate the batched engine over
-        block-range slices so peak intermediate memory is O(chunk · v · N)
-        instead of O(n_blocks · v · N).  Values agree with the one-shot run
-        to FP32 round-off; the cost counter is exactly unchanged.
-    workers:
-        Shard independent chunk ranges across a thread pool (serving-scale
-        parallelism; BLAS releases the GIL).  ``None`` (default) means one
-        thread unless a ``plan`` supplies a worker count.
+    block_chunk / max_intermediate_bytes / workers:
+        Streaming knobs shared with :func:`sddmm`, where they bound the
+        per-block intermediate.  The SpMM engine accumulates row-wise and
+        holds none, so here they change nothing: values are bit-identical
+        to the one-shot run and the cost counter is exactly unchanged.
+        ``workers=None`` (default) means one unless a ``plan`` supplies a
+        count.
     plan:
         A :class:`~repro.serve.planner.ServePlan` whose derived knobs fill
         any of ``block_chunk`` / ``max_intermediate_bytes`` / ``workers``
@@ -332,7 +330,9 @@ def sddmm(
     ``mask`` (optionally scaled by the mask's values).  ``engine`` selects the
     batched execution engine (default) or the reference emulation loop;
     ``block_chunk`` / ``max_intermediate_bytes`` / ``workers`` stream the
-    batched engine over memory-bounded block slices (see :func:`spmm`), and
+    batched engine over memory-bounded block slices — peak intermediate
+    memory O(chunk · v · K), shards on a thread pool, values bit-identical
+    to the one-shot run, counter exactly unchanged — and
     ``plan`` fills unset knobs from a derived
     :class:`~repro.serve.planner.ServePlan`.
     """

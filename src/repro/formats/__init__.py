@@ -23,7 +23,7 @@ baselines rely on:
 
 from repro.formats.csr import CSRMatrix
 from repro.formats.windows import WindowPartition, partition_windows
-from repro.formats.blocked import BlockBatch, BlockedVectorFormat
+from repro.formats.blocked import BlockBatch, BlockedVectorFormat, LaneCSR
 from repro.formats.cache import cached_mebcrs, cached_sgt16, clear_format_cache
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.srbcrs import SRBCRSMatrix
@@ -42,6 +42,7 @@ __all__ = [
     "WindowPartition",
     "partition_windows",
     "BlockBatch",
+    "LaneCSR",
     "BlockedVectorFormat",
     "cached_mebcrs",
     "cached_sgt16",

@@ -45,9 +45,12 @@ class BlockBatch:
         ``(n_blocks,)`` — vectors actually present in each block.
     window_of_block:
         ``(n_blocks,)`` — owning window of each block.
-    blocks_per_window / first_block_of_window:
-        ``(num_windows,)`` — block count per window and the global index of
-        each window's first block (segment boundaries for window reductions).
+    blocks_per_window:
+        ``(num_windows,)`` — block count per window.
+    window_offsets:
+        ``(num_windows + 1,)`` — indptr-style block offsets:
+        ``window_offsets[w]:window_offsets[w + 1]`` is window ``w``'s block
+        range (what the shard cut and the SDDMM grouping slice on).
     columns:
         ``(n_blocks, group)`` int64 — column index of each vector lane
         (0 on padded lanes; mask with :attr:`lane_valid`).
@@ -65,7 +68,7 @@ class BlockBatch:
     widths: np.ndarray
     window_of_block: np.ndarray
     blocks_per_window: np.ndarray
-    first_block_of_window: np.ndarray
+    window_offsets: np.ndarray
     columns: np.ndarray
     vector_index: np.ndarray
     lane_valid: np.ndarray
@@ -76,15 +79,23 @@ class BlockBatch:
         """Total number of TC blocks in the batch."""
         return int(self.widths.shape[0])
 
-    @property
-    def window_offsets(self) -> np.ndarray:
-        """Indptr-style block offsets per window (``(num_windows + 1,)``).
 
-        ``window_offsets[w]:window_offsets[w + 1]`` is window ``w``'s block
-        range — the segment layout consumed by :mod:`repro.ops` when the
-        engine reduces per-block products into per-window sums.
-        """
-        return np.append(self.first_block_of_window, np.int64(self.num_blocks))
+@dataclass(frozen=True)
+class LaneCSR:
+    """The stored nonzero lanes of a :class:`BlockedVectorFormat`, row by row.
+
+    A CSR over the format's ``num_windows · vector_size`` padded rows: row
+    ``w · v + r`` owns entries ``row_offsets[row]:row_offsets[row + 1]``,
+    one per nonzero vector of window ``w`` whose lane ``r`` is nonzero, in
+    storage order (ascending vector index).  ``columns`` (int32) is the
+    vector's column, ``values`` (float32) the stored element.  Zero lanes —
+    the zero fill inside nonzero vectors and every padded block lane — have
+    no entry, so the SpMM engine does work per nonzero, not per block slot.
+    """
+
+    row_offsets: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
 
 
 @dataclass
@@ -289,7 +300,7 @@ class BlockedVectorFormat:
             widths=widths,
             window_of_block=window_of_block,
             blocks_per_window=blocks_per_window,
-            first_block_of_window=first_block[:-1],
+            window_offsets=first_block,
             columns=columns,
             vector_index=vector_index,
             lane_valid=lane_valid,
@@ -297,6 +308,37 @@ class BlockedVectorFormat:
         )
         cache[group] = batch
         return batch
+
+    def lanes_as_csr(self) -> LaneCSR:
+        """The nonzero lanes as a row-wise CSR (see :class:`LaneCSR`).
+
+        Derived from the format's own arrays — ``partition.window_ptr``,
+        ``partition.vector_cols`` and :attr:`vector_values`, never the
+        source CSR, so a translation bug shows in the SpMM numerics — and
+        cached on the instance under the same no-mutation assumption as
+        :meth:`blocks_as_arrays`.
+        """
+        view = self.__dict__.get("_lane_csr_cache")
+        if view is not None:
+            return view
+        part = self.partition
+        v = self.vector_size
+        flat_values = np.asarray(self.vector_values, dtype=np.float32).reshape(-1)
+        slot = np.flatnonzero(flat_values)  # vector · v + lane, ascending
+        vector = slot // v
+        row = segment_ids(part.window_ptr)[vector] * v + slot % v
+        # One stable integer sort: rows ascending, vectors ascending within a
+        # row because ``slot`` already is.
+        order = np.argsort(row, kind="stable")
+        row_offsets = np.zeros(self.num_windows * v + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=self.num_windows * v), out=row_offsets[1:])
+        view = LaneCSR(
+            row_offsets=row_offsets,
+            columns=part.vector_cols[vector[order]],
+            values=flat_values[slot[order]],
+        )
+        self.__dict__["_lane_csr_cache"] = view
+        return view
 
     # ----------------------------------------------------------- conversions
     def to_csr(self) -> CSRMatrix:

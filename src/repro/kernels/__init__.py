@@ -18,19 +18,26 @@ Every ``execute`` function dispatches on ``FlashSparseConfig.engine``:
   a faithful, instruction-level mirror of the CUDA kernel and the oracle
   the batched engine is validated against;
 * ``engine="batched"`` (the default) routes the numerics through
-  :mod:`repro.kernels.engine`: the format's TC blocks are packed once into
-  padded batch arrays (:meth:`~repro.formats.blocked.BlockedVectorFormat.
-  blocks_as_arrays`), all dense rows are gathered with one fancy index, a
-  single batched matmul replaces the whole MMA loop nest, and window
-  accumulators are reduced with segment sums.
+  :mod:`repro.kernels.engine`.  SpMM is one row-wise accumulate —
+  ``out[r] = Σ_e q(value[e]) · B_q[col[e]]`` in FP32, in storage order,
+  over the format's nonzero lanes
+  (:meth:`~repro.formats.blocked.BlockedVectorFormat.lanes_as_csr`) — the
+  MMA accumulator kept across a window's blocks, with no per-block product
+  and no window reduction.  SDDMM packs the TC blocks once into padded batch
+  arrays (:meth:`~repro.formats.blocked.BlockedVectorFormat.
+  blocks_as_arrays`), gathers the dense rows with one fancy index and runs
+  one batched matmul.
 
 The reference/batched contract: both engines produce *exactly* the same
 :class:`~repro.gpu.counters.CostCounter` state (the batched path takes its
 counter from the closed-form ``cost`` functions, which are computed over the
 block-width histogram with the bulk counter APIs and are asserted
 field-for-field equal to the loop's counters), and the same numeric values
-up to FP32 accumulation-order round-off (batched products may associate the
-``k``/feature reduction differently than the per-tile loop).  CSR inputs are
+up to FP32 accumulation-order round-off (the reference loop, which stays the
+per-MMA oracle, sums tile by tile).  The batched engine itself is
+**bit-identical** under sharding, chunking and operand coalescing: an output
+row depends only on its own entries, an output column only on its own
+column of the dense operand.  CSR inputs are
 translated to the blocked formats through the LRU cache of
 :mod:`repro.formats.cache`, so sweeps and training loops that re-submit the
 same matrix do not pay the translation twice.

@@ -38,19 +38,21 @@ class FlashSparseConfig:
         instruction-for-instruction.  Both produce the same cost counters
         exactly and the same values up to FP32 round-off.
     block_chunk:
-        Stream the batched engine over block-range slices of this many TC
-        blocks instead of materialising the full ``(n_blocks, v, N)``
-        intermediate; peak intermediate memory becomes O(block_chunk · v · N).
-        ``None`` (default) runs one-shot.  Values agree with the one-shot run
-        to FP32 round-off and cost counters are exactly unchanged.
+        Stream the batched SDDMM engine over block-range slices of this many
+        output blocks instead of materialising the full per-block
+        intermediate; peak intermediate memory becomes O(block_chunk · v · K).
+        ``None`` (default) runs one-shot.  SpMM accumulates row-wise, holds
+        no intermediate and ignores the streaming knobs.  Either way values
+        are bit-identical to the one-shot run and cost counters exactly
+        unchanged.
     max_intermediate_bytes:
         Byte budget the streaming chunk size is derived from when
         ``block_chunk`` is not given (``chunk = budget // bytes_per_block``,
         floored at one block).
     workers:
-        Shard independent window-aligned chunk ranges of the batched engine
-        across this many threads (BLAS matmuls release the GIL).  1 (default)
-        stays single-threaded.
+        Shard independent window-aligned chunk ranges of the batched SDDMM
+        engine across this many threads (BLAS matmuls release the GIL).
+        1 (default) stays single-threaded.
     """
 
     precision: Precision = Precision.FP16

@@ -4,32 +4,36 @@ The reference kernels (``engine="reference"``) walk the TC-block structure
 with a per-(window, block, tile) Python loop, issuing one emulated MMA per
 tile.  That mirrors the CUDA kernel faithfully but is dominated by
 interpreter overhead.  This module is the ``engine="batched"`` execution
-path: it consumes the padded batch arrays of
-:meth:`repro.formats.blocked.BlockedVectorFormat.blocks_as_arrays` and
-replaces the whole loop nest with
+path.
 
-1. one fancy-index gather of every dense row addressed by any block,
-2. one batched matmul over all blocks (the zero-padded lanes of narrow
-   residue blocks contribute exactly the zero register values the loop path
-   feeds its MMAs), and
-3. a segment reduction (:func:`repro.ops.segment_sum` over the window
-   block offsets) plus one scatter into the output.
+SpMM: one row-wise accumulate
+-----------------------------
+FlashSparse keeps a row window's partial sums in the MMA accumulator
+across all of the window's TC blocks and stores C once.  The engine does
+the same per output row: ``out[r] = Σ_e q(value[e]) · B_q[col[e]]`` in
+FP32, in storage order, over the nonzero lanes of
+:meth:`repro.formats.blocked.BlockedVectorFormat.lanes_as_csr` — SciPy's
+compiled CSR × dense kernel, one axpy along N per stored nonzero.  No
+per-block product exists, so there is nothing to reduce and nothing to
+bound: zero lanes (zero fill, padded block lanes) are never read, and an
+output row depends only on its own entries, an output column only on its
+own column of B.  The one-shot call, every window-aligned shard, every
+``block_chunk`` / ``workers`` setting and every operand coalesced with
+others along N are therefore **bit-identical by construction**.  Against
+``engine="reference"`` — which stays the per-MMA oracle and folds each
+block's ``k`` products into the accumulator as one MMA — values agree to
+FP32 round-off.
 
-Memory-bounded streaming
-------------------------
-The one-shot SpMM path materialises an ``(n_blocks, vector_size, N)``
-product (plus an equally shaped gather of B rows), which blows up on large
-graphs × wide dense operands.  Passing ``block_chunk`` (a block count) or
-``max_intermediate_bytes`` (a byte budget the chunk size is derived from)
-streams the batch in block-range slices instead: each slice is multiplied,
-reduced per window with :func:`repro.ops.segment_sum_runs`, and accumulated
-into the output, so peak intermediate memory is O(chunk · v · N) while the
-result stays within FP32 round-off of the one-shot run (a window whose
-blocks span a chunk boundary is summed incrementally, which re-associates
-the FP32 additions).  ``workers=K`` additionally shards independent chunk
-ranges across a thread pool — the ranges are aligned to window boundaries
-so no two workers touch the same output rows, and NumPy's BLAS matmuls
-release the GIL, so the shards genuinely overlap.
+SDDMM: batched blocks, memory-bounded streaming
+----------------------------------------------
+SDDMM consumes the padded batch arrays of ``blocks_as_arrays``: one
+gather of the dense rows a block addresses, one batched matmul, one
+scatter at the nonzero lanes.  ``block_chunk`` (a block count) or
+``max_intermediate_bytes`` (a byte budget the chunk is derived from)
+streams the batch in block-range slices, so peak intermediate memory is
+O(chunk · v · K); ``workers=K`` shards window-aligned chunk ranges across
+a thread pool.  Output blocks are independent, so every setting is
+bit-identical to the one-shot run.
 
 Only the numerics live here.  Cost accounting is closed-form over the
 block-width histogram and stays with each kernel's ``*_cost`` function,
@@ -42,9 +46,7 @@ The engine is quantisation-faithful: the sparse values are re-quantised to
 the target precision exactly where :func:`repro.gpu.mma.mma_execute` would
 (FP16 storage is already exact; TF32 values are stored in FP32 containers
 and rounded here), and all accumulation happens in FP32, matching
-tensor-core accumulators.  Per-block products may sum the ``k`` dimension in
-a different association order than the 16-column-tile loop, so values agree
-to FP32 round-off, not bit-exactly.
+tensor-core accumulators.
 """
 
 from __future__ import annotations
@@ -55,19 +57,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.formats.blocked import BlockBatch, BlockedVectorFormat
-from repro.ops import segment_ids, segment_softmax, segment_sum, segment_sum_runs
+from repro.formats.blocked import BlockedVectorFormat
+from repro.ops import segment_ids, segment_softmax
 from repro.precision.types import Precision, quantize
 
 
 def spmm_bytes_per_block(vector_size: int, group: int, n_dense: int) -> int:
-    """Float32 intermediate bytes one SpMM block contributes to a chunk.
+    """Float32 bytes of dense data one SpMM block touches: its (v, N) output
+    rows plus the (group, N) rows of B it reads.
 
-    The (v, N) product slab plus the (group, N) gathered B rows — the figure
-    :func:`resolve_block_chunk` divides a byte budget by.  The serving
-    planner uses the same formula so its budget math can never drift from
-    the engine's.
+    The row-wise accumulate holds no per-block intermediate, so this sizes
+    *work per shard task*, not memory: the serving planner divides its
+    budget by it to pick how many blocks a shard gets.
     """
     return (int(vector_size) + int(group)) * int(n_dense) * 4
 
@@ -141,6 +144,26 @@ def _run_sharded(ranges: list[tuple[int, int]], body, workers: int) -> None:
         list(pool.map(lambda r: body(*r), ranges))
 
 
+def _spmm_rows(
+    values: np.ndarray,
+    columns: np.ndarray,
+    row_offsets: np.ndarray,
+    b_q: np.ndarray,
+    precision: Precision,
+) -> np.ndarray:
+    """The SpMM core: ``rows[r] = Σ_e q(values[e]) · b_q[columns[e]]`` over
+    ``e`` in ``row_offsets[r]:row_offsets[r + 1]``, in that order, in FP32.
+
+    SciPy's CSR × dense kernel does one axpy along N per entry, so a row's
+    bits depend only on its own entries and a column's only on its own
+    column of ``b_q`` — the whole sharding / coalescing contract.
+    """
+    if columns.size and int(columns.max()) >= b_q.shape[0]:
+        raise IndexError("sparse column index out of range of the dense operand")
+    shape = (row_offsets.shape[0] - 1, b_q.shape[0])
+    return sp.csr_matrix((quantize(values, precision), columns, row_offsets), shape=shape) @ b_q
+
+
 def spmm_batched(
     fmt: BlockedVectorFormat,
     b_q: np.ndarray,
@@ -149,7 +172,7 @@ def spmm_batched(
     max_intermediate_bytes: int | None = None,
     workers: int = 1,
 ) -> np.ndarray:
-    """Numeric result of ``C = A @ B`` over the whole block batch.
+    """Numeric result of ``C = A @ B`` over the whole matrix.
 
     Parameters
     ----------
@@ -163,54 +186,14 @@ def spmm_batched(
     precision:
         Target precision; the stored sparse values are re-quantised to it.
     block_chunk, max_intermediate_bytes, workers:
-        Memory-bounded streaming knobs (see the module docstring).  The
-        defaults reproduce the one-shot batched path.
+        Accepted for signature symmetry with :func:`sddmm_batched` (one
+        config feeds both) and ignored: the row-wise accumulate has no
+        intermediate to bound, and any split of it is bit-identical.
     """
-    v = fmt.vector_size
-    n_rows = fmt.shape[0]
-    n_dense = b_q.shape[1]
-    out = np.zeros((n_rows, n_dense), dtype=np.float32)
-    batch = fmt.blocks_as_arrays()
-    n_blocks = batch.num_blocks
-    if n_blocks == 0 or n_dense == 0:
-        return out
-
-    bytes_per_block = spmm_bytes_per_block(v, batch.group, n_dense)
-    chunk = resolve_block_chunk(
-        n_blocks, bytes_per_block, block_chunk, max_intermediate_bytes, workers
-    )
-
-    if chunk >= n_blocks and workers <= 1:
-        a_q = quantize(batch.values, precision).astype(np.float32)
-        gathered = b_q[batch.columns]  # (n_blocks, k, N); padded lanes hit row 0,
-        # which is harmless because the matching A lanes are exactly zero.
-        prod = a_q @ gathered  # batched matmul, (n_blocks, v, N)
-        win_sums = segment_sum(prod, batch.window_offsets)  # (num_windows, v, N)
-        # Window w's sums are rows w*v .. w*v + v - 1 of C; the reshape lays
-        # them out contiguously and the slice drops the partial last window's
-        # out-of-range rows.
-        out[:] = win_sums.reshape(-1, n_dense)[:n_rows]
-        return out
-
-    def body(lo: int, hi: int) -> None:
-        for c_lo in range(lo, hi, chunk):
-            c_hi = min(c_lo + chunk, hi)
-            a_q = quantize(batch.values[c_lo:c_hi], precision).astype(np.float32)
-            prod = a_q @ b_q[batch.columns[c_lo:c_hi]]
-            run_windows, run_sums = segment_sum_runs(
-                prod, batch.window_of_block[c_lo:c_hi]
-            )
-            rows = (run_windows[:, None] * v + np.arange(v)[None, :]).reshape(-1)
-            flat = run_sums.reshape(-1, n_dense)
-            keep = rows < n_rows
-            # += (not =): a window split across chunk boundaries accumulates
-            # its partial sums; each window lives in exactly one shard, so
-            # no two workers ever touch the same rows.
-            out[rows[keep]] += flat[keep]
-
-    ranges = _worker_ranges(batch.window_offsets, n_blocks, workers)
-    _run_sharded(ranges, body, workers)
-    return out
+    del block_chunk, max_intermediate_bytes, workers
+    lanes = fmt.lanes_as_csr()
+    rows = _spmm_rows(lanes.values, lanes.columns, lanes.row_offsets, b_q, precision)
+    return rows[: fmt.shape[0]]  # drops the partial last window's padded rows
 
 
 def sddmm_batched(
@@ -300,9 +283,9 @@ def sddmm_batched(
 # (:mod:`repro.serve.scheduler`) runs inside worker *processes*.  They take
 # plain ndarrays (cheap to pickle per shard; the large dense operands travel
 # via shared memory) and reproduce the one-shot batched path bit-for-bit:
-# a shard covers a *window-aligned* block range, so every window's reduceat
-# segment is reduced whole, in the same association order as the full-batch
-# reduction — no FP32 re-association, unlike the incremental chunk merge.
+# a shard covers a *window-aligned* block range, hence whole output rows
+# (SpMM: each row is accumulated from its own entries only) and whole
+# output blocks (SDDMM: every block is independent).
 
 
 @dataclass(frozen=True)
@@ -379,18 +362,20 @@ def spmm_shard_rows(
     b_q: np.ndarray,
     precision: Precision,
 ) -> np.ndarray:
-    """Dense output rows of one window-aligned SpMM shard (one-shot order).
+    """Dense output rows of one window-aligned SpMM shard.
 
-    ``shard_values`` / ``shard_columns`` are the batch slices of the shard's
-    block range, ``local_offsets`` the shard-local window offsets
-    (``window_offsets[w0:w1 + 1] - lo``).  Returns the ``(windows · v, N)``
-    row block starting at matrix row ``w0 · v`` (the caller clips the tail
-    window past ``n_rows``).
+    ``shard_values`` / ``shard_columns`` are the shard's slice of the
+    format's :class:`~repro.formats.blocked.LaneCSR` entries (or, for the
+    fused layer, the attention values in CSR entry order), ``local_offsets``
+    the shard-local row offsets.  Returns one ``(N,)`` row per offset pair,
+    the first being matrix row ``w0 · v`` (the caller clips the tail window
+    past ``n_rows``) — bit-identical to the same rows of the one-shot run.
+
+    A name of its own over the core it shares with :func:`spmm_batched`:
+    both are trace points of one span, and one calling the other would nest
+    the span and double-count it.
     """
-    a_q = quantize(shard_values, precision).astype(np.float32)
-    prod = a_q @ b_q[shard_columns]
-    win_sums = segment_sum(prod, local_offsets)
-    return win_sums.reshape(-1, b_q.shape[1])
+    return _spmm_rows(shard_values, shard_columns, local_offsets, b_q, precision)
 
 
 def sddmm_shard_values(
@@ -433,11 +418,15 @@ def sddmm_shard_values(
 # inside one shard, and :func:`repro.ops.segment_softmax` computes each
 # segment from its own elements only.  The SDDMM and SpMM stages were
 # already shard-local.  The one representational hop — SDDMM emits values
-# in nonzero-vector layout, the softmax wants CSR edge order, the SpMM
-# wants the block batch again — is a pair of gathers/scatters through the
-# shared :class:`~repro.formats.windows.WindowPartition`, computed locally
-# by :func:`layer_softmax_mapping` from the partition + CSR indptr; nothing
+# in nonzero-vector layout, the softmax wants CSR edge order — is a scatter
+# and a gather through the shared
+# :class:`~repro.formats.windows.WindowPartition`, computed locally by
+# :func:`layer_softmax_mapping` from the partition + CSR indptr; nothing
 # extra has to travel on the wire for the cluster's ``layer_task`` frames.
+# The SpMM then accumulates the attention weights where they are, in CSR
+# entry order — for a canonical CSR (sorted, duplicate-free rows: what
+# ``CSRMatrix.from_scipy`` builds) exactly the order the composed path's
+# translated attention matrix stores them in.
 #
 # The composed serving path additionally *translates* the attention CSR
 # before the SpMM, which stores the values as ``dtype_for(precision)``.
@@ -490,13 +479,10 @@ def layer_shard_rows(
     sddmm_lane_valid: np.ndarray,
     sddmm_vector_index: np.ndarray,
     sddmm_local_window_of_block: np.ndarray,
-    spmm_columns: np.ndarray,
-    spmm_local_offsets: np.ndarray,
-    spmm_lane_valid: np.ndarray,
-    spmm_vector_index: np.ndarray,
     local_indptr: np.ndarray,
     entry_vector: np.ndarray,
     entry_lane: np.ndarray,
+    entry_columns: np.ndarray,
     vec_lo: int,
     vec_count: int,
     a_win: np.ndarray,
@@ -511,16 +497,16 @@ def layer_shard_rows(
     Executes SDDMM → (scale) → edge softmax → SpMM for one window-aligned
     shard without leaving the worker: the ``sddmm_*`` arguments are the
     shard's slices of the SDDMM-grouping block batch (as for
-    :func:`sddmm_shard_values`), the ``spmm_*`` arguments the slices of the
-    SpMM-grouping batch (as for :func:`spmm_shard_rows` — the two groupings
-    cover the same windows but different block counts), and the mapping
-    arguments come from :func:`layer_softmax_mapping`.  ``a_win`` / ``b_q``
-    are the SDDMM operands, ``x_q`` the SpMM dense operand; ``scale``
-    multiplies the edge logits in float32 before the softmax (the AGNN β).
+    :func:`sddmm_shard_values`), the mapping arguments come from
+    :func:`layer_softmax_mapping`, and ``entry_columns`` is the column of
+    each CSR entry's nonzero vector (``vector_cols[entry_vector]``).
+    ``a_win`` / ``b_q`` are the SDDMM operands, ``x_q`` the SpMM dense
+    operand; ``scale`` multiplies the edge logits in float32 before the
+    softmax (the AGNN β).
 
-    Returns ``(rows, timings)``: the ``(windows · v, N)`` output rows
-    starting at matrix row ``w0 · v`` (caller clips the tail window) and a
-    ``{"sddmm_s", "edge_softmax_s", "spmm_s"}`` wall-clock split.
+    Returns ``(rows, timings)``: the shard's output rows starting at matrix
+    row ``w0 · v`` (one per CSR row, so already clipped at ``n_rows``) and
+    a ``{"sddmm_s", "edge_softmax_s", "spmm_s"}`` wall-clock split.
     """
     t0 = time.perf_counter()
     idx, vals = sddmm_shard_values(
@@ -534,26 +520,15 @@ def layer_shard_rows(
         scale_by_mask,
     )
     t1 = time.perf_counter()
-    # SDDMM output → CSR edge order → per-row softmax → block-value layout.
-    v = a_win.shape[1]
-    logits_vec = np.zeros((vec_count, v), dtype=np.float32)
+    # SDDMM output → CSR edge order → per-row softmax.
+    logits_vec = np.zeros((vec_count, a_win.shape[1]), dtype=np.float32)
     logits_vec[idx - vec_lo] = vals
     logits_csr = logits_vec[entry_vector, entry_lane]
     if scale is not None:
         logits_csr = logits_csr * np.float32(scale)
     attn_csr = segment_softmax(logits_csr, local_indptr)
-    attn_vec = np.zeros_like(logits_vec)
-    attn_vec[entry_vector, entry_lane] = attn_csr
     t2 = time.perf_counter()
-    # Rebuild the shard's SpMM block values from the attention slab — the
-    # same gather ``blocks_as_arrays`` performs, with padded lanes masked
-    # *before* localising the vector ids (a padded lane's global id is 0,
-    # which would go negative under ``- vec_lo``).
-    safe = np.where(spmm_lane_valid, spmm_vector_index - vec_lo, 0)
-    gathered = attn_vec[safe]  # (n_blocks, group, v)
-    gathered[~spmm_lane_valid] = 0.0
-    attn_values = np.ascontiguousarray(gathered.transpose(0, 2, 1))
-    rows = spmm_shard_rows(attn_values, spmm_columns, spmm_local_offsets, x_q, precision)
+    rows = spmm_shard_rows(attn_csr, entry_columns, local_indptr, x_q, precision)
     t3 = time.perf_counter()
     timings = {
         "sddmm_s": t1 - t0,
@@ -586,12 +561,14 @@ def layer_shard_rows(
 
 def _slice_spmm(fmt: BlockedVectorFormat, r: ShardRange, group, indptr) -> dict:
     del group, indptr
-    batch = fmt.blocks_as_arrays()
+    lanes = fmt.lanes_as_csr()
+    row0, row1 = r.w0 * fmt.vector_size, r.w1 * fmt.vector_size
+    lo, hi = int(lanes.row_offsets[row0]), int(lanes.row_offsets[row1])
     return {
-        "values": batch.values[r.lo : r.hi],
-        "columns": batch.columns[r.lo : r.hi],
-        "local_offsets": batch.window_offsets[r.w0 : r.w1 + 1] - r.lo,
-        "row0": r.w0 * fmt.vector_size,
+        "values": lanes.values[lo:hi],
+        "columns": lanes.columns[lo:hi],
+        "local_offsets": lanes.row_offsets[row0 : row1 + 1] - lo,
+        "row0": row0,
     }
 
 
@@ -637,7 +614,6 @@ def _slice_layer(fmt: BlockedVectorFormat, r: ShardRange, group, indptr) -> dict
     # ``r`` is cut on the SpMM grouping; the SDDMM grouping covers the same
     # windows with different block counts, so it is sliced at the same
     # window bounds through its own offsets.
-    pbatch = fmt.blocks_as_arrays()
     soffsets = fmt.blocks_as_arrays(group).window_offsets
     s_range = ShardRange(int(soffsets[r.w0]), int(soffsets[r.w1]), r.w0, r.w1)
     local_indptr, entry_vector, entry_lane, vec_lo, vec_count = layer_softmax_mapping(
@@ -651,13 +627,10 @@ def _slice_layer(fmt: BlockedVectorFormat, r: ShardRange, group, indptr) -> dict
     )
     return {
         "sddmm": _slice_sddmm(fmt, s_range, group, None),
-        "spmm_columns": pbatch.columns[r.lo : r.hi],
-        "spmm_local_offsets": pbatch.window_offsets[r.w0 : r.w1 + 1] - r.lo,
-        "spmm_lane_valid": pbatch.lane_valid[r.lo : r.hi],
-        "spmm_vector_index": pbatch.vector_index[r.lo : r.hi],
         "local_indptr": local_indptr,
         "entry_vector": entry_vector,
         "entry_lane": entry_lane,
+        "entry_columns": fmt.partition.vector_cols[entry_vector + vec_lo],
         "vec_lo": vec_lo,
         "vec_count": vec_count,
         "row0": r.w0 * fmt.vector_size,
@@ -673,13 +646,10 @@ def _run_layer(s: dict, operands, params: dict) -> tuple[list, dict]:
         d["lane_valid"],
         d["vector_index"],
         d["local_window_of_block"],
-        s["spmm_columns"],
-        s["spmm_local_offsets"],
-        s["spmm_lane_valid"],
-        s["spmm_vector_index"],
         s["local_indptr"],
         s["entry_vector"],
         s["entry_lane"],
+        s["entry_columns"],
         s["vec_lo"],
         s["vec_count"],
         sddmm_a_window(a_q, d["w0"], d["w1"], d["v"]),

@@ -159,10 +159,10 @@ def spmm_flash_execute(
 
     b_q = quantize(b, precision).astype(np.float32)
     if config.engine == "batched" and n_dense > 0:
-        # One batched matmul over all TC blocks (streamed in block-range
-        # chunks when the config bounds intermediate memory); the counter
-        # comes from the closed-form cost pass, which is bit-identical to
-        # the loop below and independent of the streaming knobs.
+        # One row-wise accumulate over the format's nonzero lanes; the
+        # counter comes from the closed-form cost pass, which is
+        # bit-identical to the loop below and independent of the streaming
+        # knobs (as are the values).
         out = spmm_batched(fmt, b_q, precision, **config.engine_stream_kwargs)
         counter = spmm_flash_cost(fmt, n_dense, config)
     else:

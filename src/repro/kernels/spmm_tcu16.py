@@ -124,8 +124,8 @@ def spmm_tcu16_execute(
     b_q = quantize(b, precision).astype(np.float32)
     if config.engine == "batched" and n_dense > 0:
         # The swap-and-transpose identity makes the 16×1 numerics identical
-        # in shape to the 8×1 path, so both share the batched engine
-        # (including its memory-bounded streaming knobs).
+        # in shape to the 8×1 path, so both share the batched engine's
+        # row-wise accumulate.
         out = spmm_batched(fmt, b_q, precision, **config.engine_stream_kwargs)
         counter = spmm_tcu16_cost(fmt, n_dense, config, api)
     else:

@@ -44,9 +44,12 @@ Concretely:
   edge softmax agrees with the per-row reference oracle to FP32 round-off;
 * max-based operations carry no round-off at all and agree bit-exactly.
 
-Callers that need the exact association of a kernel's emulation loop (the
-batched execution engine's window reduction) keep their data in FP32 and
-accept the documented FP32-round-off tolerance of the engine contract.
+The SpMM and SDDMM engines do not reduce through this package: the batched
+SpMM accumulates row-wise inside the product (:mod:`repro.kernels.engine`),
+in a fixed per-row order, which is what makes served results bit-identical
+under sharding, chunking and operand coalescing.  The segment ops serve the
+edge softmax, degree normalisation and the format statistics, where the
+tolerances above apply.
 """
 
 from repro.ops.segment import (
@@ -60,7 +63,6 @@ from repro.ops.segment import (
     segment_softmax,
     segment_softmax_backward,
     segment_sum,
-    segment_sum_runs,
 )
 
 __all__ = [
@@ -74,5 +76,4 @@ __all__ = [
     "segment_softmax",
     "segment_softmax_backward",
     "segment_sum",
-    "segment_sum_runs",
 ]

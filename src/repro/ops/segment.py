@@ -1,18 +1,11 @@
 """Sorted-segment reductions over indptr-style offsets (see package docstring).
 
-Two segment layouts are supported:
-
-* **offsets** — an indptr-style array of length ``n_segments + 1``;
-  segment ``s`` owns ``data[offsets[s]:offsets[s + 1]]``.  This is the
-  layout of CSR rows and ME-BCRS windows and the primary API here.
-* **sorted ids** — an array assigning each element a segment id, with equal
-  ids contiguous (:func:`segment_sum_runs`).  This is the layout a streaming
-  consumer sees when it slices a block range out of a larger batch and only
-  the segments intersecting the slice matter.
+Segments are given as **offsets** — an indptr-style array of length
+``n_segments + 1``; segment ``s`` owns ``data[offsets[s]:offsets[s + 1]]``
+— the layout of CSR rows and ME-BCRS windows.
 
 All reductions run along axis 0 and preserve trailing dimensions, so the
-same calls serve per-edge scalars ``(nnz,)`` and per-block matrices
-``(n_blocks, v, N)``.
+same calls serve per-edge scalars ``(nnz,)`` and stacked rows ``(nnz, N)``.
 """
 
 from __future__ import annotations
@@ -152,26 +145,6 @@ def segment_mean(
     # Empty segments divide by 1 and keep the sum's 0 identity.
     denom = np.maximum(lengths, 1).astype(sums.dtype)
     return sums / denom.reshape((-1,) + (1,) * (sums.ndim - 1))
-
-
-def segment_sum_runs(data: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of the runs of equal consecutive ``ids`` along axis 0.
-
-    ``ids`` assigns each element a segment id with equal ids contiguous
-    (sorted-segment layout).  Returns ``(run_ids, run_sums)`` where
-    ``run_ids`` holds each run's id in order of appearance.  This is the
-    streaming-friendly reduction: a consumer slicing ``[lo:hi]`` out of a
-    block batch reduces just that slice and accumulates ``run_sums`` into
-    its output, so a segment spanning two slices is summed incrementally.
-    """
-    data = np.asarray(data)
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.shape[0] != data.shape[0]:
-        raise ValueError("ids must be 1-D and aligned with data along axis 0")
-    if ids.shape[0] == 0:
-        return ids[:0], data[:0]
-    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-    return ids[starts], np.add.reduceat(data, starts, axis=0)
 
 
 def segment_matmul(

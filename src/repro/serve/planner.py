@@ -14,7 +14,9 @@ capacity (:attr:`~repro.gpu.device.GPUSpec.memory_bytes`), the planner
    intermediate footprint (the same
    :func:`~repro.kernels.engine.spmm_bytes_per_block` /
    :func:`~repro.kernels.engine.sddmm_bytes_per_block` formulas the engine
-   uses, so the two can never drift), and
+   uses, so the two can never drift — for SDDMM a real streaming
+   intermediate; for SpMM, whose row-wise accumulate holds none, the dense
+   bytes a block touches, i.e. the figure sizes *work per shard task*), and
 4. snaps the resulting chunk target to the format's block-width histogram
    (:func:`repro.formats.stats.block_width_histogram`): shards are
    window-aligned, so a window with more blocks than the target becomes a
@@ -72,7 +74,8 @@ class ServePlan:
     #: Per-run intermediate byte budget handed to the engine; ``None`` when
     #: no budget applies (one-shot).
     max_intermediate_bytes: int | None
-    #: Float32 intermediate bytes per block (engine formula).
+    #: Float32 bytes per block (engine formula): SDDMM's streaming
+    #: intermediate; for SpMM the dense bytes a block touches (shard sizing).
     bytes_per_block: int
     #: Total TC blocks of the operation.
     num_blocks: int

@@ -25,12 +25,13 @@ Execution model
 Bit-exactness
 -------------
 Every shard runs its op's entry in the engine's shard table
-(:data:`repro.kernels.engine.SHARD_OPS`) — the one-shot reduction of
+(:data:`repro.kernels.engine.SHARD_OPS`) —
 :func:`~repro.kernels.engine.spmm_shard_rows` /
-:func:`~repro.kernels.engine.sddmm_shard_values` over whole windows, which
-reproduces the single-process ``engine="batched"`` one-shot values
-bit-for-bit (see the engine module docstring).  The parity tests assert
-exact equality, not allclose.
+:func:`~repro.kernels.engine.sddmm_shard_values` over whole windows: whole
+output rows accumulated from their own entries, whole independent output
+blocks — which reproduces the single-process ``engine="batched"`` one-shot
+values bit-for-bit (see the engine module docstring).  The parity tests
+assert exact equality, not allclose.
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ executes them on the shared backend):
   :meth:`~repro.formats.csr.CSRMatrix.content_key` — same-matrix SpMM
   requests are concatenated column-wise and run as **one** engine pass, so
   they share one cached translation (content-keyed: serving payloads are
-  deserialised fresh per request) and one dense-operand gather.  The
-  concatenation is numerically invisible: the engine's batched 3-D matmuls
-  and window reductions act per output element along the dense axis, so the
-  split results are bit-identical to running each request alone;
+  deserialised fresh per request) and one walk over the sparse entries.
+  The concatenation is numerically invisible: the engine accumulates every
+  output column from its own column of the dense operand, whatever its
+  neighbours or the operand's width, so the split results are bit-identical
+  to running each request alone;
 * execution honours a :class:`~repro.serve.planner.ServePlan` — derived per
   (matrix, width) from the server's device budget and memoised in a small
   LRU — and runs on the multi-process
@@ -1089,7 +1090,7 @@ class Server:
         widths = [req.b.shape[1] for req in group]
         n_total = sum(widths)
         self.metrics.record_batch(len(group))
-        # One quantised concatenated operand → one gather in the engine.
+        # One quantised concatenated operand → one engine pass.
         b_cat = np.concatenate([req.b for req in group], axis=1) if len(group) > 1 else group[0].b
         b_q = quantize(b_cat, self.precision).astype(np.float32)
         plan = self._plan_for(fmt, "spmm", n_total)

@@ -24,6 +24,7 @@ from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.cache import cached_mebcrs, clear_format_cache, format_cache_size
 from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
+from repro.formats.sgt16 import SGT16Matrix
 from repro.gpu.counters import CostCounter
 from repro.kernels.common import FlashSparseConfig
 from repro.kernels.sddmm_flash import sddmm_flash_execute
@@ -189,6 +190,28 @@ def test_blocks_as_arrays_is_cached_per_group():
     assert fmt.blocks_as_arrays() is fmt.blocks_as_arrays()
     assert fmt.blocks_as_arrays(16) is fmt.blocks_as_arrays(16)
     assert fmt.blocks_as_arrays(16) is not fmt.blocks_as_arrays()
+
+
+@pytest.mark.parametrize("fmt_cls", [MEBCRSMatrix, SGT16Matrix])
+def test_lanes_as_csr_matches_per_block_accessors(fmt_cls):
+    """Row by row: one entry per nonzero lane, in block storage order; the
+    view is cached and covers the padded tail window with empty rows."""
+    csr = random_csr(70, 50, 0.08, seed=21)  # 70 rows: a partial tail window
+    fmt = fmt_cls.from_csr(csr, precision="fp16")
+    lanes = fmt.lanes_as_csr()
+    assert lanes is fmt.lanes_as_csr()
+    v = fmt.vector_size
+    assert lanes.row_offsets.shape == (fmt.num_windows * v + 1,)
+    assert lanes.row_offsets[-1] == lanes.values.shape[0] == csr.nnz
+    for w in range(fmt.num_windows):
+        blocks = list(fmt.iter_window_blocks(w))
+        cols = np.concatenate([c for c, _ in blocks]) if blocks else np.zeros(0, dtype=np.int32)
+        vals = np.concatenate([b for _, b in blocks], axis=1) if blocks else np.zeros((v, 0))
+        for r in range(v):
+            lo, hi = lanes.row_offsets[w * v + r], lanes.row_offsets[w * v + r + 1]
+            keep = vals[r] != 0
+            np.testing.assert_array_equal(lanes.columns[lo:hi], cols[keep])
+            np.testing.assert_array_equal(lanes.values[lo:hi], vals[r][keep].astype(np.float32))
 
 
 def test_format_conversion_cache_reuses_translations():

@@ -1,11 +1,11 @@
 """Memory-bounded streaming parity of the batched execution engine.
 
 The contract: for every ``block_chunk`` (including pathological values),
-``max_intermediate_bytes`` budget and ``workers`` count, the streamed engine
-produces values identical to the one-shot batched run within FP32 round-off
-(bit-identical for SDDMM, whose output blocks are independent) and *exactly*
-the same ``CostCounter`` state — chunking is an execution detail the cost
-model never sees.
+``max_intermediate_bytes`` budget and ``workers`` count, the engine produces
+values **bit-identical** to the one-shot batched run (SpMM accumulates every
+output row from its own entries, SDDMM output blocks are independent) and
+*exactly* the same ``CostCounter`` state — chunking is an execution detail
+neither the numerics nor the cost model ever see.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def test_spmm_chunked_matches_one_shot(block_chunk, workers):
     base = spmm_flash_execute(fmt, b, FlashSparseConfig(precision="fp16"))
     cfg = FlashSparseConfig(precision="fp16", block_chunk=block_chunk, workers=workers)
     res = spmm_flash_execute(fmt, b, cfg)
-    np.testing.assert_allclose(res.values, base.values, atol=1e-4, rtol=1e-5)
+    np.testing.assert_array_equal(res.values, base.values)
     assert res.counter.as_dict() == base.counter.as_dict()
     assert res.meta["engine"] == "batched"
 
@@ -72,7 +72,7 @@ def test_spmm_tcu16_chunked_parity(workers):
         precision="tf32", swap_and_transpose=False, block_chunk=3, workers=workers
     )
     res = spmm_tcu16_execute(csr, b, cfg)
-    np.testing.assert_allclose(res.values, base.values, atol=1e-4, rtol=1e-5)
+    np.testing.assert_array_equal(res.values, base.values)
     assert res.counter.as_dict() == base.counter.as_dict()
 
 
@@ -81,7 +81,7 @@ def test_max_intermediate_bytes_budget_streams_and_agrees():
     base = spmm_flash_execute(fmt, b, FlashSparseConfig(precision="fp16"))
     cfg = FlashSparseConfig(precision="fp16", max_intermediate_bytes=40_000)
     res = spmm_flash_execute(fmt, b, cfg)
-    np.testing.assert_allclose(res.values, base.values, atol=1e-4, rtol=1e-5)
+    np.testing.assert_array_equal(res.values, base.values)
     assert res.counter.as_dict() == base.counter.as_dict()
     # The derived chunk honours the budget: chunk * bytes_per_block <= budget
     # (with the one-block floor when the budget is below a single block).
@@ -109,7 +109,7 @@ def test_workers_only_sharding_matches_one_shot():
     csr, fmt, _, b = _fmt_and_operands(seed=11)
     base = spmm_flash_execute(fmt, b, FlashSparseConfig(precision="fp16"))
     res = spmm_flash_execute(fmt, b, FlashSparseConfig(precision="fp16", workers=4))
-    np.testing.assert_allclose(res.values, base.values, atol=1e-4, rtol=1e-5)
+    np.testing.assert_array_equal(res.values, base.values)
     assert res.counter.as_dict() == base.counter.as_dict()
 
 
@@ -132,7 +132,7 @@ def test_api_level_streaming_knobs():
     csr, _, a, b = _fmt_and_operands(seed=21)
     base = spmm(csr, b)
     res = spmm(csr, b, block_chunk=5, workers=2)
-    np.testing.assert_allclose(res.values, base.values, atol=1e-4, rtol=1e-5)
+    np.testing.assert_array_equal(res.values, base.values)
     assert res.counter.as_dict() == base.counter.as_dict()
 
     sbase = sddmm(csr, a, b)
@@ -162,4 +162,4 @@ def test_spmm_batched_streaming_direct_call():
     streamed = spmm_batched(
         fmt, b_q, Precision.FP16, block_chunk=2, max_intermediate_bytes=999, workers=3
     )
-    np.testing.assert_allclose(streamed, base, atol=1e-4, rtol=1e-5)
+    np.testing.assert_array_equal(streamed, base)

@@ -169,3 +169,24 @@ def test_precision_changes_block_width_and_mma_count():
     tf32 = spmm_flash_cost(csr, 64, FlashSparseConfig(precision="tf32"))
     # TF32 blocks are half as wide (k=4), so there are at least as many MMAs.
     assert tf32.total_mma >= fp16.total_mma
+
+
+def test_non_finite_row_of_b_behind_an_unreferenced_column_stays_out():
+    """Padded lanes of narrow TC blocks used to gather ``B[0]``: with column 0
+    unreferenced and ``B[0]`` non-finite, ``0 · inf`` poisoned most outputs of
+    the batched engine while the reference loop and SciPy stayed finite."""
+    rng = np.random.default_rng(21)
+    dense = rng.standard_normal((64, 64)) * (rng.random((64, 64)) < 0.1)
+    dense[:, 0] = 0.0
+    csr = CSRMatrix.from_dense(dense)
+    b = rng.standard_normal((64, 4))
+    b[0] = (np.inf, -np.inf, np.nan, np.inf)
+    expected = csr.to_scipy() @ b
+    assert np.isfinite(expected).all()
+    for execute, swap in ((spmm_flash_execute, True), (spmm_tcu16_execute, False)):
+        cfg = dict(precision="fp16", swap_and_transpose=swap)
+        batched = execute(csr, b, FlashSparseConfig(**cfg)).values
+        reference = execute(csr, b, FlashSparseConfig(engine="reference", **cfg)).values
+        assert np.isfinite(batched).all()
+        np.testing.assert_allclose(batched, reference, rtol=1e-5, atol=1e-4)
+        np.testing.assert_allclose(batched, expected, rtol=5e-2, atol=5e-2)

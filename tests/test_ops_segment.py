@@ -26,7 +26,6 @@ from repro.ops import (
     segment_softmax,
     segment_softmax_backward,
     segment_sum,
-    segment_sum_runs,
 )
 
 #: (name, segment lengths) covering the layouts the ISSUE calls out.
@@ -217,41 +216,6 @@ def test_segment_mean_multidimensional_and_integer_input(rng):
     assert np.issubdtype(result.dtype, np.floating)
     np.testing.assert_array_equal(result[0], data[:2].mean(axis=0))
     np.testing.assert_array_equal(result[2], data[2:].mean(axis=0))
-
-
-# ---------------------------------------------------------------------------
-# segment_sum_runs (sorted-ids layout, the streaming engine's reduction)
-# ---------------------------------------------------------------------------
-def test_segment_sum_runs_matches_offsets_reduction(rng):
-    offsets = _offsets([3, 0, 2, 0, 4])
-    data = rng.standard_normal((9, 2)).astype(np.float32)
-    ids = segment_ids(offsets)
-    run_ids, run_sums = segment_sum_runs(data, ids)
-    np.testing.assert_array_equal(run_ids, [0, 2, 4])  # empty segments absent
-    np.testing.assert_array_equal(run_sums, segment_sum(data, offsets)[run_ids])
-
-
-def test_segment_sum_runs_incremental_slices_cover_split_runs(rng):
-    """Slicing mid-run and accumulating run sums reproduces the full sums."""
-    offsets = _offsets([4, 5, 1])
-    data = rng.standard_normal(10).astype(np.float64)
-    full = segment_sum(data, offsets)
-    acc = np.zeros(3)
-    for lo, hi in ((0, 3), (3, 7), (7, 10)):  # boundaries split both runs
-        run_ids, run_sums = segment_sum_runs(data[lo:hi], segment_ids(offsets)[lo:hi])
-        acc[run_ids] += run_sums
-    np.testing.assert_allclose(acc, full, rtol=1e-15)
-
-
-def test_segment_sum_runs_empty_input():
-    run_ids, run_sums = segment_sum_runs(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
-    assert run_ids.shape == (0,)
-    assert run_sums.shape == (0, 3)
-
-
-def test_segment_sum_runs_rejects_misaligned_ids():
-    with pytest.raises(ValueError):
-        segment_sum_runs(np.ones(4), np.zeros(3, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,30 @@ def test_same_layer_requests_coalesce_into_one_fused_pass():
         assert r2.meta["batched_with"] == 1
 
 
+def test_coalesced_layer_panels_of_any_width_match_their_solo_runs():
+    """``x`` panels of widths (1, 5, 1, 33) concatenated into one fused pass.
+    The width-1 panels are the regression: the per-block matmul sent a solo
+    ``N = 1`` product to gemv and the coalesced one to gemm."""
+    csr = random_csr(120, 120, 0.05, seed=15)
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((120, 12)).astype(np.float32)
+    xs = [rng.standard_normal((120, n)).astype(np.float32) for n in (1, 5, 1, 33)]
+    with Server(workers=1) as srv:
+        solos = [srv.submit_layer(csr, a, a, x, scale=0.9).result(TIMEOUT) for x in xs]
+        gate = _Gate(srv)
+        blocker = srv.submit_spmm(
+            random_csr(50, 40, 0.1, seed=98), rng.standard_normal((40, 4)).astype(np.float32)
+        )
+        gate.entered.wait(TIMEOUT)
+        futures = [srv.submit_layer(csr, a, a, x, scale=0.9) for x in xs]
+        gate.release.set()
+        blocker.result(TIMEOUT)
+        for fut, solo in zip(futures, solos):
+            res = fut.result(TIMEOUT)
+            assert res.meta["batched_with"] == len(xs) - 1
+            np.testing.assert_array_equal(res.values, solo.values)
+
+
 def test_different_scale_layers_do_not_coalesce():
     csr = random_csr(120, 120, 0.05, seed=16)
     rng = np.random.default_rng(16)

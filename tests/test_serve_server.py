@@ -118,10 +118,7 @@ def test_same_matrix_requests_coalesce_into_one_pass(workload):
         assert all(len(g) <= 2 for g in srv._group(reqs))
 
 
-def test_forced_batching_is_bit_identical(workload):
-    """Pause dispatch deterministically: enqueue while the loop is busy, so
-    the drain picks all requests up as one batch."""
-    csr, bs, _, _ = workload
+def _assert_forced_batch_is_bit_identical(csr, bs):
     with Server(workers=1) as srv:
         # Occupy the dispatcher with a slow request built from a big-enough
         # matrix, then flood the queue with same-matrix requests.
@@ -139,6 +136,22 @@ def test_forced_batching_is_bit_identical(workload):
         # The flood coalesced: fewer passes than requests.
         assert snap.batches_dispatched < snap.requests_completed
         assert snap.requests_coalesced >= 2
+
+
+def test_forced_batching_is_bit_identical(workload):
+    """Pause dispatch deterministically: enqueue while the loop is busy, so
+    the drain picks all requests up as one batch."""
+    csr, bs, _, _ = workload
+    _assert_forced_batch_is_bit_identical(csr, bs)
+
+
+def test_forced_batching_of_width_one_operands_is_bit_identical(workload):
+    """The regression: a per-block matmul routed a solo ``N = 1`` product to
+    gemv and the coalesced one to gemm, so the two differed by ~1e-6."""
+    csr = workload[0]
+    rng = np.random.default_rng(40)
+    bs = [rng.standard_normal((csr.shape[1], n)) for n in (1, 5, 1, 33)]
+    _assert_forced_batch_is_bit_identical(csr, bs)
 
 
 def test_metrics_latency_queue_and_cache_counters(workload):
