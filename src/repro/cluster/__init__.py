@@ -44,7 +44,7 @@ machines run ``python -m repro.cluster.worker`` per host and hand the
 addresses to :class:`ClusterScheduler`.
 """
 
-from repro.cluster.assembly import SddmmAssembly, SpmmAssembly
+from repro.cluster.assembly import SpmmAssembly
 from repro.cluster.errors import (
     AssemblyError,
     ClusterError,
@@ -97,7 +97,6 @@ __all__ = [
     "MembershipProbe",
     "PinnedStore",
     "RetryPolicy",
-    "SddmmAssembly",
     "SpmmAssembly",
     "StoreMissError",
     "TransportError",

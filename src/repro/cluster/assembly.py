@@ -4,9 +4,10 @@ The single-host :class:`~repro.serve.scheduler.ShardScheduler` lets worker
 processes scatter their shard results straight into one shared-memory
 output buffer — a shortcut only available when every worker maps the same
 address space.  Across hosts the results come back as payloads over the
-transport, and the head must reassemble them: SpMM shards return the dense
-row slice of their window range, SDDMM shards return ``(vector_index,
-values)`` scatter pairs.
+transport, and the head must reassemble them.  Every op returns one row
+slice of its output per shard: the dense rows of the shard's window range
+for SpMM and the fused layer, the rows of ``vector_values`` — the nonzero
+vectors ``window_ptr[w0]:window_ptr[w1]`` — for SDDMM.
 
 Correctness is enforced, not assumed: shards are window-aligned, so their
 output regions are disjoint by construction — an overlapping write from a
@@ -32,8 +33,8 @@ from repro.cluster.errors import AssemblyError
 
 
 class SpmmAssembly:
-    """Reassembles per-shard dense row slices into the ``(n_rows, n_dense)``
-    SpMM output.
+    """Reassembles per-shard row slices into the ``(n_rows, n_dense)``
+    output of any served op (for SDDMM: ``fmt.vector_values.shape``).
 
     Rows not covered by any shard (trailing all-empty windows produce no
     shard) stay zero — exactly what the one-shot engine writes for them.
@@ -57,7 +58,8 @@ class SpmmAssembly:
         if not 0 <= shard < self.num_shards:
             raise AssemblyError(f"unknown shard id {shard} (have {self.num_shards})")
         row0 = int(row0)
-        if row0 < 0 or rows.ndim != 2 or rows.shape[1] != self.out.shape[1]:
+        in_range = 0 <= row0 < self.out.shape[0]
+        if not in_range or rows.ndim != 2 or rows.shape[1] != self.out.shape[1]:
             raise AssemblyError(
                 f"shard {shard} returned rows of shape {rows.shape} at row {row0}"
             )
@@ -86,58 +88,6 @@ class SpmmAssembly:
 
     def result(self) -> np.ndarray:
         """The assembled output; raises if any shard never arrived."""
-        if self.missing_shards:
-            raise AssemblyError(
-                f"{self.missing_shards}/{self.num_shards} shards missing at assembly"
-            )
-        return self.out
-
-
-class SddmmAssembly:
-    """Reassembles per-shard ``(vector_index, values)`` scatter pairs into
-    the ``fmt.vector_values``-shaped SDDMM output."""
-
-    def __init__(self, out_shape: tuple, num_shards: int):
-        self.out = np.zeros(out_shape, dtype=np.float32)
-        self.num_shards = int(num_shards)
-        self._covered = np.zeros(out_shape[0] if len(out_shape) else 0, dtype=bool)
-        self._placed: dict[int, np.ndarray] = {}  # shard -> scatter indices
-        self.duplicates_suppressed = 0
-
-    def add(self, shard: int, vector_index: np.ndarray, values: np.ndarray) -> None:
-        """Scatter shard ``shard``'s sampled values to their nonzero vectors.
-
-        A byte-identical re-delivery (a speculative duplicate) is
-        suppressed; a differing one raises.
-        """
-        shard = int(shard)
-        if not 0 <= shard < self.num_shards:
-            raise AssemblyError(f"unknown shard id {shard} (have {self.num_shards})")
-        idx = np.asarray(vector_index, dtype=np.int64)
-        placed = self._placed.get(shard)
-        if placed is not None:
-            if np.array_equal(placed, idx) and np.array_equal(self.out[idx], values):
-                self.duplicates_suppressed += 1
-                return
-            raise AssemblyError(
-                f"shard {shard} delivered twice with differing placement or content"
-            )
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= self.out.shape[0]:
-                raise AssemblyError(f"shard {shard} scatter index out of range")
-            if self._covered[idx].any():
-                raise AssemblyError(f"shard {shard} overlaps already-covered vectors")
-            self.out[idx] = values
-            self._covered[idx] = True
-        self._placed[shard] = idx
-
-    @property
-    def missing_shards(self) -> int:
-        """Shards dispatched but not yet delivered."""
-        return self.num_shards - len(self._placed)
-
-    def result(self) -> np.ndarray:
-        """The assembled value array; raises if any shard never arrived."""
         if self.missing_shards:
             raise AssemblyError(
                 f"{self.missing_shards}/{self.num_shards} shards missing at assembly"

@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.assembly import SddmmAssembly, SpmmAssembly
+from repro.cluster.assembly import SpmmAssembly
 from repro.cluster.errors import HostDeadError, MembershipError, WorkerTaskError
 from repro.cluster.membership import (
     ACCEPTING_STATES,
@@ -1220,21 +1220,15 @@ class ClusterScheduler:
             tasks.append({"frame": {"header": header, "store_plan": store_plan}, "range": r})
 
         def inline(task: dict) -> tuple:
-            sliced = op.slice(fmt, task["range"], group, csr.indptr)
+            sliced = op.slice(fmt, task["range"], csr.indptr)
             outputs, timings = op.run(sliced, operands, params)
-            return {"row0": sliced.get("row0"), "timings": timings}, outputs
+            return {"row0": sliced["row0"], "timings": timings}, outputs
 
-        if op.scatter:
-            assembly = SddmmAssembly(out_shape, num_shards=len(ranges))
-        else:
-            assembly = SpmmAssembly(*out_shape, num_shards=len(ranges))
+        assembly = SpmmAssembly(*out_shape, num_shards=len(ranges))
         stage_seconds: dict[str, float] = {}
         for i, payloads in enumerate(self._dispatch(tasks, content_key, inline)):
             for j, (header, arrays) in enumerate(payloads):
-                if op.scatter:
-                    assembly.add(i, arrays[0], arrays[1])
-                else:
-                    assembly.add(i, header["row0"], arrays[0])
+                assembly.add(i, header["row0"], arrays[0])
                 if j == 0:  # don't double-count a speculative duplicate
                     for stage, s in (header.get("timings") or {}).items():
                         stage_seconds[stage] = stage_seconds.get(stage, 0.0) + float(s)
@@ -1344,14 +1338,13 @@ class ClusterScheduler:
         if stage_seconds:  # an all-empty layer dispatched nothing
             # What the three-call composition would have moved over the
             # wire and the fused path did not: the SDDMM intermediate
-            # pulled back to the head (float32 values + int64 vector
-            # indices) plus the attention CSR bundle pushed out again for
+            # pulled back to the head (float32 values in vector layout)
+            # plus the attention CSR bundle pushed out again for
             # the SpMM — never pinnable, its values change every layer
             # evaluation.
             n_vec, v = fmt.vector_values.shape
             intermediate_bytes = (
                 n_vec * v * 4
-                + n_vec * 8
                 + int(csr.indptr.nbytes)
                 + int(csr.indices.nbytes)
                 + int(csr.nnz) * 4

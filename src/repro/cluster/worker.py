@@ -11,14 +11,14 @@ of :mod:`repro.cluster.transport`.  Per task it
    the first task for a matrix the O(nnz) translation is a cache hit (the
    cache counters travel back in every result and pong frame, making the
    affinity payoff observable from the head),
-3. slices the task's window-aligned block range out of the format's batch
-   arrays (translation is deterministic, so the worker's batch is
-   bit-identical to the head's) and runs the op's entry in the engine's
+3. slices the task's window-aligned range out of the format's lane view
+   (translation is deterministic, so the worker's view is bit-identical
+   to the head's) and runs the op's entry in the engine's
    shard table (:data:`repro.kernels.engine.SHARD_OPS`) — the same
    ``run(slice(...))`` the single-host scheduler and the head's in-parent
    fallback execute, hence bit-identical results, and
-4. streams the shard output back (dense row slice for SpMM and fused
-   layers, ``(vector_index, values)`` scatter pairs for SDDMM).
+4. streams the shard output back: one row slice and its ``row0`` (dense
+   output rows for SpMM and fused layers, ``vector_values`` rows for SDDMM).
 
 **Trust at the door.**  Every accepted connection must clear the
 HELLO/CHALLENGE handshake (the protocol version byte plus, when an
@@ -203,11 +203,9 @@ class WorkerHost:
         indptr, indices, data = csr_bundle
         fmt = self._translate(header, indptr, indices, data)
         r = ShardRange(int(header["lo"]), int(header["hi"]), int(header["w0"]), int(header["w1"]))
-        sliced = op.slice(fmt, r, header.get("group"), np.asarray(indptr))
+        sliced = op.slice(fmt, r, np.asarray(indptr))
         outputs, timings = op.run(sliced, operands, shard_params(header))
-        reply = {"type": "result"}
-        if not op.scatter:
-            reply["row0"] = sliced["row0"]
+        reply = {"type": "result", "row0": sliced["row0"]}
         if timings:
             reply["timings"] = timings
         return reply, outputs

@@ -221,24 +221,6 @@ def _as_input(matrix) -> FlashSparseMatrix:
     )
 
 
-def _apply_plan(
-    plan,
-    block_chunk: int | None,
-    max_intermediate_bytes: int | None,
-    workers: int | None,
-) -> tuple[int | None, int | None, int]:
-    """Fill unset (``None``) streaming knobs from a :class:`ServePlan`;
-    explicit caller values — including ``workers=1`` — always win."""
-    if plan is not None:
-        if block_chunk is None:
-            block_chunk = plan.block_chunk
-        if max_intermediate_bytes is None:
-            max_intermediate_bytes = plan.max_intermediate_bytes
-        if workers is None:
-            workers = plan.workers
-    return block_chunk, max_intermediate_bytes, 1 if workers is None else workers
-
-
 def spmm(
     a,
     b: np.ndarray,
@@ -246,10 +228,6 @@ def spmm(
     coalesced: bool = True,
     device: str | GPUSpec | None = None,
     engine: str = "batched",
-    block_chunk: int | None = None,
-    max_intermediate_bytes: int | None = None,
-    workers: int | None = None,
-    plan=None,
 ) -> SpmmResult:
     """Sparse × dense matrix multiplication with the FlashSparse kernel.
 
@@ -273,31 +251,9 @@ def spmm(
     engine:
         ``"batched"`` (default) for the vectorized execution engine,
         ``"reference"`` for the per-block emulation loop.
-    block_chunk / max_intermediate_bytes / workers:
-        Streaming knobs shared with :func:`sddmm`, where they bound the
-        per-block intermediate.  The SpMM engine accumulates row-wise and
-        holds none, so here they change nothing: values are bit-identical
-        to the one-shot run and the cost counter is exactly unchanged.
-        ``workers=None`` (default) means one unless a ``plan`` supplies a
-        count.
-    plan:
-        A :class:`~repro.serve.planner.ServePlan` whose derived knobs fill
-        any of ``block_chunk`` / ``max_intermediate_bytes`` / ``workers``
-        the caller left unset — the budget-driven alternative to picking
-        them by hand (see :func:`repro.serve.planner.plan_spmm`).
     """
     inp = _as_input(a)
-    block_chunk, max_intermediate_bytes, workers = _apply_plan(
-        plan, block_chunk, max_intermediate_bytes, workers
-    )
-    config = FlashSparseConfig(
-        precision=Precision(precision),
-        coalesced=coalesced,
-        engine=engine,
-        block_chunk=block_chunk,
-        max_intermediate_bytes=max_intermediate_bytes,
-        workers=workers,
-    )
+    config = FlashSparseConfig(precision=Precision(precision), coalesced=coalesced, engine=engine)
     fmt = inp.mebcrs(config.precision)
     result = spmm_flash_execute(fmt, b, config)
     spec = _resolve_device(device)
@@ -319,34 +275,17 @@ def sddmm(
     scale_by_mask: bool = False,
     device: str | GPUSpec | None = None,
     engine: str = "batched",
-    block_chunk: int | None = None,
-    max_intermediate_bytes: int | None = None,
-    workers: int | None = None,
-    plan=None,
 ) -> SddmmResult:
     """Sampled dense × dense matrix multiplication with the FlashSparse kernel.
 
     Computes ``out[i, j] = <a[i, :], b[j, :]>`` for every nonzero position of
     ``mask`` (optionally scaled by the mask's values).  ``engine`` selects the
-    batched execution engine (default) or the reference emulation loop;
-    ``block_chunk`` / ``max_intermediate_bytes`` / ``workers`` stream the
-    batched engine over memory-bounded block slices — peak intermediate
-    memory O(chunk · v · K), shards on a thread pool, values bit-identical
-    to the one-shot run, counter exactly unchanged — and
-    ``plan`` fills unset knobs from a derived
-    :class:`~repro.serve.planner.ServePlan`.
+    batched execution engine (default: one dot product per stored nonzero)
+    or the reference emulation loop; values agree to FP32 round-off and the
+    cost counter exactly.
     """
     inp = _as_input(mask)
-    block_chunk, max_intermediate_bytes, workers = _apply_plan(
-        plan, block_chunk, max_intermediate_bytes, workers
-    )
-    config = FlashSparseConfig(
-        precision=Precision(precision),
-        engine=engine,
-        block_chunk=block_chunk,
-        max_intermediate_bytes=max_intermediate_bytes,
-        workers=workers,
-    )
+    config = FlashSparseConfig(precision=Precision(precision), engine=engine)
     fmt = inp.mebcrs(config.precision)
     result = sddmm_flash_execute(fmt, a, b, config, scale_by_mask=scale_by_mask)
     spec = _resolve_device(device)

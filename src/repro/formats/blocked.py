@@ -28,56 +28,30 @@ from repro.precision.types import Precision, dtype_for
 
 @dataclass(frozen=True)
 class BlockBatch:
-    """Every TC block of a :class:`BlockedVectorFormat`, packed into batch arrays.
+    """The TC-block index of a :class:`BlockedVectorFormat` for one grouping.
 
-    All arrays are indexed by the global block number ``b`` (storage order:
-    window by window, then block by block within the window).  Blocks narrower
-    than ``group`` vectors are zero-padded on the trailing lanes, so a single
-    batched einsum/matmul over these arrays reproduces the per-block loop that
-    zero-fills its operand registers.
+    Blocks are numbered in storage order (window by window, then block by
+    block within the window).  This is structure only — what the shard cut
+    and the planner count; the numeric engine reads :class:`LaneCSR`.
 
     Attributes
     ----------
     group:
         Number of vectors grouped per block (the format's ``k`` for SpMM; the
         output-tile width for SDDMM).
-    widths:
-        ``(n_blocks,)`` — vectors actually present in each block.
-    window_of_block:
-        ``(n_blocks,)`` — owning window of each block.
-    blocks_per_window:
-        ``(num_windows,)`` — block count per window.
     window_offsets:
         ``(num_windows + 1,)`` — indptr-style block offsets:
         ``window_offsets[w]:window_offsets[w + 1]`` is window ``w``'s block
-        range (what the shard cut and the SDDMM grouping slice on).
-    columns:
-        ``(n_blocks, group)`` int64 — column index of each vector lane
-        (0 on padded lanes; mask with :attr:`lane_valid`).
-    vector_index:
-        ``(n_blocks, group)`` int64 — global nonzero-vector index of each lane
-        (0 on padded lanes).
-    lane_valid:
-        ``(n_blocks, group)`` bool — which lanes hold a real vector.
-    values:
-        ``(n_blocks, vector_size, group)`` float32 — the sparse TC blocks,
-        zero on padded lanes.
+        range.
     """
 
     group: int
-    widths: np.ndarray
-    window_of_block: np.ndarray
-    blocks_per_window: np.ndarray
     window_offsets: np.ndarray
-    columns: np.ndarray
-    vector_index: np.ndarray
-    lane_valid: np.ndarray
-    values: np.ndarray
 
     @property
     def num_blocks(self) -> int:
-        """Total number of TC blocks in the batch."""
-        return int(self.widths.shape[0])
+        """Total number of TC blocks under this grouping."""
+        return int(self.window_offsets[-1])
 
 
 @dataclass(frozen=True)
@@ -88,14 +62,17 @@ class LaneCSR:
     ``w · v + r`` owns entries ``row_offsets[row]:row_offsets[row + 1]``,
     one per nonzero vector of window ``w`` whose lane ``r`` is nonzero, in
     storage order (ascending vector index).  ``columns`` (int32) is the
-    vector's column, ``values`` (float32) the stored element.  Zero lanes —
-    the zero fill inside nonzero vectors and every padded block lane — have
-    no entry, so the SpMM engine does work per nonzero, not per block slot.
+    vector's column, ``values`` (float32) the stored element and ``slot``
+    (int64) its flat position ``vector · v + lane`` in ``vector_values`` —
+    where SDDMM writes the entry's output.  Zero lanes — the zero fill
+    inside nonzero vectors and every padded block lane — have no entry, so
+    the engine does work per nonzero, not per block slot.
     """
 
     row_offsets: np.ndarray
     columns: np.ndarray
     values: np.ndarray
+    slot: np.ndarray
 
 
 @dataclass
@@ -256,57 +233,23 @@ class BlockedVectorFormat:
 
     # -------------------------------------------------------- batched access
     def blocks_as_arrays(self, group: int | None = None) -> BlockBatch:
-        """Pack every TC block across all windows into padded batch arrays.
+        """The block index (count and per-window offsets) for ``group``.
 
         ``group`` is the number of vectors per block and defaults to the
         format's MMA width :attr:`k`; the SDDMM kernels pass their output-tile
-        width instead.  The result is cached on the instance per ``group``, so
-        repeated kernel invocations on the same format (GNN training epochs,
-        benchmark sweeps over dense widths) pay the packing cost once.
-
-        The arrays assume the block structure and values are not mutated after
-        the first call, which holds for every translation produced by
-        :meth:`from_csr`.
+        width instead.  Cached on the instance per ``group``; assumes the
+        block structure is not mutated after the first call, which holds for
+        every translation produced by :meth:`from_csr`.
         """
         group = self.k if group is None else int(group)
         if group <= 0:
             raise ValueError("group must be positive")
         cache: dict[int, BlockBatch] = self.__dict__.setdefault("_block_batch_cache", {})
         batch = cache.get(group)
-        if batch is not None:
-            return batch
-
-        part = self.partition
-        widths, window_of_block, first_block = part.block_widths(group)
-        blocks_per_window = np.diff(first_block)
-        n_blocks = widths.shape[0]
-
-        index_in_window = np.arange(n_blocks, dtype=np.int64) - first_block[window_of_block]
-        block_lo = part.window_ptr[window_of_block] + index_in_window * group
-        lane = np.arange(group, dtype=np.int64)
-        lane_valid = lane[None, :] < widths[:, None]
-        vector_index = np.where(lane_valid, block_lo[:, None] + lane[None, :], 0)
-
-        cols = part.vector_cols.astype(np.int64)
-        columns = np.where(lane_valid, cols[vector_index], 0)
-        # (n_blocks, group, vector_size) gather, zeroed on padded lanes, then
-        # transposed to the (rows, vectors) TC-block orientation.
-        gathered = np.asarray(self.vector_values, dtype=np.float32)[vector_index]
-        gathered[~lane_valid] = 0.0
-        values = np.ascontiguousarray(gathered.transpose(0, 2, 1))
-
-        batch = BlockBatch(
-            group=group,
-            widths=widths,
-            window_of_block=window_of_block,
-            blocks_per_window=blocks_per_window,
-            window_offsets=first_block,
-            columns=columns,
-            vector_index=vector_index,
-            lane_valid=lane_valid,
-            values=values,
-        )
-        cache[group] = batch
+        if batch is None:
+            offsets = np.zeros(self.num_windows + 1, dtype=np.int64)
+            np.cumsum(self.partition.tc_blocks_per_window(group), out=offsets[1:])
+            batch = cache[group] = BlockBatch(group=group, window_offsets=offsets)
         return batch
 
     def lanes_as_csr(self) -> LaneCSR:
@@ -314,8 +257,8 @@ class BlockedVectorFormat:
 
         Derived from the format's own arrays — ``partition.window_ptr``,
         ``partition.vector_cols`` and :attr:`vector_values`, never the
-        source CSR, so a translation bug shows in the SpMM numerics — and
-        cached on the instance under the same no-mutation assumption as
+        source CSR, so a translation bug shows in the numerics — and cached
+        on the instance under the same no-mutation assumption as
         :meth:`blocks_as_arrays`.
         """
         view = self.__dict__.get("_lane_csr_cache")
@@ -332,10 +275,12 @@ class BlockedVectorFormat:
         order = np.argsort(row, kind="stable")
         row_offsets = np.zeros(self.num_windows * v + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=self.num_windows * v), out=row_offsets[1:])
+        slot = slot[order]
         view = LaneCSR(
             row_offsets=row_offsets,
             columns=part.vector_cols[vector[order]],
-            values=flat_values[slot[order]],
+            values=flat_values[slot],
+            slot=slot,
         )
         self.__dict__["_lane_csr_cache"] = view
         return view

@@ -93,7 +93,7 @@ class SparseBackend:
 
     # ----------------------------------------------------------- numerics
     def _quantize(self, array: np.ndarray) -> np.ndarray:
-        return quantize(array, self.precision).astype(np.float32)
+        return quantize(array, self.precision)
 
     def _matrix_with(self, values: np.ndarray | None) -> sp.csr_matrix:
         if values is None:

@@ -198,9 +198,8 @@ class MemoryBudget:
     ``capacity_bytes`` is the device capacity (``GPUSpec.memory_bytes``),
     ``resident_bytes`` the memory pinned by an op's operands and outputs
     (dense matrices, translated sparse format), and ``workspace_fraction``
-    the share of the remainder the op's streaming intermediates may use.
-    The serving planner sizes ``max_intermediate_bytes`` from
-    :attr:`workspace_bytes` instead of asking the caller for a byte budget.
+    the share of the remainder the op's work in flight may use.  The
+    serving planner sizes its shard tasks from :attr:`workspace_bytes`.
     """
 
     capacity_bytes: int

@@ -335,8 +335,8 @@ def mma_execute(
             raise ValueError(f"C must have shape {shape.c_shape}, got {c.shape}")
 
     precision = Precision(shape.precision)
-    a_q = quantize(a, precision).astype(np.float32)
-    b_q = quantize(b, precision).astype(np.float32)
+    a_q = quantize(a, precision)
+    b_q = quantize(b, precision)
     d = (a_q @ b_q).astype(np.float32) + c
 
     if counter is not None:

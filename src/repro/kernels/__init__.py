@@ -18,15 +18,15 @@ Every ``execute`` function dispatches on ``FlashSparseConfig.engine``:
   a faithful, instruction-level mirror of the CUDA kernel and the oracle
   the batched engine is validated against;
 * ``engine="batched"`` (the default) routes the numerics through
-  :mod:`repro.kernels.engine`.  SpMM is one row-wise accumulate —
-  ``out[r] = Σ_e q(value[e]) · B_q[col[e]]`` in FP32, in storage order,
-  over the format's nonzero lanes
-  (:meth:`~repro.formats.blocked.BlockedVectorFormat.lanes_as_csr`) — the
-  MMA accumulator kept across a window's blocks, with no per-block product
-  and no window reduction.  SDDMM packs the TC blocks once into padded batch
-  arrays (:meth:`~repro.formats.blocked.BlockedVectorFormat.
-  blocks_as_arrays`), gathers the dense rows with one fancy index and runs
-  one batched matmul.
+  :mod:`repro.kernels.engine`, which works at the stored nonzero lanes of
+  the format
+  (:meth:`~repro.formats.blocked.BlockedVectorFormat.lanes_as_csr`), never
+  at padded block slots.  SpMM is one row-wise accumulate —
+  ``out[r] = Σ_e q(value[e]) · B_q[col[e]]`` in FP32, in storage order —
+  the MMA accumulator kept across a window's blocks, with no per-block
+  product and no window reduction.  SDDMM is one dot product per nonzero —
+  ``out[e] = A_q[row[e]] · B_q[col[e]]`` — a gather and an ``einsum`` in
+  fixed L2-sized entry chunks.
 
 The reference/batched contract: both engines produce *exactly* the same
 :class:`~repro.gpu.counters.CostCounter` state (the batched path takes its
@@ -35,9 +35,10 @@ block-width histogram with the bulk counter APIs and are asserted
 field-for-field equal to the loop's counters), and the same numeric values
 up to FP32 accumulation-order round-off (the reference loop, which stays the
 per-MMA oracle, sums tile by tile).  The batched engine itself is
-**bit-identical** under sharding, chunking and operand coalescing: an output
-row depends only on its own entries, an output column only on its own
-column of the dense operand.  CSR inputs are
+**bit-identical** under sharding, chunking, layer fusion and (SpMM) operand
+coalescing: an output row depends only on its own entries, an output
+column only on its own column of the dense operand, a sampled value only
+on its own two dense rows.  CSR inputs are
 translated to the blocked formats through the LRU cache of
 :mod:`repro.formats.cache`, so sweeps and training loops that re-submit the
 same matrix do not pay the translation twice.

@@ -37,31 +37,12 @@ class FlashSparseConfig:
         block, tile) emulation loop that mirrors the CUDA kernel
         instruction-for-instruction.  Both produce the same cost counters
         exactly and the same values up to FP32 round-off.
-    block_chunk:
-        Stream the batched SDDMM engine over block-range slices of this many
-        output blocks instead of materialising the full per-block
-        intermediate; peak intermediate memory becomes O(block_chunk · v · K).
-        ``None`` (default) runs one-shot.  SpMM accumulates row-wise, holds
-        no intermediate and ignores the streaming knobs.  Either way values
-        are bit-identical to the one-shot run and cost counters exactly
-        unchanged.
-    max_intermediate_bytes:
-        Byte budget the streaming chunk size is derived from when
-        ``block_chunk`` is not given (``chunk = budget // bytes_per_block``,
-        floored at one block).
-    workers:
-        Shard independent window-aligned chunk ranges of the batched SDDMM
-        engine across this many threads (BLAS matmuls release the GIL).
-        1 (default) stays single-threaded.
     """
 
     precision: Precision = Precision.FP16
     coalesced: bool = True
     swap_and_transpose: bool = True
     engine: str = "batched"
-    block_chunk: int | None = None
-    max_intermediate_bytes: int | None = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "precision", Precision(self.precision))
@@ -72,39 +53,6 @@ class FlashSparseConfig:
             )
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.block_chunk is not None and int(self.block_chunk) < 1:
-            raise ValueError("block_chunk must be a positive block count or None")
-        if self.max_intermediate_bytes is not None and int(self.max_intermediate_bytes) < 1:
-            raise ValueError("max_intermediate_bytes must be a positive byte budget or None")
-        if int(self.workers) < 1:
-            raise ValueError("workers must be >= 1")
-
-    @property
-    def engine_stream_kwargs(self) -> dict:
-        """The streaming knobs, in the keyword form the engine functions take."""
-        return {
-            "block_chunk": self.block_chunk,
-            "max_intermediate_bytes": self.max_intermediate_bytes,
-            "workers": self.workers,
-        }
-
-    @classmethod
-    def from_plan(cls, plan, **overrides) -> "FlashSparseConfig":
-        """Config whose streaming knobs come from a derived
-        :class:`~repro.serve.planner.ServePlan`.
-
-        The plan supplies ``precision``, ``block_chunk``,
-        ``max_intermediate_bytes`` and ``workers``; keyword ``overrides``
-        win over the plan (e.g. ``engine="reference"`` for oracle runs).
-        """
-        kwargs = {
-            "precision": plan.precision,
-            "block_chunk": plan.block_chunk,
-            "max_intermediate_bytes": plan.max_intermediate_bytes,
-            "workers": plan.workers,
-        }
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
     @property
     def vector_size(self) -> int:

@@ -95,18 +95,10 @@ def sddmm_tcu16_execute(
     n_chunks = _ceil_div(k_dense, mma_k)
     elem = element_bytes(precision)
 
-    a_q = quantize(a, precision).astype(np.float32)
-    b_q = quantize(b, precision).astype(np.float32)
+    a_q = quantize(a, precision)
+    b_q = quantize(b, precision)
     if config.engine == "batched" and k_dense > 0:
-        out_values = sddmm_batched(
-            fmt,
-            a_q,
-            b_q,
-            precision,
-            VECTORS_PER_OUTPUT_BLOCK,
-            scale_by_mask=scale_by_mask,
-            **config.engine_stream_kwargs,
-        )
+        out_values = sddmm_batched(fmt, a_q, b_q, scale_by_mask=scale_by_mask)
         counter = sddmm_tcu16_cost(fmt, k_dense, config)
     else:
         out_values, counter = _sddmm_reference(fmt, a_q, b_q, config, shape, scale_by_mask)

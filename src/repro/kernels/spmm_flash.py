@@ -157,13 +157,12 @@ def spmm_flash_execute(
             f"format block width k={fmt.k} does not match precision {precision} (expects k={k})"
         )
 
-    b_q = quantize(b, precision).astype(np.float32)
+    b_q = quantize(b, precision)
     if config.engine == "batched" and n_dense > 0:
         # One row-wise accumulate over the format's nonzero lanes; the
         # counter comes from the closed-form cost pass, which is
-        # bit-identical to the loop below and independent of the streaming
-        # knobs (as are the values).
-        out = spmm_batched(fmt, b_q, precision, **config.engine_stream_kwargs)
+        # bit-identical to the loop below.
+        out = spmm_batched(fmt, b_q, precision)
         counter = spmm_flash_cost(fmt, n_dense, config)
     else:
         out, counter = _spmm_reference(fmt, b_q, config, shape)

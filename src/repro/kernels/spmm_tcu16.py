@@ -121,12 +121,12 @@ def spmm_tcu16_execute(
     n_tiles = _ceil_div(n_dense, dense_tile)
     k = shape.k
 
-    b_q = quantize(b, precision).astype(np.float32)
+    b_q = quantize(b, precision)
     if config.engine == "batched" and n_dense > 0:
         # The swap-and-transpose identity makes the 16×1 numerics identical
         # in shape to the 8×1 path, so both share the batched engine's
         # row-wise accumulate.
-        out = spmm_batched(fmt, b_q, precision, **config.engine_stream_kwargs)
+        out = spmm_batched(fmt, b_q, precision)
         counter = spmm_tcu16_cost(fmt, n_dense, config, api)
     else:
         out, counter = _spmm_reference(fmt, b_q, config, shape)

@@ -10,10 +10,10 @@ engine pass, and executes large operations sharded across a
 
 The four pieces:
 
-* :mod:`repro.serve.planner` — derives ``block_chunk`` /
-  ``max_intermediate_bytes`` / ``workers`` from a
+* :mod:`repro.serve.planner` — derives a request's shard size
+  (``ServePlan.block_chunk``, in TC blocks) and worker count from a
   :class:`~repro.gpu.device.GPUSpec` memory budget and the format's
-  block-width histogram, replacing caller-supplied knobs;
+  block-width histogram;
 * :mod:`repro.serve.program` — composable layer programs
   (``sddmm → [scale] → edge_softmax → spmm``) so a whole attention layer
   is one request (``Server.submit_layer``) instead of three, plus the

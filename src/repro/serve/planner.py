@@ -1,23 +1,22 @@
-"""Memory-budget planner: GPUSpec + block histogram → streaming knobs.
+"""Memory-budget planner: GPUSpec + block histogram → shard size.
 
-PR 2 introduced ``block_chunk`` / ``max_intermediate_bytes`` / ``workers``
-as caller-supplied knobs on :class:`~repro.kernels.common.FlashSparseConfig`.
-This module derives them instead: given the device's declared memory
-capacity (:attr:`~repro.gpu.device.GPUSpec.memory_bytes`), the planner
+The numeric engine has no memory knobs: SpMM accumulates row-wise and holds
+no intermediate, SDDMM works in fixed L2-sized entry chunks.  What a served
+request still needs sizing is its *shard tasks* — how many TC blocks of
+work (and of dense data touched) one task handed to a pool worker or a
+worker host covers.  Given the device's declared memory capacity
+(:attr:`~repro.gpu.device.GPUSpec.memory_bytes`), the planner
 
 1. computes the *resident* footprint of the operation — the translated
    sparse format plus the dense operands and output, which must live in
    device memory for the whole run,
-2. carves a workspace budget for streaming intermediates out of the
-   remaining capacity (:func:`repro.gpu.memory.derive_budget`),
-3. divides the workspace by the number of workers and by the per-block
-   intermediate footprint (the same
-   :func:`~repro.kernels.engine.spmm_bytes_per_block` /
-   :func:`~repro.kernels.engine.sddmm_bytes_per_block` formulas the engine
-   uses, so the two can never drift — for SDDMM a real streaming
-   intermediate; for SpMM, whose row-wise accumulate holds none, the dense
-   bytes a block touches, i.e. the figure sizes *work per shard task*), and
-4. snaps the resulting chunk target to the format's block-width histogram
+2. carves a workspace budget out of the remaining capacity
+   (:func:`repro.gpu.memory.derive_budget`),
+3. divides the workspace by the number of workers and by the dense bytes a
+   block touches (:func:`~repro.kernels.engine.spmm_bytes_per_block` /
+   :func:`~repro.kernels.engine.sddmm_bytes_per_block` — the figure sizes
+   *work per shard task*), and
+4. snaps the resulting shard target to the format's block-width histogram
    (:func:`repro.formats.stats.block_width_histogram`): shards are
    window-aligned, so a window with more blocks than the target becomes a
    shard of its own and the plan reports the true peak.
@@ -57,10 +56,10 @@ MAX_PLANNED_WORKERS = 8
 class ServePlan:
     """Derived execution configuration for one serving operation.
 
-    The three engine knobs (``workers``, ``block_chunk``,
-    ``max_intermediate_bytes``) are what :class:`FlashSparseConfig` and the
-    scheduler consume; the rest records how they were derived so tests and
-    operators can audit the plan against the device budget.
+    ``block_chunk`` (the shard size the server passes to its scheduler as
+    ``target_blocks``) and ``workers`` are what execution consumes; the
+    rest records how they were derived so tests and operators can audit
+    the plan against the device budget.
     """
 
     op: str
@@ -68,21 +67,20 @@ class ServePlan:
     workers: int
     #: Hosts the memory budget was divided across (1 = single machine).
     hosts: int
-    #: Window-aligned shard/chunk target in blocks (also the engine's
-    #: ``block_chunk``); ``None`` means one-shot.
+    #: Window-aligned shard size target in blocks; ``None`` means an even
+    #: split across the scheduler's workers.
     block_chunk: int | None
-    #: Per-run intermediate byte budget handed to the engine; ``None`` when
-    #: no budget applies (one-shot).
+    #: The workspace byte budget the shard size was divided out of; ``None``
+    #: when no budget applies.
     max_intermediate_bytes: int | None
-    #: Float32 bytes per block (engine formula): SDDMM's streaming
-    #: intermediate; for SpMM the dense bytes a block touches (shard sizing).
+    #: Float32 bytes of dense data one block touches (engine formula).
     bytes_per_block: int
     #: Total TC blocks of the operation.
     num_blocks: int
     #: Window-aligned shards the scheduler will dispatch.
     num_shards: int
-    #: Worst-case concurrent intermediate bytes under this plan (accounts
-    #: for windows larger than the chunk target, which cannot be split).
+    #: Worst-case dense bytes concurrently in work under this plan (accounts
+    #: for windows larger than the shard target, which cannot be split).
     expected_peak_bytes: int
     #: The device budget the plan was derived from (None with an explicit
     #: byte budget or no budget at all).
@@ -95,14 +93,6 @@ class ServePlan:
         if self.budget is None:
             return True
         return self.expected_peak_bytes <= self.budget.workspace_bytes
-
-    def config_kwargs(self) -> dict:
-        """The streaming knobs in :class:`FlashSparseConfig` keyword form."""
-        return {
-            "block_chunk": self.block_chunk,
-            "max_intermediate_bytes": self.max_intermediate_bytes,
-            "workers": self.workers,
-        }
 
 
 def _resolve_format(
@@ -221,7 +211,7 @@ def plan_spmm(
     max_intermediate_bytes: int | None = None,
     hosts: int = 1,
 ) -> ServePlan:
-    """Plan one SpMM: derive the streaming knobs from the device budget.
+    """Plan one SpMM: derive the shard size from the device budget.
 
     Parameters
     ----------
@@ -238,10 +228,9 @@ def plan_spmm(
         Worker override; defaults to ``min(cpu_count, 8)``, capped by the
         number of shards the budget produces.
     workspace_fraction:
-        Share of post-operand device memory granted to intermediates.
+        Share of post-operand device memory granted to work in flight.
     max_intermediate_bytes:
-        Explicit byte budget that bypasses the device derivation (the old
-        caller-supplied knob, kept for compatibility).
+        Explicit workspace byte budget that bypasses the device derivation.
     hosts:
         Worker hosts the budget is divided across (cluster serving); the
         per-host workspace share is ``workspace / hosts``.

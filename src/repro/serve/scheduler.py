@@ -1,10 +1,9 @@
 """Multi-process shard scheduler for one SpMM / SDDMM.
 
-PR 2's engine shards window-aligned chunk ranges across *threads*; this
-module is the next scale step the ROADMAP called for: the same window-
-aligned shards dispatched to a ``multiprocessing`` worker pool, so the
-per-shard batched matmuls run on separate cores regardless of whether the
-BLAS build releases the GIL for small GEMMs.
+One request is cut into window-aligned shards
+(:func:`repro.kernels.engine.window_aligned_ranges`) and the shards are
+dispatched to a ``multiprocessing`` worker pool, so they run on separate
+cores whatever the GIL does.
 
 Execution model
 ---------------
@@ -14,8 +13,9 @@ Execution model
   worker.  Workers write their shard's output rows directly into the shared
   output; shards are window-aligned, so no two workers ever touch the same
   rows and no locking is needed.
-* The **sparse shard slices** (block values, columns, window offsets) are
-  small and travel with each task through the pool's pickle channel; this
+* The **sparse shard slices** (the shard's lane entries: values, columns,
+  row offsets) are small and travel with each task through the pool's
+  pickle channel; this
   keeps workers stateless, so any worker can run any shard — the pool's
   internal queue is the work queue.
 * Each shard is retried ``retries`` times on failure; a shard that exhausts
@@ -28,10 +28,10 @@ Every shard runs its op's entry in the engine's shard table
 (:data:`repro.kernels.engine.SHARD_OPS`) —
 :func:`~repro.kernels.engine.spmm_shard_rows` /
 :func:`~repro.kernels.engine.sddmm_shard_values` over whole windows: whole
-output rows accumulated from their own entries, whole independent output
-blocks — which reproduces the single-process ``engine="batched"`` one-shot
-values bit-for-bit (see the engine module docstring).  The parity tests
-assert exact equality, not allclose.
+output rows accumulated from their own entries, sampled values computed
+from their own two dense rows — which reproduces the single-process
+``engine="batched"`` one-shot values bit-for-bit (see the engine module
+docstring).  The parity tests assert exact equality, not allclose.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ class ShardScheduler:
                     "shard": i,
                     "attempt": 1,
                     "fail_times": (inject_failures or {}).get(i, 0),
-                    "sliced": op.slice(fmt, r, group, indptr),
+                    "sliced": op.slice(fmt, r, indptr),
                     "params": params,
                     "operands": descs,
                     "out": out_desc,
@@ -398,11 +398,10 @@ class ShardScheduler:
 
         ``indptr`` is the mask's CSR row layout (the softmax segments);
         ``a_q`` / ``b_q`` are the SDDMM operands and ``x_q`` the SpMM dense
-        operand, all pre-quantised float32.  ``group`` is the SDDMM output
-        grouping (``VECTORS_PER_OUTPUT_BLOCK``).  Shards are cut on the
-        SpMM grouping's window offsets and each stage slices its own batch
-        at the same window bounds — the two groupings cover identical
-        windows, so the shard set is window-aligned for both.
+        operand, all pre-quantised float32.  Shards are cut on the SpMM
+        grouping's window offsets and all three stages run on the shard's
+        CSR entries; ``group`` (the SDDMM output grouping) only rides along
+        in the task, as it does on the cluster's ``layer_task`` frames.
 
         Returns ``(rows, stage_seconds)`` where ``stage_seconds`` sums each
         stage's wall clock across shards

@@ -1092,7 +1092,7 @@ class Server:
         self.metrics.record_batch(len(group))
         # One quantised concatenated operand → one engine pass.
         b_cat = np.concatenate([req.b for req in group], axis=1) if len(group) > 1 else group[0].b
-        b_q = quantize(b_cat, self.precision).astype(np.float32)
+        b_q = quantize(b_cat, self.precision)
         plan = self._plan_for(fmt, "spmm", n_total)
         out = self.scheduler.run_spmm(
             fmt,
@@ -1141,8 +1141,8 @@ class Server:
         fmt = cached_mebcrs(req.csr, self.precision, by_content=True)
         self.metrics.record_batch(1)
         k_dense = req.a.shape[1]
-        a_q = quantize(req.a, self.precision).astype(np.float32)
-        b_q = quantize(req.b, self.precision).astype(np.float32)
+        a_q = quantize(req.a, self.precision)
+        b_q = quantize(req.b, self.precision)
         plan = self._plan_for(fmt, "sddmm", k_dense)
         out_values = self.scheduler.run_sddmm(
             fmt,
@@ -1191,14 +1191,14 @@ class Server:
         widths = [req.x.shape[1] for req in group]
         n_total = sum(widths)
         self.metrics.record_batch(len(group))
-        a_q = quantize(lead.a, self.precision).astype(np.float32)
-        b_q = quantize(lead.b, self.precision).astype(np.float32)
+        a_q = quantize(lead.a, self.precision)
+        b_q = quantize(lead.b, self.precision)
         x_cat = (
             np.concatenate([req.x for req in group], axis=1)
             if len(group) > 1
             else lead.x
         )
-        x_q = quantize(x_cat, self.precision).astype(np.float32)
+        x_q = quantize(x_cat, self.precision)
         plan = self._plan_for(fmt, "spmm", n_total)
         out, stage_seconds = self.scheduler.run_layer(
             fmt,
@@ -1219,7 +1219,6 @@ class Server:
         n_vec = int(fmt.vector_values.shape[0])
         intermediate_bytes = (
             n_vec * fmt.vector_size * 4
-            + n_vec * 8
             + int(lead.csr.indptr.nbytes)
             + int(lead.csr.indices.nbytes)
             + int(lead.csr.nnz) * 4

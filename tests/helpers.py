@@ -32,6 +32,49 @@ def random_csr(
     return csr
 
 
+def csr_with_zero_valued_entries():
+    """``(csr, zeroed)``: a canonical CSR whose row 1 is four entries, of
+    which column 2 stores an explicit zero and column 5 a value that
+    underflows to zero in fp16 — the CSR entries ``zeroed``, which have no
+    nonzero lane in the translated format.  Row 7 and column 3 hold no
+    entry at all."""
+    rng = np.random.default_rng(33)
+    dense = rng.standard_normal((40, 36)) * (rng.random((40, 36)) < 0.15)
+    dense[[1, 7]], dense[:, 3] = 0.0, 0.0
+    dense[1, [0, 2, 5, 9]] = (1.5, 7.0, 1e-9, -2.0)
+    csr = CSRMatrix.from_dense(dense)
+    data = csr.data.copy()
+    lo = int(csr.indptr[1])
+    zeroed = lo + np.flatnonzero(np.isin(csr.indices[lo : csr.indptr[2]], (2, 5)))
+    data[zeroed[0]] = 0.0
+    return CSRMatrix(csr.indptr, csr.indices, data, csr.shape), zeroed
+
+
+def run_sharded(
+    op_name: str,
+    fmt,
+    operands,
+    params: dict,
+    group: int | None = None,
+    indptr=None,
+    shards: int = 1,
+    target_blocks: int | None = None,
+) -> np.ndarray:
+    """One request through the engine's shard table, in process: plan →
+    (slice → run → place) per window-aligned range — what every carrier
+    (pool, cluster, in-parent fallback) does, minus the carrier."""
+    from repro.kernels.engine import SHARD_OPS
+
+    op = SHARD_OPS[op_name]
+    ranges, out_shape = op.plan(fmt, operands, group, shards, target_blocks)
+    out = np.zeros(out_shape, dtype=np.float32)
+    for r in ranges:
+        sliced = op.slice(fmt, r, indptr)
+        outputs, _ = op.run(sliced, operands, params)
+        op.place(out, sliced, outputs)
+    return out
+
+
 def raw_frame(version: int, header: dict, buffers=(), n_bufs: int | None = None) -> bytes:
     """A wire frame written by hand: any version byte, array descriptors
     exactly as given in ``header["arrays"]`` (checksums only if the caller

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster.assembly import SddmmAssembly, SpmmAssembly
+from repro.cluster.assembly import SpmmAssembly
 from repro.cluster.errors import AssemblyError
 from repro.cluster.transport import (
     _BUF_LEN,
@@ -155,14 +155,17 @@ def test_assembly_suppresses_identical_duplicates_only():
     asm.add(1, 4, rows)
     np.testing.assert_array_equal(asm.result(), 1.0)
 
-    sasm = SddmmAssembly(out_shape=(6, 4), num_shards=1)
-    idx, vals = np.array([0, 2]), np.full((2, 4), 3.0, np.float32)
-    sasm.add(0, idx, vals)
-    sasm.add(0, idx.copy(), vals.copy())
+    # An SDDMM shard is a slab of ``vector_values`` rows: same class, same rule.
+    sasm = SpmmAssembly(6, 4, num_shards=1)
+    vals = np.full((2, 4), 3.0, np.float32)
+    sasm.add(0, 2, vals)
+    sasm.add(0, 2, vals.copy())
     assert sasm.duplicates_suppressed == 1
     with pytest.raises(AssemblyError, match="differing"):
-        sasm.add(0, idx, vals * 2)
-    np.testing.assert_array_equal(sasm.result()[[0, 2]], 3.0)
+        sasm.add(0, 2, vals * 2)
+    with pytest.raises(AssemblyError, match="differing"):
+        sasm.add(0, 3, vals)  # same content, different placement
+    np.testing.assert_array_equal(sasm.result()[2:4], 3.0)
 
 
 # --------------------------------------- worker malformed-input hardening

@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster.assembly import SddmmAssembly, SpmmAssembly
+from repro.cluster.assembly import SpmmAssembly
 from repro.cluster.errors import AssemblyError
 from repro.cluster.head import rendezvous_rank
 from repro.cluster.transport import (
@@ -161,23 +161,27 @@ def test_spmm_assembly_rejects_overlap_duplicate_and_missing():
 
 
 def test_sddmm_assembly_scatters_disjoint_vectors():
-    asm = SddmmAssembly(out_shape=(6, 8), num_shards=2)
-    asm.add(0, np.array([0, 2]), np.full((2, 8), 1.0, np.float32))
-    asm.add(1, np.array([1, 5]), np.full((2, 8), 2.0, np.float32))
+    """SDDMM shards place like SpMM's: each owns the contiguous run of
+    nonzero vectors ``window_ptr[w0]:window_ptr[w1]`` of ``vector_values``."""
+    asm = SpmmAssembly(6, 8, num_shards=2)  # out_shape = (vectors, v)
+    asm.add(1, 3, np.full((2, 8), 2.0, np.float32))  # arrival order is free
+    asm.add(0, 0, np.full((2, 8), 1.0, np.float32))
     out = asm.result()
-    np.testing.assert_array_equal(out[[0, 2]], 1.0)
-    np.testing.assert_array_equal(out[[1, 5]], 2.0)
-    np.testing.assert_array_equal(out[[3, 4]], 0.0)
+    np.testing.assert_array_equal(out[0:2], 1.0)
+    np.testing.assert_array_equal(out[3:5], 2.0)
+    np.testing.assert_array_equal(out[[2, 5]], 0.0)
 
 
 def test_sddmm_assembly_rejects_overlap_and_range():
-    asm = SddmmAssembly(out_shape=(6, 4), num_shards=2)
-    asm.add(0, np.array([0, 1]), np.ones((2, 4), np.float32))
+    asm = SpmmAssembly(6, 4, num_shards=2)
+    asm.add(0, 0, np.ones((2, 4), np.float32))
     with pytest.raises(AssemblyError):  # vector 1 written twice
-        asm.add(1, np.array([1, 3]), np.ones((2, 4), np.float32))
-    asm2 = SddmmAssembly(out_shape=(6, 4), num_shards=1)
-    with pytest.raises(AssemblyError):  # out-of-range scatter index
-        asm2.add(0, np.array([6]), np.ones((1, 4), np.float32))
+        asm.add(1, 1, np.ones((2, 4), np.float32))
+    asm2 = SpmmAssembly(6, 4, num_shards=1)
+    with pytest.raises(AssemblyError):  # slab starts past the last vector
+        asm2.add(0, 6, np.ones((1, 4), np.float32))
+    with pytest.raises(AssemblyError):  # slab of the wrong vector size
+        asm2.add(0, 0, np.ones((1, 8), np.float32))
 
 
 # ---------------------------------------------------------------- rendezvous

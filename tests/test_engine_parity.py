@@ -161,27 +161,22 @@ def test_unknown_engine_rejected():
 
 
 def test_blocks_as_arrays_matches_per_block_accessors():
+    """The block index numbers exactly the blocks the per-block accessors
+    walk: storage order, window by window, for either grouping."""
     csr = random_csr(70, 50, 0.08, seed=21)
     fmt = MEBCRSMatrix.from_csr(csr, precision="fp16")
     batch = fmt.blocks_as_arrays()
-    assert batch.num_blocks == fmt.num_tc_blocks
+    assert batch.group == fmt.k and batch.num_blocks == fmt.num_tc_blocks
+    assert batch.window_offsets.shape == (fmt.num_windows + 1,)
     b = 0
     for w in range(fmt.num_windows):
-        for blk in range(fmt.window_blocks(w)):
-            cols = fmt.block_columns(w, blk)
-            values = fmt.block_values(w, blk)
-            width = cols.shape[0]
-            assert batch.window_of_block[b] == w
-            assert batch.widths[b] == width
-            np.testing.assert_array_equal(batch.columns[b, :width], cols)
-            np.testing.assert_allclose(
-                batch.values[b, :, :width], np.asarray(values, dtype=np.float32)
-            )
-            # Padded lanes are zero-filled, exactly like the loop's registers.
-            assert not batch.lane_valid[b, width:].any()
-            assert not batch.values[b, :, width:].any()
-            b += 1
-    assert b == batch.num_blocks
+        assert batch.window_offsets[w] == b
+        b += len(list(fmt.iter_window_blocks(w)))
+    assert batch.window_offsets[-1] == b == batch.num_blocks
+    wide = fmt.blocks_as_arrays(16)
+    np.testing.assert_array_equal(
+        np.diff(wide.window_offsets), fmt.partition.tc_blocks_per_window(16)
+    )
 
 
 def test_blocks_as_arrays_is_cached_per_group():
@@ -203,6 +198,11 @@ def test_lanes_as_csr_matches_per_block_accessors(fmt_cls):
     v = fmt.vector_size
     assert lanes.row_offsets.shape == (fmt.num_windows * v + 1,)
     assert lanes.row_offsets[-1] == lanes.values.shape[0] == csr.nnz
+    # ``slot`` is each entry's flat position in ``vector_values``.
+    flat = np.asarray(fmt.vector_values, dtype=np.float32).reshape(-1)
+    np.testing.assert_array_equal(flat[lanes.slot], lanes.values)
+    assert np.unique(lanes.slot).shape == lanes.slot.shape == (np.count_nonzero(flat),)
+    np.testing.assert_array_equal(fmt.partition.vector_cols[lanes.slot // v], lanes.columns)
     for w in range(fmt.num_windows):
         blocks = list(fmt.iter_window_blocks(w))
         cols = np.concatenate([c for c, _ in blocks]) if blocks else np.zeros(0, dtype=np.int32)

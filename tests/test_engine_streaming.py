@@ -1,11 +1,11 @@
-"""Memory-bounded streaming parity of the batched execution engine.
+"""Chunk and shard parity of the batched execution engine.
 
-The contract: for every ``block_chunk`` (including pathological values),
-``max_intermediate_bytes`` budget and ``workers`` count, the engine produces
-values **bit-identical** to the one-shot batched run (SpMM accumulates every
-output row from its own entries, SDDMM output blocks are independent) and
-*exactly* the same ``CostCounter`` state — chunking is an execution detail
-neither the numerics nor the cost model ever see.
+The contract: for every SDDMM entry-chunk size (a private constant, patched
+here — including pathological values) and every window-aligned shard cut
+(shard size in blocks, shard count), the engine produces values
+**bit-identical** to the one-shot batched run (SpMM accumulates every output
+row from its own entries, SDDMM computes every entry from its own two dense
+rows) and the closed-form ``CostCounter`` never sees either.
 """
 
 from __future__ import annotations
@@ -13,20 +13,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_csr
+from helpers import random_csr, run_sharded
 
-from repro.core.api import sddmm, spmm
 from repro.formats.mebcrs import MEBCRSMatrix
+from repro.formats.sgt16 import SGT16Matrix
+from repro.kernels import engine
 from repro.kernels.common import FlashSparseConfig
-from repro.kernels.engine import resolve_block_chunk, spmm_batched
-from repro.kernels.sddmm_flash import sddmm_flash_execute
+from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK, sddmm_flash_execute
 from repro.kernels.spmm_flash import spmm_flash_execute
 from repro.kernels.spmm_tcu16 import spmm_tcu16_execute
+from repro.precision.types import quantize
+from repro.serve.planner import plan_spmm
 
-#: The ISSUE's chunk grid: one block, a prime that straddles window
-#: boundaries, an exact multiple of typical window block counts, and a
-#: value larger than any test matrix's block count.
+#: One block / entry, a prime that straddles window boundaries, an exact
+#: multiple of typical window block counts, and a value larger than any
+#: test matrix's block or entry count.  Read as the shard size in blocks
+#: and, for SDDMM, also as the entry-chunk size.
 CHUNKS = (1, 7, 16, 10_000)
+#: Shard counts (the ``workers`` a carrier would split the request for).
 WORKERS = (1, 4)
 
 
@@ -39,28 +43,47 @@ def _fmt_and_operands(seed=4, n=33):
     return csr, fmt, a, b
 
 
+def _sharded_spmm(fmt, b, precision="fp16", **cut):
+    """``A @ B`` through the shard table under the cut ``shards=`` / ``target_blocks=``."""
+    return run_sharded("spmm", fmt, [quantize(b, precision)], {"precision": precision}, **cut)
+
+
+def _chunk_entries(monkeypatch, entries: int, k_dense: int) -> None:
+    """Make the SDDMM core gather ``entries`` entries per chunk."""
+    monkeypatch.setattr(engine, "_ENTRY_CHUNK_BYTES", entries * 8 * k_dense)
+
+
 @pytest.mark.parametrize("block_chunk", CHUNKS)
 @pytest.mark.parametrize("workers", WORKERS)
 def test_spmm_chunked_matches_one_shot(block_chunk, workers):
-    csr, fmt, _, b = _fmt_and_operands()
+    _, fmt, _, b = _fmt_and_operands()
     base = spmm_flash_execute(fmt, b, FlashSparseConfig(precision="fp16"))
-    cfg = FlashSparseConfig(precision="fp16", block_chunk=block_chunk, workers=workers)
-    res = spmm_flash_execute(fmt, b, cfg)
-    np.testing.assert_array_equal(res.values, base.values)
-    assert res.counter.as_dict() == base.counter.as_dict()
-    assert res.meta["engine"] == "batched"
+    out = _sharded_spmm(fmt, b, shards=workers, target_blocks=block_chunk)
+    np.testing.assert_array_equal(out, base.values)
+    assert base.meta["engine"] == "batched"
 
 
 @pytest.mark.parametrize("block_chunk", CHUNKS)
 @pytest.mark.parametrize("workers", WORKERS)
-def test_sddmm_chunked_is_bit_identical(block_chunk, workers):
-    """SDDMM blocks are independent: streaming must be bit-exact."""
-    csr, fmt, a, b = _fmt_and_operands()
+def test_sddmm_chunked_is_bit_identical(block_chunk, workers, monkeypatch):
+    """Entries are independent: any entry chunk, alone or under any shard
+    cut, must be bit-exact — and invisible to the cost counter."""
+    _, fmt, a, b = _fmt_and_operands()
     base = sddmm_flash_execute(fmt, a, b, FlashSparseConfig(precision="fp16"))
-    cfg = FlashSparseConfig(precision="fp16", block_chunk=block_chunk, workers=workers)
-    res = sddmm_flash_execute(fmt, a, b, cfg)
+    _chunk_entries(monkeypatch, block_chunk, a.shape[1])
+    res = sddmm_flash_execute(fmt, a, b, FlashSparseConfig(precision="fp16"))
     np.testing.assert_array_equal(res.output.vector_values, base.output.vector_values)
     assert res.counter.as_dict() == base.counter.as_dict()
+    out = run_sharded(
+        "sddmm",
+        fmt,
+        [quantize(a, "fp16"), quantize(b, "fp16")],
+        {"precision": "fp16", "scale_by_mask": False},
+        group=VECTORS_PER_OUTPUT_BLOCK,
+        shards=workers,
+        target_blocks=block_chunk,
+    )
+    np.testing.assert_array_equal(out, base.output.vector_values)
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -68,98 +91,56 @@ def test_spmm_tcu16_chunked_parity(workers):
     csr = random_csr(200, 190, 0.06, seed=9)
     b = np.random.default_rng(9).standard_normal((190, 17))
     base = spmm_tcu16_execute(csr, b, FlashSparseConfig(precision="tf32", swap_and_transpose=False))
-    cfg = FlashSparseConfig(
-        precision="tf32", swap_and_transpose=False, block_chunk=3, workers=workers
-    )
-    res = spmm_tcu16_execute(csr, b, cfg)
-    np.testing.assert_array_equal(res.values, base.values)
-    assert res.counter.as_dict() == base.counter.as_dict()
+    fmt = SGT16Matrix.from_csr(csr, precision="tf32")
+    out = _sharded_spmm(fmt, b, "tf32", shards=workers, target_blocks=3)
+    np.testing.assert_array_equal(out, base.values)
 
 
 def test_max_intermediate_bytes_budget_streams_and_agrees():
-    csr, fmt, _, b = _fmt_and_operands()
+    """A byte budget reaches the engine as the planner's shard size."""
+    _, fmt, _, b = _fmt_and_operands()
     base = spmm_flash_execute(fmt, b, FlashSparseConfig(precision="fp16"))
-    cfg = FlashSparseConfig(precision="fp16", max_intermediate_bytes=40_000)
-    res = spmm_flash_execute(fmt, b, cfg)
-    np.testing.assert_array_equal(res.values, base.values)
-    assert res.counter.as_dict() == base.counter.as_dict()
-    # The derived chunk honours the budget: chunk * bytes_per_block <= budget
-    # (with the one-block floor when the budget is below a single block).
-    v, group, n = fmt.vector_size, fmt.k, b.shape[1]
-    bytes_per_block = (v + group) * n * 4
-    chunk = resolve_block_chunk(fmt.num_tc_blocks, bytes_per_block, None, 40_000)
-    assert 1 <= chunk < fmt.num_tc_blocks
-    assert chunk * bytes_per_block <= 40_000
-
-
-def test_resolve_block_chunk_precedence_and_floors():
-    assert resolve_block_chunk(100, 1000, None, None) == 100  # one-shot
-    assert resolve_block_chunk(100, 1000, 7, 5) == 7  # explicit chunk wins
-    assert resolve_block_chunk(100, 1000, None, 5) == 1  # floored at one block
-    assert resolve_block_chunk(100, 1000, None, 3500) == 3
-    assert resolve_block_chunk(0, 1000, None, None) == 1  # degenerate batch
-    # The byte budget bounds the *run*, not each thread: K workers hold K
-    # chunks concurrently, so the per-chunk share shrinks by K.
-    assert resolve_block_chunk(100, 1000, None, 8000, workers=4) == 2
-    assert resolve_block_chunk(100, 1000, None, 8000, workers=1) == 8
+    plan = plan_spmm(fmt, b.shape[1], max_intermediate_bytes=40_000)
+    # The derived shard honours the budget: chunk * bytes_per_block <= budget.
+    assert 1 <= plan.block_chunk < fmt.num_tc_blocks
+    assert plan.block_chunk * plan.bytes_per_block <= 40_000
+    out = _sharded_spmm(fmt, b, target_blocks=plan.block_chunk)
+    np.testing.assert_array_equal(out, base.values)
 
 
 def test_workers_only_sharding_matches_one_shot():
-    """workers > 1 with no chunk knob still shards (chunk = n_blocks)."""
-    csr, fmt, _, b = _fmt_and_operands(seed=11)
+    """A shard count with no shard size still shards (an even split)."""
+    _, fmt, _, b = _fmt_and_operands(seed=11)
     base = spmm_flash_execute(fmt, b, FlashSparseConfig(precision="fp16"))
-    res = spmm_flash_execute(fmt, b, FlashSparseConfig(precision="fp16", workers=4))
-    np.testing.assert_array_equal(res.values, base.values)
-    assert res.counter.as_dict() == base.counter.as_dict()
+    out = _sharded_spmm(fmt, b, shards=4)
+    np.testing.assert_array_equal(out, base.values)
 
 
-def test_streaming_handles_empty_and_degenerate_matrices():
+def test_streaming_handles_empty_and_degenerate_matrices(monkeypatch):
+    _chunk_entries(monkeypatch, 1, 5)
+    cfg = FlashSparseConfig(precision="fp16")
     empty = MEBCRSMatrix.from_csr(
         random_csr(24, 18, 0.0, ensure_nonempty=False, seed=1), precision="fp16"
     )
     b = np.ones((18, 5))
-    cfg = FlashSparseConfig(precision="fp16", block_chunk=1, workers=4)
-    res = spmm_flash_execute(empty, b, cfg)
-    assert not res.values.any()
+    assert not spmm_flash_execute(empty, b, cfg).values.any()
+    assert sddmm_flash_execute(empty, np.ones((24, 5)), b, cfg).output.vector_values.shape == (0, 8)
+    params = {"precision": "fp16", "scale_by_mask": False}
+    assert not _sharded_spmm(empty, b, shards=4).any()
+    assert run_sharded(
+        "sddmm", empty, [np.ones((24, 5), np.float32), quantize(b, "fp16")], params, group=16
+    ).shape == (0, 8)
 
-    single = random_csr(11, 9, 0.0, ensure_nonempty=True, seed=1)  # one nonzero
-    res = spmm_flash_execute(single, np.ones((9, 3)), cfg)
-    base = spmm_flash_execute(single, np.ones((9, 3)), FlashSparseConfig(precision="fp16"))
-    np.testing.assert_array_equal(res.values, base.values)
-
-
-def test_api_level_streaming_knobs():
-    csr, _, a, b = _fmt_and_operands(seed=21)
-    base = spmm(csr, b)
-    res = spmm(csr, b, block_chunk=5, workers=2)
-    np.testing.assert_array_equal(res.values, base.values)
-    assert res.counter.as_dict() == base.counter.as_dict()
-
-    sbase = sddmm(csr, a, b)
-    sres = sddmm(csr, a, b, max_intermediate_bytes=30_000, workers=2)
-    np.testing.assert_array_equal(
-        sres.output.vector_values, sbase.output.vector_values
+    single = MEBCRSMatrix.from_csr(
+        random_csr(11, 9, 0.0, ensure_nonempty=True, seed=1), precision="fp16"
+    )  # one nonzero
+    ones = np.ones((9, 3), np.float32)
+    base = spmm_flash_execute(single, ones, cfg)
+    out = _sharded_spmm(single, ones, shards=4, target_blocks=1)
+    np.testing.assert_array_equal(out, base.values)
+    sbase = sddmm_flash_execute(single, np.ones((11, 3)), ones, cfg)
+    sout = run_sharded(
+        "sddmm", single, [np.ones((11, 3), np.float32), ones], params, group=16, shards=4
     )
-    assert sres.counter.as_dict() == sbase.counter.as_dict()
-
-
-def test_streaming_knob_validation():
-    with pytest.raises(ValueError):
-        FlashSparseConfig(block_chunk=0)
-    with pytest.raises(ValueError):
-        FlashSparseConfig(max_intermediate_bytes=0)
-    with pytest.raises(ValueError):
-        FlashSparseConfig(workers=0)
-
-
-def test_spmm_batched_streaming_direct_call():
-    """Engine-level call with every knob combined (chunk + budget + workers)."""
-    csr, fmt, _, b = _fmt_and_operands(seed=31)
-    b_q = np.asarray(b, dtype=np.float32)
-    from repro.precision.types import Precision
-
-    base = spmm_batched(fmt, b_q, Precision.FP16)
-    streamed = spmm_batched(
-        fmt, b_q, Precision.FP16, block_chunk=2, max_intermediate_bytes=999, workers=3
-    )
-    np.testing.assert_array_equal(streamed, base)
+    np.testing.assert_array_equal(sout, sbase.output.vector_values)
+    assert np.count_nonzero(sout) == 1

@@ -14,10 +14,12 @@ from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
 from repro.kernels.common import FlashSparseConfig
 from repro.kernels.sddmm_flash import sddmm_flash_cost, sddmm_flash_execute
+from repro.kernels.sddmm_tcu16 import sddmm_tcu16_execute
 from repro.kernels.spmm_flash import spmm_flash_cost, spmm_flash_execute
 from repro.kernels.spmm_tcu16 import spmm_tcu16_execute
+from repro.serve.program import gather_edge_values
 
-from helpers import random_csr
+from helpers import csr_with_zero_valued_entries, random_csr
 
 
 def _check_spmm(csr, n_dense, precision="fp16", seed=0):
@@ -190,3 +192,62 @@ def test_non_finite_row_of_b_behind_an_unreferenced_column_stays_out():
         assert np.isfinite(batched).all()
         np.testing.assert_allclose(batched, reference, rtol=1e-5, atol=1e-4)
         np.testing.assert_allclose(batched, expected, rtol=5e-2, atol=5e-2)
+
+
+def test_sddmm_is_exactly_zero_at_stored_zeros_and_fp16_underflow():
+    """SDDMM's mask is the stored value: an entry the format holds as zero
+    samples nothing, under either engine and with or without scaling."""
+    csr, zeroed = csr_with_zero_valued_entries()
+    rng = np.random.default_rng(34)
+    a, b = rng.standard_normal((40, 12)) + 3.0, rng.standard_normal((36, 12)) + 3.0
+    for execute, swap in ((sddmm_flash_execute, True), (sddmm_tcu16_execute, False)):
+        for engine in ("batched", "reference"):
+            for scale_by_mask in (False, True):
+                cfg = FlashSparseConfig(precision="fp16", swap_and_transpose=swap, engine=engine)
+                out = execute(csr, a, b, cfg, scale_by_mask=scale_by_mask).output
+                edges = gather_edge_values(out.partition, csr.indptr, out.vector_values)
+                assert (edges[zeroed] == 0.0).all()
+                assert np.count_nonzero(edges) == csr.nnz - 2
+
+
+def test_non_finite_dense_rows_nothing_references_stay_out_of_sddmm():
+    """The SDDMM siblings of the SpMM poisoning test: a row of A behind an
+    empty sparse row and a row of B behind an empty sparse column are never
+    gathered, so ``0 · inf`` cannot reach a sampled value."""
+    rng = np.random.default_rng(22)
+    dense = rng.standard_normal((64, 64)) * (rng.random((64, 64)) < 0.1)
+    dense[:, 0] = 0.0
+    dense[5] = 0.0
+    csr = CSRMatrix.from_dense(dense)
+    a, b = rng.standard_normal((64, 6)), rng.standard_normal((64, 6))
+    a[5] = (np.inf, -np.inf, np.nan, np.inf, 0.0, 1.0)
+    b[0] = (np.nan, np.inf, -np.inf, 1.0, 0.0, np.inf)
+    rows, cols = csr.to_scipy().nonzero()
+    expected = np.einsum("ek,ek->e", a[rows], b[cols])
+    assert np.isfinite(expected).all()
+    for execute, swap in ((sddmm_flash_execute, True), (sddmm_tcu16_execute, False)):
+        cfg = dict(precision="fp16", swap_and_transpose=swap)
+        batched = execute(csr, a, b, FlashSparseConfig(**cfg)).output
+        with np.errstate(invalid="ignore"):  # the per-MMA loop multiplies whole tiles
+            reference = execute(csr, a, b, FlashSparseConfig(engine="reference", **cfg)).output
+        assert np.isfinite(batched.vector_values).all()
+        np.testing.assert_allclose(
+            batched.vector_values, reference.vector_values, rtol=1e-5, atol=1e-4
+        )
+        edges = gather_edge_values(batched.partition, csr.indptr, batched.vector_values)
+        np.testing.assert_allclose(edges, expected, rtol=5e-2, atol=5e-2)
+
+
+@pytest.mark.parametrize("fmt_cls", [MEBCRSMatrix, SGT16Matrix])
+def test_block_index_matches_partition_block_widths(fmt_cls):
+    """``blocks_as_arrays(g)`` is the index the shard cut and the benchmark
+    read: its count and window offsets are ``block_widths(g)``'s."""
+    fmt = fmt_cls.from_csr(random_csr(70, 50, 0.08, seed=21), precision="fp16")
+    for group in (fmt.k, 16):
+        widths, _, first_block = fmt.partition.block_widths(group)
+        index = fmt.blocks_as_arrays(group)
+        assert index.num_blocks == widths.shape[0]
+        np.testing.assert_array_equal(index.window_offsets, first_block)
+    assert fmt.blocks_as_arrays().group == fmt.k
+    with pytest.raises(ValueError):
+        fmt.blocks_as_arrays(0)

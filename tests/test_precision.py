@@ -97,6 +97,7 @@ def test_quantize_preserves_shape(rng):
     x = rng.standard_normal((7, 5, 3))
     for p in ("fp16", "tf32", "fp32"):
         assert quantize(x, p).shape == x.shape
+        assert quantize(x, p).dtype == np.float32  # call sites rely on it: no second cast
 
 
 def test_quantize_error_ordering(rng):

@@ -1,7 +1,11 @@
 """Property-based tests for the kernels and the memory/MMA substrate."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
+
+from helpers import run_sharded
 
 from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
@@ -13,11 +17,14 @@ from repro.gpu.mma import (
     mma_execute_swapped,
 )
 from repro.kernels.common import FlashSparseConfig
-from repro.kernels.engine import SHARD_OPS, spmm_batched, window_aligned_ranges
+from repro.kernels import engine
+from repro.kernels.engine import sddmm_batched, spmm_batched
 from repro.kernels.sddmm_flash import sddmm_flash_cost, sddmm_flash_execute
 from repro.kernels.spmm_flash import spmm_flash_cost, spmm_flash_execute
-from repro.kernels.spmm_tcu16 import spmm_tcu16_cost, spmm_tcu16_execute
+from repro.kernels.spmm_tcu16 import spmm_tcu16_cost
+from repro.ops import segment_softmax
 from repro.precision.types import Precision, quantize
+from repro.serve.program import attention_csr, gather_edge_values
 
 from test_property_formats import sparse_matrices
 
@@ -101,31 +108,64 @@ def test_counters_are_internally_consistent(matrix, n_dense):
 
 
 # ---------------------------------------------------------------------------
-# The SpMM engine's three independences: every output row is accumulated from
-# its own entries only and every output column from its own column of B, so
-# any shard cut, any operand coalescing and any streaming knob must be
-# bit-identical to the one-shot run — not merely close.
+# The engine's independences: every SpMM output row is accumulated from its
+# own entries only and every output column from its own column of B; every
+# SDDMM entry is computed from its own two dense rows only.  So any shard
+# cut, any operand coalescing and any entry chunk must be bit-identical to
+# the one-shot run — not merely close.
 # ---------------------------------------------------------------------------
 WIDTHS = (1, 7, 16, 33)
+K_DENSE = (1, 7, 32, 33)
 
 
 @st.composite
-def spmm_cases(draw):
-    """(format, precision, quantised B of all WIDTHS side by side) over a
-    random CSR with empty windows, a partial tail window and one hub window,
-    in fp16 / tf32 and vector size 8 / 16."""
+def blocked_formats(draw):
+    """``(rng, csr, fmt, precision)`` over a random CSR with empty windows, a
+    partial tail window, one hub window and a few values that underflow to
+    zero in fp16 (a CSR entry without a lane), in fp16 / tf32 and vector
+    size 8 / 16."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
     n_rows = 16 * int(rng.integers(4, 8)) + int(rng.integers(1, 16))  # tail window
     n_cols = int(rng.integers(20, 120))
     dense = rng.standard_normal((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.06)
     dense[16:48] = 0.0  # empty windows at either vector size
     dense[:3] = rng.standard_normal((3, n_cols))  # hub: every column is a vector
+    dense[rng.random((n_rows, n_cols)) < 0.05] *= 1e-9
     csr = CSRMatrix.from_dense(dense)
     precision = Precision(draw(st.sampled_from(["fp16", "tf32"])))
     fmt_cls = draw(st.sampled_from([MEBCRSMatrix, SGT16Matrix]))
-    fmt = fmt_cls.from_csr(csr, precision=precision)
-    b_q = quantize(rng.standard_normal((n_cols, sum(WIDTHS))), precision)
+    return rng, csr, fmt_cls.from_csr(csr, precision=precision), precision
+
+
+@st.composite
+def spmm_cases(draw):
+    """(csr, format, precision, quantised B of all WIDTHS side by side)."""
+    rng, csr, fmt, precision = draw(blocked_formats())
+    b_q = quantize(rng.standard_normal((csr.shape[1], sum(WIDTHS))), precision)
     return csr, fmt, precision, b_q
+
+
+@st.composite
+def layer_cases(draw):
+    """(csr, format, shard params, quantised [A, B, X]) for one K of K_DENSE."""
+    rng, csr, fmt, precision = draw(blocked_formats())
+    k = draw(st.sampled_from(K_DENSE))
+    operands = [
+        quantize(rng.standard_normal(shape), precision)
+        for shape in ((csr.shape[0], k), (csr.shape[1], k), (csr.shape[1], 5))
+    ]
+    params = {"precision": precision.value, "scale": 0.5, "scale_by_mask": draw(st.booleans())}
+    return csr, fmt, params, operands
+
+
+def _layer_composed(csr, fmt, params, operands):
+    """The fused layer as its three one-shot kernels."""
+    a_q, b_q, x_q = operands
+    scores = sddmm_batched(fmt, a_q, b_q, params["scale_by_mask"])
+    logits = gather_edge_values(fmt.partition, csr.indptr, scores) * np.float32(params["scale"])
+    attention = attention_csr(csr, segment_softmax(logits, csr.indptr))
+    precision = Precision(params["precision"])
+    return spmm_batched(type(fmt).from_csr(attention, precision=precision), x_q, precision)
 
 
 def _panels(b_q):
@@ -140,14 +180,10 @@ def _panels(b_q):
 @given(case=spmm_cases(), target=st.integers(min_value=1, max_value=60))
 def test_spmm_any_window_aligned_cut_is_bit_identical_to_one_shot(case, target):
     _, fmt, precision, b_q = case
-    op = SHARD_OPS["spmm"]
-    ranges = window_aligned_ranges(fmt.blocks_as_arrays().window_offsets, target)
     for _, _, panel in _panels(b_q):
-        out = np.zeros((fmt.shape[0], panel.shape[1]), dtype=np.float32)
-        for r in ranges:
-            sliced = op.slice(fmt, r, None, None)
-            outputs, _ = op.run(sliced, (panel,), {"precision": precision.value})
-            op.place(out, sliced, outputs)
+        out = run_sharded(
+            "spmm", fmt, [panel], {"precision": precision.value}, target_blocks=target
+        )
         np.testing.assert_array_equal(out, spmm_batched(fmt, panel, precision))
 
 
@@ -163,21 +199,31 @@ def test_spmm_columns_do_not_depend_on_their_neighbours(case):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(
-    case=spmm_cases(),
-    block_chunk=st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
-    workers=st.integers(min_value=1, max_value=4),
-)
-def test_spmm_streaming_knobs_are_bit_identical_to_one_shot(case, block_chunk, workers):
-    csr, fmt, precision, b_q = case
-    if isinstance(fmt, MEBCRSMatrix):
-        execute, cfg = spmm_flash_execute, {"precision": precision}
-    else:
-        execute, cfg = spmm_tcu16_execute, {"precision": precision, "swap_and_transpose": False}
-    for _, _, panel in _panels(b_q):
-        base = execute(csr, panel, FlashSparseConfig(**cfg))
-        knobbed = execute(
-            csr, panel, FlashSparseConfig(block_chunk=block_chunk, workers=workers, **cfg)
-        )
-        np.testing.assert_array_equal(knobbed.values, base.values)
-        assert knobbed.counter.as_dict() == base.counter.as_dict()
+@given(case=layer_cases(), target=st.integers(min_value=1, max_value=60))
+def test_sddmm_and_layer_any_window_aligned_cut_is_bit_identical_to_one_shot(case, target):
+    csr, fmt, params, operands = case
+    scores = run_sharded("sddmm", fmt, operands[:2], params, group=16, target_blocks=target)
+    np.testing.assert_array_equal(scores, sddmm_batched(fmt, *operands[:2], params["scale_by_mask"]))
+    rows = run_sharded("layer", fmt, operands, params, indptr=csr.indptr, target_blocks=target)
+    np.testing.assert_array_equal(rows, _layer_composed(csr, fmt, params, operands))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=layer_cases())
+def test_sddmm_and_layer_entry_chunk_is_bit_identical_to_one_shot(case):
+    """The chunk is cache sizing only: one entry, seven entries or
+    everything per gather compute the same bits."""
+    csr, fmt, params, operands = case
+    k = operands[0].shape[1]
+    results = []
+    for entries in (1, 7, 1 << 30):
+        with mock.patch.object(engine, "_ENTRY_CHUNK_BYTES", entries * 8 * k):
+            results.append(
+                (
+                    sddmm_batched(fmt, *operands[:2], params["scale_by_mask"]),
+                    run_sharded("layer", fmt, operands, params, indptr=csr.indptr),
+                )
+            )
+    for scores, rows in results[1:]:
+        np.testing.assert_array_equal(scores, results[0][0])
+        np.testing.assert_array_equal(rows, results[0][1])

@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_csr
+from helpers import csr_with_zero_valued_entries, random_csr
 
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
@@ -146,6 +146,32 @@ def test_served_fused_and_composed_are_bit_identical_with_equal_opstats():
         assert snap.round_trips_saved == 2
         assert snap.operand_bytes_saved > 0
         assert snap.requests_completed == 4
+
+
+def test_fused_layer_matches_composition_at_zero_valued_and_unreferenced_entries():
+    """The softmax runs over CSR entries, SDDMM over nonzero lanes: a stored
+    zero and an fp16 underflow still get logit ``0 · scale`` and a share of
+    the attention, fused exactly as composed — and a non-finite row of A / B
+    / X behind a row / column no entry references reaches neither."""
+    csr, zeroed = csr_with_zero_valued_entries()  # row 7, column 3: no entry
+    assert (csr.data[zeroed].astype(np.float16) == 0).all()
+    rng = np.random.default_rng(35)
+    a, b, x = (rng.standard_normal(shape) for shape in ((40, 10), (36, 10), (36, 6)))
+    a[7] = np.nan
+    b[3], x[3] = np.inf, -np.inf
+    with Server(workers=2) as srv:
+        for scale, by_mask in ((0.7, False), (None, True)):
+            outs = {
+                mode: ServedBackend(server=srv, adjacency=csr, mode=mode).attention_layer(
+                    a, b, x, scale=scale, scale_by_mask=by_mask
+                )
+                for mode in SERVED_MODES
+            }
+            np.testing.assert_array_equal(outs["fused"], outs["composed"])
+            assert np.isfinite(outs["fused"]).all()
+            # Row 1 spreads its attention over all four stored entries.
+            weights = np.linalg.lstsq(x[[0, 2, 5, 9]].T, outs["fused"][1], rcond=None)[0]
+            assert (weights > 0.01).all()
 
 
 def test_layer_priority_and_deadline_semantics_match_kernel_requests():

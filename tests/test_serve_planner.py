@@ -1,11 +1,12 @@
-"""Planner: GPUSpec memory budget → streaming knobs, enforced by tracemalloc.
+"""Planner: GPUSpec memory budget → shard size, enforced by tracemalloc.
 
-The contract: the planner replaces the caller-supplied ``block_chunk`` /
-``max_intermediate_bytes`` / ``workers`` knobs with values derived from the
-device's declared memory capacity and the format's block histogram, the
-derived configuration never exceeds the budget (asserted here with
-tracemalloc against a deliberately tiny budget), and planned runs produce
-the same values and exactly the same cost counters as unplanned runs.
+The contract: the planner derives the served shard size
+(``ServePlan.block_chunk``), the workspace it was cut from
+(``max_intermediate_bytes``) and the worker count from the device's
+declared memory capacity and the format's block histogram, a shard task of
+the derived size never exceeds the budget (asserted here with tracemalloc
+against a deliberately tiny budget), and planned runs produce the same
+values and exactly the same cost counters as unplanned runs.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from repro.core.api import FlashSparseMatrix, spmm
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.gpu.device import RTX4090, GPUSpec
 from repro.gpu.memory import MemoryBudget, derive_budget
-from repro.kernels.common import FlashSparseConfig
-from repro.kernels.engine import spmm_batched, spmm_bytes_per_block
-from repro.precision.types import Precision
+from repro.kernels.engine import SHARD_OPS, spmm_bytes_per_block
+from repro.serve import Server
 from repro.serve.planner import plan_sddmm, plan_spmm
 
 
@@ -100,25 +100,21 @@ def test_planned_run_matches_unplanned_values_and_counters():
     b = rng.standard_normal((380, 48))
     base = spmm(csr, b)
     resident = plan_spmm(csr, 48).meta["resident_bytes"]
-    plan = plan_spmm(csr, 48, device=_tiny_device(resident + 3_000_000), workers=1)
-    res = spmm(csr, b, plan=plan)
-    np.testing.assert_allclose(res.values, base.values, atol=1e-4, rtol=1e-5)
+    # A served request runs under the plan its server derives for the device.
+    with Server(device=_tiny_device(resident + 3_000_000), workers=1) as server:
+        res = server.submit_spmm(csr, b).result()
+    assert res.meta["plan"].num_shards >= 2  # the budget actually split the run
+    np.testing.assert_array_equal(res.values, base.values)
     assert res.counter.as_dict() == base.counter.as_dict()
-    # Explicit caller knobs beat the plan.
-    res2 = spmm(csr, b, plan=plan, block_chunk=1)
-    np.testing.assert_allclose(res2.values, base.values, atol=1e-4, rtol=1e-5)
 
 
-def test_config_from_plan_and_matrix_integration():
+def test_matrix_plan_integration():
     m = FlashSparseMatrix.from_scipy(random_csr(128, 128, 0.08, seed=6).to_scipy())
     assert m.content_key() == m.csr.content_key()
     plan = m.plan(32, op="spmm", max_intermediate_bytes=50_000)
-    config = FlashSparseConfig.from_plan(plan)
-    assert config.max_intermediate_bytes == plan.max_intermediate_bytes
-    assert config.workers == plan.workers
-    assert config.block_chunk == plan.block_chunk
-    ref = FlashSparseConfig.from_plan(plan, engine="reference")
-    assert ref.engine == "reference"
+    assert plan == plan_spmm(m.csr, 32, max_intermediate_bytes=50_000)
+    assert plan.max_intermediate_bytes == 50_000
+    assert plan.block_chunk * plan.bytes_per_block <= 50_000
     sp = m.plan(16, op="sddmm")
     assert sp.op == "sddmm"
     with pytest.raises(ValueError):
@@ -126,8 +122,8 @@ def test_config_from_plan_and_matrix_integration():
 
 
 def test_planner_budget_enforced_by_tracemalloc():
-    """The acceptance gate: a planned run's peak allocation stays within the
-    declared budget; an unplanned one-shot run blows far past it."""
+    """The acceptance gate: every shard task of a planned run stays within
+    the declared budget; the whole matrix as one task would not have."""
     csr = random_csr(2400, 2200, 0.02, seed=7)
     fmt = MEBCRSMatrix.from_csr(csr, precision="fp16")
     n_dense = 256
@@ -138,30 +134,36 @@ def test_planner_budget_enforced_by_tracemalloc():
     device = _tiny_device(resident + 8 * 2**20)  # ~2 MiB workspace at 25%
     plan = plan_spmm(fmt, n_dense, device=device, workers=1)
     assert plan.max_intermediate_bytes <= 2 * 2**20 + 2**18
-    config = FlashSparseConfig.from_plan(plan)
 
     one_shot_bytes = plan.num_blocks * plan.bytes_per_block
     assert one_shot_bytes > 10 * plan.max_intermediate_bytes  # test has teeth
 
-    fmt.blocks_as_arrays()  # exclude the one-time batch packing from the peak
-    spmm_batched(fmt, b_q, Precision.FP16, **config.engine_stream_kwargs)  # warm
+    op = SHARD_OPS["spmm"]
+    ranges, _ = op.plan(fmt, [b_q], None, 1, plan.block_chunk)
+    assert len(ranges) == plan.num_shards
+    sliced = [op.slice(fmt, r, None) for r in ranges]  # warms the lane view
+    params = {"precision": "fp16"}
+    op.run(sliced[0], [b_q], params)  # warm
 
     tracemalloc.start()
     try:
-        tracemalloc.clear_traces()
-        spmm_batched(fmt, b_q, Precision.FP16, **config.engine_stream_kwargs)
-        _, peak = tracemalloc.get_traced_memory()
+        peaks = []
+        for s in sliced:
+            tracemalloc.clear_traces()
+            tracemalloc.reset_peak()
+            op.run(s, [b_q], params)
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
 
-    # Engine-side allocations: the output (rows × N × 4) plus the streamed
-    # chunk slabs and their reduction temporaries, bounded by the workspace
-    # (2× for the scatter temporaries that mirror one chunk's slab).
-    out_bytes = csr.n_rows * n_dense * 4
-    allowance = 2 * plan.max_intermediate_bytes + out_bytes + 2**20
-    assert peak <= allowance, (
-        f"planned peak {peak} exceeds budget allowance {allowance} "
+    # A shard task allocates its own output rows (≤ blocks · v · N · 4, part
+    # of the per-block figure the workspace was divided by) and the
+    # quantised copy of its sparse values — never anything matrix-sized.
+    allowance = plan.max_intermediate_bytes + 2**18
+    assert max(peaks) <= allowance, (
+        f"planned shard peak {max(peaks)} exceeds budget allowance {allowance} "
         f"(workspace {plan.max_intermediate_bytes})"
     )
-    # And the one-shot path could not have fit in that allowance.
+    # And the matrix as a single task could not have fit in that allowance.
     assert one_shot_bytes > allowance
+    assert csr.n_rows * n_dense * 4 > allowance

@@ -17,7 +17,7 @@ from helpers import random_csr
 
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
-from repro.kernels.engine import layer_softmax_mapping, window_aligned_ranges
+from repro.kernels.engine import SHARD_OPS, window_aligned_ranges
 from repro.precision.types import Precision, quantize
 from repro.serve.program import (
     LayerProgram,
@@ -185,26 +185,20 @@ def test_window_aligned_shards_never_split_a_softmax_row_segment(seed, target):
         r0 = shard.w0 * v
         r1 = min(shard.w1 * v, n_rows)
         assert r0 % v == 0  # row-aligned: no row (= softmax segment) split
-        local_indptr, entry_vector, entry_lane, vec_lo, vec_count = (
-            layer_softmax_mapping(
-                csr.indptr,
-                fmt.partition.nnz_vector_of_entry,
-                fmt.partition.window_ptr,
-                shard.w0,
-                shard.w1,
-                v,
-                n_rows,
-            )
-        )
+        sliced = SHARD_OPS["layer"].slice(fmt, shard, csr.indptr)
+        local_indptr = sliced["local_indptr"]
         # The local CSR layout covers exactly the shard's rows and entries.
+        assert sliced["row0"] == r0
         assert local_indptr.shape == (r1 - r0 + 1,)
         assert local_indptr[0] == 0
         span = int(local_indptr[-1])
-        assert span == int(csr.indptr[r1]) - int(csr.indptr[r0])
+        e0 = int(csr.indptr[r0])
+        assert span == int(csr.indptr[r1]) - e0
         covered_entries += span
-        # Every entry addresses a slot inside the shard's own value slab.
-        if span:
-            assert entry_vector.min() >= 0 and entry_vector.max() < vec_count
-            assert entry_lane.min() >= 0 and entry_lane.max() < v
+        # Every entry carries its own column and the value stored for it.
+        np.testing.assert_array_equal(sliced["columns"], csr.indices[e0 : e0 + span])
+        np.testing.assert_array_equal(
+            sliced["mask"], csr.data[e0 : e0 + span].astype(np.float16).astype(np.float32)
+        )
     assert prev_w1 == fmt.num_windows or not ranges
     assert covered_entries == csr.nnz  # entries partitioned, none duplicated
