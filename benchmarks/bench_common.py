@@ -76,14 +76,14 @@ def flash_sddmm_time(matrix, k_dense: int, device: GPUSpec, precision: str = "fp
 
 def vector16_spmm_time(matrix, n_dense: int, device: GPUSpec, precision: str = "fp16") -> float:
     """Estimated SpMM time of the 16x1 ablation baseline (same profile as FlashSparse)."""
-    config = FlashSparseConfig(precision=precision, swap_and_transpose=False)
+    config = FlashSparseConfig(precision=precision)
     counter = spmm_tcu16_cost(matrix, n_dense, config)
     return estimate_time(counter, device, FLASH_SPMM_PROFILE).total_time_s
 
 
 def vector16_sddmm_time(matrix, k_dense: int, device: GPUSpec, precision: str = "fp16") -> float:
     """Estimated SDDMM time of the 16x1 ablation baseline."""
-    config = FlashSparseConfig(precision=precision, swap_and_transpose=False)
+    config = FlashSparseConfig(precision=precision)
     counter = sddmm_tcu16_cost(matrix, k_dense, config)
     return estimate_time(counter, device, FLASH_SDDMM_PROFILE).total_time_s
 

@@ -42,7 +42,7 @@ def main() -> None:
         graph, N_DENSE, FlashSparseConfig(precision="fp16", coalesced=False)
     )
     v16 = spmm_tcu16_cost(
-        graph, N_DENSE, FlashSparseConfig(precision="fp16", swap_and_transpose=False)
+        graph, N_DENSE, FlashSparseConfig(precision="fp16")
     )
     rode = get_baseline("RoDe")
     dtc = get_baseline("DTC-SpMM")

@@ -25,6 +25,7 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.sgt16 import SGT16Matrix
 from repro.gpu.counters import CostCounter
 from repro.kernels.common import FlashSparseConfig, SpmmKernelResult, SddmmKernelResult
+from repro.kernels.granularity import TCU16, ceil_div
 from repro.kernels.sddmm_tcu16 import sddmm_tcu16_cost, sddmm_tcu16_execute
 from repro.kernels.spmm_tcu16 import spmm_tcu16_cost, spmm_tcu16_execute
 from repro.perfmodel.model import KernelProfile
@@ -38,13 +39,7 @@ TCGNN_POSITION_CHECK_OPS = 4
 #: pinned explicitly: the baselines' execute paths run the batched vectorized
 #: engine (not the per-block emulation loops), which the audit of the stale
 #: "baselines walk Python loops" ROADMAP claim made explicit.
-_TCU16_BATCHED_CONFIG = FlashSparseConfig(
-    precision=Precision.TF32, swap_and_transpose=False, engine="batched"
-)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-int(a) // int(b))
+_TCU16_BATCHED_CONFIG = FlashSparseConfig(precision=Precision.TF32, engine="batched")
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +103,9 @@ TCGNN_PROFILE = KernelProfile(
 
 
 def _tcgnn_position_check_ops(matrix: CSRMatrix | SGT16Matrix, tiles: int) -> int:
-    if isinstance(matrix, SGT16Matrix):
-        fmt = matrix
-    else:
-        fmt = SGT16Matrix.from_csr(matrix, precision=Precision.TF32)
+    # The translation the kernel call just before this one went through:
+    # a cache hit, never a second ``from_csr``.
+    fmt = TCU16.resolve(matrix, _TCU16_BATCHED_CONFIG.precision)
     stored_elements = fmt.num_nonzero_vectors * fmt.vector_size
     return int(stored_elements * tiles * TCGNN_POSITION_CHECK_OPS)
 
@@ -120,7 +114,7 @@ def tcgnn_spmm_cost(matrix: CSRMatrix | SGT16Matrix, n_dense: int) -> CostCounte
     """Cost of TC-GNN's SpMM: 16×1 WMMA kernel plus position-check overhead."""
     config = _TCU16_BATCHED_CONFIG
     counter = spmm_tcu16_cost(matrix, n_dense, config, api="wmma")
-    tiles = _ceil_div(int(n_dense), 16)
+    tiles = ceil_div(int(n_dense), 16)
     counter.add_index_ops(_tcgnn_position_check_ops(matrix, tiles))
     return counter
 
@@ -129,7 +123,7 @@ def tcgnn_spmm_execute(matrix: CSRMatrix | SGT16Matrix, b: np.ndarray) -> SpmmKe
     """Execute TC-GNN's SpMM (numerics + cost including position checks)."""
     config = _TCU16_BATCHED_CONFIG
     result = spmm_tcu16_execute(matrix, b, config, api="wmma")
-    tiles = _ceil_div(int(np.asarray(b).shape[1]), 16)
+    tiles = ceil_div(int(np.asarray(b).shape[1]), 16)
     result.counter.add_index_ops(_tcgnn_position_check_ops(matrix, tiles))
     result.kernel = "TC-GNN"
     result.meta["baseline"] = "TC-GNN"
@@ -140,7 +134,7 @@ def tcgnn_sddmm_cost(matrix: CSRMatrix | SGT16Matrix, k_dense: int) -> CostCount
     """Cost of TC-GNN's SDDMM at 16×1 granularity plus position checks."""
     config = _TCU16_BATCHED_CONFIG
     counter = sddmm_tcu16_cost(matrix, k_dense, config)
-    chunks = _ceil_div(int(k_dense), 8)
+    chunks = ceil_div(int(k_dense), 8)
     counter.add_index_ops(_tcgnn_position_check_ops(matrix, chunks))
     return counter
 
@@ -149,7 +143,7 @@ def tcgnn_sddmm_execute(matrix: CSRMatrix | SGT16Matrix, a: np.ndarray, b: np.nd
     """Execute TC-GNN's SDDMM (numerics + cost)."""
     config = _TCU16_BATCHED_CONFIG
     result = sddmm_tcu16_execute(matrix, a, b, config)
-    chunks = _ceil_div(int(np.asarray(a).shape[1]), 8)
+    chunks = ceil_div(int(np.asarray(a).shape[1]), 8)
     result.counter.add_index_ops(_tcgnn_position_check_ops(matrix, chunks))
     result.kernel = "TC-GNN"
     result.meta["baseline"] = "TC-GNN"

@@ -102,8 +102,8 @@ from repro.cluster.transport import (
 )
 from repro.cluster.worker import run_worker, shard_params
 from repro.formats.blocked import BlockedVectorFormat
+from repro.formats.cache import format_kind
 from repro.formats.csr import CSRMatrix
-from repro.formats.sgt16 import SGT16Matrix
 from repro.kernels.engine import SHARD_OPS
 from repro.ops import segment_matmul
 from repro.precision.types import Precision
@@ -1181,6 +1181,10 @@ class ClusterScheduler:
         summed.
         """
         op = SHARD_OPS[op_name]
+        # The worker's translation is named by the format's vector size,
+        # never its class (an SDDMM output is a plain ``BlockedVectorFormat``);
+        # an unknown size raises here, before anything is sent.
+        kind = format_kind(fmt.vector_size)
         group = header_extra.get("group")
         shards = max(2, SHARDS_PER_HOST * max(1, len(self.hosts)))
         ranges, out_shape = op.plan(fmt, operands, group, shards, target_blocks)
@@ -1205,7 +1209,7 @@ class ClusterScheduler:
         base = {
             "type": frame_type,
             "op": op_name,
-            "fmt": "sgt16" if isinstance(fmt, SGT16Matrix) else "mebcrs",
+            "fmt": kind.name,
             "precision": precision.value,
             "shape": list(csr.shape),
             "content_key": content_key,

@@ -67,20 +67,12 @@ from repro.cluster.transport import (
     send_message,
     server_handshake,
 )
-from repro.formats.cache import (
-    FORMAT_CACHE_MAXSIZE,
-    TranslationCache,
-    cached_mebcrs,
-    cached_sgt16,
-)
+from repro.formats.cache import FORMAT_CACHE_MAXSIZE, TranslationCache, cached_format
 from repro.formats.csr import CSRMatrix
 from repro.kernels.engine import SHARD_OPS, ShardRange
 from repro.ops import segment_matmul
 from repro.precision.types import Precision
 from repro.serve.program import LayerProgram
-
-#: Translation entry points by the task header's ``fmt`` field.
-_TRANSLATORS = {"mebcrs": cached_mebcrs, "sgt16": cached_sgt16}
 
 #: Environment variable the CLI reads the shared auth token from.
 AUTH_TOKEN_ENV = "REPRO_CLUSTER_AUTH_TOKEN"
@@ -159,10 +151,9 @@ class WorkerHost:
             # bytes: the cache's content lookup then skips the per-task
             # O(nnz) rehash.
             csr.with_content_key(header["content_key"])
-        translate = _TRANSLATORS.get(header.get("fmt", "mebcrs"))
-        if translate is None:
-            raise ValueError(f"unknown format kind {header.get('fmt')!r}")
-        return translate(csr, Precision(header["precision"]), by_content=True, cache=self.cache)
+        kind = header.get("fmt", "mebcrs")  # a format kind's wire name; unknown: ValueError
+        precision = Precision(header["precision"])
+        return cached_format(csr, kind, precision, by_content=True, cache=self.cache)
 
     # ------------------------------------------------------------ task bodies
     def run_task(self, header: dict, arrays: list[np.ndarray]) -> tuple[dict, list]:

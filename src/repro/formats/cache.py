@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from threading import RLock
 from typing import Callable
 
+from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
@@ -174,20 +175,67 @@ class TranslationCache:
 DEFAULT_CACHE = TranslationCache()
 
 
-def _key(matrix: CSRMatrix, kind: str, precision: Precision) -> tuple:
-    return (
+@dataclass(frozen=True)
+class FormatKind:
+    """One blocked-format kind: its vector size, its ``name`` in cache keys
+    and in the ``fmt`` field of a cluster task frame, and the format class
+    whose ``from_csr`` translates to it."""
+
+    vector_size: int
+    name: str
+    format_cls: type
+
+
+#: The one table of format kinds.  The cached names below, the cluster head
+#: (``vector_size`` → wire name) and the worker (wire name → translation)
+#: all read it, so a format is never classified by ``isinstance``.
+FORMAT_KINDS = (
+    FormatKind(8, "mebcrs", MEBCRSMatrix),
+    FormatKind(16, "sgt16", SGT16Matrix),
+)
+
+
+def format_kind(key: int | str) -> FormatKind:
+    """The format kind with this ``vector_size`` or wire ``name``."""
+    for kind in FORMAT_KINDS:
+        if key in (kind.vector_size, kind.name):
+            return kind
+    raise ValueError(f"unknown blocked-format kind {key!r}")
+
+
+def cached_format(
+    matrix: CSRMatrix,
+    kind: int | str,
+    precision: Precision | str,
+    by_content: bool = False,
+    cache: TranslationCache | None = None,
+) -> BlockedVectorFormat:
+    """The translation of ``matrix`` into format ``kind`` (a ``vector_size``
+    or wire name, see :func:`format_kind`) at ``precision``, memoised.
+
+    ``by_content=True`` lets structurally equal matrices share one
+    translation (see the module docstring); the default keys by object
+    identity only.  ``cache`` selects the cache instance — cluster worker
+    hosts pass their own so each host's working set (and hit-rate
+    accounting) is isolated; the default is the process-global cache.
+    """
+    kind = format_kind(kind)
+    precision = Precision(precision)
+    identity_key = (
         id(matrix),
         matrix.indptr.ctypes.data,
         matrix.indices.ctypes.data,
         matrix.data.ctypes.data,
         matrix.nnz,
-        kind,
+        kind.name,
         precision,
     )
-
-
-def _content_key(matrix: CSRMatrix, kind: str, precision: Precision) -> tuple:
-    return ("content", matrix.content_key(), kind, precision)
+    return (cache if cache is not None else DEFAULT_CACHE).lookup(
+        identity_key,
+        matrix,
+        lambda: kind.format_cls.from_csr(matrix, precision=precision),
+        ("content", matrix.content_key(), kind.name, precision) if by_content else None,
+    )
 
 
 def cached_mebcrs(
@@ -196,21 +244,8 @@ def cached_mebcrs(
     by_content: bool = False,
     cache: TranslationCache | None = None,
 ) -> MEBCRSMatrix:
-    """The ME-BCRS translation of ``matrix`` at ``precision``, memoised.
-
-    ``by_content=True`` lets structurally equal matrices share one
-    translation (see the module docstring); the default keys by object
-    identity only.  ``cache`` selects the cache instance — cluster worker
-    hosts pass their own so each host's working set (and hit-rate
-    accounting) is isolated; the default is the process-global cache.
-    """
-    precision = Precision(precision)
-    return (cache if cache is not None else DEFAULT_CACHE).lookup(
-        _key(matrix, "mebcrs", precision),
-        matrix,
-        lambda: MEBCRSMatrix.from_csr(matrix, precision=precision),
-        _content_key(matrix, "mebcrs", precision) if by_content else None,
-    )
+    """The ME-BCRS (8×1) translation of ``matrix``: :func:`cached_format` at 8."""
+    return cached_format(matrix, 8, precision, by_content, cache)
 
 
 def cached_sgt16(
@@ -219,17 +254,8 @@ def cached_sgt16(
     by_content: bool = False,
     cache: TranslationCache | None = None,
 ) -> SGT16Matrix:
-    """The 16×1 SGT translation of ``matrix`` at ``precision``, memoised.
-
-    ``by_content`` and ``cache`` behave as for :func:`cached_mebcrs`.
-    """
-    precision = Precision(precision)
-    return (cache if cache is not None else DEFAULT_CACHE).lookup(
-        _key(matrix, "sgt16", precision),
-        matrix,
-        lambda: SGT16Matrix.from_csr(matrix, precision=precision),
-        _content_key(matrix, "sgt16", precision) if by_content else None,
-    )
+    """The SGT (16×1) translation of ``matrix``: :func:`cached_format` at 16."""
+    return cached_format(matrix, 16, precision, by_content, cache)
 
 
 def clear_format_cache() -> None:

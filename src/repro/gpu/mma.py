@@ -100,16 +100,11 @@ def get_shape(name: str, precision: str, api: str = "mma") -> MMAShape:
     raise KeyError(f"unsupported MMA shape: {name} {precision} ({api})")
 
 
-def default_shape(precision: str, swap_and_transpose: bool = True) -> MMAShape:
-    """The shape FlashSparse (or the 16x1 baseline) uses for a precision.
-
-    FlashSparse uses ``m16n8k8`` for FP16 and ``m16n8k4`` for TF32; the 16x1
-    TCU baselines use ``m16n8k8`` TF32 (DTC-SpMM) or ``m16n8k8``/``m16n8k16``
-    FP16.  ``swap_and_transpose`` does not change the instruction, only how
-    the operands are bound, so the same shapes are returned either way; the
-    parameter exists for call-site clarity.
+def default_shape(precision: str) -> MMAShape:
+    """The shape FlashSparse uses for a precision: ``m16n8k8`` for FP16 and
+    ``m16n8k4`` for TF32.  (The 16x1 baselines' instructions are the
+    :data:`repro.kernels.granularity.TCU16` table.)
     """
-    del swap_and_transpose
     if precision == "fp16":
         return MMA_M16N8K8_FP16
     if precision == "tf32":

@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.formats.blocked import BlockedVectorFormat
-from repro.formats.cache import cached_mebcrs, cached_sgt16
-from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
 from repro.precision.types import Precision
 
@@ -18,7 +16,11 @@ ENGINES: tuple[str, ...] = ("batched", "reference")
 
 @dataclass(frozen=True)
 class FlashSparseConfig:
-    """Configuration of a FlashSparse (or 16×1 baseline) kernel invocation.
+    """Configuration of a TCU kernel invocation.
+
+    The sparse granularity is not configured here: the entry point called
+    (``*_flash_*`` for 8×1, ``*_tcu16_*`` for 16×1) is the choice, and a
+    blocked-format input carries its own ``vector_size``.
 
     Attributes
     ----------
@@ -27,10 +29,8 @@ class FlashSparseConfig:
     coalesced:
         Use the memory-efficient thread mapping of Section 3.3 (Figure 7c).
         ``False`` selects the direct mapping (Figure 7b) — the ablation mode
-        of Figure 15.
-    swap_and_transpose:
-        Use the 8×1 swap-and-transpose strategy.  ``False`` selects the 16×1
-        vector granularity (the ablation baseline of Figure 14).
+        of Figure 15.  Read by the 8×1 SpMM only; the mappings are defined
+        on the swapped operand layout.
     engine:
         ``"batched"`` (default) runs the vectorized execution engine of
         :mod:`repro.kernels.engine`; ``"reference"`` runs the per-(window,
@@ -41,7 +41,6 @@ class FlashSparseConfig:
 
     precision: Precision = Precision.FP16
     coalesced: bool = True
-    swap_and_transpose: bool = True
     engine: str = "batched"
 
     def __post_init__(self) -> None:
@@ -53,39 +52,6 @@ class FlashSparseConfig:
             )
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-
-    @property
-    def vector_size(self) -> int:
-        """Nonzero-vector granularity implied by the strategy."""
-        return 8 if self.swap_and_transpose else 16
-
-
-def resolve_flash_format(
-    matrix: BlockedVectorFormat | CSRMatrix, config: FlashSparseConfig, kernel: str
-) -> BlockedVectorFormat:
-    """The 8-row blocked form of ``matrix`` (CSR translated via the LRU cache)."""
-    if isinstance(matrix, BlockedVectorFormat):
-        if matrix.vector_size != 8:
-            raise ValueError(
-                f"FlashSparse {kernel} requires an 8-row vector format (ME-BCRS); "
-                f"got vector_size={matrix.vector_size}"
-            )
-        return matrix
-    return cached_mebcrs(matrix, config.precision)
-
-
-def resolve_tcu16_format(
-    matrix: BlockedVectorFormat | CSRMatrix, precision: Precision, kernel: str
-) -> BlockedVectorFormat:
-    """The 16-row blocked form of ``matrix`` (CSR translated via the LRU cache)."""
-    if isinstance(matrix, BlockedVectorFormat):
-        if matrix.vector_size != 16:
-            raise ValueError(
-                f"the 16x1 {kernel} needs a 16-row vector format, "
-                f"got vector_size={matrix.vector_size}"
-            )
-        return matrix
-    return cached_sgt16(matrix, precision)
 
 
 @dataclass

@@ -15,7 +15,14 @@ from repro.baselines import (
     csr_spmm_reference,
     get_baseline,
 )
-from repro.baselines.tcu import dtc_spmm_cost, tcgnn_sddmm_cost, tcgnn_spmm_cost
+from repro.baselines.tcu import (
+    dtc_spmm_cost,
+    tcgnn_sddmm_cost,
+    tcgnn_spmm_cost,
+    tcgnn_spmm_execute,
+)
+from repro.formats.cache import format_cache_stats
+from repro.formats.sgt16 import SGT16Matrix
 from repro.kernels.common import FlashSparseConfig
 from repro.kernels.spmm_flash import spmm_flash_cost
 from repro.kernels.spmm_tcu16 import spmm_tcu16_cost
@@ -146,7 +153,7 @@ def test_higher_reuse_lowers_b_traffic(medium_csr):
 def test_dtc_spmm_cost_is_the_16x1_tf32_kernel(medium_csr):
     dtc = dtc_spmm_cost(medium_csr, 64)
     plain = spmm_tcu16_cost(
-        medium_csr, 64, FlashSparseConfig(precision="tf32", swap_and_transpose=False), api="mma"
+        medium_csr, 64, FlashSparseConfig(precision="tf32"), api="mma"
     )
     assert dtc.total_mma == plain.total_mma
     assert dtc.data_access_bytes == plain.data_access_bytes
@@ -156,13 +163,35 @@ def test_dtc_spmm_cost_is_the_16x1_tf32_kernel(medium_csr):
 def test_tcgnn_uses_wmma_and_position_checks(medium_csr):
     tcgnn = tcgnn_spmm_cost(medium_csr, 64)
     plain = spmm_tcu16_cost(
-        medium_csr, 64, FlashSparseConfig(precision="tf32", swap_and_transpose=False), api="wmma"
+        medium_csr, 64, FlashSparseConfig(precision="tf32"), api="wmma"
     )
     assert ("m16n16k8", "tf32") in tcgnn.mma_invocations
     # Position checks add index work on top of the plain 16x1 kernel.
     assert tcgnn.index_ops > plain.index_ops
     sddmm = tcgnn_sddmm_cost(medium_csr, 32)
     assert sddmm.index_ops > 0
+
+
+def test_tcgnn_translates_once_per_matrix(monkeypatch, rng):
+    """The position-check count reads the kernel's own cached translation:
+    on a warm cache no TC-GNN entry point translates again (it used to run
+    an uncached ``SGT16Matrix.from_csr`` on every call)."""
+    csr = random_csr(96, 80, 0.08, seed=21)
+    b = rng.standard_normal((80, 24))
+    tcgnn_spmm_cost(csr, 24)  # warm-up: the one translation
+    before = format_cache_stats().misses
+    calls = []
+    original = SGT16Matrix.from_csr.__func__
+    monkeypatch.setattr(
+        SGT16Matrix,
+        "from_csr",
+        classmethod(lambda cls, *a, **kw: calls.append(1) or original(cls, *a, **kw)),
+    )
+    tcgnn_spmm_cost(csr, 24)
+    tcgnn_sddmm_cost(csr, 16)
+    tcgnn_spmm_execute(csr, b)
+    assert calls == []
+    assert format_cache_stats().misses == before
 
 
 def test_flashsparse_dominates_baselines_on_counted_redundancy(medium_csr):

@@ -20,6 +20,7 @@ from helpers import random_csr
 
 from repro.cluster import ClusterScheduler
 from repro.core.api import spmm as api_spmm
+from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
 from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK as FLASH_GROUP
@@ -92,6 +93,31 @@ def test_single_host_cluster_parity():
         )
         np.testing.assert_array_equal(vals, sbase)
         assert one.stats_snapshot()["inline_fallbacks"] == 0
+
+
+def test_plain_16_row_format_is_shipped_as_its_vector_size():
+    """The format kind on the wire comes from ``fmt.vector_size``, not the
+    format's class: a 16-row format that is not an ``SGT16Matrix`` instance
+    (what ``sddmm_tcu16_execute`` returns as ``.output``) used to be labelled
+    ``mebcrs``, translated at 8 rows by the worker and sliced with the
+    head's 16-row window range — a wrong SpMM answer with no error."""
+    csr, sgt, group, a_q, b_q, base, sbase = _workload("sgt16", seed=12, rows=200, cols=150)
+    plain = BlockedVectorFormat(
+        partition=sgt.partition, vector_values=sgt.vector_values, k=sgt.k, precision=sgt.precision
+    )
+    assert not isinstance(plain, SGT16Matrix)
+    with ClusterScheduler(hosts=1) as one:
+        out = one.run_spmm(plain, b_q, Precision.FP16, csr=csr)
+        np.testing.assert_array_equal(out, base)
+        vals = one.run_sddmm(plain, a_q, b_q, Precision.FP16, group, csr=csr)
+        np.testing.assert_array_equal(vals, sbase)
+        assert one.stats_snapshot()["inline_fallbacks"] == 0
+        # A vector size no format kind has is refused before anything is sent.
+        odd = BlockedVectorFormat.from_csr(csr, vector_size=4, k=8, precision="fp16")
+        sent = one.stats_snapshot()["tasks_sent"]
+        with pytest.raises(ValueError, match="format kind"):
+            one.run_spmm(odd, b_q, Precision.FP16, csr=csr)
+        assert one.stats_snapshot()["tasks_sent"] == sent
 
 
 def test_zero_host_cluster_degrades_to_in_parent():

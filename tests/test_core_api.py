@@ -122,7 +122,6 @@ def test_cost_only_entry_points_match_execution(rng):
 def test_kernel_config_alias():
     config = KernelConfig(precision="tf32", coalesced=False)
     assert config.precision is Precision.TF32
-    assert config.vector_size == 8
 
 
 def test_package_docstring_example_runs():

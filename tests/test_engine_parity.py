@@ -72,9 +72,9 @@ MATRICES = {
 }
 
 
-def _configs(precision: str, swap: bool) -> tuple[FlashSparseConfig, FlashSparseConfig]:
-    batched = FlashSparseConfig(precision=precision, swap_and_transpose=swap, engine="batched")
-    reference = FlashSparseConfig(precision=precision, swap_and_transpose=swap, engine="reference")
+def _configs(precision: str) -> tuple[FlashSparseConfig, FlashSparseConfig]:
+    batched = FlashSparseConfig(precision=precision, engine="batched")
+    reference = FlashSparseConfig(precision=precision, engine="reference")
     return batched, reference
 
 
@@ -93,7 +93,7 @@ def _assert_counters_identical(batched: CostCounter, reference: CostCounter) -> 
 def test_spmm_flash_engine_parity(name, precision, n_dense, rng):
     csr = MATRICES[name]()
     b = rng.standard_normal((csr.n_cols, n_dense))
-    batched_cfg, reference_cfg = _configs(precision, swap=True)
+    batched_cfg, reference_cfg = _configs(precision)
     res_b = spmm_flash_execute(csr, b, batched_cfg)
     res_r = spmm_flash_execute(csr, b, reference_cfg)
     np.testing.assert_allclose(res_b.values, res_r.values, atol=1e-4, rtol=1e-4)
@@ -102,15 +102,21 @@ def test_spmm_flash_engine_parity(name, precision, n_dense, rng):
     assert res_r.meta["engine"] == "reference"
 
 
-@pytest.mark.parametrize("precision", PRECISIONS)
+# The batched execute takes its counter from the closed form, so only this
+# grid holds the WMMA reference loop (TC-GNN's 16-column tile) against it.
+@pytest.mark.parametrize(
+    "precision, api",
+    [("fp16", "mma"), ("tf32", "mma"), ("tf32", "wmma")],
+    ids=["fp16", "tf32", "tf32-wmma"],
+)
 @pytest.mark.parametrize("name", sorted(MATRICES))
 @pytest.mark.parametrize("n_dense", SPMM_WIDTHS)
-def test_spmm_tcu16_engine_parity(name, precision, n_dense, rng):
+def test_spmm_tcu16_engine_parity(name, precision, api, n_dense, rng):
     csr = MATRICES[name]()
     b = rng.standard_normal((csr.n_cols, n_dense))
-    batched_cfg, reference_cfg = _configs(precision, swap=False)
-    res_b = spmm_tcu16_execute(csr, b, batched_cfg)
-    res_r = spmm_tcu16_execute(csr, b, reference_cfg)
+    batched_cfg, reference_cfg = _configs(precision)
+    res_b = spmm_tcu16_execute(csr, b, batched_cfg, api=api)
+    res_r = spmm_tcu16_execute(csr, b, reference_cfg, api=api)
     np.testing.assert_allclose(res_b.values, res_r.values, atol=1e-4, rtol=1e-4)
     _assert_counters_identical(res_b.counter, res_r.counter)
 
@@ -123,7 +129,7 @@ def test_sddmm_flash_engine_parity(name, precision, k_dense, scale_by_mask, rng)
     csr = MATRICES[name]()
     a = rng.standard_normal((csr.n_rows, k_dense))
     b = rng.standard_normal((csr.n_cols, k_dense))
-    batched_cfg, reference_cfg = _configs(precision, swap=True)
+    batched_cfg, reference_cfg = _configs(precision)
     res_b = sddmm_flash_execute(csr, a, b, batched_cfg, scale_by_mask=scale_by_mask)
     res_r = sddmm_flash_execute(csr, a, b, reference_cfg, scale_by_mask=scale_by_mask)
     np.testing.assert_allclose(
@@ -139,7 +145,7 @@ def test_sddmm_tcu16_engine_parity(name, precision, k_dense, rng):
     csr = MATRICES[name]()
     a = rng.standard_normal((csr.n_rows, k_dense))
     b = rng.standard_normal((csr.n_cols, k_dense))
-    batched_cfg, reference_cfg = _configs(precision, swap=False)
+    batched_cfg, reference_cfg = _configs(precision)
     res_b = sddmm_tcu16_execute(csr, a, b, batched_cfg)
     res_r = sddmm_tcu16_execute(csr, a, b, reference_cfg)
     np.testing.assert_allclose(

@@ -90,7 +90,7 @@ def test_sddmm_chunked_is_bit_identical(block_chunk, workers, monkeypatch):
 def test_spmm_tcu16_chunked_parity(workers):
     csr = random_csr(200, 190, 0.06, seed=9)
     b = np.random.default_rng(9).standard_normal((190, 17))
-    base = spmm_tcu16_execute(csr, b, FlashSparseConfig(precision="tf32", swap_and_transpose=False))
+    base = spmm_tcu16_execute(csr, b, FlashSparseConfig(precision="tf32"))
     fmt = SGT16Matrix.from_csr(csr, precision="tf32")
     out = _sharded_spmm(fmt, b, "tf32", shards=workers, target_blocks=3)
     np.testing.assert_array_equal(out, base.values)

@@ -81,7 +81,7 @@ def test_ablation_vector_size_speedup_in_paper_range():
             FLASH_SPMM_PROFILE,
         ).total_time_s
         v16 = estimate_time(
-            spmm_tcu16_cost(graph, 128, FlashSparseConfig(precision="fp16", swap_and_transpose=False)),
+            spmm_tcu16_cost(graph, 128, FlashSparseConfig(precision="fp16")),
             H100_PCIE,
             FLASH_SPMM_PROFILE,
         ).total_time_s

@@ -134,7 +134,7 @@ def test_16x1_kernel_with_fewer_than_16_rows():
     rng = np.random.default_rng(11)
     b = rng.standard_normal((30, 24))
     result = spmm_tcu16_execute(
-        csr, b, FlashSparseConfig(precision="tf32", swap_and_transpose=False)
+        csr, b, FlashSparseConfig(precision="tf32")
     )
     np.testing.assert_allclose(result.values, csr.to_dense() @ b, rtol=5e-2, atol=5e-2)
 
@@ -185,8 +185,8 @@ def test_non_finite_row_of_b_behind_an_unreferenced_column_stays_out():
     b[0] = (np.inf, -np.inf, np.nan, np.inf)
     expected = csr.to_scipy() @ b
     assert np.isfinite(expected).all()
-    for execute, swap in ((spmm_flash_execute, True), (spmm_tcu16_execute, False)):
-        cfg = dict(precision="fp16", swap_and_transpose=swap)
+    for execute in (spmm_flash_execute, spmm_tcu16_execute):
+        cfg = dict(precision="fp16")
         batched = execute(csr, b, FlashSparseConfig(**cfg)).values
         reference = execute(csr, b, FlashSparseConfig(engine="reference", **cfg)).values
         assert np.isfinite(batched).all()
@@ -200,10 +200,10 @@ def test_sddmm_is_exactly_zero_at_stored_zeros_and_fp16_underflow():
     csr, zeroed = csr_with_zero_valued_entries()
     rng = np.random.default_rng(34)
     a, b = rng.standard_normal((40, 12)) + 3.0, rng.standard_normal((36, 12)) + 3.0
-    for execute, swap in ((sddmm_flash_execute, True), (sddmm_tcu16_execute, False)):
+    for execute in (sddmm_flash_execute, sddmm_tcu16_execute):
         for engine in ("batched", "reference"):
             for scale_by_mask in (False, True):
-                cfg = FlashSparseConfig(precision="fp16", swap_and_transpose=swap, engine=engine)
+                cfg = FlashSparseConfig(precision="fp16", engine=engine)
                 out = execute(csr, a, b, cfg, scale_by_mask=scale_by_mask).output
                 edges = gather_edge_values(out.partition, csr.indptr, out.vector_values)
                 assert (edges[zeroed] == 0.0).all()
@@ -225,8 +225,8 @@ def test_non_finite_dense_rows_nothing_references_stay_out_of_sddmm():
     rows, cols = csr.to_scipy().nonzero()
     expected = np.einsum("ek,ek->e", a[rows], b[cols])
     assert np.isfinite(expected).all()
-    for execute, swap in ((sddmm_flash_execute, True), (sddmm_tcu16_execute, False)):
-        cfg = dict(precision="fp16", swap_and_transpose=swap)
+    for execute in (sddmm_flash_execute, sddmm_tcu16_execute):
+        cfg = dict(precision="fp16")
         batched = execute(csr, a, b, FlashSparseConfig(**cfg)).output
         with np.errstate(invalid="ignore"):  # the per-MMA loop multiplies whole tiles
             reference = execute(csr, a, b, FlashSparseConfig(engine="reference", **cfg)).output

@@ -75,8 +75,6 @@ def test_sddmm_flash_validates_inputs(small_csr, rng):
         sddmm_flash_execute(small_csr, a, b)  # mismatched K
     with pytest.raises(ValueError):
         sddmm_flash_execute(small_csr, a[: small_csr.n_rows - 1], a)
-    with pytest.raises(ValueError):
-        sddmm_flash_execute(small_csr, a, b, FlashSparseConfig(precision="fp16", swap_and_transpose=False))
 
 
 @pytest.mark.parametrize("precision", ["fp16", "tf32"])
@@ -160,14 +158,14 @@ def test_split_output_tile_validates_shape(rng):
 def test_sddmm_tcu16_matches_reference(small_csr, rng, precision):
     a = rng.standard_normal((small_csr.n_rows, 24))
     b = rng.standard_normal((small_csr.n_cols, 24))
-    config = FlashSparseConfig(precision=precision, swap_and_transpose=False)
+    config = FlashSparseConfig(precision=precision)
     result = sddmm_tcu16_execute(small_csr, a, b, config)
     ref = reference_sddmm(small_csr, a, b)
     np.testing.assert_allclose(result.output.to_dense(), ref, rtol=3e-2, atol=3e-2)
 
 
 def test_sddmm_tcu16_cost_matches_execute(medium_csr, rng):
-    config = FlashSparseConfig(precision="tf32", swap_and_transpose=False)
+    config = FlashSparseConfig(precision="tf32")
     a = rng.standard_normal((medium_csr.n_rows, 32))
     b = rng.standard_normal((medium_csr.n_cols, 32))
     executed = sddmm_tcu16_execute(medium_csr, a, b, config)
@@ -178,6 +176,6 @@ def test_sddmm_tcu16_cost_matches_execute(medium_csr, rng):
 def test_flash_sddmm_uses_fewer_mma_than_16x1(medium_csr):
     """Figure 14 (SDDMM ablation): 8x1 needs fewer MMAs and less data access."""
     flash = sddmm_flash_cost(medium_csr, 32, FlashSparseConfig(precision="fp16"))
-    v16 = sddmm_tcu16_cost(medium_csr, 32, FlashSparseConfig(precision="fp16", swap_and_transpose=False))
+    v16 = sddmm_tcu16_cost(medium_csr, 32, FlashSparseConfig(precision="fp16"))
     assert flash.total_mma < v16.total_mma
     assert flash.data_access_bytes < v16.data_access_bytes

@@ -62,22 +62,9 @@ def test_spmm_flash_rejects_wrong_b_shape(small_csr, rng):
         spmm_flash_execute(small_csr, rng.standard_normal(small_csr.n_cols))
 
 
-def test_spmm_flash_requires_swap_and_transpose(small_csr, rng):
-    config = FlashSparseConfig(precision="fp16", swap_and_transpose=False)
-    with pytest.raises(ValueError):
-        spmm_flash_execute(small_csr, rng.standard_normal((small_csr.n_cols, 16)), config)
-    with pytest.raises(ValueError):
-        spmm_flash_cost(small_csr, 16, config)
-
-
 def test_config_rejects_fp32():
     with pytest.raises(ValueError):
         FlashSparseConfig(precision="fp32")
-
-
-def test_config_vector_size_property():
-    assert FlashSparseConfig(precision="fp16").vector_size == 8
-    assert FlashSparseConfig(precision="fp16", swap_and_transpose=False).vector_size == 16
 
 
 @pytest.mark.parametrize("precision", ["fp16", "tf32"])
@@ -148,14 +135,14 @@ def test_spmm_flash_empty_matrix(rng):
 @pytest.mark.parametrize("precision,api", [("fp16", "mma"), ("tf32", "mma"), ("tf32", "wmma")])
 def test_spmm_tcu16_matches_reference(small_csr, rng, precision, api):
     b = rng.standard_normal((small_csr.n_cols, 40))
-    config = FlashSparseConfig(precision=precision, swap_and_transpose=False)
+    config = FlashSparseConfig(precision=precision)
     result = spmm_tcu16_execute(small_csr, b, config, api=api)
     np.testing.assert_allclose(result.values, reference_spmm(small_csr, b), rtol=2e-2, atol=2e-2)
 
 
 @pytest.mark.parametrize("precision,api", [("fp16", "mma"), ("tf32", "mma"), ("tf32", "wmma")])
 def test_spmm_tcu16_cost_matches_execute(medium_csr, rng, precision, api):
-    config = FlashSparseConfig(precision=precision, swap_and_transpose=False)
+    config = FlashSparseConfig(precision=precision)
     b = rng.standard_normal((medium_csr.n_cols, 48))
     executed = spmm_tcu16_execute(medium_csr, b, config, api=api)
     estimated = spmm_tcu16_cost(medium_csr, 48, config, api=api)
@@ -180,7 +167,7 @@ def test_flash_uses_fewer_mma_than_16x1(medium_csr, skewed_csr):
     """Figure 1 / Figure 14: the 8x1 strategy needs fewer MMA invocations."""
     for csr in (medium_csr, skewed_csr):
         flash = spmm_flash_cost(csr, 128, FlashSparseConfig(precision="fp16"))
-        v16 = spmm_tcu16_cost(csr, 128, FlashSparseConfig(precision="fp16", swap_and_transpose=False))
+        v16 = spmm_tcu16_cost(csr, 128, FlashSparseConfig(precision="fp16"))
         assert flash.total_mma < v16.total_mma
         assert flash.data_access_bytes < v16.data_access_bytes
 
@@ -189,6 +176,6 @@ def test_flash_and_16x1_agree_numerically(medium_csr, rng):
     b = rng.standard_normal((medium_csr.n_cols, 32))
     flash = spmm_flash_execute(medium_csr, b, FlashSparseConfig(precision="fp16"))
     v16 = spmm_tcu16_execute(
-        medium_csr, b, FlashSparseConfig(precision="fp16", swap_and_transpose=False)
+        medium_csr, b, FlashSparseConfig(precision="fp16")
     )
     np.testing.assert_allclose(flash.values, v16.values, rtol=2e-2, atol=2e-2)

@@ -20,8 +20,9 @@ from repro.kernels.common import FlashSparseConfig
 from repro.kernels import engine
 from repro.kernels.engine import sddmm_batched, spmm_batched
 from repro.kernels.sddmm_flash import sddmm_flash_cost, sddmm_flash_execute
+from repro.kernels.sddmm_tcu16 import sddmm_tcu16_execute
 from repro.kernels.spmm_flash import spmm_flash_cost, spmm_flash_execute
-from repro.kernels.spmm_tcu16 import spmm_tcu16_cost
+from repro.kernels.spmm_tcu16 import spmm_tcu16_cost, spmm_tcu16_execute
 from repro.ops import segment_softmax
 from repro.precision.types import Precision, quantize
 from repro.serve.program import attention_csr, gather_edge_values
@@ -91,7 +92,7 @@ def test_8x1_never_needs_more_mma_or_bytes_than_16x1(matrix, n_dense):
         return
     flash = spmm_flash_cost(matrix, n_dense, FlashSparseConfig(precision="fp16"))
     v16 = spmm_tcu16_cost(
-        matrix, n_dense, FlashSparseConfig(precision="fp16", swap_and_transpose=False)
+        matrix, n_dense, FlashSparseConfig(precision="fp16")
     )
     assert flash.total_mma <= v16.total_mma
     assert flash.bytes_read <= v16.bytes_read
@@ -227,3 +228,22 @@ def test_sddmm_and_layer_entry_chunk_is_bit_identical_to_one_shot(case):
     for scores, rows in results[1:]:
         np.testing.assert_array_equal(scores, results[0][0])
         np.testing.assert_array_equal(rows, results[0][1])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=blocked_formats(), width=st.sampled_from(WIDTHS))
+def test_granularity_moves_cost_never_bits(case, width):
+    """Equation (1) is an identity, and the batched engine works at stored
+    nonzeros: the 8×1 and the 16×1 entry points return the same bits for
+    SpMM and, compared as CSR, for SDDMM."""
+    rng, csr, _, precision = case
+    config = FlashSparseConfig(precision=precision)
+    a = rng.standard_normal((csr.shape[0], width))
+    b = rng.standard_normal((csr.shape[1], width))
+    np.testing.assert_array_equal(
+        spmm_flash_execute(csr, b, config).values, spmm_tcu16_execute(csr, b, config).values
+    )
+    flash = sddmm_flash_execute(csr, a, b, config).to_csr()
+    tcu16 = sddmm_tcu16_execute(csr, a, b, config).to_csr()
+    for array in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(flash, array), getattr(tcu16, array))

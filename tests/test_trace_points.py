@@ -12,10 +12,15 @@ from pathlib import Path
 _TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "tracing.py"
 
 
-def test_every_trace_point_resolves():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("_e2e_tracing", _TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_trace_point_resolves():
+    tracing = _load_tracing()
     assert tracing.TRACE_POINTS
     missing = []
     for span, points in tracing.TRACE_POINTS.items():
@@ -29,3 +34,41 @@ def test_every_trace_point_resolves():
             if not callable(target):
                 missing.append(f"{span}: {module_name}.{attr}")
     assert not missing
+
+
+def test_kernel_trace_points_fire():
+    """Resolving is not enough: a refactor can keep every name and stop
+    calling *through* it (reach the cost pass by a private helper, capture
+    a translator in a table at import), and the layer's span goes silent
+    with every other test green.  One ``repro.spmm`` and one ``repro.sddmm``
+    must open exactly these kernel-layer spans."""
+    import numpy as np
+
+    import repro
+    from helpers import random_csr
+
+    tracing = _load_tracing()
+    matrix = repro.FlashSparseMatrix(random_csr(96, 80, 0.08, seed=3))
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal((80, 24))
+    a = rng.standard_normal((96, 24))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.request(0):
+            repro.spmm(matrix, b)
+        with tracer.request(1):
+            repro.sddmm(matrix, a, b)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    fired = {name: len(tracer.durations(name)) for name in tracing.TRACE_POINTS}
+    assert {name: count for name, count in fired.items() if count} == {
+        "kernels.spmm_execute": 1,
+        "kernels.sddmm_execute": 1,
+        "kernels.engine_spmm": 1,
+        "kernels.engine_sddmm": 1,
+        "kernels.cost_pass": 2,
+        "precision.quantize": 4,
+        "formats.cache_lookup": 2,
+    }
