@@ -2,9 +2,9 @@
 
 The :class:`ClusterScheduler` is the multi-host counterpart of the
 single-host :class:`~repro.serve.scheduler.ShardScheduler` and presents the
-same execution interface (``run_spmm`` / ``run_sddmm`` / ``run_layer`` /
-``run_segment_matmul``, ``close``, ``stats_snapshot``), so the serving
-frontend plugs it in unchanged.  What changes underneath:
+same execution interface (``run_spmm`` / ``run_sddmm`` / ``run_layer``,
+``close``, ``stats_snapshot``), so the serving frontend plugs it in
+unchanged.  What changes underneath:
 
 * **Hosts, not processes.**  Each worker host is a separate process owning
   its own translation cache, reached over a long-lived TCP connection
@@ -105,9 +105,8 @@ from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.cache import format_kind
 from repro.formats.csr import CSRMatrix
 from repro.kernels.engine import SHARD_OPS
-from repro.ops import segment_matmul
 from repro.precision.types import Precision
-from repro.serve.program import LayerProgram
+from repro.serve.program import LayerProgram, composed_intermediate_bytes
 
 #: Idle gap after which a host client probes its host with a ping.
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.5
@@ -157,17 +156,14 @@ class _Stop:
 class _Task:
     """One shard task travelling through a host client.
 
-    A frame has a store plan *or* inline arrays, never both.  Kernel and
-    layer tasks carry a ``store_plan`` — ``(store_key, arrays)`` groups,
-    the CSR bundle first, then one group per dense operand: the client
-    pushes ledger-missing groups once and sends the task frame with keys
-    only.  ``segmm_task`` carries its one-shot operands inline in
-    ``arrays`` (nothing worth pinning).
+    The frame carries no operand bytes: its ``store_plan`` lists
+    ``(store_key, arrays)`` groups — the CSR bundle first, then one group
+    per dense operand — and the client pushes the ledger-missing groups
+    once, then sends the task frame with keys only.
     """
 
     header: dict
-    arrays: list = field(default_factory=list)
-    store_plan: list = field(default_factory=list)
+    store_plan: list
     future: Future = field(default_factory=Future)
 
 
@@ -493,12 +489,10 @@ class _HostClient(threading.Thread):
             while True:
                 try:
                     self._sock.settimeout(self.task_timeout_s)
-                    header = task.header
-                    if task.store_plan:
-                        self._push_missing(task.store_plan)
-                        keys = [key for key, _ in task.store_plan]
-                        header = dict(header, store_csr=keys[0], store_operands=keys[1:])
-                    sent = send_message(self._sock, header, task.arrays)
+                    self._push_missing(task.store_plan)
+                    keys = [key for key, _ in task.store_plan]
+                    header = dict(task.header, store_csr=keys[0], store_operands=keys[1:])
+                    sent = send_message(self._sock, header)
                     self.metrics.record_task_sent(self.host_id, sent)
                     header, arrays, received = recv_message(
                         self._sock, max_frame_bytes=self.max_frame_bytes
@@ -1303,7 +1297,6 @@ class ClusterScheduler:
         b_q: np.ndarray,
         x_q: np.ndarray,
         precision: Precision,
-        group: int,
         scale: float | None = None,
         scale_by_mask: bool = False,
         target_blocks: int | None = None,
@@ -1333,56 +1326,15 @@ class ClusterScheduler:
             fmt,
             [a_q, b_q, x_q],
             precision,
-            {"group": int(group), "program": program.to_wire()},
+            {"program": program.to_wire()},
             frame_type="layer_task",
             target_blocks=target_blocks,
             csr=csr,
             content_key=content_key,
         )
         if stage_seconds:  # an all-empty layer dispatched nothing
-            # What the three-call composition would have moved over the
-            # wire and the fused path did not: the SDDMM intermediate
-            # pulled back to the head (float32 values in vector layout)
-            # plus the attention CSR bundle pushed out again for
-            # the SpMM — never pinnable, its values change every layer
-            # evaluation.
-            n_vec, v = fmt.vector_values.shape
-            intermediate_bytes = (
-                n_vec * v * 4
-                + int(csr.indptr.nbytes)
-                + int(csr.indices.nbytes)
-                + int(csr.nnz) * 4
-            )
             self.metrics.record_layer_request(
-                round_trips_saved=2, operand_bytes_saved=intermediate_bytes
+                round_trips_saved=2,
+                operand_bytes_saved=composed_intermediate_bytes(fmt, csr),
             )
         return out, stage_seconds
-
-    # ----------------------------------------------------------------- segmm
-    def run_segment_matmul(
-        self, data: np.ndarray, offsets: np.ndarray, weights
-    ) -> np.ndarray:
-        """Served :func:`repro.ops.segment_matmul` (RGCN-style typed linear).
-
-        One ``segmm_task`` frame, operands inline, to the operand's
-        affinity host; with no live host the product runs in-parent.
-        Serving requires uniform-width weights — the wire format is one
-        stacked ``(segments, K, N)`` panel.
-        """
-        data = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
-        offsets = np.ascontiguousarray(np.asarray(offsets, dtype=np.int64))
-        stack = np.ascontiguousarray(
-            np.stack([np.asarray(w, dtype=np.float32) for w in weights])
-        )
-        self.metrics.record_segmm_request()
-        routing_key = operand_store_key(data)
-        header = {"type": "segmm_task", "op": "segmm", "task_id": 0}
-        tasks = [{"frame": {"header": header, "arrays": [data, offsets, stack]}}]
-
-        def inline(task: dict) -> tuple:
-            return {}, [
-                np.ascontiguousarray(segment_matmul(data, offsets, list(stack)))
-            ]
-
-        payloads = self._dispatch(tasks, routing_key, inline)
-        return np.asarray(payloads[0][0][1][0], dtype=np.float32)

@@ -91,7 +91,6 @@ class ClusterMetrics:
             # pushed out again (never pinnable: its values change every
             # layer evaluation).
             "layer_requests": 0,
-            "segmm_requests": 0,
             "round_trips_saved": 0,
             "operand_bytes_saved": 0,
         }
@@ -148,11 +147,6 @@ class ClusterMetrics:
             self._counters["layer_requests"] += 1
             self._counters["round_trips_saved"] += int(round_trips_saved)
             self._counters["operand_bytes_saved"] += int(operand_bytes_saved)
-
-    def record_segmm_request(self) -> None:
-        """One ``run_segment_matmul`` call."""
-        with self._lock:
-            self._counters["segmm_requests"] += 1
 
     def _frame_bytes(self, frame_type: str, sent: int = 0, received: int = 0) -> None:
         """Tally bytes under a frame-type bucket; called under the lock."""

@@ -58,10 +58,6 @@ Message types (the ``type`` header field) used by the cluster:
 * ``layer_task`` (head → worker): one window-aligned shard of a whole
   fused layer program (SDDMM → scale → edge softmax → SpMM in one worker
   pass; see :mod:`repro.serve.program`); store-referenced like ``task``,
-* ``segmm_task`` (head → worker): one served
-  :func:`repro.ops.segment_matmul`, operands inline (one-shot data,
-  nothing to pin) — a frame names store keys *or* carries arrays, never
-  both,
 * ``store_put`` / ``store_ack``: pin a content-keyed buffer bundle on the
   worker / confirm it,
 * ``store_miss`` (worker → head): a task referenced keys the worker does

@@ -70,7 +70,6 @@ from repro.cluster.transport import (
 from repro.formats.cache import FORMAT_CACHE_MAXSIZE, TranslationCache, cached_format
 from repro.formats.csr import CSRMatrix
 from repro.kernels.engine import SHARD_OPS, ShardRange
-from repro.ops import segment_matmul
 from repro.precision.types import Precision
 from repro.serve.program import LayerProgram
 
@@ -156,31 +155,25 @@ class WorkerHost:
         return cached_format(csr, kind, precision, by_content=True, cache=self.cache)
 
     # ------------------------------------------------------------ task bodies
-    def run_task(self, header: dict, arrays: list[np.ndarray]) -> tuple[dict, list]:
+    def run_task(self, header: dict) -> tuple[dict, list]:
         """Execute one shard task; returns the reply ``(header, arrays)``.
 
-        A ``segmm_task`` carries its operands inline.  A kernel or layer
-        task carries none: ``store_csr`` names the pinned CSR bundle and
-        ``store_operands`` the pinned dense panels, in operand order.  The
-        keys are acquired for the duration of the task (refcounted:
-        eviction cannot pull a buffer out from under it); a store that no
-        longer holds them raises :class:`StoreMissError` naming every
-        absent key.
+        The task frame carries no operands: ``store_csr`` names the pinned
+        CSR bundle and ``store_operands`` the pinned dense panels, in
+        operand order.  The keys are acquired for the duration of the task
+        (refcounted: eviction cannot pull a buffer out from under it); a
+        store that no longer holds them raises :class:`StoreMissError`
+        naming every absent key.
         """
         delay = float(header.get("delay_s") or 0.0)
         if delay > 0.0:  # failure-injection hook for the kill-mid-shard tests
             time.sleep(delay)
-        if header["op"] == "segmm":
-            data, offsets, weights = arrays
-            out = segment_matmul(data, np.asarray(offsets, dtype=np.int64), list(weights))
-            reply, payload = {"type": "result"}, [np.ascontiguousarray(out)]
-        else:
-            keys = (header["store_csr"], *header["store_operands"])
-            bundles = self.store.acquire(*keys)
-            try:
-                reply, payload = self._run_shard(header, bundles[0], [b[0] for b in bundles[1:]])
-            finally:
-                self.store.release(*keys)
+        keys = (header["store_csr"], *header["store_operands"])
+        bundles = self.store.acquire(*keys)
+        try:
+            reply, payload = self._run_shard(header, bundles[0], [b[0] for b in bundles[1:]])
+        finally:
+            self.store.release(*keys)
         self.tasks_done += 1
         reply["task_id"] = header.get("task_id")
         reply.update(self._status())
@@ -283,9 +276,9 @@ class WorkerHost:
                             **self._status(),
                         },
                     )
-                elif kind in ("task", "layer_task", "segmm_task"):
+                elif kind in ("task", "layer_task"):
                     try:
-                        reply, payload = self.run_task(header, arrays)
+                        reply, payload = self.run_task(header)
                     except StoreMissError as exc:
                         # The task referenced keys this store no longer
                         # holds (evicted, or a restarted process).  Not a

@@ -228,6 +228,21 @@ def attention_csr(csr: CSRMatrix, data: np.ndarray) -> CSRMatrix:
     return CSRMatrix(csr.indptr, csr.indices, data, csr.shape)
 
 
+def composed_intermediate_bytes(fmt, csr: CSRMatrix) -> int:
+    """Bytes a fused layer keeps off the carrier versus the composed path.
+
+    Composition pulls the SDDMM intermediate back (float32 values in
+    ``fmt``'s vector layout) and pushes the :func:`attention_csr` bundle
+    out again — never pinnable, its values change every evaluation.
+    """
+    return (
+        int(fmt.vector_values.shape[0]) * fmt.vector_size * 4
+        + int(csr.indptr.nbytes)
+        + int(csr.indices.nbytes)
+        + int(csr.nnz) * 4
+    )
+
+
 @dataclass
 class LayerResult:
     """Result of a fused-layer request: the layer's dense output rows."""

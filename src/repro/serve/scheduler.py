@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.formats.blocked import BlockedVectorFormat
 from repro.kernels.engine import SHARD_OPS
-from repro.ops import segment_matmul
 from repro.precision.types import Precision
 
 try:  # POSIX shared memory; present on every platform this repo targets.
@@ -387,7 +386,6 @@ class ShardScheduler:
         b_q: np.ndarray,
         x_q: np.ndarray,
         precision: Precision,
-        group: int,
         scale: float | None = None,
         scale_by_mask: bool = False,
         target_blocks: int | None = None,
@@ -400,8 +398,7 @@ class ShardScheduler:
         ``a_q`` / ``b_q`` are the SDDMM operands and ``x_q`` the SpMM dense
         operand, all pre-quantised float32.  Shards are cut on the SpMM
         grouping's window offsets and all three stages run on the shard's
-        CSR entries; ``group`` (the SDDMM output grouping) only rides along
-        in the task, as it does on the cluster's ``layer_task`` frames.
+        CSR entries.
 
         Returns ``(rows, stage_seconds)`` where ``stage_seconds`` sums each
         stage's wall clock across shards
@@ -417,20 +414,7 @@ class ShardScheduler:
             fmt,
             [a_q, b_q, x_q],
             params,
-            group=group,
             indptr=indptr,
             target_blocks=target_blocks,
             inject_failures=_inject_failures,
         )
-
-    # -------------------------------------------------------- segment matmul
-    def run_segment_matmul(self, data: np.ndarray, offsets: np.ndarray, weights) -> np.ndarray:
-        """Served typed-linear (:func:`repro.ops.segment_matmul`).
-
-        Runs in-process: the op is already one bucketed batched-BLAS pass,
-        so process sharding would only add pickle traffic.  Counted as one
-        request / one shard in the lifetime stats.
-        """
-        self._count("requests")
-        self._count("shards")
-        return segment_matmul(data, offsets, weights)

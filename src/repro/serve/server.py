@@ -106,7 +106,8 @@ import time
 import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -120,7 +121,7 @@ from repro.kernels.sddmm_flash import (
     sddmm_flash_cost,
 )
 from repro.kernels.spmm_flash import spmm_flash_cost
-from repro.ops import segment_softmax
+from repro.ops import segment_matmul, segment_softmax
 from repro.perfmodel.model import sddmm_useful_flops, spmm_useful_flops
 from repro.precision.types import Precision, quantize
 from repro.serve.errors import (
@@ -137,6 +138,7 @@ from repro.serve.program import (
     LayerProgram,
     LayerResult,
     SegmentMatmulResult,
+    composed_intermediate_bytes,
 )
 from repro.serve.scheduler import ShardScheduler
 from repro.utils.validation import check_dense_matrix
@@ -171,20 +173,17 @@ class ServeRequest:
 
     op: str
     csr: object  # CSRMatrix (None for pattern-free ops, e.g. segmm)
-    key: str  # content key — the batching handle
-    b: np.ndarray
-    a: np.ndarray | None = None
-    scale_by_mask: bool = False
-    #: Aggregation panel of a fused layer request (``submit_layer``).
-    x: np.ndarray | None = None
-    #: Folded scalar applied to the layer's logits before the softmax.
-    scale: float | None = None
-    #: Segment boundaries / per-segment weights of a ``segmm`` request.
-    offsets: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    #: Coalescing handle of a layer request: layers agree on everything
-    #: but the ``x`` panel exactly when their tokens match.
-    group_token: str = ""
+    key: str  # content key — the batching and routing handle
+    #: Dense operands in the order the op runs them; a concatenating op's
+    #: last operand is the panel coalesced requests join column-wise.
+    operands: tuple = ()
+    #: Scalar settings of the request, reported in its result's ``meta``
+    #: (and passed to the scheduler run of the ops that take settings).
+    params: dict = field(default_factory=dict)
+    #: Coalescing handle: requests of a concatenating op share one pass
+    #: exactly when their (op, key, token) match — a layer's token covers
+    #: everything but its ``x`` panel.
+    token: str = ""
     future: Future | None = None
     submitted_at: float = 0.0
     #: Absolute ``perf_counter`` deadline; ``None`` means wait forever.
@@ -194,8 +193,9 @@ class ServeRequest:
     priority: int = 0
     #: Arrival sequence number — the FIFO tie-break of the dispatch order.
     seq: int = 0
-    #: Predicted useful FLOPs (``2·nnz·width``) — the cost-shedding key.
-    cost: float = 0.0
+    #: Useful FLOPs (``2·nnz·width`` for an SpMM) — the cost-shedding key
+    #: and the result's ``useful_flops``.
+    cost: int = 0
     #: Whether dequeue accounting already ran for this request (crash-path
     #: bookkeeping: stranded requests must be dequeue-accounted exactly once).
     dequeued: bool = False
@@ -223,6 +223,102 @@ class ServeRequest:
             priority += max(0.0, now - self.submitted_at) / aging_halflife_s
         deadline = math.inf if self.deadline is None else self.deadline
         return (-priority, deadline, self.seq)
+
+
+@dataclass(frozen=True)
+class _ServedOp:
+    """How the server executes one op: a row of :data:`_SERVED_OPS`.
+
+    Rows reach the scheduler as ``server.scheduler.run_*`` and every other
+    helper (translation, quantiser, planner, cost pass) through this
+    module's global names, both looked up per call: a row never holds a
+    function object captured at import, so rebinding a module name — as the
+    benchmark's tracer does — reaches every served request.
+    """
+
+    #: Planner the op's shards are cut by (``"spmm"`` / ``"sddmm"``).
+    #: ``None`` marks an op run whole in the server process: no
+    #: translation, no operand quantisation, no plan.
+    planner: str | None
+    #: Whether same-(matrix, token) requests concatenate their last operand
+    #: column-wise into one pass.  Numerically invisible: every output
+    #: column accumulates from its own operand column only.
+    concat: bool
+    #: ``run(server, fmt, operands, lead, kwargs)`` →
+    #: ``(output, stage_seconds or None)``.
+    run: Callable
+    #: ``result(server, fmt, values, req, meta)`` → one request's result.
+    result: Callable
+
+
+def _run_spmm(server, fmt, operands, lead, kwargs):
+    return server.scheduler.run_spmm(fmt, *operands, server.precision, **kwargs), None
+
+
+def _run_sddmm(server, fmt, operands, lead, kwargs):
+    out = server.scheduler.run_sddmm(
+        fmt, *operands, server.precision, VECTORS_PER_OUTPUT_BLOCK, **lead.params, **kwargs
+    )
+    return out, None
+
+
+def _run_layer(server, fmt, operands, lead, kwargs):
+    out, stages = server.scheduler.run_layer(
+        fmt, lead.csr.indptr, *operands, server.precision, **lead.params, **kwargs
+    )
+    server.metrics.record_layer(
+        stages,
+        round_trips_saved=2,
+        operand_bytes_saved=composed_intermediate_bytes(fmt, lead.csr),
+    )
+    return out, stages
+
+
+def _run_edge_softmax(server, fmt, operands, lead, kwargs):
+    return segment_softmax(*operands, lead.csr.indptr), None
+
+
+def _run_segmm(server, fmt, operands, lead, kwargs):
+    return np.ascontiguousarray(segment_matmul(*operands)), None
+
+
+def _spmm_result(server, fmt, values, req, meta):
+    counter = spmm_flash_cost(
+        fmt, values.shape[1], FlashSparseConfig(precision=server.precision)
+    )
+    return SpmmResult(values=values, counter=counter, useful_flops=req.cost, meta=meta)
+
+
+def _sddmm_result(server, fmt, values, req, meta):
+    output = BlockedVectorFormat(
+        partition=fmt.partition,
+        vector_values=values,
+        k=fmt.k,
+        precision=Precision.FP32,
+        format_name=f"{fmt.format_name}-sddmm-out",
+    )
+    counter = sddmm_flash_cost(
+        fmt, req.operands[0].shape[1], FlashSparseConfig(precision=server.precision)
+    )
+    return SddmmResult(output=output, counter=counter, useful_flops=req.cost, meta=meta)
+
+
+def _plain_result(cls):
+    """Builder of a result that is its ``values``, ``useful_flops`` and ``meta``."""
+    return lambda server, fmt, values, req, meta: cls(
+        values=values, useful_flops=req.cost, meta=meta
+    )
+
+
+#: The served ops, by :attr:`ServeRequest.op`.
+_SERVED_OPS = {
+    "spmm": _ServedOp("spmm", True, _run_spmm, _spmm_result),
+    "sddmm": _ServedOp("sddmm", False, _run_sddmm, _sddmm_result),
+    # The fused layer shards on the SpMM cut; its ``x`` panels concatenate.
+    "layer": _ServedOp("spmm", True, _run_layer, _plain_result(LayerResult)),
+    "edge_softmax": _ServedOp(None, False, _run_edge_softmax, _plain_result(EdgeSoftmaxResult)),
+    "segmm": _ServedOp(None, False, _run_segmm, _plain_result(SegmentMatmulResult)),
+}
 
 
 @dataclass
@@ -430,9 +526,9 @@ class Server:
                 op="spmm",
                 csr=inp.csr,
                 key=inp.csr.content_key(),
-                b=b,
+                operands=(b,),
                 priority=int(priority),
-                cost=float(spmm_useful_flops(inp.csr.nnz, b.shape[1])),
+                cost=spmm_useful_flops(inp.csr.nnz, b.shape[1]),
             ),
             timeout,
         )
@@ -459,11 +555,10 @@ class Server:
                 op="sddmm",
                 csr=inp.csr,
                 key=inp.csr.content_key(),
-                b=b,
-                a=a,
-                scale_by_mask=scale_by_mask,
+                operands=(a, b),
+                params={"scale_by_mask": scale_by_mask},
                 priority=int(priority),
-                cost=float(sddmm_useful_flops(inp.csr.nnz, a.shape[1])),
+                cost=sddmm_useful_flops(inp.csr.nnz, a.shape[1]),
             ),
             timeout,
         )
@@ -511,14 +606,11 @@ class Server:
                 op="layer",
                 csr=inp.csr,
                 key=inp.csr.content_key(),
-                b=b,
-                a=a,
-                x=x,
-                scale=scale,
-                scale_by_mask=scale_by_mask,
-                group_token=token.hexdigest(),
+                operands=(a, b, x),
+                params={"scale": scale, "scale_by_mask": scale_by_mask},
+                token=token.hexdigest(),
                 priority=int(priority),
-                cost=float(
+                cost=(
                     sddmm_useful_flops(nnz, a.shape[1])
                     + _edge_softmax_useful_flops(nnz)
                     + spmm_useful_flops(nnz, x.shape[1])
@@ -554,9 +646,9 @@ class Server:
                 op="edge_softmax",
                 csr=inp.csr,
                 key=inp.csr.content_key(),
-                b=logits,
+                operands=(logits,),
                 priority=int(priority),
-                cost=float(_edge_softmax_useful_flops(inp.csr.nnz)),
+                cost=_edge_softmax_useful_flops(inp.csr.nnz),
             ),
             timeout,
         )
@@ -573,8 +665,10 @@ class Server:
         (:func:`repro.ops.segment_matmul`); returns a Future of
         :class:`SegmentMatmulResult`.
 
-        ``weights`` must be uniform-width — one ``(segments, K, N)`` stack
-        is the wire format (the ``segmm_task`` frame).
+        ``weights`` must be uniform-width (one ``(segments, K, N)`` stack).
+        The product runs in the server process on every backend: it is
+        already one bucketed batched-BLAS pass, so shipping it to a worker
+        would only add operand traffic.
         """
         data = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
         if data.ndim != 2:
@@ -600,11 +694,10 @@ class Server:
                 op="segmm",
                 csr=None,
                 key="",
-                b=data,
-                offsets=offsets,
-                weights=stack,
+                operands=(data, offsets, stack),
+                params={"segments": int(offsets.size - 1)},
                 priority=int(priority),
-                cost=float(2 * data.shape[0] * stack.shape[1] * stack.shape[2]),
+                cost=2 * data.shape[0] * stack.shape[1] * stack.shape[2],
             ),
             timeout,
         )
@@ -739,7 +832,7 @@ class Server:
                     stopping = self._drain_queue(block=False) or stopping
                 try:
                     now = time.perf_counter()
-                    self._shed_expired_pending(now)
+                    self._pending = self._live(self._pending, now, dequeue=True)
                     self._shed_over_watermark(now)
                     if not self._pending:
                         continue
@@ -823,29 +916,6 @@ class Server:
             self._queued -= 1
             self._admission.notify_all()
 
-    def _shed_expired_pending(self, now: float) -> None:
-        """Fail deadline-expired pending requests before they are picked."""
-        live: list[ServeRequest] = []
-        for req in self._pending:
-            if req.deadline is None or now <= req.deadline:
-                live.append(req)
-                continue
-            self._account_shed_from_pending(req)
-            if not req.future.done():
-                waited = now - req.submitted_at
-                req.future.set_exception(
-                    ServeTimeoutError(
-                        f"request shed: deadline exceeded after {waited:.3f}s in queue"
-                    )
-                )
-                self.metrics.record_timed_out(waited)
-            else:
-                # Expired *and* already resolved (client-cancelled while
-                # queued): drop it — executing would set_result on a done
-                # future — but keep the in-flight identity exact.
-                self._record_cancelled(req)
-        self._pending = live
-
     def _shed_over_watermark(self, now: float) -> None:
         """Cost-aware shedding: over the watermark, drop the most expensive
         pending requests first (the planner's FLOPs estimate is the cost)."""
@@ -904,13 +974,25 @@ class Server:
             self._forget_dispatched(group)
             slots.release()
 
-    def _shed_expired(self, requests: list[ServeRequest], now: float) -> list[ServeRequest]:
-        """Fail deadline-expired requests before execution; return the rest."""
+    def _live(
+        self, requests: list[ServeRequest], now: float, dequeue: bool = False
+    ) -> list[ServeRequest]:
+        """Drop client-cancelled requests and fail deadline-expired ones;
+        return the rest.  ``dequeue`` marks requests leaving the pending
+        buffer unexecuted (their admission slots free up)."""
         live: list[ServeRequest] = []
         for req in requests:
-            if req.deadline is None or now <= req.deadline:
+            # A queued future is only ever resolved by a client cancel:
+            # executing it would set_result on a done future.
+            cancelled = req.future.done()
+            if not cancelled and (req.deadline is None or now <= req.deadline):
                 live.append(req)
-            elif not req.future.done():
+                continue
+            if dequeue:
+                self._account_shed_from_pending(req)
+            if cancelled:
+                self._record_cancelled(req)
+            else:
                 waited = now - req.submitted_at
                 req.future.set_exception(
                     ServeTimeoutError(
@@ -918,11 +1000,6 @@ class Server:
                     )
                 )
                 self.metrics.record_timed_out(waited)
-            else:
-                # Expired *and* already resolved (e.g. client-cancelled
-                # while queued): drop it — executing would set_result on a
-                # done future.
-                self._record_cancelled(req)
         return live
 
     def _handle_crash(self, exc: BaseException) -> None:
@@ -987,17 +1064,12 @@ class Server:
         groups: dict[tuple, list[ServeRequest]] = {}
         ordered: list[list[ServeRequest]] = []
         for req in requests:
-            # SDDMM / edge-softmax / segmm requests share a translation but
-            # not an engine pass, so their group key is unique per request.
-            if req.op == "spmm":
-                key = (req.op, req.key, req.b.shape[0])
-            elif req.op == "layer":
-                # Layers coalesce when everything but the ``x`` panel
-                # matches (same matrix, logits panels, scale): the panels
-                # concatenate into one fused pass, exactly like SpMM.
-                key = (req.op, req.key, req.group_token, req.x.shape[0])
+            # Ops that do not concatenate may share a translation but not a
+            # pass, so their group key is unique per request.
+            if _SERVED_OPS[req.op].concat:
+                key = (req.op, req.key, req.token, req.operands[-1].shape[0])
             else:
-                key = (req.op, req.key, id(req))
+                key = (id(req),)
             bucket = groups.get(key)
             if bucket is None or len(bucket) >= self.max_batch:
                 bucket = []
@@ -1045,23 +1117,62 @@ class Server:
             return plan
 
     def _execute_group(self, group: list[ServeRequest]) -> None:
-        # Re-check deadlines at execution time: earlier groups of the same
-        # drain may have pushed this one past its requests' deadlines.
-        group = self._shed_expired(group, time.perf_counter())
+        """Run one group through its op's :data:`_SERVED_OPS` row:
+        translate → quantise → plan → run → split → build each result →
+        resolve, or record the cancellation that beat the resolve."""
+        # Re-check at execution time: earlier groups of the same drain may
+        # have pushed this one past its deadlines, and clients may have
+        # cancelled while it waited.
+        group = self._live(group, time.perf_counter())
         if not group:
             return
         try:
-            op = group[0].op
-            if op == "spmm":
-                self._execute_spmm_group(group)
-            elif op == "layer":
-                self._execute_layer_group(group)
-            elif op == "edge_softmax":
-                self._execute_edge_softmax(group[0])
-            elif op == "segmm":
-                self._execute_segmm(group[0])
-            else:
-                self._execute_sddmm(group[0])
+            lead, row = group[0], _SERVED_OPS[group[0].op]
+            self.metrics.record_batch(len(group))
+            operands = list(lead.operands)
+            if row.concat and len(group) > 1:
+                operands[-1] = np.concatenate([req.operands[-1] for req in group], axis=1)
+            fmt = plan = None
+            kwargs: dict = {}
+            if row.planner is not None:
+                fmt = cached_mebcrs(lead.csr, self.precision, by_content=True)
+                operands = [quantize(operand, self.precision) for operand in operands]
+                plan = self._plan_for(fmt, row.planner, operands[-1].shape[1])
+                kwargs["target_blocks"] = plan.block_chunk
+                if self.backend == "cluster":
+                    # The head routes by content key and ships the
+                    # request's own CSR payload to the worker hosts.
+                    kwargs.update(csr=lead.csr, content_key=lead.key)
+            out, stages = row.run(self, fmt, operands, lead, kwargs)
+            meta = {
+                "engine": "serve",
+                "backend": self.backend,
+                "workers": self.scheduler.workers,
+                **lead.params,
+            }
+            if plan is not None:
+                meta["plan"] = plan
+            if row.concat:
+                meta["batched_with"] = len(group) - 1
+            offset = 0
+            now = time.perf_counter()
+            for req in group:
+                values = out
+                if row.concat:
+                    width = req.operands[-1].shape[1]
+                    values = np.ascontiguousarray(out[:, offset : offset + width])
+                    offset += width
+                req_meta = dict(meta) if stages is None else {**meta, "stages": dict(stages)}
+                try:
+                    req.future.set_result(row.result(self, fmt, values, req, req_meta))
+                except InvalidStateError:  # cancelled after the live check
+                    self._record_cancelled(req)
+                    continue
+                self.metrics.record_completed(
+                    now - req.submitted_at,
+                    queue_wait_s=req.dequeued_at - req.submitted_at,
+                    execution_s=now - req.dequeued_at,
+                )
         except Exception as exc:
             now = time.perf_counter()
             for req in group:
@@ -1070,235 +1181,3 @@ class Server:
                     self.metrics.record_failed(now - req.submitted_at)
                 elif req.future.cancelled():
                     self._record_cancelled(req)
-
-    def _routing_kwargs(self, req: ServeRequest) -> dict:
-        """Extra scheduler arguments: the cluster head routes by content
-        key and ships the request's own CSR payload to the worker hosts."""
-        if self.backend != "cluster":
-            return {}
-        return {"csr": req.csr, "content_key": req.key}
-
-    def _record_done(self, req: ServeRequest, now: float) -> None:
-        self.metrics.record_completed(
-            now - req.submitted_at,
-            queue_wait_s=req.dequeued_at - req.submitted_at,
-            execution_s=now - req.dequeued_at,
-        )
-
-    def _execute_spmm_group(self, group: list[ServeRequest]) -> None:
-        fmt = cached_mebcrs(group[0].csr, self.precision, by_content=True)
-        widths = [req.b.shape[1] for req in group]
-        n_total = sum(widths)
-        self.metrics.record_batch(len(group))
-        # One quantised concatenated operand → one engine pass.
-        b_cat = np.concatenate([req.b for req in group], axis=1) if len(group) > 1 else group[0].b
-        b_q = quantize(b_cat, self.precision)
-        plan = self._plan_for(fmt, "spmm", n_total)
-        out = self.scheduler.run_spmm(
-            fmt,
-            b_q,
-            self.precision,
-            target_blocks=plan.block_chunk,
-            **self._routing_kwargs(group[0]),
-        )
-        offset = 0
-        now = time.perf_counter()
-        for req, width in zip(group, widths):
-            values = np.ascontiguousarray(out[:, offset : offset + width])
-            offset += width
-            if req.future.done():
-                # Client-cancelled while queued (without a deadline, so the
-                # shed passes kept it): setting a result would raise
-                # InvalidStateError and poison every later sibling.
-                self._record_cancelled(req)
-                continue
-            counter = spmm_flash_cost(
-                fmt, width, FlashSparseConfig(precision=self.precision)
-            )
-            result = SpmmResult(
-                values=values,
-                counter=counter,
-                useful_flops=spmm_useful_flops(fmt.nnz, width),
-                meta={
-                    "engine": "serve",
-                    "backend": self.backend,
-                    "workers": self.scheduler.workers,
-                    "batched_with": len(group) - 1,
-                    "plan": plan,
-                },
-            )
-            try:
-                req.future.set_result(result)
-            except InvalidStateError:  # cancelled between the check and here
-                self._record_cancelled(req)
-                continue
-            self._record_done(req, now)
-
-    def _execute_sddmm(self, req: ServeRequest) -> None:
-        if req.future.done():  # client-cancelled while queued: see SpMM path
-            self._record_cancelled(req)
-            return
-        fmt = cached_mebcrs(req.csr, self.precision, by_content=True)
-        self.metrics.record_batch(1)
-        k_dense = req.a.shape[1]
-        a_q = quantize(req.a, self.precision)
-        b_q = quantize(req.b, self.precision)
-        plan = self._plan_for(fmt, "sddmm", k_dense)
-        out_values = self.scheduler.run_sddmm(
-            fmt,
-            a_q,
-            b_q,
-            self.precision,
-            VECTORS_PER_OUTPUT_BLOCK,
-            scale_by_mask=req.scale_by_mask,
-            target_blocks=plan.block_chunk,
-            **self._routing_kwargs(req),
-        )
-        output = BlockedVectorFormat(
-            partition=fmt.partition,
-            vector_values=out_values,
-            k=fmt.k,
-            precision=Precision.FP32,
-            format_name=f"{fmt.format_name}-sddmm-out",
-        )
-        counter = sddmm_flash_cost(fmt, k_dense, FlashSparseConfig(precision=self.precision))
-        result = SddmmResult(
-            output=output,
-            counter=counter,
-            useful_flops=sddmm_useful_flops(fmt.nnz, k_dense),
-            meta={
-                "engine": "serve",
-                "backend": self.backend,
-                "workers": self.scheduler.workers,
-                "scale_by_mask": req.scale_by_mask,
-                "plan": plan,
-            },
-        )
-        try:
-            req.future.set_result(result)
-        except InvalidStateError:  # cancelled between the check and here
-            self._record_cancelled(req)
-            return
-        self._record_done(req, time.perf_counter())
-
-    def _execute_layer_group(self, group: list[ServeRequest]) -> None:
-        """One fused pass for a batch of same-(matrix, logits, scale)
-        layers: their ``x`` panels concatenate column-wise (numerically
-        invisible, exactly as for SpMM batching) and the whole
-        SDDMM → scale → softmax → SpMM pipeline runs once per shard."""
-        lead = group[0]
-        fmt = cached_mebcrs(lead.csr, self.precision, by_content=True)
-        widths = [req.x.shape[1] for req in group]
-        n_total = sum(widths)
-        self.metrics.record_batch(len(group))
-        a_q = quantize(lead.a, self.precision)
-        b_q = quantize(lead.b, self.precision)
-        x_cat = (
-            np.concatenate([req.x for req in group], axis=1)
-            if len(group) > 1
-            else lead.x
-        )
-        x_q = quantize(x_cat, self.precision)
-        plan = self._plan_for(fmt, "spmm", n_total)
-        out, stage_seconds = self.scheduler.run_layer(
-            fmt,
-            lead.csr.indptr,
-            a_q,
-            b_q,
-            x_q,
-            self.precision,
-            VECTORS_PER_OUTPUT_BLOCK,
-            scale=lead.scale,
-            scale_by_mask=lead.scale_by_mask,
-            target_blocks=plan.block_chunk,
-            **self._routing_kwargs(lead),
-        )
-        # What the composed path would have moved between server and
-        # scheduler per layer (SDDMM intermediate out, attention matrix
-        # back in) and the fused pass did not.
-        n_vec = int(fmt.vector_values.shape[0])
-        intermediate_bytes = (
-            n_vec * fmt.vector_size * 4
-            + int(lead.csr.indptr.nbytes)
-            + int(lead.csr.indices.nbytes)
-            + int(lead.csr.nnz) * 4
-        )
-        self.metrics.record_layer(
-            stage_seconds,
-            round_trips_saved=2,
-            operand_bytes_saved=intermediate_bytes,
-        )
-        k_dense = lead.a.shape[1]
-        offset = 0
-        now = time.perf_counter()
-        for req, width in zip(group, widths):
-            values = np.ascontiguousarray(out[:, offset : offset + width])
-            offset += width
-            if req.future.done():
-                self._record_cancelled(req)
-                continue
-            result = LayerResult(
-                values=values,
-                useful_flops=(
-                    sddmm_useful_flops(fmt.nnz, k_dense)
-                    + _edge_softmax_useful_flops(fmt.nnz)
-                    + spmm_useful_flops(fmt.nnz, width)
-                ),
-                meta={
-                    "engine": "serve",
-                    "backend": self.backend,
-                    "workers": self.scheduler.workers,
-                    "batched_with": len(group) - 1,
-                    "plan": plan,
-                    "stages": dict(stage_seconds),
-                    "scale": lead.scale,
-                    "scale_by_mask": lead.scale_by_mask,
-                },
-            )
-            try:
-                req.future.set_result(result)
-            except InvalidStateError:  # cancelled between the check and here
-                self._record_cancelled(req)
-                continue
-            self._record_done(req, now)
-
-    def _execute_edge_softmax(self, req: ServeRequest) -> None:
-        if req.future.done():  # client-cancelled while queued: see SpMM path
-            self._record_cancelled(req)
-            return
-        self.metrics.record_batch(1)
-        values = segment_softmax(req.b, req.csr.indptr)
-        result = EdgeSoftmaxResult(
-            values=values,
-            useful_flops=_edge_softmax_useful_flops(req.csr.nnz),
-            meta={"engine": "serve", "backend": self.backend},
-        )
-        try:
-            req.future.set_result(result)
-        except InvalidStateError:
-            self._record_cancelled(req)
-            return
-        self._record_done(req, time.perf_counter())
-
-    def _execute_segmm(self, req: ServeRequest) -> None:
-        if req.future.done():  # client-cancelled while queued: see SpMM path
-            self._record_cancelled(req)
-            return
-        self.metrics.record_batch(1)
-        values = self.scheduler.run_segment_matmul(req.b, req.offsets, req.weights)
-        result = SegmentMatmulResult(
-            values=np.ascontiguousarray(values),
-            useful_flops=int(req.cost),
-            meta={
-                "engine": "serve",
-                "backend": self.backend,
-                "workers": self.scheduler.workers,
-                "segments": int(req.offsets.size - 1),
-            },
-        )
-        try:
-            req.future.set_result(result)
-        except InvalidStateError:
-            self._record_cancelled(req)
-            return
-        self._record_done(req, time.perf_counter())

@@ -14,10 +14,11 @@ def check_positive_int(value: int, name: str) -> int:
 
 
 def check_dense_matrix(array: np.ndarray, name: str, n_rows: int | None = None) -> np.ndarray:
-    """Validate a dense 2-D operand and return it as a float64 C-contiguous array.
+    """Validate a dense 2-D operand; return it as a float64 C-contiguous array.
 
-    Kernels convert inputs to float64 once up front and quantize per tile, so
-    that precision emulation is applied at the same place the hardware would.
+    The array is copied only when the input is not already one.  Only the
+    shape is checked (2-D, ``n_rows`` rows when given); precision emulation
+    happens later, when the caller quantises the whole operand.
     """
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim != 2:

@@ -18,7 +18,7 @@ from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
 from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK as FLASH_GROUP
 from repro.kernels.sddmm_tcu16 import VECTORS_PER_OUTPUT_BLOCK as TCU16_GROUP
-from repro.ops import segment_matmul, segment_softmax
+from repro.ops import segment_softmax
 from repro.precision.types import Precision, quantize
 from repro.serve.program import attention_csr, gather_edge_values
 from repro.serve.scheduler import ShardScheduler
@@ -41,7 +41,7 @@ def _layer_workload(fmt_name="mebcrs", seed=4, rows=220, cols=200, k=20, n=12):
     b_q = quantize(rng.standard_normal((cols, k)), Precision.FP16).astype(np.float32)
     x_q = quantize(rng.standard_normal((cols, n)), Precision.FP16).astype(np.float32)
     base = _composed_reference(csr, fmt, group, a_q, b_q, x_q, 0.8, False)
-    return csr, fmt, group, a_q, b_q, x_q, base
+    return csr, fmt, a_q, b_q, x_q, base
 
 
 def _composed_reference(csr, fmt, group, a_q, b_q, x_q, scale, scale_by_mask):
@@ -59,7 +59,7 @@ def _composed_reference(csr, fmt, group, a_q, b_q, x_q, scale, scale_by_mask):
     return ref.run_spmm(afmt, x_q, Precision.FP16)
 
 
-def _run_layer(sched, csr, fmt, group, a_q, b_q, x_q, target=7, scale=0.8):
+def _run_layer(sched, csr, fmt, a_q, b_q, x_q, target=7, scale=0.8):
     out, stages = sched.run_layer(
         fmt,
         csr.indptr,
@@ -67,7 +67,6 @@ def _run_layer(sched, csr, fmt, group, a_q, b_q, x_q, target=7, scale=0.8):
         b_q,
         x_q,
         Precision.FP16,
-        group,
         scale=scale,
         target_blocks=target,
         csr=csr,
@@ -87,16 +86,16 @@ def cluster():
 @pytest.mark.parametrize("fmt_name", ["mebcrs", "sgt16"])
 @pytest.mark.parametrize("target", (1, 7, 10_000))
 def test_fused_layer_cluster_parity_grid(cluster, fmt_name, target):
-    csr, fmt, group, a_q, b_q, x_q, base = _layer_workload(fmt_name)
-    out, stages = _run_layer(cluster, csr, fmt, group, a_q, b_q, x_q, target=target)
+    csr, fmt, a_q, b_q, x_q, base = _layer_workload(fmt_name)
+    out, stages = _run_layer(cluster, csr, fmt, a_q, b_q, x_q, target=target)
     np.testing.assert_array_equal(out, base)
     assert set(stages) == {"sddmm_s", "edge_softmax_s", "spmm_s"}
 
 
 def test_fused_layer_metrics_count_saved_round_trips_and_bytes(cluster):
-    csr, fmt, group, a_q, b_q, x_q, base = _layer_workload(seed=8)
+    csr, fmt, a_q, b_q, x_q, base = _layer_workload(seed=8)
     before = cluster.metrics.snapshot()
-    out, _ = _run_layer(cluster, csr, fmt, group, a_q, b_q, x_q)
+    out, _ = _run_layer(cluster, csr, fmt, a_q, b_q, x_q)
     np.testing.assert_array_equal(out, base)
     after = cluster.metrics.snapshot()
     assert after["layer_requests"] == before["layer_requests"] + 1
@@ -112,13 +111,13 @@ def test_fused_layer_metrics_count_saved_round_trips_and_bytes(cluster):
 
 
 def test_fused_layer_single_and_zero_host_parity():
-    csr, fmt, group, a_q, b_q, x_q, base = _layer_workload(seed=9)
+    csr, fmt, a_q, b_q, x_q, base = _layer_workload(seed=9)
     with ClusterScheduler(hosts=1) as one:
-        out, _ = _run_layer(one, csr, fmt, group, a_q, b_q, x_q)
+        out, _ = _run_layer(one, csr, fmt, a_q, b_q, x_q)
         np.testing.assert_array_equal(out, base)
         assert one.stats_snapshot()["inline_fallbacks"] == 0
     with ClusterScheduler(hosts=0) as none:
-        out, _ = _run_layer(none, csr, fmt, group, a_q, b_q, x_q)
+        out, _ = _run_layer(none, csr, fmt, a_q, b_q, x_q)
         np.testing.assert_array_equal(out, base)
         snap = none.stats_snapshot()
         assert snap["inline_fallbacks"] > 0
@@ -130,7 +129,7 @@ def test_fused_layer_survives_dropped_connection_bit_identically():
     """Seeded FaultPlan failover: the connection drops at the first
     ``layer_task`` frame — the host re-dials, the shard resends, and the
     fused result is still exact."""
-    csr, fmt, group, a_q, b_q, x_q, base = _layer_workload(seed=10)
+    csr, fmt, a_q, b_q, x_q, base = _layer_workload(seed=10)
     plan = FaultPlan(seed=1)
     with ClusterScheduler(
         hosts=2,
@@ -139,7 +138,7 @@ def test_fused_layer_survives_dropped_connection_bit_identically():
     ) as sched:
         victim = sched.affinity_host(csr.content_key())
         plan.drop_connection(nth=1, type="layer_task", scope=victim.host_id)
-        out, _ = _run_layer(sched, csr, fmt, group, a_q, b_q, x_q)
+        out, _ = _run_layer(sched, csr, fmt, a_q, b_q, x_q)
         np.testing.assert_array_equal(out, base)
         assert plan.fired_kinds() == ["drop_connection"]
         snap = sched.stats_snapshot()
@@ -150,7 +149,7 @@ def test_fused_layer_survives_dropped_connection_bit_identically():
 def test_fused_layer_fails_over_when_retries_exhaust():
     """The victim's retries run dry mid-layer: the shards fail over to the
     survivor and the output stays bit-identical."""
-    csr, fmt, group, a_q, b_q, x_q, base = _layer_workload(seed=11)
+    csr, fmt, a_q, b_q, x_q, base = _layer_workload(seed=11)
     plan = FaultPlan(seed=2)
     with ClusterScheduler(
         hosts=2,
@@ -161,21 +160,8 @@ def test_fused_layer_fails_over_when_retries_exhaust():
         victim = sched.affinity_host(csr.content_key())
         plan.drop_connection(nth=1, type="layer_task", scope=victim.host_id)
         plan.refuse_connect(2, scope=victim.host_id)
-        out, _ = _run_layer(sched, csr, fmt, group, a_q, b_q, x_q)
+        out, _ = _run_layer(sched, csr, fmt, a_q, b_q, x_q)
         np.testing.assert_array_equal(out, base)
         snap = sched.stats_snapshot()
         assert snap["host_deaths"] == 1
         assert snap["failovers"] >= 1 and snap["shards_failed_over"] >= 1
-
-
-# ------------------------------------------------------------ segment matmul
-def test_cluster_segment_matmul_parity(cluster):
-    rng = np.random.default_rng(31)
-    data = rng.standard_normal((48, 9)).astype(np.float32)
-    offsets = np.array([0, 10, 10, 30, 48], dtype=np.int64)
-    weights = [rng.standard_normal((9, 6)).astype(np.float32) for _ in range(4)]
-    ref = np.asarray(segment_matmul(data, offsets, weights), dtype=np.float32)
-    before = cluster.metrics.snapshot()["segmm_requests"]
-    out = cluster.run_segment_matmul(data, offsets, weights)
-    np.testing.assert_array_equal(out, ref)
-    assert cluster.metrics.snapshot()["segmm_requests"] == before + 1

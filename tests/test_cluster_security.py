@@ -274,7 +274,7 @@ def test_post_handshake_v1_frame_is_refused_by_the_worker(auth_worker):
     conn.settimeout(TIMEOUT)
     client_handshake(conn, auth_token=TOKEN)
     payload = np.ones(16, np.float32)
-    conn.sendall(_unchecksummed_v1({"type": "segmm_task", "op": "segmm"}, payload))
+    conn.sendall(_unchecksummed_v1({"type": "task", "op": "spmm"}, payload))
     try:
         assert conn.recv(1) == b""  # dropped without a reply ...
     except ConnectionResetError:

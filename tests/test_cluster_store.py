@@ -152,7 +152,7 @@ def test_repeat_traffic_ships_matrix_bytes_once_per_host():
         a_q = np.ones((csr.shape[0], b_q.shape[1]), np.float32)
         sched.run_sddmm(fmt, a_q, b_q, Precision.FP16, FLASH_GROUP, target_blocks=7, csr=csr)
         sched.run_layer(
-            fmt, csr.indptr, a_q, b_q, b_q, Precision.FP16, FLASH_GROUP, target_blocks=7, csr=csr
+            fmt, csr.indptr, a_q, b_q, b_q, Precision.FP16, target_blocks=7, csr=csr
         )
         all_ops = sched.stats_snapshot()
     # One push per (host, key): the CSR bundle and the dense panel each

@@ -79,7 +79,6 @@ def test_fused_layer_scheduler_parity_grid(fmt_name, target, workers):
         b_q,
         x_q,
         Precision.FP16,
-        group,
         scale=0.8,
         target_blocks=target,
     )
@@ -99,7 +98,6 @@ def test_fused_layer_scale_variants(scale, by_mask):
         b_q,
         x_q,
         Precision.FP16,
-        group,
         scale=scale,
         scale_by_mask=by_mask,
         target_blocks=5,
@@ -117,7 +115,6 @@ def test_fused_layer_empty_matrix_yields_zeros():
         np.zeros((20, 4), np.float32),
         np.zeros((20, 3), np.float32),
         Precision.FP16,
-        FLASH_GROUP,
     )
     assert out.shape == (24, 3) and not out.any()
     assert all(seconds == 0.0 for seconds in stages.values())
@@ -338,16 +335,23 @@ def test_served_edge_softmax_matches_segment_softmax():
 
 
 # ----------------------------------------------------------- segment matmul
-def test_served_segment_matmul_matches_direct_op():
+@pytest.mark.parametrize(
+    "backend", [{"workers": 1}, {"backend": "cluster", "hosts": 1}], ids=["local", "cluster"]
+)
+def test_served_segment_matmul_matches_direct_op(backend):
+    """Served in the server process on every backend: no worker sees it."""
     rng = np.random.default_rng(23)
     data = rng.standard_normal((40, 10)).astype(np.float32)
     offsets = np.array([0, 12, 12, 25, 40], dtype=np.int64)
     weights = [rng.standard_normal((10, 7)).astype(np.float32) for _ in range(4)]
     ref = segment_matmul(data, offsets, weights)
-    with Server(workers=1) as srv:
+    with Server(**backend) as srv:
         res = srv.submit_segment_matmul(data, offsets, weights).result(TIMEOUT)
+        scheduler_stats = srv.snapshot().meta["scheduler"]
     np.testing.assert_array_equal(res.values, np.asarray(ref, dtype=np.float32))
     assert res.useful_flops == 2 * 40 * 10 * 7
+    assert res.meta["segments"] == 4
+    assert scheduler_stats["requests"] == 0
 
 
 def test_submit_segment_matmul_validates_inputs():

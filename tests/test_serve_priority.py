@@ -206,27 +206,50 @@ def test_no_shedding_at_or_under_watermark():
     assert srv.snapshot().requests_cost_shed == 0
 
 
-def test_cancelled_unexpired_request_does_not_poison_its_batch():
+def _submit_op(srv, op, csr, b):
+    """One request of every served op over ``csr`` (``b``: its column panel)."""
+    rows = csr.shape[0]
+    a = np.random.default_rng(1).standard_normal((rows, b.shape[1]))
+    if op == "spmm":
+        return srv.submit_spmm(csr, b)
+    if op == "sddmm":
+        return srv.submit_sddmm(csr, a, b)
+    if op == "layer":
+        return srv.submit_layer(csr, a, b, b, scale=0.5)
+    if op == "edge_softmax":
+        return srv.submit_edge_softmax(csr, csr.data)
+    offsets = np.array([0, rows // 3, rows], dtype=np.int64)
+    eye = np.eye(b.shape[1])
+    return srv.submit_segment_matmul(a, offsets, [eye, 2 * eye])
+
+
+def _result_values(result):
+    output = getattr(result, "output", None)  # SDDMM: the sampled values
+    return result.values if output is None else output.vector_values
+
+
+@pytest.mark.parametrize("op", ["spmm", "sddmm", "layer", "edge_softmax", "segmm"])
+def test_cancelled_unexpired_request_does_not_poison_its_batch(op):
     """A queued request that is client-cancelled (no deadline, so the shed
-    passes keep it) must be skipped at result delivery — setting a result
-    on the done future would fail every later sibling in the group."""
+    passes keep it) must be dropped before execution — setting a result on
+    the done future would fail every later sibling in the group."""
     (m0, b0), (m1, b1) = _distinct_workloads(2)
     with Server(workers=1) as srv:
+        solo = _result_values(_submit_op(srv, op, m1, b1).result(TIMEOUT))
         gate = _Gate(srv)
         blocker = srv.submit_spmm(m0, b0)
         gate.entered.wait(TIMEOUT)
-        doomed = srv.submit_spmm(m1, b1)
-        sibling = srv.submit_spmm(m1, b1)  # same matrix: batches with doomed
+        doomed = _submit_op(srv, op, m1, b1)
+        sibling = _submit_op(srv, op, m1, b1)  # batches with doomed where the op coalesces
         assert doomed.cancel()  # never dispatched, so cancel succeeds
         gate.release.set()
-        np.testing.assert_array_equal(
-            sibling.result(TIMEOUT).values, spmm(m1, b1).values
-        )
+        np.testing.assert_array_equal(_result_values(sibling.result(TIMEOUT)), solo)
         blocker.result(TIMEOUT)
         assert doomed.cancelled()
     snap = srv.snapshot()
     assert snap.requests_failed == 0
-    # The cancellation is a terminal outcome: the in-flight identity holds.
+    # The cancellation is a terminal outcome, counted once: the in-flight
+    # identity holds.
     assert snap.requests_cancelled == 1
     assert snap.in_flight == 0
 

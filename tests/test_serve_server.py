@@ -104,14 +104,14 @@ def test_same_matrix_requests_coalesce_into_one_pass(workload):
             fut = srv.submit_spmm(twin, b)  # normal path for metrics…
             fut.result(TIMEOUT)
             reqs.append(
-                ServeRequest(op="spmm", csr=twin, key=twin.content_key(), b=b)
+                ServeRequest(op="spmm", csr=twin, key=twin.content_key(), operands=(b,))
             )
         groups = srv._group(reqs)
         # All four requests share content and operand height: one group.
         assert len(groups) == 1 and len(groups[0]) == len(bs)
         # Mixed ops split; max_batch caps group size.
         reqs2 = reqs + [
-            ServeRequest(op="sddmm", csr=csr, key=csr.content_key(), b=bs[0])
+            ServeRequest(op="sddmm", csr=csr, key=csr.content_key(), operands=(bs[0],))
         ]
         assert len(srv._group(reqs2)) == 2
         srv.max_batch = 2

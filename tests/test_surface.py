@@ -1,0 +1,45 @@
+"""Surface budget: the public API may shrink, never silently grow.
+
+Each bound is the count at the time it was set.  A change that removes
+names lowers the bound with it; a change that adds a package export or a
+constructor option has to raise the bound here, in the diff, where review
+sees it.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+
+import pytest
+
+#: Upper bounds on ``len(package.__all__)``.
+EXPORT_BUDGET = {
+    "repro": 8,
+    "repro.kernels": 21,
+    "repro.serve": 23,
+    "repro.cluster": 33,
+    "repro.formats": 18,
+    "repro.gpu": 23,
+    "repro.ops": 10,
+}
+
+#: Upper bounds on constructor parameters (``self`` excluded).
+OPTION_BUDGET = {
+    ("repro.serve", "Server"): 15,
+    ("repro.cluster", "ClusterScheduler"): 18,
+}
+
+
+@pytest.mark.parametrize("package", sorted(EXPORT_BUDGET))
+def test_package_exports_stay_within_budget(package):
+    exported = importlib.import_module(package).__all__
+    assert len(set(exported)) == len(exported), "duplicate names in __all__"
+    assert len(exported) <= EXPORT_BUDGET[package]
+
+
+@pytest.mark.parametrize("module, name", sorted(OPTION_BUDGET))
+def test_constructor_options_stay_within_budget(module, name):
+    cls = getattr(importlib.import_module(module), name)
+    params = list(inspect.signature(cls.__init__).parameters)[1:]
+    assert len(params) <= OPTION_BUDGET[(module, name)]

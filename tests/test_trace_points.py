@@ -72,3 +72,47 @@ def test_kernel_trace_points_fire():
         "precision.quantize": 4,
         "formats.cache_lookup": 2,
     }
+
+
+def test_serve_trace_points_fire():
+    """The serving twin: the server's execution body must reach the
+    translation, planner, quantiser, scheduler and cost pass through their
+    module-level names.  One SpMM, one SDDMM and one fused layer through an
+    inline server open exactly these spans."""
+    import numpy as np
+
+    from helpers import random_csr
+    from repro.serve import Server
+
+    tracing = _load_tracing()
+    csr = random_csr(96, 80, 0.08, seed=3)
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal((80, 24))
+    a = rng.standard_normal((96, 24))
+    x = rng.standard_normal((80, 8))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with Server(workers=1) as srv:
+            with tracer.request(0):
+                srv.submit_spmm(csr, b).result(120)
+            with tracer.request(1):
+                srv.submit_sddmm(csr, a, b).result(120)
+            with tracer.request(2):
+                srv.submit_layer(csr, a, b, x, scale=0.5).result(120)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    fired = {name: len(tracer.durations(name)) for name in tracing.TRACE_POINTS}
+    assert {name: count for name, count in fired.items() if count} == {
+        "serve.scheduler.run": 3,
+        "serve.planner.plan": 3,
+        "formats.cache_lookup": 3,
+        "kernels.cost_pass": 2,
+        "kernels.engine_spmm": 2,
+        "kernels.engine_sddmm": 1,
+        "kernels.layer_shard": 1,
+        "precision.quantize": 8,
+        "ops.segment_sum": 4,
+        "ops.segment_softmax": 1,
+    }
