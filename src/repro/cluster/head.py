@@ -226,6 +226,10 @@ class _HostClient(threading.Thread):
         self.draining = False
         self._stopping = False
         self._wake = threading.Event()  # interrupts backoff sleeps on stop()
+        #: Set once the host answered the shutdown frame: its worker is
+        #: exiting.  A host without it never got the frame (no live
+        #: connection at close) and is terminated instead of waited for.
+        self.said_bye = False
         self._in_flight = False
         self._reconnect_epoch = 0  # keys the jitter stream per SUSPECT episode
         #: Store keys the head believes this worker has pinned.  It lives
@@ -614,6 +618,7 @@ class _HostClient(threading.Thread):
             send_message(self._sock, {"type": "shutdown"})
             # The worker's "bye" — bounded like every other head-side read.
             recv_message(self._sock, max_frame_bytes=self.max_frame_bytes)
+            self.said_bye = True
         except (TransportError, OSError):
             pass
         self._mark_dead(None, record=False)
@@ -1014,13 +1019,19 @@ class ClusterScheduler:
 
     @staticmethod
     def _reap_process(state: HostState) -> None:
-        if state.process is not None:
-            state.process.join(timeout=5.0)
-            if state.process.is_alive():
-                state.process.terminate()
-                state.process.join(timeout=5.0)
-                if state.process.is_alive():  # pragma: no cover - last resort
-                    state.process.kill()
+        process = state.process
+        if process is None:
+            return
+        if not state.client.said_bye:
+            # No shutdown frame reached this worker (its connection was down
+            # at close), so it would sit in accept() through the whole join.
+            process.terminate()
+        process.join(timeout=5.0)
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=5.0)
+            if process.is_alive():  # pragma: no cover - last resort
+                process.kill()
 
     def __enter__(self) -> "ClusterScheduler":
         return self

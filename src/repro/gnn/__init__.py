@@ -8,7 +8,9 @@ pieces needed to reproduce the end-to-end case study:
   engine over NumPy arrays (tensors, matmul/spmm/softmax/... ops);
 * :mod:`repro.gnn.backends` — sparse-operator backends: FlashSparse (FP16 /
   TF32) and the framework baselines (DGL-like, PyG-like, TC-GNN), each
-  providing numerics plus an estimated per-call kernel time;
+  computing with the kernel engine's SpMM / SDDMM cores at its precision
+  (backward passes on a transposed pattern built once) plus an estimated
+  per-call kernel time;
 * :mod:`repro.gnn.layers` / :mod:`repro.gnn.models` — GCN and AGNN;
 * :mod:`repro.gnn.data` — synthetic node-classification datasets standing in
   for Cora / Pubmed / ELL / Questions / Minesweeper (Table 8);

@@ -293,7 +293,9 @@ def spmm(backend, values: Tensor | None, dense: Tensor) -> Tensor:
     ``values`` optionally replaces the sparse matrix's stored values (used by
     AGNN, whose attention coefficients are recomputed every layer); passing
     ``None`` uses the backend's fixed adjacency values.  Gradients flow into
-    both ``dense`` and, when given, ``values``.
+    both ``dense`` and, when given, ``values``: the backward pass is an SpMM
+    on the transposed pattern plus, for ``values``, an SDDMM — the engine's
+    two cores again.
     """
     vals_data = None if values is None else values.data
     out_data = backend.spmm_forward(vals_data, dense.data)
@@ -315,7 +317,8 @@ def sddmm(backend, a: Tensor, b: Tensor) -> Tensor:
     """Sampled dense × dense product (per-edge dot products) via a backend.
 
     Returns a 1-D tensor with one value per stored nonzero of the backend's
-    adjacency (in CSR order).
+    adjacency, in its CSR entry order.  The backward pass is two SpMMs of
+    the edge gradients (one on the transposed pattern).
     """
     out_data = backend.sddmm_forward(a.data, b.data)
     out = _make(out_data, (a, b), None)
@@ -332,13 +335,17 @@ def sddmm(backend, a: Tensor, b: Tensor) -> Tensor:
 
 
 def edge_softmax(backend, logits: Tensor) -> Tensor:
-    """Row-wise softmax over per-edge values (AGNN's attention normalisation)."""
-    out_data, softmax_cache = backend.edge_softmax_forward(logits.data)
+    """Row-wise softmax over per-edge values (AGNN's attention normalisation).
+
+    The node saves its output: the softmax gradient is computed from the
+    softmax itself, never from the logits.
+    """
+    out_data = backend.edge_softmax_forward(logits.data)
     out = _make(out_data, (logits,), None)
 
     def backward() -> None:
         if logits.requires_grad:
-            logits._accumulate(backend.edge_softmax_backward(softmax_cache, out.grad))
+            logits._accumulate(backend.edge_softmax_backward(out_data, out.grad))
 
     out._backward = backward if out.requires_grad else None
     return out

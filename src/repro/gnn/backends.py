@@ -12,11 +12,19 @@ provides:
   Figure 16 charges every backend its own sparse-kernel cost while the dense
   (feature-update) work is identical across backends.
 
-The heavy numerics go through SciPy's CSR routines: a CUDA-core FP32 SpMM
-and a CPU FP32 SpMM compute the same values, and the tensor-core precisions
-are emulated by quantising the operands first.  The hardware-cost accounting
-lives in the cost models, not in the arithmetic path, so training remains
-fast enough to run the accuracy study (Table 8).
+The numerics are the kernel engine's own cores over the adjacency's CSR
+entries — the entry set the fused layer runs at: SpMM is
+:func:`repro.kernels.engine._spmm_rows`, SDDMM is
+:func:`~repro.kernels.engine._sddmm_entries` with the pattern as an all-ones
+mask, and the edge softmax is :func:`repro.ops.segment_softmax`.  Each
+backward pass reuses the same two cores, on a transposed structure built
+once per backend (as xformers' sputnik wrappers do), so a fixed-adjacency
+SpMM is ``array_equal`` to :func:`repro.spmm` at the backend's precision.
+What is quantised to that precision: the adjacency and attention values
+and every dense operand.  Edge gradients are not — they stay FP32, where
+most of them would be fp16 subnormals.  The hardware-cost accounting lives
+in the cost models, not in the arithmetic path, so training remains fast
+enough to run the accuracy study (Table 8).
 """
 
 from __future__ import annotations
@@ -24,30 +32,37 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.baselines import get_baseline
 from repro.formats.csr import CSRMatrix
 from repro.gpu.device import GPUSpec
 from repro.kernels.common import FlashSparseConfig
+from repro.kernels.engine import _sddmm_entries, _spmm_rows
 from repro.kernels.sddmm_flash import FLASH_SDDMM_PROFILE, sddmm_flash_cost
 from repro.kernels.spmm_flash import FLASH_SPMM_PROFILE, spmm_flash_cost
 from repro.ops import segment_ids, segment_softmax, segment_softmax_backward
 from repro.perfmodel.model import KernelProfile, estimate_time
 from repro.precision.types import Precision, quantize
 
-#: Edge-softmax implementations a backend can run: the vectorized segment
-#: ops (default) or the per-row oracle loops the parity tests check against.
-EDGE_SOFTMAX_IMPLS: tuple[str, ...] = ("vectorized", "reference")
+#: One row per backend: display name, emulated precision, and whose cost
+#: model prices its kernels (``None``: FlashSparse's own; otherwise the
+#: registered baseline of that name).
+_BACKENDS: dict[str, tuple[str, Precision, str | None]] = {
+    "flashsparse-fp16": ("FlashSparse-FP16", Precision.FP16, None),
+    "flashsparse-tf32": ("FlashSparse-TF32", Precision.TF32, None),
+    "dgl": ("DGL", Precision.FP32, "DGL"),
+    "pyg": ("PyG", Precision.FP32, "PyG"),
+    "tcgnn": ("TC-GNN", Precision.TF32, "TC-GNN"),
+}
+_ALIASES = {
+    "flashsparse": "flashsparse-fp16",
+    "fp16": "flashsparse-fp16",
+    "tf32": "flashsparse-tf32",
+    "tc-gnn": "tcgnn",
+}
 
 #: Names accepted by :func:`make_backend`.
-BACKEND_NAMES: tuple[str, ...] = (
-    "flashsparse-fp16",
-    "flashsparse-tf32",
-    "dgl",
-    "pyg",
-    "tcgnn",
-)
+BACKEND_NAMES: tuple[str, ...] = tuple(_BACKENDS)
 
 
 @dataclass
@@ -72,146 +87,83 @@ class SparseBackend:
     _spmm_profile: KernelProfile = field(repr=False, default=None)
     _sddmm_profile: KernelProfile = field(repr=False, default=None)
     stats: OpStats = field(default_factory=OpStats)
-    #: Which edge-softmax path to run; "reference" keeps the per-row loops
-    #: alive as the oracle for parity tests and the epoch benchmark.
-    edge_softmax_impl: str = "vectorized"
     #: Memoised kernel-time estimates keyed by (op, dense width, device spec).
     #: The adjacency is static during training, so each (op, width, device)
     #: combination is priced exactly once per run instead of once per epoch;
     #: the CSR→blocked translation underneath is additionally shared through
     #: the LRU cache of :mod:`repro.formats.cache`.
-    _time_cache: dict = field(default_factory=dict, repr=False)
+    _time_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._resolved_edge_softmax_impl()
-        csr = self.adjacency.to_scipy().astype(np.float32)
-        csr.sort_indices()
-        self._csr = csr
-        self._csr_t = csr.T.tocsr()
+        indices = self.adjacency.indices
         self._rows = segment_ids(self.adjacency.indptr)
-        self._cols = self.adjacency.indices.astype(np.int64)
+        self._mask = np.ones(indices.shape[0], dtype=np.float32)
+        # Aᵀ's structure, once: a stable sort of the entries by column lists
+        # each column's entries in row order, as SciPy's CSR transpose does.
+        self._perm = np.argsort(indices, kind="stable")
+        self._t_indices = self._rows[self._perm]
+        counts = np.bincount(indices, minlength=self.adjacency.n_cols)
+        self._t_indptr = np.concatenate(([0], np.cumsum(counts)))
 
     # ----------------------------------------------------------- numerics
-    def _quantize(self, array: np.ndarray) -> np.ndarray:
-        return quantize(array, self.precision)
+    def _spmm(self, values, dense_q, precision, transpose=False) -> np.ndarray:
+        """``A(values) @ dense_q``, or ``A(values)ᵀ @ dense_q``; ``values``
+        of ``None`` are the adjacency's own."""
+        values = self.adjacency.data if values is None else np.asarray(values)
+        if transpose:
+            return _spmm_rows(
+                values[self._perm], self._t_indices, self._t_indptr, dense_q, precision
+            )
+        adj = self.adjacency
+        return _spmm_rows(values, adj.indices, adj.indptr, dense_q, precision)
 
-    def _matrix_with(self, values: np.ndarray | None) -> sp.csr_matrix:
-        if values is None:
-            return self._csr
-        matrix = self._csr.copy()
-        matrix.data = np.asarray(values, dtype=np.float32)
-        return matrix
+    def _sddmm(self, a_q: np.ndarray, b_q: np.ndarray) -> np.ndarray:
+        """One dot product per stored edge, in the adjacency's entry order."""
+        return _sddmm_entries(self._rows, self.adjacency.indices, self._mask, a_q, b_q, False)
 
     def spmm_forward(self, values: np.ndarray | None, dense: np.ndarray) -> np.ndarray:
         """Forward SpMM: ``A(values) @ dense`` with precision emulation."""
         self.stats.spmm_calls += 1
-        matrix = self._matrix_with(None if values is None else self._quantize(values))
-        return np.asarray(matrix @ self._quantize(dense), dtype=np.float32)
+        return self._spmm(values, quantize(dense, self.precision), self.precision)
 
     def spmm_backward(
         self, values: np.ndarray | None, dense: np.ndarray, grad_out: np.ndarray
     ) -> tuple[np.ndarray | None, np.ndarray]:
         """Backward SpMM: gradients w.r.t. the edge values and the dense input."""
         self.stats.spmm_calls += 1  # the transposed SpMM of the backward pass
-        grad_out_q = self._quantize(grad_out)
-        if values is None:
-            matrix_t = self._csr_t
-        else:
-            matrix_t = self._matrix_with(self._quantize(values)).T.tocsr()
-        grad_dense = np.asarray(matrix_t @ grad_out_q, dtype=np.float32)
+        grad_out_q = quantize(grad_out, self.precision)
+        grad_dense = self._spmm(values, grad_out_q, self.precision, transpose=True)
         grad_values = None
         if values is not None:
             # dL/dvalue_e = <grad_out[row_e], dense[col_e]> — an SDDMM.
             self.stats.sddmm_calls += 1
-            dense_q = self._quantize(dense)
-            grad_values = np.einsum(
-                "ij,ij->i", grad_out_q[self._rows], dense_q[self._cols]
-            ).astype(np.float32)
+            grad_values = self._sddmm(grad_out_q, quantize(dense, self.precision))
         return grad_values, grad_dense
 
     def sddmm_forward(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Forward SDDMM: one dot product per stored edge (CSR order)."""
         self.stats.sddmm_calls += 1
-        a_q = self._quantize(a)
-        b_q = self._quantize(b)
-        return np.einsum("ij,ij->i", a_q[self._rows], b_q[self._cols]).astype(np.float32)
+        return self._sddmm(quantize(a, self.precision), quantize(b, self.precision))
 
     def sddmm_backward(
         self, a: np.ndarray, b: np.ndarray, grad_edges: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Backward SDDMM: scatter the per-edge gradients into both inputs."""
         self.stats.spmm_calls += 2  # two SpMM-shaped scatters
-        grad = np.asarray(grad_edges, dtype=np.float32)
-        weighted = self._matrix_with(grad)
-        grad_a = np.asarray(weighted @ self._quantize(b), dtype=np.float32)
-        grad_b = np.asarray(weighted.T.tocsr() @ self._quantize(a), dtype=np.float32)
+        grad_a = self._spmm(grad_edges, quantize(b, self.precision), Precision.FP32)
+        grad_b = self._spmm(
+            grad_edges, quantize(a, self.precision), Precision.FP32, transpose=True
+        )
         return grad_a, grad_b
 
-    def edge_softmax_forward(self, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise softmax over edge values; returns (softmax, cache).
-
-        The default path is one vectorized :func:`repro.ops.segment_softmax`
-        over the adjacency's ``indptr`` segments; ``edge_softmax_impl=
-        "reference"`` runs the per-row oracle loop instead.
-        """
+    def edge_softmax_forward(self, logits: np.ndarray) -> np.ndarray:
+        """Row-wise softmax over edge values (one segment per adjacency row)."""
         self.stats.edge_softmax_calls += 1
-        if self._resolved_edge_softmax_impl() == "reference":
-            out32 = self.reference_edge_softmax_forward(logits)
-        else:
-            out32 = segment_softmax(
-                np.asarray(logits, dtype=np.float64), self.adjacency.indptr
-            )
-        return out32, out32
+        return segment_softmax(logits, self.adjacency.indptr)
 
     def edge_softmax_backward(self, softmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-        """Backward of the row-wise softmax (vectorized segment reduction)."""
-        if self._resolved_edge_softmax_impl() == "reference":
-            return self.reference_edge_softmax_backward(softmax, grad_out)
+        """Backward of the row-wise softmax, from the saved forward output."""
         return segment_softmax_backward(softmax, grad_out, self.adjacency.indptr)
-
-    def _resolved_edge_softmax_impl(self) -> str:
-        # Re-validated at dispatch, not just in __post_init__: the knob is
-        # normally set by attribute assignment after make_backend(), and a
-        # typo there must not silently fall back to the vectorized path.
-        if self.edge_softmax_impl not in EDGE_SOFTMAX_IMPLS:
-            raise ValueError(
-                f"edge_softmax_impl must be one of {EDGE_SOFTMAX_IMPLS}, "
-                f"got {self.edge_softmax_impl!r}"
-            )
-        return self.edge_softmax_impl
-
-    # The per-row loops below are the oracle the vectorized paths are tested
-    # against (and what `edge_softmax_impl="reference"` runs): float64 per-row
-    # softmax, float32 per-row backward, empty rows skipped.
-    def reference_edge_softmax_forward(self, logits: np.ndarray) -> np.ndarray:
-        """Per-row oracle for :meth:`edge_softmax_forward`."""
-        logits = np.asarray(logits, dtype=np.float64)
-        indptr = self.adjacency.indptr
-        out = np.zeros_like(logits, dtype=np.float64)
-        for r in range(self.adjacency.n_rows):
-            lo, hi = int(indptr[r]), int(indptr[r + 1])
-            if lo == hi:
-                continue
-            seg = logits[lo:hi]
-            seg = seg - seg.max()
-            e = np.exp(seg)
-            out[lo:hi] = e / e.sum()
-        return out.astype(np.float32)
-
-    def reference_edge_softmax_backward(
-        self, softmax: np.ndarray, grad_out: np.ndarray
-    ) -> np.ndarray:
-        """Per-row oracle for :meth:`edge_softmax_backward`."""
-        indptr = self.adjacency.indptr
-        grad = np.zeros_like(softmax, dtype=np.float32)
-        for r in range(self.adjacency.n_rows):
-            lo, hi = int(indptr[r]), int(indptr[r + 1])
-            if lo == hi:
-                continue
-            s = softmax[lo:hi]
-            g = grad_out[lo:hi]
-            grad[lo:hi] = s * (g - float((g * s).sum()))
-        return grad
 
     # --------------------------------------------------------- cost model
     def _cached_time(self, key: tuple, device: GPUSpec, compute) -> float:
@@ -372,48 +324,19 @@ class ServedBackend:
 def make_backend(name: str, adjacency: CSRMatrix) -> SparseBackend:
     """Build a :class:`SparseBackend` for one of :data:`BACKEND_NAMES`."""
     key = name.strip().lower()
-    if key in ("flashsparse-fp16", "flashsparse", "fp16"):
-        config = FlashSparseConfig(precision=Precision.FP16, engine="batched")
-        return SparseBackend(
-            name="FlashSparse-FP16",
-            adjacency=adjacency,
-            precision=Precision.FP16,
-            _spmm_cost=lambda m, n: spmm_flash_cost(m, n, config),
-            _sddmm_cost=lambda m, k: sddmm_flash_cost(m, k, config),
-            _spmm_profile=FLASH_SPMM_PROFILE,
-            _sddmm_profile=FLASH_SDDMM_PROFILE,
+    key = _ALIASES.get(key, key)
+    if key not in _BACKENDS:
+        raise KeyError(f"unknown backend {name!r}; available: {BACKEND_NAMES}")
+    display, precision, baseline_name = _BACKENDS[key]
+    if baseline_name is None:
+        config = FlashSparseConfig(precision=precision, engine="batched")
+        costs = (
+            lambda m, n: spmm_flash_cost(m, n, config),
+            lambda m, k: sddmm_flash_cost(m, k, config),
+            FLASH_SPMM_PROFILE,
+            FLASH_SDDMM_PROFILE,
         )
-    if key in ("flashsparse-tf32", "tf32"):
-        config = FlashSparseConfig(precision=Precision.TF32, engine="batched")
-        return SparseBackend(
-            name="FlashSparse-TF32",
-            adjacency=adjacency,
-            precision=Precision.TF32,
-            _spmm_cost=lambda m, n: spmm_flash_cost(m, n, config),
-            _sddmm_cost=lambda m, k: sddmm_flash_cost(m, k, config),
-            _spmm_profile=FLASH_SPMM_PROFILE,
-            _sddmm_profile=FLASH_SDDMM_PROFILE,
-        )
-    if key in ("dgl", "pyg"):
-        baseline = get_baseline("DGL" if key == "dgl" else "PyG")
-        return SparseBackend(
-            name=baseline.name,
-            adjacency=adjacency,
-            precision=Precision.FP32,
-            _spmm_cost=baseline.spmm_cost,
-            _sddmm_cost=baseline.sddmm_cost,
-            _spmm_profile=baseline.profile,
-            _sddmm_profile=baseline.profile,
-        )
-    if key in ("tcgnn", "tc-gnn"):
-        baseline = get_baseline("TC-GNN")
-        return SparseBackend(
-            name=baseline.name,
-            adjacency=adjacency,
-            precision=Precision.TF32,
-            _spmm_cost=baseline.spmm_cost,
-            _sddmm_cost=baseline.sddmm_cost,
-            _spmm_profile=baseline.profile,
-            _sddmm_profile=baseline.profile,
-        )
-    raise KeyError(f"unknown backend {name!r}; available: {BACKEND_NAMES}")
+    else:
+        baseline = get_baseline(baseline_name)
+        costs = (baseline.spmm_cost, baseline.sddmm_cost, baseline.profile, baseline.profile)
+    return SparseBackend(display, adjacency, precision, *costs)

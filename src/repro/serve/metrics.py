@@ -286,10 +286,18 @@ class ServeMetrics:
 
     # -------------------------------------------------------------- snapshot
     def snapshot(self, **meta) -> MetricsSnapshot:
-        """Consistent snapshot of every counter and percentile."""
+        """Consistent snapshot of every counter and percentile.
+
+        Counters and copies of the reservoirs are taken under the lock; the
+        percentiles are computed from the copies outside it, so a poller
+        never stalls the ``record_*`` calls of completing requests.
+        """
         with self._lock:
-            overall = _summarise(self._latencies)
-            return MetricsSnapshot(
+            latencies = self._latencies.copy()
+            queue_waits = self._queue_waits.copy()
+            exec_times = self._exec_times.copy()
+            stages = {stage: samples.copy() for stage, samples in self._stage_times.items()}
+            counters = dict(
                 requests_submitted=self._submitted,
                 requests_completed=self._completed,
                 requests_failed=self._failed,
@@ -300,20 +308,21 @@ class ServeMetrics:
                 batches_dispatched=self._batches,
                 requests_coalesced=self._coalesced,
                 queue_depth=self._queue_depth,
-                latency_p50_s=overall.p50_s,
-                latency_p95_s=overall.p95_s,
-                latency_p99_s=overall.p99_s,
-                latency_mean_s=overall.mean_s,
-                queue_wait=_summarise(self._queue_waits),
-                execution=_summarise(self._exec_times),
                 cache=_delta(format_cache_stats(), self._cache_base),
-                meta=dict(meta),
                 requests_aged=self._aged,
                 layer_requests=self._layer_requests,
                 round_trips_saved=self._round_trips_saved,
                 operand_bytes_saved=self._operand_bytes_saved,
-                stage_latency={
-                    stage: _summarise(samples)
-                    for stage, samples in self._stage_times.items()
-                },
             )
+        overall = _summarise(latencies)
+        return MetricsSnapshot(
+            **counters,
+            latency_p50_s=overall.p50_s,
+            latency_p95_s=overall.p95_s,
+            latency_p99_s=overall.p99_s,
+            latency_mean_s=overall.mean_s,
+            queue_wait=_summarise(queue_waits),
+            execution=_summarise(exec_times),
+            meta=dict(meta),
+            stage_latency={stage: _summarise(samples) for stage, samples in stages.items()},
+        )

@@ -50,6 +50,31 @@ def csr_with_zero_valued_entries():
     return CSRMatrix(csr.indptr, csr.indices, data, csr.shape), zeroed
 
 
+def reference_edge_softmax_forward(logits, indptr) -> np.ndarray:
+    """Per-row oracle for the edge softmax: a float64 softmax of every
+    row's entries, cast to float32; empty rows stay empty."""
+    logits = np.asarray(logits, dtype=np.float64)
+    out = np.zeros_like(logits)
+    for r in range(len(indptr) - 1):
+        lo, hi = int(indptr[r]), int(indptr[r + 1])
+        if lo == hi:
+            continue
+        e = np.exp(logits[lo:hi] - logits[lo:hi].max())
+        out[lo:hi] = e / e.sum()
+    return out.astype(np.float32)
+
+
+def reference_edge_softmax_backward(softmax, grad_out, indptr) -> np.ndarray:
+    """Per-row oracle for the edge-softmax gradient ``s · (g - <g, s>)``,
+    accumulated in float32."""
+    grad = np.zeros_like(softmax, dtype=np.float32)
+    for r in range(len(indptr) - 1):
+        lo, hi = int(indptr[r]), int(indptr[r + 1])
+        s, g = softmax[lo:hi], grad_out[lo:hi]
+        grad[lo:hi] = s * (g - float((g * s).sum()))
+    return grad
+
+
 def run_sharded(
     op_name: str,
     fmt,

@@ -123,6 +123,36 @@ def test_exhausted_retries_declare_dead_with_failover_and_forensics():
         assert snap["death_log"] and snap["death_log"][-1]["host"] == victim.host_id
 
 
+def test_close_is_prompt_after_a_dropped_connection():
+    """A host whose connection dropped for good never receives the shutdown
+    frame; ``close()`` terminates its worker at once instead of waiting out
+    the bounded join, and leaves no worker process behind."""
+    import time
+
+    csr, fmt, b_q, base = _workload(seed=46)
+    key = csr.content_key()
+    plan = FaultPlan(seed=6)
+    sched = ClusterScheduler(
+        hosts=2,
+        fault_plan=plan,
+        retry_policy=RetryPolicy(max_attempts=0),  # the first drop is fatal
+        auto_readmit=False,
+        speculation_delay_s=None,
+    )
+    try:
+        victim = sched.affinity_host(key)
+        plan.drop_connection(nth=1, type="task", scope=victim.host_id)
+        out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
+        np.testing.assert_array_equal(out, base)
+        assert victim.state is HostHealth.DEAD
+    finally:
+        t0 = time.perf_counter()
+        sched.close()
+        elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"close() took {elapsed:.2f} s"
+    assert not any(h.process.is_alive() for h in sched.hosts)
+
+
 # ------------------------------------------------------------- speculation
 def test_suspect_host_triggers_speculative_dispatch():
     """A shard stuck on a SUSPECT host (slow backoff) is duplicated onto

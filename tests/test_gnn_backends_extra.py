@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import repro
+from repro.formats.csr import CSRMatrix
+from repro.gnn import AGNNLayer, SERVED_MODES, ServedBackend, Tensor
 from repro.gnn.backends import make_backend
 from repro.gnn.end_to_end import estimate_epoch_time
 from repro.gpu.device import H100_PCIE, RTX4090
@@ -52,18 +55,16 @@ def test_sddmm_backward_scatter(adjacency, rng):
 
 def test_edge_softmax_handles_empty_rows(rng):
     # A matrix with an empty row must not produce NaNs in the softmax.
-    from repro.formats.csr import CSRMatrix
-
     dense = np.zeros((8, 8))
     dense[0, 1] = 1.0
     dense[2, [0, 3, 5]] = 1.0
     adjacency = CSRMatrix.from_dense(dense)
     backend = make_backend("flashsparse-fp16", adjacency)
     logits = rng.standard_normal(adjacency.nnz).astype(np.float32)
-    softmax, cache = backend.edge_softmax_forward(logits)
+    softmax = backend.edge_softmax_forward(logits)
     assert np.isfinite(softmax).all()
     assert softmax[:1].sum() == pytest.approx(1.0)
-    grad = backend.edge_softmax_backward(cache, np.ones_like(softmax))
+    grad = backend.edge_softmax_backward(softmax, np.ones_like(softmax))
     assert np.isfinite(grad).all()
 
 
@@ -76,6 +77,51 @@ def test_precision_quantisation_is_applied(adjacency):
     out32 = fp32.spmm_forward(None, dense)
     assert not np.allclose(out16, out32, atol=0)
     np.testing.assert_allclose(out16, out32, rtol=1e-2)
+
+
+def _with_empty_rows_and_columns(shape, seed) -> CSRMatrix:
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal(shape) * (rng.random(shape) < 0.2)
+    dense[[1, 4]] = 0.0
+    dense[:, [0, 3]] = 0.0
+    return CSRMatrix.from_dense(dense)
+
+
+@pytest.mark.parametrize("name", ["flashsparse-fp16", "flashsparse-tf32", "tcgnn"])
+def test_fixed_adjacency_spmm_matches_the_kernel(name, rng):
+    """GCN's fixed-adjacency SpMM (``values=None``) quantises ``A`` the way
+    the kernel it emulates does: forward and backward are ``array_equal``
+    to :func:`repro.spmm` on ``A`` and ``Aᵀ`` at the backend's precision."""
+    for seed, shape in enumerate([(48, 48), (70, 50)]):
+        adj = _with_empty_rows_and_columns(shape, seed)
+        adj_t = CSRMatrix.from_scipy(adj.to_scipy().T)
+        backend = make_backend(name, adj)
+        dense = rng.standard_normal((shape[1], 7)).astype(np.float32)
+        grad_out = rng.standard_normal((shape[0], 7)).astype(np.float32)
+        p = backend.precision
+        np.testing.assert_array_equal(
+            backend.spmm_forward(None, dense), repro.spmm(adj, dense, precision=p).values
+        )
+        grad_values, grad_dense = backend.spmm_backward(None, dense, grad_out)
+        assert grad_values is None
+        np.testing.assert_array_equal(
+            grad_dense, repro.spmm(adj_t, grad_out, precision=p).values
+        )
+
+
+@pytest.mark.parametrize("precision", ["fp16", "tf32"])
+def test_in_process_agnn_forward_matches_served(precision, rng):
+    """The in-process AGNN layer and the served one (fused and composed)
+    are the same numerics: outputs ``array_equal``."""
+    from repro.serve import Server
+
+    adj = random_csr(90, 90, 0.08, seed=21)
+    h = rng.standard_normal((90, 16)).astype(np.float32)
+    expected = AGNNLayer()(make_backend(f"flashsparse-{precision}", adj), Tensor(h)).data
+    with Server(precision=precision, workers=1) as srv:
+        for mode in SERVED_MODES:
+            served = ServedBackend(server=srv, adjacency=adj, mode=mode).agnn_forward(h)
+            np.testing.assert_array_equal(expected, served, err_msg=mode)
 
 
 def test_backend_stats_accumulate(adjacency, rng):

@@ -1,10 +1,9 @@
-"""Parity of the vectorized edge softmax against the per-row reference oracle.
+"""Parity of the backend's edge softmax against the per-row oracle.
 
-``SparseBackend`` keeps the old per-row loops alive as
-``reference_edge_softmax_forward`` / ``reference_edge_softmax_backward`` (and
-runs them when ``edge_softmax_impl="reference"``); the default path is the
-segment-ops subsystem.  Both must agree to FP32 round-off on every graph
-shape, including graphs with isolated (edge-less) nodes.
+``SparseBackend`` runs the edge softmax as the vectorized segment ops of
+:mod:`repro.ops`; ``tests/helpers.py`` keeps the per-row loops as the oracle.
+Both must agree to FP32 round-off on every graph shape, including graphs
+with isolated (edge-less) nodes.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_csr
+from helpers import random_csr, reference_edge_softmax_backward, reference_edge_softmax_forward
 
 from repro.formats.csr import CSRMatrix
 from repro.gnn.backends import make_backend
@@ -38,21 +37,20 @@ GRAPHS["isolated-nodes"] = _graph_with_isolated_nodes
 def test_forward_matches_reference_oracle(name, rng):
     backend = make_backend("flashsparse-fp16", GRAPHS[name]())
     logits = (rng.standard_normal(backend.adjacency.nnz) * 8).astype(np.float32)
-    out, cache = backend.edge_softmax_forward(logits)
-    ref = backend.reference_edge_softmax_forward(logits)
+    out = backend.edge_softmax_forward(logits)
+    ref = reference_edge_softmax_forward(logits, backend.adjacency.indptr)
     assert out.dtype == ref.dtype == np.float32
     np.testing.assert_allclose(out, ref, atol=2e-7)
-    np.testing.assert_array_equal(out, cache)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_backward_matches_reference_oracle(name, rng):
     backend = make_backend("flashsparse-fp16", GRAPHS[name]())
     nnz = backend.adjacency.nnz
-    softmax, _ = backend.edge_softmax_forward(rng.standard_normal(nnz))
+    softmax = backend.edge_softmax_forward(rng.standard_normal(nnz))
     grad_out = rng.standard_normal(nnz).astype(np.float32)
     grad = backend.edge_softmax_backward(softmax, grad_out)
-    ref = backend.reference_edge_softmax_backward(softmax, grad_out)
+    ref = reference_edge_softmax_backward(softmax, grad_out, backend.adjacency.indptr)
     # The vectorized path accumulates the inner product in float64, the
     # oracle in float32 — they agree to FP32 round-off.
     np.testing.assert_allclose(grad, ref, atol=1e-6, rtol=1e-5)
@@ -61,84 +59,9 @@ def test_backward_matches_reference_oracle(name, rng):
 def test_forward_rows_are_normalised(rng):
     csr = GRAPHS["dense-ish"]()
     backend = make_backend("dgl", csr)
-    out, _ = backend.edge_softmax_forward(rng.standard_normal(csr.nnz) * 40)
+    out = backend.edge_softmax_forward(rng.standard_normal(csr.nnz) * 40)
     for r in range(csr.n_rows):
         lo, hi = int(csr.indptr[r]), int(csr.indptr[r + 1])
         if lo < hi:
             assert abs(float(out[lo:hi].sum()) - 1.0) < 1e-5
             assert (out[lo:hi] >= 0).all()
-
-
-def test_reference_impl_knob_runs_the_loops(rng):
-    csr = GRAPHS["sparse"]()
-    vec = make_backend("flashsparse-fp16", csr)
-    ref = make_backend("flashsparse-fp16", csr)
-    ref.edge_softmax_impl = "reference"
-    logits = rng.standard_normal(csr.nnz)
-    out_vec, _ = vec.edge_softmax_forward(logits)
-    out_ref, _ = ref.edge_softmax_forward(logits)
-    np.testing.assert_allclose(out_vec, out_ref, atol=2e-7)
-    grad = rng.standard_normal(csr.nnz).astype(np.float32)
-    np.testing.assert_allclose(
-        vec.edge_softmax_backward(out_vec, grad),
-        ref.edge_softmax_backward(out_ref, grad),
-        atol=1e-6,
-        rtol=1e-5,
-    )
-    assert vec.stats.edge_softmax_calls == ref.stats.edge_softmax_calls == 1
-
-
-def test_unknown_impl_rejected():
-    from repro.gnn.backends import SparseBackend
-    from repro.precision.types import Precision
-
-    with pytest.raises(ValueError):
-        SparseBackend(
-            name="x",
-            adjacency=GRAPHS["single-edge"](),
-            precision=Precision.FP32,
-            edge_softmax_impl="gpu",
-        )
-
-
-def test_typoed_impl_rejected_at_dispatch_not_silently_vectorized(rng):
-    """The knob is usually set post-construction; a typo must raise, not
-    silently run the vectorized path (which would make parity vacuous)."""
-    backend = make_backend("flashsparse-fp16", GRAPHS["single-edge"]())
-    backend.edge_softmax_impl = "referece"
-    logits = rng.standard_normal(backend.adjacency.nnz)
-    with pytest.raises(ValueError):
-        backend.edge_softmax_forward(logits)
-    with pytest.raises(ValueError):
-        backend.edge_softmax_backward(
-            np.ones(backend.adjacency.nnz, dtype=np.float32),
-            np.ones(backend.adjacency.nnz, dtype=np.float32),
-        )
-
-
-def test_training_epoch_unchanged_by_vectorized_softmax():
-    """One AGNN step under both impls lands on the same loss/gradients."""
-    from repro.gnn import autograd as ag
-    from repro.gnn.autograd import Tensor
-    from repro.gnn.models import AGNN
-
-    csr = random_csr(48, 48, 0.1, seed=13)
-    rng = np.random.default_rng(0)
-    features = rng.standard_normal((48, 12)).astype(np.float32)
-    labels = rng.integers(0, 3, size=48)
-
-    losses = {}
-    grads = {}
-    for impl in ("vectorized", "reference"):
-        backend = make_backend("flashsparse-fp16", csr)
-        backend.edge_softmax_impl = impl
-        model = AGNN(12, 8, 3, num_attention_layers=1, dropout=0.0, seed=7)
-        log_probs = model(backend, Tensor(features))
-        loss = ag.nll_loss(log_probs, labels)
-        loss.backward()
-        losses[impl] = float(loss.data)
-        grads[impl] = [np.array(p.grad) for p in model.parameters()]
-
-    assert losses["vectorized"] == pytest.approx(losses["reference"], abs=1e-6)
-    for gv, gr in zip(grads["vectorized"], grads["reference"]):
-        np.testing.assert_allclose(gv, gr, atol=1e-5, rtol=1e-4)

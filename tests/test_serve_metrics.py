@@ -97,6 +97,46 @@ def test_invariants_hold_under_concurrent_submit_resolve():
     assert snap.queue_depth == 0
 
 
+def test_snapshot_percentiles_do_not_hold_the_recording_lock(monkeypatch):
+    """A snapshot parked inside its percentile computation must not stall
+    ``record_completed``: the reservoirs are copied under the lock and
+    summarised outside it."""
+    import time
+
+    from repro.serve import metrics as metrics_mod
+
+    metrics = ServeMetrics()
+    for i in range(metrics_mod.LATENCY_RESERVOIR):
+        metrics.record_completed(0.001 * (i % 97), queue_wait_s=0.0005, execution_s=0.0005)
+    parked, release = threading.Event(), threading.Event()
+    summarise = metrics_mod._summarise
+
+    def parked_summarise(samples):
+        parked.set()
+        release.wait(TIMEOUT)
+        return summarise(samples)
+
+    monkeypatch.setattr(metrics_mod, "_summarise", parked_summarise)
+    snaps = []
+    snapper = threading.Thread(target=lambda: snaps.append(metrics.snapshot()))
+    snapper.start()
+    assert parked.wait(TIMEOUT)
+    # A lock-holding snapshot would block the record below until this fires.
+    backstop = threading.Timer(3.0, release.set)
+    backstop.start()
+    t0 = time.perf_counter()
+    metrics.record_completed(0.5)
+    elapsed = time.perf_counter() - t0
+    release.set()
+    backstop.cancel()
+    snapper.join(TIMEOUT)
+    assert not snapper.is_alive()
+    assert elapsed < 0.5, f"record_completed waited {elapsed:.2f} s on a snapshot"
+    assert snaps[0].requests_completed == metrics_mod.LATENCY_RESERVOIR
+    monkeypatch.setattr(metrics_mod, "_summarise", summarise)
+    assert metrics.snapshot().requests_completed == metrics_mod.LATENCY_RESERVOIR + 1
+
+
 def test_counters_reconcile_with_observed_future_outcomes():
     """Drive a real server into overload and check every counter against the
     outcome each future actually reported."""

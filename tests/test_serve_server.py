@@ -9,6 +9,8 @@ same-matrix requests.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -120,12 +122,23 @@ def test_same_matrix_requests_coalesce_into_one_pass(workload):
 
 def _assert_forced_batch_is_bit_identical(csr, bs):
     with Server(workers=1) as srv:
-        # Occupy the dispatcher with a slow request built from a big-enough
-        # matrix, then flood the queue with same-matrix requests.
+        # Park the dispatcher inside a first request, then flood the queue
+        # with same-matrix requests: the next drain takes them as one batch.
+        entered, release = threading.Event(), threading.Event()
+        execute = srv._execute_group
+
+        def parked(group):
+            entered.set()
+            assert release.wait(TIMEOUT)
+            execute(group)
+
+        srv._execute_group = parked
         big = random_csr(800, 800, 0.05, seed=99)
         rngb = np.random.default_rng(99)
         slow = srv.submit_spmm(big, rngb.standard_normal((800, 64)))
+        assert entered.wait(TIMEOUT)
         futures = [srv.submit_spmm(_twin(csr), b) for b in bs]
+        release.set()
         slow.result(TIMEOUT)
         results = [f.result(TIMEOUT) for f in futures]
         for b, res in zip(bs, results):

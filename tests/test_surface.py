@@ -22,12 +22,14 @@ EXPORT_BUDGET = {
     "repro.formats": 18,
     "repro.gpu": 23,
     "repro.ops": 10,
+    "repro.gnn": 20,
 }
 
 #: Upper bounds on constructor parameters (``self`` excluded).
 OPTION_BUDGET = {
     ("repro.serve", "Server"): 15,
     ("repro.cluster", "ClusterScheduler"): 18,
+    ("repro.gnn", "SparseBackend"): 8,
 }
 
 
