@@ -765,7 +765,8 @@ class ClusterScheduler:
             raise ValueError("hosts must be >= 0")
         self.metrics = ClusterMetrics()
         #: Test hook: seconds every dispatched task asks the worker to sleep
-        #: before executing (widens the kill-mid-shard window).
+        #: before executing (widens the kill-mid-shard window).  Stamped per
+        #: dispatch round, so clearing it spares the failover re-dispatch.
         self.inject_task_delay_s = 0.0
         self.speculation_delay_s = (
             None if speculation_delay_s is None else float(speculation_delay_s)
@@ -1065,16 +1066,20 @@ class ClusterScheduler:
             if not first_attempt:
                 self.metrics.record_failover(len(pending))
             first_attempt = False
-            submitted: list[tuple[int, _Task]] = []
+            submitted: list[tuple[int, _Task, dict]] = []
+            delay = float(self.inject_task_delay_s)  # read per round: a test may clear it
             for index in pending:
-                task = _Task(**tasks[index]["frame"])
+                frame = tasks[index]["frame"]
+                if delay:
+                    frame = dict(frame, header=dict(frame["header"], delay_s=delay))
+                task = _Task(**frame)
                 if not target.client.submit(task):
                     break  # died mid-submit: the rest re-route next round
-                submitted.append((index, task))
+                submitted.append((index, task, frame))
             still_pending = pending[len(submitted) :]
-            for index, task in submitted:
+            for index, task, frame in submitted:
                 try:
-                    payloads = self._collect(target, task, tasks[index]["frame"], content_key)
+                    payloads = self._collect(target, task, frame, content_key)
                 except StoreMissError:
                     inline.append(index)
                     continue
@@ -1221,8 +1226,6 @@ class ClusterScheduler:
             **header_extra,
         }
         params = shard_params(base)
-        if self.inject_task_delay_s:
-            base["delay_s"] = float(self.inject_task_delay_s)
         tasks = []
         for i, r in enumerate(ranges):
             header = dict(base, task_id=i, lo=r.lo, hi=r.hi, w0=r.w0, w1=r.w1)

@@ -84,7 +84,12 @@ class FlashSparseMatrix:
     def from_csr_arrays(
         cls, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, shape: tuple[int, int]
     ) -> "FlashSparseMatrix":
-        """Build from raw CSR arrays."""
+        """Build from raw CSR arrays.
+
+        The rows must be canonical — column indices strictly increasing
+        within each row — or :class:`~repro.formats.csr.CSRMatrix` raises
+        ``ValueError``; :meth:`from_scipy` accepts duplicates and any order.
+        """
         return cls(csr=CSRMatrix(indptr, indices, data, shape))
 
     # ------------------------------------------------------------ properties

@@ -58,15 +58,18 @@ class BlockBatch:
 class LaneCSR:
     """The stored nonzero lanes of a :class:`BlockedVectorFormat`, row by row.
 
-    A CSR over the format's ``num_windows · vector_size`` padded rows: row
-    ``w · v + r`` owns entries ``row_offsets[row]:row_offsets[row + 1]``,
-    one per nonzero vector of window ``w`` whose lane ``r`` is nonzero, in
-    storage order (ascending vector index).  ``columns`` (int32) is the
-    vector's column, ``values`` (float32) the stored element and ``slot``
-    (int64) its flat position ``vector · v + lane`` in ``vector_values`` —
-    where SDDMM writes the entry's output.  Zero lanes — the zero fill
-    inside nonzero vectors and every padded block lane — have no entry, so
-    the engine does work per nonzero, not per block slot.
+    A gather through the entry map
+    (:attr:`~repro.formats.windows.WindowPartition.entry_slot`) — a CSR over
+    the format's ``num_windows · vector_size`` padded rows: row ``w · v + r``
+    owns entries ``row_offsets[row]:row_offsets[row + 1]``, one per nonzero
+    vector of window ``w`` whose lane ``r`` is nonzero, in storage order
+    (ascending vector index, which for the canonical source CSR is its own
+    entry order).  ``columns`` (int32) is the vector's column, ``values``
+    (float32) the stored element and ``slot`` (int64) its flat position
+    ``vector · v + lane`` in ``vector_values`` — where SDDMM writes the
+    entry's output.  Zero lanes — the zero fill inside nonzero vectors,
+    every padded block lane and any CSR entry whose stored value is zero —
+    have no entry, so the engine does work per nonzero, not per block slot.
     """
 
     row_offsets: np.ndarray
@@ -132,12 +135,7 @@ class BlockedVectorFormat:
         values = np.zeros(
             (partition.num_nonzero_vectors, vector_size), dtype=dtype_for(precision)
         )
-        if matrix.nnz:
-            row_of_entry = segment_ids(matrix.indptr)
-            row_in_window = (row_of_entry % vector_size).astype(np.int64)
-            values[partition.nnz_vector_of_entry, row_in_window] = matrix.data.astype(
-                dtype_for(precision)
-            )
+        values.reshape(-1)[partition.entry_slot] = matrix.data
         return cls(partition=partition, vector_values=values, k=k, precision=precision, **kwargs)
 
     # ------------------------------------------------------------ properties
@@ -255,10 +253,12 @@ class BlockedVectorFormat:
     def lanes_as_csr(self) -> LaneCSR:
         """The nonzero lanes as a row-wise CSR (see :class:`LaneCSR`).
 
-        Derived from the format's own arrays — ``partition.window_ptr``,
-        ``partition.vector_cols`` and :attr:`vector_values`, never the
-        source CSR, so a translation bug shows in the numerics — and cached
-        on the instance under the same no-mutation assumption as
+        A gather through the entry map (``partition.entry_slot``): the CSR
+        entries whose stored value is nonzero, in CSR order — which is
+        already storage order, since the source CSR is canonical.  The
+        values are read from :attr:`vector_values`, never the source CSR,
+        so a translation bug shows in the numerics.  Built on first use and
+        cached on the instance under the same no-mutation assumption as
         :meth:`blocks_as_arrays`.
         """
         view = self.__dict__.get("_lane_csr_cache")
@@ -266,20 +266,17 @@ class BlockedVectorFormat:
             return view
         part = self.partition
         v = self.vector_size
-        flat_values = np.asarray(self.vector_values, dtype=np.float32).reshape(-1)
-        slot = np.flatnonzero(flat_values)  # vector · v + lane, ascending
+        stored = self.vector_values.reshape(-1)[part.entry_slot]
+        keep = stored != 0
+        slot = part.entry_slot[keep]
         vector = slot // v
         row = segment_ids(part.window_ptr)[vector] * v + slot % v
-        # One stable integer sort: rows ascending, vectors ascending within a
-        # row because ``slot`` already is.
-        order = np.argsort(row, kind="stable")
         row_offsets = np.zeros(self.num_windows * v + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=self.num_windows * v), out=row_offsets[1:])
-        slot = slot[order]
         view = LaneCSR(
             row_offsets=row_offsets,
-            columns=part.vector_cols[vector[order]],
-            values=flat_values[slot],
+            columns=part.vector_cols[vector],
+            values=np.asarray(stored[keep], dtype=np.float32),
             slot=slot,
         )
         self.__dict__["_lane_csr_cache"] = view
@@ -287,25 +284,15 @@ class BlockedVectorFormat:
 
     # ----------------------------------------------------------- conversions
     def to_csr(self) -> CSRMatrix:
-        """Convert back to CSR (explicit stored zeros are dropped)."""
-        v = self.vector_size
-        n_rows, n_cols = self.shape
-        num_vecs = self.num_nonzero_vectors
-        if num_vecs == 0:
-            return CSRMatrix(
-                indptr=np.zeros(n_rows + 1, dtype=np.int64),
-                indices=np.zeros(0, dtype=np.int32),
-                data=np.zeros(0, dtype=np.float32),
-                shape=self.shape,
-            )
-        window_of_vector = np.repeat(
-            np.arange(self.num_windows, dtype=np.int64), self.partition.vectors_per_window
-        )
-        rows = (window_of_vector[:, None] * v + np.arange(v)[None, :]).reshape(-1)
-        cols = np.repeat(self.partition.vector_cols.astype(np.int64), v)
-        vals = np.asarray(self.vector_values, dtype=np.float64).reshape(-1)
-        mask = (vals != 0.0) & (rows < n_rows)
-        return CSRMatrix.from_coo(rows[mask], cols[mask], vals[mask], self.shape)
+        """Convert back to CSR: the lane view over the original rows.
+
+        Entries whose stored value is zero (explicit zeros, fp16 underflow,
+        exact-zero SDDMM outputs) are dropped.  Shares its arrays with the
+        cached :meth:`lanes_as_csr` view.
+        """
+        lanes = self.lanes_as_csr()
+        indptr = lanes.row_offsets[: self.shape[0] + 1]
+        return CSRMatrix(indptr, lanes.columns, lanes.values, self.shape)
 
     def to_dense(self) -> np.ndarray:
         """Dense reconstruction (tests / small matrices only)."""

@@ -263,16 +263,6 @@ def clear_format_cache() -> None:
     DEFAULT_CACHE.clear()
 
 
-def format_cache_size() -> int:
-    """Number of translations currently cached."""
-    return len(DEFAULT_CACHE)
-
-
 def format_cache_stats() -> CacheStats:
     """Hit/miss/eviction snapshot of the default cache."""
     return DEFAULT_CACHE.stats()
-
-
-def reset_format_cache_stats() -> None:
-    """Zero the default cache's counters (entries are kept)."""
-    DEFAULT_CACHE.reset_stats()

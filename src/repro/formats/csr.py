@@ -18,14 +18,25 @@ import scipy.sparse as sp
 
 @dataclass
 class CSRMatrix:
-    """Compressed Sparse Row matrix.
+    """Compressed Sparse Row matrix, canonical by construction.
+
+    Every row's column indices are strictly increasing — sorted and free of
+    duplicates — so the translation's entry map
+    (:attr:`repro.formats.windows.WindowPartition.entry_slot`) stores each
+    entry in a slot of its own and every view of the format reads it back in
+    this order.  The constructor rejects any other arrays with a
+    ``ValueError`` instead of re-sorting them: a caller's per-entry array
+    (GNN edge values, say) stays aligned with the entries it was built for.
+    :meth:`from_scipy` and :meth:`from_coo` sum duplicates and sort.
+    Explicit stored zeros are legal.
 
     Attributes
     ----------
     indptr:
         Row pointer array of length ``n_rows + 1`` (int64).
     indices:
-        Column indices of the nonzeros, ordered by row (int32).
+        Column indices of the nonzeros, ordered by row and strictly
+        increasing within a row (int32).
     data:
         Nonzero values (float32 unless specified otherwise).
     shape:
@@ -54,6 +65,15 @@ class CSRMatrix:
             raise ValueError("indices/data length must equal indptr[-1]")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n_cols):
             raise ValueError("column index out of range")
+        ascending = np.diff(self.indices) > 0
+        row_starts = self.indptr[1:-1]
+        ascending[row_starts[(row_starts > 0) & (row_starts < self.indices.size)] - 1] = True
+        if not ascending.all():
+            raise ValueError(
+                "column indices must be strictly increasing within each row "
+                "(sorted, no duplicates); build with CSRMatrix.from_scipy or "
+                "CSRMatrix.from_coo, which sum duplicates and sort"
+            )
 
     # ------------------------------------------------------------ properties
     @property
@@ -131,15 +151,6 @@ class CSRMatrix:
     def to_dense(self) -> np.ndarray:
         """Convert to a dense ndarray (use only for small matrices/tests)."""
         return np.asarray(self.to_scipy().todense())
-
-    def row_slice(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Column indices and values of one row."""
-        start, end = int(self.indptr[row]), int(self.indptr[row + 1])
-        return self.indices[start:end], self.data[start:end]
-
-    def row_lengths(self) -> np.ndarray:
-        """Number of nonzeros in every row."""
-        return np.diff(self.indptr)
 
     # ------------------------------------------------------------- utilities
     def content_key(self) -> str:

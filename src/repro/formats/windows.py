@@ -40,9 +40,15 @@ class WindowPartition:
         indexes the nonzero vectors of window ``w`` in ``vector_cols``.
     vector_cols:
         Column index of each nonzero vector, sorted within each window.
-    nnz_vector_of_entry:
-        For every CSR nonzero (in CSR order), the global index of the nonzero
-        vector that contains it.
+    entry_slot:
+        The entry map: for every CSR nonzero (in CSR order), its flat index
+        ``vector · vector_size + row % vector_size`` into a format's
+        ``(num_nonzero_vectors, vector_size)`` value array (int64) — the one
+        place the translation's scatter is computed.  A canonical CSR (what
+        :class:`~repro.formats.csr.CSRMatrix` guarantees) gives every entry
+        its own slot, and within a row ascending column is ascending vector,
+        so CSR order is storage order.  Structure only: it depends on
+        ``indptr`` / ``indices``, never on the values.
     nnz:
         Number of stored nonzeros of the original matrix.
     """
@@ -53,7 +59,7 @@ class WindowPartition:
     num_windows: int
     window_ptr: np.ndarray
     vector_cols: np.ndarray
-    nnz_vector_of_entry: np.ndarray
+    entry_slot: np.ndarray
     nnz: int
 
     # ------------------------------------------------------------ statistics
@@ -113,11 +119,6 @@ class WindowPartition:
         return widths, window_of_block, first_block
 
     # -------------------------------------------------------------- accessors
-    def window_columns(self, window: int) -> np.ndarray:
-        """Column indices of the nonzero vectors in ``window`` (sorted)."""
-        start, end = int(self.window_ptr[window]), int(self.window_ptr[window + 1])
-        return self.vector_cols[start:end]
-
     def window_row_range(self, window: int) -> tuple[int, int]:
         """Half-open row range ``[start, stop)`` covered by ``window``."""
         start = window * self.vector_size
@@ -149,7 +150,7 @@ def partition_windows(matrix: CSRMatrix, vector_size: int) -> WindowPartition:
             num_windows=num_windows,
             window_ptr=np.zeros(num_windows + 1, dtype=np.int64),
             vector_cols=np.zeros(0, dtype=np.int32),
-            nnz_vector_of_entry=np.zeros(0, dtype=np.int64),
+            entry_slot=np.zeros(0, dtype=np.int64),
             nnz=0,
         )
 
@@ -178,6 +179,6 @@ def partition_windows(matrix: CSRMatrix, vector_size: int) -> WindowPartition:
         num_windows=num_windows,
         window_ptr=window_ptr,
         vector_cols=vector_cols,
-        nnz_vector_of_entry=inverse.astype(np.int64),
+        entry_slot=inverse.astype(np.int64) * vector_size + row_of_entry % vector_size,
         nnz=nnz,
     )

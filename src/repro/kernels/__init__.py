@@ -22,8 +22,9 @@ Every ``execute`` dispatches on ``FlashSparseConfig.engine``:
 * ``engine="batched"`` (the default) routes the numerics through
   :mod:`repro.kernels.engine`, which works at the stored nonzero lanes of
   the format
-  (:meth:`~repro.formats.blocked.BlockedVectorFormat.lanes_as_csr`), never
-  at padded block slots.  SpMM is one row-wise accumulate —
+  (:meth:`~repro.formats.blocked.BlockedVectorFormat.lanes_as_csr`, a
+  gather through the translation's entry map), never at padded block
+  slots.  SpMM is one row-wise accumulate —
   ``out[r] = Σ_e q(value[e]) · B_q[col[e]]`` in FP32, in storage order;
   SDDMM is one dot product per nonzero — ``out[e] = A_q[row[e]] ·
   B_q[col[e]]``.  Equation (1) is an identity, so the binding moves cost,

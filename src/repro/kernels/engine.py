@@ -355,20 +355,20 @@ def sddmm_shard_values(
 # segment from its own elements only.  All three stages run on *one* set of
 # entry arrays, the shard's CSR entries in CSR order: the SDDMM core yields
 # one logit per entry (see below), the softmax normalises them per row, and
-# the SpMM accumulates the attention weights where they are — for a
-# canonical CSR (sorted, duplicate-free rows: what ``CSRMatrix.from_scipy``
-# builds) exactly the order the composed path's translated attention matrix
-# stores them in.  Everything a shard needs derives from the partition and
-# the CSR ``indptr``, so nothing extra travels on the cluster's
-# ``layer_task`` frames.
+# the SpMM accumulates the attention weights where they are — exactly the
+# order the composed path's translated attention matrix stores them in, as
+# ``CSRMatrix`` rows are canonical (sorted, duplicate-free) by construction.
+# Everything a shard needs derives from the partition's entry map and the
+# CSR ``indptr``, so nothing extra travels on the cluster's ``layer_task``
+# frames.
 #
 # The softmax runs over **CSR** entries, the SDDMM kernel over nonzero
 # *lanes*: a stored zero (or a value that underflows to zero in fp16) has a
 # CSR entry but no lane, and the composed path gives it logit ``0 · scale``
 # and a non-zero attention weight.  The fused stage therefore evaluates the
 # same core at the CSR entries with the *stored* value as mask
-# (``vector_values[entry_vector, entry_lane]``): zero there, the lane's dot
-# product everywhere else.
+# (``vector_values`` gathered at ``partition.entry_slot``): zero there, the
+# lane's dot product everywhere else.
 #
 # The composed serving path additionally *translates* the attention CSR
 # before the SpMM, which stores the values as ``dtype_for(precision)``.
@@ -505,16 +505,11 @@ def _slice_layer(fmt: BlockedVectorFormat, r: ShardRange, indptr) -> dict:
     v = fmt.vector_size
     row0, row1 = r.w0 * v, min(r.w1 * v, fmt.shape[0])
     e0, e1 = int(indptr[row0]), int(indptr[row1])
-    local_indptr = np.asarray(indptr[row0 : row1 + 1], dtype=np.int64) - e0
-    # Each CSR entry's slot in ``vector_values`` — the translation's own
-    # scatter: its nonzero vector, and its row's lane in the window (rows
-    # start at w0·v ≡ 0 mod v, so the lane is the local row modulo v).
-    entry_vector = fmt.partition.nnz_vector_of_entry[e0:e1]
-    entry_lane = segment_ids(local_indptr) % v
+    slot = fmt.partition.entry_slot[e0:e1]
     return {
-        "mask": np.asarray(fmt.vector_values[entry_vector, entry_lane], dtype=np.float32),
-        "columns": fmt.partition.vector_cols[entry_vector],
-        "local_indptr": local_indptr,
+        "mask": np.asarray(fmt.vector_values.reshape(-1)[slot], dtype=np.float32),
+        "columns": fmt.partition.vector_cols[slot // v],
+        "local_indptr": np.asarray(indptr[row0 : row1 + 1], dtype=np.int64) - e0,
         "row0": row0,
     }
 

@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.formats.csr import CSRMatrix
 from repro.formats.windows import WindowPartition
-from repro.ops import segment_ids
 
 #: Step kinds a layer program may contain.
 LAYER_STEP_OPS = ("sddmm", "scale", "edge_softmax", "spmm")
@@ -202,16 +201,17 @@ def gather_edge_values(
 ) -> np.ndarray:
     """SDDMM output (nonzero-vector layout) → CSR edge order.
 
-    The exact inverse of the translation's value scatter
-    (``values[nnz_vector_of_entry, row % v] = data``), so explicit zeros
+    A gather through the translation's entry map
+    (``vector_values.reshape(-1)[partition.entry_slot]``), so explicit zeros
     survive and the entry order is the CSR's — unlike
-    ``BlockedVectorFormat.to_csr``, which drops stored zeros.  Returns the
-    ``(nnz,)`` float32 per-edge values.
+    ``BlockedVectorFormat.to_csr``, which drops stored zeros.  ``indptr`` is
+    the CSR's row layout, checked against the partition's ``nnz``.  Returns
+    the ``(nnz,)`` float32 per-edge values.
     """
-    rows = segment_ids(indptr)
-    return np.asarray(vector_values, dtype=np.float32)[
-        partition.nnz_vector_of_entry, rows % partition.vector_size
-    ]
+    if int(indptr[-1]) != partition.nnz:
+        raise ValueError(f"indptr holds {int(indptr[-1])} entries, the partition {partition.nnz}")
+    flat = np.asarray(vector_values).reshape(-1)
+    return np.asarray(flat[partition.entry_slot], dtype=np.float32)
 
 
 def attention_csr(csr: CSRMatrix, data: np.ndarray) -> CSRMatrix:

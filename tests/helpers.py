@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.formats.csr import CSRMatrix
+from repro.ops import segment_ids
 
 
 def random_csr(
@@ -73,6 +74,61 @@ def reference_edge_softmax_backward(softmax, grad_out, indptr) -> np.ndarray:
         s, g = softmax[lo:hi], grad_out[lo:hi]
         grad[lo:hi] = s * (g - float((g * s).sum()))
     return grad
+
+
+def lanes_by_sort(fmt):
+    """Oracle for ``BlockedVectorFormat.lanes_as_csr``: every nonzero slot
+    of ``vector_values`` (``flatnonzero``), put in row order by one stable
+    sort of the row ids — no entry map, no source CSR."""
+    from repro.formats.blocked import LaneCSR
+
+    part, v = fmt.partition, fmt.vector_size
+    flat_values = np.asarray(fmt.vector_values, dtype=np.float32).reshape(-1)
+    slot = np.flatnonzero(flat_values)  # vector · v + lane, ascending
+    vector = slot // v
+    row = segment_ids(part.window_ptr)[vector] * v + slot % v
+    order = np.argsort(row, kind="stable")
+    row_offsets = np.zeros(fmt.num_windows * v + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=fmt.num_windows * v), out=row_offsets[1:])
+    slot = slot[order]
+    return LaneCSR(
+        row_offsets=row_offsets,
+        columns=part.vector_cols[vector[order]],
+        values=flat_values[slot],
+        slot=slot,
+    )
+
+
+def csr_by_slot_expansion(fmt) -> CSRMatrix:
+    """Oracle for ``BlockedVectorFormat.to_csr``: a COO triplet for every
+    slot of every nonzero vector, masked to the nonzero ones on real rows
+    and re-sorted by ``CSRMatrix.from_coo``."""
+    v = fmt.vector_size
+    n_rows = fmt.shape[0]
+    if fmt.num_nonzero_vectors == 0:
+        return CSRMatrix(
+            np.zeros(n_rows + 1, dtype=np.int64),
+            np.zeros(0, dtype=np.int32),
+            np.zeros(0, dtype=np.float32),
+            fmt.shape,
+        )
+    window_of_vector = segment_ids(fmt.partition.window_ptr)
+    rows = (window_of_vector[:, None] * v + np.arange(v)[None, :]).reshape(-1)
+    cols = np.repeat(fmt.partition.vector_cols.astype(np.int64), v)
+    vals = np.asarray(fmt.vector_values, dtype=np.float64).reshape(-1)
+    mask = (vals != 0.0) & (rows < n_rows)
+    return CSRMatrix.from_coo(rows[mask], cols[mask], vals[mask], fmt.shape)
+
+
+def edge_values_by_search(partition, csr: CSRMatrix, vector_values) -> np.ndarray:
+    """Oracle for ``gather_edge_values``: each CSR entry's nonzero vector
+    found by a binary search for its (window, column) key among the
+    partition's vectors, its lane as ``row % v``."""
+    v, n_cols = partition.vector_size, csr.shape[1]
+    rows = segment_ids(csr.indptr)
+    vector_keys = segment_ids(partition.window_ptr) * n_cols + partition.vector_cols
+    vector = np.searchsorted(vector_keys, rows // v * n_cols + csr.indices)
+    return np.asarray(vector_values, dtype=np.float32)[vector, rows % v]
 
 
 def run_sharded(

@@ -218,6 +218,7 @@ def test_kill_host_mid_shard_fails_over_bit_identically():
             assert time.monotonic() < deadline, "no task ever reached the victim"
             time.sleep(0.01)
         victim.process.kill()  # SIGKILL: no goodbye, the socket just resets
+        fresh.inject_task_delay_s = 0.0  # the survivor's re-dispatch runs at once
         t.join(TIMEOUT)
         assert not t.is_alive(), "run_spmm hung after the host died"
         np.testing.assert_array_equal(result["out"], base)
@@ -226,7 +227,6 @@ def test_kill_host_mid_shard_fails_over_bit_identically():
         assert snap["failovers"] >= 1 and snap["shards_failed_over"] >= 1
         assert not victim.alive
         # The survivor keeps serving new requests.
-        fresh.inject_task_delay_s = 0.0
         out2 = fresh.run_spmm(fmt, b_q, Precision.FP16, csr=csr, content_key=key)
         np.testing.assert_array_equal(out2, base)
 
@@ -395,13 +395,13 @@ def test_server_survives_host_death_mid_shard():
             assert time.monotonic() < deadline, "request never reached the host"
             time.sleep(0.01)
         victim.process.kill()
+        srv.scheduler.inject_task_delay_s = 0.0  # the survivor's re-dispatch runs at once
         res = fut.result(TIMEOUT)
         np.testing.assert_array_equal(res.values, ref.values)
         snap = srv.scheduler.stats_snapshot()
         assert snap["host_deaths"] == 1
         assert snap["failovers"] >= 1
         assert srv.healthy, "host death must not look like a server crash"
-        srv.scheduler.inject_task_delay_s = 0.0
         # And the server keeps serving on the survivor.
         np.testing.assert_array_equal(
             srv.submit_spmm(csr, b).result(TIMEOUT).values, ref.values

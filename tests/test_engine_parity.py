@@ -21,7 +21,7 @@ import pytest
 from helpers import random_csr
 
 from repro.formats.blocked import BlockedVectorFormat
-from repro.formats.cache import cached_mebcrs, clear_format_cache, format_cache_size
+from repro.formats.cache import cached_mebcrs, clear_format_cache, format_cache_stats
 from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
@@ -226,12 +226,12 @@ def test_format_conversion_cache_reuses_translations():
     first = cached_mebcrs(csr, "fp16")
     assert cached_mebcrs(csr, "fp16") is first
     assert cached_mebcrs(csr, "tf32") is not first
-    assert format_cache_size() == 2
+    assert format_cache_stats().size == 2
     # A structurally identical but distinct CSR object is translated afresh.
     other = CSRMatrix(csr.indptr.copy(), csr.indices.copy(), csr.data.copy(), csr.shape)
     assert cached_mebcrs(other, "fp16") is not first
     clear_format_cache()
-    assert format_cache_size() == 0
+    assert format_cache_stats().size == 0
 
 
 def test_bulk_counter_updates_match_scalar_updates():

@@ -11,9 +11,7 @@ from repro.formats.cache import (
     cached_mebcrs,
     cached_sgt16,
     clear_format_cache,
-    format_cache_size,
     format_cache_stats,
-    reset_format_cache_stats,
 )
 from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
@@ -82,34 +80,34 @@ def test_cache_size_counts_alias_entries():
     csr = random_csr(40, 40, 0.1, seed=7)
     cached_mebcrs(csr, "fp16", by_content=True)
     # One identity entry + one content entry.
-    assert format_cache_size() == 2
+    assert format_cache_stats().size == 2
     cached_mebcrs(_twin(csr), "fp16", by_content=True)
     # The twin adds only its identity alias.
-    assert format_cache_size() == 3
+    assert format_cache_stats().size == 3
     clear_format_cache()
-    assert format_cache_size() == 0
+    assert format_cache_stats().size == 0
 
 
 def test_stats_count_hits_misses_and_content_hits():
-    reset_format_cache_stats()
+    cache = TranslationCache()
     csr = random_csr(48, 48, 0.1, seed=10)
-    base = format_cache_stats()
+    base = cache.stats()
     assert base.hits == 0 and base.misses == 0 and base.hit_rate == 1.0
 
-    cached_mebcrs(csr, "fp16", by_content=True)  # miss: builds
-    cached_mebcrs(csr, "fp16")  # identity hit
+    cached_mebcrs(csr, "fp16", by_content=True, cache=cache)  # miss: builds
+    cached_mebcrs(csr, "fp16", cache=cache)  # identity hit
     twin = _twin(csr)
-    cached_mebcrs(twin, "fp16", by_content=True)  # content hit (dedup)
-    cached_mebcrs(twin, "fp16")  # identity hit via the alias
+    cached_mebcrs(twin, "fp16", by_content=True, cache=cache)  # content hit (dedup)
+    cached_mebcrs(twin, "fp16", cache=cache)  # identity hit via the alias
 
-    stats = format_cache_stats()
+    stats = cache.stats()
     assert stats.misses == 1
     assert stats.hits == 3
     assert stats.content_hits == 1
     assert stats.lookups == 4
     assert stats.hit_rate == 3 / 4
-    reset_format_cache_stats()
-    assert format_cache_stats().lookups == 0
+    cache.reset_stats()
+    assert cache.stats().lookups == 0
 
 
 def test_evictions_are_counted_by_isolated_instance():

@@ -44,21 +44,6 @@ def test_properties(small_csr):
     assert 0 < small_csr.density < 1
 
 
-def test_row_slice(small_csr):
-    dense = small_csr.to_dense()
-    for r in range(small_csr.n_rows):
-        cols, vals = small_csr.row_slice(r)
-        row = np.zeros(small_csr.n_cols)
-        row[cols] = vals
-        np.testing.assert_allclose(row, dense[r])
-
-
-def test_row_lengths(small_csr):
-    lengths = small_csr.row_lengths()
-    assert lengths.sum() == small_csr.nnz
-    assert lengths.shape == (small_csr.n_rows,)
-
-
 def test_validation_rejects_bad_indptr():
     with pytest.raises(ValueError):
         CSRMatrix(np.array([0, 2]), np.array([0], dtype=np.int32), np.array([1.0]), (2, 2))
@@ -66,6 +51,20 @@ def test_validation_rejects_bad_indptr():
         CSRMatrix(np.array([1, 1, 1]), np.zeros(0, np.int32), np.zeros(0), (2, 2))
     with pytest.raises(ValueError):
         CSRMatrix(np.array([0, 2, 1]), np.array([0, 1], dtype=np.int32), np.ones(2), (2, 2))
+
+
+@pytest.mark.parametrize("indices", [[0, 0, 1], [1, 0, 1]], ids=["duplicate", "unsorted"])
+def test_validation_rejects_non_canonical_rows(indices):
+    """A duplicate or out-of-order column in a row is rejected — the
+    translation's scatter would otherwise keep one duplicate and lose the
+    other; the message names the builders that canonicalise."""
+    with pytest.raises(ValueError, match="from_scipy.*from_coo"):
+        CSRMatrix([0, 2, 3], indices, [1.0, 2.0, 4.0], (2, 2))
+
+
+def test_validation_accepts_explicit_zeros_and_a_column_reset_at_each_row():
+    csr = CSRMatrix([0, 2, 2, 4], [0, 1, 0, 1], [0.0, 1.0, 2.0, 0.0], (3, 2))
+    assert csr.nnz == 4
 
 
 def test_validation_rejects_out_of_range_column():

@@ -9,6 +9,10 @@ from repro.formats.windows import partition_windows
 from helpers import random_csr
 
 
+def _window_columns(part, w: int) -> np.ndarray:
+    return part.vector_cols[part.window_ptr[w] : part.window_ptr[w + 1]]
+
+
 def dense_reference_partition(dense: np.ndarray, vector_size: int):
     """Brute-force reference: nonzero vectors per window from the dense matrix."""
     n_rows, n_cols = dense.shape
@@ -27,7 +31,7 @@ def test_partition_matches_dense_reference(small_csr, vector_size):
     reference = dense_reference_partition(small_csr.to_dense(), vector_size)
     assert part.num_windows == len(reference)
     for w, cols in enumerate(reference):
-        np.testing.assert_array_equal(part.window_columns(w), cols)
+        np.testing.assert_array_equal(_window_columns(part, w), cols)
 
 
 @pytest.mark.parametrize("vector_size", [8, 16])
@@ -46,17 +50,21 @@ def test_smaller_vector_size_never_increases_zero_fill(medium_csr):
     assert fill8 <= fill16
 
 
-def test_nnz_vector_of_entry_maps_each_nonzero_to_its_vector(small_csr):
-    part = partition_windows(small_csr, 8)
+def test_entry_slot_maps_each_nonzero_to_its_slot(small_csr):
     rows = np.repeat(np.arange(small_csr.n_rows), np.diff(small_csr.indptr).astype(int))
     cols = small_csr.indices
-    for e in range(small_csr.nnz):
-        vec = int(part.nnz_vector_of_entry[e])
-        # The vector's column must equal the entry's column and its window must
-        # contain the entry's row.
-        assert part.vector_cols[vec] == cols[e]
-        window = np.searchsorted(part.window_ptr, vec, side="right") - 1
-        assert window == rows[e] // 8
+    for v in (8, 16):
+        part = partition_windows(small_csr, v)
+        assert part.entry_slot.dtype == np.int64
+        # One slot per entry, so a scatter through the map loses nothing.
+        assert np.unique(part.entry_slot).shape == (small_csr.nnz,)
+        for e in range(small_csr.nnz):
+            vec, lane = divmod(int(part.entry_slot[e]), v)
+            # The vector's column is the entry's column, its window holds the
+            # entry's row, and the lane is that row's place in the window.
+            assert part.vector_cols[vec] == cols[e]
+            assert np.searchsorted(part.window_ptr, vec, side="right") - 1 == rows[e] // v
+            assert lane == rows[e] % v
 
 
 def test_tc_block_counts(small_csr):
@@ -90,7 +98,7 @@ def test_empty_matrix_partition():
     assert part.num_windows == 1
     assert part.num_nonzero_vectors == 0
     assert part.zero_fill == 0
-    assert part.window_columns(0).size == 0
+    assert _window_columns(part, 0).size == 0
 
 
 def test_invalid_vector_size():
@@ -110,7 +118,7 @@ def test_vector_size_mismatch_in_stats_raises(small_csr):
 def test_columns_sorted_within_window(medium_csr):
     part = partition_windows(medium_csr, 8)
     for w in range(part.num_windows):
-        cols = part.window_columns(w)
+        cols = _window_columns(part, w)
         assert np.all(np.diff(cols) > 0)
 
 

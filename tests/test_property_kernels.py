@@ -5,8 +5,9 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import run_sharded
+from helpers import csr_by_slot_expansion, edge_values_by_search, lanes_by_sort, run_sharded
 
+from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
@@ -122,9 +123,9 @@ K_DENSE = (1, 7, 32, 33)
 @st.composite
 def blocked_formats(draw):
     """``(rng, csr, fmt, precision)`` over a random CSR with empty windows, a
-    partial tail window, one hub window and a few values that underflow to
-    zero in fp16 (a CSR entry without a lane), in fp16 / tf32 and vector
-    size 8 / 16."""
+    partial tail window, one hub window, a few explicit stored zeros and a
+    few values that underflow to zero in fp16 (CSR entries without a lane),
+    in fp16 / tf32 and vector size 8 / 16."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
     n_rows = 16 * int(rng.integers(4, 8)) + int(rng.integers(1, 16))  # tail window
     n_cols = int(rng.integers(20, 120))
@@ -133,9 +134,61 @@ def blocked_formats(draw):
     dense[:3] = rng.standard_normal((3, n_cols))  # hub: every column is a vector
     dense[rng.random((n_rows, n_cols)) < 0.05] *= 1e-9
     csr = CSRMatrix.from_dense(dense)
+    data = csr.data.copy()
+    data[rng.random(csr.nnz) < 0.03] = 0.0  # explicit stored zeros
+    csr = CSRMatrix(csr.indptr, csr.indices, data, csr.shape)
     precision = Precision(draw(st.sampled_from(["fp16", "tf32"])))
     fmt_cls = draw(st.sampled_from([MEBCRSMatrix, SGT16Matrix]))
     return rng, csr, fmt_cls.from_csr(csr, precision=precision), precision
+
+
+@st.composite
+def entry_map_cases(draw):
+    """``(csr, fmt)``: a :func:`blocked_formats` translation, or the SDDMM
+    output over its pattern with some rows of A zeroed, so that some
+    outputs are exactly zero (entries the lane view and ``to_csr`` drop)."""
+    rng, csr, fmt, precision = draw(blocked_formats())
+    if draw(st.booleans()):
+        a_q = quantize(rng.standard_normal((csr.shape[0], 5)), precision)
+        a_q[rng.random(csr.shape[0]) < 0.3] = 0.0
+        b_q = quantize(rng.standard_normal((csr.shape[1], 5)), precision)
+        fmt = BlockedVectorFormat(
+            partition=fmt.partition,
+            vector_values=sddmm_batched(fmt, a_q, b_q, draw(st.booleans())),
+            k=fmt.k,
+        )
+    return csr, fmt
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=entry_map_cases(), target=st.integers(min_value=1, max_value=60))
+def test_every_view_of_the_format_is_a_gather_through_the_entry_map(case, target):
+    """The lane view, ``to_csr``, the fused layer's per-shard mask and
+    columns and ``gather_edge_values`` all read ``partition.entry_slot``;
+    each equals an oracle that derives the same view without it."""
+    csr, fmt = case
+    lanes, oracle = fmt.lanes_as_csr(), lanes_by_sort(fmt)
+    for name in ("row_offsets", "columns", "values", "slot"):
+        got, want = getattr(lanes, name), getattr(oracle, name)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype, name
+    back, oracle_csr = fmt.to_csr(), csr_by_slot_expansion(fmt)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(back, name), getattr(oracle_csr, name)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype, name
+    edges = edge_values_by_search(fmt.partition, csr, fmt.vector_values)
+    np.testing.assert_array_equal(
+        gather_edge_values(fmt.partition, csr.indptr, fmt.vector_values), edges
+    )
+    layer = engine.SHARD_OPS["layer"]
+    ranges, _ = layer.plan(fmt, [np.zeros((csr.shape[1], 1))], None, 1, target)
+    for r in ranges:
+        sliced = layer.slice(fmt, r, csr.indptr)
+        e0 = csr.indptr[sliced["row0"]]
+        e1 = e0 + sliced["local_indptr"][-1]
+        np.testing.assert_array_equal(sliced["mask"], edges[e0:e1])
+        np.testing.assert_array_equal(sliced["columns"], csr.indices[e0:e1])
 
 
 @st.composite

@@ -22,6 +22,7 @@ import pytest
 
 from helpers import csr_with_zero_valued_entries, random_csr
 
+from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
 from repro.gnn import SERVED_MODES, ServedBackend
@@ -169,6 +170,25 @@ def test_fused_layer_matches_composition_at_zero_valued_and_unreferenced_entries
             # Row 1 spreads its attention over all four stored entries.
             weights = np.linalg.lstsq(x[[0, 2, 5, 9]].T, outs["fused"][1], rcond=None)[0]
             assert (weights > 0.01).all()
+
+
+def test_fused_layer_over_duplicate_coo_triplets_matches_composition():
+    """``from_coo`` folds duplicate triplets into one canonical entry each,
+    so the fused layer's per-entry softmax and the composed path's
+    translated attention matrix see the same entries."""
+    rng = np.random.default_rng(41)
+    rows, cols = rng.integers(0, 40, 400), rng.integers(0, 36, 400)
+    csr = CSRMatrix.from_coo(rows, cols, rng.standard_normal(400), (40, 36))
+    assert csr.nnz < 400
+    a, b, x = (rng.standard_normal(shape) for shape in ((40, 10), (36, 10), (36, 6)))
+    with Server(workers=1) as srv:
+        outs = {
+            mode: ServedBackend(server=srv, adjacency=csr, mode=mode).attention_layer(
+                a, b, x, scale=0.7
+            )
+            for mode in SERVED_MODES
+        }
+    np.testing.assert_array_equal(outs["fused"], outs["composed"])
 
 
 def test_layer_priority_and_deadline_semantics_match_kernel_requests():

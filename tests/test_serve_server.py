@@ -46,6 +46,16 @@ def server():
         yield srv
 
 
+def test_duplicate_coo_triplets_are_summed_one_shot_and_served():
+    """``from_coo`` sums the duplicate ``(0, 0)`` triplets — SciPy's 3.0 —
+    on the one-shot path and through the server alike."""
+    csr = CSRMatrix.from_coo([0, 0, 1], [0, 0, 1], [1.0, 2.0, 4.0], (2, 2))
+    eye = np.eye(2, dtype=np.float32)
+    assert spmm(csr, eye).values[0, 0] == 3.0
+    with Server(workers=1) as srv:
+        assert srv.submit_spmm(csr, eye).result(timeout=60).values[0, 0] == 3.0
+
+
 def test_server_spmm_bit_identical_and_counter_parity(server, workload):
     csr, bs, _, _ = workload
     futures = [server.submit_spmm(_twin(csr), b) for b in bs]
