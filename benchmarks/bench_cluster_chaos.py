@@ -80,7 +80,7 @@ def _workload():
     b_q = quantize(
         rng.standard_normal((NUM_NODES, SPMM_WIDTH)), Precision.FP16
     ).astype(np.float32)
-    oracle = ShardScheduler(workers=1)
+    oracle = ShardScheduler()
     matrices, seed = [], 0
     while len(matrices) < NUM_MATRICES and seed < 64:
         csr = power_law_matrix(NUM_NODES, avg_row_length=AVG_ROW_LENGTH, seed=seed)

@@ -1,8 +1,7 @@
 """Open-loop (arrival-rate) serving benchmark with a latency-SLO gate.
 
-``bench_serve_throughput.py`` measures the server *closed-loop* (each
-client waits for its previous request), which can never overload the
-server — the load self-throttles.  This benchmark is the open-loop
+A *closed-loop* measurement (each client waits for its previous request)
+can never overload the server — the load self-throttles.  This benchmark is the open-loop
 complement the ROADMAP called for: a Poisson load generator submits at a
 fixed **offered rate regardless of completions**, sweeping the rate across
 the measured saturation point, so the queueing behaviour under overload

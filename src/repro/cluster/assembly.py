@@ -1,10 +1,9 @@
-"""Shard-result reassembly in the head, without shared memory.
+"""Shard-result reassembly in the cluster head.
 
-The single-host :class:`~repro.serve.scheduler.ShardScheduler` lets worker
-processes scatter their shard results straight into one shared-memory
-output buffer — a shortcut only available when every worker maps the same
-address space.  Across hosts the results come back as payloads over the
-transport, and the head must reassemble them.  Every op returns one row
+The in-process :class:`~repro.serve.scheduler.ShardScheduler` places each
+shard's rows into its output as the shard finishes.  Across hosts the
+results come back as payloads over the transport, possibly twice or out of
+order, and the head must reassemble them.  Every op returns one row
 slice of its output per shard: the dense rows of the shard's window range
 for SpMM and the fused layer, the rows of ``vector_values`` — the nonzero
 vectors ``window_ptr[w0]:window_ptr[w1]`` — for SDDMM.
@@ -50,9 +49,10 @@ class SpmmAssembly:
     def add(self, shard: int, row0: int, rows: np.ndarray) -> None:
         """Place shard ``shard``'s row block starting at matrix row ``row0``.
 
-        The tail window's rows past ``n_rows`` are clipped, mirroring the
-        shared-memory scatter.  A byte-identical re-delivery (a speculative
-        duplicate) is suppressed; a differing one raises.
+        The tail window's rows past ``n_rows`` are clipped, mirroring
+        :meth:`repro.kernels.engine.ShardOp.place`.  A byte-identical
+        re-delivery (a speculative duplicate) is suppressed; a differing one
+        raises.
         """
         shard = int(shard)
         if not 0 <= shard < self.num_shards:

@@ -1,7 +1,7 @@
 """Cluster head: host registry, affinity routing, fault-tolerant dispatch.
 
 The :class:`ClusterScheduler` is the multi-host counterpart of the
-single-host :class:`~repro.serve.scheduler.ShardScheduler` and presents the
+in-process :class:`~repro.serve.scheduler.ShardScheduler` and presents the
 same execution interface (``run_spmm`` / ``run_sddmm`` / ``run_layer``,
 ``close``, ``stats_snapshot``), so the serving frontend plugs it in
 unchanged.  What changes underneath:
@@ -51,12 +51,12 @@ unchanged.  What changes underneath:
   — re-push, bounded; a shard whose store keeps missing (a budget smaller
   than one request's working set) runs in-parent instead, so a thrashing
   store costs throughput, never the request.
-* **Assembly, not shared memory.**  Shard results return as transport
-  payloads and are reassembled by :mod:`repro.cluster.assembly` with
-  overlap/completeness checks — there is no shared output buffer to
-  scatter into across machines.
+* **Checked assembly.**  Shard results return as transport payloads and
+  are reassembled by :mod:`repro.cluster.assembly` with
+  overlap/completeness checks — a result that arrives twice or never is
+  caught, not silently placed.
 
-Bit-exactness carries over from the single-host scheduler: workers run the
+Bit-exactness carries over from the in-process scheduler: workers run the
 same shard-table entries (:data:`repro.kernels.engine.SHARD_OPS`) on a
 bit-identical translation, so the cluster result equals the single-process
 one-shot result exactly, for any shard size, any host count, and across
@@ -680,7 +680,8 @@ def spawn_local_host(
 
 
 class ClusterScheduler:
-    """Head of a multi-host cluster; drop-in for :class:`ShardScheduler`.
+    """Head of a multi-host cluster; same ``run_*`` interface as the
+    in-process :class:`~repro.serve.scheduler.ShardScheduler`.
 
     Parameters
     ----------
@@ -691,9 +692,6 @@ class ClusterScheduler:
     addresses:
         Explicit ``(host, port)`` addresses of already-running worker
         hosts (``python -m repro.cluster.worker``); overrides ``hosts``.
-    start_method:
-        ``multiprocessing`` start method for spawned hosts (default:
-        ``fork`` where available).
     heartbeat_interval_s / heartbeat_timeout_s / task_timeout_s:
         Failure-detector knobs (see :class:`_HostClient`).
     retry_policy:
@@ -715,7 +713,7 @@ class ClusterScheduler:
         Optional :class:`~repro.testing.faults.FaultPlan` installed on the
         *worker* side of every spawned loopback host (scoped by host id) —
         the hook that lets tests corrupt result frames where they are
-        written.  Requires the ``fork`` start method (the default).
+        written.  Requires a platform where hosts fork.
     max_frame_bytes:
         Per-connection bound on declared frame sizes, enforced on both
         the head side and spawned loopback workers (see
@@ -744,7 +742,6 @@ class ClusterScheduler:
         self,
         hosts: int = 1,
         addresses=None,
-        start_method: str | None = None,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         task_timeout_s: float = DEFAULT_TASK_TIMEOUT_S,
@@ -780,9 +777,11 @@ class ClusterScheduler:
                 certfile=tls_cert if tls_ca is not None else None,
                 keyfile=tls_key if tls_ca is not None else None,
             )
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else None
-        self._mp_context = mp.get_context(start_method) if start_method else mp.get_context()
+        # Hosts fork where the platform can (cheap startup, inherited
+        # imports), else use its default start method.
+        self._mp_context = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else None
+        )
         self.hosts: list[HostState] = []
         self._hosts_lock = threading.RLock()
         self._next_host_index = 0

@@ -343,8 +343,8 @@ def start_server(
 
     The returned server accepts concurrent :meth:`submit_spmm` /
     :meth:`submit_sddmm` calls, batches same-matrix requests, plans memory
-    budgets from ``device`` and shards execution across ``workers``
-    processes.  Use it as a context manager::
+    budgets from ``device`` (``workers`` divides the workspace into shards)
+    and runs the shards in this process.  Use it as a context manager::
 
         with repro.start_server(device="rtx4090", workers=4) as server:
             fut = server.submit_spmm(matrix, b)
@@ -352,7 +352,7 @@ def start_server(
         print(server.snapshot().latency_p95_s)
 
     ``backend="cluster"`` serves over ``hosts`` worker-host subprocesses
-    instead of an in-process pool (see :mod:`repro.cluster`): shard
+    instead (see :mod:`repro.cluster`): shard
     payloads travel a TCP transport, matrices route to hosts by content
     affinity, and a host death mid-request fails over to the survivors::
 

@@ -217,12 +217,12 @@ def sddmm_batched(
 
 
 # ---------------------------------------------------------------------------
-# Shard execution hooks (multi-process serving)
+# Shard execution hooks (sharded serving)
 # ---------------------------------------------------------------------------
 # The functions below are the per-shard numeric cores the serving scheduler
-# (:mod:`repro.serve.scheduler`) runs inside worker *processes*.  They take
-# plain ndarrays (cheap to pickle per shard; the large dense operands travel
-# via shared memory) and reproduce the one-shot batched path bit-for-bit:
+# (:mod:`repro.serve.scheduler`) runs in the server process and cluster
+# worker hosts run remotely.  They take plain ndarrays (cheap to ship in a
+# frame) and reproduce the one-shot batched path bit-for-bit:
 # a shard covers a *window-aligned* block range, hence whole output rows
 # (SpMM: each row is accumulated from its own entries only) and the
 # contiguous nonzero-vector range ``[window_ptr[w0], window_ptr[w1])``
@@ -426,20 +426,19 @@ def layer_shard_rows(
 # ---------------------------------------------------------------------------
 # Shard table (one body per served op)
 # ---------------------------------------------------------------------------
-# Every carrier of a shard task — the in-parent call, the shared-memory pool
-# (:mod:`repro.serve.scheduler`) and the TCP cluster
-# (:mod:`repro.cluster.head` / :mod:`repro.cluster.worker`) — executes a
-# shard as ``op.run(op.slice(fmt, r, indptr), operands, params)``
-# and differs only in where the two halves run: the pool slices in the
-# parent and pickles the result to a child, a worker host slices its own
-# (bit-identical) translation, the in-parent fallback does both in place.
+# Every carrier of a shard task — the in-process scheduler
+# (:mod:`repro.serve.scheduler`), the cluster head's in-parent fallback and
+# the TCP cluster (:mod:`repro.cluster.head` / :mod:`repro.cluster.worker`)
+# — executes a shard as ``op.run(op.slice(fmt, r, indptr), operands,
+# params)`` and differs only in where it runs: a worker host slices its own
+# (bit-identical) translation, the other two slice and run in place.
 #
-# ``slice`` returns a dict of plain ndarrays and ints (cheap to pickle);
-# ``run`` takes that dict, the op's dense operands in wire order and
-# ``params`` — ``{"precision": str, "scale": float | None,
-# "scale_by_mask": bool}``, of which each op reads the keys it needs (plain
-# types: a pool task pickles them, a worker host rebuilds them from its
-# frame header) — and returns ``(outputs, stage_seconds)``.  The entries
+# ``slice`` returns a dict of plain ndarrays and ints; ``run`` takes that
+# dict, the op's dense operands in wire order and ``params`` —
+# ``{"precision": str, "scale": float | None, "scale_by_mask": bool}``, of
+# which each op reads the keys it needs (plain types: a worker host
+# rebuilds them from its frame header) — and returns
+# ``(outputs, stage_seconds)``.  The entries
 # reach the hooks above through their module-level names at call time, so a
 # tracer that rebinds ``engine.spmm_shard_rows`` sees every served shard.
 
@@ -572,8 +571,8 @@ class ShardOp:
     def place(self, out: np.ndarray, sliced: dict, outputs: list) -> None:
         """Write one shard's ``outputs`` into the request's output array.
 
-        Shards own disjoint rows (window alignment), so concurrent
-        placements into one shared buffer need no lock.
+        Shards own disjoint rows (window alignment), so the placements of a
+        request never overlap.
         """
         rows, row0 = outputs[0], sliced["row0"]
         stop = min(row0 + rows.shape[0], out.shape[0])

@@ -1,14 +1,15 @@
-"""Multi-process sharded serving subsystem.
+"""Sharded serving subsystem.
 
 This package turns the kernel library into a serving system for the paper's
 end-to-end workloads (the GNN inference traffic of Figure 16): a
 :class:`~repro.serve.server.Server` accepts concurrent SpMM / SDDMM
 requests, deduplicates translations across requests that carry the same
 matrix (content-hash keyed), batches same-matrix SpMM requests into one
-engine pass, and executes large operations sharded across a
-``multiprocessing`` worker pool with shared-memory dense operands.
+engine pass, and executes large operations as window-aligned shards sized
+by a device memory budget — in the server process, or across worker hosts
+with ``backend="cluster"``.
 
-The four pieces:
+The pieces:
 
 * :mod:`repro.serve.planner` — derives a request's shard size
   (``ServePlan.block_chunk``, in TC blocks) and worker count from a
@@ -18,10 +19,9 @@ The four pieces:
   (``sddmm → [scale] → edge_softmax → spmm``) so a whole attention layer
   is one request (``Server.submit_layer``) instead of three, plus the
   composed-execution helpers the per-kernel fallback shares;
-* :mod:`repro.serve.scheduler` — shards window-aligned block ranges of one
-  operation across a process pool (work queue, per-shard retry,
-  shared-memory dense operands, bit-identical to the single-process
-  one-shot engine);
+* :mod:`repro.serve.scheduler` — runs one operation's window-aligned
+  shards one after another in the server process (bit-identical to the
+  single-process one-shot engine);
 * :mod:`repro.serve.server` — the request frontend (futures, same-matrix
   batching, per-request cost counters, bounded admission, request
   deadlines, priority classes with earliest-deadline-first dispatch and

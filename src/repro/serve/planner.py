@@ -3,8 +3,8 @@
 The numeric engine has no memory knobs: SpMM accumulates row-wise and holds
 no intermediate, SDDMM works in fixed L2-sized entry chunks.  What a served
 request still needs sizing is its *shard tasks* — how many TC blocks of
-work (and of dense data touched) one task handed to a pool worker or a
-worker host covers.  Given the device's declared memory capacity
+work (and of dense data touched) one shard — run in the server process or
+handed to a worker host — covers.  Given the device's declared memory capacity
 (:attr:`~repro.gpu.device.GPUSpec.memory_bytes`), the planner
 
 1. computes the *resident* footprint of the operation — the translated
@@ -47,8 +47,9 @@ from repro.kernels.engine import (
 from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK
 from repro.precision.types import Precision, element_bytes
 
-#: Upper bound on planner-chosen worker processes; beyond this the shard
-#: dispatch overhead dominates for the matrix sizes the simulator handles.
+#: Upper bound on the planner-chosen ``workers`` the workspace is divided
+#: by; beyond this the per-shard overhead dominates for the matrix sizes the
+#: simulator handles.
 MAX_PLANNED_WORKERS = 8
 
 
@@ -68,7 +69,7 @@ class ServePlan:
     #: Hosts the memory budget was divided across (1 = single machine).
     hosts: int
     #: Window-aligned shard size target in blocks; ``None`` means an even
-    #: split across the scheduler's workers.
+    #: split across the scheduler's workers (one shard in process).
     block_chunk: int | None
     #: The workspace byte budget the shard size was divided out of; ``None``
     #: when no budget applies.

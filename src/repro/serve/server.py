@@ -18,9 +18,8 @@ executes them on the shared backend):
   to running each request alone;
 * execution honours a :class:`~repro.serve.planner.ServePlan` — derived per
   (matrix, width) from the server's device budget and memoised in a small
-  LRU — and runs on the multi-process
-  :class:`~repro.serve.scheduler.ShardScheduler` when the server has
-  workers, inline otherwise;
+  LRU — and runs its shards one after another in the server process on
+  the :class:`~repro.serve.scheduler.ShardScheduler`;
 * every request resolves with a result carrying the same ``values`` /
   ``counter`` / ``useful_flops`` a direct :func:`repro.core.api.spmm` call
   would produce: cost counters come from the closed-form cost pass, which
@@ -52,7 +51,7 @@ measures):
   ``__cause__``), :attr:`Server.healthy` flips to ``False`` and later
   submits fail fast — no future is ever silently stranded.
 * **Drain-aware shutdown** — the dispatcher owns the scheduler teardown:
-  the pool is closed only after the dispatch loop has drained (or
+  the scheduler is closed only after the dispatch loop has drained (or
   crashed), never out from under an in-flight batch.  ``close(wait=True)``
   joins the dispatcher; give it a ``timeout`` to bound the wait, and the
   expiry is surfaced as :class:`~repro.serve.errors.ServeTimeoutError`
@@ -99,7 +98,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import queue
 import threading
 import time
@@ -132,7 +130,7 @@ from repro.serve.errors import (
     ServerOverloadedError,
 )
 from repro.serve.metrics import MetricsSnapshot, ServeMetrics
-from repro.serve.planner import MAX_PLANNED_WORKERS, ServePlan, plan_sddmm, plan_spmm
+from repro.serve.planner import ServePlan, plan_sddmm, plan_spmm
 from repro.serve.program import (
     EdgeSoftmaxResult,
     LayerProgram,
@@ -327,7 +325,8 @@ class _Stop:
 
 
 class Server:
-    """Multi-process sharded SpMM/SDDMM server.
+    """Sharded SpMM / SDDMM / fused-layer server: futures, same-matrix
+    batching, memory-budget plans, overload control.
 
     Parameters
     ----------
@@ -337,14 +336,12 @@ class Server:
     precision:
         Kernel precision for every request (``"fp16"`` or ``"tf32"``).
     workers:
-        Worker processes for the shard scheduler.  ``None`` lets the
-        planner choose per request (up to ``min(cpu_count, 8)``); ``1``
-        forces inline execution — the reference configuration the parity
-        suite compares against.
+        The parallelism the planner divides the device workspace by: more
+        workers cut a request into smaller shards.  ``None`` lets the
+        planner choose (``min(cpu_count, 8)``).  Shards always run one at a
+        time; on the local backend ``meta["workers"]`` reads 1.
     max_batch:
         Maximum same-matrix requests coalesced into one engine pass.
-    retries:
-        Per-shard retry budget of the scheduler.
     max_queue_depth:
         Cap on queued (not-yet-dispatched) requests.  ``None`` (default)
         leaves admission unbounded — the pre-overload-hardening behaviour,
@@ -354,7 +351,7 @@ class Server:
         slot frees, ``"reject"`` raises
         :class:`~repro.serve.errors.ServerOverloadedError` immediately.
     backend:
-        ``"local"`` (default): the in-process multi-`worker`
+        ``"local"`` (default): the in-process
         :class:`~repro.serve.scheduler.ShardScheduler`.  ``"cluster"``:
         the multi-host :class:`~repro.cluster.head.ClusterScheduler`
         with ``hosts`` loopback worker subprocesses.
@@ -398,10 +395,7 @@ class Server:
         device: str | GPUSpec | None = None,
         precision: Precision | str = Precision.FP16,
         workers: int | None = None,
-        workspace_fraction: float | None = None,
         max_batch: int = DEFAULT_MAX_BATCH,
-        retries: int | None = None,
-        start_method: str | None = None,
         max_queue_depth: int | None = None,
         admission: str = "block",
         backend: str = "local",
@@ -414,7 +408,6 @@ class Server:
         self.device = device if (device is None or isinstance(device, GPUSpec)) else get_device(device)
         self.precision = Precision(precision)
         self.requested_workers = workers
-        self.workspace_fraction = workspace_fraction
         self.max_batch = max(1, int(max_batch))
         if admission not in ADMISSION_POLICIES:
             raise ValueError(f"admission must be one of {ADMISSION_POLICIES}, got {admission!r}")
@@ -435,19 +428,10 @@ class Server:
         if backend == "cluster":
             from repro.cluster.head import ClusterScheduler
 
-            if retries is not None:
-                # The shard-retry budget is a process-pool knob; cluster
-                # recovery is failover-driven.  Reject rather than silently
-                # drop the caller's expectation.
-                raise ValueError('retries applies to backend="local" only')
             self.hosts = 1 if hosts is None else int(hosts)
             if self.hosts < 0:
                 raise ValueError("hosts must be >= 0")
-            self.scheduler = ClusterScheduler(
-                hosts=self.hosts,
-                start_method=start_method,
-                **(cluster_options or {}),
-            )
+            self.scheduler = ClusterScheduler(hosts=self.hosts, **(cluster_options or {}))
             # Explicit addresses in cluster_options override the spawn
             # count: budget division and group concurrency must follow the
             # hosts actually registered, not the requested spawn count.
@@ -459,13 +443,7 @@ class Server:
             if cluster_options is not None:
                 raise ValueError('cluster_options applies to backend="cluster" only')
             self.hosts = 1
-            sched_kwargs = {} if retries is None else {"retries": retries}
-            # Pool size: the planner may use fewer workers per request,
-            # never more than the pool holds.
-            pool_size = workers if workers is not None else min(os.cpu_count() or 1, MAX_PLANNED_WORKERS)
-            self.scheduler = ShardScheduler(
-                workers=pool_size, start_method=start_method, **sched_kwargs
-            )
+            self.scheduler = ShardScheduler()
             default_concurrency = 1
         self.group_concurrency = (
             default_concurrency if group_concurrency is None else max(1, int(group_concurrency))
@@ -760,9 +738,8 @@ class Server:
     def close(self, wait: bool = True, timeout: float | None = None) -> None:
         """Stop accepting requests and drain the queue.
 
-        The dispatch thread shuts the worker pool down itself once the
-        drain finishes, so an in-flight batch is never separated from its
-        pool.  With ``wait=True`` (default) this call joins the dispatcher:
+        The dispatch thread closes the scheduler itself once the drain
+        finishes, so an in-flight batch never loses its scheduler.  With ``wait=True`` (default) this call joins the dispatcher:
         ``timeout=None`` waits for the full drain; a numeric timeout bounds
         the wait and raises :class:`~repro.serve.errors.ServeTimeoutError`
         if the drain is still running when it expires (the drain continues
@@ -780,7 +757,7 @@ class Server:
             if self._dispatcher.is_alive():
                 raise ServeTimeoutError(
                     f"serve dispatcher still draining after {timeout}s; "
-                    "the pool stays up until the drain completes — "
+                    "the scheduler stays up until the drain completes — "
                     "call close() again to keep waiting"
                 )
 
@@ -797,7 +774,7 @@ class Server:
         except BaseException as exc:  # crash guard: never strand a future
             self._handle_crash(exc)
         finally:
-            # The dispatcher owns pool teardown: this runs only after the
+            # The dispatcher owns scheduler teardown: this runs only after the
             # loop has drained (or crashed), never under a running batch.
             self.scheduler.close()
 
@@ -1107,8 +1084,6 @@ class Server:
                 # A worker host executes one shard at a time: plan per-host
                 # chunks for a single consumer, not a local thread pool.
                 kwargs["workers"] = 1
-            if self.workspace_fraction is not None:
-                kwargs["workspace_fraction"] = self.workspace_fraction
             plan = planner(fmt, width, device=self.device, precision=self.precision, **kwargs)
             self._plans[key] = (weakref.ref(fmt), plan)
             self._plans.move_to_end(key)

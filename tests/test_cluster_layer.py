@@ -46,7 +46,7 @@ def _layer_workload(fmt_name="mebcrs", seed=4, rows=220, cols=200, k=20, n=12):
 
 def _composed_reference(csr, fmt, group, a_q, b_q, x_q, scale, scale_by_mask):
     """The three-call composition every fused executor must match exactly."""
-    ref = ShardScheduler(workers=1)
+    ref = ShardScheduler()
     vals = ref.run_sddmm(
         fmt, a_q, b_q, Precision.FP16, group, scale_by_mask=scale_by_mask
     )

@@ -48,7 +48,7 @@ def _workload(fmt_name="mebcrs", seed=4, n=33, rows=300, cols=280, density=0.05)
     rng = np.random.default_rng(seed)
     b_q = quantize(rng.standard_normal((cols, n)), Precision.FP16).astype(np.float32)
     a_q = quantize(rng.standard_normal((rows, n)), Precision.FP16).astype(np.float32)
-    ref = ShardScheduler(workers=1)
+    ref = ShardScheduler()
     base = ref.run_spmm(fmt, b_q, Precision.FP16)
     sbase = ref.run_sddmm(fmt, a_q, b_q, Precision.FP16, group)
     return csr, fmt, group, a_q, b_q, base, sbase
@@ -138,7 +138,7 @@ def test_zero_host_cluster_degrades_to_in_parent():
 
 def test_scale_by_mask_parity(cluster):
     csr, fmt, group, a_q, b_q, _, _ = _workload(seed=11)
-    ref = ShardScheduler(workers=1).run_sddmm(
+    ref = ShardScheduler().run_sddmm(
         fmt, a_q, b_q, Precision.FP16, group, scale_by_mask=True
     )
     vals = cluster.run_sddmm(

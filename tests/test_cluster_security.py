@@ -69,7 +69,7 @@ def _workload(fmt_name="mebcrs", seed=21, n=9, rows=180, cols=170, density=0.06)
     rng = np.random.default_rng(seed)
     b_q = quantize(rng.standard_normal((cols, n)), Precision.FP16).astype(np.float32)
     a_q = quantize(rng.standard_normal((rows, n)), Precision.FP16).astype(np.float32)
-    ref = ShardScheduler(workers=1)
+    ref = ShardScheduler()
     base = ref.run_spmm(fmt, b_q, Precision.FP16)
     sbase = ref.run_sddmm(fmt, a_q, b_q, Precision.FP16, group)
     return csr, fmt, group, a_q, b_q, base, sbase

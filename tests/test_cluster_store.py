@@ -46,7 +46,7 @@ def _workload(seed=70, n=13, rows=200, cols=180, density=0.06):
     fmt = MEBCRSMatrix.from_csr(csr, precision="fp16")
     rng = np.random.default_rng(seed)
     b_q = quantize(rng.standard_normal((cols, n)), Precision.FP16).astype(np.float32)
-    base = ShardScheduler(workers=1).run_spmm(fmt, b_q, Precision.FP16)
+    base = ShardScheduler().run_spmm(fmt, b_q, Precision.FP16)
     return csr, fmt, b_q, base
 
 

@@ -6,7 +6,7 @@ three-request composition (``submit_sddmm`` → client-side gather + scale →
 ``submit_edge_softmax`` → ``submit_spmm`` over the attention matrix), with
 the same coalescing / priority / deadline semantics as the per-kernel
 submissions.  The parity grid below runs the fused shard scheduler across
-formats, shard sizes and worker counts against the composed reference, and
+formats, shard sizes and concurrent callers against the composed reference, and
 the server-level tests cover both execution modes through
 :class:`repro.gnn.backends.ServedBackend`, whose OpStats must count
 identically either way.
@@ -14,8 +14,12 @@ identically either way.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,11 +30,12 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
 from repro.gnn import SERVED_MODES, ServedBackend
+from repro.gpu.device import RTX4090
 from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK as FLASH_GROUP
 from repro.kernels.sddmm_tcu16 import VECTORS_PER_OUTPUT_BLOCK as TCU16_GROUP
 from repro.ops import segment_matmul, segment_softmax
 from repro.precision.types import Precision, quantize
-from repro.serve import LatencyStats, ProgramError, Server, ShardScheduler
+from repro.serve import LatencyStats, ProgramError, Server, ShardScheduler, plan_spmm
 from repro.serve.program import attention_csr, gather_edge_values
 
 TIMEOUT = 120
@@ -54,7 +59,7 @@ def _layer_workload(fmt_name="mebcrs", seed=4, rows=160, cols=150, k=24, n=16):
 
 def composed_layer_reference(csr, fmt, group, a_q, b_q, x_q, scale, scale_by_mask):
     """The three-call composition every fused executor must match bit-for-bit."""
-    ref = ShardScheduler(workers=1)
+    ref = ShardScheduler()
     vals = ref.run_sddmm(fmt, a_q, b_q, Precision.FP16, group, scale_by_mask=scale_by_mask)
     logits = gather_edge_values(fmt.partition, csr.indptr, vals)
     if scale is not None:
@@ -68,31 +73,40 @@ def composed_layer_reference(csr, fmt, group, a_q, b_q, x_q, scale, scale_by_mas
 # ------------------------------------------------------ scheduler parity grid
 @pytest.mark.parametrize("fmt_name", ["mebcrs", "sgt16"])
 @pytest.mark.parametrize("target", (1, 7, 10_000))
-@pytest.mark.parametrize("workers", (1, 3))
-def test_fused_layer_scheduler_parity_grid(fmt_name, target, workers):
+@pytest.mark.parametrize("callers", (1, 3))
+def test_fused_layer_scheduler_parity_grid(fmt_name, target, callers):
+    """``callers`` threads run the layer on one scheduler at once, as a
+    server with ``group_concurrency > 1`` does."""
     csr, fmt, group, a_q, b_q, x_q = _layer_workload(fmt_name)
     base = composed_layer_reference(csr, fmt, group, a_q, b_q, x_q, 0.8, False)
-    sched = ShardScheduler(workers=workers)
-    out, stages = sched.run_layer(
-        fmt,
-        csr.indptr,
-        a_q,
-        b_q,
-        x_q,
-        Precision.FP16,
-        scale=0.8,
-        target_blocks=target,
-    )
-    np.testing.assert_array_equal(out, base)
-    assert set(stages) == {"sddmm_s", "edge_softmax_s", "spmm_s"}
-    assert all(seconds >= 0.0 for seconds in stages.values())
+    sched = ShardScheduler()
+
+    def call(_):
+        return sched.run_layer(
+            fmt,
+            csr.indptr,
+            a_q,
+            b_q,
+            x_q,
+            Precision.FP16,
+            scale=0.8,
+            target_blocks=target,
+        )
+
+    with ThreadPoolExecutor(callers) as threads:
+        results = list(threads.map(call, range(callers)))
+    for out, stages in results:
+        np.testing.assert_array_equal(out, base)
+        assert set(stages) == {"sddmm_s", "edge_softmax_s", "spmm_s"}
+        assert all(seconds >= 0.0 for seconds in stages.values())
+    assert sched.stats_snapshot()["requests"] == callers
 
 
 @pytest.mark.parametrize("scale, by_mask", [(None, False), (0.5, True)])
 def test_fused_layer_scale_variants(scale, by_mask):
     csr, fmt, group, a_q, b_q, x_q = _layer_workload(seed=9)
     base = composed_layer_reference(csr, fmt, group, a_q, b_q, x_q, scale, by_mask)
-    out, _ = ShardScheduler(workers=2).run_layer(
+    out, _ = ShardScheduler().run_layer(
         fmt,
         csr.indptr,
         a_q,
@@ -109,7 +123,7 @@ def test_fused_layer_scale_variants(scale, by_mask):
 def test_fused_layer_empty_matrix_yields_zeros():
     empty = random_csr(24, 20, 0.0, ensure_nonempty=False, seed=1)
     fmt = MEBCRSMatrix.from_csr(empty, precision="fp16")
-    out, stages = ShardScheduler(workers=1).run_layer(
+    out, stages = ShardScheduler().run_layer(
         fmt,
         empty.indptr,
         np.zeros((24, 4), np.float32),
@@ -122,6 +136,34 @@ def test_fused_layer_empty_matrix_yields_zeros():
 
 
 # --------------------------------------------------------- served layer modes
+def _shm_segments() -> set:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def test_local_multi_shard_layer_runs_in_the_server_process():
+    """``workers`` sizes the plan's shards; the shards run in the server
+    process: no child process, no shared-memory segment, and the values of
+    ``workers=1`` and of the three-call composition bit for bit."""
+    csr, fmt, group, a_q, b_q, x_q = _layer_workload()
+    one_shot = plan_spmm(fmt, x_q.shape[1])
+    workspace = 2 * -(-one_shot.num_blocks // 4) * one_shot.bytes_per_block
+    device = replace(
+        RTX4090, name="tiny", memory_bytes=int(one_shot.meta["resident_bytes"] + workspace / 0.25)
+    )
+    children, segments = set(multiprocessing.active_children()), _shm_segments()
+    with Server(device=device, workers=2) as srv:
+        res = srv.submit_layer(csr, a_q, b_q, x_q, scale=0.8).result(TIMEOUT)
+        assert set(multiprocessing.active_children()) <= children
+        assert _shm_segments() <= segments
+    assert res.meta["plan"].num_shards >= 2
+    assert res.meta["workers"] == 1
+    with Server(workers=1) as srv:
+        solo = srv.submit_layer(csr, a_q, b_q, x_q, scale=0.8).result(TIMEOUT)
+    np.testing.assert_array_equal(res.values, solo.values)
+    base = composed_layer_reference(csr, fmt, group, a_q, b_q, x_q, 0.8, False)
+    np.testing.assert_array_equal(res.values, base)
+
+
 def test_served_fused_and_composed_are_bit_identical_with_equal_opstats():
     csr = random_csr(130, 130, 0.05, seed=11)  # square: AGNN's self-attention
     rng = np.random.default_rng(11)

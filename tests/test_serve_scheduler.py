@@ -1,11 +1,9 @@
-"""Multi-process shard scheduler: bit-exact parity, retry, range invariants.
+"""In-process shard scheduler: bit-exact parity, counters, range invariants.
 
-The contract is stronger than the thread-streaming one: because shards are
-window-aligned and reduced one-shot per window, the scheduler's output is
-**bit-identical** to the single-process ``engine="batched"`` one-shot path
-for both SpMM and SDDMM, for any shard size, any worker count, through the
-process pool or inline, and across injected shard failures (retry and
-in-parent fallback included).
+Because shards are window-aligned and reduced one-shot per window, the
+scheduler's output is **bit-identical** to the single-process
+``engine="batched"`` one-shot path for both SpMM and SDDMM, for any shard
+size.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from helpers import random_csr
 
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.kernels.common import FlashSparseConfig
-from repro.kernels.engine import window_aligned_ranges
+from repro.kernels.engine import SHARD_OPS, window_aligned_ranges
 from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK, sddmm_flash_execute
 from repro.kernels.spmm_flash import spmm_flash_execute
 from repro.precision.types import Precision, quantize
@@ -39,42 +37,41 @@ def _workload(seed=4, n=33, rows=300, cols=280, density=0.05):
     return fmt, a_q, b_q, base.values, sbase.output.vector_values
 
 
-# One process pool per module: worker startup is the slow part.
-@pytest.fixture(scope="module")
-def pool():
-    with ShardScheduler(workers=2) as scheduler:
-        yield scheduler
-
-
 @pytest.mark.parametrize("target", TARGETS)
 def test_spmm_inline_sharding_is_bit_identical(target):
     fmt, _, b_q, base, _ = _workload()
-    out = ShardScheduler(workers=1).run_spmm(fmt, b_q, Precision.FP16, target_blocks=target)
+    out = ShardScheduler().run_spmm(fmt, b_q, Precision.FP16, target_blocks=target)
     np.testing.assert_array_equal(out, base)
 
 
 @pytest.mark.parametrize("target", TARGETS)
-def test_spmm_pool_sharding_is_bit_identical(pool, target):
+def test_spmm_pool_sharding_is_bit_identical(target):
+    """One scheduler over many requests, as a server holds it: bit-identical
+    values, and the counters advance by the request and its shards."""
     fmt, _, b_q, base, _ = _workload()
-    out = pool.run_spmm(fmt, b_q, Precision.FP16, target_blocks=target)
-    np.testing.assert_array_equal(out, base)
+    sched = ShardScheduler()
+    for _ in range(2):
+        out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=target)
+        np.testing.assert_array_equal(out, base)
+    shards, _ = SHARD_OPS["spmm"].plan(fmt, [b_q], None, 1, target)
+    assert sched.stats_snapshot() == {"requests": 2, "shards": 2 * len(shards)}
 
 
 @pytest.mark.parametrize("target", (1, 10_000))
-def test_sddmm_pool_sharding_is_bit_identical(pool, target):
+def test_sddmm_pool_sharding_is_bit_identical(target):
     fmt, a_q, b_q, _, sbase = _workload()
-    vals = pool.run_sddmm(
+    vals = ShardScheduler().run_sddmm(
         fmt, a_q, b_q, Precision.FP16, VECTORS_PER_OUTPUT_BLOCK, target_blocks=target
     )
     np.testing.assert_array_equal(vals, sbase)
 
 
-def test_sddmm_scale_by_mask_parity(pool):
+def test_sddmm_scale_by_mask_parity():
     fmt, a_q, b_q, _, _ = _workload(seed=9)
     ref = sddmm_flash_execute(
         fmt, a_q, b_q, FlashSparseConfig(precision="fp16"), scale_by_mask=True
     )
-    vals = pool.run_sddmm(
+    vals = ShardScheduler().run_sddmm(
         fmt,
         a_q,
         b_q,
@@ -86,9 +83,10 @@ def test_sddmm_scale_by_mask_parity(pool):
     np.testing.assert_array_equal(vals, ref.output.vector_values)
 
 
-def test_randomized_parity_suite(pool):
-    """The acceptance criterion's randomized sweep: multiple shapes/seeds,
-    bit-identical values through the multi-process path."""
+def test_randomized_parity_suite():
+    """Randomized sweep over shapes and seeds: bit-identical values under a
+    random shard size."""
+    sched = ShardScheduler()
     for seed in (11, 12, 13):
         rng = np.random.default_rng(seed)
         rows = int(rng.integers(50, 400))
@@ -98,51 +96,19 @@ def test_randomized_parity_suite(pool):
             seed=seed, n=n, rows=rows, cols=cols, density=0.06
         )
         target = int(rng.integers(1, 20))
-        out = pool.run_spmm(fmt, b_q, Precision.FP16, target_blocks=target)
+        out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=target)
         np.testing.assert_array_equal(out, base)
-        vals = pool.run_sddmm(
+        vals = sched.run_sddmm(
             fmt, a_q, b_q, Precision.FP16, VECTORS_PER_OUTPUT_BLOCK, target_blocks=target
         )
         np.testing.assert_array_equal(vals, sbase)
-
-
-def test_shard_retry_recovers_and_counts(pool):
-    fmt, _, b_q, base, _ = _workload(seed=21)
-    before = dict(pool.stats)
-    out = pool.run_spmm(
-        fmt, b_q, Precision.FP16, target_blocks=7, _inject_failures={0: 1, 1: 2}
-    )
-    np.testing.assert_array_equal(out, base)
-    assert pool.stats["retries"] >= before["retries"] + 3
-    assert pool.stats["fallbacks"] == before["fallbacks"]
-
-
-def test_shard_exhausted_retries_fall_back_inline(pool):
-    fmt, a_q, b_q, base, sbase = _workload(seed=22)
-    before = dict(pool.stats)
-    # fail more times than the retry budget: the parent computes the shard.
-    out = pool.run_spmm(
-        fmt, b_q, Precision.FP16, target_blocks=7, _inject_failures={2: 99}
-    )
-    np.testing.assert_array_equal(out, base)
-    assert pool.stats["fallbacks"] == before["fallbacks"] + 1
-    vals = pool.run_sddmm(
-        fmt,
-        a_q,
-        b_q,
-        Precision.FP16,
-        VECTORS_PER_OUTPUT_BLOCK,
-        target_blocks=7,
-        _inject_failures={0: 99},
-    )
-    np.testing.assert_array_equal(vals, sbase)
 
 
 def test_degenerate_inputs():
     empty = MEBCRSMatrix.from_csr(
         random_csr(24, 18, 0.0, ensure_nonempty=False, seed=1), precision="fp16"
     )
-    sched = ShardScheduler(workers=1)
+    sched = ShardScheduler()
     out = sched.run_spmm(empty, np.ones((18, 5), np.float32), Precision.FP16)
     assert out.shape == (24, 5) and not out.any()
     vals = sched.run_sddmm(
@@ -174,33 +140,3 @@ def test_window_aligned_ranges_invariants():
     assert any(r.num_blocks == 7 for r in ranges)
     # Degenerate: no blocks at all.
     assert window_aligned_ranges(np.array([0, 0, 0]), 4) == []
-
-
-def test_pool_survives_broken_worker_process(tmp_path, monkeypatch):
-    """A shard that kills its worker outright still completes via retry or
-    fallback, and the scheduler can serve the next request."""
-    import dataclasses
-    import os
-
-    from repro.kernels import engine
-
-    fmt, _, b_q, base, _ = _workload(seed=23)
-    original = engine.SHARD_OPS["spmm"]
-    parent, died = os.getpid(), tmp_path / "died"
-
-    def killer(sliced, operands, params):
-        # The pool forks after this patch, so workers inherit it: the first
-        # worker to run a shard crashes outright (no exception), once.
-        if os.getpid() != parent and not died.exists():
-            died.touch()
-            os._exit(13)
-        return original.run(sliced, operands, params)
-
-    monkeypatch.setitem(engine.SHARD_OPS, "spmm", dataclasses.replace(original, run=killer))
-    with ShardScheduler(workers=2, retries=1) as sched:
-        out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7)
-        assert died.exists()
-        np.testing.assert_array_equal(out, base)
-        # The scheduler still works after the pool broke.
-        out2 = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7)
-        np.testing.assert_array_equal(out2, base)

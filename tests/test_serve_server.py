@@ -42,7 +42,7 @@ def workload():
 
 @pytest.fixture(scope="module")
 def server():
-    with Server(device="rtx4090", workers=4, retries=1) as srv:
+    with Server(device="rtx4090", workers=4) as srv:
         yield srv
 
 

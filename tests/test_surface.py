@@ -28,8 +28,9 @@ EXPORT_BUDGET = {
 
 #: Upper bounds on constructor parameters (``self`` excluded).
 OPTION_BUDGET = {
-    ("repro.serve", "Server"): 15,
-    ("repro.cluster", "ClusterScheduler"): 18,
+    ("repro.serve", "Server"): 12,
+    ("repro.serve", "ShardScheduler"): 0,
+    ("repro.cluster", "ClusterScheduler"): 17,
     ("repro.gnn", "SparseBackend"): 8,
 }
 
