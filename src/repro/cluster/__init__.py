@@ -1,6 +1,6 @@
 """Multi-host sharded serving over a TCP shard transport.
 
-This package scales :mod:`repro.serve` past one machine: a head process
+This package scales the serving subsystem past one machine: a head process
 (:class:`~repro.cluster.head.ClusterScheduler`) routes window-aligned
 shards of each SpMM / SDDMM to worker hosts
 (:mod:`repro.cluster.worker`) over a length-prefixed binary frame

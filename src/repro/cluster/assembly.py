@@ -1,6 +1,6 @@
 """Shard-result reassembly in the cluster head.
 
-The in-process :class:`~repro.serve.scheduler.ShardScheduler` places each
+The in-process ``ShardScheduler`` places each
 shard's rows into its output as the shard finishes.  Across hosts the
 results come back as payloads over the transport, possibly twice or out of
 order, and the head must reassemble them.  Every op returns one row

@@ -1,7 +1,7 @@
 """Cluster head: host registry, affinity routing, fault-tolerant dispatch.
 
 The :class:`ClusterScheduler` is the multi-host counterpart of the
-in-process :class:`~repro.serve.scheduler.ShardScheduler` and presents the
+in-process ``ShardScheduler`` and presents the
 same execution interface (``run_spmm`` / ``run_sddmm`` / ``run_layer``,
 ``close``, ``stats_snapshot``), so the serving frontend plugs it in
 unchanged.  What changes underneath:
@@ -100,13 +100,12 @@ from repro.cluster.transport import (
     recv_message,
     send_message,
 )
-from repro.cluster.worker import run_worker, shard_params
+from repro.cluster.worker import run_worker
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.cache import format_kind
 from repro.formats.csr import CSRMatrix
-from repro.kernels.engine import SHARD_OPS
+from repro.kernels.engine import SHARD_OPS, shard_params
 from repro.precision.types import Precision
-from repro.serve.program import LayerProgram, composed_intermediate_bytes
 
 #: Idle gap after which a host client probes its host with a ping.
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.5
@@ -197,7 +196,6 @@ class _HostClient(threading.Thread):
         metrics: ClusterMetrics,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
-        task_timeout_s: float = DEFAULT_TASK_TIMEOUT_S,
         connect_timeout_s: float = 10.0,
         retry_policy: RetryPolicy | None = None,
         fault_plan=None,
@@ -212,7 +210,6 @@ class _HostClient(threading.Thread):
         self.metrics = metrics
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.task_timeout_s = task_timeout_s
         self.connect_timeout_s = connect_timeout_s
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.fault_plan = fault_plan
@@ -492,7 +489,7 @@ class _HostClient(threading.Thread):
         try:
             while True:
                 try:
-                    self._sock.settimeout(self.task_timeout_s)
+                    self._sock.settimeout(DEFAULT_TASK_TIMEOUT_S)
                     self._push_missing(task.store_plan)
                     keys = [key for key, _ in task.store_plan]
                     header = dict(task.header, store_csr=keys[0], store_operands=keys[1:])
@@ -681,7 +678,7 @@ def spawn_local_host(
 
 class ClusterScheduler:
     """Head of a multi-host cluster; same ``run_*`` interface as the
-    in-process :class:`~repro.serve.scheduler.ShardScheduler`.
+    in-process ``ShardScheduler``.
 
     Parameters
     ----------
@@ -692,8 +689,10 @@ class ClusterScheduler:
     addresses:
         Explicit ``(host, port)`` addresses of already-running worker
         hosts (``python -m repro.cluster.worker``); overrides ``hosts``.
-    heartbeat_interval_s / heartbeat_timeout_s / task_timeout_s:
-        Failure-detector knobs (see :class:`_HostClient`).
+    heartbeat_interval_s / heartbeat_timeout_s:
+        Failure-detector knobs (see :class:`_HostClient`); a shard result
+        is awaited :data:`DEFAULT_TASK_TIMEOUT_S` before its host is
+        suspected.
     retry_policy:
         :class:`~repro.cluster.transport.RetryPolicy` for transient
         transport failures (default: 3 attempts, 50 ms base, 2 s cap).
@@ -744,7 +743,6 @@ class ClusterScheduler:
         addresses=None,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
-        task_timeout_s: float = DEFAULT_TASK_TIMEOUT_S,
         retry_policy: RetryPolicy | None = None,
         speculation_delay_s: float | None = DEFAULT_SPECULATION_DELAY_S,
         probe_interval_s: float = DEFAULT_PROBE_INTERVAL_S,
@@ -789,7 +787,6 @@ class ClusterScheduler:
         self._client_kwargs = {
             "heartbeat_interval_s": heartbeat_interval_s,
             "heartbeat_timeout_s": heartbeat_timeout_s,
-            "task_timeout_s": task_timeout_s,
             "retry_policy": retry_policy if retry_policy is not None else RetryPolicy(),
             "fault_plan": fault_plan,
             "max_frame_bytes": max_frame_bytes,
@@ -1173,8 +1170,8 @@ class ClusterScheduler:
         op_name: str,
         fmt: BlockedVectorFormat,
         operands: list[np.ndarray],
-        precision: Precision,
-        header_extra: dict,
+        params: dict,
+        group: int | None = None,
         frame_type: str = "task",
         target_blocks: int | None = None,
         csr: CSRMatrix | None = None,
@@ -1183,18 +1180,18 @@ class ClusterScheduler:
         """Plan → dispatch → assemble for one table op (see
         :data:`repro.kernels.engine.SHARD_OPS`).
 
-        ``header_extra`` holds the op's own task-header fields; the
-        in-parent fallback reads its settings off the same header a worker
-        would (:func:`repro.cluster.worker.shard_params`).  Returns the
-        assembled output plus the per-stage seconds the shards reported,
-        summed.
+        ``params`` are the request's settings as
+        :func:`~repro.kernels.engine.shard_params` returned them: every
+        task header carries them and the in-parent fallback runs with them,
+        so a worker decoding its header runs the shard the same way.
+        Returns the assembled output plus the per-stage seconds the shards
+        reported, summed.
         """
         op = SHARD_OPS[op_name]
         # The worker's translation is named by the format's vector size,
         # never its class (an SDDMM output is a plain ``BlockedVectorFormat``);
         # an unknown size raises here, before anything is sent.
         kind = format_kind(fmt.vector_size)
-        group = header_extra.get("group")
         shards = max(2, SHARDS_PER_HOST * max(1, len(self.hosts)))
         ranges, out_shape = op.plan(fmt, operands, group, shards, target_blocks)
         if not ranges:
@@ -1219,12 +1216,10 @@ class ClusterScheduler:
             "type": frame_type,
             "op": op_name,
             "fmt": kind.name,
-            "precision": precision.value,
             "shape": list(csr.shape),
             "content_key": content_key,
-            **header_extra,
+            **params,
         }
-        params = shard_params(base)
         tasks = []
         for i, r in enumerate(ranges):
             header = dict(base, task_id=i, lo=r.lo, hi=r.hi, w0=r.w0, w1=r.w1)
@@ -1265,8 +1260,7 @@ class ClusterScheduler:
             "spmm",
             fmt,
             [b_q],
-            precision,
-            {},
+            shard_params(precision),
             target_blocks=target_blocks,
             csr=csr,
             content_key=content_key,
@@ -1294,8 +1288,8 @@ class ClusterScheduler:
             "sddmm",
             fmt,
             [a_q, b_q],
-            precision,
-            {"group": int(group), "scale_by_mask": bool(scale_by_mask)},
+            shard_params(precision, scale_by_mask=scale_by_mask),
+            group=int(group),
             target_blocks=target_blocks,
             csr=csr,
             content_key=content_key,
@@ -1329,25 +1323,15 @@ class ClusterScheduler:
 
         Returns ``(rows, stage_seconds)`` — the dense layer output plus
         the per-stage wall-clock split summed across shards, matching
-        :meth:`repro.serve.scheduler.ShardScheduler.run_layer`.
+        ``ShardScheduler.run_layer``.
         """
-        if csr is None:
-            csr = fmt.to_csr()
-        program = LayerProgram.attention_layer(scale=scale, scale_by_mask=scale_by_mask)
-        out, stage_seconds = self._run(
+        return self._run(
             "layer",
             fmt,
             [a_q, b_q, x_q],
-            precision,
-            {"program": program.to_wire()},
+            shard_params(precision, scale, scale_by_mask),
             frame_type="layer_task",
             target_blocks=target_blocks,
             csr=csr,
             content_key=content_key,
         )
-        if stage_seconds:  # an all-empty layer dispatched nothing
-            self.metrics.record_layer_request(
-                round_trips_saved=2,
-                operand_bytes_saved=composed_intermediate_bytes(fmt, csr),
-            )
-        return out, stage_seconds

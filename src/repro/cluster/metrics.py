@@ -82,17 +82,6 @@ class ClusterMetrics:
             "store_hits": 0,
             "store_misses": 0,
             "bytes_saved": 0,
-            # Fused layer programs.  ``round_trips_saved``
-            # counts the head↔worker request cycles a fused ``layer_task``
-            # avoided versus the three-kernel composition (two per layer);
-            # ``operand_bytes_saved`` is the intermediate traffic the
-            # composed path would have shipped — the SDDMM result pulled
-            # back to the head plus the per-evaluation attention-CSR bundle
-            # pushed out again (never pinnable: its values change every
-            # layer evaluation).
-            "layer_requests": 0,
-            "round_trips_saved": 0,
-            "operand_bytes_saved": 0,
         }
         self._per_host: dict[str, dict] = {}
         self._death_log: list[dict] = []
@@ -140,13 +129,6 @@ class ClusterMetrics:
         with self._lock:
             self._counters["requests"] += 1
             self._counters["shards"] += int(shards)
-
-    def record_layer_request(self, round_trips_saved: int, operand_bytes_saved: int) -> None:
-        """One fused ``run_layer`` call and what it kept off the wire."""
-        with self._lock:
-            self._counters["layer_requests"] += 1
-            self._counters["round_trips_saved"] += int(round_trips_saved)
-            self._counters["operand_bytes_saved"] += int(operand_bytes_saved)
 
     def _frame_bytes(self, frame_type: str, sent: int = 0, received: int = 0) -> None:
         """Tally bytes under a frame-type bucket; called under the lock."""

@@ -56,8 +56,11 @@ Message types (the ``type`` header field) used by the cluster:
   The frame has no payload: ``store_csr`` / ``store_operands`` name the
   pinned CSR bundle and dense panels (:mod:`repro.cluster.store`),
 * ``layer_task`` (head → worker): one window-aligned shard of a whole
-  fused layer program (SDDMM → scale → edge softmax → SpMM in one worker
-  pass; see :mod:`repro.serve.program`); store-referenced like ``task``,
+  fused attention layer (SDDMM → scale → edge softmax → SpMM in one
+  worker pass); store-referenced like ``task``.  Both task frames carry
+  the request's settings as the header fields ``precision`` / ``scale`` /
+  ``scale_by_mask`` (:func:`repro.kernels.engine.shard_params`, which the
+  worker re-applies on receipt),
 * ``store_put`` / ``store_ack``: pin a content-keyed buffer bundle on the
   worker / confirm it,
 * ``store_miss`` (worker → head): a task referenced keys the worker does
@@ -92,7 +95,7 @@ _BUF_LEN = struct.Struct("!Q")
 MAGIC = b"FSRP"
 #: The wire protocol version: the prefix byte of every frame this end
 #: writes, and the only one it reads.
-VERSION = 4
+VERSION = 5
 
 #: Sanity bounds — a corrupt or hostile prefix must not trigger a huge
 #: allocation before the magic/shape checks can reject it.

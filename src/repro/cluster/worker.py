@@ -16,7 +16,9 @@ of :mod:`repro.cluster.transport`.  Per task it
    to the head's) and runs the op's entry in the engine's
    shard table (:data:`repro.kernels.engine.SHARD_OPS`) — the same
    ``run(slice(...))`` the single-host scheduler and the head's in-parent
-   fallback execute, hence bit-identical results, and
+   fallback execute, hence bit-identical results — with the settings its
+   header carries (``precision`` / ``scale`` / ``scale_by_mask``), decoded
+   and re-checked by :func:`repro.kernels.engine.shard_params`, and
 4. streams the shard output back: one row slice and its ``row0`` (dense
    output rows for SpMM and fused layers, ``vector_values`` rows for SDDMM).
 
@@ -69,9 +71,8 @@ from repro.cluster.transport import (
 )
 from repro.formats.cache import FORMAT_CACHE_MAXSIZE, TranslationCache, cached_format
 from repro.formats.csr import CSRMatrix
-from repro.kernels.engine import SHARD_OPS, ShardRange
+from repro.kernels.engine import SHARD_OPS, ShardRange, shard_params
 from repro.precision.types import Precision
-from repro.serve.program import LayerProgram
 
 #: Environment variable the CLI reads the shared auth token from.
 AUTH_TOKEN_ENV = "REPRO_CLUSTER_AUTH_TOKEN"
@@ -80,21 +81,6 @@ AUTH_TOKEN_ENV = "REPRO_CLUSTER_AUTH_TOKEN"
 #: budget, so a stalled (or non-TLS) peer cannot wedge the single-threaded
 #: accept loop.
 DEFAULT_HANDSHAKE_TIMEOUT_S = 10.0
-
-
-def shard_params(header: dict) -> dict:
-    """The shard-table ``params`` a kernel or layer task header encodes.
-
-    The one wire → engine mapping: the worker applies it to the frames it
-    receives and the head's in-parent fallback to the headers it would
-    have sent, so both run a shard with exactly the same settings.
-    """
-    scale, scale_by_mask = None, bool(header.get("scale_by_mask", False))
-    if header["op"] == "layer":
-        # The fused stages and their constants travel as a validated
-        # program, not as loose header fields.
-        scale, scale_by_mask = LayerProgram.from_wire(header["program"]).canonical()
-    return {"precision": header["precision"], "scale": scale, "scale_by_mask": scale_by_mask}
 
 
 class WorkerHost:
@@ -184,11 +170,17 @@ class WorkerHost:
         op = SHARD_OPS.get(header["op"])
         if op is None:
             raise ValueError(f"unknown op {header['op']!r}")
+        # Re-checked here, by the same function the head sent them through
+        # (an absent setting takes its default): a tampered header fails as
+        # this task's error, not as bad numerics.
+        params = shard_params(
+            header["precision"], header.get("scale"), header.get("scale_by_mask", False)
+        )
         indptr, indices, data = csr_bundle
         fmt = self._translate(header, indptr, indices, data)
         r = ShardRange(int(header["lo"]), int(header["hi"]), int(header["w0"]), int(header["w1"]))
         sliced = op.slice(fmt, r, np.asarray(indptr))
-        outputs, timings = op.run(sliced, operands, shard_params(header))
+        outputs, timings = op.run(sliced, operands, params)
         reply = {"type": "result", "row0": sliced["row0"]}
         if timings:
             reply["timings"] = timings

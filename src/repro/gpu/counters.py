@@ -132,12 +132,6 @@ class CostCounter:
             raise ValueError("byte count must be non-negative")
         self.bytes_read += int(nbytes)
 
-    def add_bytes_written(self, nbytes: int) -> None:
-        """Record logically-written bytes without transaction bookkeeping."""
-        if nbytes < 0:
-            raise ValueError("byte count must be non-negative")
-        self.bytes_written += int(nbytes)
-
     def set_read_footprint(self, nbytes: int) -> None:
         """Record the unique bytes this kernel must read from DRAM."""
         if nbytes < 0:
@@ -149,12 +143,6 @@ class CostCounter:
         if nbytes < 0:
             raise ValueError("byte count must be non-negative")
         self.footprint_write_bytes = int(nbytes)
-
-    def add_shared_bytes(self, nbytes: int) -> None:
-        """Record shared-memory traffic."""
-        if nbytes < 0:
-            raise ValueError("byte count must be non-negative")
-        self.shared_bytes += int(nbytes)
 
     def add_index_ops(self, count: int) -> None:
         """Record auxiliary integer work (position checks, residue maths)."""

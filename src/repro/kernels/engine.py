@@ -434,13 +434,36 @@ def layer_shard_rows(
 # (bit-identical) translation, the other two slice and run in place.
 #
 # ``slice`` returns a dict of plain ndarrays and ints; ``run`` takes that
-# dict, the op's dense operands in wire order and ``params`` —
-# ``{"precision": str, "scale": float | None, "scale_by_mask": bool}``, of
-# which each op reads the keys it needs (plain types: a worker host
-# rebuilds them from its frame header) — and returns
+# dict, the op's dense operands in wire order and the request's settings as
+# :func:`shard_params` returns them (plain types, so they travel as task
+# header fields; each op reads the keys it needs) and returns
 # ``(outputs, stage_seconds)``.  The entries
 # reach the hooks above through their module-level names at call time, so a
 # tracer that rebinds ``engine.spmm_shard_rows`` sees every served shard.
+
+
+def shard_params(
+    precision: Precision | str, scale: float | None = None, scale_by_mask: bool = False
+) -> dict:
+    """``{"precision": str, "scale": float | None, "scale_by_mask": bool}``
+    for one request: its settings, checked and canonicalised.
+
+    The only place they are checked: the server calls it at submit, both
+    schedulers before they cut shards and a worker host on every task
+    header it receives, so a bad setting fails the same way on either side
+    of the wire.  ``scale`` is rounded to float32 — the width the fused
+    layer multiplies the logits in — and must be finite *after* that
+    rounding; ``scale_by_mask`` must be a bool.  Raises :class:`ValueError`.
+    """
+    if scale is not None:
+        with np.errstate(over="ignore"):
+            rounded = float(np.float32(scale))
+        if not np.isfinite(rounded):
+            raise ValueError(f"scale must be finite in float32, got {scale!r}")
+        scale = rounded
+    if not isinstance(scale_by_mask, bool):
+        raise ValueError(f"scale_by_mask must be a bool, got {scale_by_mask!r}")
+    return {"precision": Precision(precision).value, "scale": scale, "scale_by_mask": scale_by_mask}
 
 
 def _slice_spmm(fmt: BlockedVectorFormat, r: ShardRange, indptr) -> dict:
@@ -495,7 +518,7 @@ def _run_sddmm(s: dict, operands, params: dict) -> tuple[list, dict]:
         s["out_shape"],
         a_q,
         b_q,
-        bool(params["scale_by_mask"]),
+        params["scale_by_mask"],
     )
     return [slab], {}
 
@@ -525,7 +548,7 @@ def _run_layer(s: dict, operands, params: dict) -> tuple[list, dict]:
         x_q,
         Precision(params["precision"]),
         params["scale"],
-        bool(params["scale_by_mask"]),
+        params["scale_by_mask"],
     )
     return [rows], timings
 

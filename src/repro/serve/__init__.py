@@ -15,10 +15,11 @@ The pieces:
   (``ServePlan.block_chunk``, in TC blocks) and worker count from a
   :class:`~repro.gpu.device.GPUSpec` memory budget and the format's
   block-width histogram;
-* :mod:`repro.serve.program` — composable layer programs
-  (``sddmm → [scale] → edge_softmax → spmm``) so a whole attention layer
-  is one request (``Server.submit_layer``) instead of three, plus the
-  composed-execution helpers the per-kernel fallback shares;
+* :mod:`repro.serve.program` — the helpers the composed (three-request)
+  attention layer shares with the parity tests, and the result types of
+  the non-kernel ops; a whole layer is one request
+  (``Server.submit_layer``, settings checked by
+  :func:`repro.kernels.engine.shard_params`) instead of three;
 * :mod:`repro.serve.scheduler` — runs one operation's window-aligned
   shards one after another in the server process (bit-identical to the
   single-process one-shot engine);
@@ -47,10 +48,7 @@ from repro.serve.metrics import LatencyStats, MetricsSnapshot, ServeMetrics
 from repro.serve.planner import ServePlan, plan_sddmm, plan_spmm
 from repro.serve.program import (
     EdgeSoftmaxResult,
-    LayerProgram,
     LayerResult,
-    LayerStep,
-    ProgramError,
     SegmentMatmulResult,
     attention_csr,
     gather_edge_values,
@@ -62,11 +60,8 @@ __all__ = [
     "DispatcherCrashedError",
     "EdgeSoftmaxResult",
     "LatencyStats",
-    "LayerProgram",
     "LayerResult",
-    "LayerStep",
     "MetricsSnapshot",
-    "ProgramError",
     "SegmentMatmulResult",
     "ServeError",
     "ServeMetrics",

@@ -1,30 +1,22 @@
-"""Composable layer programs: the unit of serving for whole GNN layers.
+"""Attention-layer helpers and the result types of the non-kernel ops.
 
-A GAT/AGNN-style attention layer is a fixed pipeline over one sparse
-pattern — SDDMM (per-edge logits), an optional scalar scale, a per-row
-edge softmax, and an SpMM whose values are the attention weights.  Served
-one kernel at a time that costs **three** request cycles per layer, each
-re-gathering dense operands, re-acquiring the translation and — on the
-cluster backend — paying a full head↔worker round trip.  This module
-defines the program representation the whole stack fuses on:
+A GAT/AGNN-style attention layer is one fixed pipeline over one sparse
+pattern — SDDMM (per-edge logits), an optional float32 ``scale``, a per-row
+edge softmax and an SpMM whose values are the attention weights.
+``Server.submit_layer`` serves it as one request that runs fused per shard
+(:func:`repro.kernels.engine.layer_shard_rows`); its two settings,
+``scale`` and ``scale_by_mask``, are checked by
+:func:`repro.kernels.engine.shard_params` at submit and again wherever a
+shard runs.  This module keeps what the *composed* (three-request)
+execution of the same layer needs, so "composed" means exactly one thing
+everywhere:
 
-* :class:`LayerStep` / :class:`LayerProgram` — an ordered pipeline of
-  ``sddmm`` / ``scale`` / ``edge_softmax`` / ``spmm`` steps with validated
-  operand wiring.  Validation canonicalises the program to the
-  ``(scale, scale_by_mask)`` pair the fused engine hook
-  (:func:`repro.kernels.engine.layer_shard_rows`) executes, so a malformed
-  wiring (softmax before the logits exist, a dangling operand name, two
-  SpMMs) fails at submit time, not inside a worker process.
-* :func:`gather_edge_values` / :func:`attention_csr` — the two
-  representational hops the *composed* execution needs (SDDMM's
-  nonzero-vector output → CSR edge order → a values-only CSR rebuild for
-  the SpMM).  The served-composed GNN path and the parity tests share
-  these, so "composed" means exactly one thing everywhere.
-
-The program is deliberately small: steps carry operand *names* (``"a"``,
-``"b"``, ``"x"``), the dense panels themselves travel separately (and, on
-the cluster, ride the content-addressed pinned store so a layer's panels
-ship once per host).
+* :func:`gather_edge_values` / :func:`attention_csr` — SDDMM's
+  nonzero-vector output → CSR edge order → a values-only CSR for the SpMM;
+* :func:`composed_intermediate_bytes` — what the fused layer keeps off the
+  carrier versus composition;
+* the results of ``submit_layer``, ``submit_edge_softmax`` and
+  ``submit_segment_matmul``.
 """
 
 from __future__ import annotations
@@ -35,165 +27,6 @@ import numpy as np
 
 from repro.formats.csr import CSRMatrix
 from repro.formats.windows import WindowPartition
-
-#: Step kinds a layer program may contain.
-LAYER_STEP_OPS = ("sddmm", "scale", "edge_softmax", "spmm")
-
-#: Dense operand names a program may wire (the panels travel separately).
-LAYER_OPERANDS = ("a", "b", "x")
-
-
-class ProgramError(ValueError):
-    """A layer program failed validation (bad step order or operand wiring)."""
-
-
-@dataclass(frozen=True)
-class LayerStep:
-    """One step of a layer program.
-
-    ``op`` is one of :data:`LAYER_STEP_OPS`; ``params`` carries the step's
-    scalar knobs (``sddmm``: ``a``/``b`` operand names + ``scale_by_mask``;
-    ``scale``: ``value``; ``spmm``: ``x`` operand name).
-    """
-
-    op: str
-    params: dict = field(default_factory=dict)
-
-    def to_wire(self) -> dict:
-        """JSON-safe form (the ``layer_task`` header embeds it)."""
-        return {"op": self.op, "params": dict(self.params)}
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "LayerStep":
-        """Rebuild from :meth:`to_wire` output."""
-        return cls(op=str(payload["op"]), params=dict(payload.get("params", {})))
-
-
-@dataclass(frozen=True)
-class LayerProgram:
-    """An ordered, validated pipeline of layer steps.
-
-    The canonical attention-layer shape — and the only one the fused
-    engine hook executes — is::
-
-        sddmm(a, b) → [scale(value)]* → edge_softmax() → spmm(x)
-
-    :meth:`validate` enforces it and folds consecutive ``scale`` steps into
-    one float, so every executor downstream (in-process, multiprocess
-    shards, cluster ``layer_task``) consumes the same
-    ``(scale, scale_by_mask)`` canonical form via :meth:`canonical`.
-    """
-
-    steps: tuple[LayerStep, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        self.validate()
-
-    # ---------------------------------------------------------- constructors
-    @classmethod
-    def attention_layer(
-        cls, scale: float | None = None, scale_by_mask: bool = False
-    ) -> "LayerProgram":
-        """The standard attention layer: ``sddmm → [scale] → softmax → spmm``."""
-        steps: list[LayerStep] = [
-            LayerStep("sddmm", {"a": "a", "b": "b", "scale_by_mask": bool(scale_by_mask)})
-        ]
-        if scale is not None:
-            steps.append(LayerStep("scale", {"value": float(scale)}))
-        steps.append(LayerStep("edge_softmax", {}))
-        steps.append(LayerStep("spmm", {"x": "x"}))
-        return cls(steps=tuple(steps))
-
-    # ------------------------------------------------------------ validation
-    def validate(self) -> None:
-        """Check step order and operand wiring; raises :class:`ProgramError`."""
-        steps = self.steps
-        if not steps:
-            raise ProgramError("a layer program needs at least one step")
-        for step in steps:
-            if not isinstance(step, LayerStep):
-                raise ProgramError(f"steps must be LayerStep, got {type(step).__name__}")
-            if step.op not in LAYER_STEP_OPS:
-                raise ProgramError(
-                    f"unknown step op {step.op!r}; expected one of {LAYER_STEP_OPS}"
-                )
-        if steps[0].op != "sddmm":
-            raise ProgramError(
-                "a layer program must start with 'sddmm' (the edge-logit producer); "
-                f"got {steps[0].op!r}"
-            )
-        if steps[-1].op != "spmm":
-            raise ProgramError(
-                "a layer program must end with 'spmm' (the aggregation); "
-                f"got {steps[-1].op!r}"
-            )
-        ops = [s.op for s in steps]
-        if ops.count("sddmm") != 1 or ops.count("spmm") != 1:
-            raise ProgramError("a layer program has exactly one 'sddmm' and one 'spmm'")
-        if ops.count("edge_softmax") != 1:
-            raise ProgramError("a layer program has exactly one 'edge_softmax'")
-        softmax_at = ops.index("edge_softmax")
-        if softmax_at != len(ops) - 2:
-            raise ProgramError("'edge_softmax' must immediately precede 'spmm'")
-        for i, step in enumerate(steps[1:softmax_at], start=1):
-            if step.op != "scale":
-                raise ProgramError(
-                    f"only 'scale' steps may appear between 'sddmm' and "
-                    f"'edge_softmax'; step {i} is {step.op!r}"
-                )
-            value = step.params.get("value")
-            if value is None or not np.isfinite(float(value)):
-                raise ProgramError(f"scale step {i} needs a finite 'value'")
-        # Operand wiring: every name a step references must be a known panel.
-        sddmm = steps[0].params
-        for name in ("a", "b"):
-            wired = sddmm.get(name, name)
-            if wired not in LAYER_OPERANDS:
-                raise ProgramError(
-                    f"sddmm operand {name!r} wired to unknown panel {wired!r}"
-                )
-        spmm_x = steps[-1].params.get("x", "x")
-        if spmm_x not in LAYER_OPERANDS:
-            raise ProgramError(f"spmm operand 'x' wired to unknown panel {spmm_x!r}")
-
-    def canonical(self) -> tuple[float | None, bool]:
-        """The executable ``(scale, scale_by_mask)`` form.
-
-        Consecutive ``scale`` steps fold into one float (scalar multiplies
-        commute in FP32 only when folded *as written*, so folding happens
-        in float32 to keep the program's numerics explicit).
-        """
-        scale: float | None = None
-        for step in self.steps:
-            if step.op == "scale":
-                value = np.float32(step.params["value"])
-                scale = float(value) if scale is None else float(np.float32(scale) * value)
-        return scale, bool(self.steps[0].params.get("scale_by_mask", False))
-
-    def operand_names(self) -> tuple[str, str, str]:
-        """The wired panel names ``(a, b, x)``."""
-        sddmm = self.steps[0].params
-        return (
-            str(sddmm.get("a", "a")),
-            str(sddmm.get("b", "b")),
-            str(self.steps[-1].params.get("x", "x")),
-        )
-
-    # ------------------------------------------------------------------ wire
-    def to_wire(self) -> list[dict]:
-        """JSON-safe form for the ``layer_task`` header."""
-        return [step.to_wire() for step in self.steps]
-
-    @classmethod
-    def from_wire(cls, payload: list[dict]) -> "LayerProgram":
-        """Rebuild (and re-validate) from :meth:`to_wire` output."""
-        return cls(steps=tuple(LayerStep.from_wire(item) for item in payload))
-
-
-# ---------------------------------------------------------------------------
-# Composed-execution helpers (the three-round-trip reference path)
-# ---------------------------------------------------------------------------
 
 
 def gather_edge_values(

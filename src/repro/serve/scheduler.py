@@ -27,7 +27,7 @@ import threading
 import numpy as np
 
 from repro.formats.blocked import BlockedVectorFormat
-from repro.kernels.engine import SHARD_OPS
+from repro.kernels.engine import SHARD_OPS, shard_params
 from repro.precision.types import Precision
 
 
@@ -40,8 +40,8 @@ class ShardScheduler:
 
     def __init__(self):
         #: Lifetime counters: requests run and shards executed.  Mutated
-        #: under ``_stats_lock`` — a server with ``group_concurrency > 1``
-        #: runs groups on threads — and read via :meth:`stats_snapshot`.
+        #: under ``_stats_lock`` and read via :meth:`stats_snapshot` from
+        #: any thread.
         self.stats = {"shards": 0, "requests": 0}
         self._stats_lock = threading.Lock()
 
@@ -98,7 +98,7 @@ class ShardScheduler:
         convention).  ``target_blocks`` is the shard size target from the
         planner.
         """
-        params = {"precision": precision.value}
+        params = shard_params(precision)
         out, _ = self._run("spmm", fmt, [b_q], params, target_blocks=target_blocks)
         return out
 
@@ -117,7 +117,7 @@ class ShardScheduler:
         Returns the ``(num_nonzero_vectors, vector_size)`` value array in
         the layout of ``fmt.vector_values``.
         """
-        params = {"precision": precision.value, "scale_by_mask": bool(scale_by_mask)}
+        params = shard_params(precision, scale_by_mask=scale_by_mask)
         out, _ = self._run(
             "sddmm", fmt, [a_q, b_q], params, group=group, target_blocks=target_blocks
         )
@@ -148,11 +148,7 @@ class ShardScheduler:
         stage's wall clock across shards
         (``{"sddmm_s", "edge_softmax_s", "spmm_s"}``).
         """
-        params = {
-            "precision": precision.value,
-            "scale": None if scale is None else float(scale),
-            "scale_by_mask": bool(scale_by_mask),
-        }
+        params = shard_params(precision, scale, scale_by_mask)
         return self._run(
             "layer", fmt, [a_q, b_q, x_q], params, indptr=indptr, target_blocks=target_blocks
         )

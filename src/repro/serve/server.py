@@ -88,8 +88,8 @@ Cluster backend
 subprocesses; real deployments pass addresses through
 ``cluster_options``).  Admission, deadlines, priorities, shedding, the
 crash guard and :class:`~repro.serve.metrics.ServeMetrics` apply
-unchanged; groups execute on a small thread pool (``group_concurrency``,
-default = host count) so independent matrices keep every host busy, and
+unchanged; groups execute on a small thread pool (one thread per host)
+so independent matrices keep every host busy, and
 host death below the scheduler is recovered by shard failover — the
 server stays ``healthy`` through it.
 """
@@ -114,6 +114,7 @@ from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.cache import cached_mebcrs
 from repro.gpu.device import GPUSpec, get_device
 from repro.kernels.common import FlashSparseConfig
+from repro.kernels.engine import shard_params
 from repro.kernels.sddmm_flash import (
     VECTORS_PER_OUTPUT_BLOCK,
     sddmm_flash_cost,
@@ -133,7 +134,6 @@ from repro.serve.metrics import MetricsSnapshot, ServeMetrics
 from repro.serve.planner import ServePlan, plan_sddmm, plan_spmm
 from repro.serve.program import (
     EdgeSoftmaxResult,
-    LayerProgram,
     LayerResult,
     SegmentMatmulResult,
     composed_intermediate_bytes,
@@ -340,8 +340,6 @@ class Server:
         workers cut a request into smaller shards.  ``None`` lets the
         planner choose (``min(cpu_count, 8)``).  Shards always run one at a
         time; on the local backend ``meta["workers"]`` reads 1.
-    max_batch:
-        Maximum same-matrix requests coalesced into one engine pass.
     max_queue_depth:
         Cap on queued (not-yet-dispatched) requests.  ``None`` (default)
         leaves admission unbounded — the pre-overload-hardening behaviour,
@@ -364,12 +362,6 @@ class Server:
         expensive pending requests (by predicted FLOPs) are shed with
         :class:`~repro.serve.errors.ServeShedError` until the buffer is
         back at the watermark.  ``None`` (default) disables cost shedding.
-    group_concurrency:
-        Request groups executed concurrently (on a thread pool inside the
-        dispatcher).  Defaults to 1 for ``backend="local"`` — the strict
-        sequential order the latency accounting assumes — and to the host
-        count for ``backend="cluster"``, where independent matrices route
-        to different hosts and would otherwise idle them.
     aging_halflife_s:
         Priority aging: every queued request gains one effective priority
         class per ``aging_halflife_s`` seconds waited, so a sustained
@@ -395,20 +387,19 @@ class Server:
         device: str | GPUSpec | None = None,
         precision: Precision | str = Precision.FP16,
         workers: int | None = None,
-        max_batch: int = DEFAULT_MAX_BATCH,
         max_queue_depth: int | None = None,
         admission: str = "block",
         backend: str = "local",
         hosts: int | None = None,
         shed_watermark: int | None = None,
-        group_concurrency: int | None = None,
         cluster_options: dict | None = None,
         aging_halflife_s: float | None = None,
     ):
         self.device = device if (device is None or isinstance(device, GPUSpec)) else get_device(device)
         self.precision = Precision(precision)
         self.requested_workers = workers
-        self.max_batch = max(1, int(max_batch))
+        #: Most same-matrix requests coalesced into one engine pass.
+        self.max_batch = DEFAULT_MAX_BATCH
         if admission not in ADMISSION_POLICIES:
             raise ValueError(f"admission must be one of {ADMISSION_POLICIES}, got {admission!r}")
         if max_queue_depth is not None and int(max_queue_depth) < 1:
@@ -436,7 +427,6 @@ class Server:
             # count: budget division and group concurrency must follow the
             # hosts actually registered, not the requested spawn count.
             self.hosts = len(self.scheduler.hosts)
-            default_concurrency = max(1, self.hosts)
         else:
             if hosts is not None:
                 raise ValueError('hosts applies to backend="cluster" only')
@@ -444,10 +434,12 @@ class Server:
                 raise ValueError('cluster_options applies to backend="cluster" only')
             self.hosts = 1
             self.scheduler = ShardScheduler()
-            default_concurrency = 1
-        self.group_concurrency = (
-            default_concurrency if group_concurrency is None else max(1, int(group_concurrency))
-        )
+        #: Request groups executed concurrently (a thread pool inside the
+        #: dispatcher): one per host — so 1 on the local backend, the strict
+        #: sequential order the latency accounting assumes, while on the
+        #: cluster independent matrices route to different hosts and would
+        #: otherwise idle them.
+        self.group_concurrency = max(1, self.hosts)
         #: (op, id(fmt), width, hosts) -> (weakref to fmt, plan).  Weak, so
         #: the plan cache never keeps a translation alive after the
         #: translation cache's own (smaller) LRU let it go.
@@ -528,13 +520,14 @@ class Server:
         b = check_dense_matrix(np.asarray(b), "b", n_rows=inp.shape[1])
         if a.shape[1] != b.shape[1]:
             raise ValueError("a and b must share the inner dimension K")
+        params = shard_params(self.precision, scale_by_mask=scale_by_mask)
         return self._enqueue(
             ServeRequest(
                 op="sddmm",
                 csr=inp.csr,
                 key=inp.csr.content_key(),
                 operands=(a, b),
-                params={"scale_by_mask": scale_by_mask},
+                params={"scale_by_mask": params["scale_by_mask"]},
                 priority=int(priority),
                 cost=sddmm_useful_flops(inp.csr.nnz, a.shape[1]),
             ),
@@ -570,10 +563,10 @@ class Server:
         x = check_dense_matrix(np.asarray(x), "x", n_rows=inp.shape[1])
         if a.shape[1] != b.shape[1]:
             raise ValueError("a and b must share the inner dimension K")
-        # Validates the scale up front (finite, foldable) exactly as the
-        # wire program will: a bad program fails here, not in a worker.
-        program = LayerProgram.attention_layer(scale=scale, scale_by_mask=scale_by_mask)
-        scale, scale_by_mask = program.canonical()
+        # The same check every shard of the layer repeats: a bad setting
+        # fails here, not in a worker.
+        params = shard_params(self.precision, scale, scale_by_mask)
+        scale, scale_by_mask = params["scale"], params["scale_by_mask"]
         token = hashlib.blake2b(digest_size=16)
         token.update(repr((a.shape, scale, scale_by_mask)).encode())
         token.update(np.ascontiguousarray(a).tobytes())

@@ -13,13 +13,14 @@ import pytest
 
 from helpers import random_csr
 
-from repro.cluster import ClusterScheduler, RetryPolicy
+from repro.cluster import ClusterScheduler, RetryPolicy, WorkerTaskError
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
 from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK as FLASH_GROUP
 from repro.kernels.sddmm_tcu16 import VECTORS_PER_OUTPUT_BLOCK as TCU16_GROUP
 from repro.ops import segment_softmax
 from repro.precision.types import Precision, quantize
+from repro.serve import Server
 from repro.serve.program import attention_csr, gather_edge_values
 from repro.serve.scheduler import ShardScheduler
 from repro.testing import FaultPlan
@@ -92,22 +93,43 @@ def test_fused_layer_cluster_parity_grid(cluster, fmt_name, target):
     assert set(stages) == {"sddmm_s", "edge_softmax_s", "spmm_s"}
 
 
-def test_fused_layer_metrics_count_saved_round_trips_and_bytes(cluster):
+def test_fused_layer_metrics_count_saved_round_trips_and_bytes():
     csr, fmt, a_q, b_q, x_q, base = _layer_workload(seed=8)
-    before = cluster.metrics.snapshot()
-    out, _ = _run_layer(cluster, csr, fmt, a_q, b_q, x_q)
-    np.testing.assert_array_equal(out, base)
-    after = cluster.metrics.snapshot()
-    assert after["layer_requests"] == before["layer_requests"] + 1
+    with Server(backend="cluster", hosts=2) as srv:
+        before = srv.snapshot()
+        result = srv.submit_layer(csr, a_q, b_q, x_q, scale=0.8).result(TIMEOUT)
+        np.testing.assert_array_equal(result.values, base)
+        after = srv.snapshot()
+    assert after.layer_requests == before.layer_requests + 1
     # One cluster request instead of composition's two dispatches plus a
     # local softmax leg: two round trips banked per fused layer.
-    assert after["round_trips_saved"] == before["round_trips_saved"] + 2
-    saved = after["operand_bytes_saved"] - before["operand_bytes_saved"]
+    assert after.round_trips_saved == before.round_trips_saved + 2
+    saved = after.operand_bytes_saved - before.operand_bytes_saved
     # At least the SDDMM intermediate out + the attention CSR bundle back.
     v = fmt.partition.vector_size
     n_vec = fmt.vector_values.shape[0]
     assert saved >= n_vec * v * 4 + csr.nnz * 4
-    assert after["requests"] == before["requests"] + 1
+
+
+def test_tampered_layer_header_fails_as_worker_task_error(cluster, monkeypatch):
+    """A ``layer_task`` whose header carries ``scale: NaN`` is re-checked
+    by the worker, reported back as the shard's error, and the host keeps
+    serving the next request."""
+    csr, fmt, a_q, b_q, x_q, base = _layer_workload(seed=12)
+    dispatch = cluster._dispatch
+
+    def tampered(tasks, content_key, inline_body):
+        for task in tasks:
+            task["frame"]["header"]["scale"] = float("nan")
+        return dispatch(tasks, content_key, inline_body)
+
+    monkeypatch.setattr(cluster, "_dispatch", tampered)
+    with pytest.raises(WorkerTaskError, match="finite in float32"):
+        _run_layer(cluster, csr, fmt, a_q, b_q, x_q)
+    monkeypatch.undo()
+    out, _ = _run_layer(cluster, csr, fmt, a_q, b_q, x_q)
+    np.testing.assert_array_equal(out, base)
+    assert all(host.alive for host in cluster.hosts)
 
 
 def test_fused_layer_single_and_zero_host_parity():

@@ -35,7 +35,7 @@ from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK as FLASH_GROUP
 from repro.kernels.sddmm_tcu16 import VECTORS_PER_OUTPUT_BLOCK as TCU16_GROUP
 from repro.ops import segment_matmul, segment_softmax
 from repro.precision.types import Precision, quantize
-from repro.serve import LatencyStats, ProgramError, Server, ShardScheduler, plan_spmm
+from repro.serve import LatencyStats, Server, ShardScheduler, plan_spmm
 from repro.serve.program import attention_csr, gather_edge_values
 
 TIMEOUT = 120
@@ -363,8 +363,22 @@ def test_submit_layer_validates_shapes_and_program():
             srv.submit_layer(csr, good_a, np.ones((cols, 7)), good_x)
         with pytest.raises(ValueError):
             srv.submit_layer(csr, good_a, good_b, np.ones((cols + 2, 4)))
-        with pytest.raises(ProgramError):
+        with pytest.raises(ValueError, match="scale must be finite in float32"):
             srv.submit_layer(csr, good_a, good_b, good_x, scale=float("nan"))
+
+
+def test_submit_layer_rejects_a_scale_that_overflows_float32():
+    """1e39 is finite as a float64 but the layer multiplies in float32,
+    where it is inf: every softmax row would come back NaN."""
+    csr, *_ = _layer_workload(seed=17)
+    rows, cols = csr.shape
+    a = np.ones((rows, 6), np.float32)
+    b = np.ones((cols, 6), np.float32)
+    x = np.ones((cols, 4), np.float32)
+    with Server(workers=1) as srv:
+        with pytest.raises(ValueError, match="finite in float32"):
+            srv.submit_layer(csr, a, b, x, scale=1e39)
+        assert srv.snapshot().layer_requests == 0
 
 
 def test_snapshot_exposes_per_stage_latency_split():

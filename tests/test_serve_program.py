@@ -1,11 +1,12 @@
-"""Layer programs: validation, wire round trips, composed-execution helpers.
+"""Layer settings, composed-execution helpers, shard alignment.
 
-The program representation is what every fused executor consumes, so its
-validation must reject malformed pipelines at submit time (not inside a
-worker process) and its canonical ``(scale, scale_by_mask)`` form must be
-stable across wire round trips.  The shard-alignment property test pins the
-invariant the whole fusion rests on: window-aligned shards never split a
-softmax row segment.
+:func:`repro.kernels.engine.shard_params` is the one check every carrier
+applies to a request's settings, at submit and again on the receiving
+side, so it must reject what the fused layer cannot run (a scale that is
+not finite in float32, a non-bool mask flag) and be stable when applied to
+its own output.  The shard-alignment property test pins the invariant the
+whole fusion rests on: window-aligned shards never split a softmax row
+segment.
 """
 
 from __future__ import annotations
@@ -17,122 +18,40 @@ from helpers import random_csr
 
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
-from repro.kernels.engine import SHARD_OPS, window_aligned_ranges
+from repro.kernels.engine import SHARD_OPS, shard_params, window_aligned_ranges
 from repro.precision.types import Precision, quantize
-from repro.serve.program import (
-    LayerProgram,
-    LayerStep,
-    ProgramError,
-    attention_csr,
-    gather_edge_values,
-)
-
-# ------------------------------------------------------------- validation
-def test_attention_layer_constructor_builds_canonical_pipeline():
-    program = LayerProgram.attention_layer(scale=0.5, scale_by_mask=True)
-    assert [s.op for s in program.steps] == ["sddmm", "scale", "edge_softmax", "spmm"]
-    assert program.canonical() == (0.5, True)
-    assert program.operand_names() == ("a", "b", "x")
+from repro.serve.program import attention_csr, gather_edge_values
 
 
-def test_scaleless_program_canonicalises_to_none():
-    assert LayerProgram.attention_layer().canonical() == (None, False)
+# ------------------------------------------------------------- settings
+def test_shard_params_without_scale_is_none():
+    assert shard_params("fp16") == {"precision": "fp16", "scale": None, "scale_by_mask": False}
+    assert shard_params(Precision.TF32, scale_by_mask=True)["precision"] == "tf32"
 
 
-def test_consecutive_scales_fold_in_float32():
-    program = LayerProgram(
-        steps=(
-            LayerStep("sddmm", {"a": "a", "b": "b"}),
-            LayerStep("scale", {"value": 0.3}),
-            LayerStep("scale", {"value": 7.0}),
-            LayerStep("edge_softmax", {}),
-            LayerStep("spmm", {"x": "x"}),
-        )
-    )
-    scale, by_mask = program.canonical()
-    assert scale == float(np.float32(np.float32(0.3) * np.float32(7.0)))
-    assert by_mask is False
+def test_shard_params_rounds_a_finite_scale_to_float32():
+    params = shard_params("fp16", 0.3, True)
+    assert params["scale"] == float(np.float32(0.3)) != 0.3
+    assert params["scale_by_mask"] is True
+    # Canonical: decoding what was sent changes nothing.
+    assert shard_params(**params) == params
 
 
-@pytest.mark.parametrize(
-    "steps, match",
-    [
-        ((), "at least one step"),
-        ((LayerStep("spmm", {"x": "x"}),), "must start with 'sddmm'"),
-        (
-            (LayerStep("sddmm", {}), LayerStep("edge_softmax", {})),
-            "must end with 'spmm'",
-        ),
-        (
-            (
-                LayerStep("sddmm", {}),
-                LayerStep("spmm", {"x": "x"}),
-                LayerStep("edge_softmax", {}),
-                LayerStep("spmm", {"x": "x"}),
-            ),
-            "exactly one 'sddmm' and one 'spmm'",
-        ),
-        (
-            (
-                LayerStep("sddmm", {}),
-                LayerStep("edge_softmax", {}),
-                LayerStep("scale", {"value": 1.0}),
-                LayerStep("spmm", {"x": "x"}),
-            ),
-            "immediately precede 'spmm'",
-        ),
-        (
-            (
-                LayerStep("sddmm", {}),
-                LayerStep("scale", {"value": float("inf")}),
-                LayerStep("edge_softmax", {}),
-                LayerStep("spmm", {"x": "x"}),
-            ),
-            "finite 'value'",
-        ),
-        (
-            (
-                LayerStep("sddmm", {"a": "nope"}),
-                LayerStep("edge_softmax", {}),
-                LayerStep("spmm", {"x": "x"}),
-            ),
-            "unknown panel",
-        ),
-        (
-            (
-                LayerStep("sddmm", {}),
-                LayerStep("edge_softmax", {}),
-                LayerStep("spmm", {"x": "dangling"}),
-            ),
-            "unknown panel",
-        ),
-        (
-            (
-                LayerStep("gather", {}),
-                LayerStep("edge_softmax", {}),
-                LayerStep("spmm", {"x": "x"}),
-            ),
-            "unknown step op",
-        ),
-    ],
-)
-def test_malformed_programs_fail_at_construction(steps, match):
-    with pytest.raises(ProgramError, match=match):
-        LayerProgram(steps=steps)
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), 1e39, -1e39])
+def test_shard_params_rejects_a_scale_not_finite_in_float32(scale):
+    with pytest.raises(ValueError, match="finite in float32"):
+        shard_params("fp16", scale)
 
 
-def test_wire_round_trip_preserves_program_and_revalidates():
-    program = LayerProgram.attention_layer(scale=1.25, scale_by_mask=True)
-    wire = program.to_wire()
-    assert all(isinstance(item, dict) for item in wire)
-    rebuilt = LayerProgram.from_wire(wire)
-    assert rebuilt == program
-    assert rebuilt.canonical() == program.canonical()
-    # A tampered wire form re-validates on the receiving side.
-    broken = [dict(item) for item in wire]
-    broken[0]["op"] = "spmm"
-    with pytest.raises(ProgramError):
-        LayerProgram.from_wire(broken)
+@pytest.mark.parametrize("flag", [1, "yes", None, 0.0])
+def test_shard_params_rejects_a_non_bool_mask_flag(flag):
+    with pytest.raises(ValueError, match="scale_by_mask must be a bool"):
+        shard_params("fp16", 0.5, flag)
+
+
+def test_shard_params_rejects_an_unknown_precision():
+    with pytest.raises(ValueError):
+        shard_params("fp64")
 
 
 # ------------------------------------------------- composed-execution helpers

@@ -18,7 +18,7 @@ import pytest
 EXPORT_BUDGET = {
     "repro": 8,
     "repro.kernels": 21,
-    "repro.serve": 23,
+    "repro.serve": 20,
     "repro.cluster": 33,
     "repro.formats": 18,
     "repro.gpu": 23,
@@ -28,9 +28,9 @@ EXPORT_BUDGET = {
 
 #: Upper bounds on constructor parameters (``self`` excluded).
 OPTION_BUDGET = {
-    ("repro.serve", "Server"): 12,
+    ("repro.serve", "Server"): 10,
     ("repro.serve", "ShardScheduler"): 0,
-    ("repro.cluster", "ClusterScheduler"): 17,
+    ("repro.cluster", "ClusterScheduler"): 16,
     ("repro.gnn", "SparseBackend"): 8,
 }
 
