@@ -37,7 +37,7 @@ from repro.baselines import get_baseline
 from repro.formats.csr import CSRMatrix
 from repro.gpu.device import GPUSpec
 from repro.kernels.common import FlashSparseConfig
-from repro.kernels.engine import _sddmm_entries, _spmm_rows
+from repro.kernels.engine import _sddmm_entries, _spmm_rows, shard_params
 from repro.kernels.sddmm_flash import FLASH_SDDMM_PROFILE, sddmm_flash_cost
 from repro.kernels.spmm_flash import FLASH_SPMM_PROFILE, spmm_flash_cost
 from repro.ops import segment_ids, segment_softmax, segment_softmax_backward
@@ -251,8 +251,12 @@ class ServedBackend:
 
         One server round trip when ``mode="fused"``, three when
         ``"composed"``; the outputs are bit-identical (the parity tests pin
-        this), so callers choose purely on transport cost.
+        this), so callers choose purely on transport cost.  Both modes
+        check the settings the same way before sending anything
+        (:func:`~repro.kernels.engine.shard_params`).
         """
+        params = shard_params(self.server.precision, scale, scale_by_mask)
+        scale, scale_by_mask = params["scale"], params["scale_by_mask"]
         self.stats.sddmm_calls += 1
         self.stats.edge_softmax_calls += 1
         self.stats.spmm_calls += 1

@@ -453,7 +453,8 @@ def shard_params(
     header it receives, so a bad setting fails the same way on either side
     of the wire.  ``scale`` is rounded to float32 — the width the fused
     layer multiplies the logits in — and must be finite *after* that
-    rounding; ``scale_by_mask`` must be a bool.  Raises :class:`ValueError`.
+    rounding; ``scale_by_mask`` must be a bool (Python or NumPy; returned
+    as a Python bool).  Raises :class:`ValueError`.
     """
     if scale is not None:
         with np.errstate(over="ignore"):
@@ -461,9 +462,13 @@ def shard_params(
         if not np.isfinite(rounded):
             raise ValueError(f"scale must be finite in float32, got {scale!r}")
         scale = rounded
-    if not isinstance(scale_by_mask, bool):
+    if not isinstance(scale_by_mask, (bool, np.bool_)):
         raise ValueError(f"scale_by_mask must be a bool, got {scale_by_mask!r}")
-    return {"precision": Precision(precision).value, "scale": scale, "scale_by_mask": scale_by_mask}
+    return {
+        "precision": Precision(precision).value,
+        "scale": scale,
+        "scale_by_mask": bool(scale_by_mask),
+    }
 
 
 def _slice_spmm(fmt: BlockedVectorFormat, r: ShardRange, indptr) -> dict:

@@ -109,6 +109,8 @@ def test_fused_layer_metrics_count_saved_round_trips_and_bytes():
     v = fmt.partition.vector_size
     n_vec = fmt.vector_values.shape[0]
     assert saved >= n_vec * v * 4 + csr.nnz * 4
+    # One cluster request per fused layer.
+    assert after.meta["scheduler"]["requests"] == before.meta["scheduler"]["requests"] + 1
 
 
 def test_tampered_layer_header_fails_as_worker_task_error(cluster, monkeypatch):

@@ -381,6 +381,41 @@ def test_submit_layer_rejects_a_scale_that_overflows_float32():
         assert srv.snapshot().layer_requests == 0
 
 
+@pytest.mark.parametrize("mode", SERVED_MODES)
+def test_served_backend_rejects_a_scale_that_overflows_float32(mode):
+    """Both modes refuse 1e39 before any request is sent, instead of the
+    composed path multiplying the logits by inf."""
+    csr, *_ = _layer_workload(seed=17)
+    rows, cols = csr.shape
+    a = np.ones((rows, 6), np.float32)
+    b = np.ones((cols, 6), np.float32)
+    x = np.ones((cols, 4), np.float32)
+    with Server(workers=1) as srv:
+        backend = ServedBackend(server=srv, adjacency=csr, mode=mode)
+        with pytest.raises(ValueError, match="finite in float32"):
+            backend.attention_layer(a, b, x, scale=1e39)
+        assert srv.snapshot().requests_submitted == 0
+
+
+def test_submit_accepts_a_numpy_bool_mask_flag():
+    """``np.True_`` is a bool: served calls take it like the one-shot
+    ``repro.sddmm`` does, with the same values as ``True``."""
+    csr, *_ = _layer_workload(seed=17)
+    rows, cols = csr.shape
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((rows, 6)).astype(np.float32)
+    b = rng.standard_normal((cols, 6)).astype(np.float32)
+    x = rng.standard_normal((cols, 4)).astype(np.float32)
+    with Server(workers=1) as srv:
+        plain = srv.submit_sddmm(csr, a, b, scale_by_mask=True).result(TIMEOUT)
+        numpy = srv.submit_sddmm(csr, a, b, scale_by_mask=np.True_).result(TIMEOUT)
+        np.testing.assert_array_equal(numpy.output.vector_values, plain.output.vector_values)
+        plain = srv.submit_layer(csr, a, b, x, scale_by_mask=True).result(TIMEOUT)
+        numpy = srv.submit_layer(csr, a, b, x, scale_by_mask=np.True_).result(TIMEOUT)
+        np.testing.assert_array_equal(numpy.values, plain.values)
+        assert numpy.meta["scale_by_mask"] is True
+
+
 def test_snapshot_exposes_per_stage_latency_split():
     csr = random_csr(120, 120, 0.05, seed=19)
     rng = np.random.default_rng(19)
