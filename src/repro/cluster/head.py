@@ -1226,7 +1226,7 @@ class ClusterScheduler:
             tasks.append({"frame": {"header": header, "store_plan": store_plan}, "range": r})
 
         def inline(task: dict) -> tuple:
-            sliced = op.slice(fmt, task["range"], csr.indptr)
+            sliced = op.slice(fmt, task["range"], csr.indptr, params)
             outputs, timings = op.run(sliced, operands, params)
             return {"row0": sliced["row0"], "timings": timings}, outputs
 

@@ -179,7 +179,7 @@ class WorkerHost:
         indptr, indices, data = csr_bundle
         fmt = self._translate(header, indptr, indices, data)
         r = ShardRange(int(header["lo"]), int(header["hi"]), int(header["w0"]), int(header["w1"]))
-        sliced = op.slice(fmt, r, np.asarray(indptr))
+        sliced = op.slice(fmt, r, np.asarray(indptr), params)
         outputs, timings = op.run(sliced, operands, params)
         reply = {"type": "result", "row0": sliced["row0"]}
         if timings:

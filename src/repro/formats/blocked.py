@@ -23,7 +23,7 @@ import numpy as np
 from repro.formats.csr import CSRMatrix
 from repro.formats.windows import WindowPartition, partition_windows
 from repro.ops import segment_ids
-from repro.precision.types import Precision, dtype_for
+from repro.precision.types import Precision, dtype_for, quantize
 
 
 @dataclass(frozen=True)
@@ -281,6 +281,22 @@ class BlockedVectorFormat:
         )
         self.__dict__["_lane_csr_cache"] = view
         return view
+
+    def quantized_lane_values(self, precision: Precision | str) -> np.ndarray:
+        """:meth:`lanes_as_csr`'s ``values`` quantised to ``precision`` —
+        the sparse operand of SpMM.
+
+        Quantised once per translation and precision, and cached beside the
+        lane view under the same no-mutation assumption.  The raw values
+        stay on :class:`LaneCSR`: SDDMM masks with them, and its
+        ``scale_by_mask`` multiplies by the *stored* value.
+        """
+        precision = Precision(precision)
+        cache: dict = self.__dict__.setdefault("_lane_values_cache", {})
+        values = cache.get(precision)
+        if values is None:
+            values = cache[precision] = quantize(self.lanes_as_csr().values, precision)
+        return values
 
     # ----------------------------------------------------------- conversions
     def to_csr(self) -> CSRMatrix:

@@ -107,15 +107,14 @@ class SparseBackend:
 
     # ----------------------------------------------------------- numerics
     def _spmm(self, values, dense_q, precision, transpose=False) -> np.ndarray:
-        """``A(values) @ dense_q``, or ``A(values)ᵀ @ dense_q``; ``values``
-        of ``None`` are the adjacency's own."""
-        values = self.adjacency.data if values is None else np.asarray(values)
+        """``A(values) @ dense_q``, or ``A(values)ᵀ @ dense_q``, with
+        ``values`` quantised to ``precision``; ``values`` of ``None`` are
+        the adjacency's own."""
+        values_q = quantize(self.adjacency.data if values is None else values, precision)
         if transpose:
-            return _spmm_rows(
-                values[self._perm], self._t_indices, self._t_indptr, dense_q, precision
-            )
+            return _spmm_rows(values_q[self._perm], self._t_indices, self._t_indptr, dense_q)
         adj = self.adjacency
-        return _spmm_rows(values, adj.indices, adj.indptr, dense_q, precision)
+        return _spmm_rows(values_q, adj.indices, adj.indptr, dense_q)
 
     def _sddmm(self, a_q: np.ndarray, b_q: np.ndarray) -> np.ndarray:
         """One dot product per stored edge, in the adjacency's entry order."""

@@ -41,11 +41,13 @@ block-width histogram and stays with each kernel's ``*_cost`` function,
 which produces bit-identical counter state to the reference loop (the parity
 tests assert exact ``CostCounter`` equality and value agreement).
 
-The engine is quantisation-faithful: the sparse values are re-quantised to
-the target precision exactly where :func:`repro.gpu.mma.mma_execute` would
+The engine is quantisation-faithful: every operand reaches the core
+already quantised to the target precision, once per translation — the
+format's lane values by
+:meth:`~repro.formats.blocked.BlockedVectorFormat.quantized_lane_values`
 (FP16 storage is already exact; TF32 values are stored in FP32 containers
-and rounded here), and all accumulation happens in FP32, matching
-tensor-core accumulators.
+and rounded there), the dense operands by the caller — and all
+accumulation happens in FP32, matching tensor-core accumulators.
 """
 
 from __future__ import annotations
@@ -93,14 +95,14 @@ _ENTRY_CHUNK_BYTES = 256 << 10
 
 
 def _spmm_rows(
-    values: np.ndarray,
+    values_q: np.ndarray,
     columns: np.ndarray,
     row_offsets: np.ndarray,
     b_q: np.ndarray,
-    precision: Precision,
 ) -> np.ndarray:
-    """The SpMM core: ``rows[r] = Σ_e q(values[e]) · b_q[columns[e]]`` over
+    """The SpMM core: ``rows[r] = Σ_e values_q[e] · b_q[columns[e]]`` over
     ``e`` in ``row_offsets[r]:row_offsets[r + 1]``, in that order, in FP32.
+    Both operands come in already quantised.
 
     SciPy's CSR × dense kernel does one axpy along N per entry, so a row's
     bits depend only on its own entries and a column's only on its own
@@ -109,7 +111,7 @@ def _spmm_rows(
     if columns.size and int(columns.max()) >= b_q.shape[0]:
         raise IndexError("sparse column index out of range of the dense operand")
     shape = (row_offsets.shape[0] - 1, b_q.shape[0])
-    return sp.csr_matrix((quantize(values, precision), columns, row_offsets), shape=shape) @ b_q
+    return sp.csr_matrix((values_q, columns, row_offsets), shape=shape) @ b_q
 
 
 def _sddmm_entries(
@@ -172,10 +174,13 @@ def spmm_batched(fmt: BlockedVectorFormat, b_q: np.ndarray, precision: Precision
         Dense operand already quantised to ``precision``, float32, of shape
         ``(fmt.shape[1], N)``.
     precision:
-        Target precision; the stored sparse values are re-quantised to it.
+        Target precision: the sparse operand is the format's lane values
+        quantised to it, once per translation
+        (:meth:`~repro.formats.blocked.BlockedVectorFormat.quantized_lane_values`).
     """
     lanes = fmt.lanes_as_csr()
-    rows = _spmm_rows(lanes.values, lanes.columns, lanes.row_offsets, b_q, precision)
+    values_q = fmt.quantized_lane_values(precision)
+    rows = _spmm_rows(values_q, lanes.columns, lanes.row_offsets, b_q)
     return rows[: fmt.shape[0]]  # drops the partial last window's padded rows
 
 
@@ -282,18 +287,18 @@ def window_aligned_ranges(
 
 
 def spmm_shard_rows(
-    shard_values: np.ndarray,
+    shard_values_q: np.ndarray,
     shard_columns: np.ndarray,
     local_offsets: np.ndarray,
     b_q: np.ndarray,
-    precision: Precision,
 ) -> np.ndarray:
     """Dense output rows of one window-aligned SpMM shard.
 
-    ``shard_values`` / ``shard_columns`` are the shard's slice of the
-    format's :class:`~repro.formats.blocked.LaneCSR` entries (or, for the
-    fused layer, the attention values in CSR entry order), ``local_offsets``
-    the shard-local row offsets.  Returns one ``(N,)`` row per offset pair,
+    ``shard_values_q`` / ``shard_columns`` are the shard's slice of the
+    format's :class:`~repro.formats.blocked.LaneCSR` entries, the values
+    already quantised (or, for the fused layer, the quantised attention
+    weights in CSR entry order), ``local_offsets`` the shard-local row
+    offsets.  Returns one ``(N,)`` row per offset pair,
     the first being matrix row ``w0 · v`` (the caller clips the tail window
     past ``n_rows``) — bit-identical to the same rows of the one-shot run.
 
@@ -301,7 +306,7 @@ def spmm_shard_rows(
     both are trace points of one span, and one calling the other would nest
     the span and double-count it.
     """
-    return _spmm_rows(shard_values, shard_columns, local_offsets, b_q, precision)
+    return _spmm_rows(shard_values_q, shard_columns, local_offsets, b_q)
 
 
 def sddmm_shard_values(
@@ -371,11 +376,12 @@ def sddmm_shard_values(
 # lane's dot product everywhere else.
 #
 # The composed serving path additionally *translates* the attention CSR
-# before the SpMM, which stores the values as ``dtype_for(precision)``.
-# Skipping that round trip is exact because :func:`spmm_shard_rows` applies
-# ``quantize`` anyway and quantisation is idempotent (an FP16 round trip
-# and TF32 mantissa rounding are both projections), so the fused SpMM sees
-# the same quantised values the composed one does.
+# before the SpMM, which stores the values as ``dtype_for(precision)``, and
+# its SpMM quantises that translation's lane values.  Skipping the round
+# trip is exact because the fused stage quantises the attention weights
+# itself and quantisation is idempotent (an FP16 round trip and TF32
+# mantissa rounding are both projections), so the fused SpMM sees the same
+# quantised values the composed one does.
 
 
 def layer_shard_rows(
@@ -399,7 +405,8 @@ def layer_shard_rows(
     ``entry_columns`` each entry's column and ``entry_mask`` the mask value
     the translation stored for it.  ``a_q`` / ``b_q`` are the SDDMM
     operands, ``x_q`` the SpMM dense operand; ``scale`` multiplies the edge
-    logits in float32 before the softmax (the AGNN β).
+    logits in float32 before the softmax (the AGNN β), and the attention
+    weights are quantised to ``precision`` before the SpMM.
 
     Returns ``(rows, timings)``: the shard's output rows starting at matrix
     row ``row0`` (one per CSR row, so already clipped at ``n_rows``) and
@@ -413,7 +420,7 @@ def layer_shard_rows(
         logits = logits * np.float32(scale)
     attn = segment_softmax(logits, local_indptr)
     t2 = time.perf_counter()
-    rows = spmm_shard_rows(attn, entry_columns, local_indptr, x_q, precision)
+    rows = spmm_shard_rows(quantize(attn, precision), entry_columns, local_indptr, x_q)
     t3 = time.perf_counter()
     timings = {
         "sddmm_s": t1 - t0,
@@ -429,15 +436,17 @@ def layer_shard_rows(
 # Every carrier of a shard task — the in-process scheduler
 # (:mod:`repro.serve.scheduler`), the cluster head's in-parent fallback and
 # the TCP cluster (:mod:`repro.cluster.head` / :mod:`repro.cluster.worker`)
-# — executes a shard as ``op.run(op.slice(fmt, r, indptr), operands,
-# params)`` and differs only in where it runs: a worker host slices its own
-# (bit-identical) translation, the other two slice and run in place.
+# — executes a shard as ``op.run(op.slice(fmt, r, indptr, params),
+# operands, params)`` and differs only in where it runs: a worker host
+# slices its own (bit-identical) translation, the other two slice and run
+# in place.
 #
-# ``slice`` returns a dict of plain ndarrays and ints; ``run`` takes that
-# dict, the op's dense operands in wire order and the request's settings as
-# :func:`shard_params` returns them (plain types, so they travel as task
-# header fields; each op reads the keys it needs) and returns
-# ``(outputs, stage_seconds)``.  The entries
+# ``params`` are the request's settings as :func:`shard_params` returns
+# them (plain types, so they travel as task header fields; each op reads
+# the keys it needs).  ``slice`` returns a dict of plain ndarrays and ints
+# (SpMM's values sliced from the translation's quantised lane values);
+# ``run`` takes that dict, the op's dense operands in wire order and the
+# settings and returns ``(outputs, stage_seconds)``.  The entries
 # reach the hooks above through their module-level names at call time, so a
 # tracer that rebinds ``engine.spmm_shard_rows`` sees every served shard.
 
@@ -471,13 +480,13 @@ def shard_params(
     }
 
 
-def _slice_spmm(fmt: BlockedVectorFormat, r: ShardRange, indptr) -> dict:
+def _slice_spmm(fmt: BlockedVectorFormat, r: ShardRange, indptr, params: dict) -> dict:
     del indptr
     lanes = fmt.lanes_as_csr()
     row0, row1 = r.w0 * fmt.vector_size, r.w1 * fmt.vector_size
     lo, hi = int(lanes.row_offsets[row0]), int(lanes.row_offsets[row1])
     return {
-        "values": lanes.values[lo:hi],
+        "values_q": fmt.quantized_lane_values(params["precision"])[lo:hi],
         "columns": lanes.columns[lo:hi],
         "local_offsets": lanes.row_offsets[row0 : row1 + 1] - lo,
         "row0": row0,
@@ -486,17 +495,17 @@ def _slice_spmm(fmt: BlockedVectorFormat, r: ShardRange, indptr) -> dict:
 
 def _run_spmm(s: dict, operands, params: dict) -> tuple[list, dict]:
     (b_q,) = operands
-    rows = spmm_shard_rows(
-        s["values"], s["columns"], s["local_offsets"], b_q, Precision(params["precision"])
-    )
+    del params
+    rows = spmm_shard_rows(s["values_q"], s["columns"], s["local_offsets"], b_q)
     return [rows], {}
 
 
-def _slice_sddmm(fmt: BlockedVectorFormat, r: ShardRange, indptr) -> dict:
-    # The shard's lane entries, as for SpMM, plus where each one lands in
-    # the shard's own slab of ``vector_values`` — vectors
-    # ``window_ptr[w0]:window_ptr[w1]``, the "rows" ``place`` writes.
-    del indptr
+def _slice_sddmm(fmt: BlockedVectorFormat, r: ShardRange, indptr, params: dict) -> dict:
+    # The shard's lane entries, as for SpMM but with the raw stored values
+    # (the mask), plus where each one lands in the shard's own slab of
+    # ``vector_values`` — vectors ``window_ptr[w0]:window_ptr[w1]``, the
+    # "rows" ``place`` writes.
+    del indptr, params
     lanes, v = fmt.lanes_as_csr(), fmt.vector_size
     row0, row1 = r.w0 * v, r.w1 * v
     lo, hi = int(lanes.row_offsets[row0]), int(lanes.row_offsets[row1])
@@ -528,7 +537,8 @@ def _run_sddmm(s: dict, operands, params: dict) -> tuple[list, dict]:
     return [slab], {}
 
 
-def _slice_layer(fmt: BlockedVectorFormat, r: ShardRange, indptr) -> dict:
+def _slice_layer(fmt: BlockedVectorFormat, r: ShardRange, indptr, params: dict) -> dict:
+    del params
     v = fmt.vector_size
     row0, row1 = r.w0 * v, min(r.w1 * v, fmt.shape[0])
     e0, e1 = int(indptr[row0]), int(indptr[row1])

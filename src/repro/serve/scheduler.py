@@ -78,7 +78,7 @@ class ShardScheduler:
         out = np.zeros(out_shape, dtype=np.float32)
         stage_seconds = {"sddmm_s": 0.0, "edge_softmax_s": 0.0, "spmm_s": 0.0}
         for r in ranges:
-            sliced = op.slice(fmt, r, indptr)
+            sliced = op.slice(fmt, r, indptr, params)
             outputs, timings = op.run(sliced, operands, params)
             op.place(out, sliced, outputs)
             for key, seconds in timings.items():

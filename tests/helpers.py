@@ -76,6 +76,21 @@ def reference_edge_softmax_backward(softmax, grad_out, indptr) -> np.ndarray:
     return grad
 
 
+def tf32_by_integer_rounding(bits: np.ndarray) -> np.ndarray:
+    """Oracle for ``quantize(·, "tf32")`` on float32 bit patterns: split off
+    the 13 dropped mantissa bits, compare them with half an ulp (``0x1000``)
+    and round the kept part up on "more than half" or on "exactly half with
+    an odd kept part", in int64.  A carry out of the mantissa lands in the
+    exponent.  Patterns with an all-ones exponent (±inf, NaN) are returned
+    unchanged."""
+    wide = np.asarray(bits, dtype=np.uint32).astype(np.int64)
+    kept, dropped = wide >> 13, wide & 0x1FFF
+    up = (dropped > 0x1000) | ((dropped == 0x1000) & (kept % 2 == 1))
+    rounded = (kept + up.astype(np.int64)) << 13
+    special = (wide >> 23) & 0xFF == 0xFF
+    return np.where(special, wide, rounded).astype(np.uint32)
+
+
 def lanes_by_sort(fmt):
     """Oracle for ``BlockedVectorFormat.lanes_as_csr``: every nonzero slot
     of ``vector_values`` (``flatnonzero``), put in row order by one stable
@@ -150,7 +165,7 @@ def run_sharded(
     ranges, out_shape = op.plan(fmt, operands, group, shards, target_blocks)
     out = np.zeros(out_shape, dtype=np.float32)
     for r in ranges:
-        sliced = op.slice(fmt, r, indptr)
+        sliced = op.slice(fmt, r, indptr, params)
         outputs, _ = op.run(sliced, operands, params)
         op.place(out, sliced, outputs)
     return out

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import tf32_by_integer_rounding
 from repro.precision import (
     Precision,
     accumulate_dtype,
@@ -109,3 +111,112 @@ def test_quantize_error_ordering(rng):
     err_full = np.abs(quantize(x, "fp32") - x).max()
     assert err_full <= err32 <= err16 * 4 + 1e-12
     assert err16 > 0
+
+
+# ---------------------------------------------------------------------------
+# Bit-exactness of the rounding core
+# ---------------------------------------------------------------------------
+# ``quantize`` rounds float32 bit patterns (``precision/types.py``).  These
+# pin it to independent oracles: NumPy's own half cast for fp16 and the
+# integer round-to-nearest-even of ``helpers.tf32_by_integer_rounding`` for
+# tf32.  Every one of the 2³² float32 patterns agreed when swept offline;
+# the tests below cover the edges and a random sample.
+
+
+def _ties(kept: st.SearchStrategy) -> st.SearchStrategy:
+    """Patterns whose dropped bits are exactly half an ulp (kept part odd
+    or even), and their neighbours — which a uniform draw rarely hits."""
+    return st.builds(
+        lambda sign, kept, delta: (sign << 31 | kept << 13 | 0x1000) + delta,
+        st.integers(0, 1),
+        kept,
+        st.integers(-1, 1),
+    )
+
+
+#: Any float32 pattern, plus ties at any exponent and ties among the normal
+#: halves (magnitudes 2⁻¹⁴ … 65504), where fp16 rounds on the bits too.
+_PATTERNS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    _ties(st.integers(0, 2**18 - 1)),
+    _ties(st.integers(0x38800000 >> 13, 0x477FE000 >> 13)),
+)
+_BITS = st.lists(_PATTERNS, min_size=1, max_size=256).map(
+    lambda values: np.array(values, dtype=np.uint32)
+)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal float32 bit patterns, except that a NaN only has to meet a NaN
+    (its payload is not compared)."""
+    assert got.dtype == want.dtype == np.float32
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
+
+
+def _double_cast(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return x.astype(np.float16).astype(np.float32)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bits=_BITS)
+def test_fp16_quantize_of_float32_bits_is_the_numpy_half_cast(bits):
+    x = bits.view(np.float32)
+    assert_same_bits(quantize(x, "fp16"), _double_cast(x))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bits=_BITS)
+def test_tf32_quantize_of_float32_bits_is_integer_round_to_nearest_even(bits):
+    got = quantize(bits.view(np.float32), "tf32").view(np.uint32)
+    np.testing.assert_array_equal(got, tf32_by_integer_rounding(bits))
+
+
+def _half_edges() -> np.ndarray:
+    """Every finite half, each midpoint between adjacent halves (including
+    65520, between 65504 and the 2¹⁶ that would come next) and the two
+    float32 neighbours of every midpoint — both signs."""
+    halves = np.arange(0x7C00, dtype=np.uint16).view(np.float16).astype(np.float32)
+    upper = np.append(halves, np.float32(2.0**16))
+    mids = ((upper[:-1].astype(np.float64) + upper[1:]) / 2).astype(np.float32)
+    below = np.nextafter(mids, np.float32(0))
+    above = np.nextafter(mids, np.float32(np.inf))
+    grid = np.concatenate([halves, mids, below, above])
+    return np.concatenate([grid, -grid])
+
+
+def test_fp16_quantize_matches_the_half_cast_at_every_half_and_midpoint():
+    x = _half_edges()
+    for edge in (2.0**-14, 65504.0, 65520.0, 2.0**-24, 2.0**-25):
+        assert edge in x and -edge in x
+    assert_same_bits(quantize(x, "fp16"), _double_cast(x))
+    # The same grid as one 2-D operand: the shape is kept, C order.
+    grid = x[: (x.size // 8) * 8].reshape(-1, 8)
+    assert_same_bits(quantize(grid, "fp16"), _double_cast(grid))
+
+
+def test_fp16_quantize_of_float64_rounds_once():
+    # Through float32 first, 1 + 2⁻¹¹ + 2⁻⁴⁰ becomes the tie 1 + 2⁻¹¹ and
+    # rounds to even (1.0); rounded directly it lies above the tie.
+    q = quantize(np.array([1 + 2**-11 + 2**-40]), "fp16")
+    assert q.dtype == np.float32
+    assert q[0] == np.float32(1 + 2**-10)
+
+
+def test_tf32_quantize_keeps_nan_a_nan_and_inf_an_inf():
+    # NaN payloads that live only in the 13 dropped bits.
+    bits = np.array([0x7F800001, 0xFF800FFF, 0x7F800000, 0xFF800000], dtype=np.uint32)
+    q = quantize(bits.view(np.float32), "tf32")
+    assert np.isnan(q[0]) and np.isnan(q[1])
+    assert q[2] == np.inf and q[3] == -np.inf
+
+
+def test_quantize_returns_a_new_array_and_leaves_its_input():
+    x = _half_edges()
+    before = x.copy()
+    for p in ("fp16", "tf32"):
+        q = quantize(x, p)
+        assert not np.shares_memory(q, x)
+    np.testing.assert_array_equal(x.view(np.uint32), before.view(np.uint32))

@@ -184,7 +184,7 @@ def test_every_view_of_the_format_is_a_gather_through_the_entry_map(case, target
     layer = engine.SHARD_OPS["layer"]
     ranges, _ = layer.plan(fmt, [np.zeros((csr.shape[1], 1))], None, 1, target)
     for r in ranges:
-        sliced = layer.slice(fmt, r, csr.indptr)
+        sliced = layer.slice(fmt, r, csr.indptr, engine.shard_params(fmt.precision))
         e0 = csr.indptr[sliced["row0"]]
         e1 = e0 + sliced["local_indptr"][-1]
         np.testing.assert_array_equal(sliced["mask"], edges[e0:e1])

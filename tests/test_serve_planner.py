@@ -141,8 +141,8 @@ def test_planner_budget_enforced_by_tracemalloc():
     op = SHARD_OPS["spmm"]
     ranges, _ = op.plan(fmt, [b_q], None, 1, plan.block_chunk)
     assert len(ranges) == plan.num_shards
-    sliced = [op.slice(fmt, r, None) for r in ranges]  # warms the lane view
     params = {"precision": "fp16"}
+    sliced = [op.slice(fmt, r, None, params) for r in ranges]  # warms the lane view
     op.run(sliced[0], [b_q], params)  # warm
 
     tracemalloc.start()

@@ -104,7 +104,7 @@ def test_window_aligned_shards_never_split_a_softmax_row_segment(seed, target):
         r0 = shard.w0 * v
         r1 = min(shard.w1 * v, n_rows)
         assert r0 % v == 0  # row-aligned: no row (= softmax segment) split
-        sliced = SHARD_OPS["layer"].slice(fmt, shard, csr.indptr)
+        sliced = SHARD_OPS["layer"].slice(fmt, shard, csr.indptr, shard_params("fp16"))
         local_indptr = sliced["local_indptr"]
         # The local CSR layout covers exactly the shard's rows and entries.
         assert sliced["row0"] == r0

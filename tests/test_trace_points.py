@@ -116,3 +116,29 @@ def test_serve_trace_points_fire():
         "ops.segment_sum": 4,
         "ops.segment_softmax": 1,
     }
+
+
+def test_lane_values_are_quantised_once_per_translation():
+    """The format owns its quantised lane values: a second ``repro.spmm``
+    on the same matrix quantises only its dense operand."""
+    import numpy as np
+
+    import repro
+    from helpers import random_csr
+
+    tracing = _load_tracing()
+    matrix = repro.FlashSparseMatrix(random_csr(96, 80, 0.08, seed=3))
+    b = np.random.default_rng(0).standard_normal((80, 24)).astype(np.float32)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for request in range(2):
+            with tracer.request(request):
+                repro.spmm(matrix, b)
+    finally:
+        tracer.uninstall()
+    quantize_spans = [s[4] for s in tracer.spans if s[0] == "precision.quantize"]
+    assert quantize_spans.count(0) == 2  # B and the lane values
+    assert quantize_spans.count(1) == 1  # B alone
+    fmt = matrix.mebcrs("fp16")
+    assert fmt.quantized_lane_values("fp16") is fmt.quantized_lane_values("fp16")

@@ -62,12 +62,16 @@ def test_check_positive_int():
 def test_check_dense_matrix_conversion_and_validation(rng):
     arr = rng.standard_normal((4, 3)).astype(np.float32)
     out = check_dense_matrix(arr, "b")
-    assert out.dtype == np.float64
-    assert out.flags["C_CONTIGUOUS"]
+    assert out is arr  # C-contiguous float32 comes back as it is
+    # Every other dtype widens to float64, exactly.
+    for dtype in (np.float16, np.int32, np.float64):
+        widened = check_dense_matrix(arr.astype(dtype), "b")
+        assert widened.dtype == np.float64
+        np.testing.assert_array_equal(widened, arr.astype(dtype).astype(np.float64))
     with pytest.raises(ValueError):
         check_dense_matrix(rng.standard_normal(5), "b")
     with pytest.raises(ValueError):
         check_dense_matrix(arr, "b", n_rows=7)
-    # Fortran-ordered input is made contiguous.
-    f_ordered = np.asfortranarray(arr)
-    assert check_dense_matrix(f_ordered, "b").flags["C_CONTIGUOUS"]
+    # Fortran-ordered input is made contiguous, keeping float32.
+    f_ordered = check_dense_matrix(np.asfortranarray(arr), "b")
+    assert f_ordered.flags["C_CONTIGUOUS"] and f_ordered.dtype == np.float32
