@@ -58,7 +58,6 @@ from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.store import (
     PinnedStore,
     StoreMissError,
-    csr_store_key,
     make_store_key,
     operand_store_key,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "WorkerHost",
     "WorkerTaskError",
     "client_handshake",
-    "csr_store_key",
     "make_client_ssl_context",
     "make_server_ssl_context",
     "make_store_key",

@@ -45,8 +45,10 @@ unchanged.  What changes underneath:
 * **Push/pin data plane.**  Operand bytes ship **once per (host, content
   key)**, not once per task: each host client keeps a ledger of what its
   worker has pinned (:mod:`repro.cluster.store`), pushes ledger-missing
-  CSR bundles and dense panels in ``store_put`` frames, and sends kernel
-  and layer task frames that reference keys only.  A ``store_miss``
+  bundles in ``store_put`` frames, and sends kernel and layer task frames
+  that reference keys only.  A matrix ships as its pattern (keyed by
+  structure) and its values (keyed by content), so new values on a
+  pattern a host already pinned cost one ``data`` push.  A ``store_miss``
   (eviction, cold restart) is handled like a transient transport failure
   — re-push, bounded; a shard whose store keeps missing (a budget smaller
   than one request's working set) runs in-parent instead, so a thrashing
@@ -87,7 +89,7 @@ from repro.cluster.membership import (
     MembershipProbe,
 )
 from repro.cluster.metrics import ClusterMetrics
-from repro.cluster.store import StoreMissError, csr_store_key, operand_store_key
+from repro.cluster.store import StoreMissError, make_store_key, operand_store_key
 from repro.cluster.transport import (
     AuthenticationError,
     FrameIntegrityError,
@@ -156,9 +158,9 @@ class _Task:
     """One shard task travelling through a host client.
 
     The frame carries no operand bytes: its ``store_plan`` lists
-    ``(store_key, arrays)`` groups — the CSR bundle first, then one group
-    per dense operand — and the client pushes the ledger-missing groups
-    once, then sends the task frame with keys only.
+    ``(store_key, arrays)`` groups — the matrix's pattern, its values,
+    then one group per dense operand — and the client pushes the
+    ledger-missing groups once, then sends the task frame with keys only.
     """
 
     header: dict
@@ -492,7 +494,12 @@ class _HostClient(threading.Thread):
                     self._sock.settimeout(DEFAULT_TASK_TIMEOUT_S)
                     self._push_missing(task.store_plan)
                     keys = [key for key, _ in task.store_plan]
-                    header = dict(task.header, store_csr=keys[0], store_operands=keys[1:])
+                    header = dict(
+                        task.header,
+                        store_structure=keys[0],
+                        store_values=keys[1],
+                        store_operands=keys[2:],
+                    )
                     sent = send_message(self._sock, header)
                     self.metrics.record_task_sent(self.host_id, sent)
                     header, arrays, received = recv_message(
@@ -1205,18 +1212,24 @@ class ClusterScheduler:
             content_key = csr.content_key()
         operands = [np.ascontiguousarray(o, dtype=np.float32) for o in operands]
 
-        # One store plan per request: the CSR bundle keyed by the routing
-        # content key, each dense panel keyed by its own content hash —
-        # every shard of this request references the same keys, so a host
-        # receives the bytes once, not once per shard (and repeat requests
-        # for a pinned matrix ship no matrix bytes at all).
-        store_plan = [(csr_store_key(content_key), [csr.indptr, csr.indices, csr.data])]
-        store_plan += [(operand_store_key(o), [o]) for o in operands]
+        # One store plan per request: the pattern keyed by the structure
+        # key, the values by the routing content key, each dense panel by
+        # its own content hash — every shard of this request references the
+        # same keys, so a host receives the bytes once, not once per shard.
+        # Repeat requests for a pinned matrix ship no matrix bytes at all,
+        # and new values on a pinned pattern ship ``data`` alone.
+        structure_key = csr.structure_key()
+        store_plan = [
+            (make_store_key("struct", structure_key), [csr.indptr, csr.indices]),
+            (make_store_key("vals", content_key), [csr.data]),
+            *((operand_store_key(o), [o]) for o in operands),
+        ]
         base = {
             "type": frame_type,
             "op": op_name,
             "fmt": kind.name,
             "shape": list(csr.shape),
+            "structure_key": structure_key,
             "content_key": content_key,
             **params,
         }

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import fields
 
 from repro.formats.cache import CacheStats
 
@@ -435,7 +436,7 @@ class ClusterMetrics:
         every request for a matrix lands on the host that already holds its
         translation.
         """
-        totals = {"hits": 0, "misses": 0, "evictions": 0, "content_hits": 0, "size": 0}
+        totals = {counter.name: 0 for counter in fields(CacheStats)}
         with self._lock:
             for entry in self._per_host.values():
                 cache = entry["cache"]

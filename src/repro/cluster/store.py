@@ -7,21 +7,38 @@ repeat traffic keeps hitting the same content key.  This module replaces
 that with the "place data once, reference it by name" shape of DGL's
 distributed kvstore, layered over the checksummed frame protocol:
 
-* The head keeps a **per-host ledger** of which content keys each worker
-  has pinned (it lives on the host client, so a DEAD host's ledger dies
-  with its client and a restarted worker is never assumed warm).
-* On first use of a matrix the head sends one ``store_put`` frame — the
-  CSR buffers plus their store key, CRC-checked like any payload — and
-  the worker pins the bytes in its :class:`PinnedStore`.
-* Every task frame for that matrix carries **only the key**; dense
-  operands are likewise content-keyed, so the N shards of one request
-  ship the A/B panels to a host once, not N times.
+* The head keeps a **per-host ledger** of which keys each worker has
+  pinned (it lives on the host client, so a DEAD host's ledger dies with
+  its client and a restarted worker is never assumed warm).
+* On first use of a bundle the head sends one ``store_put`` frame — the
+  buffers plus their store key, CRC-checked like any payload — and the
+  worker pins the bytes in its :class:`PinnedStore`.
+* Every task frame carries **only keys**.  A matrix is two bundles: its
+  pattern and its values, so a matrix that keeps a pinned pattern and
+  brings new values (an attention layer's weights) ships its ``data``
+  alone.  Dense operands are content-keyed too, so the N shards of one
+  request ship the A/B panels to a host once, not N times.
 * A worker that evicted (or never had) a key answers ``store_miss``,
   which the head treats like a transient transport failure: re-push and
   resend under the retry budget.  A store too small for one request's
   working set keeps missing; past the budget the head runs that shard
   in-parent — an undersized store costs throughput, never a failed
   request.
+
+Store keys are ``<kind>/<digest>@<version>`` (:func:`make_store_key`), in
+three kinds:
+
+* ``struct`` — a matrix's ``[indptr, indices]``, by
+  :meth:`~repro.formats.csr.CSRMatrix.structure_key`;
+* ``vals`` — its ``[data]``, by
+  :meth:`~repro.formats.csr.CSRMatrix.content_key` (the pattern is part
+  of that digest, so a ``vals`` key never pairs with a foreign pattern);
+* ``op`` — one dense operand panel, by :func:`operand_store_key`.
+
+The **version** component is there from day one: the dynamic-graph
+roadmap item mutates matrices in place, and bumping the version is how a
+delta-translated matrix invalidates every pinned copy cluster-wide
+without a new digest scheme.
 
 The :class:`PinnedStore` itself is a byte-budgeted LRU: entries are
 evicted oldest-first once ``pinned_bytes`` exceeds the budget, except
@@ -31,21 +48,16 @@ evicted, even if that leaves the store temporarily over budget.  Gauges
 every status and pong frame, and the pong additionally reports the full
 key inventory so a readmitted host's ledger can be re-warmed from what
 the worker actually still holds.
-
-Store keys carry a **version** component from day one
-(``csr/<digest>@<version>``): the dynamic-graph roadmap item mutates
-matrices in place, and bumping the version is how a delta-translated
-matrix invalidates every pinned copy cluster-wide without a new digest
-scheme.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 
 import numpy as np
+
+from repro.utils.digest import digest16
 
 #: Default worker-side pin budget.  Sized so a handful of mid-sized serving
 #: matrices stay resident; override per worker with ``--store-bytes`` /
@@ -56,18 +68,13 @@ DEFAULT_STORE_BYTES = 256 * 1024 * 1024
 def make_store_key(kind: str, digest: str, version: int = 0) -> str:
     """Compose a store key: ``<kind>/<digest>@<version>``.
 
-    ``kind`` namespaces CSR bundles apart from dense operand panels;
-    ``version`` is the cluster-wide invalidation hook — re-keying a
-    mutated matrix is a version bump, not a digest change, so delta
-    updates (ROADMAP: dynamic graphs) can invalidate every host's pinned
-    copy without rehashing content.
+    ``kind`` namespaces the bundle kinds apart (``struct`` / ``vals`` /
+    ``op``, see the module docstring); ``version`` is the cluster-wide
+    invalidation hook — re-keying a mutated matrix is a version bump, not
+    a digest change, so delta updates (ROADMAP: dynamic graphs) can
+    invalidate every host's pinned copy without rehashing content.
     """
     return f"{kind}/{digest}@{int(version)}"
-
-
-def csr_store_key(content_key: str, version: int = 0) -> str:
-    """Store key for a CSR bundle (indptr/indices/data) by content key."""
-    return make_store_key("csr", content_key, version)
 
 
 def operand_store_key(array: np.ndarray, version: int = 0) -> str:
@@ -78,10 +85,8 @@ def operand_store_key(array: np.ndarray, version: int = 0) -> str:
     with byte-identical operands deduplicate across requests too.
     """
     array = np.ascontiguousarray(array)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(f"{array.dtype.str}:{array.shape}".encode())
-    digest.update(memoryview(array).cast("B"))
-    return make_store_key("op", digest.hexdigest(), version)
+    digest = digest16(f"{array.dtype.str}:{array.shape}".encode(), array)
+    return make_store_key("op", digest, version)
 
 
 class StoreMissError(RuntimeError):
@@ -111,13 +116,13 @@ class _Entry:
 class PinnedStore:
     """Byte-budgeted, refcounted LRU store of pinned ndarray bundles.
 
-    One entry is one store key mapping to a list of arrays (three for a
-    CSR bundle, one for a dense operand panel).  ``put`` pins a bundle and
-    evicts least-recently-used zero-refcount entries until the store is
-    back under ``budget_bytes``; entries whose refcount is held (an
-    in-flight task is computing on them) are **skipped** by eviction, so
-    the store may sit over budget while such a task runs — correctness
-    over budget exactness.  A bundle larger than the whole budget is still
+    One entry is one store key mapping to a list of arrays (two for a
+    ``struct`` bundle, one for a ``vals`` bundle or a dense operand panel).
+    ``put`` pins a bundle and evicts least-recently-used zero-refcount
+    entries until the store is back under ``budget_bytes``; entries whose
+    refcount is held (an in-flight task is computing on them) are
+    **skipped** by eviction, so the store may sit over budget while such a
+    task runs — correctness over budget exactness.  A bundle larger than the whole budget is still
     pinned (everything else evictable goes); it simply becomes the next
     eviction candidate once unreferenced.
 

@@ -53,8 +53,11 @@ Message types (the ``type`` header field) used by the cluster:
 * ``challenge`` / ``hello`` / ``welcome`` / ``reject``: the connection
   handshake (before anything else on a fresh stream),
 * ``task`` (head → worker): one window-aligned shard of one SpMM/SDDMM.
-  The frame has no payload: ``store_csr`` / ``store_operands`` name the
-  pinned CSR bundle and dense panels (:mod:`repro.cluster.store`),
+  The frame has no payload: ``store_structure`` / ``store_values`` /
+  ``store_operands`` name the pinned ``[indptr, indices]`` bundle, the
+  pinned ``[data]`` and the dense panels (:mod:`repro.cluster.store`),
+  and ``structure_key`` / ``content_key`` carry the matrix's two digests
+  so the worker adopts them instead of rehashing,
 * ``layer_task`` (head → worker): one window-aligned shard of a whole
   fused attention layer (SDDMM → scale → edge softmax → SpMM in one
   worker pass); store-referenced like ``task``.  Both task frames carry
@@ -94,8 +97,9 @@ _BUF_LEN = struct.Struct("!Q")
 
 MAGIC = b"FSRP"
 #: The wire protocol version: the prefix byte of every frame this end
-#: writes, and the only one it reads.
-VERSION = 5
+#: writes, and the only one it reads.  In version 6 a matrix travels as
+#: two store bundles, its pattern and its values.
+VERSION = 6
 
 #: Sanity bounds — a corrupt or hostile prefix must not trigger a huge
 #: allocation before the magic/shape checks can reject it.

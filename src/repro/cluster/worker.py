@@ -3,12 +3,14 @@
 One worker host is one process serving shard tasks over the frame protocol
 of :mod:`repro.cluster.transport`.  Per task it
 
-1. rebuilds the CSR matrix from the frame's raw buffers (request payloads
-   arrive deserialised fresh, exactly like the serving frontend's),
+1. rebuilds the CSR matrix from two pinned bundles — its pattern and its
+   values (request payloads arrive deserialised fresh, exactly like the
+   serving frontend's) — adopting the head's structure and content keys,
 2. translates it through the host's **own**
    :class:`~repro.formats.cache.TranslationCache`, keyed by content — the
    head routes every shard of a given matrix to the same host, so after
-   the first task for a matrix the O(nnz) translation is a cache hit (the
+   the first task for a matrix the O(nnz) translation is a cache hit, and
+   new values on a known pattern reuse its cached window partition (the
    cache counters travel back in every result and pong frame, making the
    affinity payoff observable from the head),
 3. slices the task's window-aligned range out of the format's lane view
@@ -132,10 +134,10 @@ class WorkerHost:
             indptr=indptr, indices=indices, data=data, shape=tuple(header["shape"])
         )
         if header.get("content_key"):
-            # Adopt the digest the head already computed over these exact
-            # bytes: the cache's content lookup then skips the per-task
-            # O(nnz) rehash.
-            csr.with_content_key(header["content_key"])
+            # Adopt the digests the head already computed over these exact
+            # bytes: the cache's content and structure lookups then skip
+            # the per-task O(nnz) rehash.
+            csr.with_content_key(header["content_key"], header.get("structure_key"))
         kind = header.get("fmt", "mebcrs")  # a format kind's wire name; unknown: ValueError
         precision = Precision(header["precision"])
         return cached_format(csr, kind, precision, by_content=True, cache=self.cache)
@@ -144,8 +146,9 @@ class WorkerHost:
     def run_task(self, header: dict) -> tuple[dict, list]:
         """Execute one shard task; returns the reply ``(header, arrays)``.
 
-        The task frame carries no operands: ``store_csr`` names the pinned
-        CSR bundle and ``store_operands`` the pinned dense panels, in
+        The task frame carries no operands: ``store_structure`` names the
+        pinned ``[indptr, indices]`` bundle, ``store_values`` the pinned
+        ``[data]`` and ``store_operands`` the pinned dense panels, in
         operand order.  The keys are acquired for the duration of the task
         (refcounted: eviction cannot pull a buffer out from under it); a
         store that no longer holds them raises :class:`StoreMissError`
@@ -154,10 +157,13 @@ class WorkerHost:
         delay = float(header.get("delay_s") or 0.0)
         if delay > 0.0:  # failure-injection hook for the kill-mid-shard tests
             time.sleep(delay)
-        keys = (header["store_csr"], *header["store_operands"])
+        keys = (header["store_structure"], header["store_values"], *header["store_operands"])
         bundles = self.store.acquire(*keys)
         try:
-            reply, payload = self._run_shard(header, bundles[0], [b[0] for b in bundles[1:]])
+            (indptr, indices), (data,), *panels = bundles
+            reply, payload = self._run_shard(
+                header, [indptr, indices, data], [panel[0] for panel in panels]
+            )
         finally:
             self.store.release(*keys)
         self.tasks_done += 1

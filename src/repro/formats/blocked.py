@@ -123,15 +123,34 @@ class BlockedVectorFormat:
         vector_size: int,
         k: int,
         precision: Precision | str = Precision.FP32,
+        partition: WindowPartition | None = None,
         **kwargs,
     ) -> "BlockedVectorFormat":
         """Translate a CSR matrix into the blocked nonzero-vector format.
 
         This is the "sparse matrix translation" step of Figure 3; the paper
         performs it with a CUDA kernel, here it is fully vectorised NumPy.
+        ``partition`` is ``matrix``'s own :func:`partition_windows` result
+        when the caller already holds it (a translation cache keyed by
+        :meth:`~repro.formats.csr.CSRMatrix.structure_key`): the
+        translation is then one value scatter through its entry map.  A
+        partition whose shape, nnz or vector size differs from the
+        matrix's raises ``ValueError``; the caller vouches for the rest.
         """
         precision = Precision(precision)
-        partition = partition_windows(matrix, vector_size)
+        if partition is None:
+            partition = partition_windows(matrix, vector_size)
+        elif (partition.n_rows, partition.n_cols, partition.nnz, partition.vector_size) != (
+            *matrix.shape,
+            matrix.nnz,
+            vector_size,
+        ):
+            raise ValueError(
+                f"partition of a {partition.n_rows}x{partition.n_cols} matrix with "
+                f"{partition.nnz} nonzeros at vector size {partition.vector_size} does not "
+                f"match this {matrix.n_rows}x{matrix.n_cols} matrix with {matrix.nnz} "
+                f"nonzeros at vector size {vector_size}"
+            )
         values = np.zeros(
             (partition.num_nonzero_vectors, vector_size), dtype=dtype_for(precision)
         )

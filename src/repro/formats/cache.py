@@ -29,6 +29,20 @@ identity key aliases the shared entry.  The serving subsystem
 (:mod:`repro.serve`) keys by content by default — request payloads are
 deserialised fresh per request, so identity keys would never hit.
 
+Structure entries
+-----------------
+A content miss does not start from scratch.  The window partition
+(:class:`~repro.formats.windows.WindowPartition`, with its entry map) reads
+only ``indptr`` / ``indices``, so it is cached in the same LRU under
+``("structure", structure_key, vector_size)`` —
+:meth:`~repro.formats.csr.CSRMatrix.structure_key` digests the pattern
+alone.  A matrix that keeps a cached pattern and brings new values (an
+attention layer's weights, evaluation after evaluation) translates as one
+value scatter through the cached entry map: no ``np.unique``, and the
+partition object — which the serving plan cache keys on — is shared by
+every translation of the pattern.  Structure entries pin no source matrix.
+Identity-only callers never touch them.
+
 Observability
 -------------
 The cache counts hits, misses and evictions (:meth:`TranslationCache.stats`,
@@ -48,6 +62,7 @@ from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
+from repro.formats.windows import WindowPartition, partition_windows
 from repro.precision.types import Precision
 
 #: Maximum number of cached translations (each entry pins its source CSR and
@@ -63,7 +78,9 @@ class CacheStats:
     hits plus content hits); ``content_hits`` is the subset that was
     deduplicated across distinct-but-equal matrices via the content digest.
     ``misses`` counts translations actually built, ``evictions`` the entries
-    dropped by the LRU cap.
+    dropped by the LRU cap.  ``structure_hits`` counts the misses whose
+    window partition came from a structure entry (a values-only refresh);
+    ``size`` counts every entry, structure entries included.
     """
 
     hits: int = 0
@@ -71,6 +88,7 @@ class CacheStats:
     evictions: int = 0
     content_hits: int = 0
     size: int = 0
+    structure_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -101,6 +119,7 @@ class TranslationCache:
         self._misses = 0
         self._evictions = 0
         self._content_hits = 0
+        self._structure_hits = 0
 
     # ------------------------------------------------------------- internals
     def _store(self, key: tuple, source: CSRMatrix | None, fmt: object) -> None:
@@ -144,6 +163,21 @@ class TranslationCache:
                 self._store(content_key, None, fmt)
             return fmt
 
+    def partition(self, matrix: CSRMatrix, vector_size: int) -> WindowPartition:
+        """``matrix``'s window partition at ``vector_size``, cached under its
+        :meth:`~repro.formats.csr.CSRMatrix.structure_key` (see the module
+        docstring): built on the pattern's first use, shared after."""
+        key = ("structure", matrix.structure_key(), int(vector_size))
+        with self._lock:
+            entry = self._cache.get(key)
+            if entry is not None:
+                self._cache.move_to_end(key)
+                self._structure_hits += 1
+                return entry[1]
+            partition = partition_windows(matrix, vector_size)
+            self._store(key, None, partition)
+            return partition
+
     # ------------------------------------------------------------ public API
     def stats(self) -> CacheStats:
         """Snapshot of the hit/miss/eviction counters."""
@@ -154,12 +188,14 @@ class TranslationCache:
                 evictions=self._evictions,
                 content_hits=self._content_hits,
                 size=len(self._cache),
+                structure_hits=self._structure_hits,
             )
 
     def reset_stats(self) -> None:
         """Zero the counters (entries are kept)."""
         with self._lock:
-            self._hits = self._misses = self._evictions = self._content_hits = 0
+            self._hits = self._misses = self._evictions = 0
+            self._content_hits = self._structure_hits = 0
 
     def clear(self) -> None:
         """Drop every cached translation (and the pinned source matrices)."""
@@ -213,14 +249,16 @@ def cached_format(
     """The translation of ``matrix`` into format ``kind`` (a ``vector_size``
     or wire name, see :func:`format_kind`) at ``precision``, memoised.
 
-    ``by_content=True`` lets structurally equal matrices share one
-    translation (see the module docstring); the default keys by object
-    identity only.  ``cache`` selects the cache instance — cluster worker
-    hosts pass their own so each host's working set (and hit-rate
-    accounting) is isolated; the default is the process-global cache.
+    ``by_content=True`` lets equal matrices share one translation, and a
+    miss reuses the pattern's cached window partition (see the module
+    docstring); the default keys by object identity only.  ``cache``
+    selects the cache instance — cluster worker hosts pass their own so
+    each host's working set (and hit-rate accounting) is isolated; the
+    default is the process-global cache.
     """
     kind = format_kind(kind)
     precision = Precision(precision)
+    cache = cache if cache is not None else DEFAULT_CACHE
     identity_key = (
         id(matrix),
         matrix.indptr.ctypes.data,
@@ -230,10 +268,15 @@ def cached_format(
         kind.name,
         precision,
     )
-    return (cache if cache is not None else DEFAULT_CACHE).lookup(
+
+    def build() -> BlockedVectorFormat:
+        partition = cache.partition(matrix, kind.vector_size) if by_content else None
+        return kind.format_cls.from_csr(matrix, precision=precision, partition=partition)
+
+    return cache.lookup(
         identity_key,
         matrix,
-        lambda: kind.format_cls.from_csr(matrix, precision=precision),
+        build,
         ("content", matrix.content_key(), kind.name, precision) if by_content else None,
     )
 

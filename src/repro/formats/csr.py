@@ -9,11 +9,12 @@ exact dtypes (int32 indices, value dtype chosen by precision).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from repro.utils.digest import digest16
 
 
 @dataclass
@@ -28,7 +29,11 @@ class CSRMatrix:
     ``ValueError`` instead of re-sorting them: a caller's per-entry array
     (GNN edge values, say) stays aligned with the entries it was built for.
     :meth:`from_scipy` and :meth:`from_coo` sum duplicates and sort.
-    Explicit stored zeros are legal.
+    Explicit stored zeros are legal.  ``data`` must be a 1-D array of real
+    numbers (bool, integer or floating): the translation casts it to the
+    storage precision, and a complex or object value has no such cast.
+    The arrays are immutable by contract — translations, caches and
+    :meth:`with_values` copies share them.
 
     Attributes
     ----------
@@ -52,6 +57,11 @@ class CSRMatrix:
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
         self.indices = np.asarray(self.indices, dtype=np.int32)
         self.data = np.asarray(self.data)
+        if self.data.ndim != 1 or self.data.dtype.kind not in "biuf":
+            raise ValueError(
+                "data must be a 1-D array of real numbers (bool, integer or "
+                f"floating), got {self.data.ndim}-D {self.data.dtype}"
+            )
         n_rows, n_cols = self.shape
         if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
@@ -153,38 +163,61 @@ class CSRMatrix:
         return np.asarray(self.to_scipy().todense())
 
     # ------------------------------------------------------------- utilities
-    def content_key(self) -> str:
-        """Content fingerprint: a hex digest over the CSR arrays and shape.
+    def structure_key(self) -> str:
+        """Structure fingerprint: a hex digest over the shape, ``indptr`` and
+        ``indices`` — the sparsity pattern, whatever the values.
 
-        Two structurally equal matrices (same shape, same ``indptr`` /
-        ``indices`` / ``data`` bytes) share one key even when they are
-        distinct objects — the handle the translation cache's ``by_content``
-        mode deduplicates on.  The digest is memoised on the instance, so
-        repeated cache lookups hash the arrays once; like the cache itself it
-        assumes the matrix is not mutated in place after construction.
+        Everything a translation derives from the pattern alone (the window
+        partition and its entry map, a serving plan, the pinned index
+        arrays of a cluster host) is keyed by it, so a matrix that keeps its
+        pattern and changes its values (an attention layer's per-evaluation
+        weights) reuses all of that.  Memoised on the instance, under the
+        same no-mutation contract as :meth:`content_key`.
+        """
+        cached = getattr(self, "_structure_key", None)
+        if cached is None:
+            cached = self._structure_key = digest16(
+                f"{self.shape[0]}x{self.shape[1]}:".encode(),
+                np.ascontiguousarray(self.indptr),
+                np.ascontiguousarray(self.indices),
+            )
+        return cached
+
+    def content_key(self) -> str:
+        """Content fingerprint: a hex digest over :meth:`structure_key`, the
+        dtype of ``data`` and ``data``.
+
+        Two matrices with equal content (same shape, same ``indptr`` /
+        ``indices`` / ``data`` bytes and value dtype) share one key even
+        when they are distinct objects — the handle the translation cache's
+        ``by_content`` mode deduplicates on.  The digest is memoised on the
+        instance, and it reuses the memoised structure key, so a
+        :meth:`with_values` copy hashes only its new ``data``.  Like the
+        cache it assumes the matrix is not mutated in place after
+        construction.
         """
         cached = getattr(self, "_content_key", None)
         if cached is None:
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(f"{self.shape[0]}x{self.shape[1]}:{self.data.dtype.str}".encode())
-            digest.update(np.ascontiguousarray(self.indptr).tobytes())
-            digest.update(np.ascontiguousarray(self.indices).tobytes())
-            digest.update(np.ascontiguousarray(self.data).tobytes())
-            cached = digest.hexdigest()
-            self._content_key = cached
+            cached = self._content_key = digest16(
+                f"{self.structure_key()}:{self.data.dtype.str}:".encode(),
+                np.ascontiguousarray(self.data),
+            )
         return cached
 
-    def with_content_key(self, key: str) -> "CSRMatrix":
-        """Adopt a precomputed content key; returns ``self`` for chaining.
+    def with_content_key(self, key: str, structure_key: str | None = None) -> "CSRMatrix":
+        """Adopt a precomputed content key (and, given, structure key);
+        returns ``self`` for chaining.
 
         The cluster worker rebuilds matrices from head-shipped buffers and
-        the head already hashed those exact bytes — adopting its digest
-        skips the per-task O(nnz) rehash in :meth:`content_key`.  The
-        caller vouches that ``key`` was computed over this content; a
-        wrong key aliases cache entries exactly like a hash collision
-        would.
+        the head already hashed those exact bytes — adopting its digests
+        skips the per-task O(nnz) rehash in :meth:`content_key` and
+        :meth:`structure_key`.  The caller vouches that the keys were
+        computed over this content; a wrong key aliases cache entries
+        exactly like a hash collision would.
         """
         self._content_key = str(key)
+        if structure_key is not None:
+            self._structure_key = str(structure_key)
         return self
 
     def memory_footprint_bytes(self, value_bytes: int = 4, index_bytes: int = 4) -> int:
@@ -196,11 +229,19 @@ class CSRMatrix:
         )
 
     def with_values(self, data: np.ndarray) -> "CSRMatrix":
-        """Return a copy sharing the structure but holding new values."""
+        """A matrix with this one's pattern and ``data`` as its values.
+
+        ``indptr`` / ``indices`` are shared, not copied (CSR arrays are
+        immutable by contract), and the copy carries this matrix's
+        :meth:`structure_key` — computed and memoised here first — so its
+        own :meth:`content_key` hashes only ``data``.
+        """
         data = np.asarray(data)
-        if data.shape[0] != self.nnz:
+        if data.shape[:1] != (self.nnz,):
             raise ValueError("replacement values must have one entry per nonzero")
-        return CSRMatrix(self.indptr.copy(), self.indices.copy(), data, self.shape)
+        out = CSRMatrix(self.indptr, self.indices, data, self.shape)
+        out._structure_key = self.structure_key()
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

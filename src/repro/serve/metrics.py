@@ -160,6 +160,7 @@ def _delta(now: CacheStats, base: CacheStats) -> CacheStats:
         evictions=now.evictions - base.evictions,
         content_hits=now.content_hits - base.content_hits,
         size=now.size,
+        structure_hits=now.structure_hits - base.structure_hits,
     )
 
 

@@ -50,30 +50,28 @@ def gather_edge_values(
 def attention_csr(csr: CSRMatrix, data: np.ndarray) -> CSRMatrix:
     """A CSR with ``csr``'s pattern and ``data`` as values (attention matrix).
 
-    The composed path feeds this to the SpMM stage; its content key differs
-    from the mask's (the values differ per layer evaluation), which is why
-    composed cluster serving re-ships an attention bundle every time while
-    the fused path ships nothing.
+    The composed path feeds this to the SpMM stage.  It is
+    ``csr.with_values``: the index arrays and the structure key are
+    ``csr``'s own, so the attention matrix reuses the mask's cached window
+    partition and serving plan, and on the cluster only its ``data``
+    crosses the wire — its content key differs from the mask's (the values
+    differ per layer evaluation), its structure key does not.
     """
     data = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
     if data.shape != (csr.nnz,):
         raise ValueError(f"data must have shape ({csr.nnz},), got {data.shape}")
-    return CSRMatrix(csr.indptr, csr.indices, data, csr.shape)
+    return csr.with_values(data)
 
 
 def composed_intermediate_bytes(fmt, csr: CSRMatrix) -> int:
     """Bytes a fused layer keeps off the carrier versus the composed path.
 
     Composition pulls the SDDMM intermediate back (float32 values in
-    ``fmt``'s vector layout) and pushes the :func:`attention_csr` bundle
-    out again — never pinnable, its values change every evaluation.
+    ``fmt``'s vector layout) and pushes the :func:`attention_csr` values
+    out again — never pinnable, they change every evaluation.  The index
+    arrays are the mask's, already pinned under its structure key.
     """
-    return (
-        int(fmt.vector_values.shape[0]) * fmt.vector_size * 4
-        + int(csr.indptr.nbytes)
-        + int(csr.indices.nbytes)
-        + int(csr.nnz) * 4
-    )
+    return int(fmt.vector_values.shape[0]) * fmt.vector_size * 4 + int(csr.nnz) * 4
 
 
 @dataclass

@@ -96,7 +96,6 @@ server stays ``healthy`` through it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import queue
 import threading
@@ -139,6 +138,7 @@ from repro.serve.program import (
     composed_intermediate_bytes,
 )
 from repro.serve.scheduler import ShardScheduler
+from repro.utils.digest import digest16
 from repro.utils.validation import check_dense_matrix
 
 #: Most requests coalesced into one engine pass.  Bounds both the
@@ -440,9 +440,10 @@ class Server:
         #: cluster independent matrices route to different hosts and would
         #: otherwise idle them.
         self.group_concurrency = max(1, self.hosts)
-        #: (op, id(fmt), width, hosts) -> (weakref to fmt, plan).  Weak, so
-        #: the plan cache never keeps a translation alive after the
-        #: translation cache's own (smaller) LRU let it go.
+        #: (op, id(fmt.partition), fmt.k, width, hosts) -> (weakref to the
+        #: partition, plan).  Weak, so the plan cache never keeps a
+        #: translation's structure alive after the translation cache's own
+        #: (smaller) LRU let it go.
         self._plans: "OrderedDict[tuple, tuple[weakref.ref, ServePlan]]" = OrderedDict()
         self._plan_capacity = PLAN_CACHE_CAPACITY
         self._plans_lock = threading.Lock()
@@ -567,10 +568,11 @@ class Server:
         # fails here, not in a worker.
         params = shard_params(self.precision, scale, scale_by_mask)
         scale, scale_by_mask = params["scale"], params["scale_by_mask"]
-        token = hashlib.blake2b(digest_size=16)
-        token.update(repr((a.shape, scale, scale_by_mask)).encode())
-        token.update(np.ascontiguousarray(a).tobytes())
-        token.update(np.ascontiguousarray(b).tobytes())
+        token = digest16(
+            repr((a.shape, scale, scale_by_mask)).encode(),
+            np.ascontiguousarray(a),
+            np.ascontiguousarray(b),
+        )
         nnz = inp.csr.nnz
         return self._enqueue(
             ServeRequest(
@@ -579,7 +581,7 @@ class Server:
                 key=inp.csr.content_key(),
                 operands=(a, b, x),
                 params={"scale": scale, "scale_by_mask": scale_by_mask},
-                token=token.hexdigest(),
+                token=token,
                 priority=int(priority),
                 cost=(
                     sddmm_useful_flops(nnz, a.shape[1])
@@ -1062,13 +1064,18 @@ class Server:
             # the cache key, so a membership change simply plans afresh
             # instead of serving a stale per-host split.
             hosts = max(1, len(self.scheduler.hosts))
+        # A plan reads the format's structure only (its block histogram and
+        # footprint), so it is keyed by the window partition, which every
+        # translation of one pattern shares (the translation cache's
+        # structure entries): a values-only request re-uses its plan.
+        partition = fmt.partition
         with self._plans_lock:
-            key = (op, id(fmt), width, hosts)
+            key = (op, id(partition), fmt.k, width, hosts)
             entry = self._plans.get(key)
             # The identity check guards against id reuse (a collected
-            # format's id recycled by a different matrix); a dead referent
-            # is simply a miss.
-            if entry is not None and entry[0]() is fmt:
+            # partition's id recycled by a different matrix); a dead
+            # referent is simply a miss.
+            if entry is not None and entry[0]() is partition:
                 self._plans.move_to_end(key)
                 return entry[1]
             planner = plan_spmm if op == "spmm" else plan_sddmm
@@ -1078,7 +1085,7 @@ class Server:
                 # chunks for a single consumer, not a local thread pool.
                 kwargs["workers"] = 1
             plan = planner(fmt, width, device=self.device, precision=self.precision, **kwargs)
-            self._plans[key] = (weakref.ref(fmt), plan)
+            self._plans[key] = (weakref.ref(partition), plan)
             self._plans.move_to_end(key)
             while len(self._plans) > self._plan_capacity:
                 self._plans.popitem(last=False)

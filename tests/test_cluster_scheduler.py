@@ -289,12 +289,18 @@ def test_worker_survives_head_disconnect_and_reconnect():
         batch = fmt.blocks_as_arrays()
         task["hi"], task["w1"] = batch.num_blocks, fmt.num_windows
         b_q = np.ones((50, 4), np.float32)
-        task["store_csr"], task["store_operands"] = "csr/k@0", ["op/b@0"]
+        task["store_structure"], task["store_values"] = "struct/k@0", "vals/k@0"
+        task["store_operands"] = ["op/b@0"]
 
         first = socket_mod.create_connection(address, timeout=10)
         first.settimeout(10)
         client_handshake(first)
-        for key, bundle in (("csr/k@0", [csr.indptr, csr.indices, csr.data]), ("op/b@0", [b_q])):
+        bundles = (
+            ("struct/k@0", [csr.indptr, csr.indices]),
+            ("vals/k@0", [csr.data]),
+            ("op/b@0", [b_q]),
+        )
+        for key, bundle in bundles:
             send_message(first, {"type": "store_put", "store_key": key}, bundle)
             assert recv_message(first)[0]["type"] == "store_ack"
         send_message(first, task)

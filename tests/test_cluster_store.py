@@ -16,6 +16,7 @@ The store's contract, end to end:
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -23,18 +24,20 @@ import pytest
 
 from helpers import random_csr
 
-from repro.cluster import ClusterScheduler, RetryPolicy
+from repro import spmm
+from repro.cluster import ClusterScheduler, RetryPolicy, head
 from repro.cluster.membership import HostHealth
 from repro.cluster.store import (
     PinnedStore,
     StoreMissError,
-    csr_store_key,
     make_store_key,
     operand_store_key,
 )
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK as FLASH_GROUP
 from repro.precision.types import Precision, quantize
+from repro.serve import Server
+from repro.serve.program import attention_csr
 from repro.serve.scheduler import ShardScheduler
 from repro.testing import FaultPlan
 
@@ -56,12 +59,12 @@ def _arr(value, length=10):
 
 # ------------------------------------------------------------------ key schema
 def test_store_key_schema_carries_version():
-    assert make_store_key("csr", "abc", 0) == "csr/abc@0"
-    assert csr_store_key("abc") == "csr/abc@0"
+    assert make_store_key("struct", "abc", 0) == "struct/abc@0"
+    assert make_store_key("vals", "abc") == "vals/abc@0"
     # The version component is the cluster-wide invalidation hook: bumping
     # it re-keys the content without a new digest scheme.
-    assert csr_store_key("abc", version=3) == "csr/abc@3"
-    assert csr_store_key("abc", version=3) != csr_store_key("abc")
+    assert make_store_key("struct", "abc", version=3) == "struct/abc@3"
+    assert make_store_key("struct", "abc", version=3) != make_store_key("struct", "abc")
 
 
 def test_operand_store_key_is_content_addressed():
@@ -143,9 +146,11 @@ def test_repeat_traffic_ships_matrix_bytes_once_per_host():
     csr, fmt, b_q, base = _workload(seed=71)
     key = csr.content_key()
     with ClusterScheduler(hosts=1, speculation_delay_s=None) as sched:
-        for _ in range(3):
+        for i in range(3):
             out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr, content_key=key)
             np.testing.assert_array_equal(out, base)
+            if i == 0:
+                first = sched.stats_snapshot()["bytes_by_frame_type"]
         snap = sched.stats_snapshot()
         # The other two kernel ops over the same pinned matrix, for the
         # frame-size check at the bottom.
@@ -155,28 +160,80 @@ def test_repeat_traffic_ships_matrix_bytes_once_per_host():
             fmt, csr.indptr, a_q, b_q, b_q, Precision.FP16, target_blocks=7, csr=csr
         )
         all_ops = sched.stats_snapshot()
-    # One push per (host, key): the CSR bundle and the dense panel each
-    # crossed the wire exactly once, every later reference was a ledger hit.
-    assert snap["store_puts"] == 2
+    # One push per (host, key): the pattern, the values and the dense panel
+    # each crossed the wire exactly once, every later reference was a
+    # ledger hit.
+    assert snap["store_puts"] == 3
     assert snap["store_hits"] > 0
     assert snap["store_misses"] == 0
     assert snap["bytes_saved"] > 0
     assert snap["task_failures"] == 0
     # Split byte accounting: pushed bytes live under their own frame type,
-    # and the (many) task frames collectively stay below the single push —
-    # they carry keys, not operand buffers.
+    # and a request's (many) task frames collectively stay below the pushes
+    # it made — they carry keys, not operand buffers — while the repeats
+    # push nothing.
     by_type = snap["bytes_by_frame_type"]
-    assert by_type["store_put"]["sent"] > 0
-    assert by_type["task"]["sent"] < by_type["store_put"]["sent"]
+    assert by_type["store_put"]["sent"] == first["store_put"]["sent"] > 0
+    assert first["task"]["sent"] < first["store_put"]["sent"]
     # The worker-reported gauges travel back in status frames.
     host_entry = next(iter(snap["hosts"].values()))
     assert host_entry["store"]["pinned_bytes"] > 0
-    assert host_entry["store"]["entries"] == 2
-    assert host_entry["store_puts"] == 2
+    assert host_entry["store"]["entries"] == 3
+    assert host_entry["store_puts"] == 3
     # A spmm / sddmm / layer task frame is a header naming store keys, with
     # no payload buffers: smaller than the smallest operand it refers to.
     per_task = all_ops["bytes_by_frame_type"]["task"]["sent"] / all_ops["tasks_sent"]
     assert per_task < 2048 < b_q.nbytes
+
+
+def test_fresh_values_on_one_pattern_ship_the_pattern_once_per_host(monkeypatch):
+    """Five requests with new values on one pattern (an attention layer's
+    weights, evaluation after evaluation) on a 2-host cluster: each host
+    receives the ``struct/`` bundle at most once, every later put is the
+    ``data`` array alone, and every result is bit-identical to one-shot
+    ``repro.spmm``."""
+    puts: dict[str, list] = {}
+    real_send = head.send_message
+
+    def spy(sock, header, arrays=()):
+        if header.get("type") == "store_put":
+            # Each host client is its own thread: the thread names the host.
+            host_puts = puts.setdefault(threading.current_thread().name, [])
+            host_puts.append((header["store_key"], [np.array(a) for a in arrays]))
+        return real_send(sock, header, arrays)
+
+    monkeypatch.setattr(head, "send_message", spy)
+    mask = random_csr(200, 180, 0.06, seed=76)
+    rng = np.random.default_rng(76)
+    b = rng.standard_normal((180, 8)).astype(np.float32)
+    attention = [
+        attention_csr(mask, rng.uniform(0.1, 1.0, mask.nnz)) for _ in range(5)
+    ]
+    with Server(backend="cluster", hosts=2) as srv:
+        for matrix in attention:
+            served = srv.submit_spmm(matrix, b).result(TIMEOUT)
+            np.testing.assert_array_equal(served.values, spmm(matrix, b).values)
+        remote = srv.scheduler.metrics.remote_cache_stats()
+    struct_key = make_store_key("struct", mask.structure_key())
+    values_keys = {make_store_key("vals", m.content_key()): m.data for m in attention}
+    assert sum(len(host_puts) for host_puts in puts.values()) == 5 + 2 * len(puts)
+    for host_puts in puts.values():
+        # A host's first request pushes the pattern, its values and B ...
+        (key, (indptr, indices)), (first_values, _), (operand, _) = host_puts[:3]
+        assert key == struct_key
+        np.testing.assert_array_equal(indptr, mask.indptr)
+        np.testing.assert_array_equal(indices, mask.indices)
+        assert first_values in values_keys and operand.startswith("op/")
+        # ... and every later put is one request's data, alone.
+        for key, arrays in host_puts[1:]:
+            if key.startswith("vals/"):
+                (data,) = arrays
+                np.testing.assert_array_equal(data, values_keys[key])
+            else:
+                assert key == operand
+    # Past each host's first request the worker translated through its
+    # cached window partition.
+    assert remote.structure_hits >= 5 - len(puts)
 
 
 def test_tiny_budget_store_miss_falls_back_without_failures():
@@ -247,11 +304,11 @@ def test_failover_after_push_re_pushes_to_fallback_host():
     ) as sched:
         victim = sched.affinity_host(key)
         survivor = next(h for h in sched.hosts if h.host_id != victim.host_id)
-        # Warm the victim: both bundles pushed there.
+        # Warm the victim: all three bundles pushed there.
         out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr, content_key=key)
         np.testing.assert_array_equal(out, base)
         pushed_before = sched.stats_snapshot()["hosts"][victim.host_id]["store_puts"]
-        assert pushed_before == 2
+        assert pushed_before == 3
         # Kill it mid-request; the retry budget is exhausted by refusals.
         plan.drop_connection(nth=1, type="task", scope=victim.host_id)
         plan.refuse_connect(2, scope=victim.host_id)
@@ -261,7 +318,7 @@ def test_failover_after_push_re_pushes_to_fallback_host():
     assert snap["host_deaths"] == 1
     assert snap["failovers"] >= 1
     # The fallback host got the bytes pushed to *it* before its tasks ran.
-    assert snap["hosts"][survivor.host_id]["store_puts"] == 2
+    assert snap["hosts"][survivor.host_id]["store_puts"] == 3
 
 
 def test_readmission_rewarm_ledger_from_reported_inventory():
@@ -281,7 +338,7 @@ def test_readmission_rewarm_ledger_from_reported_inventory():
         victim = sched.affinity_host(key)
         out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr, content_key=key)
         np.testing.assert_array_equal(out, base)
-        assert sched.stats_snapshot()["hosts"][victim.host_id]["store_puts"] == 2
+        assert sched.stats_snapshot()["hosts"][victim.host_id]["store_puts"] == 3
         # Kill the connection; one backoff re-dial and one probe dial are
         # refused, then the probe readmits.
         plan.drop_connection(nth=1, type="task", scope=victim.host_id)
@@ -300,6 +357,6 @@ def test_readmission_rewarm_ledger_from_reported_inventory():
     entry = snap["hosts"][victim.host_id]
     # No re-push after readmission: the ledger was re-warmed from the
     # worker's reported inventory, so the repeat request was all hits.
-    assert entry["store_puts"] == 2
+    assert entry["store_puts"] == 3
     assert entry["store_hits"] > hits_before
     assert snap["store_misses"] == 0

@@ -79,11 +79,11 @@ def test_cache_size_counts_alias_entries():
     clear_format_cache()
     csr = random_csr(40, 40, 0.1, seed=7)
     cached_mebcrs(csr, "fp16", by_content=True)
-    # One identity entry + one content entry.
-    assert format_cache_stats().size == 2
+    # One identity entry + one content entry + one structure entry.
+    assert format_cache_stats().size == 3
     cached_mebcrs(_twin(csr), "fp16", by_content=True)
     # The twin adds only its identity alias.
-    assert format_cache_stats().size == 3
+    assert format_cache_stats().size == 4
     clear_format_cache()
     assert format_cache_stats().size == 0
 

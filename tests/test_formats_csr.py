@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.formats.csr as csr_module
+from repro import spmm
 from repro.formats.csr import CSRMatrix
 
 from helpers import random_csr
@@ -67,6 +69,37 @@ def test_validation_accepts_explicit_zeros_and_a_column_reset_at_each_row():
     assert csr.nnz == 4
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.ones((3, 3)),
+        np.array([1 + 2j, 3, 4]),
+        np.array(["a", "b", "c"]),
+        np.array([1.0, None, 2.0], dtype=object),
+        np.float64(1.0),
+    ],
+    ids=["2-D", "complex", "strings", "object", "0-D"],
+)
+def test_validation_rejects_data_it_cannot_translate(data):
+    """``data`` is 1-D real numbers: a ``(nnz, 3)`` array used to fail late
+    in the translation's scatter with a broadcast error, and complex values
+    lost their imaginary part with only a ``ComplexWarning``."""
+    with pytest.raises(ValueError, match="data must be a 1-D array of real numbers"):
+        CSRMatrix([0, 2, 3], [0, 1, 1], data, (2, 2))
+
+
+def test_complex_data_is_refused_before_spmm_can_drop_the_imaginary_part():
+    with pytest.raises(ValueError, match="real numbers"):
+        spmm(CSRMatrix([0, 1, 2], [0, 1], [1 + 2j, 3], (2, 2)), np.eye(2, dtype=np.float32))
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.uint16, np.int64, np.float16, np.float64])
+def test_validation_accepts_real_numeric_data(dtype):
+    csr = CSRMatrix([0, 2, 3], [0, 1, 1], np.array([1, 0, 1], dtype=dtype), (2, 2))
+    out = spmm(csr, np.eye(2, dtype=np.float32)).values
+    np.testing.assert_array_equal(out, [[1.0, 0.0], [0.0, 1.0]])
+
+
 def test_validation_rejects_out_of_range_column():
     with pytest.raises(ValueError):
         CSRMatrix(np.array([0, 1]), np.array([5], dtype=np.int32), np.array([1.0]), (1, 2))
@@ -84,6 +117,50 @@ def test_with_values(small_csr):
     np.testing.assert_array_equal(replaced.indices, small_csr.indices)
     with pytest.raises(ValueError):
         small_csr.with_values(np.zeros(small_csr.nnz + 1))
+
+
+def test_with_values_shares_the_pattern_and_inherits_the_structure_key(small_csr, monkeypatch):
+    replaced = small_csr.with_values(np.arange(small_csr.nnz, dtype=np.float32))
+    assert np.shares_memory(replaced.indptr, small_csr.indptr)
+    assert np.shares_memory(replaced.indices, small_csr.indices)
+    # The copy's content key hashes its data alone: one digest, over the
+    # inherited structure key and the new values — no index array.
+    hashed = []
+
+    def spy(*chunks):
+        hashed.append(chunks)
+        return real(*chunks)
+
+    real = csr_module.digest16
+    monkeypatch.setattr(csr_module, "digest16", spy)
+    assert replaced.structure_key() == small_csr.structure_key()
+    key = replaced.content_key()
+    assert len(hashed) == 1
+    assert not any(chunk is replaced.indices for chunk in hashed[0])
+    monkeypatch.undo()
+    # A cold build of the same arrays reaches the same two digests.
+    twin = CSRMatrix(
+        small_csr.indptr.copy(), small_csr.indices.copy(), replaced.data.copy(), small_csr.shape
+    )
+    assert twin.structure_key() == replaced.structure_key()
+    assert twin.content_key() == key != small_csr.content_key()
+
+
+def test_structure_key_ignores_values_and_keeps_shape():
+    csr = CSRMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 2))
+    assert CSRMatrix([0, 1, 2], [0, 1], [5.0, 0.0], (2, 2)).structure_key() == csr.structure_key()
+    assert CSRMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 3)).structure_key() != csr.structure_key()
+    assert CSRMatrix([0, 1, 2], [0, 0], [1.0, 2.0], (2, 2)).structure_key() != csr.structure_key()
+    # The content key covers the value dtype, not only the value bytes' pattern.
+    as_f64 = CSRMatrix([0, 1, 2], [0, 1], np.array([1.0, 2.0]), (2, 2))
+    as_f32 = CSRMatrix([0, 1, 2], [0, 1], np.array([1.0, 2.0], np.float32), (2, 2))
+    assert as_f64.content_key() != as_f32.content_key()
+
+
+def test_with_content_key_adopts_both_digests():
+    csr = CSRMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 2))
+    assert csr.with_content_key("c" * 32, "s" * 32) is csr
+    assert (csr.content_key(), csr.structure_key()) == ("c" * 32, "s" * 32)
 
 
 def test_to_scipy_matches(small_csr):

@@ -366,7 +366,7 @@ def test_plan_cache_evicts_lru_not_wholesale():
     try:
         fmt = cached_mebcrs(csr, srv.precision, by_content=True)
         srv._plan_capacity = 4
-        hot_key = ("spmm", id(fmt), 8, srv.hosts)
+        hot_key = ("spmm", id(fmt.partition), fmt.k, 8, srv.hosts)
         hot_plan = srv._plan_for(fmt, "spmm", 8)
         # Seven cold widths overflow a capacity-4 cache; the hot key is
         # touched between insertions, so LRU must keep it.
@@ -376,7 +376,7 @@ def test_plan_cache_evicts_lru_not_wholesale():
         assert len(srv._plans) <= 4
         assert hot_key in srv._plans
         # The coldest width was evicted; re-planning it is a fresh entry.
-        assert ("spmm", id(fmt), 1, srv.hosts) not in srv._plans
+        assert ("spmm", id(fmt.partition), fmt.k, 1, srv.hosts) not in srv._plans
     finally:
         srv.close()
 

@@ -19,7 +19,7 @@ EXPORT_BUDGET = {
     "repro": 8,
     "repro.kernels": 21,
     "repro.serve": 20,
-    "repro.cluster": 33,
+    "repro.cluster": 32,
     "repro.formats": 18,
     "repro.gpu": 23,
     "repro.ops": 10,
