@@ -21,7 +21,6 @@ pieces needed to reproduce the end-to-end case study:
 from repro.gnn.autograd import Tensor, Parameter, no_grad
 from repro.gnn.backends import (
     BACKEND_NAMES,
-    SERVED_MODES,
     ServedBackend,
     SparseBackend,
     make_backend,
@@ -38,7 +37,6 @@ __all__ = [
     "no_grad",
     "SparseBackend",
     "ServedBackend",
-    "SERVED_MODES",
     "make_backend",
     "BACKEND_NAMES",
     "GCNLayer",

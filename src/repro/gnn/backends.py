@@ -37,7 +37,7 @@ from repro.baselines import get_baseline
 from repro.formats.csr import CSRMatrix
 from repro.gpu.device import GPUSpec
 from repro.kernels.common import FlashSparseConfig
-from repro.kernels.engine import _sddmm_entries, _spmm_rows, shard_params
+from repro.kernels.engine import _sddmm_entries, _spmm_rows
 from repro.kernels.sddmm_flash import FLASH_SDDMM_PROFILE, sddmm_flash_cost
 from repro.kernels.spmm_flash import FLASH_SPMM_PROFILE, spmm_flash_cost
 from repro.ops import segment_ids, segment_softmax, segment_softmax_backward
@@ -204,38 +204,24 @@ class SparseBackend:
         return self._spmm_profile.extra_launch_us
 
 
-#: Execution modes of :class:`ServedBackend`: ``"fused"`` sends one
-#: ``submit_layer`` request per attention layer (protocol v4), ``"composed"``
-#: the classic three requests (SDDMM → edge softmax → SpMM).
-SERVED_MODES: tuple[str, ...] = ("fused", "composed")
-
-
 @dataclass
 class ServedBackend:
     """Attention layers evaluated through a :class:`repro.serve.Server`.
 
     The training backends above run kernels in-process; this is the *served*
-    path: the adjacency lives with a server (in-process engine, multiprocess
-    shard scheduler, or a multi-host cluster head) and every layer
-    evaluation is a client request.  In ``"fused"`` mode one layer is one
-    ``submit_layer`` round trip; in ``"composed"`` mode it is the historic
-    three (SDDMM → edge softmax → SpMM over the attention matrix), kept as
-    the bit-identical reference path.  :class:`OpStats` counts the *logical*
-    sparse operators, so a layer bumps all three counters in either mode —
-    the fused transport must not hide work from the accounting.
+    path: the adjacency lives with a server (its in-process scheduler or a
+    multi-host cluster head) and every layer evaluation is one
+    ``submit_layer`` request.  :class:`OpStats` counts the *logical* sparse
+    operators, so a layer bumps all three counters — the fused transport
+    must not hide work from the accounting.
     """
 
     server: object
     adjacency: CSRMatrix
-    mode: str = "fused"
     #: Queueing deadline / dispatch class forwarded to every submission.
     timeout: float | None = None
     priority: int = 0
     stats: OpStats = field(default_factory=OpStats)
-
-    def __post_init__(self) -> None:
-        if self.mode not in SERVED_MODES:
-            raise ValueError(f"mode must be one of {SERVED_MODES}, got {self.mode!r}")
 
     # ----------------------------------------------------------- layers
     def attention_layer(
@@ -246,66 +232,25 @@ class ServedBackend:
         scale: float | None = None,
         scale_by_mask: bool = False,
     ) -> np.ndarray:
-        """One attention layer ``spmm(edge_softmax(scale · sddmm(a, b)), x)``.
-
-        One server round trip when ``mode="fused"``, three when
-        ``"composed"``; the outputs are bit-identical (the parity tests pin
-        this), so callers choose purely on transport cost.  Both modes
-        check the settings the same way before sending anything
-        (:func:`~repro.kernels.engine.shard_params`).
+        """One attention layer ``spmm(edge_softmax(scale · sddmm(a, b)), x)``
+        in one server round trip, bit-identical to the three kernels run one
+        after another.  ``submit_layer`` checks the settings before anything
+        is sent; a rejected layer counts no operator.
         """
-        params = shard_params(self.server.precision, scale, scale_by_mask)
-        scale, scale_by_mask = params["scale"], params["scale_by_mask"]
-        self.stats.sddmm_calls += 1
-        self.stats.edge_softmax_calls += 1
-        self.stats.spmm_calls += 1
-        if self.mode == "fused":
-            result = self.server.submit_layer(
-                self.adjacency,
-                a,
-                b,
-                x,
-                scale=scale,
-                scale_by_mask=scale_by_mask,
-                timeout=self.timeout,
-                priority=self.priority,
-            ).result()
-            return np.asarray(result.values, dtype=np.float32)
-        return self._attention_layer_composed(a, b, x, scale, scale_by_mask)
-
-    def _attention_layer_composed(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        x: np.ndarray,
-        scale: float | None,
-        scale_by_mask: bool,
-    ) -> np.ndarray:
-        # Imported here so importing the training backends does not pull in
-        # the whole serving stack.
-        from repro.serve.program import attention_csr, gather_edge_values
-
-        sddmm = self.server.submit_sddmm(
+        future = self.server.submit_layer(
             self.adjacency,
             a,
             b,
+            x,
+            scale=scale,
             scale_by_mask=scale_by_mask,
             timeout=self.timeout,
             priority=self.priority,
-        ).result()
-        logits = gather_edge_values(
-            sddmm.output.partition, self.adjacency.indptr, sddmm.output.vector_values
         )
-        if scale is not None:
-            logits = (logits * np.float32(scale)).astype(np.float32)
-        attention = self.server.submit_edge_softmax(
-            self.adjacency, logits, timeout=self.timeout, priority=self.priority
-        ).result()
-        weighted = attention_csr(self.adjacency, attention.values)
-        spmm = self.server.submit_spmm(
-            weighted, x, timeout=self.timeout, priority=self.priority
-        ).result()
-        return np.asarray(spmm.values, dtype=np.float32)
+        self.stats.sddmm_calls += 1
+        self.stats.edge_softmax_calls += 1
+        self.stats.spmm_calls += 1
+        return np.asarray(future.result().values, dtype=np.float32)
 
     def agnn_forward(self, h: np.ndarray, beta: float = 1.0) -> np.ndarray:
         """One AGNN layer against the server: cosine attention over
@@ -315,13 +260,6 @@ class ServedBackend:
         norms = np.sqrt((h**2).sum(axis=1, keepdims=True)) + np.float32(1e-12)
         h_norm = np.ascontiguousarray((h / norms).astype(np.float32))
         return self.attention_layer(h_norm, h_norm, h, scale=float(beta))
-
-    def segment_matmul(self, data, offsets, weights) -> np.ndarray:
-        """RGCN-style typed linear through the server (one request)."""
-        result = self.server.submit_segment_matmul(
-            data, offsets, weights, timeout=self.timeout, priority=self.priority
-        ).result()
-        return np.asarray(result.values, dtype=np.float32)
 
 
 def make_backend(name: str, adjacency: CSRMatrix) -> SparseBackend:

@@ -18,7 +18,7 @@ benchmark harnesses can aggregate them across many matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -278,16 +278,3 @@ def _parse_shape_name(shape_name: str) -> tuple[int, int, int]:
         return int(m_part.lstrip("m")), int(n_part), int(k_part)
     except (ValueError, IndexError) as exc:
         raise ValueError(f"cannot parse MMA shape name {shape_name!r}") from exc
-
-
-def sum_counters(counters: Iterable[CostCounter]) -> CostCounter:
-    """Sum an iterable of counters into a fresh one.
-
-    The resulting ``kernel_launches`` is the sum over the inputs (an empty
-    iterable yields zero launches).
-    """
-    total = CostCounter(kernel_launches=0)
-    for counter in counters:
-        total += counter
-        total.kernel_launches += counter.kernel_launches
-    return total

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.gpu.device import MIN_TRANSACTION_BYTES, GPUSpec
 
 #: Largest single memory transaction, in bytes.
@@ -166,19 +164,6 @@ def transactions_for_tile_load(
         addrs = tuple(range(start, start + row_bytes, step))
         accesses.append(WarpAccess(addresses=addrs, access_bytes=step))
     return _DEFAULT_MODEL.coalesce_many(accesses)
-
-
-def addresses_for_elements(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    row_stride_bytes: int,
-    element_bytes: int,
-    base_address: int = 0,
-) -> np.ndarray:
-    """Byte addresses of matrix elements at (rows, cols) in row-major storage."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    return base_address + rows * row_stride_bytes + cols * element_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -375,7 +375,7 @@ def sddmm_shard_values(
 # (``vector_values`` gathered at ``partition.entry_slot``): zero there, the
 # lane's dot product everywhere else.
 #
-# The composed serving path additionally *translates* the attention CSR
+# The three-call composition additionally *translates* the attention CSR
 # before the SpMM, which stores the values as ``dtype_for(precision)``, and
 # its SpMM quantises that translation's lane values.  Skipping the round
 # trip is exact because the fused stage quantises the attention weights

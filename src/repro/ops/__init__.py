@@ -56,7 +56,6 @@ from repro.ops.segment import (
     check_offsets,
     segment_count,
     segment_ids,
-    segment_matmul,
     segment_max,
     segment_mean,
     segment_min,
@@ -69,7 +68,6 @@ __all__ = [
     "check_offsets",
     "segment_count",
     "segment_ids",
-    "segment_matmul",
     "segment_max",
     "segment_mean",
     "segment_min",

@@ -147,80 +147,6 @@ def segment_mean(
     return sums / denom.reshape((-1,) + (1,) * (sums.ndim - 1))
 
 
-def segment_matmul(
-    data: np.ndarray,
-    offsets: np.ndarray,
-    weights,
-):
-    """Per-segment GEMM: segment ``s``'s rows are multiplied by weight ``s``.
-
-    ``data`` is ``(total, K)``; ``offsets`` is the indptr-style segment
-    layout; ``weights`` is one ``(K, N_s)`` matrix per segment — either a
-    stacked ``(n_segments, K, N)`` array or a sequence of 2-D arrays whose
-    widths ``N_s`` may differ (mixed-width GNN layer requests: each request
-    class carries its own projection).  Returns the stacked ``(total, N)``
-    array when every width agrees, else a list of per-segment
-    ``(len_s, N_s)`` arrays.
-
-    Batching
-    --------
-    This is the RGCN/typed-linear primitive (PyG's ``segment_matmul``):
-    a per-segment Python loop issues one small GEMM per segment and is
-    dominated by dispatch overhead.  Here segments are bucketed by
-    ``(segment length, weight shape)`` and each bucket runs as **one**
-    batched 3-D matmul — ``(g, L, K) @ (g, K, N)`` — with zero padding
-    waste, so thousands of same-shaped segments cost a handful of BLAS
-    calls.  Each segment's product is still an independent matmul, so the
-    result is bit-identical to the per-segment loop (matmul association
-    order per output element is unchanged by batching).
-    """
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise ValueError("segment_matmul expects 2-D data (rows × features)")
-    offsets = check_offsets(offsets, data.shape[0])
-    lengths = np.diff(offsets)
-    n_segments = lengths.shape[0]
-    weights = [np.asarray(w) for w in weights]
-    if len(weights) != n_segments:
-        raise ValueError(
-            f"expected {n_segments} weight matrices, got {len(weights)}"
-        )
-    k = data.shape[1]
-    for s, w in enumerate(weights):
-        if w.ndim != 2 or w.shape[0] != k:
-            raise ValueError(
-                f"weights[{s}] has shape {w.shape}, expected ({k}, N_{s})"
-            )
-    widths = [w.shape[1] for w in weights]
-    uniform = len(set(widths)) <= 1
-
-    out_dtype = np.result_type(data.dtype, *[w.dtype for w in weights]) if weights else data.dtype
-    outputs: list[np.ndarray | None] = [None] * n_segments
-
-    # Bucket by (length, width): every bucket is one batched matmul.
-    buckets: dict[tuple, list[int]] = {}
-    for s in range(n_segments):
-        buckets.setdefault((int(lengths[s]), widths[s]), []).append(s)
-    for (length, width), segs in buckets.items():
-        if length == 0:
-            for s in segs:
-                outputs[s] = np.zeros((0, width), dtype=out_dtype)
-            continue
-        stacked = np.stack([data[offsets[s] : offsets[s] + length] for s in segs])
-        w_stack = np.stack([weights[s] for s in segs]).astype(out_dtype, copy=False)
-        prod = stacked.astype(out_dtype, copy=False) @ w_stack  # (g, L, N)
-        for i, s in enumerate(segs):
-            outputs[s] = prod[i]
-
-    if not uniform:
-        return outputs
-    width = widths[0] if widths else 0
-    out = np.empty((data.shape[0], width), dtype=out_dtype)
-    for s in range(n_segments):
-        out[offsets[s] : offsets[s + 1]] = outputs[s]
-    return out
-
-
 def segment_softmax(
     logits: np.ndarray,
     offsets: np.ndarray,

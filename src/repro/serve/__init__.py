@@ -2,10 +2,11 @@
 
 This package turns the kernel library into a serving system for the paper's
 end-to-end workloads (the GNN inference traffic of Figure 16): a
-:class:`~repro.serve.server.Server` accepts concurrent SpMM / SDDMM
-requests, deduplicates translations across requests that carry the same
-matrix (content-hash keyed), batches same-matrix SpMM requests into one
-engine pass, and executes large operations as window-aligned shards sized
+:class:`~repro.serve.server.Server` accepts concurrent requests for the
+paper's operators — SpMM, SDDMM and the fused attention layer built from
+them — deduplicates translations across requests that carry the same
+matrix (content-hash keyed), batches same-matrix SpMM and layer requests
+into one engine pass, and executes large operations as window-aligned shards sized
 by a device memory budget — in the server process, or across worker hosts
 with ``backend="cluster"``.
 
@@ -15,9 +16,9 @@ The pieces:
   (``ServePlan.block_chunk``, in TC blocks) and worker count from a
   :class:`~repro.gpu.device.GPUSpec` memory budget and the format's
   block-width histogram;
-* :mod:`repro.serve.program` — the helpers the composed (three-request)
-  attention layer shares with the parity tests, and the result types of
-  the non-kernel ops; a whole layer is one request
+* :mod:`repro.serve.program` — the fused layer's result type and the
+  helpers that build the same layer from three calls (the bit-identity
+  reference and the byte baseline); a whole layer is one request
   (``Server.submit_layer``, settings checked by
   :func:`repro.kernels.engine.shard_params`) instead of three;
 * :mod:`repro.serve.scheduler` — runs one operation's window-aligned
@@ -46,23 +47,15 @@ from repro.serve.errors import (
 )
 from repro.serve.metrics import LatencyStats, MetricsSnapshot, ServeMetrics
 from repro.serve.planner import ServePlan, plan_sddmm, plan_spmm
-from repro.serve.program import (
-    EdgeSoftmaxResult,
-    LayerResult,
-    SegmentMatmulResult,
-    attention_csr,
-    gather_edge_values,
-)
+from repro.serve.program import LayerResult, attention_csr, gather_edge_values
 from repro.serve.scheduler import ShardScheduler
 from repro.serve.server import Server, ServeRequest
 
 __all__ = [
     "DispatcherCrashedError",
-    "EdgeSoftmaxResult",
     "LatencyStats",
     "LayerResult",
     "MetricsSnapshot",
-    "SegmentMatmulResult",
     "ServeError",
     "ServeMetrics",
     "ServePlan",

@@ -1,4 +1,4 @@
-"""Attention-layer helpers and the result types of the non-kernel ops.
+"""The attention layer's result type and its three-call helpers.
 
 A GAT/AGNN-style attention layer is one fixed pipeline over one sparse
 pattern — SDDMM (per-edge logits), an optional float32 ``scale``, a per-row
@@ -7,16 +7,16 @@ edge softmax and an SpMM whose values are the attention weights.
 (:func:`repro.kernels.engine.layer_shard_rows`); its two settings,
 ``scale`` and ``scale_by_mask``, are checked by
 :func:`repro.kernels.engine.shard_params` at submit and again wherever a
-shard runs.  This module keeps what the *composed* (three-request)
-execution of the same layer needs, so "composed" means exactly one thing
-everywhere:
+shard runs.  The same layer as three calls — ``submit_sddmm``, a
+client-side softmax, ``submit_spmm`` over the attention matrix — is the
+reference the fused pass is bit-identical to, and what the fused pass
+saves is measured against it:
 
 * :func:`gather_edge_values` / :func:`attention_csr` — SDDMM's
   nonzero-vector output → CSR edge order → a values-only CSR for the SpMM;
 * :func:`composed_intermediate_bytes` — what the fused layer keeps off the
-  carrier versus composition;
-* the results of ``submit_layer``, ``submit_edge_softmax`` and
-  ``submit_segment_matmul``.
+  carrier versus the three calls;
+* :class:`LayerResult` — the result of ``submit_layer``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def gather_edge_values(
 def attention_csr(csr: CSRMatrix, data: np.ndarray) -> CSRMatrix:
     """A CSR with ``csr``'s pattern and ``data`` as values (attention matrix).
 
-    The composed path feeds this to the SpMM stage.  It is
+    The three-call layer feeds this to its SpMM.  It is
     ``csr.with_values``: the index arrays and the structure key are
     ``csr``'s own, so the attention matrix reuses the mask's cached window
     partition and serving plan, and on the cluster only its ``data``
@@ -64,10 +64,10 @@ def attention_csr(csr: CSRMatrix, data: np.ndarray) -> CSRMatrix:
 
 
 def composed_intermediate_bytes(fmt, csr: CSRMatrix) -> int:
-    """Bytes a fused layer keeps off the carrier versus the composed path.
+    """Bytes a fused layer keeps off the carrier versus the three calls.
 
-    Composition pulls the SDDMM intermediate back (float32 values in
-    ``fmt``'s vector layout) and pushes the :func:`attention_csr` values
+    The three calls pull the SDDMM intermediate back (float32 values in
+    ``fmt``'s vector layout) and push the :func:`attention_csr` values
     out again — never pinnable, they change every evaluation.  The index
     arrays are the mask's, already pinned under its structure key.
     """
@@ -83,26 +83,4 @@ class LayerResult:
     #: Useful FLOPs of the whole pipeline (SDDMM + softmax + SpMM).
     useful_flops: int
     #: Per-stage wall clock, backend, coalescing info.
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class EdgeSoftmaxResult:
-    """Result of a served per-row edge softmax over a matrix's pattern."""
-
-    #: Per-edge attention weights in CSR entry order, ``(nnz,)`` float32.
-    values: np.ndarray
-    #: Useful FLOPs (max, subtract, exp, sum, divide — ~5 per edge).
-    useful_flops: int
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class SegmentMatmulResult:
-    """Result of a served :func:`repro.ops.segment_matmul` request."""
-
-    #: Stacked ``(total, N)`` product (uniform-width weights).
-    values: np.ndarray
-    #: Useful FLOPs (``2 · Σ_s len_s · K · N_s``).
-    useful_flops: int
     meta: dict = field(default_factory=dict)

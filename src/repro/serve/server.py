@@ -113,13 +113,12 @@ from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.cache import cached_mebcrs
 from repro.gpu.device import GPUSpec, get_device
 from repro.kernels.common import FlashSparseConfig
-from repro.kernels.engine import shard_params
+from repro.kernels.engine import SHARD_OPS, shard_params
 from repro.kernels.sddmm_flash import (
     VECTORS_PER_OUTPUT_BLOCK,
     sddmm_flash_cost,
 )
 from repro.kernels.spmm_flash import spmm_flash_cost
-from repro.ops import segment_matmul, segment_softmax
 from repro.perfmodel.model import sddmm_useful_flops, spmm_useful_flops
 from repro.precision.types import Precision, quantize
 from repro.serve.errors import (
@@ -131,12 +130,7 @@ from repro.serve.errors import (
 )
 from repro.serve.metrics import MetricsSnapshot, ServeMetrics
 from repro.serve.planner import ServePlan, plan_sddmm, plan_spmm
-from repro.serve.program import (
-    EdgeSoftmaxResult,
-    LayerResult,
-    SegmentMatmulResult,
-    composed_intermediate_bytes,
-)
+from repro.serve.program import LayerResult, composed_intermediate_bytes
 from repro.serve.scheduler import ShardScheduler
 from repro.utils.digest import digest16
 from repro.utils.validation import check_dense_matrix
@@ -170,7 +164,7 @@ class ServeRequest:
     """One queued operation (internal to the server)."""
 
     op: str
-    csr: object  # CSRMatrix (None for pattern-free ops, e.g. segmm)
+    csr: object  # CSRMatrix
     key: str  # content key — the batching and routing handle
     #: Dense operands in the order the op runs them; a concatenating op's
     #: last operand is the panel coalesced requests join column-wise.
@@ -227,6 +221,16 @@ class ServeRequest:
 class _ServedOp:
     """How the server executes one op: a row of :data:`_SERVED_OPS`.
 
+    How an op is cut and coalesced is the engine's
+    (:data:`~repro.kernels.engine.SHARD_OPS`): the op whose output is the
+    sparse pattern (``sddmm``) is planned on the SDDMM grouping and runs
+    alone; the dense-row ops are planned on the SpMM grouping, and
+    same-(matrix, token) requests concatenate their last operand
+    column-wise into one pass — numerically invisible, since every output
+    column accumulates from its own operand column only.  A row holds the
+    rest: the scheduler call and the result type, which live above the
+    engine.
+
     Rows reach the scheduler as ``server.scheduler.run_*`` and every other
     helper (translation, quantiser, planner, cost pass) through this
     module's global names, both looked up per call: a row never holds a
@@ -234,14 +238,6 @@ class _ServedOp:
     benchmark's tracer does — reaches every served request.
     """
 
-    #: Planner the op's shards are cut by (``"spmm"`` / ``"sddmm"``).
-    #: ``None`` marks an op run whole in the server process: no
-    #: translation, no operand quantisation, no plan.
-    planner: str | None
-    #: Whether same-(matrix, token) requests concatenate their last operand
-    #: column-wise into one pass.  Numerically invisible: every output
-    #: column accumulates from its own operand column only.
-    concat: bool
     #: ``run(server, fmt, operands, lead, kwargs)`` →
     #: ``(output, stage_seconds or None)``.
     run: Callable
@@ -272,14 +268,6 @@ def _run_layer(server, fmt, operands, lead, kwargs):
     return out, stages
 
 
-def _run_edge_softmax(server, fmt, operands, lead, kwargs):
-    return segment_softmax(*operands, lead.csr.indptr), None
-
-
-def _run_segmm(server, fmt, operands, lead, kwargs):
-    return np.ascontiguousarray(segment_matmul(*operands)), None
-
-
 def _spmm_result(server, fmt, values, req, meta):
     counter = spmm_flash_cost(
         fmt, values.shape[1], FlashSparseConfig(precision=server.precision)
@@ -301,21 +289,16 @@ def _sddmm_result(server, fmt, values, req, meta):
     return SddmmResult(output=output, counter=counter, useful_flops=req.cost, meta=meta)
 
 
-def _plain_result(cls):
-    """Builder of a result that is its ``values``, ``useful_flops`` and ``meta``."""
-    return lambda server, fmt, values, req, meta: cls(
-        values=values, useful_flops=req.cost, meta=meta
-    )
+def _layer_result(server, fmt, values, req, meta):
+    return LayerResult(values=values, useful_flops=req.cost, meta=meta)
 
 
-#: The served ops, by :attr:`ServeRequest.op`.
+#: The served ops, by :attr:`ServeRequest.op`: exactly the engine's
+#: :data:`~repro.kernels.engine.SHARD_OPS`.
 _SERVED_OPS = {
-    "spmm": _ServedOp("spmm", True, _run_spmm, _spmm_result),
-    "sddmm": _ServedOp("sddmm", False, _run_sddmm, _sddmm_result),
-    # The fused layer shards on the SpMM cut; its ``x`` panels concatenate.
-    "layer": _ServedOp("spmm", True, _run_layer, _plain_result(LayerResult)),
-    "edge_softmax": _ServedOp(None, False, _run_edge_softmax, _plain_result(EdgeSoftmaxResult)),
-    "segmm": _ServedOp(None, False, _run_segmm, _plain_result(SegmentMatmulResult)),
+    "spmm": _ServedOp(_run_spmm, _spmm_result),
+    "sddmm": _ServedOp(_run_sddmm, _sddmm_result),
+    "layer": _ServedOp(_run_layer, _layer_result),
 }
 
 
@@ -568,8 +551,10 @@ class Server:
         # fails here, not in a worker.
         params = shard_params(self.precision, scale, scale_by_mask)
         scale, scale_by_mask = params["scale"], params["scale_by_mask"]
+        # Everything the pass reads but the ``x`` panel.  The dtypes are part
+        # of it: the same bytes read at another width are other operands.
         token = digest16(
-            repr((a.shape, scale, scale_by_mask)).encode(),
+            repr((a.dtype.str, a.shape, b.dtype.str, b.shape, scale, scale_by_mask)).encode(),
             np.ascontiguousarray(a),
             np.ascontiguousarray(b),
         )
@@ -588,89 +573,6 @@ class Server:
                     + _edge_softmax_useful_flops(nnz)
                     + spmm_useful_flops(nnz, x.shape[1])
                 ),
-            ),
-            timeout,
-        )
-
-    def submit_edge_softmax(
-        self,
-        matrix,
-        logits: np.ndarray,
-        timeout: float | None = None,
-        priority: int = 0,
-    ):
-        """Enqueue a per-row softmax over ``matrix``'s sparsity pattern;
-        returns a Future of :class:`EdgeSoftmaxResult`.
-
-        ``logits`` is one value per stored entry, in CSR entry order.
-        This is the middle leg of the *composed* layer pipeline — kept as
-        a first-class request so composed serving pays its real three
-        round trips and stays admission/priority-governed end to end;
-        fused :meth:`submit_layer` requests never need it.
-        """
-        inp = _as_input(matrix)
-        logits = np.ascontiguousarray(np.asarray(logits, dtype=np.float32))
-        if logits.shape != (inp.csr.nnz,):
-            raise ValueError(
-                f"logits must have shape ({inp.csr.nnz},), got {logits.shape}"
-            )
-        return self._enqueue(
-            ServeRequest(
-                op="edge_softmax",
-                csr=inp.csr,
-                key=inp.csr.content_key(),
-                operands=(logits,),
-                priority=int(priority),
-                cost=_edge_softmax_useful_flops(inp.csr.nnz),
-            ),
-            timeout,
-        )
-
-    def submit_segment_matmul(
-        self,
-        data: np.ndarray,
-        offsets,
-        weights,
-        timeout: float | None = None,
-        priority: int = 0,
-    ):
-        """Enqueue an RGCN-style typed linear
-        (:func:`repro.ops.segment_matmul`); returns a Future of
-        :class:`SegmentMatmulResult`.
-
-        ``weights`` must be uniform-width (one ``(segments, K, N)`` stack).
-        The product runs in the server process on every backend: it is
-        already one bucketed batched-BLAS pass, so shipping it to a worker
-        would only add operand traffic.
-        """
-        data = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
-        if data.ndim != 2:
-            raise ValueError(f"data must be a 2-D array, got ndim={data.ndim}")
-        offsets = np.ascontiguousarray(np.asarray(offsets, dtype=np.int64))
-        if offsets.ndim != 1 or offsets.size < 2:
-            raise ValueError("offsets must be a 1-D array of segment boundaries")
-        if offsets[0] != 0 or offsets[-1] != data.shape[0]:
-            raise ValueError("offsets must start at 0 and end at len(data)")
-        if np.any(np.diff(offsets) < 0):
-            raise ValueError("offsets must be non-decreasing")
-        stack = np.ascontiguousarray(
-            np.stack([np.asarray(w, dtype=np.float32) for w in weights])
-        )
-        if stack.ndim != 3 or stack.shape[0] != offsets.size - 1:
-            raise ValueError(
-                "weights must stack to (segments, K, N) with one matrix per segment"
-            )
-        if stack.shape[1] != data.shape[1]:
-            raise ValueError("weights K must match data's inner dimension")
-        return self._enqueue(
-            ServeRequest(
-                op="segmm",
-                csr=None,
-                key="",
-                operands=(data, offsets, stack),
-                params={"segments": int(offsets.size - 1)},
-                priority=int(priority),
-                cost=2 * data.shape[0] * stack.shape[1] * stack.shape[2],
             ),
             timeout,
         )
@@ -1036,12 +938,12 @@ class Server:
         groups: dict[tuple, list[ServeRequest]] = {}
         ordered: list[list[ServeRequest]] = []
         for req in requests:
-            # Ops that do not concatenate may share a translation but not a
-            # pass, so their group key is unique per request.
-            if _SERVED_OPS[req.op].concat:
-                key = (req.op, req.key, req.token, req.operands[-1].shape[0])
-            else:
+            # The sparse-output op may share a translation but not a pass,
+            # so its group key is unique per request.
+            if SHARD_OPS[req.op].sddmm:
                 key = (id(req),)
+            else:
+                key = (req.op, req.key, req.token, req.operands[-1].shape[0])
             bucket = groups.get(key)
             if bucket is None or len(bucket) >= self.max_batch:
                 bucket = []
@@ -1078,7 +980,7 @@ class Server:
             if entry is not None and entry[0]() is partition:
                 self._plans.move_to_end(key)
                 return entry[1]
-            planner = plan_spmm if op == "spmm" else plan_sddmm
+            planner = plan_sddmm if SHARD_OPS[op].sddmm else plan_spmm
             kwargs = {"workers": self.requested_workers, "hosts": hosts}
             if self.backend == "cluster" and self.requested_workers is None:
                 # A worker host executes one shard at a time: plan per-host
@@ -1103,37 +1005,34 @@ class Server:
             return
         try:
             lead, row = group[0], _SERVED_OPS[group[0].op]
+            concat = not SHARD_OPS[lead.op].sddmm
             self.metrics.record_batch(len(group))
             operands = list(lead.operands)
-            if row.concat and len(group) > 1:
+            if concat and len(group) > 1:
                 operands[-1] = np.concatenate([req.operands[-1] for req in group], axis=1)
-            fmt = plan = None
-            kwargs: dict = {}
-            if row.planner is not None:
-                fmt = cached_mebcrs(lead.csr, self.precision, by_content=True)
-                operands = [quantize(operand, self.precision) for operand in operands]
-                plan = self._plan_for(fmt, row.planner, operands[-1].shape[1])
-                kwargs["target_blocks"] = plan.block_chunk
-                if self.backend == "cluster":
-                    # The head routes by content key and ships the
-                    # request's own CSR payload to the worker hosts.
-                    kwargs.update(csr=lead.csr, content_key=lead.key)
+            fmt = cached_mebcrs(lead.csr, self.precision, by_content=True)
+            operands = [quantize(operand, self.precision) for operand in operands]
+            plan = self._plan_for(fmt, lead.op, operands[-1].shape[1])
+            kwargs: dict = {"target_blocks": plan.block_chunk}
+            if self.backend == "cluster":
+                # The head routes by content key and ships the request's
+                # own CSR payload to the worker hosts.
+                kwargs.update(csr=lead.csr, content_key=lead.key)
             out, stages = row.run(self, fmt, operands, lead, kwargs)
             meta = {
                 "engine": "serve",
                 "backend": self.backend,
                 "workers": self.scheduler.workers,
                 **lead.params,
+                "plan": plan,
             }
-            if plan is not None:
-                meta["plan"] = plan
-            if row.concat:
+            if concat:
                 meta["batched_with"] = len(group) - 1
             offset = 0
             now = time.perf_counter()
             for req in group:
                 values = out
-                if row.concat:
+                if concat:
                     width = req.operands[-1].shape[1]
                     values = np.ascontiguousarray(out[:, offset : offset + width])
                     offset += width

@@ -12,7 +12,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.formats.csr import CSRMatrix
-from repro.ops import segment_ids
+from repro.formats.mebcrs import MEBCRSMatrix
+from repro.kernels.engine import sddmm_batched, spmm_batched
+from repro.ops import segment_ids, segment_softmax
+from repro.precision.types import Precision, quantize
+from repro.serve.program import attention_csr, gather_edge_values
 
 
 def random_csr(
@@ -169,6 +173,35 @@ def run_sharded(
         outputs, _ = op.run(sliced, operands, params)
         op.place(out, sliced, outputs)
     return out
+
+
+def composed_layer(
+    csr: CSRMatrix,
+    a,
+    b,
+    x,
+    scale: float | None = None,
+    scale_by_mask: bool = False,
+    precision="fp16",
+    fmt_cls=MEBCRSMatrix,
+) -> np.ndarray:
+    """Oracle of the fused attention layer: the three one-shot kernels it
+    fuses, run one after another in process — SDDMM over ``fmt_cls``'s
+    translation of ``csr``, its values gathered into CSR entry order, times
+    the float32 ``scale``, a per-row softmax, and an SpMM over the attention
+    matrix (``attention_csr``, translated afresh).  The dense operands are
+    quantised to ``precision`` as the server quantises them.  Every fused
+    executor — shard table, scheduler, server, cluster, GNN backend — must
+    match it bit for bit."""
+    precision = Precision(precision)
+    a_q, b_q, x_q = (quantize(np.asarray(m), precision) for m in (a, b, x))
+    fmt = fmt_cls.from_csr(csr, precision=precision)
+    scores = sddmm_batched(fmt, a_q, b_q, scale_by_mask)
+    logits = gather_edge_values(fmt.partition, csr.indptr, scores)
+    if scale is not None:
+        logits = (logits * np.float32(scale)).astype(np.float32)
+    attention = attention_csr(csr, segment_softmax(logits, csr.indptr))
+    return spmm_batched(fmt_cls.from_csr(attention, precision=precision), x_q, precision)
 
 
 def raw_frame(version: int, header: dict, buffers=(), n_bufs: int | None = None) -> bytes:

@@ -11,53 +11,30 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_csr
+from helpers import composed_layer, random_csr
 
 from repro.cluster import ClusterScheduler, RetryPolicy, WorkerTaskError
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
-from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK as FLASH_GROUP
-from repro.kernels.sddmm_tcu16 import VECTORS_PER_OUTPUT_BLOCK as TCU16_GROUP
-from repro.ops import segment_softmax
 from repro.precision.types import Precision, quantize
 from repro.serve import Server
-from repro.serve.program import attention_csr, gather_edge_values
-from repro.serve.scheduler import ShardScheduler
 from repro.testing import FaultPlan
 
 TIMEOUT = 120
 
-_FORMATS = {
-    "mebcrs": (MEBCRSMatrix, FLASH_GROUP),
-    "sgt16": (SGT16Matrix, TCU16_GROUP),
-}
+_FORMATS = {"mebcrs": MEBCRSMatrix, "sgt16": SGT16Matrix}
 
 
 def _layer_workload(fmt_name="mebcrs", seed=4, rows=220, cols=200, k=20, n=12):
-    cls, group = _FORMATS[fmt_name]
+    cls = _FORMATS[fmt_name]
     csr = random_csr(rows, cols, 0.05, seed=seed)
     fmt = cls.from_csr(csr, precision="fp16")
     rng = np.random.default_rng(seed)
     a_q = quantize(rng.standard_normal((rows, k)), Precision.FP16).astype(np.float32)
     b_q = quantize(rng.standard_normal((cols, k)), Precision.FP16).astype(np.float32)
     x_q = quantize(rng.standard_normal((cols, n)), Precision.FP16).astype(np.float32)
-    base = _composed_reference(csr, fmt, group, a_q, b_q, x_q, 0.8, False)
+    base = composed_layer(csr, a_q, b_q, x_q, 0.8, fmt_cls=cls)
     return csr, fmt, a_q, b_q, x_q, base
-
-
-def _composed_reference(csr, fmt, group, a_q, b_q, x_q, scale, scale_by_mask):
-    """The three-call composition every fused executor must match exactly."""
-    ref = ShardScheduler()
-    vals = ref.run_sddmm(
-        fmt, a_q, b_q, Precision.FP16, group, scale_by_mask=scale_by_mask
-    )
-    logits = gather_edge_values(fmt.partition, csr.indptr, vals)
-    if scale is not None:
-        logits = (logits * np.float32(scale)).astype(np.float32)
-    attention = segment_softmax(logits, csr.indptr)
-    acsr = attention_csr(csr, attention)
-    afmt = type(fmt).from_csr(acsr, precision="fp16")
-    return ref.run_spmm(afmt, x_q, Precision.FP16)
 
 
 def _run_layer(sched, csr, fmt, a_q, b_q, x_q, target=7, scale=0.8):

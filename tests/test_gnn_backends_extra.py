@@ -5,13 +5,13 @@ import pytest
 
 import repro
 from repro.formats.csr import CSRMatrix
-from repro.gnn import AGNNLayer, SERVED_MODES, ServedBackend, Tensor
+from repro.gnn import AGNNLayer, ServedBackend, Tensor
 from repro.gnn.backends import make_backend
 from repro.gnn.end_to_end import estimate_epoch_time
 from repro.gpu.device import H100_PCIE, RTX4090
 from repro.precision.types import Precision
 
-from helpers import random_csr
+from helpers import composed_layer, random_csr
 
 
 @pytest.fixture
@@ -111,17 +111,21 @@ def test_fixed_adjacency_spmm_matches_the_kernel(name, rng):
 
 @pytest.mark.parametrize("precision", ["fp16", "tf32"])
 def test_in_process_agnn_forward_matches_served(precision, rng):
-    """The in-process AGNN layer and the served one (fused and composed)
-    are the same numerics: outputs ``array_equal``."""
+    """The in-process AGNN layer, the served one and the three-kernel
+    composition are the same numerics: outputs ``array_equal``."""
     from repro.serve import Server
 
     adj = random_csr(90, 90, 0.08, seed=21)
     h = rng.standard_normal((90, 16)).astype(np.float32)
     expected = AGNNLayer()(make_backend(f"flashsparse-{precision}", adj), Tensor(h)).data
     with Server(precision=precision, workers=1) as srv:
-        for mode in SERVED_MODES:
-            served = ServedBackend(server=srv, adjacency=adj, mode=mode).agnn_forward(h)
-            np.testing.assert_array_equal(expected, served, err_msg=mode)
+        served = ServedBackend(server=srv, adjacency=adj).agnn_forward(h)
+    np.testing.assert_array_equal(expected, served)
+    norms = np.sqrt((h**2).sum(axis=1, keepdims=True)) + np.float32(1e-12)
+    h_norm = (h / norms).astype(np.float32)
+    np.testing.assert_array_equal(
+        expected, composed_layer(adj, h_norm, h_norm, h, 1.0, precision=precision)
+    )
 
 
 def test_backend_stats_accumulate(adjacency, rng):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpu.counters import CostCounter, sum_counters, _parse_shape_name
+from repro.gpu.counters import CostCounter, _parse_shape_name
 
 
 def test_empty_counter_is_zero():
@@ -103,23 +103,6 @@ def test_footprint_tracking():
     d = CostCounter()
     d.set_read_footprint(50)
     assert (c + d).footprint_bytes == 1250
-
-
-def test_sum_counters():
-    counters = []
-    for i in range(3):
-        c = CostCounter()
-        c.add_mma("m16n8k8", "fp16", i + 1)
-        counters.append(c)
-    total = sum_counters(counters)
-    assert total.total_mma == 6
-    assert total.kernel_launches == 3
-
-
-def test_sum_counters_empty():
-    total = sum_counters([])
-    assert total.total_mma == 0
-    assert total.kernel_launches == 0
 
 
 def test_as_dict_round_trips_key_fields():

@@ -1,6 +1,5 @@
 """Tests for the global-memory transaction (coalescing) model."""
 
-import numpy as np
 import pytest
 
 from repro.gpu.memory import (
@@ -8,7 +7,6 @@ from repro.gpu.memory import (
     MemoryTransactionModel,
     TransactionReport,
     WarpAccess,
-    addresses_for_elements,
     simulate_warp_load,
     transactions_for_tile_load,
 )
@@ -103,13 +101,6 @@ def test_transactions_for_tile_load_half_rows_waste_bandwidth():
     assert report.num_transactions == 8
     assert report.bytes_moved == 8 * 32
     assert report.useful_bytes == 8 * 16
-
-
-def test_addresses_for_elements_row_major():
-    rows = np.array([0, 1])
-    cols = np.array([2, 3])
-    addrs = addresses_for_elements(rows, cols, row_stride_bytes=100, element_bytes=4, base_address=1000)
-    np.testing.assert_array_equal(addrs, [1000 + 0 * 100 + 8, 1000 + 100 + 12])
 
 
 def test_transaction_report_properties():

@@ -5,7 +5,13 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import csr_by_slot_expansion, edge_values_by_search, lanes_by_sort, run_sharded
+from helpers import (
+    composed_layer,
+    csr_by_slot_expansion,
+    edge_values_by_search,
+    lanes_by_sort,
+    run_sharded,
+)
 
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
@@ -24,9 +30,8 @@ from repro.kernels.sddmm_flash import sddmm_flash_cost, sddmm_flash_execute
 from repro.kernels.sddmm_tcu16 import sddmm_tcu16_execute
 from repro.kernels.spmm_flash import spmm_flash_cost, spmm_flash_execute
 from repro.kernels.spmm_tcu16 import spmm_tcu16_cost, spmm_tcu16_execute
-from repro.ops import segment_softmax
 from repro.precision.types import Precision, quantize
-from repro.serve.program import attention_csr, gather_edge_values
+from repro.serve.program import gather_edge_values
 
 from test_property_formats import sparse_matrices
 
@@ -212,16 +217,6 @@ def layer_cases(draw):
     return csr, fmt, params, operands
 
 
-def _layer_composed(csr, fmt, params, operands):
-    """The fused layer as its three one-shot kernels."""
-    a_q, b_q, x_q = operands
-    scores = sddmm_batched(fmt, a_q, b_q, params["scale_by_mask"])
-    logits = gather_edge_values(fmt.partition, csr.indptr, scores) * np.float32(params["scale"])
-    attention = attention_csr(csr, segment_softmax(logits, csr.indptr))
-    precision = Precision(params["precision"])
-    return spmm_batched(type(fmt).from_csr(attention, precision=precision), x_q, precision)
-
-
 def _panels(b_q):
     """``b_q`` cut into contiguous panels of WIDTHS, with their column spans."""
     bounds = np.cumsum((0,) + WIDTHS)
@@ -259,7 +254,10 @@ def test_sddmm_and_layer_any_window_aligned_cut_is_bit_identical_to_one_shot(cas
     scores = run_sharded("sddmm", fmt, operands[:2], params, group=16, target_blocks=target)
     np.testing.assert_array_equal(scores, sddmm_batched(fmt, *operands[:2], params["scale_by_mask"]))
     rows = run_sharded("layer", fmt, operands, params, indptr=csr.indptr, target_blocks=target)
-    np.testing.assert_array_equal(rows, _layer_composed(csr, fmt, params, operands))
+    composed = composed_layer(
+        csr, *operands, params["scale"], params["scale_by_mask"], params["precision"], type(fmt)
+    )
+    np.testing.assert_array_equal(rows, composed)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -1,15 +1,14 @@
-"""Fused layer serving: parity, coalescing, aging, segment-matmul requests.
+"""Fused layer serving: parity, coalescing, aging.
 
 The contract of ``Server.submit_layer``: one request runs the whole
 SDDMM → scale → edge-softmax → SpMM pipeline **bit-identically** to the
-three-request composition (``submit_sddmm`` → client-side gather + scale →
-``submit_edge_softmax`` → ``submit_spmm`` over the attention matrix), with
-the same coalescing / priority / deadline semantics as the per-kernel
-submissions.  The parity grid below runs the fused shard scheduler across
-formats, shard sizes and concurrent callers against the composed reference, and
-the server-level tests cover both execution modes through
-:class:`repro.gnn.backends.ServedBackend`, whose OpStats must count
-identically either way.
+three kernels run one after another (``helpers.composed_layer``: SDDMM →
+gather + scale → softmax → SpMM over the attention matrix), with the same
+coalescing / priority / deadline semantics as the per-kernel submissions.
+The parity grid below runs the fused shard scheduler across formats, shard
+sizes and concurrent callers against that oracle, and the server-level
+tests run the layer through :class:`repro.gnn.backends.ServedBackend`,
+whose OpStats count all three logical operators.
 """
 
 from __future__ import annotations
@@ -24,50 +23,30 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import csr_with_zero_valued_entries, random_csr
+from helpers import composed_layer, csr_with_zero_valued_entries, random_csr
 
 from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
-from repro.gnn import SERVED_MODES, ServedBackend
+from repro.gnn import ServedBackend
 from repro.gpu.device import RTX4090
-from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK as FLASH_GROUP
-from repro.kernels.sddmm_tcu16 import VECTORS_PER_OUTPUT_BLOCK as TCU16_GROUP
-from repro.ops import segment_matmul, segment_softmax
 from repro.precision.types import Precision, quantize
 from repro.serve import LatencyStats, Server, ShardScheduler, plan_spmm
-from repro.serve.program import attention_csr, gather_edge_values
 
 TIMEOUT = 120
 
-_FORMATS = {
-    "mebcrs": (MEBCRSMatrix, FLASH_GROUP),
-    "sgt16": (SGT16Matrix, TCU16_GROUP),
-}
+_FORMATS = {"mebcrs": MEBCRSMatrix, "sgt16": SGT16Matrix}
 
 
 def _layer_workload(fmt_name="mebcrs", seed=4, rows=160, cols=150, k=24, n=16):
-    cls, group = _FORMATS[fmt_name]
+    cls = _FORMATS[fmt_name]
     csr = random_csr(rows, cols, 0.05, seed=seed)
     fmt = cls.from_csr(csr, precision="fp16")
     rng = np.random.default_rng(seed)
     a_q = quantize(rng.standard_normal((rows, k)), Precision.FP16).astype(np.float32)
     b_q = quantize(rng.standard_normal((cols, k)), Precision.FP16).astype(np.float32)
     x_q = quantize(rng.standard_normal((cols, n)), Precision.FP16).astype(np.float32)
-    return csr, fmt, group, a_q, b_q, x_q
-
-
-def composed_layer_reference(csr, fmt, group, a_q, b_q, x_q, scale, scale_by_mask):
-    """The three-call composition every fused executor must match bit-for-bit."""
-    ref = ShardScheduler()
-    vals = ref.run_sddmm(fmt, a_q, b_q, Precision.FP16, group, scale_by_mask=scale_by_mask)
-    logits = gather_edge_values(fmt.partition, csr.indptr, vals)
-    if scale is not None:
-        logits = (logits * np.float32(scale)).astype(np.float32)
-    attention = segment_softmax(logits, csr.indptr)
-    acsr = attention_csr(csr, attention)
-    afmt = type(fmt).from_csr(acsr, precision="fp16")
-    return ref.run_spmm(afmt, x_q, Precision.FP16)
+    return csr, fmt, a_q, b_q, x_q
 
 
 # ------------------------------------------------------ scheduler parity grid
@@ -77,8 +56,8 @@ def composed_layer_reference(csr, fmt, group, a_q, b_q, x_q, scale, scale_by_mas
 def test_fused_layer_scheduler_parity_grid(fmt_name, target, callers):
     """``callers`` threads run the layer on one scheduler at once, as a
     server with ``group_concurrency > 1`` does."""
-    csr, fmt, group, a_q, b_q, x_q = _layer_workload(fmt_name)
-    base = composed_layer_reference(csr, fmt, group, a_q, b_q, x_q, 0.8, False)
+    csr, fmt, a_q, b_q, x_q = _layer_workload(fmt_name)
+    base = composed_layer(csr, a_q, b_q, x_q, 0.8, fmt_cls=type(fmt))
     sched = ShardScheduler()
 
     def call(_):
@@ -104,8 +83,8 @@ def test_fused_layer_scheduler_parity_grid(fmt_name, target, callers):
 
 @pytest.mark.parametrize("scale, by_mask", [(None, False), (0.5, True)])
 def test_fused_layer_scale_variants(scale, by_mask):
-    csr, fmt, group, a_q, b_q, x_q = _layer_workload(seed=9)
-    base = composed_layer_reference(csr, fmt, group, a_q, b_q, x_q, scale, by_mask)
+    csr, fmt, a_q, b_q, x_q = _layer_workload(seed=9)
+    base = composed_layer(csr, a_q, b_q, x_q, scale, by_mask)
     out, _ = ShardScheduler().run_layer(
         fmt,
         csr.indptr,
@@ -144,7 +123,7 @@ def test_local_multi_shard_layer_runs_in_the_server_process():
     """``workers`` sizes the plan's shards; the shards run in the server
     process: no child process, no shared-memory segment, and the values of
     ``workers=1`` and of the three-call composition bit for bit."""
-    csr, fmt, group, a_q, b_q, x_q = _layer_workload()
+    csr, fmt, a_q, b_q, x_q = _layer_workload()
     one_shot = plan_spmm(fmt, x_q.shape[1])
     workspace = 2 * -(-one_shot.num_blocks // 4) * one_shot.bytes_per_block
     device = replace(
@@ -160,8 +139,7 @@ def test_local_multi_shard_layer_runs_in_the_server_process():
     with Server(workers=1) as srv:
         solo = srv.submit_layer(csr, a_q, b_q, x_q, scale=0.8).result(TIMEOUT)
     np.testing.assert_array_equal(res.values, solo.values)
-    base = composed_layer_reference(csr, fmt, group, a_q, b_q, x_q, 0.8, False)
-    np.testing.assert_array_equal(res.values, base)
+    np.testing.assert_array_equal(res.values, composed_layer(csr, a_q, b_q, x_q, 0.8))
 
 
 def test_served_fused_and_composed_are_bit_identical_with_equal_opstats():
@@ -169,23 +147,21 @@ def test_served_fused_and_composed_are_bit_identical_with_equal_opstats():
     rng = np.random.default_rng(11)
     h = rng.standard_normal((csr.shape[0], 20)).astype(np.float32)
     with Server(workers=2) as srv:
-        backends = {
-            mode: ServedBackend(server=srv, adjacency=csr, mode=mode)
-            for mode in SERVED_MODES
-        }
-        outs = {m: be.agnn_forward(h, beta=1.3) for m, be in backends.items()}
-        np.testing.assert_array_equal(outs["fused"], outs["composed"])
-        # The logical operator accounting is transport-independent.
-        assert backends["fused"].stats == backends["composed"].stats
-        assert backends["fused"].stats.sddmm_calls == 1
-        assert backends["fused"].stats.edge_softmax_calls == 1
-        assert backends["fused"].stats.spmm_calls == 1
+        backend = ServedBackend(server=srv, adjacency=csr)
+        out = backend.agnn_forward(h, beta=1.3)
+        norms = np.sqrt((h**2).sum(axis=1, keepdims=True)) + np.float32(1e-12)
+        h_norm = (h / norms).astype(np.float32)
+        np.testing.assert_array_equal(out, composed_layer(csr, h_norm, h_norm, h, 1.3))
+        # The logical operator accounting counts the three fused kernels.
+        assert backend.stats.sddmm_calls == 1
+        assert backend.stats.edge_softmax_calls == 1
+        assert backend.stats.spmm_calls == 1
         snap = srv.snapshot()
-        # Fused: 1 request; composed: 3. The fused one banked 2 round trips.
+        # One request, which banked the two round trips of the other two.
         assert snap.layer_requests == 1
         assert snap.round_trips_saved == 2
         assert snap.operand_bytes_saved > 0
-        assert snap.requests_completed == 4
+        assert snap.requests_completed == 1
 
 
 def test_fused_layer_matches_composition_at_zero_valued_and_unreferenced_entries():
@@ -201,16 +177,13 @@ def test_fused_layer_matches_composition_at_zero_valued_and_unreferenced_entries
     b[3], x[3] = np.inf, -np.inf
     with Server(workers=2) as srv:
         for scale, by_mask in ((0.7, False), (None, True)):
-            outs = {
-                mode: ServedBackend(server=srv, adjacency=csr, mode=mode).attention_layer(
-                    a, b, x, scale=scale, scale_by_mask=by_mask
-                )
-                for mode in SERVED_MODES
-            }
-            np.testing.assert_array_equal(outs["fused"], outs["composed"])
-            assert np.isfinite(outs["fused"]).all()
+            out = ServedBackend(server=srv, adjacency=csr).attention_layer(
+                a, b, x, scale=scale, scale_by_mask=by_mask
+            )
+            np.testing.assert_array_equal(out, composed_layer(csr, a, b, x, scale, by_mask))
+            assert np.isfinite(out).all()
             # Row 1 spreads its attention over all four stored entries.
-            weights = np.linalg.lstsq(x[[0, 2, 5, 9]].T, outs["fused"][1], rcond=None)[0]
+            weights = np.linalg.lstsq(x[[0, 2, 5, 9]].T, out[1], rcond=None)[0]
             assert (weights > 0.01).all()
 
 
@@ -224,13 +197,8 @@ def test_fused_layer_over_duplicate_coo_triplets_matches_composition():
     assert csr.nnz < 400
     a, b, x = (rng.standard_normal(shape) for shape in ((40, 10), (36, 10), (36, 6)))
     with Server(workers=1) as srv:
-        outs = {
-            mode: ServedBackend(server=srv, adjacency=csr, mode=mode).attention_layer(
-                a, b, x, scale=0.7
-            )
-            for mode in SERVED_MODES
-        }
-    np.testing.assert_array_equal(outs["fused"], outs["composed"])
+        out = ServedBackend(server=srv, adjacency=csr).attention_layer(a, b, x, scale=0.7)
+    np.testing.assert_array_equal(out, composed_layer(csr, a, b, x, 0.7))
 
 
 def test_layer_priority_and_deadline_semantics_match_kernel_requests():
@@ -350,6 +318,42 @@ def test_different_scale_layers_do_not_coalesce():
         assert not np.array_equal(r1.values, r2.values)
 
 
+def test_layers_reading_the_same_bytes_at_other_widths_do_not_coalesce():
+    """One buffer read two ways: ``a`` float32 + ``b`` float64, then ``a``
+    float64 + ``b`` float32.  The logits panels are the same bytes, so
+    only their dtypes tell the requests apart; coalesced, the second would
+    get the first one's answer."""
+    n, k = 96, 6
+    csr = random_csr(n, n, 0.06, seed=18)
+    rng = np.random.default_rng(18)
+    a1 = rng.standard_normal((n, k)).astype(np.float32)
+    # Small integers: the float64 words' low halves are zero, so every
+    # float32 / float64 reading of the buffer is finite.
+    b1 = rng.integers(-4, 5, (n, k)).astype(np.float64)
+    buffer = a1.tobytes() + b1.tobytes()
+    a2 = np.frombuffer(buffer[: 8 * n * k], np.float64).reshape(n, k)
+    b2 = np.frombuffer(buffer[8 * n * k :], np.float32).reshape(n, k)
+    assert all(np.isfinite(m).all() for m in (a1, b1, a2, b2))
+    x = rng.standard_normal((n, 5)).astype(np.float32)
+    with Server(workers=1) as srv:
+        solo1 = srv.submit_layer(csr, a1, b1, x).result(TIMEOUT)
+        solo2 = srv.submit_layer(csr, a2, b2, x).result(TIMEOUT)
+        assert not np.array_equal(solo1.values, solo2.values)
+        gate = _Gate(srv)
+        blocker = srv.submit_spmm(
+            random_csr(50, 40, 0.1, seed=96), rng.standard_normal((40, 4)).astype(np.float32)
+        )
+        gate.entered.wait(TIMEOUT)
+        f1 = srv.submit_layer(csr, a1, b1, x)
+        f2 = srv.submit_layer(csr, a2, b2, x)
+        gate.release.set()
+        blocker.result(TIMEOUT)
+        r1, r2 = f1.result(TIMEOUT), f2.result(TIMEOUT)
+    assert r1.meta["batched_with"] == 0 and r2.meta["batched_with"] == 0
+    np.testing.assert_array_equal(r1.values, solo1.values)
+    np.testing.assert_array_equal(r2.values, solo2.values)
+
+
 def test_submit_layer_validates_shapes_and_program():
     csr, *_ = _layer_workload(seed=17)
     rows, cols = csr.shape
@@ -381,20 +385,19 @@ def test_submit_layer_rejects_a_scale_that_overflows_float32():
         assert srv.snapshot().layer_requests == 0
 
 
-@pytest.mark.parametrize("mode", SERVED_MODES)
-def test_served_backend_rejects_a_scale_that_overflows_float32(mode):
-    """Both modes refuse 1e39 before any request is sent, instead of the
-    composed path multiplying the logits by inf."""
+def test_served_backend_rejects_a_scale_that_overflows_float32():
+    """The backend refuses 1e39 before any request is sent."""
     csr, *_ = _layer_workload(seed=17)
     rows, cols = csr.shape
     a = np.ones((rows, 6), np.float32)
     b = np.ones((cols, 6), np.float32)
     x = np.ones((cols, 4), np.float32)
     with Server(workers=1) as srv:
-        backend = ServedBackend(server=srv, adjacency=csr, mode=mode)
+        backend = ServedBackend(server=srv, adjacency=csr)
         with pytest.raises(ValueError, match="finite in float32"):
             backend.attention_layer(a, b, x, scale=1e39)
         assert srv.snapshot().requests_submitted == 0
+        assert backend.stats.spmm_calls == 0
 
 
 def test_submit_accepts_a_numpy_bool_mask_flag():
@@ -431,58 +434,6 @@ def test_snapshot_exposes_per_stage_latency_split():
         assert stats.count == 3
         assert stats.mean_s >= 0.0
         assert stats.p99_s >= stats.p50_s >= 0.0
-
-
-# ------------------------------------------------------------ edge softmax op
-def test_served_edge_softmax_matches_segment_softmax():
-    csr, *_ = _layer_workload(seed=21)
-    logits = np.random.default_rng(21).standard_normal(csr.nnz).astype(np.float32)
-    with Server(workers=1) as srv:
-        res = srv.submit_edge_softmax(csr, logits).result(TIMEOUT)
-        with pytest.raises(ValueError):
-            srv.submit_edge_softmax(csr, logits[:-1])
-    np.testing.assert_array_equal(res.values, segment_softmax(logits, csr.indptr))
-    assert res.useful_flops == 5 * csr.nnz
-
-
-# ----------------------------------------------------------- segment matmul
-@pytest.mark.parametrize(
-    "backend", [{"workers": 1}, {"backend": "cluster", "hosts": 1}], ids=["local", "cluster"]
-)
-def test_served_segment_matmul_matches_direct_op(backend):
-    """Served in the server process on every backend: no worker sees it."""
-    rng = np.random.default_rng(23)
-    data = rng.standard_normal((40, 10)).astype(np.float32)
-    offsets = np.array([0, 12, 12, 25, 40], dtype=np.int64)
-    weights = [rng.standard_normal((10, 7)).astype(np.float32) for _ in range(4)]
-    ref = segment_matmul(data, offsets, weights)
-    with Server(**backend) as srv:
-        res = srv.submit_segment_matmul(data, offsets, weights).result(TIMEOUT)
-        scheduler_stats = srv.snapshot().meta["scheduler"]
-    np.testing.assert_array_equal(res.values, np.asarray(ref, dtype=np.float32))
-    assert res.useful_flops == 2 * 40 * 10 * 7
-    assert res.meta["segments"] == 4
-    assert scheduler_stats["requests"] == 0
-
-
-def test_submit_segment_matmul_validates_inputs():
-    rng = np.random.default_rng(25)
-    data = rng.standard_normal((20, 6)).astype(np.float32)
-    offsets = np.array([0, 8, 20], dtype=np.int64)
-    weights = [rng.standard_normal((6, 5)).astype(np.float32) for _ in range(2)]
-    with Server(workers=1) as srv:
-        with pytest.raises(ValueError):  # offsets must start at 0
-            srv.submit_segment_matmul(data, np.array([1, 8, 20]), weights)
-        with pytest.raises(ValueError):  # offsets must end at len(data)
-            srv.submit_segment_matmul(data, np.array([0, 8, 19]), weights)
-        with pytest.raises(ValueError):  # non-decreasing
-            srv.submit_segment_matmul(data, np.array([0, 12, 8, 20]), weights)
-        with pytest.raises(ValueError):  # one weight per segment
-            srv.submit_segment_matmul(data, offsets, weights[:1])
-        with pytest.raises(ValueError):  # uniform K
-            srv.submit_segment_matmul(
-                data, offsets, [weights[0], rng.standard_normal((7, 5))]
-            )
 
 
 # ------------------------------------------------------------- priority aging

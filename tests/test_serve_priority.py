@@ -214,13 +214,7 @@ def _submit_op(srv, op, csr, b):
         return srv.submit_spmm(csr, b)
     if op == "sddmm":
         return srv.submit_sddmm(csr, a, b)
-    if op == "layer":
-        return srv.submit_layer(csr, a, b, b, scale=0.5)
-    if op == "edge_softmax":
-        return srv.submit_edge_softmax(csr, csr.data)
-    offsets = np.array([0, rows // 3, rows], dtype=np.int64)
-    eye = np.eye(b.shape[1])
-    return srv.submit_segment_matmul(a, offsets, [eye, 2 * eye])
+    return srv.submit_layer(csr, a, b, b, scale=0.5)
 
 
 def _result_values(result):
@@ -228,7 +222,7 @@ def _result_values(result):
     return result.values if output is None else output.vector_values
 
 
-@pytest.mark.parametrize("op", ["spmm", "sddmm", "layer", "edge_softmax", "segmm"])
+@pytest.mark.parametrize("op", ["spmm", "sddmm", "layer"])
 def test_cancelled_unexpired_request_does_not_poison_its_batch(op):
     """A queued request that is client-cancelled (no deadline, so the shed
     passes keep it) must be dropped before execution — setting a result on

@@ -54,6 +54,14 @@ def test_shard_params_rejects_an_unknown_precision():
         shard_params("fp64")
 
 
+def test_the_server_serves_exactly_the_engine_shard_ops():
+    """One op table: how a served op is cut and coalesced is
+    ``SHARD_OPS[op].sddmm``, so the server has no op the engine lacks."""
+    from repro.serve.server import _SERVED_OPS
+
+    assert set(_SERVED_OPS) == set(SHARD_OPS)
+
+
 # ------------------------------------------------- composed-execution helpers
 @pytest.mark.parametrize("fmt_cls", [MEBCRSMatrix, SGT16Matrix])
 def test_gather_edge_values_inverts_the_translation_scatter(fmt_cls):

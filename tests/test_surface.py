@@ -18,12 +18,12 @@ import pytest
 EXPORT_BUDGET = {
     "repro": 8,
     "repro.kernels": 21,
-    "repro.serve": 20,
+    "repro.serve": 18,
     "repro.cluster": 32,
     "repro.formats": 18,
     "repro.gpu": 23,
-    "repro.ops": 10,
-    "repro.gnn": 20,
+    "repro.ops": 9,
+    "repro.gnn": 19,
 }
 
 #: Upper bounds on constructor parameters (``self`` excluded).
