@@ -237,7 +237,6 @@ def run_cluster_chaos() -> dict:
             "reconnect_attempts": snap["reconnect_attempts"],
             "hosts_readmitted": snap["hosts_readmitted"],
             "probe_dials": snap["probe_dials"],
-            "speculative_dispatches": snap["speculative_dispatches"],
             "death_log": snap["death_log"],
             "host_states": {h: e["state"] for h, e in snap["hosts"].items()},
         },

@@ -2,26 +2,19 @@
 
 The in-process ``ShardScheduler`` places each
 shard's rows into its output as the shard finishes.  Across hosts the
-results come back as payloads over the transport, possibly twice or out of
-order, and the head must reassemble them.  Every op returns one row
+results come back as payloads over the transport, in any order, and the
+head must reassemble them.  Every op returns one row
 slice of its output per shard: the dense rows of the shard's window range
 for SpMM and the fused layer, the rows of ``vector_values`` — the nonzero
 vectors ``window_ptr[w0]:window_ptr[w1]`` — for SDDMM.
 
 Correctness is enforced, not assumed: shards are window-aligned, so their
-output regions are disjoint by construction — an overlapping write from a
-*different* shard or a missing shard at :meth:`result` time means the
-head's routing bookkeeping is broken and raises
-:class:`~repro.cluster.errors.AssemblyError` rather than returning a
-partially (or doubly) written output.
-
-One class of duplicates is legitimate: **speculative execution** hands the
-same shard to two hosts, and both copies may answer.  Re-delivery of a
-shard id is therefore *suppressed* (counted in ``duplicates_suppressed``,
-not applied) when it is byte-identical to what the shard already placed —
-which a speculative duplicate always is, because shard execution is
-bit-deterministic — and rejected as corruption when it differs in
-placement or content.
+output regions are disjoint by construction, and the head keeps exactly
+one copy of each shard in flight.  An overlapping write, a second delivery
+of a shard id (even a byte-identical one) or a missing shard at
+:meth:`result` time means the head's routing bookkeeping is broken and
+raises :class:`~repro.cluster.errors.AssemblyError` rather than returning
+a partially (or doubly) written output.
 """
 
 from __future__ import annotations
@@ -43,20 +36,20 @@ class SpmmAssembly:
         self.out = np.zeros((int(n_rows), int(n_dense)), dtype=np.float32)
         self.num_shards = int(num_shards)
         self._covered = np.zeros(int(n_rows), dtype=bool)
-        self._placed: dict[int, tuple[int, tuple]] = {}  # shard -> (row0, shape)
-        self.duplicates_suppressed = 0
+        self._placed: set[int] = set()
 
     def add(self, shard: int, row0: int, rows: np.ndarray) -> None:
         """Place shard ``shard``'s row block starting at matrix row ``row0``.
 
         The tail window's rows past ``n_rows`` are clipped, mirroring
-        :meth:`repro.kernels.engine.ShardOp.place`.  A byte-identical
-        re-delivery (a speculative duplicate) is suppressed; a differing one
-        raises.
+        :meth:`repro.kernels.engine.ShardOp.place`.  A second delivery of
+        ``shard`` raises, like an overlap.
         """
         shard = int(shard)
         if not 0 <= shard < self.num_shards:
             raise AssemblyError(f"unknown shard id {shard} (have {self.num_shards})")
+        if shard in self._placed:
+            raise AssemblyError(f"shard {shard} delivered twice")
         row0 = int(row0)
         in_range = 0 <= row0 < self.out.shape[0]
         if not in_range or rows.ndim != 2 or rows.shape[1] != self.out.shape[1]:
@@ -64,22 +57,12 @@ class SpmmAssembly:
                 f"shard {shard} returned rows of shape {rows.shape} at row {row0}"
             )
         stop = min(row0 + rows.shape[0], self.out.shape[0])
-        placed = self._placed.get(shard)
-        if placed is not None:
-            if placed == (row0, rows.shape) and np.array_equal(
-                self.out[row0:stop], rows[: stop - row0]
-            ):
-                self.duplicates_suppressed += 1
-                return
-            raise AssemblyError(
-                f"shard {shard} delivered twice with differing placement or content"
-            )
         if stop > row0:
             if self._covered[row0:stop].any():
                 raise AssemblyError(f"shard {shard} overlaps already-covered rows")
             self.out[row0:stop] = rows[: stop - row0]
             self._covered[row0:stop] = True
-        self._placed[shard] = (row0, rows.shape)
+        self._placed.add(shard)
 
     @property
     def missing_shards(self) -> int:

@@ -25,10 +25,9 @@ unchanged.  What changes underneath:
   :class:`~repro.cluster.transport.RetryPolicy`; only when every attempt
   fails is the host DEAD and its pending shards re-dispatched down the
   key's rendezvous order (in-parent as the last resort).  A network blip
-  no longer costs a host forever.  A shard in flight on a SUSPECT host is
-  additionally **speculated**: after ``speculation_delay_s`` the head
-  duplicates it onto the next host in rendezvous order and takes whichever
-  result lands first — duplicate deliveries are suppressed at assembly.
+  no longer costs a host forever.  Each shard has exactly one copy in
+  flight: it waits out its host's re-dial, or fails over once the host
+  is DEAD.
 * **Live membership.**  ``add_host`` / ``remove_host`` change the fleet at
   runtime (removal is drain-aware: in-flight shards finish before the
   socket closes), and a background :class:`MembershipProbe` re-dials DEAD
@@ -45,10 +44,10 @@ unchanged.  What changes underneath:
 * **Push/pin data plane.**  Operand bytes ship **once per (host, content
   key)**, not once per task: each host client keeps a ledger of what its
   worker has pinned (:mod:`repro.cluster.store`), pushes ledger-missing
-  bundles in ``store_put`` frames, and sends kernel and layer task frames
-  that reference keys only.  A matrix ships as its pattern (keyed by
-  structure) and its values (keyed by content), so new values on a
-  pattern a host already pinned cost one ``data`` push.  A ``store_miss``
+  bundles in ``store_put`` frames, and sends task frames that reference
+  keys only.  A matrix ships as its pattern (keyed by structure) and its
+  values (keyed by content), so new values on a pattern a host already
+  pinned cost one ``data`` push.  A ``store_miss``
   (eviction, cold restart) is handled like a transient transport failure
   — re-push, bounded; a shard whose store keeps missing (a budget smaller
   than one request's working set) runs in-parent instead, so a thrashing
@@ -62,7 +61,7 @@ Bit-exactness carries over from the in-process scheduler: workers run the
 same shard-table entries (:data:`repro.kernels.engine.SHARD_OPS`) on a
 bit-identical translation, so the cluster result equals the single-process
 one-shot result exactly, for any shard size, any host count, and across
-mid-shard host deaths, reconnects and speculative duplicates.
+mid-shard host deaths and reconnects.
 """
 
 from __future__ import annotations
@@ -73,8 +72,7 @@ import queue
 import socket
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future
-from concurrent.futures import wait as futures_wait
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,11 +115,6 @@ DEFAULT_HEARTBEAT_TIMEOUT_S = 5.0
 #: outright-killed host is detected immediately via the socket reset — this
 #: bound only catches a wedged-but-connected host).
 DEFAULT_TASK_TIMEOUT_S = 120.0
-#: In-flight wait on a SUSPECT host before the shard is speculatively
-#: duplicated onto the next host in rendezvous order.
-DEFAULT_SPECULATION_DELAY_S = 5.0
-#: Poll granularity while watching a slow host for a SUSPECT transition.
-_SPECULATION_POLL_S = 0.05
 #: Default shards per request, as a multiple of the host count: fine enough
 #: that a mid-request host death loses only a slice of the work.
 SHARDS_PER_HOST = 2
@@ -454,6 +447,9 @@ class _HostClient(threading.Thread):
             # client thread behind it: queued tasks would hang forever.
             self._mark_dead(exc)
             raise
+        # Stopped between tasks, with the stop sentinel still queued behind
+        # the rest: fail those tasks over and close the socket.
+        self._mark_dead(None, record=False)
 
     def _push_missing(self, plan: list) -> None:
         """Push every plan group the ledger says the worker lacks.
@@ -704,10 +700,6 @@ class ClusterScheduler:
         :class:`~repro.cluster.transport.RetryPolicy` for transient
         transport failures (default: 3 attempts, 50 ms base, 2 s cap).
         ``RetryPolicy(max_attempts=0)`` restores fail-fast host death.
-    speculation_delay_s:
-        In-flight wait on a SUSPECT host before the shard is duplicated
-        onto the next host in rendezvous order (``None`` disables
-        speculation; duplicate results are suppressed at assembly).
     probe_interval_s / auto_readmit:
         Readmission probe cadence; ``auto_readmit=False`` disables the
         probe thread entirely (DEAD hosts then stay dead until
@@ -751,7 +743,6 @@ class ClusterScheduler:
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         retry_policy: RetryPolicy | None = None,
-        speculation_delay_s: float | None = DEFAULT_SPECULATION_DELAY_S,
         probe_interval_s: float = DEFAULT_PROBE_INTERVAL_S,
         auto_readmit: bool = True,
         fault_plan=None,
@@ -770,9 +761,6 @@ class ClusterScheduler:
         #: before executing (widens the kill-mid-shard window).  Stamped per
         #: dispatch round, so clearing it spares the failover re-dispatch.
         self.inject_task_delay_s = 0.0
-        self.speculation_delay_s = (
-            None if speculation_delay_s is None else float(speculation_delay_s)
-        )
         self.max_frame_bytes = max_frame_bytes
         self.auth_token = auth_token
         ssl_context = None
@@ -896,17 +884,6 @@ class ClusterScheduler:
             return pool[host_id]
         return None  # pragma: no cover - pool is never empty here
 
-    def _speculation_target(self, content_key: str, exclude: str) -> HostState | None:
-        """Backup host for a speculative duplicate (never the suspect one)."""
-        pool = {
-            h.host_id: h
-            for h in self._hosts_view()
-            if h.host_id != exclude and h.accepting and h.state in PREFERRED_STATES
-        }
-        for host_id in rendezvous_rank(content_key, list(pool)):
-            return pool[host_id]
-        return None
-
     # ------------------------------------------------------------ membership
     def add_host(self, address, host_id: str | None = None) -> HostState:
         """Join an already-running worker host to the live cluster.
@@ -930,8 +907,9 @@ class ClusterScheduler:
 
         With ``drain=True`` (default) the host stops receiving new shards
         immediately but its queued and in-flight shards finish before the
-        socket closes; ``drain=False`` cuts it off at once (in-flight
-        shards fail over like a host death, minus the death record).
+        socket closes; ``drain=False`` stops it after the shard on the wire
+        (everything queued behind that shard fails over like a host death,
+        minus the death record).
         """
         with self._hosts_lock:
             state = next(
@@ -1044,21 +1022,22 @@ class ClusterScheduler:
         self.close()
 
     # -------------------------------------------------------------- dispatch
-    def _dispatch(self, tasks: list[dict], content_key: str, inline_body) -> list[list]:
-        """Run shard ``tasks``, failing over dead hosts; returns per-task
-        **lists** of ``(header, arrays)`` payloads — normally one, two when
-        a speculative duplicate also answered (assembly suppresses the
-        extra copy); inline results are synthesised by ``inline_body``.
+    def _dispatch(self, tasks: list[dict], content_key: str, inline_body) -> list[tuple]:
+        """Run shard ``tasks``, failing over dead hosts; returns one
+        ``(header, arrays)`` payload per task (inline results are
+        synthesised by ``inline_body``).
 
         Routing: all tasks go to the key's first preferred host in
         rendezvous order; every re-dispatch moves the *unfinished* tasks to
         the next live host.  When the rank is exhausted (or the cluster has
         no hosts) the head runs the remainder in-parent — as it does a
         shard whose host's store kept missing, which another trip to the
-        same thrashing host would not fix.
+        same thrashing host would not fix.  Any other task error is a
+        failed shard computation: deterministic, so it propagates rather
+        than being retried elsewhere.
         """
         self.metrics.record_request(len(tasks))
-        results: dict[int, list] = {}
+        results: dict[int, tuple] = {}
         pending = list(range(len(tasks)))
         inline: list[int] = []
         first_attempt = True
@@ -1069,7 +1048,7 @@ class ClusterScheduler:
             if not first_attempt:
                 self.metrics.record_failover(len(pending))
             first_attempt = False
-            submitted: list[tuple[int, _Task, dict]] = []
+            submitted: list[tuple[int, _Task]] = []
             delay = float(self.inject_task_delay_s)  # read per round: a test may clear it
             for index in pending:
                 frame = tasks[index]["frame"]
@@ -1078,98 +1057,25 @@ class ClusterScheduler:
                 task = _Task(**frame)
                 if not target.client.submit(task):
                     break  # died mid-submit: the rest re-route next round
-                submitted.append((index, task, frame))
+                submitted.append((index, task))
             still_pending = pending[len(submitted) :]
-            for index, task, frame in submitted:
-                try:
-                    payloads = self._collect(target, task, frame, content_key)
-                except StoreMissError:
-                    inline.append(index)
-                    continue
-                if payloads:
-                    results[index] = payloads
-                else:
+            for index, task in submitted:
+                exc = task.future.exception()
+                if exc is None:
+                    results[index] = task.future.result()
+                elif isinstance(exc, HostDeadError):
                     still_pending.append(index)
+                elif isinstance(exc, StoreMissError):
+                    inline.append(index)
+                else:
+                    raise exc
             pending = sorted(still_pending)
         inline += pending
         if inline:
             self.metrics.record_inline_fallback(len(inline))
             for index in inline:
-                results[index] = [inline_body(tasks[index])]
+                results[index] = inline_body(tasks[index])
         return [results[i] for i in range(len(tasks))]
-
-    def _collect(
-        self, target: HostState, task: _Task, frame: dict, content_key: str
-    ) -> list[tuple]:
-        """Await one shard's result, speculating if its host turns SUSPECT.
-
-        After ``speculation_delay_s`` with the primary still unresolved on
-        a SUSPECT host, the shard is duplicated once onto the next
-        preferred host in rendezvous order; whichever copy answers first
-        wins and *every* successful payload is returned (assembly
-        suppresses the duplicate).  Returns an empty list when every copy
-        failed with :class:`HostDeadError` (the caller re-dispatches) and
-        raises when the shard computation itself failed — that error is
-        deterministic, so retrying elsewhere would only reproduce it — or
-        when the host's store kept missing (:class:`StoreMissError`; the
-        caller runs the shard in-parent).
-        """
-        attempts: list[_Task] = [task]
-        speculated = False
-        spec_at = (
-            None
-            if self.speculation_delay_s is None
-            else time.monotonic() + self.speculation_delay_s
-        )
-        while True:
-            if any(t.future.done() and t.future.exception() is None for t in attempts):
-                break  # got a result; a still-racing duplicate resolves unread
-            open_futures = [t.future for t in attempts if not t.future.done()]
-            if not open_futures:
-                break  # every attempt failed
-            if speculated or spec_at is None:
-                futures_wait(open_futures, return_when=FIRST_COMPLETED)
-                continue
-            remaining = spec_at - time.monotonic()
-            if remaining > 0:
-                futures_wait(
-                    open_futures, timeout=remaining, return_when=FIRST_COMPLETED
-                )
-                continue
-            if target.client.state is HostHealth.SUSPECT:
-                backup = self._speculation_target(content_key, exclude=target.host_id)
-                if backup is not None:
-                    # The duplicate carries the same store plan: the backup
-                    # host's client pushes whatever *its* ledger is missing
-                    # before referencing keys — failover re-push for free.
-                    duplicate = _Task(**frame)
-                    if backup.client.submit(duplicate):
-                        attempts.append(duplicate)
-                        self.metrics.record_speculation(backup.host_id)
-                speculated = True  # one duplicate per shard, with or without a backup
-            else:
-                # Merely slow, not suspect: re-check shortly — the host may
-                # turn SUSPECT while this shard is still on the wire.
-                futures_wait(
-                    open_futures,
-                    timeout=_SPECULATION_POLL_S,
-                    return_when=FIRST_COMPLETED,
-                )
-        payloads: list[tuple] = []
-        fatal: BaseException | None = None
-        for attempt in attempts:
-            if not attempt.future.done():
-                continue
-            exc = attempt.future.exception()
-            if exc is None:
-                payloads.append(attempt.future.result())
-            elif not isinstance(exc, HostDeadError):
-                fatal = exc
-        if payloads:
-            return payloads
-        if fatal is not None:
-            raise fatal
-        return []
 
     # ------------------------------------------------------------ kernel ops
     def _run(
@@ -1179,7 +1085,6 @@ class ClusterScheduler:
         operands: list[np.ndarray],
         params: dict,
         group: int | None = None,
-        frame_type: str = "task",
         target_blocks: int | None = None,
         csr: CSRMatrix | None = None,
         content_key: str | None = None,
@@ -1225,7 +1130,7 @@ class ClusterScheduler:
             *((operand_store_key(o), [o]) for o in operands),
         ]
         base = {
-            "type": frame_type,
+            "type": "task",
             "op": op_name,
             "fmt": kind.name,
             "shape": list(csr.shape),
@@ -1245,13 +1150,10 @@ class ClusterScheduler:
 
         assembly = SpmmAssembly(*out_shape, num_shards=len(ranges))
         stage_seconds: dict[str, float] = {}
-        for i, payloads in enumerate(self._dispatch(tasks, content_key, inline)):
-            for j, (header, arrays) in enumerate(payloads):
-                assembly.add(i, header["row0"], arrays[0])
-                if j == 0:  # don't double-count a speculative duplicate
-                    for stage, s in (header.get("timings") or {}).items():
-                        stage_seconds[stage] = stage_seconds.get(stage, 0.0) + float(s)
-        self.metrics.record_duplicates_suppressed(assembly.duplicates_suppressed)
+        for i, (header, arrays) in enumerate(self._dispatch(tasks, content_key, inline)):
+            assembly.add(i, header["row0"], arrays[0])
+            for stage, s in (header.get("timings") or {}).items():
+                stage_seconds[stage] = stage_seconds.get(stage, 0.0) + float(s)
         return assembly.result(), stage_seconds
 
     def run_spmm(
@@ -1326,7 +1228,7 @@ class ClusterScheduler:
         """One whole attention layer — SDDMM → scale → softmax → SpMM — in a
         single cluster round trip per shard.
 
-        Every shard ships as one ``layer_task`` frame: the CSR bundle and
+        Every shard ships as one ``task`` frame: the CSR bundle and
         all three dense panels ride the pinned store (so repeat layers over
         a pinned matrix ship no operand bytes at all), the worker runs the
         fused engine hook on its cached translation, and only the final
@@ -1343,7 +1245,6 @@ class ClusterScheduler:
             fmt,
             [a_q, b_q, x_q],
             shard_params(precision, scale, scale_by_mask),
-            frame_type="layer_task",
             target_blocks=target_blocks,
             csr=csr,
             content_key=content_key,

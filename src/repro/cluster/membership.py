@@ -16,9 +16,9 @@ event.  Every worker host moves through a small state machine::
 * **SUSPECT** — the connection just failed with a transient error
   (connect refused, timeout, reset).  The host client is re-dialling
   under its :class:`~repro.cluster.transport.RetryPolicy`; queued shards
-  wait, and an in-flight shard may be speculatively re-dispatched to the
-  next host in rendezvous order (duplicate results are suppressed at
-  assembly).  A blip no longer costs the host forever.
+  wait and the in-flight shard is resent on the fresh connection, while
+  new work goes to a HEALTHY host when one exists.  A blip no longer
+  costs the host forever.
 * **DEAD** — every backoff attempt failed.  Pending shards have been
   failed over down the rendezvous order; the host takes no traffic.
 * **RECOVERING** — the membership probe re-dialled a DEAD host

@@ -14,8 +14,7 @@ On top of the PR-5 counters, the fault-tolerance layer records the full
 health state machine per host (current state, state-transition counters,
 cumulative time in each state), the retry/backoff activity (reconnect
 attempts and successes, probe re-dials, readmissions), membership changes
-(hosts added/removed at runtime), speculative dispatch and
-duplicate-result suppression, oversized-frame rejections, and — so
+(hosts added/removed at runtime), oversized-frame rejections, and — so
 post-mortems don't require log archaeology — a **failure record** per host
 death: the exception that caused it, the wall-clock timestamp, and a
 description of the task that was in flight.  A bounded ``death_log`` keeps
@@ -65,8 +64,6 @@ class ClusterMetrics:
             "hosts_readmitted": 0,
             "hosts_added": 0,
             "hosts_removed": 0,
-            "speculative_dispatches": 0,
-            "duplicate_results_suppressed": 0,
             "frames_oversized": 0,
             # Trusted data plane (PR 7).  The three security counters here
             # hold what the *head* detected; ``snapshot()`` adds the
@@ -228,19 +225,6 @@ class ClusterMetrics:
             if entry is not None:
                 entry["alive"] = False
                 entry["state"] = "removed"
-
-    def record_speculation(self, host_id: str) -> None:
-        """One in-flight shard speculatively duplicated onto ``host_id``."""
-        with self._lock:
-            self._counters["speculative_dispatches"] += 1
-            self._host(host_id)
-
-    def record_duplicates_suppressed(self, count: int) -> None:
-        """``count`` duplicate shard results suppressed at assembly."""
-        if count <= 0:
-            return
-        with self._lock:
-            self._counters["duplicate_results_suppressed"] += int(count)
 
     def record_oversized_frame(self, host_id: str | None = None) -> None:
         """A peer declared a frame over the per-connection byte limit."""

@@ -52,18 +52,17 @@ Message types (the ``type`` header field) used by the cluster:
 
 * ``challenge`` / ``hello`` / ``welcome`` / ``reject``: the connection
   handshake (before anything else on a fresh stream),
-* ``task`` (head → worker): one window-aligned shard of one SpMM/SDDMM.
-  The frame has no payload: ``store_structure`` / ``store_values`` /
-  ``store_operands`` name the pinned ``[indptr, indices]`` bundle, the
-  pinned ``[data]`` and the dense panels (:mod:`repro.cluster.store`),
-  and ``structure_key`` / ``content_key`` carry the matrix's two digests
-  so the worker adopts them instead of rehashing,
-* ``layer_task`` (head → worker): one window-aligned shard of a whole
-  fused attention layer (SDDMM → scale → edge softmax → SpMM in one
-  worker pass); store-referenced like ``task``.  Both task frames carry
-  the request's settings as the header fields ``precision`` / ``scale`` /
-  ``scale_by_mask`` (:func:`repro.kernels.engine.shard_params`, which the
-  worker re-applies on receipt),
+* ``task`` (head → worker): one window-aligned shard of one served op;
+  the ``op`` header field names its :data:`repro.kernels.engine.SHARD_OPS`
+  row (SpMM, SDDMM or the fused attention layer).  The frame has no
+  payload: ``store_structure`` / ``store_values`` / ``store_operands``
+  name the pinned ``[indptr, indices]`` bundle, the pinned ``[data]`` and
+  the dense panels (:mod:`repro.cluster.store`), and ``structure_key`` /
+  ``content_key`` carry the matrix's two digests so the worker adopts
+  them instead of rehashing.  The request's settings ride as the header
+  fields ``precision`` / ``scale`` / ``scale_by_mask``
+  (:func:`repro.kernels.engine.shard_params`, which the worker re-applies
+  on receipt),
 * ``store_put`` / ``store_ack``: pin a content-keyed buffer bundle on the
   worker / confirm it,
 * ``store_miss`` (worker → head): a task referenced keys the worker does
@@ -97,9 +96,10 @@ _BUF_LEN = struct.Struct("!Q")
 
 MAGIC = b"FSRP"
 #: The wire protocol version: the prefix byte of every frame this end
-#: writes, and the only one it reads.  In version 6 a matrix travels as
-#: two store bundles, its pattern and its values.
-VERSION = 6
+#: writes, and the only one it reads.  A matrix travels as two store
+#: bundles, its pattern and its values; since version 7 every shard of
+#: every op travels in one ``task`` frame type.
+VERSION = 7
 
 #: Sanity bounds — a corrupt or hostile prefix must not trigger a huge
 #: allocation before the magic/shape checks can reject it.

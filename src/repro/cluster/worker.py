@@ -274,7 +274,7 @@ class WorkerHost:
                             **self._status(),
                         },
                     )
-                elif kind in ("task", "layer_task"):
+                elif kind == "task":
                     try:
                         reply, payload = self.run_task(header)
                     except StoreMissError as exc:

@@ -364,8 +364,7 @@ def sddmm_shard_values(
 # order the composed path's translated attention matrix stores them in, as
 # ``CSRMatrix`` rows are canonical (sorted, duplicate-free) by construction.
 # Everything a shard needs derives from the partition's entry map and the
-# CSR ``indptr``, so nothing extra travels on the cluster's ``layer_task``
-# frames.
+# CSR ``indptr``, so nothing extra travels on the cluster's task frames.
 #
 # The softmax runs over **CSR** entries, the SDDMM kernel over nonzero
 # *lanes*: a stored zero (or a value that underflows to zero in fp16) has a

@@ -18,8 +18,8 @@ into the transport through an injectable socket wrapper:
   frame boundary through the ``notify_frame_send`` / ``notify_frame_recv``
   hooks (see :mod:`repro.cluster.transport`), so fault schedules count
   **frames, not bytes** — heartbeat noise cannot shift a schedule aimed at
-  ``type="task"`` frames — and the wrapper then applies the armed fault to
-  the frame's raw bytes.
+  ``type="task"`` frames, the one frame type every op's shards travel in —
+  and the wrapper then applies the armed fault to the frame's raw bytes.
 * ``refuse_connect`` is consulted by the head's connect path through
   :meth:`FaultPlan.check_connect`, and ``kill_host`` is a *driver-level*
   action: a chaos driver polls :meth:`FaultPlan.actions_at` each step and

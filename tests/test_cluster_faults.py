@@ -18,8 +18,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster.assembly import SpmmAssembly
-from repro.cluster.errors import AssemblyError
 from repro.cluster.transport import (
     _BUF_LEN,
     _PREFIX,
@@ -141,31 +139,6 @@ def test_recv_message_enforces_per_connection_frame_limit():
     with pytest.raises(FrameTooLargeError, match="max_frame_bytes"):
         recv_message(b, max_frame_bytes=1024)
     a.close(), b.close()
-
-
-# --------------------------------------------------- assembly duplicates
-def test_assembly_suppresses_identical_duplicates_only():
-    asm = SpmmAssembly(n_rows=8, n_dense=2, num_shards=2)
-    rows = np.ones((4, 2), np.float32)
-    asm.add(0, 0, rows)
-    asm.add(0, 0, rows.copy())  # speculative duplicate: identical bytes
-    assert asm.duplicates_suppressed == 1
-    with pytest.raises(AssemblyError, match="differing"):
-        asm.add(0, 0, rows * 2)  # same placement, different content
-    asm.add(1, 4, rows)
-    np.testing.assert_array_equal(asm.result(), 1.0)
-
-    # An SDDMM shard is a slab of ``vector_values`` rows: same class, same rule.
-    sasm = SpmmAssembly(6, 4, num_shards=1)
-    vals = np.full((2, 4), 3.0, np.float32)
-    sasm.add(0, 2, vals)
-    sasm.add(0, 2, vals.copy())
-    assert sasm.duplicates_suppressed == 1
-    with pytest.raises(AssemblyError, match="differing"):
-        sasm.add(0, 2, vals * 2)
-    with pytest.raises(AssemblyError, match="differing"):
-        sasm.add(0, 3, vals)  # same content, different placement
-    np.testing.assert_array_equal(sasm.result()[2:4], 3.0)
 
 
 # --------------------------------------- worker malformed-input hardening

@@ -137,7 +137,6 @@ def test_close_is_prompt_after_a_dropped_connection():
         fault_plan=plan,
         retry_policy=RetryPolicy(max_attempts=0),  # the first drop is fatal
         auto_readmit=False,
-        speculation_delay_s=None,
     )
     try:
         victim = sched.affinity_host(key)
@@ -153,47 +152,28 @@ def test_close_is_prompt_after_a_dropped_connection():
     assert not any(h.process.is_alive() for h in sched.hosts)
 
 
-# ------------------------------------------------------------- speculation
-def test_suspect_host_triggers_speculative_dispatch():
-    """A shard stuck on a SUSPECT host (slow backoff) is duplicated onto
-    the next host in rendezvous order after ``speculation_delay_s`` — the
-    request completes exactly, without waiting out the backoff."""
-    csr, fmt, b_q, base = _workload(seed=43)
-    key = csr.content_key()
-    plan = FaultPlan(seed=3)
-    with ClusterScheduler(
-        hosts=2,
-        fault_plan=plan,
-        # Slow enough backoff that SUSPECT clearly overlaps the
-        # speculation point; refusals keep the first re-dial failing.
-        retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.6, jitter=0.0, seed=3),
-        speculation_delay_s=0.1,
-    ) as sched:
-        victim = sched.affinity_host(key)
-        plan.drop_connection(nth=1, type="task", scope=victim.host_id)
-        out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=10_000, csr=csr)
-        np.testing.assert_array_equal(out, base)
-        snap = sched.stats_snapshot()
-        assert snap["speculative_dispatches"] >= 1
-        backup = [h for h in sched.hosts if h.host_id != victim.host_id][0]
-        assert snap["hosts"][backup.host_id]["tasks_completed"] >= 1
+# ------------------------------------------------------------- one copy
+def test_dropped_task_connection_completes_within_the_default_backoff():
+    """The one recovery path for a blip, under the default ``RetryPolicy``:
+    the dropped ``task`` frame waits out one 50 ms re-dial and resends on
+    the fresh connection — no failover, no second copy, well under 1 s."""
+    import time
 
-
-def test_speculation_disabled_waits_out_the_backoff():
     csr, fmt, b_q, base = _workload(seed=44)
     key = csr.content_key()
     plan = FaultPlan(seed=4)
-    with ClusterScheduler(
-        hosts=2,
-        fault_plan=plan,
-        retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.02, seed=4),
-        speculation_delay_s=None,
-    ) as sched:
+    with ClusterScheduler(hosts=2, fault_plan=plan) as sched:
         victim = sched.affinity_host(key)
         plan.drop_connection(nth=1, type="task", scope=victim.host_id)
+        t0 = time.perf_counter()
         out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
+        elapsed = time.perf_counter() - t0
         np.testing.assert_array_equal(out, base)
-        assert sched.stats_snapshot()["speculative_dispatches"] == 0
+        assert plan.fired_kinds() == ["drop_connection"]
+        snap = sched.stats_snapshot()
+        assert snap["failovers"] == 0
+        assert snap["reconnects"] >= 1
+    assert elapsed < 1.0, f"request took {elapsed:.2f} s"
 
 
 # --------------------------------------------------------- max_frame_bytes

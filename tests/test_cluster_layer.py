@@ -1,6 +1,6 @@
 """Fused layer serving across the cluster.
 
-The multi-host contract extends the fused-layer one: a ``layer_task`` runs
+The multi-host contract extends the fused-layer one: a layer shard runs
 the whole SDDMM → scale → softmax → SpMM pipeline inside the worker host
 and is **bit-identical** to the three-call composition — across formats,
 shard sizes, host counts, and under fault-injected failover.
@@ -91,7 +91,7 @@ def test_fused_layer_metrics_count_saved_round_trips_and_bytes():
 
 
 def test_tampered_layer_header_fails_as_worker_task_error(cluster, monkeypatch):
-    """A ``layer_task`` whose header carries ``scale: NaN`` is re-checked
+    """A layer ``task`` whose header carries ``scale: NaN`` is re-checked
     by the worker, reported back as the shard's error, and the host keeps
     serving the next request."""
     csr, fmt, a_q, b_q, x_q, base = _layer_workload(seed=12)
@@ -128,7 +128,7 @@ def test_fused_layer_single_and_zero_host_parity():
 # ------------------------------------------------------------- fault tolerance
 def test_fused_layer_survives_dropped_connection_bit_identically():
     """Seeded FaultPlan failover: the connection drops at the first
-    ``layer_task`` frame — the host re-dials, the shard resends, and the
+    layer ``task`` frame — the host re-dials, the shard resends, and the
     fused result is still exact."""
     csr, fmt, a_q, b_q, x_q, base = _layer_workload(seed=10)
     plan = FaultPlan(seed=1)
@@ -138,7 +138,7 @@ def test_fused_layer_survives_dropped_connection_bit_identically():
         retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.02, seed=1),
     ) as sched:
         victim = sched.affinity_host(csr.content_key())
-        plan.drop_connection(nth=1, type="layer_task", scope=victim.host_id)
+        plan.drop_connection(nth=1, type="task", scope=victim.host_id)
         out, _ = _run_layer(sched, csr, fmt, a_q, b_q, x_q)
         np.testing.assert_array_equal(out, base)
         assert plan.fired_kinds() == ["drop_connection"]
@@ -159,7 +159,7 @@ def test_fused_layer_fails_over_when_retries_exhaust():
         auto_readmit=False,
     ) as sched:
         victim = sched.affinity_host(csr.content_key())
-        plan.drop_connection(nth=1, type="layer_task", scope=victim.host_id)
+        plan.drop_connection(nth=1, type="task", scope=victim.host_id)
         plan.refuse_connect(2, scope=victim.host_id)
         out, _ = _run_layer(sched, csr, fmt, a_q, b_q, x_q)
         np.testing.assert_array_equal(out, base)

@@ -120,6 +120,43 @@ def test_remove_host_drains_in_flight_shards():
             sched.remove_host(victim.host_id)
 
 
+def test_remove_host_without_drain_fails_queued_shards_over():
+    """``drain=False`` while shards are still queued behind the in-flight
+    one: the stopped client fails them with ``HostDeadError``, they fail
+    over to the survivor, and the request completes exactly.  The client
+    ends DEAD with its socket closed, and no death is recorded."""
+    csr, fmt, b_q, base = _workload(seed=53)
+    key = csr.content_key()
+    with ClusterScheduler(hosts=2, auto_readmit=False) as sched:
+        victim = sched.affinity_host(key)
+        sched.inject_task_delay_s = 0.2  # keep shards queued during removal
+        result = {}
+        t = threading.Thread(
+            target=lambda: result.update(
+                out=sched.run_spmm(
+                    fmt, b_q, Precision.FP16, target_blocks=3, csr=csr, content_key=key
+                )
+            ),
+            daemon=True,  # a hung request must not hang the suite
+        )
+        t.start()
+        deadline = time.monotonic() + TIMEOUT
+        while sched.metrics.snapshot()["tasks_sent"] < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert victim.client._inbox.qsize() > 0, "no shard queued behind the first"
+        sched.inject_task_delay_s = 0.0  # spare the failover round
+        sched.remove_host(victim.host_id, drain=False)
+        t.join(10.0)
+        assert not t.is_alive(), "queued shards never failed over"
+        np.testing.assert_array_equal(result["out"], base)
+        assert victim.client.state is HostHealth.DEAD
+        assert victim.client._sock is None
+        snap = sched.stats_snapshot()
+        assert snap["failovers"] >= 1
+        assert snap["host_deaths"] == 0, "a removal is not a death"
+
+
 # ------------------------------------------------------------- readmission
 def test_dead_host_readmitted_by_probe_with_warm_cache():
     """DEAD → RECOVERING → HEALTHY: refusals first exhaust the retry

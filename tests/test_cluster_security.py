@@ -462,7 +462,6 @@ def test_corrupted_result_frame_recovers_bit_identically():
         hosts=2,
         worker_fault_plan=plan,
         retry_policy=RetryPolicy(seed=0),
-        speculation_delay_s=None,
     ) as sched:
         out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
         snap = sched.stats_snapshot()
@@ -486,7 +485,6 @@ def test_corrupted_task_frame_detected_by_worker_and_recovered():
         hosts=2,
         fault_plan=plan,
         retry_policy=RetryPolicy(seed=0),
-        speculation_delay_s=None,
     ) as sched:
         out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
         snap = sched.stats_snapshot()

@@ -145,7 +145,7 @@ def test_put_replaces_in_place_keeping_refcount():
 def test_repeat_traffic_ships_matrix_bytes_once_per_host():
     csr, fmt, b_q, base = _workload(seed=71)
     key = csr.content_key()
-    with ClusterScheduler(hosts=1, speculation_delay_s=None) as sched:
+    with ClusterScheduler(hosts=1) as sched:
         for i in range(3):
             out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr, content_key=key)
             np.testing.assert_array_equal(out, base)
@@ -247,7 +247,6 @@ def test_tiny_budget_store_miss_falls_back_without_failures():
         hosts=2,
         store_bytes=1,
         retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.01, seed=2),
-        speculation_delay_s=None,
     ) as sched:
         out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
         np.testing.assert_array_equal(out, base)
@@ -275,7 +274,6 @@ def test_store_put_transport_fault_recovers_and_stays_exact():
         hosts=2,
         fault_plan=plan,
         retry_policy=RetryPolicy(seed=3),
-        speculation_delay_s=None,
     ) as sched:
         victim = sched.affinity_host(key)
         plan.drop_connection(nth=1, type="store_put", scope=victim.host_id)
@@ -299,7 +297,6 @@ def test_failover_after_push_re_pushes_to_fallback_host():
         hosts=2,
         fault_plan=plan,
         retry_policy=RetryPolicy(max_attempts=1, base_delay_s=0.01, seed=4),
-        speculation_delay_s=None,
         auto_readmit=False,
     ) as sched:
         victim = sched.affinity_host(key)
@@ -333,7 +330,6 @@ def test_readmission_rewarm_ledger_from_reported_inventory():
         fault_plan=plan,
         retry_policy=RetryPolicy(max_attempts=1, base_delay_s=0.01, seed=5),
         probe_interval_s=0.1,
-        speculation_delay_s=None,
     ) as sched:
         victim = sched.affinity_host(key)
         out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr, content_key=key)

@@ -152,6 +152,8 @@ def test_spmm_assembly_rejects_overlap_duplicate_and_missing():
         asm.add(1, 2, np.ones((2, 2), np.float32))
     with pytest.raises(AssemblyError):  # duplicate shard id
         asm.add(0, 4, np.ones((2, 2), np.float32))
+    with pytest.raises(AssemblyError, match="twice"):  # identical re-delivery
+        asm.add(0, 0, np.ones((4, 2), np.float32))
     with pytest.raises(AssemblyError):  # unknown shard id
         asm.add(7, 6, np.ones((2, 2), np.float32))
     asm2 = SpmmAssembly(n_rows=8, n_dense=2, num_shards=2)

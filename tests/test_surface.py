@@ -30,7 +30,7 @@ EXPORT_BUDGET = {
 OPTION_BUDGET = {
     ("repro.serve", "Server"): 10,
     ("repro.serve", "ShardScheduler"): 0,
-    ("repro.cluster", "ClusterScheduler"): 16,
+    ("repro.cluster", "ClusterScheduler"): 15,
     ("repro.gnn", "SparseBackend"): 8,
 }
 
