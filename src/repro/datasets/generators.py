@@ -25,7 +25,13 @@ def _dedupe_edges(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int], rn
             shape=shape,
         )
     key = rows.astype(np.int64) * shape[1] + cols.astype(np.int64)
-    unique = np.unique(key)
+    # Sorted distinct keys by a sort and a neighbour mask: NumPy's own
+    # ``unique`` takes a hash path on NumPy 2.x that is far slower here.
+    key.sort()
+    first = np.empty(key.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    unique = key[first]
     rows_u = (unique // shape[1]).astype(np.int64)
     cols_u = (unique % shape[1]).astype(np.int64)
     vals = rng.uniform(0.1, 1.0, size=unique.shape[0]).astype(np.float32)

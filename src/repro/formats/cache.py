@@ -38,7 +38,7 @@ only ``indptr`` / ``indices``, so it is cached in the same LRU under
 :meth:`~repro.formats.csr.CSRMatrix.structure_key` digests the pattern
 alone.  A matrix that keeps a cached pattern and brings new values (an
 attention layer's weights, evaluation after evaluation) translates as one
-value scatter through the cached entry map: no ``np.unique``, and the
+value scatter through the cached entry map: no sort, and the
 partition object — which the serving plan cache keys on — is shared by
 every translation of the pattern.  Structure entries pin no source matrix.
 Identity-only callers never touch them.

@@ -10,7 +10,12 @@ TC blocks of ``k`` vectors (Section 2.2, Figure 2).
 :func:`partition_windows` performs this preprocessing in a fully vectorised
 way (the paper performs it with a CUDA kernel; here NumPy plays that role)
 and returns a :class:`WindowPartition`, the shared substrate for ME-BCRS,
-SR-BCRS and the 16×1 SGT format.
+SR-BCRS and the 16×1 SGT format.  The whole partition comes from one
+in-place sort of ``uint64`` keys that pack each entry's (window, column)
+pair above its CSR index; runs of equal pairs are the nonzero vectors.
+Packing needs ``bit_length(num_windows · n_cols − 1) + bit_length(nnz − 1)
+≤ 64``; wider inputs take a stable ``argsort`` of the bare pair keys, which
+gives the same partition.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.formats.csr import CSRMatrix
-from repro.ops import segment_ids
 
 
 @dataclass
@@ -129,6 +133,21 @@ class WindowPartition:
 def partition_windows(matrix: CSRMatrix, vector_size: int) -> WindowPartition:
     """Partition ``matrix`` into row windows of ``vector_size`` nonzero vectors.
 
+    Window ``w``'s entries are the contiguous CSR range
+    ``indptr[w·v]:indptr[min((w+1)·v, n_rows)]``, so each entry's key
+    ``window · n_cols + column`` is one ``repeat`` over the windows.  The
+    keys, each shifted up by ``b = bit_length(nnz − 1)`` bits with the
+    entry's index in the low ``b`` bits, are distinct, so one in-place
+    ``uint64`` sort orders them uniquely: the high bits are the sorted keys
+    and the low bits the stable permutation.  A first-of-run mask over the
+    sorted keys marks where each vector starts; ``vector_cols`` is the
+    column of each run's first entry, ``window_ptr`` the running vector
+    count at each window's first entry, and ``entry_slot`` scatters each
+    run's vector id back through the permutation, plus the entry's lane
+    ``row % v``.  When the packed key would not fit in 64 bits
+    (``bit_length(num_windows · n_cols − 1) + b > 64``), a stable
+    ``argsort`` of the bare keys gives the same permutation, only slower.
+
     Parameters
     ----------
     matrix:
@@ -154,23 +173,39 @@ def partition_windows(matrix: CSRMatrix, vector_size: int) -> WindowPartition:
             nnz=0,
         )
 
-    # Row index of every nonzero, derived from indptr.
-    row_of_entry = segment_ids(matrix.indptr)
-    window_of_entry = row_of_entry // vector_size
-    cols = matrix.indices.astype(np.int64)
+    indptr = matrix.indptr
+    entry_ptr = indptr[np.minimum(np.arange(num_windows + 1) * vector_size, n_rows)]
 
-    # A nonzero vector is a unique (window, column) pair.  Encoding the pair
-    # as a single integer keeps the unique() call fast and returns the
-    # vectors sorted by window then column, which is the order the formats
-    # store them in.
-    key = window_of_entry * np.int64(n_cols) + cols
-    unique_keys, inverse = np.unique(key, return_inverse=True)
-    vector_windows = (unique_keys // n_cols).astype(np.int64)
-    vector_cols = (unique_keys % n_cols).astype(np.int32)
+    # Key order is window-then-column order, the order the formats store
+    # vectors in.
+    window_keys = np.arange(num_windows, dtype=np.uint64) * np.uint64(n_cols)
+    key = np.repeat(window_keys, np.diff(entry_ptr))
+    key += matrix.indices.astype(np.uint64)
+    index_bits = (nnz - 1).bit_length()
+    if (num_windows * n_cols - 1).bit_length() + index_bits <= 64:
+        key <<= np.uint64(index_bits)
+        key |= np.arange(nnz, dtype=np.uint64)
+        key.sort()
+        perm = (key & np.uint64((1 << index_bits) - 1)).view(np.int64)
+        key >>= np.uint64(index_bits)
+    else:
+        perm = key.argsort(kind="stable")
+        key = key[perm]
 
-    window_ptr = np.zeros(num_windows + 1, dtype=np.int64)
-    counts = np.bincount(vector_windows, minlength=num_windows)
-    np.cumsum(counts, out=window_ptr[1:])
+    # vectors_before[i] counts the vectors that start before sorted position
+    # i.  Window w's entries sit at entry_ptr[w]:entry_ptr[w+1] in CSR and in
+    # sorted order alike, so window_ptr samples it there.
+    first = np.empty(nnz, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    vectors_before = np.zeros(nnz + 1, dtype=np.int64)
+    np.cumsum(first, out=vectors_before[1:])
+    window_ptr = vectors_before[entry_ptr]
+    vector_cols = matrix.indices[perm[first]]
+
+    entry_slot = np.empty(nnz, dtype=np.int64)
+    entry_slot[perm] = (vectors_before[1:] - 1) * vector_size
+    entry_slot += np.repeat(np.arange(n_rows, dtype=np.int64) % vector_size, np.diff(indptr))
 
     return WindowPartition(
         vector_size=vector_size,
@@ -179,6 +214,6 @@ def partition_windows(matrix: CSRMatrix, vector_size: int) -> WindowPartition:
         num_windows=num_windows,
         window_ptr=window_ptr,
         vector_cols=vector_cols,
-        entry_slot=inverse.astype(np.int64) * vector_size + row_of_entry % vector_size,
+        entry_slot=entry_slot,
         nnz=nnz,
     )

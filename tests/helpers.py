@@ -95,6 +95,41 @@ def tf32_by_integer_rounding(bits: np.ndarray) -> np.ndarray:
     return np.where(special, wide, rounded).astype(np.uint32)
 
 
+def reference_partition(matrix: CSRMatrix, vector_size: int):
+    """Oracle for ``partition_windows``: the nonzero vectors as
+    ``np.unique`` of the (window, column) keys, ``entry_slot`` from its
+    inverse and ``window_ptr`` from a ``bincount`` of the vectors' windows."""
+    from repro.formats.windows import WindowPartition
+
+    n_rows, n_cols = matrix.shape
+    num_windows = (n_rows + vector_size - 1) // vector_size if n_rows else 0
+    row_of_entry = segment_ids(matrix.indptr)
+    key = row_of_entry // vector_size * np.int64(n_cols) + matrix.indices.astype(np.int64)
+    unique_keys, inverse = np.unique(key, return_inverse=True)
+    window_ptr = np.zeros(num_windows + 1, dtype=np.int64)
+    counts = np.bincount((unique_keys // n_cols).astype(np.int64), minlength=num_windows)
+    np.cumsum(counts, out=window_ptr[1:])
+    return WindowPartition(
+        vector_size=vector_size,
+        n_rows=n_rows,
+        n_cols=n_cols,
+        num_windows=num_windows,
+        window_ptr=window_ptr,
+        vector_cols=(unique_keys % n_cols).astype(np.int32),
+        entry_slot=inverse.astype(np.int64) * vector_size + row_of_entry % vector_size,
+        nnz=matrix.nnz,
+    )
+
+
+def assert_same_partition(part, oracle) -> None:
+    """``part`` and ``oracle`` agree bit for bit, dtypes included."""
+    assert (part.num_windows, part.nnz) == (oracle.num_windows, oracle.nnz)
+    for name, dtype in (("window_ptr", np.int64), ("vector_cols", np.int32), ("entry_slot", np.int64)):
+        got, want = getattr(part, name), getattr(oracle, name)
+        assert got.dtype == want.dtype == dtype, (name, got.dtype, want.dtype)
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
 def lanes_by_sort(fmt):
     """Oracle for ``BlockedVectorFormat.lanes_as_csr``: every nonzero slot
     of ``vector_values`` (``flatnonzero``), put in row order by one stable

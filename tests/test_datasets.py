@@ -5,6 +5,7 @@ import pytest
 
 from repro.datasets.collection import MatrixCase, suitesparse_like_collection
 from repro.datasets.generators import (
+    _dedupe_edges,
     banded_matrix,
     block_community_matrix,
     erdos_renyi_matrix,
@@ -12,6 +13,7 @@ from repro.datasets.generators import (
     random_rectangular_matrix,
 )
 from repro.datasets.graphs import TABLE4_GRAPHS, graph_table, list_graphs, make_graph
+from repro.formats.csr import CSRMatrix
 
 
 def test_erdos_renyi_targets_avg_row_length():
@@ -69,6 +71,15 @@ def test_generators_are_deterministic():
     b = power_law_matrix(500, avg_row_length=8, seed=42)
     np.testing.assert_array_equal(a.indices, b.indices)
     np.testing.assert_array_equal(a.indptr, b.indptr)
+    # Deduplication matches the np.unique construction on repeated keys.
+    rng = np.random.default_rng(3)
+    rows, cols, shape = rng.integers(0, 40, 3000), rng.integers(0, 30, 3000), (40, 30)
+    unique = np.unique(rows * shape[1] + cols)
+    vals = np.random.default_rng(9).uniform(0.1, 1.0, size=unique.size).astype(np.float32)
+    want = CSRMatrix.from_coo(unique // shape[1], unique % shape[1], vals, shape)
+    got = _dedupe_edges(rows, cols, shape, np.random.default_rng(9))
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_generator_input_validation():

@@ -6,7 +6,7 @@ import pytest
 from repro.formats.csr import CSRMatrix
 from repro.formats.windows import partition_windows
 
-from helpers import random_csr
+from helpers import assert_same_partition, random_csr, reference_partition
 
 
 def _window_columns(part, w: int) -> np.ndarray:
@@ -128,3 +128,22 @@ def test_dense_matrix_single_window():
     assert part.num_windows == 1
     assert part.num_nonzero_vectors == 8
     assert part.zero_fill == 0
+
+
+@pytest.mark.parametrize("vector_size", [1, 2])
+def test_keys_wider_than_64_bits_match_the_oracle(vector_size):
+    """2^20 rows x (2^31 - 1) columns with ~20k entries: window, column and
+    entry index need 20 + 31 + 15 > 64 bits, too many to pack into one key."""
+    n_rows, n_cols = 2**20, 2**31 - 1
+    rng = np.random.default_rng(2026)
+    # Entries crowd the first and last rows and share 64 columns, so windows
+    # hold several entries per vector; the extreme row and column are in.
+    rows = np.concatenate([rng.integers(0, 4096, 20_000), [n_rows - 1] * 4])
+    pool = np.concatenate([rng.integers(0, n_cols, 62), [0, n_cols - 1]])
+    cols = np.concatenate([pool[rng.integers(0, 64, 20_000)], [0, 5, n_cols - 2, n_cols - 1]])
+    key = np.unique(rows * n_cols + cols)
+    csr = CSRMatrix.from_coo(key // n_cols, key % n_cols, np.ones(key.size), (n_rows, n_cols))
+    part = partition_windows(csr, vector_size)
+    assert (part.num_windows * n_cols - 1).bit_length() + (csr.nnz - 1).bit_length() > 64
+    assert part.num_nonzero_vectors < csr.nnz or vector_size == 1
+    assert_same_partition(part, reference_partition(csr, vector_size))

@@ -11,6 +11,8 @@ from repro.formats.srbcrs import SRBCRSMatrix
 from repro.formats.stats import mma_count_spmm, spmm_data_access_bytes, vector_stats
 from repro.formats.windows import partition_windows
 
+from helpers import assert_same_partition, reference_partition
+
 
 @st.composite
 def sparse_matrices(draw, max_rows=96, max_cols=96, max_nnz=400):
@@ -33,7 +35,7 @@ def sparse_matrices(draw, max_rows=96, max_cols=96, max_nnz=400):
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrix=sparse_matrices(), vector_size=st.sampled_from([8, 16]))
+@given(matrix=sparse_matrices(), vector_size=st.sampled_from([1, 3, 8, 16]))
 def test_partition_accounts_for_every_nonzero(matrix, vector_size):
     part = partition_windows(matrix, vector_size)
     assert part.nnz == matrix.nnz
@@ -41,6 +43,7 @@ def test_partition_accounts_for_every_nonzero(matrix, vector_size):
     assert part.zero_fill >= 0
     assert part.window_ptr[-1] == part.num_nonzero_vectors
     assert np.all(np.diff(part.window_ptr) >= 0)
+    assert_same_partition(part, reference_partition(matrix, vector_size))
 
 
 @settings(max_examples=60, deadline=None)
