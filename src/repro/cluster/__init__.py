@@ -16,18 +16,20 @@ readmitted by a background probe, and the fleet itself is mutable at
 runtime (``add_host`` / ``remove_host``).  The wire itself is trusted:
 connections clear an authenticated HELLO/CHALLENGE handshake (optionally
 under TLS) before any frame flows, and every payload buffer carries a
-CRC32 verified on receipt — corruption surfaces as
+CRC32 trailer, computed and checked as the bytes stream — corruption
+surfaces as
 :class:`~repro.cluster.transport.FrameIntegrityError` and is recovered
 through the same retry machinery, never silently computed on.  Routing is
 by matrix content key under rendezvous
 hashing, so every host's own translation cache serves repeat requests
 for "its" matrices — the multi-host analogue of the serving frontend's
 content-keyed translation dedup.  On top of that, the data plane
-pushes matrix and operand bytes **once per (host, content key)**
-(:mod:`repro.cluster.store`): workers pin pushed bundles in a
-byte-budgeted :class:`~repro.cluster.store.PinnedStore` and repeat task
-frames reference them by key — a ``store_miss`` after eviction or a cold
-restart is recovered by re-pushing, never by failing the request.
+pushes matrix and operand bytes **once per (host, store key)**, inside the
+first task frame that needs them (:mod:`repro.cluster.store`): workers
+pin pushed bundles in a byte-budgeted
+:class:`~repro.cluster.store.PinnedStore` and later task frames reference
+them by key — a ``store_miss`` after eviction or a cold restart is
+recovered by re-pushing, never by failing the request.
 
 The serving frontend consumes it as a backend::
 

@@ -30,12 +30,17 @@ class SpmmAssembly:
 
     Rows not covered by any shard (trailing all-empty windows produce no
     shard) stay zero — exactly what the one-shot engine writes for them.
+    A request cut into one shard that covers every row is the common case
+    on the cluster: that shard's (writable, float32, C-contiguous) rows
+    are adopted as the output instead of being copied into a zeroed one.
     """
 
     def __init__(self, n_rows: int, n_dense: int, num_shards: int):
-        self.out = np.zeros((int(n_rows), int(n_dense)), dtype=np.float32)
+        self.shape = (int(n_rows), int(n_dense))
         self.num_shards = int(num_shards)
-        self._covered = np.zeros(int(n_rows), dtype=bool)
+        #: The output, allocated by the first placement that cannot adopt.
+        self.out: np.ndarray | None = None
+        self._covered = np.zeros(self.shape[0], dtype=bool)
         self._placed: set[int] = set()
 
     def add(self, shard: int, row0: int, rows: np.ndarray) -> None:
@@ -51,17 +56,29 @@ class SpmmAssembly:
         if shard in self._placed:
             raise AssemblyError(f"shard {shard} delivered twice")
         row0 = int(row0)
-        in_range = 0 <= row0 < self.out.shape[0]
-        if not in_range or rows.ndim != 2 or rows.shape[1] != self.out.shape[1]:
+        n_rows, n_dense = self.shape
+        if not 0 <= row0 < n_rows or rows.ndim != 2 or rows.shape[1] != n_dense:
             raise AssemblyError(
                 f"shard {shard} returned rows of shape {rows.shape} at row {row0}"
             )
-        stop = min(row0 + rows.shape[0], self.out.shape[0])
-        if stop > row0:
-            if self._covered[row0:stop].any():
-                raise AssemblyError(f"shard {shard} overlaps already-covered rows")
+        stop = min(row0 + rows.shape[0], n_rows)
+        if self._covered[row0:stop].any():
+            raise AssemblyError(f"shard {shard} overlaps already-covered rows")
+        adopt = (
+            self.num_shards == 1
+            and row0 == 0
+            and stop == n_rows
+            and rows.dtype == np.float32
+            and rows.flags.c_contiguous
+            and rows.flags.writeable
+        )
+        if adopt:
+            self.out = rows[:n_rows]
+        else:
+            if self.out is None:
+                self.out = np.zeros(self.shape, dtype=np.float32)
             self.out[row0:stop] = rows[: stop - row0]
-            self._covered[row0:stop] = True
+        self._covered[row0:stop] = True
         self._placed.add(shard)
 
     @property
@@ -75,4 +92,6 @@ class SpmmAssembly:
             raise AssemblyError(
                 f"{self.missing_shards}/{self.num_shards} shards missing at assembly"
             )
+        if self.out is None:
+            self.out = np.zeros(self.shape, dtype=np.float32)
         return self.out

@@ -41,17 +41,21 @@ unchanged.  What changes underneath:
   exactly like a transport failure: the connection recycles, the shard
   re-sends, and the request completes bit-identically — corruption costs
   a retry, never wrong numerics.
-* **Push/pin data plane.**  Operand bytes ship **once per (host, content
-  key)**, not once per task: each host client keeps a ledger of what its
-  worker has pinned (:mod:`repro.cluster.store`), pushes ledger-missing
-  bundles in ``store_put`` frames, and sends task frames that reference
-  keys only.  A matrix ships as its pattern (keyed by structure) and its
+* **Push/pin data plane, one trip per shard.**  Operand bytes ship
+  **once per (host, store key)**, not once per task: each host client
+  keeps a ledger of what its worker has pinned (:mod:`repro.cluster.store`)
+  and puts every ledger-missing bundle in the task frame that needs it —
+  a served shard costs one frame each way, with no separate push round
+  trip.  A matrix ships as its pattern (keyed by structure) and its
   values (keyed by content), so new values on a pattern a host already
-  pinned cost one ``data`` push.  A ``store_miss``
-  (eviction, cold restart) is handled like a transient transport failure
-  — re-push, bounded; a shard whose store keeps missing (a budget smaller
-  than one request's working set) runs in-parent instead, so a thrashing
-  store costs throughput, never the request.
+  pinned cost one ``data`` push.  A dense panel is content-keyed (one
+  sha256) only when its source array is an object the head saw in an
+  earlier request; any other panel gets a request-scoped key with no
+  digest, and the request's last task on each host releases it.  A
+  ``store_miss`` (eviction, cold restart) is handled like a transient
+  transport failure — re-push, bounded; a shard whose store keeps missing
+  (a budget smaller than one request's working set) runs in-parent
+  instead, so a thrashing store costs throughput, never the request.
 * **Checked assembly.**  Shard results return as transport payloads and
   are reassembled by :mod:`repro.cluster.assembly` with
   overlap/completeness checks — a result that arrives twice or never is
@@ -67,11 +71,14 @@ mid-shard host deaths and reconnects.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import multiprocessing as mp
 import queue
+import secrets
 import socket
 import threading
 import time
+import weakref
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
@@ -87,7 +94,12 @@ from repro.cluster.membership import (
     MembershipProbe,
 )
 from repro.cluster.metrics import ClusterMetrics
-from repro.cluster.store import StoreMissError, make_store_key, operand_store_key
+from repro.cluster.store import (
+    StoreMissError,
+    make_store_key,
+    operand_store_key,
+    request_store_key,
+)
 from repro.cluster.transport import (
     AuthenticationError,
     FrameIntegrityError,
@@ -150,15 +162,19 @@ class _Stop:
 class _Task:
     """One shard task travelling through a host client.
 
-    The frame carries no operand bytes: its ``store_plan`` lists
-    ``(store_key, arrays)`` groups — the matrix's pattern, its values,
-    then one group per dense operand — and the client pushes the
-    ledger-missing groups once, then sends the task frame with keys only.
+    ``store_plan`` lists ``(store_key, arrays)`` groups — the matrix's
+    pattern, its values, then one group per dense operand.  The client
+    names every key in the task header and carries the groups its ledger
+    says the worker lacks as the frame's buffers.
     """
 
     header: dict
     store_plan: list
     future: Future = field(default_factory=Future)
+
+
+def _nbytes(bundle) -> int:
+    return sum(int(a.nbytes) for a in bundle)
 
 
 def _describe_task(header: dict) -> str:
@@ -451,34 +467,40 @@ class _HostClient(threading.Thread):
         # the rest: fail those tasks over and close the socket.
         self._mark_dead(None, record=False)
 
-    def _push_missing(self, plan: list) -> None:
-        """Push every plan group the ledger says the worker lacks.
+    def _task_frame(self, task: _Task) -> tuple[dict, list]:
+        """``(header, pushed)`` for one send of ``task``.
 
-        One ``store_put`` + ``store_ack`` round trip per missing group;
-        groups already in the ledger are counted as ``bytes_saved`` — the
-        payload that did not have to cross the wire again.  The ack's
-        eviction list prunes the ledger immediately, so a tiny store budget
-        costs a re-push on next use rather than a guaranteed ``store_miss``.
-        Transport failures propagate to the caller's recovery path.
+        Every plan group the ledger says the worker lacks is pushed once in
+        this frame: ``pushed`` lists its ``(key, arrays)`` groups in buffer
+        order, and the header's ``push`` names their keys and array
+        counts.  Groups already pinned (or pushed earlier in this frame)
+        are counted as ``bytes_saved`` — the payload that did not have to
+        cross the wire again.
         """
-        for key, arrays in plan:
-            nbytes = sum(int(np.asarray(a).nbytes) for a in arrays)
-            if key in self.ledger:
-                self.metrics.record_store_hit(self.host_id, nbytes)
-                continue
-            sent = send_message(self._sock, {"type": "store_put", "store_key": key}, arrays)
-            self.metrics.record_store_put(self.host_id, sent)
-            header, _, received = recv_message(
-                self._sock, max_frame_bytes=self.max_frame_bytes
-            )
-            self.metrics.record_transport_bytes(
-                self.host_id, received=received, frame_type="store_ack"
-            )
-            if header.get("type") != "store_ack":
-                raise TransportError(f"unexpected store_put reply {header.get('type')!r}")
-            self.ledger.add(key)
-            for evicted in header.get("evicted", ()):
-                self.ledger.discard(evicted)
+        pushed: dict[str, list] = {}
+        for key, bundle in task.store_plan:
+            if key in self.ledger or key in pushed:
+                self.metrics.record_store_hit(self.host_id, _nbytes(bundle))
+            else:
+                pushed[key] = bundle
+        keys = [key for key, _ in task.store_plan]
+        header = dict(
+            task.header,
+            store_structure=keys[0],
+            store_values=keys[1],
+            store_operands=keys[2:],
+            push=[[key, len(bundle)] for key, bundle in pushed.items()],
+        )
+        return header, list(pushed.items())
+
+    def _settle_ledger(self, task: _Task, pushed: list, reply: dict) -> None:
+        """Bring the ledger up to date with a reply to ``task``: what its
+        frame pushed is pinned, minus what the pushes evicted, what the
+        worker reports missing and the request-scoped keys it released."""
+        self.ledger.update(key for key, _ in pushed)
+        self.ledger.difference_update(reply.get("evicted") or ())
+        self.ledger.difference_update(reply.get("missing") or ())
+        self.ledger.difference_update(task.header.get("release") or ())
 
     def _run_task(self, task: _Task) -> None:
         self._in_flight = True
@@ -488,16 +510,12 @@ class _HostClient(threading.Thread):
             while True:
                 try:
                     self._sock.settimeout(DEFAULT_TASK_TIMEOUT_S)
-                    self._push_missing(task.store_plan)
-                    keys = [key for key, _ in task.store_plan]
-                    header = dict(
-                        task.header,
-                        store_structure=keys[0],
-                        store_values=keys[1],
-                        store_operands=keys[2:],
-                    )
-                    sent = send_message(self._sock, header)
+                    header, pushed = self._task_frame(task)
+                    arrays = [a for _, bundle in pushed for a in bundle]
+                    sent = send_message(self._sock, header, arrays)
                     self.metrics.record_task_sent(self.host_id, sent)
+                    for _, bundle in pushed:
+                        self.metrics.record_store_put(self.host_id, _nbytes(bundle))
                     header, arrays, received = recv_message(
                         self._sock, max_frame_bytes=self.max_frame_bytes
                     )
@@ -519,6 +537,9 @@ class _HostClient(threading.Thread):
                     self.metrics.record_transport_bytes(
                         self.host_id, received=getattr(exc, "bytes_read", 0)
                     )
+                    # The worker may have run the task and dropped its
+                    # released keys: the resend pushes them again.
+                    self.ledger.difference_update(task.header.get("release") or ())
                     recoveries += 1
                     # Bounded reconnect-and-resend cycles *per task*: a
                     # persistent failure (say, a result frame that always
@@ -536,20 +557,21 @@ class _HostClient(threading.Thread):
                         HostDeadError(f"host {self.host_id} died mid-shard: {exc}")
                     )
                     return
+                self._settle_ledger(task, pushed, header)
                 if header.get("type") == "store_miss":
                     # The worker no longer holds keys the ledger promised
                     # (evicted under budget pressure, or a restarted cold
-                    # process).  Treated like a transient failure: drop the
-                    # stale entries and re-push, bounded.  Past the budget
-                    # the store is thrashing (smaller than this request's
-                    # working set): hand the shard back for in-parent
-                    # execution — the host itself is fine.
+                    # process).  Treated like a transient failure: the
+                    # stale entries are out of the ledger, so the resend
+                    # re-pushes them, bounded.  Past the budget the store
+                    # is thrashing (smaller than this request's working
+                    # set): hand the shard back for in-parent execution —
+                    # the host itself is fine.
                     self.metrics.record_store_miss(self.host_id)
                     self.metrics.record_transport_bytes(
                         self.host_id, received=received, frame_type="store_miss"
                     )
                     missing = list(header.get("missing", ()))
-                    self.ledger.difference_update(missing)
                     miss_retries += 1
                     if miss_retries > max(1, self.retry_policy.max_attempts):
                         task.future.set_exception(StoreMissError(missing))
@@ -763,6 +785,16 @@ class ClusterScheduler:
         self.inject_task_delay_s = 0.0
         self.max_frame_bytes = max_frame_bytes
         self.auth_token = auth_token
+        #: Source arrays of earlier requests' dense operands, by ``id`` (see
+        #: ``_operand_keys``); weak, so a caller's dropped array is
+        #: forgotten.  The random token keeps this head's request-scoped
+        #: store keys apart from any other head a worker served before.
+        self._seen: "weakref.WeakValueDictionary[int, np.ndarray]" = (
+            weakref.WeakValueDictionary()
+        )
+        self._seen_lock = threading.Lock()
+        self._request_token = secrets.token_hex(8)
+        self._request_ids = itertools.count()
         ssl_context = None
         if tls_cert is not None or tls_ca is not None:
             ssl_context = make_client_ssl_context(
@@ -1027,6 +1059,10 @@ class ClusterScheduler:
         ``(header, arrays)`` payload per task (inline results are
         synthesised by ``inline_body``).
 
+        The last task each round sends to a host carries ``release``: the
+        request-scoped store keys of its plan, which that host unpins
+        after it.
+
         Routing: all tasks go to the key's first preferred host in
         rendezvous order; every re-dispatch moves the *unfinished* tasks to
         the next live host.  When the rank is exhausted (or the cluster has
@@ -1052,9 +1088,16 @@ class ClusterScheduler:
             delay = float(self.inject_task_delay_s)  # read per round: a test may clear it
             for index in pending:
                 frame = tasks[index]["frame"]
+                header = frame["header"]
                 if delay:
-                    frame = dict(frame, header=dict(frame["header"], delay_s=delay))
-                task = _Task(**frame)
+                    header = dict(header, delay_s=delay)
+                if index == pending[-1]:
+                    # This host's last task of the request: the worker
+                    # drops the request-scoped panels after it.
+                    release = {k for k, _ in frame["store_plan"] if k.startswith("req/")}
+                    if release:
+                        header = dict(header, release=sorted(release))
+                task = _Task(header, frame["store_plan"])
                 if not target.client.submit(task):
                     break  # died mid-submit: the rest re-route next round
                 submitted.append((index, task))
@@ -1078,6 +1121,39 @@ class ClusterScheduler:
         return [results[i] for i in range(len(tasks))]
 
     # ------------------------------------------------------------ kernel ops
+    def _operand_keys(self, operands: list[np.ndarray], sources) -> list[str]:
+        """One store key per dense operand panel.
+
+        ``sources`` holds, per operand, the caller's array it was made
+        from, or ``None`` (a coalesced concatenation has no single
+        source).  A panel whose source is an object this head saw in an
+        earlier request is likely to come back, so it gets a content key
+        (:func:`~repro.cluster.store.operand_store_key`, one sha256) and
+        stays pinned across requests.  Any other panel gets a
+        request-scoped key with no digest; operands sharing a source share
+        a key, so an ``a is b`` layer ships one bundle.  Without
+        ``sources`` (a direct ``run_*`` caller) every panel is
+        content-keyed.
+        """
+        if sources is None:
+            return [operand_store_key(o) for o in operands]
+        request = f"{self._request_token}.{next(self._request_ids)}"
+        keys: list[str] = []
+        by_source: dict[int, str] = {}
+        for i, (operand, source) in enumerate(zip(operands, sources)):
+            if not isinstance(source, np.ndarray):
+                keys.append(request_store_key(request, i))
+                continue
+            key = by_source.get(id(source))
+            if key is None:
+                with self._seen_lock:
+                    seen = self._seen.get(id(source)) is source
+                    self._seen[id(source)] = source
+                key = operand_store_key(operand) if seen else request_store_key(request, i)
+                by_source[id(source)] = key
+            keys.append(key)
+        return keys
+
     def _run(
         self,
         op_name: str,
@@ -1088,6 +1164,7 @@ class ClusterScheduler:
         target_blocks: int | None = None,
         csr: CSRMatrix | None = None,
         content_key: str | None = None,
+        sources=None,
     ) -> tuple[np.ndarray, dict]:
         """Plan → dispatch → assemble for one table op (see
         :data:`repro.kernels.engine.SHARD_OPS`).
@@ -1096,8 +1173,9 @@ class ClusterScheduler:
         :func:`~repro.kernels.engine.shard_params` returned them: every
         task header carries them and the in-parent fallback runs with them,
         so a worker decoding its header runs the shard the same way.
-        Returns the assembled output plus the per-stage seconds the shards
-        reported, summed.
+        ``sources`` decides how the dense panels are keyed (see
+        :meth:`_operand_keys`).  Returns the assembled output plus the
+        per-stage seconds the shards reported, summed.
         """
         op = SHARD_OPS[op_name]
         # The worker's translation is named by the format's vector size,
@@ -1119,15 +1197,16 @@ class ClusterScheduler:
 
         # One store plan per request: the pattern keyed by the structure
         # key, the values by the routing content key, each dense panel by
-        # its own content hash — every shard of this request references the
-        # same keys, so a host receives the bytes once, not once per shard.
-        # Repeat requests for a pinned matrix ship no matrix bytes at all,
-        # and new values on a pinned pattern ship ``data`` alone.
+        # :meth:`_operand_keys` — every shard of this request references
+        # the same keys, so a host receives the bytes once, not once per
+        # shard.  Repeat requests for a pinned matrix ship no matrix bytes
+        # at all, and new values on a pinned pattern ship ``data`` alone.
         structure_key = csr.structure_key()
+        operand_keys = self._operand_keys(operands, sources)
         store_plan = [
             (make_store_key("struct", structure_key), [csr.indptr, csr.indices]),
             (make_store_key("vals", content_key), [csr.data]),
-            *((operand_store_key(o), [o]) for o in operands),
+            *((key, [o]) for key, o in zip(operand_keys, operands)),
         ]
         base = {
             "type": "task",
@@ -1164,12 +1243,15 @@ class ClusterScheduler:
         target_blocks: int | None = None,
         csr: CSRMatrix | None = None,
         content_key: str | None = None,
+        sources=None,
     ) -> np.ndarray:
         """``A @ B`` sharded across the cluster; bit-identical to one-shot.
 
         ``b_q`` must already be quantised float32 (the kernel entry points'
         convention); ``csr`` / ``content_key`` identify the request payload
-        for routing (derived from ``fmt`` when omitted).
+        for routing (derived from ``fmt`` when omitted).  ``sources`` names
+        the caller's array behind each operand, which decides whether a
+        panel is worth a content key (see :meth:`_operand_keys`).
         """
         out, _ = self._run(
             "spmm",
@@ -1179,6 +1261,7 @@ class ClusterScheduler:
             target_blocks=target_blocks,
             csr=csr,
             content_key=content_key,
+            sources=sources,
         )
         return out
 
@@ -1193,11 +1276,13 @@ class ClusterScheduler:
         target_blocks: int | None = None,
         csr: CSRMatrix | None = None,
         content_key: str | None = None,
+        sources=None,
     ) -> np.ndarray:
         """Sampled dense×dense sharded across the cluster (bit-identical).
 
         Returns the ``(num_nonzero_vectors, vector_size)`` value array in
-        the layout of ``fmt.vector_values``.
+        the layout of ``fmt.vector_values``.  Routing arguments and
+        ``sources`` as for :meth:`run_spmm`.
         """
         out, _ = self._run(
             "sddmm",
@@ -1208,6 +1293,7 @@ class ClusterScheduler:
             target_blocks=target_blocks,
             csr=csr,
             content_key=content_key,
+            sources=sources,
         )
         return out
 
@@ -1224,6 +1310,7 @@ class ClusterScheduler:
         target_blocks: int | None = None,
         csr: CSRMatrix | None = None,
         content_key: str | None = None,
+        sources=None,
     ) -> tuple[np.ndarray, dict]:
         """One whole attention layer — SDDMM → scale → softmax → SpMM — in a
         single cluster round trip per shard.
@@ -1235,6 +1322,7 @@ class ClusterScheduler:
         dense rows come back — the SDDMM intermediate and the
         per-evaluation attention matrix never touch the wire.  ``indptr``
         is the mask's CSR row layout; the cluster reads it off ``csr``.
+        Routing arguments and ``sources`` as for :meth:`run_spmm`.
 
         Returns ``(rows, stage_seconds)`` — the dense layer output plus
         the per-stage wall-clock split summed across shards, matching
@@ -1248,4 +1336,5 @@ class ClusterScheduler:
             target_blocks=target_blocks,
             csr=csr,
             content_key=content_key,
+            sources=sources,
         )

@@ -72,9 +72,10 @@ class ClusterMetrics:
             "integrity_failures": 0,
             "auth_rejects": 0,
             "handshake_failures": 0,
-            # Matrix push/pin.  ``bytes_saved`` is the payload volume tasks
-            # referenced by store key instead of shipping again — the
-            # push/pin payoff, directly.
+            # Matrix push/pin: ``store_puts`` / ``store_put_bytes`` count the
+            # bundles task frames pushed.  ``bytes_saved`` is the payload
+            # volume tasks referenced by store key instead of shipping
+            # again — the push/pin payoff, directly.
             "store_puts": 0,
             "store_put_bytes": 0,
             "store_hits": 0,
@@ -84,8 +85,9 @@ class ClusterMetrics:
         self._per_host: dict[str, dict] = {}
         self._death_log: list[dict] = []
         #: Byte totals split by frame type (``task``, ``result``,
-        #: ``store_put``, ``control`` …) so push savings vs. task/control
-        #: traffic are directly observable in ``stats_snapshot()``.
+        #: ``store_miss``, ``control`` …), each frame counted once under its
+        #: own type; ``store_put_bytes`` is the share of ``task`` that
+        #: pushed bundles.
         self._bytes_by_frame_type: dict[str, dict] = {}
 
     # -------------------------------------------------------------- recorders
@@ -259,12 +261,14 @@ class ClusterMetrics:
                 self._host(host_id)
 
     def record_store_put(self, host_id: str, nbytes: int) -> None:
-        """One ``store_put`` frame (pushed matrix bytes) sent to ``host_id``."""
+        """One bundle of ``nbytes`` payload bytes pushed to ``host_id``.
+
+        The bundle rode a task frame, whose bytes :meth:`record_task_sent`
+        already counted under ``task``; this counts the push itself.
+        """
         with self._lock:
             self._counters["store_puts"] += 1
             self._counters["store_put_bytes"] += int(nbytes)
-            self._counters["bytes_sent"] += int(nbytes)
-            self._frame_bytes("store_put", sent=nbytes)
             self._host(host_id)["store_puts"] += 1
 
     def record_store_hit(self, host_id: str, bytes_saved: int) -> None:

@@ -10,14 +10,16 @@ distributed kvstore, layered over the checksummed frame protocol:
 * The head keeps a **per-host ledger** of which keys each worker has
   pinned (it lives on the host client, so a DEAD host's ledger dies with
   its client and a restarted worker is never assumed warm).
-* On first use of a bundle the head sends one ``store_put`` frame — the
-  buffers plus their store key, CRC-checked like any payload — and the
-  worker pins the bytes in its :class:`PinnedStore`.
-* Every task frame carries **only keys**.  A matrix is two bundles: its
-  pattern and its values, so a matrix that keeps a pinned pattern and
-  brings new values (an attention layer's weights) ships its ``data``
-  alone.  Dense operands are content-keyed too, so the N shards of one
-  request ship the A/B panels to a host once, not N times.
+* A bundle the ledger says the worker lacks rides the first task frame
+  that needs it: the frame's ``push`` header lists the keys and array
+  counts, its buffers carry the bytes (CRC-checked like any payload), and
+  the worker pins them in its :class:`PinnedStore` before it runs the
+  shard.  There is no separate push round trip.
+* Every later task frame carries **only keys** for what is pinned.  A
+  matrix is two bundles: its pattern and its values, so a matrix that
+  keeps a pinned pattern and brings new values (an attention layer's
+  weights) ships its ``data`` alone.  The N shards of one request ship
+  each dense panel to a host once, not N times.
 * A worker that evicted (or never had) a key answers ``store_miss``,
   which the head treats like a transient transport failure: re-push and
   resend under the retry budget.  A store too small for one request's
@@ -25,15 +27,23 @@ distributed kvstore, layered over the checksummed frame protocol:
   in-parent — an undersized store costs throughput, never a failed
   request.
 
-Store keys are ``<kind>/<digest>@<version>`` (:func:`make_store_key`), in
-three kinds:
+Store keys are ``<kind>/<name>@<version>`` (:func:`make_store_key`), in
+four kinds:
 
 * ``struct`` — a matrix's ``[indptr, indices]``, by
   :meth:`~repro.formats.csr.CSRMatrix.structure_key`;
 * ``vals`` — its ``[data]``, by
   :meth:`~repro.formats.csr.CSRMatrix.content_key` (the pattern is part
   of that digest, so a ``vals`` key never pairs with a foreign pattern);
-* ``op`` — one dense operand panel, by :func:`operand_store_key`.
+* ``op`` — a **content-keyed** dense panel, by :func:`operand_store_key`.
+  The head pays the sha256 only for a panel worth pinning across
+  requests: one whose source array it has seen in an earlier request (or
+  any panel of a caller that names no sources);
+* ``req`` — a **request-scoped** panel, by :func:`request_store_key`: no
+  digest at all.  It is pushed once per host per request, and the last
+  task of the request on that host lists it in ``release``, so the worker
+  drops it after that task.  A one-shot operand therefore never sits in
+  the pin store beside the matrices that are worth keeping.
 
 The **version** component is there from day one: the dynamic-graph
 roadmap item mutates matrices in place, and bumping the version is how a
@@ -69,7 +79,7 @@ def make_store_key(kind: str, digest: str, version: int = 0) -> str:
     """Compose a store key: ``<kind>/<digest>@<version>``.
 
     ``kind`` namespaces the bundle kinds apart (``struct`` / ``vals`` /
-    ``op``, see the module docstring); ``version`` is the cluster-wide
+    ``op`` / ``req``, see the module docstring); ``version`` is the cluster-wide
     invalidation hook — re-keying a mutated matrix is a version bump, not
     a digest change, so delta updates (ROADMAP: dynamic graphs) can
     invalidate every host's pinned copy without rehashing content.
@@ -80,13 +90,23 @@ def make_store_key(kind: str, digest: str, version: int = 0) -> str:
 def operand_store_key(array: np.ndarray, version: int = 0) -> str:
     """Store key for one dense operand panel, by content.
 
-    Hashing the panel once per request is how N shards on one host ship
-    it once: every shard task references this key, and repeat requests
-    with byte-identical operands deduplicate across requests too.
+    Repeat requests with byte-identical operands deduplicate across
+    requests: the panel stays pinned, and every later task references it
+    by this key.
     """
     array = np.ascontiguousarray(array)
     digest = digest16(f"{array.dtype.str}:{array.shape}".encode(), array)
     return make_store_key("op", digest, version)
+
+
+def request_store_key(request: str, index: int) -> str:
+    """Store key for operand ``index`` of one request, with no digest.
+
+    ``request`` must be unique across every request a worker may serve
+    (the head combines a per-scheduler random token with a counter); the
+    key is released by the request's last task on each host.
+    """
+    return make_store_key("req", f"{request}.{int(index)}")
 
 
 class StoreMissError(RuntimeError):
@@ -215,6 +235,17 @@ class PinnedStore:
                 entry = self._entries.get(key)
                 if entry is not None and entry.refcount > 0:
                     entry.refcount -= 1
+
+    def discard(self, *keys: str) -> None:
+        """Unpin ``keys`` now (a request-scoped panel after its request's
+        last task here).  Absent keys are ignored; a key an in-flight task
+        still holds stays until the next eviction pass finds it free."""
+        with self._lock:
+            for key in keys:
+                entry = self._entries.get(key)
+                if entry is not None and entry.refcount == 0:
+                    del self._entries[key]
+                    self._pinned_bytes -= entry.nbytes
 
     # -------------------------------------------------------------- queries
     def __contains__(self, key: str) -> bool:

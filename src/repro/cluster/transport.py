@@ -9,8 +9,8 @@ metadata header, then the bulk payload as raw buffers):
 | magic  | version | n_bufs  | header_len | header (JSON)  |
 | 4 B    | 1 B     | 1 B     | 4 B        | header_len B   |
 +--------+---------+---------+------------+----------------+
-| buf_len (8 B) | raw buffer bytes | ... repeated n_bufs × |
-+-------------------------------------------------------+
+| buf_len (8 B) | raw buffer bytes | crc32 (4 B) | ... n_bufs × |
++-------------------------------------------------------------+
 ``
 
 The **header** is a small JSON object holding the message type and scalar
@@ -31,12 +31,16 @@ the worker answers such a peer with a structured ``reject`` (reason
 ``"version"``) before dropping the connection, so a mismatched peer reads
 a parseable refusal instead of hanging.
 
-* **Payload integrity.**  Every buffer descriptor carries a ``crc32``
-  (zlib) over the buffer's raw bytes, computed at send and verified at
-  receive.  A flipped bit anywhere in an ndarray payload — NIC, switch,
-  proxy, cosmic ray — surfaces as :class:`FrameIntegrityError` instead of
-  flowing silently into SpMM/SDDMM numerics.  A descriptor without a
-  checksum is a protocol violation.
+* **Payload integrity.**  Every buffer is followed by a 4-byte **trailer**:
+  the zlib CRC32 of its raw bytes.  The CRC streams with the bytes: the
+  sender folds each :data:`CHUNK_BYTES` chunk into the running CRC just
+  before it writes that chunk, and the receiver folds each chunk in as it
+  arrives, so neither end makes a separate pass over a buffer and the two
+  ends' checksum work overlaps.  A flipped bit anywhere in an ndarray
+  payload — NIC, switch, proxy, cosmic ray — surfaces as
+  :class:`FrameIntegrityError` instead of flowing silently into
+  SpMM/SDDMM numerics; a frame whose stream ends before a trailer is a
+  :class:`TransportError`.
 * **Connection handshake.**  Before any task flows, the server sends a
   CHALLENGE (its protocol version + a random nonce), the client answers
   with a HELLO (an HMAC-SHA256 of the nonce under the shared
@@ -54,22 +58,24 @@ Message types (the ``type`` header field) used by the cluster:
   handshake (before anything else on a fresh stream),
 * ``task`` (head → worker): one window-aligned shard of one served op;
   the ``op`` header field names its :data:`repro.kernels.engine.SHARD_OPS`
-  row (SpMM, SDDMM or the fused attention layer).  The frame has no
-  payload: ``store_structure`` / ``store_values`` / ``store_operands``
-  name the pinned ``[indptr, indices]`` bundle, the pinned ``[data]`` and
-  the dense panels (:mod:`repro.cluster.store`), and ``structure_key`` /
-  ``content_key`` carry the matrix's two digests so the worker adopts
-  them instead of rehashing.  The request's settings ride as the header
-  fields ``precision`` / ``scale`` / ``scale_by_mask``
-  (:func:`repro.kernels.engine.shard_params`, which the worker re-applies
-  on receipt),
-* ``store_put`` / ``store_ack``: pin a content-keyed buffer bundle on the
-  worker / confirm it,
+  row (SpMM, SDDMM or the fused attention layer).  ``store_structure`` /
+  ``store_values`` / ``store_operands`` name the ``[indptr, indices]``
+  bundle, the ``[data]`` and the dense panels in the worker's pin store
+  (:mod:`repro.cluster.store`), and ``structure_key`` / ``content_key``
+  carry the matrix's two digests so the worker adopts them instead of
+  rehashing.  The frame's buffers are the bundles the worker does not
+  hold yet: ``push`` lists their store keys and array counts, in buffer
+  order, and the worker pins them before it runs the shard.  ``release``
+  names request-scoped keys the worker drops after this task.  The
+  request's settings ride as the header fields ``precision`` / ``scale``
+  / ``scale_by_mask`` (:func:`repro.kernels.engine.shard_params`, which
+  the worker re-applies on receipt),
 * ``store_miss`` (worker → head): a task referenced keys the worker does
-  not hold (evicted, or a restarted process) — the head re-pushes and
-  resends,
+  not hold (evicted, or a restarted process) — the head re-pushes them in
+  the resent task,
 * ``result`` / ``error`` (worker → head): the shard's output or the remote
-  failure (message + traceback text),
+  failure (message + traceback text); like ``store_miss`` they name the
+  store keys the task's pushes evicted,
 * ``ping`` / ``pong``: heartbeat probes; the pong carries the worker's
   translation-cache, pinned-store and security counters (plus the store's
   key inventory, which re-warms a readmitting head's ledger),
@@ -93,13 +99,18 @@ import numpy as np
 #: Frame prefix: magic, version, buffer count, header length.
 _PREFIX = struct.Struct("!4sBBI")
 _BUF_LEN = struct.Struct("!Q")
+#: The per-buffer trailer: the CRC32 of the buffer's bytes.
+_CRC = struct.Struct("!I")
 
 MAGIC = b"FSRP"
 #: The wire protocol version: the prefix byte of every frame this end
-#: writes, and the only one it reads.  A matrix travels as two store
-#: bundles, its pattern and its values; since version 7 every shard of
-#: every op travels in one ``task`` frame type.
-VERSION = 7
+#: writes, and the only one it reads.  Since version 8 a task frame carries
+#: the store bundles it pushes, and every buffer ends in a CRC32 trailer.
+VERSION = 8
+
+#: Bytes checksummed and then written (or read and then checksummed) per
+#: step — small enough that the second pass finds the chunk still in L2.
+CHUNK_BYTES = 256 * 1024
 
 #: Sanity bounds — a corrupt or hostile prefix must not trigger a huge
 #: allocation before the magic/shape checks can reject it.
@@ -142,7 +153,7 @@ class FrameTooLargeError(TransportError):
 
 
 class FrameIntegrityError(TransportError):
-    """A payload buffer's bytes do not match its declared CRC32.
+    """A payload buffer's bytes do not match its CRC32 trailer.
 
     Silent corruption made detectable: the receiver verifies every
     buffer's checksum before handing the arrays to the caller.  The head
@@ -201,8 +212,12 @@ class RetryPolicy:
             yield min(delay, self.cap_delay_s)
 
 
-def _recv_exact(sock: socket.socket, n: int, *, at_boundary: bool = False) -> bytearray:
-    """Read exactly ``n`` bytes (into a writable buffer) or raise.
+def _recv_exact(
+    sock: socket.socket, n: int, *, at_boundary: bool = False
+) -> tuple[bytearray, int]:
+    """Read exactly ``n`` bytes (into a writable buffer) or raise; returns
+    ``(buffer, crc)``, the CRC32 folded in chunk by chunk as the bytes
+    land, while they are still in cache.
 
     EOF before the first byte of a frame is a clean close
     (:class:`ConnectionClosedError`); EOF anywhere inside a frame is a
@@ -210,65 +225,75 @@ def _recv_exact(sock: socket.socket, n: int, *, at_boundary: bool = False) -> by
     """
     buf = bytearray(n)
     view = memoryview(buf)
-    got = 0
+    got = crc = 0
     while got < n:
         try:
-            chunk = sock.recv_into(view[got:], n - got)
+            chunk = sock.recv_into(view[got:], min(n - got, CHUNK_BYTES))
         except (ConnectionResetError, BrokenPipeError) as exc:
             raise ConnectionClosedError(f"connection reset: {exc}") from exc
         if chunk == 0:
             if at_boundary and got == 0:
                 raise ConnectionClosedError("peer closed the connection")
             raise TransportError(f"stream ended mid-frame ({got}/{n} bytes read)")
+        crc = zlib.crc32(view[got : got + chunk], crc)
         got += chunk
-    return buf
+    return buf, crc
 
 
-def _crc32(data) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
-
-
-def _array_descriptor(array: np.ndarray) -> dict:
-    return {
-        "dtype": array.dtype.str,
-        "shape": list(array.shape),
-        "crc32": _crc32(memoryview(array).cast("B")),
-    }
+def _send_buffer(sock: socket.socket, data: memoryview) -> int:
+    """Write one payload buffer in :data:`CHUNK_BYTES` chunks, each folded
+    into the CRC32 just before it leaves; returns the CRC (the caller
+    writes it as the buffer's trailer)."""
+    crc = 0
+    for start in range(0, len(data), CHUNK_BYTES):
+        chunk = data[start : start + CHUNK_BYTES]
+        crc = zlib.crc32(chunk, crc)
+        sock.sendall(chunk)
+    return crc
 
 
 def send_message(sock: socket.socket, header: dict, arrays=()) -> int:
     """Send one frame; returns the total bytes written.
 
     ``header`` must be JSON-serialisable; an ``arrays`` descriptor list
-    (dtype, shape and a CRC32 over the raw bytes of each buffer) is added
-    automatically.  Arrays are made contiguous (a no-op for the batch
-    slices the cluster sends) and streamed as raw bytes.
+    (dtype and shape of each buffer) is added automatically.  Arrays are
+    made contiguous (a no-op for the batch slices the cluster sends) and
+    streamed as raw bytes, each followed by its CRC32 trailer.
+
+    Injectable socket wrappers (the fault-injection harness) learn the
+    frame's layout from two hooks instead of counting ``sendall`` calls:
+    ``notify_frame_send(header)`` before the first byte, and
+    ``notify_part_send(part, index)`` before each part — ``"prefix"``,
+    ``"header"``, then per buffer ``"length"``, ``"buffer"`` (its chunks)
+    and ``"trailer"``.
     """
     arrays = [np.ascontiguousarray(a) for a in arrays]
     if len(arrays) > MAX_BUFFERS:
         raise TransportError(f"too many buffers in one frame ({len(arrays)})")
-    header = dict(header, arrays=[_array_descriptor(a) for a in arrays])
+    header = dict(
+        header, arrays=[{"dtype": a.dtype.str, "shape": list(a.shape)} for a in arrays]
+    )
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     if len(header_bytes) > MAX_HEADER_BYTES:
         raise TransportError(f"header too large ({len(header_bytes)} bytes)")
-    parts = [
-        _PREFIX.pack(MAGIC, VERSION, len(arrays), len(header_bytes)),
-        header_bytes,
-    ]
-    for array in arrays:
-        parts.append(_BUF_LEN.pack(array.nbytes))
-        parts.append(memoryview(array).cast("B"))
-    total = 0
+    notify = getattr(sock, "notify_frame_send", None)
+    part = getattr(sock, "notify_part_send", None) or (lambda kind, index=None: None)
+    total = _PREFIX.size + len(header_bytes)
     try:
-        # Frame-boundary hook for injectable socket wrappers (the
-        # fault-injection harness counts frames, not raw sendall calls, so
-        # its schedules stay deterministic under heartbeat noise).
-        notify = getattr(sock, "notify_frame_send", None)
         if notify is not None:
             notify(header)
-        for part in parts:
-            sock.sendall(part)
-            total += len(part)
+        part("prefix")
+        sock.sendall(_PREFIX.pack(MAGIC, VERSION, len(arrays), len(header_bytes)))
+        part("header")
+        sock.sendall(header_bytes)
+        for index, array in enumerate(arrays):
+            part("length", index)
+            sock.sendall(_BUF_LEN.pack(array.nbytes))
+            part("buffer", index)
+            crc = _send_buffer(sock, memoryview(array).cast("B"))
+            part("trailer", index)
+            sock.sendall(_CRC.pack(crc))
+            total += _BUF_LEN.size + array.nbytes + _CRC.size
     except (ConnectionResetError, BrokenPipeError) as exc:
         raise ConnectionClosedError(f"connection lost during send: {exc}") from exc
     return total
@@ -282,8 +307,9 @@ def recv_message(
     Blocks until a full frame arrives (honouring any ``sock.settimeout``,
     whose expiry surfaces as the standard ``socket.timeout``).  The
     returned arrays are writable (backed by the receive buffer, no extra
-    copy) and every buffer's CRC32 has been verified against its header
-    descriptor (:class:`FrameIntegrityError` on mismatch).  A prefix whose
+    copy) and every buffer's CRC32, computed as its chunks arrived, has
+    been checked against its trailer (:class:`FrameIntegrityError` on
+    mismatch).  A prefix whose
     version byte is not :data:`VERSION` raises
     :class:`VersionMismatchError` before anything is parsed.
 
@@ -312,7 +338,7 @@ def _recv_frame(
     notify = getattr(sock, "notify_frame_recv", None)
     if notify is not None:
         notify()
-    prefix = _recv_exact(sock, _PREFIX.size, at_boundary=True)
+    prefix, _ = _recv_exact(sock, _PREFIX.size, at_boundary=True)
     progress[0] += _PREFIX.size
     magic, version, n_bufs, header_len = _PREFIX.unpack(bytes(prefix))
     if magic != MAGIC:
@@ -325,7 +351,7 @@ def _recv_frame(
             f"frame header declares {header_len} bytes; the frame already "
             f"exceeds this connection's max_frame_bytes={max_frame_bytes}"
         )
-    raw_header = bytes(_recv_exact(sock, header_len))
+    raw_header = bytes(_recv_exact(sock, header_len)[0])
     progress[0] += header_len
     if version != VERSION:
         # Only the prefix layout is assumed of a foreign version.  Its
@@ -348,8 +374,8 @@ def _recv_frame(
         )
     # Pre-scan every descriptor before the buffer loop allocates anything:
     # the cumulative declared byte total must clear max_frame_bytes up
-    # front, and every descriptor must carry a checksum.
-    plan: list[tuple[np.dtype, tuple, int, int]] = []
+    # front.
+    plan: list[tuple[np.dtype, tuple, int]] = []
     declared = total
     for i, desc in enumerate(descriptors):
         try:
@@ -362,35 +388,34 @@ def _recv_frame(
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         if nbytes > MAX_BUFFER_BYTES:
             raise TransportError(f"buffer {i} too large ({nbytes} bytes)")
-        declared += _BUF_LEN.size + nbytes
+        declared += _BUF_LEN.size + nbytes + _CRC.size
         if max_frame_bytes is not None and declared > max_frame_bytes:
             raise FrameTooLargeError(
                 f"descriptor {i} declares {nbytes} bytes, bringing the frame "
                 f"to {declared} declared bytes — over this connection's "
                 f"max_frame_bytes={max_frame_bytes}"
             )
-        crc = desc.get("crc32")
-        if not isinstance(crc, int):
-            raise TransportError(f"descriptor {i} carries no checksum")
-        plan.append((dtype, shape, nbytes, crc))
+        plan.append((dtype, shape, nbytes))
     arrays: list[np.ndarray] = []
-    for i, (dtype, shape, expected, crc) in enumerate(plan):
-        (nbytes,) = _BUF_LEN.unpack(bytes(_recv_exact(sock, _BUF_LEN.size)))
+    for i, (dtype, shape, expected) in enumerate(plan):
+        (nbytes,) = _BUF_LEN.unpack(bytes(_recv_exact(sock, _BUF_LEN.size)[0]))
         progress[0] += _BUF_LEN.size
         if nbytes != expected:
             raise TransportError(
                 f"buffer {i} wire length {nbytes} does not match its declared "
                 f"dtype/shape ({expected} bytes)"
             )
-        raw = _recv_exact(sock, nbytes)
+        raw, crc = _recv_exact(sock, nbytes)
         progress[0] += nbytes
-        if _crc32(raw) != crc:
+        (trailer,) = _CRC.unpack(bytes(_recv_exact(sock, _CRC.size)[0]))
+        progress[0] += _CRC.size
+        if crc != trailer:
             raise FrameIntegrityError(
                 f"buffer {i} of {header.get('type')!r} frame failed its CRC32 "
                 f"check — payload corrupted in flight"
             )
         arrays.append(np.frombuffer(raw, dtype=dtype).reshape(shape))
-        total += _BUF_LEN.size + nbytes
+        total += _BUF_LEN.size + nbytes + _CRC.size
     return header, arrays, total
 
 

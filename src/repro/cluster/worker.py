@@ -3,16 +3,19 @@
 One worker host is one process serving shard tasks over the frame protocol
 of :mod:`repro.cluster.transport`.  Per task it
 
-1. rebuilds the CSR matrix from two pinned bundles — its pattern and its
-   values (request payloads arrive deserialised fresh, exactly like the
-   serving frontend's) — adopting the head's structure and content keys,
-2. translates it through the host's **own**
-   :class:`~repro.formats.cache.TranslationCache`, keyed by content — the
-   head routes every shard of a given matrix to the same host, so after
-   the first task for a matrix the O(nnz) translation is a cache hit, and
-   new values on a known pattern reuse its cached window partition (the
-   cache counters travel back in every result and pong frame, making the
-   affinity payoff observable from the head),
+1. pins the bundles the task frame pushed (the ``push`` header names their
+   store keys and array counts, in buffer order) and acquires every key
+   the task names: the matrix's pattern and values and the dense panels,
+2. finds the translation in the host's **own**
+   :class:`~repro.formats.cache.TranslationCache` by the header's content
+   key — the head routes every shard of a given matrix to the same host,
+   so after the first task for a matrix this is a hit that builds no
+   :class:`~repro.formats.csr.CSRMatrix` at all.  On a miss it rebuilds
+   the CSR from the two pinned bundles, adopting the head's structure and
+   content keys, and translates it, reusing the pattern's cached window
+   partition when only the values are new (the cache counters travel back
+   in every result and pong frame, making the affinity payoff observable
+   from the head),
 3. slices the task's window-aligned range out of the format's lane view
    (translation is deterministic, so the worker's view is bit-identical
    to the head's) and runs the op's entry in the engine's
@@ -20,9 +23,11 @@ of :mod:`repro.cluster.transport`.  Per task it
    ``run(slice(...))`` the single-host scheduler and the head's in-parent
    fallback execute, hence bit-identical results — with the settings its
    header carries (``precision`` / ``scale`` / ``scale_by_mask``), decoded
-   and re-checked by :func:`repro.kernels.engine.shard_params`, and
-4. streams the shard output back: one row slice and its ``row0`` (dense
-   output rows for SpMM and fused layers, ``vector_values`` rows for SDDMM).
+   and re-checked by :func:`repro.kernels.engine.shard_params`,
+4. drops the request-scoped keys the header lists in ``release``, and
+5. streams the shard output back: one row slice and its ``row0`` (dense
+   output rows for SpMM and fused layers, ``vector_values`` rows for SDDMM),
+   with the store keys its pushes evicted.
 
 **Trust at the door.**  Every accepted connection must clear the
 HELLO/CHALLENGE handshake (the protocol version byte plus, when an
@@ -71,7 +76,12 @@ from repro.cluster.transport import (
     send_message,
     server_handshake,
 )
-from repro.formats.cache import FORMAT_CACHE_MAXSIZE, TranslationCache, cached_format
+from repro.formats.cache import (
+    FORMAT_CACHE_MAXSIZE,
+    TranslationCache,
+    cached_format,
+    format_kind,
+)
 from repro.formats.csr import CSRMatrix
 from repro.kernels.engine import SHARD_OPS, ShardRange, shard_params
 from repro.precision.types import Precision
@@ -96,8 +106,8 @@ class WorkerHost:
         store_bytes: int = DEFAULT_STORE_BYTES,
     ):
         self.cache = TranslationCache(maxsize=cache_maxsize)
-        #: Content-addressed pin store: CSR bundles and dense operand
-        #: panels the head pushed once, referenced by key per task.
+        #: Pin store: CSR bundles and dense operand panels the head pushed
+        #: once, referenced by key per task.
         self.store = PinnedStore(budget_bytes=store_bytes)
         self.tasks_done = 0
         #: Per-connection bound on declared frame sizes (None = unbounded):
@@ -130,45 +140,81 @@ class WorkerHost:
         }
 
     def _translate(self, header: dict, indptr, indices, data):
+        kind = format_kind(header.get("fmt", "mebcrs"))  # unknown: ValueError
+        precision = Precision(header["precision"])
+        content_key = header.get("content_key")
+        if content_key:
+            fmt = self.cache.by_content(content_key, kind.name, precision)
+            if fmt is not None:
+                return fmt
         csr = CSRMatrix(
             indptr=indptr, indices=indices, data=data, shape=tuple(header["shape"])
         )
-        if header.get("content_key"):
+        if content_key:
             # Adopt the digests the head already computed over these exact
             # bytes: the cache's content and structure lookups then skip
-            # the per-task O(nnz) rehash.
-            csr.with_content_key(header["content_key"], header.get("structure_key"))
-        kind = header.get("fmt", "mebcrs")  # a format kind's wire name; unknown: ValueError
-        precision = Precision(header["precision"])
-        return cached_format(csr, kind, precision, by_content=True, cache=self.cache)
+            # the O(nnz) rehash.
+            csr.with_content_key(content_key, header.get("structure_key"))
+        return cached_format(csr, kind.name, precision, by_content=True, cache=self.cache)
+
+    def _pin(self, header: dict, arrays: list, evicted: list) -> None:
+        """Pin the bundles the task frame pushed, in buffer order,
+        collecting the keys each put evicted into ``evicted``."""
+        offset = 0
+        for key, count in header.get("push") or ():
+            bundle = arrays[offset : offset + int(count)]
+            if len(bundle) != int(count):
+                raise ValueError(f"push of {key!r} names {count} arrays past the frame's end")
+            evicted += self.store.put(str(key), bundle)
+            offset += int(count)
+        if offset != len(arrays):
+            raise ValueError(f"task frame carries {len(arrays) - offset} unnamed buffers")
 
     # ------------------------------------------------------------ task bodies
-    def run_task(self, header: dict) -> tuple[dict, list]:
+    def run_task(self, header: dict, arrays=()) -> tuple[dict, list]:
         """Execute one shard task; returns the reply ``(header, arrays)``.
 
-        The task frame carries no operands: ``store_structure`` names the
-        pinned ``[indptr, indices]`` bundle, ``store_values`` the pinned
-        ``[data]`` and ``store_operands`` the pinned dense panels, in
-        operand order.  The keys are acquired for the duration of the task
-        (refcounted: eviction cannot pull a buffer out from under it); a
-        store that no longer holds them raises :class:`StoreMissError`
-        naming every absent key.
+        The frame's buffers are the bundles it pushes (``push``), pinned
+        first.  ``store_structure`` names the ``[indptr, indices]`` bundle,
+        ``store_values`` the ``[data]`` and ``store_operands`` the dense
+        panels, in operand order.  The keys are acquired for the duration
+        of the task (refcounted: eviction cannot pull a buffer out from
+        under it).  A store that does not hold them all answers
+        ``store_miss`` naming every absent key; any other failure answers
+        ``error``.  Either way, and after a result, the keys in ``release``
+        are dropped, and the reply names what the pushes evicted.
         """
-        delay = float(header.get("delay_s") or 0.0)
-        if delay > 0.0:  # failure-injection hook for the kill-mid-shard tests
-            time.sleep(delay)
-        keys = (header["store_structure"], header["store_values"], *header["store_operands"])
-        bundles = self.store.acquire(*keys)
+        evicted: list[str] = []
+        payload: list = []
         try:
-            (indptr, indices), (data,), *panels = bundles
-            reply, payload = self._run_shard(
-                header, [indptr, indices, data], [panel[0] for panel in panels]
-            )
+            delay = float(header.get("delay_s") or 0.0)
+            if delay > 0.0:  # failure-injection hook for the kill-mid-shard tests
+                time.sleep(delay)
+            self._pin(header, list(arrays), evicted)
+            keys = (header["store_structure"], header["store_values"], *header["store_operands"])
+            bundles = self.store.acquire(*keys)
+            try:
+                (indptr, indices), (data,), *panels = bundles
+                reply, payload = self._run_shard(
+                    header, [indptr, indices, data], [panel[0] for panel in panels]
+                )
+            finally:
+                self.store.release(*keys)
+            self.tasks_done += 1
+        except StoreMissError as exc:
+            # The task referenced keys this store no longer holds (evicted,
+            # or a restarted process).  Not a failure: the head re-pushes
+            # and resends.
+            reply = {"type": "store_miss", "missing": exc.missing}
+        except Exception as exc:  # computation error: report, stay up
+            reply = {
+                "type": "error",
+                "message": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc(),
+            }
         finally:
-            self.store.release(*keys)
-        self.tasks_done += 1
-        reply["task_id"] = header.get("task_id")
-        reply.update(self._status())
+            self.store.discard(*(header.get("release") or ()))
+        reply.update(task_id=header.get("task_id"), evicted=evicted, **self._status())
         return reply, payload
 
     def _run_shard(self, header: dict, csr_bundle: list, operands: list) -> tuple[dict, list]:
@@ -259,50 +305,8 @@ class WorkerHost:
                     except (TransportError, OSError):
                         pass
                     return True
-                elif kind == "store_put":
-                    # Pin the pushed bundle (evicting LRU zero-ref entries
-                    # over budget) and acknowledge with fresh store gauges.
-                    # The ack names what got evicted so the head's ledger
-                    # stays truthful without waiting for a store_miss.
-                    evicted = self.store.put(str(header["store_key"]), arrays)
-                    send_message(
-                        conn,
-                        {
-                            "type": "store_ack",
-                            "store_key": header["store_key"],
-                            "evicted": evicted,
-                            **self._status(),
-                        },
-                    )
                 elif kind == "task":
-                    try:
-                        reply, payload = self.run_task(header)
-                    except StoreMissError as exc:
-                        # The task referenced keys this store no longer
-                        # holds (evicted, or a restarted process).  Not a
-                        # failure: the head re-pushes and resends.
-                        send_message(
-                            conn,
-                            {
-                                "type": "store_miss",
-                                "task_id": header.get("task_id"),
-                                "missing": exc.missing,
-                                **self._status(),
-                            },
-                        )
-                    except Exception as exc:  # computation error: report, stay up
-                        send_message(
-                            conn,
-                            {
-                                "type": "error",
-                                "task_id": header.get("task_id"),
-                                "message": f"{type(exc).__name__}: {exc}",
-                                "traceback": traceback.format_exc(),
-                                **self._status(),
-                            },
-                        )
-                    else:
-                        send_message(conn, reply, payload)
+                    send_message(conn, *self.run_task(header, arrays))
                 else:
                     send_message(
                         conn,

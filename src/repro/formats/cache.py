@@ -163,6 +163,25 @@ class TranslationCache:
                 self._store(content_key, None, fmt)
             return fmt
 
+    def by_content(self, content_key: str, kind: str, precision: Precision):
+        """The translation cached under a content digest the caller already
+        holds (``kind`` is a format kind's wire name), or ``None``.
+
+        For a caller that has the digest but not yet a matrix — a cluster
+        worker reading it off a task header: a hit needs no
+        :class:`CSRMatrix` at all, so it validates no arrays and leaves no
+        identity alias behind.
+        """
+        key = ("content", content_key, kind, Precision(precision))
+        with self._lock:
+            entry = self._cache.get(key)
+            if entry is None:
+                return None
+            self._cache.move_to_end(key)
+            self._hits += 1
+            self._content_hits += 1
+            return entry[1]
+
     def partition(self, matrix: CSRMatrix, vector_size: int) -> WindowPartition:
         """``matrix``'s window partition at ``vector_size``, cached under its
         :meth:`~repro.formats.csr.CSRMatrix.structure_key` (see the module

@@ -169,6 +169,11 @@ class ServeRequest:
     #: Dense operands in the order the op runs them; a concatenating op's
     #: last operand is the panel coalesced requests join column-wise.
     operands: tuple = ()
+    #: The caller's array objects the operands were made from, in operand
+    #: order: the cluster head content-keys a panel only when it has seen
+    #: its source before (a repeated operand), so one-shot panels skip the
+    #: digest.
+    sources: tuple = ()
     #: Scalar settings of the request, reported in its result's ``meta``
     #: (and passed to the scheduler run of the ops that take settings).
     params: dict = field(default_factory=dict)
@@ -474,6 +479,7 @@ class Server:
         within a class — see the module docstring).
         """
         inp = _as_input(matrix)
+        sources = (b,)
         b = check_dense_matrix(np.asarray(b), "b", n_rows=inp.shape[1])
         return self._enqueue(
             ServeRequest(
@@ -481,6 +487,7 @@ class Server:
                 csr=inp.csr,
                 key=inp.csr.content_key(),
                 operands=(b,),
+                sources=sources,
                 priority=int(priority),
                 cost=spmm_useful_flops(inp.csr.nnz, b.shape[1]),
             ),
@@ -500,6 +507,7 @@ class Server:
         :class:`SddmmResult`.  ``timeout`` / ``priority`` as for
         :meth:`submit_spmm`."""
         inp = _as_input(mask)
+        sources = (a, b)
         a = check_dense_matrix(np.asarray(a), "a", n_rows=inp.shape[0])
         b = check_dense_matrix(np.asarray(b), "b", n_rows=inp.shape[1])
         if a.shape[1] != b.shape[1]:
@@ -511,6 +519,7 @@ class Server:
                 csr=inp.csr,
                 key=inp.csr.content_key(),
                 operands=(a, b),
+                sources=sources,
                 params={"scale_by_mask": params["scale_by_mask"]},
                 priority=int(priority),
                 cost=sddmm_useful_flops(inp.csr.nnz, a.shape[1]),
@@ -542,6 +551,7 @@ class Server:
         one engine pass.
         """
         inp = _as_input(matrix)
+        sources = (a, b, x)
         a = check_dense_matrix(np.asarray(a), "a", n_rows=inp.shape[0])
         b = check_dense_matrix(np.asarray(b), "b", n_rows=inp.shape[1])
         x = check_dense_matrix(np.asarray(x), "x", n_rows=inp.shape[1])
@@ -565,6 +575,7 @@ class Server:
                 csr=inp.csr,
                 key=inp.csr.content_key(),
                 operands=(a, b, x),
+                sources=sources,
                 params={"scale": scale, "scale_by_mask": scale_by_mask},
                 token=token,
                 priority=int(priority),
@@ -1016,8 +1027,13 @@ class Server:
             kwargs: dict = {"target_blocks": plan.block_chunk}
             if self.backend == "cluster":
                 # The head routes by content key and ships the request's
-                # own CSR payload to the worker hosts.
-                kwargs.update(csr=lead.csr, content_key=lead.key)
+                # own CSR payload to the worker hosts; the operands'
+                # sources tell it which panels are repeats worth pinning.
+                # A coalesced concatenation has no single source.
+                sources = list(lead.sources)
+                if concat and len(group) > 1:
+                    sources[-1] = None
+                kwargs.update(csr=lead.csr, content_key=lead.key, sources=sources)
             out, stages = row.run(self, fmt, operands, lead, kwargs)
             meta = {
                 "engine": "serve",

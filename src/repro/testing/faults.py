@@ -18,8 +18,11 @@ into the transport through an injectable socket wrapper:
   frame boundary through the ``notify_frame_send`` / ``notify_frame_recv``
   hooks (see :mod:`repro.cluster.transport`), so fault schedules count
   **frames, not bytes** — heartbeat noise cannot shift a schedule aimed at
-  ``type="task"`` frames, the one frame type every op's shards travel in —
-  and the wrapper then applies the armed fault to the frame's raw bytes.
+  ``type="task"`` frames, the one frame type every op's shards travel in.
+  Inside a frame, ``notify_part_send`` names each part before it is
+  written (prefix, header, and per buffer its length, its payload chunks
+  and its CRC32 trailer), and the wrapper applies the armed fault to the
+  raw bytes of the part it targets.
 * ``refuse_connect`` is consulted by the head's connect path through
   :meth:`FaultPlan.check_connect`, and ``kill_host`` is a *driver-level*
   action: a chaos driver polls :meth:`FaultPlan.actions_at` each step and
@@ -152,9 +155,19 @@ class FaultPlan:
         nth: int = 1,
         type: str | None = "task",
         scope: str | None = None,
+        at: str = "header",
+        buffer: int = 0,
     ) -> "FaultPlan":
-        """Send the prefix and half the header of the ``nth`` matching frame,
-        then reset — the peer observes a mid-frame EOF."""
+        """Cut the ``nth`` matching frame short, then reset — the peer
+        observes a mid-frame EOF.
+
+        ``at="header"`` sends the prefix and half the header;
+        ``at="buffer"`` sends half of buffer ``buffer``'s first chunk;
+        ``at="trailer"`` sends buffer ``buffer`` whole but not its CRC32
+        trailer.
+        """
+        if at not in ("header", "buffer", "trailer"):
+            raise ValueError("at must be 'header', 'buffer' or 'trailer'")
         return self._arm(
             _ArmedFault(
                 kind="truncate_frame",
@@ -162,6 +175,7 @@ class FaultPlan:
                 side="send",
                 frame_type=type,
                 remaining=nth,
+                params={"at": at, "buffer": int(buffer)},
             )
         )
 
@@ -197,7 +211,7 @@ class FaultPlan:
 
         This is the silent-corruption fault: the frame stays structurally
         valid — magic, header, lengths all parse — but the payload bytes no
-        longer match their declared CRC32, so the receiver detects it as a
+        longer match their CRC32 trailer, so the receiver detects it as a
         :class:`~repro.cluster.transport.FrameIntegrityError` instead of
         feeding the flipped bits straight into a kernel.
         """
@@ -220,13 +234,12 @@ class FaultPlan:
         scope: str | None = None,
         buffer: int = 0,
     ) -> "FaultPlan":
-        """Rewrite the declared CRC32 of buffer ``buffer`` in the ``nth``
-        matching frame's header (payload bytes untouched).
+        """Flip a bit of buffer ``buffer``'s CRC32 trailer in the ``nth``
+        matching frame (payload bytes untouched).
 
         The inverse of :meth:`corrupt_payload`: the data is fine but its
         checksum lies, so the receiver must reject the frame rather than
-        trust the descriptor.  The rewritten value is ``crc ^ 1`` — same
-        decimal width, so the already-sent ``header_len`` stays truthful.
+        trust the trailer.
         """
         return self._arm(
             _ArmedFault(
@@ -354,47 +367,29 @@ class FaultSocket:
 
     The transport calls :meth:`notify_frame_send` / :meth:`notify_frame_recv`
     once per frame; the wrapper decides there (under the plan lock, from the
-    deterministic frame count) which faults fire, then applies them to the
-    raw ``sendall`` / ``recv_into`` calls that follow.  Everything else is
-    delegated to the wrapped socket.
+    deterministic frame count) which faults fire.  :meth:`notify_part_send`
+    then names each part of the outgoing frame before its ``sendall``
+    calls, and the wrapper applies the firing faults to the part they
+    target.  Everything else is delegated to the wrapped socket.
     """
 
     def __init__(self, plan: FaultPlan, sock, scope: str | None = None):
         self.plan = plan
         self.scope = scope
         self._sock = sock
-        self._part = 0  # part index within the current outgoing frame
-        self._delay_ms = 0.0
-        self._corrupt = False
-        self._truncate = False
-        self._drop = False
-        self._corrupt_payload_bufs: set[int] = set()
-        self._corrupt_checksum_bufs: set[int] = set()
+        self._part: tuple[str, int | None] = ("prefix", None)
+        self._faults: list[_ArmedFault] = []
 
     # ----------------------------------------------------- frame-boundary hooks
     def notify_frame_send(self, header: dict) -> None:
-        self._part = 0
-        self._delay_ms = 0.0
-        self._corrupt = self._truncate = self._drop = False
-        self._corrupt_payload_bufs = set()
-        self._corrupt_checksum_bufs = set()
         frame_type = header.get("type")
-        for fault in self.plan._take("send", self.scope, frame_type):
-            detail = f"frame type={frame_type!r} scope={self.scope}"
+        self._faults = self.plan._take("send", self.scope, frame_type)
+        for fault in self._faults:
             with self.plan._lock:
-                self.plan._record(fault, detail)
-            if fault.kind == "delay_send":
-                self._delay_ms += fault.params["ms"]
-            elif fault.kind == "corrupt_header":
-                self._corrupt = True
-            elif fault.kind == "truncate_frame":
-                self._truncate = True
-            elif fault.kind == "drop_connection":
-                self._drop = True
-            elif fault.kind == "corrupt_payload":
-                self._corrupt_payload_bufs.add(fault.params["buffer"])
-            elif fault.kind == "corrupt_checksum":
-                self._corrupt_checksum_bufs.add(fault.params["buffer"])
+                self.plan._record(fault, f"frame type={frame_type!r} scope={self.scope}")
+
+    def notify_part_send(self, part: str, index: int | None = None) -> None:
+        self._part = (part, index)
 
     def notify_frame_recv(self) -> None:
         for fault in self.plan._take("recv", self.scope, None):
@@ -418,60 +413,53 @@ class FaultSocket:
             pass
         raise ConnectionResetError(f"[fault injection] {why}")
 
+    def _targets(self, fault: _ArmedFault) -> bool:
+        """Whether ``fault`` applies to the part about to be written."""
+        part, index = self._part
+        if fault.kind in ("delay_send", "drop_connection"):
+            return part == "prefix"
+        if fault.kind == "corrupt_header":
+            return part == "header"
+        if fault.kind == "truncate_frame":
+            at = fault.params["at"]
+            return part == at and (at == "header" or index == fault.params["buffer"])
+        if fault.kind == "corrupt_payload":
+            return part == "buffer" and index == fault.params["buffer"]
+        if fault.kind == "corrupt_checksum":
+            return part == "trailer" and index == fault.params["buffer"]
+        return False
+
     def sendall(self, data) -> None:
-        part = self._part
-        self._part += 1
-        if part == 0:
-            if self._delay_ms > 0:
-                time.sleep(self._delay_ms / 1000.0)
-                self._delay_ms = 0.0
-            if self._drop:
+        for fault in [f for f in self._faults if self._targets(f)]:
+            # Each fault acts on the first write of its part, once.
+            self._faults.remove(fault)
+            if fault.kind == "delay_send":
+                time.sleep(fault.params["ms"] / 1000.0)
+            elif fault.kind == "drop_connection":
                 self._reset("connection dropped before send")
-        if part == 1:  # the JSON header part of the frame
-            if self._truncate:
-                half = bytes(data)[: max(1, len(data) // 2)]
-                self._sock.sendall(half)
-                self._reset("frame truncated mid-header")
-            if self._corrupt:
+            elif fault.kind == "truncate_frame":
+                if fault.params["at"] != "trailer":
+                    self._sock.sendall(bytes(data)[: max(1, len(data) // 2)])
+                self._reset(f"frame truncated at its {fault.params['at']}")
+            elif fault.kind == "corrupt_header":
                 raw = bytearray(bytes(data))
                 # 0xFF is never valid UTF-8, so the peer's JSON decode fails
                 # deterministically; positions come from the plan's seed.
                 for pos in self.plan.corruption(max(1, len(raw) // 16)):
                     raw[pos % len(raw)] = 0xFF
-                self._corrupt = False
-                self._sock.sendall(bytes(raw))
-                return
-            if self._corrupt_checksum_bufs:
-                # Lie about the checksum without touching the payload: the
-                # prefix (with header_len) already left, so the rewrite —
-                # ``crc ^ 1``, same decimal width — must keep the header's
-                # byte length exact.
-                import json as _json
-
-                header = _json.loads(bytes(data).decode("utf-8"))
-                for index in self._corrupt_checksum_bufs:
-                    descriptors = header.get("arrays", [])
-                    if 0 <= index < len(descriptors):
-                        descriptors[index]["crc32"] ^= 1
-                raw = _json.dumps(header, separators=(",", ":")).encode("utf-8")
-                assert len(raw) == len(bytes(data))
-                self._corrupt_checksum_bufs = set()
-                self._sock.sendall(raw)
-                return
-        # Payload parts: buffer i's raw bytes are frame part 3 + 2i (its
-        # 8-byte length prefix is part 2 + 2i).
-        if part >= 3 and (part - 3) % 2 == 0:
-            index = (part - 3) // 2
-            if index in self._corrupt_payload_bufs:
+                data = bytes(raw)
+            elif fault.kind == "corrupt_payload":
                 original = bytes(data)
                 raw = bytearray(original)
                 for pos in self.plan.corruption(max(1, min(8, len(raw)))):
                     raw[pos % len(raw)] ^= 1 << (pos % 8)
                 if bytes(raw) == original:  # seeded flips cancelled out
                     raw[0] ^= 1
-                self._corrupt_payload_bufs.discard(index)
-                self._sock.sendall(bytes(raw))
-                return
+                data = bytes(raw)
+            elif fault.kind == "corrupt_checksum":
+                raw = bytearray(bytes(data))
+                raw[-1] ^= 1
+                data = bytes(raw)
         self._sock.sendall(data)
 
     def recv_into(self, buffer, nbytes: int = 0) -> int:

@@ -239,29 +239,34 @@ def composed_layer(
     return spmm_batched(fmt_cls.from_csr(attention, precision=precision), x_q, precision)
 
 
-def raw_frame(version: int, header: dict, buffers=(), n_bufs: int | None = None) -> bytes:
+def raw_frame(
+    version: int, header: dict, buffers=(), n_bufs: int | None = None, trailers: bool = True
+) -> bytes:
     """A wire frame written by hand: any version byte, array descriptors
-    exactly as given in ``header["arrays"]`` (checksums only if the caller
-    put them there), and a buffer count that need not match the buffers
-    that follow — what a foreign or hostile peer could send."""
+    exactly as given in ``header["arrays"]``, a buffer count that need not
+    match the buffers that follow, and each buffer's CRC32 trailer unless
+    ``trailers=False`` — what a foreign or hostile peer could send."""
     import json
+    import zlib
 
-    from repro.cluster.transport import _BUF_LEN, _PREFIX, MAGIC
+    from repro.cluster.transport import _BUF_LEN, _CRC, _PREFIX, MAGIC
 
     raw = json.dumps(header, separators=(",", ":")).encode()
     count = len(buffers) if n_bufs is None else n_bufs
     out = _PREFIX.pack(MAGIC, version, count, len(raw)) + raw
     for buf in buffers:
         out += _BUF_LEN.pack(len(buf)) + bytes(buf)
+        if trailers:
+            out += _CRC.pack(zlib.crc32(bytes(buf)))
     return out
 
 
 def scripted_worker(on_task=None, on_shutdown=None):
     """Start a fake worker host that speaks the real handshake, answers
-    pings and store puts honestly, and hands ``task`` / ``shutdown`` frames
-    to the given ``callback(conn, header)`` scripts (default: the honest
-    ``bye``; tasks need a script).  Serves connections until a shutdown
-    frame; returns ``(address, thread)``.
+    pings honestly, and hands ``task`` / ``shutdown`` frames to the given
+    ``callback(conn, header)`` scripts (default: the honest ``bye``; tasks
+    need a script — a task's pushed bundles are read and dropped).  Serves
+    connections until a shutdown frame; returns ``(address, thread)``.
     """
     import socket
     import threading
@@ -288,9 +293,6 @@ def scripted_worker(on_task=None, on_shutdown=None):
                             kind = header["type"]
                             if kind == "ping":
                                 send_message(conn, {"type": "pong", "store_keys": []})
-                            elif kind == "store_put":
-                                reply = {"type": "store_ack", "store_key": header["store_key"]}
-                                send_message(conn, reply)
                             elif kind == "shutdown":
                                 if on_shutdown is None:
                                     send_message(conn, {"type": "bye"})

@@ -21,9 +21,11 @@ import pytest
 from repro.cluster.transport import (
     _BUF_LEN,
     _PREFIX,
+    CHUNK_BYTES,
     MAGIC,
     VERSION,
     ConnectionClosedError,
+    FrameIntegrityError,
     FrameTooLargeError,
     TransportError,
     client_handshake,
@@ -104,6 +106,76 @@ def test_truncate_frame_leaves_peer_with_midframe_eof():
     with pytest.raises(TransportError, match="mid-frame"):
         recv_message(b)
     b.close()
+
+
+def _send_in_thread(sock, header, arrays):
+    """``send_message`` from a thread (a multi-chunk frame outgrows the
+    socketpair's buffer); returns the thread and a box for its outcome."""
+    box = {}
+
+    def send():
+        try:
+            box["sent"] = send_message(sock, header, arrays)
+        except TransportError as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=send, daemon=True)
+    thread.start()
+    return thread, box
+
+
+def test_multi_chunk_buffers_stream_their_checksum():
+    a, b = _pair()
+    big = np.arange(3 * CHUNK_BYTES // 4 + 17, dtype=np.float32)  # 4 chunks
+    thread, box = _send_in_thread(a, {"type": "task"}, [big, big[:5]])
+    header, arrays, received = recv_message(b)
+    thread.join(TIMEOUT)
+    assert box["sent"] == received
+    np.testing.assert_array_equal(arrays[0], big)
+    np.testing.assert_array_equal(arrays[1], big[:5])
+    a.close(), b.close()
+
+
+def test_payload_fault_targets_its_buffer_whatever_the_chunk_count():
+    """The wrapper learns buffer boundaries from the transport, not by
+    counting ``sendall`` calls: buffer 1 is hit even behind a buffer 0 that
+    is written in several chunks."""
+    plan = FaultPlan(seed=21).corrupt_payload(nth=1, type="task", buffer=1)
+    a, b = _pair()
+    wrapped = plan.wrap(a, scope="h0")
+    big = np.zeros(CHUNK_BYTES // 2 + 3, dtype=np.float32)  # 3 chunks
+    thread, _ = _send_in_thread(wrapped, {"type": "task"}, [big, np.ones(8, np.float32)])
+    with pytest.raises(FrameIntegrityError, match="buffer 1"):
+        recv_message(b)
+    thread.join(TIMEOUT)
+    a.close(), b.close()
+
+
+@pytest.mark.parametrize(
+    "fault, error, match",
+    [
+        (dict(kind="corrupt_checksum"), FrameIntegrityError, "CRC32"),
+        (dict(kind="truncate_frame", at="buffer"), TransportError, "mid-frame"),
+        (dict(kind="truncate_frame", at="trailer"), TransportError, "mid-frame"),
+    ],
+    ids=["lying-trailer", "cut-inside-buffer", "missing-trailer"],
+)
+def test_streamed_buffer_faults_are_transport_errors(fault, error, match):
+    """A lying trailer, a stream cut inside a streamed buffer and a buffer
+    whose trailer never comes: each is a :class:`TransportError` subclass
+    on the receiving side, never arrays."""
+    params = dict(fault)
+    plan = getattr(FaultPlan(seed=22), params.pop("kind"))(nth=1, type="task", buffer=1, **params)
+    a, b = _pair()
+    wrapped = plan.wrap(a, scope="h0")
+    big = np.arange(CHUNK_BYTES // 2 + 3, dtype=np.float32)  # 3 chunks
+    thread, _ = _send_in_thread(wrapped, {"type": "task"}, [np.ones(4, np.float32), big])
+    with pytest.raises(error, match=match):
+        recv_message(b)
+    thread.join(TIMEOUT)
+    assert not thread.is_alive()
+    assert len(plan.fired) == 1
+    a.close(), b.close()
 
 
 def test_corrupt_header_is_undecodable_and_seeded():

@@ -295,15 +295,10 @@ def test_worker_survives_head_disconnect_and_reconnect():
         first = socket_mod.create_connection(address, timeout=10)
         first.settimeout(10)
         client_handshake(first)
-        bundles = (
-            ("struct/k@0", [csr.indptr, csr.indices]),
-            ("vals/k@0", [csr.data]),
-            ("op/b@0", [b_q]),
-        )
-        for key, bundle in bundles:
-            send_message(first, {"type": "store_put", "store_key": key}, bundle)
-            assert recv_message(first)[0]["type"] == "store_ack"
-        send_message(first, task)
+        # The first task frame pushes its bundles: [key, array count] in
+        # buffer order, the arrays as the frame's buffers.
+        push = [["struct/k@0", 2], ["vals/k@0", 1], ["op/b@0", 1]]
+        send_message(first, dict(task, push=push), [csr.indptr, csr.indices, csr.data, b_q])
         first.close()  # vanish while the worker is still computing
         time.sleep(0.6)  # let the worker finish the task and hit the send
         assert process.is_alive(), "worker died on the reply-send failure"

@@ -263,7 +263,7 @@ def _unchecksummed_v1(header: dict, array: np.ndarray) -> bytes:
     """A version-1 frame carrying ``array`` with no CRC32 in its descriptor —
     what the pre-checksum protocol put on the wire."""
     desc = {"dtype": array.dtype.str, "shape": list(array.shape)}
-    return raw_frame(1, dict(header, arrays=[desc]), [array.tobytes()])
+    return raw_frame(1, dict(header, arrays=[desc]), [array.tobytes()], trailers=False)
 
 
 def test_post_handshake_v1_frame_is_refused_by_the_worker(auth_worker):
@@ -476,11 +476,12 @@ def test_corrupted_result_frame_recovers_bit_identically():
 def test_corrupted_task_frame_detected_by_worker_and_recovered():
     """The other direction: a frame corrupted head→worker is caught by
     the worker's CRC check (never computed on), costs the connection, and
-    the head's resend completes the request exactly.  Under protocol v3
-    the operand bytes travel in ``store_put`` frames (task frames carry
-    keys only), so that is where the corruption is seeded."""
+    the head's resend completes the request exactly.  The operand bytes
+    ride the first task frame as pushed bundles — buffers 0-1 the
+    pattern, 2 the values, 3 the dense panel — so the corruption is seeded
+    in the panel's buffer."""
     csr, fmt, _, _, b_q, base, _ = _workload(seed=27)
-    plan = FaultPlan(seed=5).corrupt_payload(nth=1, type="store_put")
+    plan = FaultPlan(seed=5).corrupt_payload(nth=1, type="task", buffer=3)
     with ClusterScheduler(
         hosts=2,
         fault_plan=plan,
@@ -493,6 +494,38 @@ def test_corrupted_task_frame_detected_by_worker_and_recovered():
     assert snap["integrity_failures"] >= 1
     assert snap["task_failures"] == 0
     assert plan.fired_kinds().count("corrupt_payload") == 1
+
+
+@pytest.mark.parametrize(
+    "side, fault",
+    [
+        ("head", dict(kind="corrupt_checksum", type="task", buffer=3)),
+        ("head", dict(kind="truncate_frame", type="task", at="buffer", buffer=3)),
+        ("head", dict(kind="truncate_frame", type="task", at="trailer", buffer=3)),
+        ("worker", dict(kind="corrupt_checksum", type="result", buffer=0)),
+    ],
+    ids=["task-lying-trailer", "task-cut-in-buffer", "task-missing-trailer", "result-lying-trailer"],
+)
+def test_trailer_faults_recover_bit_identically(side, fault):
+    """Each v8 framing fault — a lying CRC32 trailer, a stream cut inside
+    a streamed buffer, a trailer that never comes — costs the connection
+    and a resend, never a wrong result or a failed shard.  On the head
+    side the fault hits the first task frame's pushed panel (buffer 3,
+    behind the pattern and the values)."""
+    csr, fmt, _, _, b_q, base, _ = _workload(seed=29)
+    params = dict(fault)
+    plan = getattr(FaultPlan(seed=7), params.pop("kind"))(nth=1, **params)
+    plans = {"fault_plan": plan} if side == "head" else {"worker_fault_plan": plan}
+    with ClusterScheduler(hosts=2, retry_policy=RetryPolicy(seed=0), **plans) as sched:
+        out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
+        snap = sched.stats_snapshot()
+    np.testing.assert_array_equal(out, base)
+    assert snap["task_failures"] == 0
+    assert snap["reconnects"] >= 1
+    if fault["kind"] == "corrupt_checksum":
+        assert snap["integrity_failures"] >= 1
+    if side == "head":
+        assert len(plan.fired) == 1
 
 
 def test_lying_checksum_is_rejected_like_corruption():
@@ -553,12 +586,24 @@ def test_handshake_bytes_counted_into_transport_totals():
 
 
 def test_v2_frames_without_checksums_are_protocol_violations():
+    """A buffer with no CRC32 trailer behind it (what the pre-checksum
+    protocol put on the wire) never passes as a frame: the stream ends
+    where the trailer belongs, or the next frame's bytes fail as one."""
+    payload = np.arange(4, dtype=np.float32)
+    frame = raw_frame(
+        VERSION,
+        {"type": "task", "arrays": [{"dtype": "<f4", "shape": [4]}]},
+        [payload.tobytes()],
+        trailers=False,
+    )
     a, b = _pair()
-    import json
-
-    header = {"type": "task", "arrays": [{"dtype": "<f4", "shape": [4]}]}
-    raw = json.dumps(header, separators=(",", ":")).encode()
-    a.sendall(_PREFIX.pack(MAGIC, VERSION, 1, len(raw)) + raw)
-    with pytest.raises(TransportError, match="no checksum"):
+    a.sendall(frame)
+    a.close()
+    with pytest.raises(TransportError, match="mid-frame"):
+        recv_message(b)
+    b.close()
+    a, b = _pair()
+    a.sendall(frame + frame)
+    with pytest.raises(FrameIntegrityError, match="CRC32"):
         recv_message(b)
     a.close(), b.close()

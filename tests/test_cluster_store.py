@@ -7,7 +7,8 @@ The store's contract, end to end:
 * the worker-side :class:`PinnedStore` is a byte-budgeted LRU whose
   eviction never touches an entry an in-flight task holds a refcount on;
 * repeat cluster traffic ships a matrix's CSR buffers at most once per
-  (host, content key) — task frames carry keys, not bytes;
+  (host, content key) — in the first task frame that needs them; later
+  task frames carry keys, not bytes;
 * every degraded mode — eviction under a tiny budget, ``store_miss``,
   transport faults on the push itself, host failover, readmission — costs
   bytes, a retry or an in-parent shard, never a failed request, and
@@ -150,7 +151,7 @@ def test_repeat_traffic_ships_matrix_bytes_once_per_host():
             out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr, content_key=key)
             np.testing.assert_array_equal(out, base)
             if i == 0:
-                first = sched.stats_snapshot()["bytes_by_frame_type"]
+                first = sched.stats_snapshot()
         snap = sched.stats_snapshot()
         # The other two kernel ops over the same pinned matrix, for the
         # frame-size check at the bottom.
@@ -168,38 +169,43 @@ def test_repeat_traffic_ships_matrix_bytes_once_per_host():
     assert snap["store_misses"] == 0
     assert snap["bytes_saved"] > 0
     assert snap["task_failures"] == 0
-    # Split byte accounting: pushed bytes live under their own frame type,
-    # and a request's (many) task frames collectively stay below the pushes
-    # it made — they carry keys, not operand buffers — while the repeats
-    # push nothing.
-    by_type = snap["bytes_by_frame_type"]
-    assert by_type["store_put"]["sent"] == first["store_put"]["sent"] > 0
-    assert first["task"]["sent"] < first["store_put"]["sent"]
+    # The pushes ride the first request's task frames: every frame's bytes
+    # are counted once, under ``task``, and ``store_put_bytes`` counts the
+    # pushed bundles inside them.  The repeats push nothing.
+    pushed = csr.indptr.nbytes + csr.indices.nbytes + csr.data.nbytes + b_q.nbytes
+    assert snap["store_put_bytes"] == first["store_put_bytes"] == pushed
+    by_type, first_by_type = snap["bytes_by_frame_type"], first["bytes_by_frame_type"]
+    assert "store_put" not in by_type
+    headers = first_by_type["task"]["sent"] - pushed
+    assert 0 < headers < 2048 * first["tasks_sent"]
     # The worker-reported gauges travel back in status frames.
     host_entry = next(iter(snap["hosts"].values()))
-    assert host_entry["store"]["pinned_bytes"] > 0
+    assert host_entry["store"]["pinned_bytes"] == pushed
     assert host_entry["store"]["entries"] == 3
     assert host_entry["store_puts"] == 3
-    # A spmm / sddmm / layer task frame is a header naming store keys, with
-    # no payload buffers: smaller than the smallest operand it refers to.
-    per_task = all_ops["bytes_by_frame_type"]["task"]["sent"] / all_ops["tasks_sent"]
-    assert per_task < 2048 < b_q.nbytes
+    # Past the pushes, a spmm / sddmm / layer task frame is a header naming
+    # store keys: smaller than the smallest operand it refers to.
+    frames = all_ops["bytes_by_frame_type"]["task"]["sent"] - all_ops["store_put_bytes"]
+    assert frames / all_ops["tasks_sent"] < 2048 < b_q.nbytes
 
 
 def test_fresh_values_on_one_pattern_ship_the_pattern_once_per_host(monkeypatch):
     """Five requests with new values on one pattern (an attention layer's
     weights, evaluation after evaluation) on a 2-host cluster: each host
-    receives the ``struct/`` bundle at most once, every later put is the
-    ``data`` array alone, and every result is bit-identical to one-shot
-    ``repro.spmm``."""
+    receives the ``struct/`` bundle at most once, every later matrix push
+    is the ``data`` array alone, and every result is bit-identical to
+    one-shot ``repro.spmm``."""
     puts: dict[str, list] = {}
     real_send = head.send_message
 
     def spy(sock, header, arrays=()):
-        if header.get("type") == "store_put":
+        if header.get("type") == "task":
             # Each host client is its own thread: the thread names the host.
             host_puts = puts.setdefault(threading.current_thread().name, [])
-            host_puts.append((header["store_key"], [np.array(a) for a in arrays]))
+            offset = 0
+            for key, count in header["push"]:
+                host_puts.append((key, [np.array(a) for a in arrays[offset : offset + count]]))
+                offset += count
         return real_send(sock, header, arrays)
 
     monkeypatch.setattr(head, "send_message", spy)
@@ -216,21 +222,28 @@ def test_fresh_values_on_one_pattern_ship_the_pattern_once_per_host(monkeypatch)
         remote = srv.scheduler.metrics.remote_cache_stats()
     struct_key = make_store_key("struct", mask.structure_key())
     values_keys = {make_store_key("vals", m.content_key()): m.data for m in attention}
-    assert sum(len(host_puts) for host_puts in puts.values()) == 5 + 2 * len(puts)
-    for host_puts in puts.values():
-        # A host's first request pushes the pattern, its values and B ...
-        (key, (indptr, indices)), (first_values, _), (operand, _) = host_puts[:3]
+    matrix_puts = {
+        host: [(key, arrays) for key, arrays in host_puts if not key.startswith(("op/", "req/"))]
+        for host, host_puts in puts.items()
+    }
+    assert sum(len(host_puts) for host_puts in matrix_puts.values()) == 5 + len(puts)
+    for host_puts in matrix_puts.values():
+        # A host's first request pushes the pattern, then its values ...
+        (key, (indptr, indices)), (first_values, _) = host_puts[:2]
         assert key == struct_key
         np.testing.assert_array_equal(indptr, mask.indptr)
         np.testing.assert_array_equal(indices, mask.indices)
-        assert first_values in values_keys and operand.startswith("op/")
-        # ... and every later put is one request's data, alone.
+        assert first_values in values_keys
+        # ... and every later matrix push is one request's data, alone.
         for key, arrays in host_puts[1:]:
-            if key.startswith("vals/"):
-                (data,) = arrays
-                np.testing.assert_array_equal(data, values_keys[key])
-            else:
-                assert key == operand
+            (data,) = arrays
+            np.testing.assert_array_equal(data, values_keys[key])
+    # The one ``b`` object is content-keyed from its second request on, so
+    # each host pins it once; only the very first request ships it under a
+    # request-scoped key.
+    for host_puts in puts.values():
+        assert sum(key.startswith("op/") for key, _ in host_puts) <= 1
+    assert sum(key.startswith("req/") for p in puts.values() for key, _ in p) == 1
     # Past each host's first request the worker translated through its
     # cached window partition.
     assert remote.structure_hits >= 5 - len(puts)
@@ -264,9 +277,10 @@ def test_tiny_budget_store_miss_falls_back_without_failures():
 
 
 def test_store_put_transport_fault_recovers_and_stays_exact():
-    """A connection dropped mid-push (seeded via FaultPlan on the
-    ``store_put`` frame) rides the normal SUSPECT → re-dial → resend
-    machinery: the push repeats on the fresh connection."""
+    """A connection dropped mid-push (seeded via FaultPlan on the first
+    ``task`` frame, which carries the pushed bundles) rides the normal
+    SUSPECT → re-dial → resend machinery: the push repeats on the fresh
+    connection."""
     csr, fmt, b_q, base = _workload(seed=73)
     key = csr.content_key()
     plan = FaultPlan(seed=3)
@@ -276,7 +290,7 @@ def test_store_put_transport_fault_recovers_and_stays_exact():
         retry_policy=RetryPolicy(seed=3),
     ) as sched:
         victim = sched.affinity_host(key)
-        plan.drop_connection(nth=1, type="store_put", scope=victim.host_id)
+        plan.drop_connection(nth=1, type="task", scope=victim.host_id)
         out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr, content_key=key)
         np.testing.assert_array_equal(out, base)
         snap = sched.stats_snapshot()
