@@ -48,14 +48,17 @@ unchanged.  What changes underneath:
   a served shard costs one frame each way, with no separate push round
   trip.  A matrix ships as its pattern (keyed by structure) and its
   values (keyed by content), so new values on a pattern a host already
-  pinned cost one ``data`` push.  A dense panel is content-keyed (one
-  sha256) only when its source array is an object the head saw in an
+  pinned cost one ``data`` push — and, on the worker, one cast: SpMM and
+  the fused layer run on the pinned CSR, not a translation.  A dense
+  panel is content-keyed (one sha256 over the caller's operand and the
+  precision) only when its source array is an object the head saw in an
   earlier request; any other panel gets a request-scoped key with no
-  digest, and the request's last task on each host releases it.  A
-  ``store_miss`` (eviction, cold restart) is handled like a transient
-  transport failure — re-push, bounded; a shard whose store keeps missing
-  (a budget smaller than one request's working set) runs in-parent
-  instead, so a thrashing store costs throughput, never the request.
+  digest, and the request's last task on each host releases it.  A panel
+  is quantised only when a frame pushes it.  A ``store_miss`` (eviction,
+  cold restart) is handled like a transient transport failure — re-push,
+  bounded; a shard whose store keeps missing (a budget smaller than one
+  request's working set) runs in-parent instead, so a thrashing store
+  costs throughput, never the request.
 * **Checked assembly.**  Shard results return as transport payloads and
   are reassembled by :mod:`repro.cluster.assembly` with
   overlap/completeness checks — a result that arrives twice or never is
@@ -117,7 +120,7 @@ from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.cache import format_kind
 from repro.formats.csr import CSRMatrix
 from repro.kernels.engine import SHARD_OPS, shard_params
-from repro.precision.types import Precision
+from repro.precision.types import Precision, quantize
 
 #: Idle gap after which a host client probes its host with a ping.
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.5
@@ -158,23 +161,58 @@ class _Stop:
     """Inbox sentinel shutting a host client down."""
 
 
+class _Bundle:
+    """The arrays behind one store key of a request's store plan, ready to
+    ship: ``count`` arrays of ``nbytes`` in all."""
+
+    def __init__(self, arrays: list):
+        self._arrays = arrays
+        self.count = len(arrays)
+        self.nbytes = sum(int(a.nbytes) for a in arrays)
+
+    def arrays(self) -> list:
+        """The bundle's arrays, in push order."""
+        return self._arrays
+
+
+class _Panel(_Bundle):
+    """A dense operand panel, held as the caller passed it and quantised on
+    the first :meth:`arrays` call — when a task frame pushes it or a shard
+    runs in-parent.  A panel every host already pins is never quantised,
+    and one that ships is quantised once per request: host-client threads
+    and the in-parent fallback may ask at the same time, and the first one
+    quantises under the lock."""
+
+    def __init__(self, operand: np.ndarray, precision: str):
+        self._arrays = None
+        self._operand, self._precision = operand, precision
+        self._lock = threading.Lock()
+        self.count, self.nbytes = 1, 4 * int(operand.size)
+
+    def arrays(self) -> list:
+        with self._lock:
+            if self._arrays is None:
+                # In the operand's own dtype: a float64 panel rounds to fp16
+                # once, not through float32.
+                quantised = quantize(self._operand, self._precision)
+                self._arrays = [np.ascontiguousarray(quantised, dtype=np.float32)]
+                self._operand = None
+            return self._arrays
+
+
 @dataclass
 class _Task:
     """One shard task travelling through a host client.
 
-    ``store_plan`` lists ``(store_key, arrays)`` groups — the matrix's
-    pattern, its values, then one group per dense operand.  The client
-    names every key in the task header and carries the groups its ledger
-    says the worker lacks as the frame's buffers.
+    ``store_plan`` lists ``(store_key, bundle)`` pairs — the matrix's
+    pattern, its values, then one :class:`_Panel` per dense operand.  The
+    client names every key in the task header and carries the bundles its
+    ledger says the worker lacks as the frame's buffers.
     """
 
     header: dict
     store_plan: list
     future: Future = field(default_factory=Future)
-
-
-def _nbytes(bundle) -> int:
-    return sum(int(a.nbytes) for a in bundle)
 
 
 def _describe_task(header: dict) -> str:
@@ -467,20 +505,21 @@ class _HostClient(threading.Thread):
         # the rest: fail those tasks over and close the socket.
         self._mark_dead(None, record=False)
 
-    def _task_frame(self, task: _Task) -> tuple[dict, list]:
-        """``(header, pushed)`` for one send of ``task``.
+    def _task_frame(self, task: _Task) -> tuple[dict, list, list]:
+        """``(header, pushed, arrays)`` for one send of ``task``.
 
-        Every plan group the ledger says the worker lacks is pushed once in
-        this frame: ``pushed`` lists its ``(key, arrays)`` groups in buffer
-        order, and the header's ``push`` names their keys and array
-        counts.  Groups already pinned (or pushed earlier in this frame)
-        are counted as ``bytes_saved`` — the payload that did not have to
-        cross the wire again.
+        Every plan bundle the ledger says the worker lacks is pushed once in
+        this frame: ``pushed`` lists its ``(key, bundle)`` pairs in buffer
+        order, ``arrays`` their arrays, and the header's ``push`` names
+        their keys and array counts.  Bundles already pinned (or pushed
+        earlier in this frame) are counted as ``bytes_saved`` — the payload
+        that did not have to cross the wire again — and a panel among them
+        is not quantised.
         """
-        pushed: dict[str, list] = {}
+        pushed: dict[str, _Bundle] = {}
         for key, bundle in task.store_plan:
             if key in self.ledger or key in pushed:
-                self.metrics.record_store_hit(self.host_id, _nbytes(bundle))
+                self.metrics.record_store_hit(self.host_id, bundle.nbytes)
             else:
                 pushed[key] = bundle
         keys = [key for key, _ in task.store_plan]
@@ -489,9 +528,10 @@ class _HostClient(threading.Thread):
             store_structure=keys[0],
             store_values=keys[1],
             store_operands=keys[2:],
-            push=[[key, len(bundle)] for key, bundle in pushed.items()],
+            push=[[key, bundle.count] for key, bundle in pushed.items()],
         )
-        return header, list(pushed.items())
+        arrays = [a for bundle in pushed.values() for a in bundle.arrays()]
+        return header, list(pushed.items()), arrays
 
     def _settle_ledger(self, task: _Task, pushed: list, reply: dict) -> None:
         """Bring the ledger up to date with a reply to ``task``: what its
@@ -509,13 +549,18 @@ class _HostClient(threading.Thread):
         try:
             while True:
                 try:
+                    header, pushed, arrays = self._task_frame(task)
+                except Exception as exc:
+                    # A panel failed to quantise: the request's error, and
+                    # nothing has touched the stream.
+                    task.future.set_exception(exc)
+                    return
+                try:
                     self._sock.settimeout(DEFAULT_TASK_TIMEOUT_S)
-                    header, pushed = self._task_frame(task)
-                    arrays = [a for _, bundle in pushed for a in bundle]
                     sent = send_message(self._sock, header, arrays)
                     self.metrics.record_task_sent(self.host_id, sent)
                     for _, bundle in pushed:
-                        self.metrics.record_store_put(self.host_id, _nbytes(bundle))
+                        self.metrics.record_store_put(self.host_id, bundle.nbytes)
                     header, arrays, received = recv_message(
                         self._sock, max_frame_bytes=self.max_frame_bytes
                     )
@@ -1121,22 +1166,25 @@ class ClusterScheduler:
         return [results[i] for i in range(len(tasks))]
 
     # ------------------------------------------------------------ kernel ops
-    def _operand_keys(self, operands: list[np.ndarray], sources) -> list[str]:
+    def _operand_keys(self, operands: list[np.ndarray], sources, precision: str) -> list[str]:
         """One store key per dense operand panel.
 
-        ``sources`` holds, per operand, the caller's array it was made
-        from, or ``None`` (a coalesced concatenation has no single
+        ``operands`` are the request's panels as the caller passed them,
+        unquantised; ``sources`` holds, per operand, the caller's array it
+        was made from, or ``None`` (a coalesced concatenation has no single
         source).  A panel whose source is an object this head saw in an
         earlier request is likely to come back, so it gets a content key
-        (:func:`~repro.cluster.store.operand_store_key`, one sha256) and
-        stays pinned across requests.  Any other panel gets a
+        (:func:`~repro.cluster.store.operand_store_key`: one sha256 over
+        the operand's dtype, shape and bytes plus ``precision``, the width
+        it ships at) and stays pinned across requests — a key a host holds
+        then costs that digest and no quantise.  Any other panel gets a
         request-scoped key with no digest; operands sharing a source share
         a key, so an ``a is b`` layer ships one bundle.  Without
         ``sources`` (a direct ``run_*`` caller) every panel is
         content-keyed.
         """
         if sources is None:
-            return [operand_store_key(o) for o in operands]
+            return [operand_store_key(o, precision) for o in operands]
         request = f"{self._request_token}.{next(self._request_ids)}"
         keys: list[str] = []
         by_source: dict[int, str] = {}
@@ -1149,7 +1197,10 @@ class ClusterScheduler:
                 with self._seen_lock:
                     seen = self._seen.get(id(source)) is source
                     self._seen[id(source)] = source
-                key = operand_store_key(operand) if seen else request_store_key(request, i)
+                if seen:
+                    key = operand_store_key(operand, precision)
+                else:
+                    key = request_store_key(request, i)
                 by_source[id(source)] = key
             keys.append(key)
         return keys
@@ -1173,9 +1224,10 @@ class ClusterScheduler:
         :func:`~repro.kernels.engine.shard_params` returned them: every
         task header carries them and the in-parent fallback runs with them,
         so a worker decoding its header runs the shard the same way.
-        ``sources`` decides how the dense panels are keyed (see
-        :meth:`_operand_keys`).  Returns the assembled output plus the
-        per-stage seconds the shards reported, summed.
+        ``operands`` are unquantised; ``sources`` decides how the dense
+        panels are keyed (see :meth:`_operand_keys`).  Returns the
+        assembled output plus the per-stage seconds the shards reported,
+        summed.
         """
         op = SHARD_OPS[op_name]
         # The worker's translation is named by the format's vector size,
@@ -1193,7 +1245,6 @@ class ClusterScheduler:
             csr = fmt.to_csr()
         if content_key is None:
             content_key = csr.content_key()
-        operands = [np.ascontiguousarray(o, dtype=np.float32) for o in operands]
 
         # One store plan per request: the pattern keyed by the structure
         # key, the values by the routing content key, each dense panel by
@@ -1201,12 +1252,17 @@ class ClusterScheduler:
         # the same keys, so a host receives the bytes once, not once per
         # shard.  Repeat requests for a pinned matrix ship no matrix bytes
         # at all, and new values on a pinned pattern ship ``data`` alone.
+        # Panels that share a key share one :class:`_Panel`, which
+        # quantises only if a frame pushes it or a shard runs in-parent.
         structure_key = csr.structure_key()
-        operand_keys = self._operand_keys(operands, sources)
+        operand_keys = self._operand_keys(operands, sources, params["precision"])
+        panels: dict[str, _Panel] = {}
+        for key, operand in zip(operand_keys, operands):
+            panels.setdefault(key, _Panel(operand, params["precision"]))
         store_plan = [
-            (make_store_key("struct", structure_key), [csr.indptr, csr.indices]),
-            (make_store_key("vals", content_key), [csr.data]),
-            *((key, [o]) for key, o in zip(operand_keys, operands)),
+            (make_store_key("struct", structure_key), _Bundle([csr.indptr, csr.indices])),
+            (make_store_key("vals", content_key), _Bundle([csr.data])),
+            *((key, panels[key]) for key in operand_keys),
         ]
         base = {
             "type": "task",
@@ -1223,8 +1279,9 @@ class ClusterScheduler:
             tasks.append({"frame": {"header": header, "store_plan": store_plan}, "range": r})
 
         def inline(task: dict) -> tuple:
+            quantised = [panels[key].arrays()[0] for key in operand_keys]
             sliced = op.slice(fmt, task["range"], csr.indptr, params)
-            outputs, timings = op.run(sliced, operands, params)
+            outputs, timings = op.run(sliced, quantised, params)
             return {"row0": sliced["row0"], "timings": timings}, outputs
 
         assembly = SpmmAssembly(*out_shape, num_shards=len(ranges))
@@ -1247,11 +1304,14 @@ class ClusterScheduler:
     ) -> np.ndarray:
         """``A @ B`` sharded across the cluster; bit-identical to one-shot.
 
-        ``b_q`` must already be quantised float32 (the kernel entry points'
-        convention); ``csr`` / ``content_key`` identify the request payload
-        for routing (derived from ``fmt`` when omitted).  ``sources`` names
-        the caller's array behind each operand, which decides whether a
-        panel is worth a content key (see :meth:`_operand_keys`).
+        ``b_q`` arrives as the caller has it, unquantised (an already
+        quantised panel gives the same bits: quantisation is idempotent).
+        The scheduler quantises it to ``precision`` in its own dtype — and
+        only if a task frame has to push it or a shard runs in-parent.
+        ``csr`` / ``content_key`` identify the request payload for routing
+        (derived from ``fmt`` when omitted).  ``sources`` names the
+        caller's array behind each operand, which decides whether a panel
+        is worth a content key (see :meth:`_operand_keys`).
         """
         out, _ = self._run(
             "spmm",
@@ -1281,8 +1341,8 @@ class ClusterScheduler:
         """Sampled dense×dense sharded across the cluster (bit-identical).
 
         Returns the ``(num_nonzero_vectors, vector_size)`` value array in
-        the layout of ``fmt.vector_values``.  Routing arguments and
-        ``sources`` as for :meth:`run_spmm`.
+        the layout of ``fmt.vector_values``.  Operands (unquantised),
+        routing arguments and ``sources`` as for :meth:`run_spmm`.
         """
         out, _ = self._run(
             "sddmm",
@@ -1322,7 +1382,8 @@ class ClusterScheduler:
         dense rows come back — the SDDMM intermediate and the
         per-evaluation attention matrix never touch the wire.  ``indptr``
         is the mask's CSR row layout; the cluster reads it off ``csr``.
-        Routing arguments and ``sources`` as for :meth:`run_spmm`.
+        Operands (unquantised), routing arguments and ``sources`` as for
+        :meth:`run_spmm`.
 
         Returns ``(rows, stage_seconds)`` — the dense layer output plus
         the per-stage wall-clock split summed across shards, matching

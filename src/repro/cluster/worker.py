@@ -5,27 +5,34 @@ of :mod:`repro.cluster.transport`.  Per task it
 
 1. pins the bundles the task frame pushed (the ``push`` header names their
    store keys and array counts, in buffer order) and acquires every key
-   the task names: the matrix's pattern and values and the dense panels,
-2. finds the translation in the host's **own**
+   the task names: the matrix's pattern and values and the dense panels
+   (already quantised by the head),
+2. checks the matrix: the pattern gets :class:`~repro.formats.csr.CSRMatrix`'s
+   checks (:func:`~repro.formats.csr.check_csr_structure`) once while it is
+   pinned — the checked arrays live in the pin store's memo of the bundle
+   and go when it is evicted — and the values are checked on every use
+   (1-D, real, ``nnz`` long), so a corrupt bundle is this task's
+   ``error``, never bad numerics,
+3. slices the task's window-aligned range.  SpMM and the fused layer run
+   on the pinned CSR itself: the op's lane arrays
+   (:func:`repro.kernels.engine.csr_lanes` — the stored values, cast to the
+   storage precision; for SpMM its nonzeros, quantised) are built once per
+   (values, precision) and kept in a small LRU, so a repeat task does no
+   work and new values cost one cast.  Only SDDMM,
+   whose output is laid out by the window partition, translates: it finds
+   the translation in the host's **own**
    :class:`~repro.formats.cache.TranslationCache` by the header's content
-   key — the head routes every shard of a given matrix to the same host,
-   so after the first task for a matrix this is a hit that builds no
-   :class:`~repro.formats.csr.CSRMatrix` at all.  On a miss it rebuilds
-   the CSR from the two pinned bundles, adopting the head's structure and
-   content keys, and translates it, reusing the pattern's cached window
-   partition when only the values are new (the cache counters travel back
-   in every result and pong frame, making the affinity payoff observable
-   from the head),
-3. slices the task's window-aligned range out of the format's lane view
-   (translation is deterministic, so the worker's view is bit-identical
-   to the head's) and runs the op's entry in the engine's
-   shard table (:data:`repro.kernels.engine.SHARD_OPS`) — the same
-   ``run(slice(...))`` the single-host scheduler and the head's in-parent
-   fallback execute, hence bit-identical results — with the settings its
+   key, or rebuilds the CSR from the two bundles and translates it,
+   reusing the pattern's cached window partition when only the values are
+   new (the cache counters travel back in every result and pong frame),
+4. runs the op's entry in the engine's shard table
+   (:data:`repro.kernels.engine.SHARD_OPS`) — the same ``run`` the
+   single-host scheduler and the head's in-parent fallback execute on the
+   same arrays, hence bit-identical results — with the settings its
    header carries (``precision`` / ``scale`` / ``scale_by_mask``), decoded
    and re-checked by :func:`repro.kernels.engine.shard_params`,
-4. drops the request-scoped keys the header lists in ``release``, and
-5. streams the shard output back: one row slice and its ``row0`` (dense
+5. drops the request-scoped keys the header lists in ``release``, and
+6. streams the shard output back: one row slice and its ``row0`` (dense
    output rows for SpMM and fused layers, ``vector_values`` rows for SDDMM),
    with the store keys its pushes evicted.
 
@@ -61,9 +68,8 @@ import os
 import socket
 import time
 import traceback
+from collections import OrderedDict
 from dataclasses import asdict
-
-import numpy as np
 
 from repro.cluster.store import DEFAULT_STORE_BYTES, PinnedStore, StoreMissError
 from repro.cluster.transport import (
@@ -82,7 +88,7 @@ from repro.formats.cache import (
     cached_format,
     format_kind,
 )
-from repro.formats.csr import CSRMatrix
+from repro.formats.csr import CSRMatrix, check_csr_structure, check_csr_values
 from repro.kernels.engine import SHARD_OPS, ShardRange, shard_params
 from repro.precision.types import Precision
 
@@ -106,6 +112,9 @@ class WorkerHost:
         store_bytes: int = DEFAULT_STORE_BYTES,
     ):
         self.cache = TranslationCache(maxsize=cache_maxsize)
+        #: SpMM / layer lane arrays by (op, pattern key, values key,
+        #: precision), as many as the translation cache holds formats.
+        self._lane_cache: OrderedDict[tuple, tuple] = OrderedDict()
         #: Pin store: CSR bundles and dense operand panels the head pushed
         #: once, referenced by key per task.
         self.store = PinnedStore(budget_bytes=store_bytes)
@@ -140,7 +149,7 @@ class WorkerHost:
         }
 
     def _translate(self, header: dict, indptr, indices, data):
-        kind = format_kind(header.get("fmt", "mebcrs"))  # unknown: ValueError
+        kind = format_kind(header.get("fmt", "mebcrs"))
         precision = Precision(header["precision"])
         content_key = header.get("content_key")
         if content_key:
@@ -156,6 +165,31 @@ class WorkerHost:
             # the O(nnz) rehash.
             csr.with_content_key(content_key, header.get("structure_key"))
         return cached_format(csr, kind.name, precision, by_content=True, cache=self.cache)
+
+    def _structure(self, key: str, bundle: list, shape: tuple) -> tuple:
+        """The pinned pattern ``bundle`` under ``key``, checked for
+        ``shape`` once while it stays pinned."""
+        memo = self.store.memo(key)
+        checked = memo.get(("csr", shape))
+        if checked is None:
+            indptr, indices = bundle
+            checked = memo[("csr", shape)] = check_csr_structure(indptr, indices, shape)
+        return checked
+
+    def _lanes(self, header: dict, op, indptr, indices, data, precision: str) -> tuple:
+        """The op's whole-matrix lane arrays for the pinned values, built
+        once per (values, pattern, precision) and kept in a small LRU: a
+        stream of fresh values then reuses the memory of the lanes it
+        evicts instead of growing the host by a lane set per request."""
+        key = (header["op"], header["store_structure"], header["store_values"], precision)
+        lanes = self._lane_cache.get(key)
+        if lanes is None:
+            lanes = self._lane_cache[key] = op.csr_lanes(indptr, indices, data, precision)
+            while len(self._lane_cache) > self.cache.maxsize:
+                self._lane_cache.popitem(last=False)
+        else:
+            self._lane_cache.move_to_end(key)
+        return lanes
 
     def _pin(self, header: dict, arrays: list, evicted: list) -> None:
         """Pin the bundles the task frame pushed, in buffer order,
@@ -194,9 +228,9 @@ class WorkerHost:
             keys = (header["store_structure"], header["store_values"], *header["store_operands"])
             bundles = self.store.acquire(*keys)
             try:
-                (indptr, indices), (data,), *panels = bundles
+                structure, (data,), *panels = bundles
                 reply, payload = self._run_shard(
-                    header, [indptr, indices, data], [panel[0] for panel in panels]
+                    header, structure, data, [panel[0] for panel in panels]
                 )
             finally:
                 self.store.release(*keys)
@@ -217,8 +251,10 @@ class WorkerHost:
         reply.update(task_id=header.get("task_id"), evicted=evicted, **self._status())
         return reply, payload
 
-    def _run_shard(self, header: dict, csr_bundle: list, operands: list) -> tuple[dict, list]:
-        """One window-aligned shard of a table op on this host's translation."""
+    def _run_shard(
+        self, header: dict, structure: list, data, operands: list
+    ) -> tuple[dict, list]:
+        """One window-aligned shard of a table op on the pinned matrix."""
         op = SHARD_OPS.get(header["op"])
         if op is None:
             raise ValueError(f"unknown op {header['op']!r}")
@@ -228,10 +264,22 @@ class WorkerHost:
         params = shard_params(
             header["precision"], header.get("scale"), header.get("scale_by_mask", False)
         )
-        indptr, indices, data = csr_bundle
-        fmt = self._translate(header, indptr, indices, data)
+        kind = format_kind(header.get("fmt", "mebcrs"))  # unknown: ValueError
+        indptr, indices = self._structure(
+            header["store_structure"], structure, tuple(header["shape"])
+        )
+        data = check_csr_values(data)
+        if data.shape[0] != indptr[-1]:
+            raise ValueError(
+                f"values bundle holds {data.shape[0]} values for {indptr[-1]} entries"
+            )
         r = ShardRange(int(header["lo"]), int(header["hi"]), int(header["w0"]), int(header["w1"]))
-        sliced = op.slice(fmt, r, np.asarray(indptr), params)
+        if op.csr_lanes is None:
+            fmt = self._translate(header, indptr, indices, data)
+            sliced = op.slice(fmt, r, indptr, params)
+        else:
+            lanes = self._lanes(header, op, indptr, indices, data, params["precision"])
+            sliced = op.slice_lanes(lanes, r, kind.vector_size)
         outputs, timings = op.run(sliced, operands, params)
         reply = {"type": "result", "row0": sliced["row0"]}
         if timings:

@@ -17,6 +17,56 @@ import scipy.sparse as sp
 from repro.utils.digest import digest16
 
 
+def check_csr_values(data) -> np.ndarray:
+    """``data`` as an array, checked: 1-D real numbers (bool, integer or
+    floating).  Raises ``ValueError``; :class:`CSRMatrix` checks its
+    ``data`` with it, and so does a holder of separate value arrays for
+    one pattern (a cluster worker's pinned values) on every use."""
+    data = np.asarray(data)
+    if data.ndim != 1 or data.dtype.kind not in "biuf":
+        raise ValueError(
+            "data must be a 1-D array of real numbers (bool, integer or "
+            f"floating), got {data.ndim}-D {data.dtype}"
+        )
+    return data
+
+
+def check_csr_structure(indptr, indices, shape) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` as int64 / int32 arrays, checked to be a
+    canonical CSR pattern of ``shape``: ``indptr`` of length ``n_rows + 1``
+    from 0, non-decreasing, ending at ``len(indices)``; every column in
+    range and strictly increasing within its row.  Raises ``ValueError``.
+
+    :class:`CSRMatrix` checks its pattern with it; a holder of the pattern
+    alone (a cluster worker's pinned structure) runs it once per pattern.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int32)
+    n_rows, n_cols = shape
+    if n_rows < 0 or n_cols < 0:
+        raise ValueError("matrix dimensions must be non-negative")
+    if indptr.ndim != 1 or indptr.shape[0] != n_rows + 1:
+        raise ValueError("indptr must have length n_rows + 1")
+    if indptr[0] != 0:
+        raise ValueError("indptr must start at 0")
+    if np.any(np.diff(indptr) < 0):
+        raise ValueError("indptr must be non-decreasing")
+    if indices.ndim != 1 or indices.shape[0] != indptr[-1]:
+        raise ValueError("indices/data length must equal indptr[-1]")
+    if indices.size and (indices.min() < 0 or indices.max() >= n_cols):
+        raise ValueError("column index out of range")
+    ascending = np.diff(indices) > 0
+    row_starts = indptr[1:-1]
+    ascending[row_starts[(row_starts > 0) & (row_starts < indices.size)] - 1] = True
+    if not ascending.all():
+        raise ValueError(
+            "column indices must be strictly increasing within each row "
+            "(sorted, no duplicates); build with CSRMatrix.from_scipy or "
+            "CSRMatrix.from_coo, which sum duplicates and sort"
+        )
+    return indptr, indices
+
+
 @dataclass
 class CSRMatrix:
     """Compressed Sparse Row matrix, canonical by construction.
@@ -54,36 +104,10 @@ class CSRMatrix:
     shape: tuple[int, int]
 
     def __post_init__(self) -> None:
-        self.indptr = np.asarray(self.indptr, dtype=np.int64)
-        self.indices = np.asarray(self.indices, dtype=np.int32)
-        self.data = np.asarray(self.data)
-        if self.data.ndim != 1 or self.data.dtype.kind not in "biuf":
-            raise ValueError(
-                "data must be a 1-D array of real numbers (bool, integer or "
-                f"floating), got {self.data.ndim}-D {self.data.dtype}"
-            )
-        n_rows, n_cols = self.shape
-        if n_rows < 0 or n_cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        if self.indptr.ndim != 1 or self.indptr.shape[0] != n_rows + 1:
-            raise ValueError("indptr must have length n_rows + 1")
-        if self.indptr[0] != 0:
-            raise ValueError("indptr must start at 0")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        if self.indices.shape[0] != self.indptr[-1] or self.data.shape[0] != self.indptr[-1]:
+        self.data = check_csr_values(self.data)
+        self.indptr, self.indices = check_csr_structure(self.indptr, self.indices, self.shape)
+        if self.data.shape[0] != self.indptr[-1]:
             raise ValueError("indices/data length must equal indptr[-1]")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n_cols):
-            raise ValueError("column index out of range")
-        ascending = np.diff(self.indices) > 0
-        row_starts = self.indptr[1:-1]
-        ascending[row_starts[(row_starts > 0) & (row_starts < self.indices.size)] - 1] = True
-        if not ascending.all():
-            raise ValueError(
-                "column indices must be strictly increasing within each row "
-                "(sorted, no duplicates); build with CSRMatrix.from_scipy or "
-                "CSRMatrix.from_coo, which sum duplicates and sort"
-            )
 
     # ------------------------------------------------------------ properties
     @property

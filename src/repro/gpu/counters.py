@@ -17,6 +17,7 @@ benchmark harnesses can aggregate them across many matrices.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
@@ -236,6 +237,15 @@ class CostCounter:
 
     def __add__(self, other: "CostCounter") -> "CostCounter":
         return self.merge(other)
+
+    def copy(self) -> "CostCounter":
+        """An independent copy: the scalars and the three count dicts (whose
+        keys and counts are immutable), not the object graph."""
+        out = copy.copy(self)
+        out.mma_invocations = dict(self.mma_invocations)
+        out.load_transactions = dict(self.load_transactions)
+        out.store_transactions = dict(self.store_transactions)
+        return out
 
     # --------------------------------------------------------------- export
     def as_dict(self) -> dict:

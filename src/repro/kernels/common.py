@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,32 @@ from repro.precision.types import Precision
 
 #: Execution engines accepted by :class:`FlashSparseConfig`.
 ENGINES: tuple[str, ...] = ("batched", "reference")
+
+#: Counters one window partition keeps: a served pattern meets a few dense
+#: widths and precisions, a sweep one or two.
+_COST_MEMO_SIZE = 32
+
+
+def memoised_cost(
+    fmt: BlockedVectorFormat, key: tuple, compute: Callable[[], CostCounter]
+) -> CostCounter:
+    """A fresh copy of the counter ``compute()`` returns, computed once per
+    window partition and ``key``.
+
+    The closed-form cost passes read the pattern — its block-width
+    histogram — and their settings, never the values, so every translation
+    of one pattern shares the memo, a values-only request's included.  It
+    lives on the partition under the no-mutation contract of the format's
+    other caches; ``key`` must name everything else the counter reads.
+    """
+    memo: dict = fmt.partition.__dict__.setdefault("_cost_memo", {})
+    counter = memo.get(key)
+    if counter is None:
+        counter = compute()
+        if len(memo) >= _COST_MEMO_SIZE:
+            memo.pop(next(iter(memo), None), None)
+        memo[key] = counter
+    return counter.copy()
 
 
 @dataclass(frozen=True)

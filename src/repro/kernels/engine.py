@@ -55,13 +55,14 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.formats.blocked import BlockedVectorFormat
 from repro.ops import segment_ids, segment_softmax
-from repro.precision.types import Precision, quantize
+from repro.precision.types import Precision, dtype_for, quantize
 
 
 def spmm_bytes_per_block(vector_size: int, group: int, n_dense: int) -> int:
@@ -298,9 +299,9 @@ def spmm_shard_rows(
     format's :class:`~repro.formats.blocked.LaneCSR` entries, the values
     already quantised (or, for the fused layer, the quantised attention
     weights in CSR entry order), ``local_offsets`` the shard-local row
-    offsets.  Returns one ``(N,)`` row per offset pair,
-    the first being matrix row ``w0 · v`` (the caller clips the tail window
-    past ``n_rows``) — bit-identical to the same rows of the one-shot run.
+    offsets.  Returns one ``(N,)`` row per offset pair, the first being
+    matrix row ``w0 · v`` — bit-identical to the same rows of the one-shot
+    run.
 
     A name of its own over the core it shares with :func:`spmm_batched`:
     both are trace points of one span, and one calling the other would nest
@@ -435,17 +436,23 @@ def layer_shard_rows(
 # Every carrier of a shard task — the in-process scheduler
 # (:mod:`repro.serve.scheduler`), the cluster head's in-parent fallback and
 # the TCP cluster (:mod:`repro.cluster.head` / :mod:`repro.cluster.worker`)
-# — executes a shard as ``op.run(op.slice(fmt, r, indptr, params),
-# operands, params)`` and differs only in where it runs: a worker host
-# slices its own (bit-identical) translation, the other two slice and run
-# in place.
+# — executes a shard as ``op.run(sliced, operands, params)`` and differs
+# only in where the sliced arrays come from.  A carrier that holds the
+# translation calls ``op.slice(fmt, r, indptr, params)``.  A worker host
+# holds the CSR arrays the head pinned there: for SpMM and the fused layer
+# it slices ``op.csr_lanes`` (:func:`csr_lanes`, built once per matrix
+# values and precision) with :meth:`ShardOp.slice_lanes` — the same arrays,
+# so the same bits — and only SDDMM, whose output is laid out by the
+# window partition, translates.
 #
 # ``params`` are the request's settings as :func:`shard_params` returns
 # them (plain types, so they travel as task header fields; each op reads
-# the keys it needs).  ``slice`` returns a dict of plain ndarrays and ints
-# (SpMM's values sliced from the translation's quantised lane values);
-# ``run`` takes that dict, the op's dense operands in wire order and the
-# settings and returns ``(outputs, stage_seconds)``.  The entries
+# the keys it needs).  A slice is a dict of plain ndarrays and ints; SpMM
+# and the fused layer share one schema — the shard's ``values``,
+# ``columns`` and shard-local ``offsets``, CSR-style, and ``row0`` — with
+# SpMM's values quantised and the layer's the stored mask.  ``run`` takes
+# that dict, the op's dense operands (already quantised) in wire order and
+# the settings and returns ``(outputs, stage_seconds)``.  The entries
 # reach the hooks above through their module-level names at call time, so a
 # tracer that rebinds ``engine.spmm_shard_rows`` sees every served shard.
 
@@ -479,23 +486,81 @@ def shard_params(
     }
 
 
+def csr_lanes(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    precision: Precision | str,
+    spmm_operand: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(values, columns, offsets)`` of the whole matrix straight from its
+    CSR arrays — what a shard of SpMM or of the fused layer slices, without
+    a translation.
+
+    The stored values are ``data`` cast to the storage dtype
+    (:func:`~repro.precision.types.dtype_for`) and widened to float32 —
+    the cast the translation's value scatter makes.  As they are, over
+    ``indices`` / ``indptr``, they are the fused layer's per-entry mask.
+    ``spmm_operand=True`` gives SpMM's sparse operand instead: the entries
+    whose stored value is zero dropped (the lane view's rule) and the rest
+    quantised to ``precision``.  Either way the arrays equal the ones the
+    translation's views give (:meth:`BlockedVectorFormat.lanes_as_csr` /
+    :meth:`~BlockedVectorFormat.quantized_lane_values` over the first
+    ``n_rows`` rows, and ``vector_values`` gathered at the entry map), so a
+    shard cut from either source runs on the same bits.
+    """
+    precision = Precision(precision)
+    if precision is Precision.FP16:
+        # An fp16 value widened to float32 *is* its fp16 quantisation, and
+        # :func:`quantize` computes that in one pass (the two casts take
+        # four times as long).
+        stored = quantize(data, precision)
+    else:
+        stored = data.astype(dtype_for(precision), copy=False)
+    if not spmm_operand:
+        return stored, indices, indptr
+    keep = stored != 0
+    if not keep.all():
+        kept_before = np.zeros(keep.shape[0] + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        stored, indices, indptr = stored[keep], indices[keep], kept_before[indptr]
+    if precision is Precision.FP16:
+        return stored, indices, indptr  # quantising it again is the identity
+    return quantize(stored, precision), indices, indptr
+
+
+def _cut_rows(
+    values: np.ndarray, columns: np.ndarray, offsets: np.ndarray, r: ShardRange, v: int
+) -> dict:
+    """The entries of a shard's rows ``[w0 · v, min(w1 · v, n_rows))`` out
+    of a whole matrix's ``(values, columns, offsets)``: the slice dict of
+    SpMM and the fused layer."""
+    row0, row1 = r.w0 * v, min(r.w1 * v, offsets.shape[0] - 1)
+    lo, hi = int(offsets[row0]), int(offsets[row1])
+    return {
+        "values": values[lo:hi],
+        "columns": columns[lo:hi],
+        "offsets": np.asarray(offsets[row0 : row1 + 1], dtype=np.int64) - lo,
+        "row0": row0,
+    }
+
+
 def _slice_spmm(fmt: BlockedVectorFormat, r: ShardRange, indptr, params: dict) -> dict:
     del indptr
     lanes = fmt.lanes_as_csr()
-    row0, row1 = r.w0 * fmt.vector_size, r.w1 * fmt.vector_size
-    lo, hi = int(lanes.row_offsets[row0]), int(lanes.row_offsets[row1])
-    return {
-        "values_q": fmt.quantized_lane_values(params["precision"])[lo:hi],
-        "columns": lanes.columns[lo:hi],
-        "local_offsets": lanes.row_offsets[row0 : row1 + 1] - lo,
-        "row0": row0,
-    }
+    return _cut_rows(
+        fmt.quantized_lane_values(params["precision"]),
+        lanes.columns,
+        lanes.row_offsets[: fmt.shape[0] + 1],
+        r,
+        fmt.vector_size,
+    )
 
 
 def _run_spmm(s: dict, operands, params: dict) -> tuple[list, dict]:
     (b_q,) = operands
     del params
-    rows = spmm_shard_rows(s["values_q"], s["columns"], s["local_offsets"], b_q)
+    rows = spmm_shard_rows(s["values"], s["columns"], s["offsets"], b_q)
     return [rows], {}
 
 
@@ -537,15 +602,17 @@ def _run_sddmm(s: dict, operands, params: dict) -> tuple[list, dict]:
 
 
 def _slice_layer(fmt: BlockedVectorFormat, r: ShardRange, indptr, params: dict) -> dict:
+    # The shard's CSR entries with the stored value as mask, gathered from
+    # the translation through the entry map for this shard alone.
     del params
     v = fmt.vector_size
     row0, row1 = r.w0 * v, min(r.w1 * v, fmt.shape[0])
     e0, e1 = int(indptr[row0]), int(indptr[row1])
     slot = fmt.partition.entry_slot[e0:e1]
     return {
-        "mask": np.asarray(fmt.vector_values.reshape(-1)[slot], dtype=np.float32),
+        "values": np.asarray(fmt.vector_values.reshape(-1)[slot], dtype=np.float32),
         "columns": fmt.partition.vector_cols[slot // v],
-        "local_indptr": np.asarray(indptr[row0 : row1 + 1], dtype=np.int64) - e0,
+        "offsets": np.asarray(indptr[row0 : row1 + 1], dtype=np.int64) - e0,
         "row0": row0,
     }
 
@@ -553,9 +620,9 @@ def _slice_layer(fmt: BlockedVectorFormat, r: ShardRange, indptr, params: dict) 
 def _run_layer(s: dict, operands, params: dict) -> tuple[list, dict]:
     a_q, b_q, x_q = operands
     rows, timings = layer_shard_rows(
-        s["mask"],
+        s["values"],
         s["columns"],
-        s["local_indptr"],
+        s["offsets"],
         s["row0"],
         a_q,
         b_q,
@@ -581,6 +648,10 @@ class ShardOp:
     slice: Callable[..., dict]
     run: Callable[..., tuple[list, dict]]
     sddmm: bool = False
+    #: ``csr_lanes(indptr, indices, data, precision)`` → the whole matrix's
+    #: ``(values, columns, offsets)`` that :meth:`slice_lanes` cuts; ``None``
+    #: for the op that can only slice a translation.
+    csr_lanes: Callable[..., tuple] | None = None
 
     def plan(
         self,
@@ -605,6 +676,11 @@ class ShardOp:
             target_blocks = max(1, -(-index.num_blocks // max(1, int(shards))))
         return window_aligned_ranges(index.window_offsets, target_blocks), out_shape
 
+    def slice_lanes(self, lanes: tuple, r: ShardRange, vector_size: int) -> dict:
+        """The slice of range ``r`` out of the arrays :attr:`csr_lanes`
+        built — equal to what :attr:`slice` cuts from the translation."""
+        return _cut_rows(*lanes, r, vector_size)
+
     def place(self, out: np.ndarray, sliced: dict, outputs: list) -> None:
         """Write one shard's ``outputs`` into the request's output array.
 
@@ -618,7 +694,7 @@ class ShardOp:
 
 #: The served kernels, by the ``op`` name task dicts and frame headers carry.
 SHARD_OPS = {
-    "spmm": ShardOp(_slice_spmm, _run_spmm),
+    "spmm": ShardOp(_slice_spmm, _run_spmm, csr_lanes=partial(csr_lanes, spmm_operand=True)),
     "sddmm": ShardOp(_slice_sddmm, _run_sddmm, sddmm=True),
-    "layer": ShardOp(_slice_layer, _run_layer),
+    "layer": ShardOp(_slice_layer, _run_layer, csr_lanes=csr_lanes),
 }

@@ -21,7 +21,7 @@ from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
 from repro.gpu.mma import MMAShape
-from repro.kernels.common import FlashSparseConfig, SddmmKernelResult
+from repro.kernels.common import FlashSparseConfig, SddmmKernelResult, memoised_cost
 from repro.kernels.engine import sddmm_batched
 from repro.kernels.granularity import Granularity, ceil_div
 from repro.perfmodel.model import sddmm_useful_flops
@@ -181,13 +181,28 @@ def sddmm_cost(
     k_dense: int,
     config: FlashSparseConfig | None = None,
 ) -> CostCounter:
-    """Analytic cost of the SDDMM under binding ``g`` (matches :func:`_sddmm_reference`)."""
+    """Analytic cost of the SDDMM under binding ``g`` (matches
+    :func:`_sddmm_reference`), computed once per sparsity pattern and
+    settings (:func:`~repro.kernels.common.memoised_cost`); each call
+    returns a fresh copy."""
     precision = (config or FlashSparseConfig()).precision
     shape = g.shape_for(precision)
     fmt = g.resolve(mask, precision)
     k_dense = int(k_dense)
     if k_dense <= 0:
         raise ValueError("k_dense must be positive")
+    key = ("sddmm", g.swapped, shape, k_dense, precision)
+    return memoised_cost(fmt, key, lambda: _sddmm_cost(g, fmt, shape, k_dense, precision))
+
+
+def _sddmm_cost(
+    g: Granularity,
+    fmt: BlockedVectorFormat,
+    shape: MMAShape,
+    k_dense: int,
+    precision: Precision,
+) -> CostCounter:
+    """The closed-form counter behind :func:`sddmm_cost`."""
     v = g.vector_size
     n_chunks = ceil_div(k_dense, shape.k)
     row_bytes = shape.k * element_bytes(precision)

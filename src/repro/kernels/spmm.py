@@ -27,7 +27,7 @@ from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
 from repro.gpu.mma import MMAShape
-from repro.kernels.common import FlashSparseConfig, SpmmKernelResult
+from repro.kernels.common import FlashSparseConfig, SpmmKernelResult, memoised_cost
 from repro.kernels.engine import spmm_batched
 from repro.kernels.granularity import Granularity, ceil_div
 from repro.kernels.thread_mapping import b_tile_transactions, get_mapping
@@ -215,14 +215,31 @@ def spmm_cost(
 
     Produces exactly the counter :func:`_spmm_reference` would produce, but
     vectorised over the block structure so large matrices are cheap to
-    sweep.
+    sweep — and computed once per sparsity pattern and settings
+    (:func:`~repro.kernels.common.memoised_cost`); each call returns a
+    fresh copy.
     """
     config = config or FlashSparseConfig()
     fmt, shape = _bind(g, a, config, api)
-    precision = config.precision
     n_dense = int(n_dense)
     if n_dense <= 0:
         raise ValueError("n_dense must be positive")
+    key = (
+        "spmm", g.swapped, shape, api, n_dense, config.precision, config.coalesced,
+        type(fmt), fmt.k, fmt.value_element_bytes(),
+    )
+    return memoised_cost(fmt, key, lambda: _spmm_cost(g, fmt, shape, n_dense, config))
+
+
+def _spmm_cost(
+    g: Granularity,
+    fmt: BlockedVectorFormat,
+    shape: MMAShape,
+    n_dense: int,
+    config: FlashSparseConfig,
+) -> CostCounter:
+    """The closed-form counter behind :func:`spmm_cost`."""
+    precision = config.precision
     v = g.vector_size
     n_tiles = ceil_div(n_dense, g.dense_span(shape))
     elem = element_bytes(precision)

@@ -2,9 +2,11 @@
 
 One request is cut into window-aligned shards
 (:func:`repro.kernels.engine.window_aligned_ranges`) and the shards run one
-after another in the calling process: for each range the op's entry in the
-engine's shard table (:data:`repro.kernels.engine.SHARD_OPS`) slices the
-shard, runs it and places its output rows into one zeroed output array.
+after another in the calling process: the operands are quantised once,
+then for each range the op's entry in the engine's shard table
+(:data:`repro.kernels.engine.SHARD_OPS`) slices the shard, runs it and
+places its output rows into one zeroed output array — or, when one shard
+covers the request, its rows are the output.
 Running shard by shard, not as one call, is what bounds the fused layer's
 per-shard SDDMM / softmax working set to the planner's shard size.
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from repro.formats.blocked import BlockedVectorFormat
 from repro.kernels.engine import SHARD_OPS, shard_params
-from repro.precision.types import Precision
+from repro.precision.types import Precision, quantize
 
 
 class ShardScheduler:
@@ -67,20 +69,29 @@ class ShardScheduler:
         indptr: np.ndarray | None = None,
         target_blocks: int | None = None,
     ) -> tuple[np.ndarray, dict]:
-        """Plan → slice / run / place each shard for one table op (see
-        :data:`repro.kernels.engine.SHARD_OPS`).  Returns the output plus
-        the per-stage seconds summed across shards (all zero for
-        single-stage ops)."""
+        """Quantise → plan → slice / run / place each shard for one table
+        op (see :data:`repro.kernels.engine.SHARD_OPS`).  Returns the
+        output plus the per-stage seconds summed across shards (all zero
+        for single-stage ops).
+
+        The operands arrive unquantised and are quantised here, once per
+        request, each in its own dtype.  A plan of one shard covers every
+        output row from row 0, so its rows are the output as they are.
+        """
         op = SHARD_OPS[op_name]
+        operands = [quantize(operand, params["precision"]) for operand in operands]
         ranges, out_shape = op.plan(fmt, operands, group, self.workers, target_blocks)
         self._count("requests")
         self._count("shards", len(ranges))
-        out = np.zeros(out_shape, dtype=np.float32)
         stage_seconds = {"sddmm_s": 0.0, "edge_softmax_s": 0.0, "spmm_s": 0.0}
+        out = None if len(ranges) == 1 else np.zeros(out_shape, dtype=np.float32)
         for r in ranges:
             sliced = op.slice(fmt, r, indptr, params)
             outputs, timings = op.run(sliced, operands, params)
-            op.place(out, sliced, outputs)
+            if out is None:
+                out = outputs[0][: out_shape[0]]
+            else:
+                op.place(out, sliced, outputs)
             for key, seconds in timings.items():
                 stage_seconds[key] += seconds
         return out, stage_seconds
@@ -94,9 +105,10 @@ class ShardScheduler:
     ) -> np.ndarray:
         """``A @ B`` shard by shard; bit-identical to one-shot.
 
-        ``b_q`` must already be quantised float32 (the kernel entry points'
-        convention).  ``target_blocks`` is the shard size target from the
-        planner.
+        ``b_q`` arrives as the caller has it, unquantised: the scheduler
+        quantises it to ``precision`` (an already quantised panel gives the
+        same bits, since quantisation is idempotent).  ``target_blocks`` is
+        the shard size target from the planner.
         """
         params = shard_params(precision)
         out, _ = self._run("spmm", fmt, [b_q], params, target_blocks=target_blocks)
@@ -115,7 +127,8 @@ class ShardScheduler:
         """Sampled dense×dense shard by shard (bit-identical).
 
         Returns the ``(num_nonzero_vectors, vector_size)`` value array in
-        the layout of ``fmt.vector_values``.
+        the layout of ``fmt.vector_values``.  The operands arrive
+        unquantised, as for :meth:`run_spmm`.
         """
         params = shard_params(precision, scale_by_mask=scale_by_mask)
         out, _ = self._run(
@@ -140,9 +153,9 @@ class ShardScheduler:
 
         ``indptr`` is the mask's CSR row layout (the softmax segments);
         ``a_q`` / ``b_q`` are the SDDMM operands and ``x_q`` the SpMM dense
-        operand, all pre-quantised float32.  Shards are cut on the SpMM
-        grouping's window offsets and all three stages run on the shard's
-        CSR entries.
+        operand, unquantised as for :meth:`run_spmm`.  Shards are cut on
+        the SpMM grouping's window offsets and all three stages run on the
+        shard's CSR entries.
 
         Returns ``(rows, stage_seconds)`` where ``stage_seconds`` sums each
         stage's wall clock across shards

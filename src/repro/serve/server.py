@@ -120,7 +120,7 @@ from repro.kernels.sddmm_flash import (
 )
 from repro.kernels.spmm_flash import spmm_flash_cost
 from repro.perfmodel.model import sddmm_useful_flops, spmm_useful_flops
-from repro.precision.types import Precision, quantize
+from repro.precision.types import Precision
 from repro.serve.errors import (
     DispatcherCrashedError,
     ServeShedError,
@@ -179,7 +179,8 @@ class ServeRequest:
     params: dict = field(default_factory=dict)
     #: Coalescing handle: requests of a concatenating op share one pass
     #: exactly when their (op, key, token) match — a layer's token covers
-    #: everything but its ``x`` panel.
+    #: everything but its ``x`` panel (:func:`_layer_token`), and is only
+    #: computed once another request could join (:meth:`Server._group`).
     token: str = ""
     future: Future | None = None
     submitted_at: float = 0.0
@@ -237,8 +238,8 @@ class _ServedOp:
     engine.
 
     Rows reach the scheduler as ``server.scheduler.run_*`` and every other
-    helper (translation, quantiser, planner, cost pass) through this
-    module's global names, both looked up per call: a row never holds a
+    helper (translation, planner, cost pass) through this module's global
+    names, both looked up per call: a row never holds a
     function object captured at import, so rebinding a module name — as the
     benchmark's tracer does — reaches every served request.
     """
@@ -305,6 +306,19 @@ _SERVED_OPS = {
     "sddmm": _ServedOp(_run_sddmm, _sddmm_result),
     "layer": _ServedOp(_run_layer, _layer_result),
 }
+
+
+def _layer_token(req: ServeRequest) -> str:
+    """A layer request's coalescing token: a digest of everything its pass
+    reads but the ``x`` panel.  The dtypes are part of it: the same bytes
+    read at another width are other operands."""
+    a, b, _ = req.operands
+    scale, scale_by_mask = req.params["scale"], req.params["scale_by_mask"]
+    return digest16(
+        repr((a.dtype.str, a.shape, b.dtype.str, b.shape, scale, scale_by_mask)).encode(),
+        np.ascontiguousarray(a),
+        np.ascontiguousarray(b),
+    )
 
 
 @dataclass
@@ -561,13 +575,6 @@ class Server:
         # fails here, not in a worker.
         params = shard_params(self.precision, scale, scale_by_mask)
         scale, scale_by_mask = params["scale"], params["scale_by_mask"]
-        # Everything the pass reads but the ``x`` panel.  The dtypes are part
-        # of it: the same bytes read at another width are other operands.
-        token = digest16(
-            repr((a.dtype.str, a.shape, b.dtype.str, b.shape, scale, scale_by_mask)).encode(),
-            np.ascontiguousarray(a),
-            np.ascontiguousarray(b),
-        )
         nnz = inp.csr.nnz
         return self._enqueue(
             ServeRequest(
@@ -577,7 +584,6 @@ class Server:
                 operands=(a, b, x),
                 sources=sources,
                 params={"scale": scale, "scale_by_mask": scale_by_mask},
-                token=token,
                 priority=int(priority),
                 cost=(
                     sddmm_useful_flops(nnz, a.shape[1])
@@ -945,23 +951,37 @@ class Server:
 
     def _group(self, requests: list[ServeRequest]) -> list[list[ServeRequest]]:
         """Group by (op, matrix content, operand compatibility), preserving
-        arrival order, capped at ``max_batch``."""
-        groups: dict[tuple, list[ServeRequest]] = {}
-        ordered: list[list[ServeRequest]] = []
+        arrival order, capped at ``max_batch``.
+
+        Layer requests that share (op, matrix, ``x`` height) coalesce only
+        when their tokens match too; the token is digested here, and only
+        for such a bucket of two or more — a lone layer pays no digest.
+        """
+        buckets: dict[tuple, list[ServeRequest]] = {}
         for req in requests:
             # The sparse-output op may share a translation but not a pass,
             # so its group key is unique per request.
             if SHARD_OPS[req.op].sddmm:
                 key = (id(req),)
             else:
-                key = (req.op, req.key, req.token, req.operands[-1].shape[0])
-            bucket = groups.get(key)
-            if bucket is None or len(bucket) >= self.max_batch:
-                bucket = []
-                groups[key] = bucket
-                ordered.append(bucket)
-            bucket.append(req)
-        return ordered
+                key = (req.op, req.key, req.operands[-1].shape[0])
+            buckets.setdefault(key, []).append(req)
+        groups: list[list[ServeRequest]] = []
+        for bucket in buckets.values():
+            if len(bucket) > 1 and bucket[0].op == "layer":
+                by_token: dict[str, list[ServeRequest]] = {}
+                for req in bucket:
+                    req.token = req.token or _layer_token(req)
+                    by_token.setdefault(req.token, []).append(req)
+                runs = list(by_token.values())
+            else:
+                runs = [bucket]
+            for run in runs:
+                step = self.max_batch
+                groups += [run[i : i + step] for i in range(0, len(run), step)]
+        arrival = {id(req): i for i, req in enumerate(requests)}
+        groups.sort(key=lambda group: arrival[id(group[0])])
+        return groups
 
     # ------------------------------------------------------------ execution
     def _plan_for(self, fmt: BlockedVectorFormat, op: str, width: int) -> ServePlan:
@@ -1006,8 +1026,9 @@ class Server:
 
     def _execute_group(self, group: list[ServeRequest]) -> None:
         """Run one group through its op's :data:`_SERVED_OPS` row:
-        translate → quantise → plan → run → split → build each result →
-        resolve, or record the cancellation that beat the resolve."""
+        translate → plan → run (the scheduler quantises) → split → build
+        each result → resolve, or record the cancellation that beat the
+        resolve."""
         # Re-check at execution time: earlier groups of the same drain may
         # have pushed this one past its deadlines, and clients may have
         # cancelled while it waited.
@@ -1022,7 +1043,8 @@ class Server:
             if concat and len(group) > 1:
                 operands[-1] = np.concatenate([req.operands[-1] for req in group], axis=1)
             fmt = cached_mebcrs(lead.csr, self.precision, by_content=True)
-            operands = [quantize(operand, self.precision) for operand in operands]
+            # The operands go to the scheduler as the callers passed them:
+            # it quantises them — the cluster's only when a host lacks them.
             plan = self._plan_for(fmt, lead.op, operands[-1].shape[1])
             kwargs: dict = {"target_blocks": plan.block_chunk}
             if self.backend == "cluster":

@@ -244,9 +244,9 @@ def test_fresh_values_on_one_pattern_ship_the_pattern_once_per_host(monkeypatch)
     for host_puts in puts.values():
         assert sum(key.startswith("op/") for key, _ in host_puts) <= 1
     assert sum(key.startswith("req/") for p in puts.values() for key, _ in p) == 1
-    # Past each host's first request the worker translated through its
-    # cached window partition.
-    assert remote.structure_hits >= 5 - len(puts)
+    # SpMM runs on the pinned CSR: new values cost the worker one cast and
+    # no translation at all.
+    assert remote.misses == 0 and remote.size == 0
 
 
 def test_tiny_budget_store_miss_falls_back_without_failures():

@@ -13,7 +13,7 @@ from helpers import random_csr
 from repro.kernels import sddmm as sddmm_module
 from repro.kernels import spmm as spmm_module
 from repro.serve import Server
-from repro.serve import server as server_module
+from repro.serve import scheduler as scheduler_module
 
 
 def _spy_quantize(monkeypatch, module) -> list:
@@ -51,8 +51,9 @@ def test_float32_operands_reach_quantize_without_a_copy(monkeypatch, operands, p
 
 
 def test_served_float32_operand_reaches_quantize_without_a_copy(monkeypatch, operands):
+    # The server hands the operand on as it is; the scheduler quantises.
     csr, _, b = operands
-    seen = _spy_quantize(monkeypatch, server_module)
+    seen = _spy_quantize(monkeypatch, scheduler_module)
     with Server(workers=1) as srv:
         srv.submit_spmm(csr, b).result(120)
     assert len(seen) == 1 and np.shares_memory(seen[0], b)

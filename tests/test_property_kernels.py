@@ -191,8 +191,8 @@ def test_every_view_of_the_format_is_a_gather_through_the_entry_map(case, target
     for r in ranges:
         sliced = layer.slice(fmt, r, csr.indptr, engine.shard_params(fmt.precision))
         e0 = csr.indptr[sliced["row0"]]
-        e1 = e0 + sliced["local_indptr"][-1]
-        np.testing.assert_array_equal(sliced["mask"], edges[e0:e1])
+        e1 = e0 + sliced["offsets"][-1]
+        np.testing.assert_array_equal(sliced["values"], edges[e0:e1])
         np.testing.assert_array_equal(sliced["columns"], csr.indices[e0:e1])
 
 

@@ -113,7 +113,7 @@ def test_window_aligned_shards_never_split_a_softmax_row_segment(seed, target):
         r1 = min(shard.w1 * v, n_rows)
         assert r0 % v == 0  # row-aligned: no row (= softmax segment) split
         sliced = SHARD_OPS["layer"].slice(fmt, shard, csr.indptr, shard_params("fp16"))
-        local_indptr = sliced["local_indptr"]
+        local_indptr = sliced["offsets"]
         # The local CSR layout covers exactly the shard's rows and entries.
         assert sliced["row0"] == r0
         assert local_indptr.shape == (r1 - r0 + 1,)
@@ -125,7 +125,7 @@ def test_window_aligned_shards_never_split_a_softmax_row_segment(seed, target):
         # Every entry carries its own column and the value stored for it.
         np.testing.assert_array_equal(sliced["columns"], csr.indices[e0 : e0 + span])
         np.testing.assert_array_equal(
-            sliced["mask"], csr.data[e0 : e0 + span].astype(np.float16).astype(np.float32)
+            sliced["values"], csr.data[e0 : e0 + span].astype(np.float16).astype(np.float32)
         )
     assert prev_w1 == fmt.num_windows or not ranges
     assert covered_entries == csr.nnz  # entries partitioned, none duplicated

@@ -76,9 +76,9 @@ def test_kernel_trace_points_fire():
 
 def test_serve_trace_points_fire():
     """The serving twin: the server's execution body must reach the
-    translation, planner, quantiser, scheduler and cost pass through their
-    module-level names.  One SpMM, one SDDMM and one fused layer through an
-    inline server open exactly these spans."""
+    translation, planner, scheduler and cost pass — and the scheduler the
+    quantiser — through their module-level names.  One SpMM, one SDDMM and
+    one fused layer through an inline server open exactly these spans."""
     import numpy as np
 
     from helpers import random_csr
