@@ -65,8 +65,9 @@ unchanged.  What changes underneath:
   caught, not silently placed.
 
 Bit-exactness carries over from the in-process scheduler: workers run the
-same shard-table entries (:data:`repro.kernels.engine.SHARD_OPS`) on a
-bit-identical translation, so the cluster result equals the single-process
+same shard-table entries (:data:`repro.kernels.engine.SHARD_OPS`) on the
+same sources — lanes built from the same CSR arrays, or for SDDMM a
+bit-identical translation — so the cluster result equals the single-process
 one-shot result exactly, for any shard size, any host count, and across
 mid-shard host deaths and reconnects.
 """
@@ -1280,7 +1281,8 @@ class ClusterScheduler:
 
         def inline(task: dict) -> tuple:
             quantised = [panels[key].arrays()[0] for key in operand_keys]
-            sliced = op.slice(fmt, task["range"], csr.indptr, params)
+            source = op.source(fmt, csr, params["precision"])
+            sliced = op.slice(source, task["range"], fmt.vector_size)
             outputs, timings = op.run(sliced, quantised, params)
             return {"row0": sliced["row0"], "timings": timings}, outputs
 
@@ -1378,7 +1380,7 @@ class ClusterScheduler:
         Every shard ships as one ``task`` frame: the CSR bundle and
         all three dense panels ride the pinned store (so repeat layers over
         a pinned matrix ship no operand bytes at all), the worker runs the
-        fused engine hook on its cached translation, and only the final
+        fused engine hook on the pinned CSR's lanes, and only the final
         dense rows come back — the SDDMM intermediate and the
         per-evaluation attention matrix never touch the wire.  ``indptr``
         is the mask's CSR row layout; the cluster reads it off ``csr``.

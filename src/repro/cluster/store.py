@@ -87,20 +87,18 @@ def make_store_key(kind: str, digest: str, version: int = 0) -> str:
     return f"{kind}/{digest}@{int(version)}"
 
 
-def operand_store_key(array: np.ndarray, precision: str | None = None, version: int = 0) -> str:
+def operand_store_key(array: np.ndarray, precision: str, version: int = 0) -> str:
     """Store key for one dense operand panel, by content.
 
     Repeat requests with byte-identical operands deduplicate across
     requests: the panel stays pinned, and every later task references it
     by this key.  The digest covers the dtype, shape and bytes of
-    ``array`` and, given, the ``precision`` the panel ships quantised to —
-    so a head keys the caller's operand as it is and quantises it only
-    when a host lacks the key.
+    ``array`` and the ``precision`` the panel ships quantised to — so a
+    head keys the caller's operand as it is and quantises it only when a
+    host lacks the key.
     """
     array = np.ascontiguousarray(array)
-    prefix = f"{array.dtype.str}:{array.shape}"
-    if precision is not None:
-        prefix += f":{precision}"
+    prefix = f"{array.dtype.str}:{array.shape}:{precision}"
     digest = digest16(prefix.encode(), array)
     return make_store_key("op", digest, version)
 
@@ -131,13 +129,12 @@ class StoreMissError(RuntimeError):
 
 
 class _Entry:
-    __slots__ = ("arrays", "nbytes", "refcount", "memo")
+    __slots__ = ("arrays", "nbytes", "refcount")
 
     def __init__(self, arrays: list[np.ndarray], nbytes: int):
         self.arrays = arrays
         self.nbytes = nbytes
         self.refcount = 0
-        self.memo: dict = {}
 
 
 class PinnedStore:
@@ -184,7 +181,7 @@ class PinnedStore:
             entry = self._entries.get(key)
             if entry is not None:
                 self._pinned_bytes += nbytes - entry.nbytes
-                entry.arrays, entry.nbytes, entry.memo = arrays, nbytes, {}
+                entry.arrays, entry.nbytes = arrays, nbytes
                 self._entries.move_to_end(key)
             else:
                 self._entries[key] = _Entry(arrays, nbytes)
@@ -253,15 +250,6 @@ class PinnedStore:
                 if entry is not None and entry.refcount == 0:
                     del self._entries[key]
                     self._pinned_bytes -= entry.nbytes
-
-    def memo(self, key: str) -> dict:
-        """The scratch dict of the bundle pinned under ``key``, for what a
-        holder derives from its arrays (checked views, lane arrays).  It
-        lives and dies with the bundle: a re-put starts it empty and
-        eviction drops it.  Its bytes are not counted against the budget.
-        Raises ``KeyError`` for a key that is not pinned."""
-        with self._lock:
-            return self._entries[key].memo
 
     # -------------------------------------------------------------- queries
     def __contains__(self, key: str) -> bool:

@@ -4,21 +4,24 @@ One worker host is one process serving shard tasks over the frame protocol
 of :mod:`repro.cluster.transport`.  Per task it
 
 1. pins the bundles the task frame pushed (the ``push`` header names their
-   store keys and array counts, in buffer order) and acquires every key
-   the task names: the matrix's pattern and values and the dense panels
-   (already quantised by the head),
-2. checks the matrix: the pattern gets :class:`~repro.formats.csr.CSRMatrix`'s
-   checks (:func:`~repro.formats.csr.check_csr_structure`) once while it is
-   pinned — the checked arrays live in the pin store's memo of the bundle
-   and go when it is evicted — and the values are checked on every use
-   (1-D, real, ``nnz`` long), so a corrupt bundle is this task's
-   ``error``, never bad numerics,
+   store keys and array counts, in buffer order) — a pattern bundle gets
+   :class:`~repro.formats.csr.CSRMatrix`'s checks
+   (:func:`~repro.formats.csr.check_csr_structure`) for the header's shape
+   once, here, and the checked arrays are what is pinned — and acquires
+   every key the task names: the matrix's pattern and values and the
+   dense panels (already quantised by the head),
+2. checks the matrix: the header's shape must be the one its pattern was
+   checked for, and the values are checked on every use (1-D, real,
+   ``nnz`` long), so a corrupt bundle is this task's ``error``, never bad
+   numerics,
 3. slices the task's window-aligned range.  SpMM and the fused layer run
    on the pinned CSR itself: the op's lane arrays
    (:func:`repro.kernels.engine.csr_lanes` — the stored values, cast to the
    storage precision; for SpMM its nonzeros, quantised) are built once per
    (values, precision) and kept in a small LRU, so a repeat task does no
-   work and new values cost one cast.  Only SDDMM,
+   work and new values cost one cast (the LRU's hits and misses count in
+   the cache counters the host reports, with the translation cache's: the
+   affinity signal reads warm state whatever the op).  Only SDDMM,
    whose output is laid out by the window partition, translates: it finds
    the translation in the host's **own**
    :class:`~repro.formats.cache.TranslationCache` by the header's content
@@ -113,8 +116,13 @@ class WorkerHost:
     ):
         self.cache = TranslationCache(maxsize=cache_maxsize)
         #: SpMM / layer lane arrays by (op, pattern key, values key,
-        #: precision), as many as the translation cache holds formats.
+        #: precision), as many as the translation cache holds formats, and
+        #: the LRU's counters.
         self._lane_cache: OrderedDict[tuple, tuple] = OrderedDict()
+        self._lane_stats = {"hits": 0, "misses": 0, "evictions": 0}
+        #: The shape each pinned pattern bundle was checked for; an entry
+        #: goes with its bundle.
+        self._pattern_shapes: dict[str, tuple] = {}
         #: Pin store: CSR bundles and dense operand panels the head pushed
         #: once, referenced by key per task.
         self.store = PinnedStore(budget_bytes=store_bytes)
@@ -136,8 +144,14 @@ class WorkerHost:
 
     # --------------------------------------------------------------- helpers
     def _status(self) -> dict:
+        # Lane sets are warm state for SpMM / layer traffic as translations
+        # are for SDDMM's: one set of counters covers both.
+        cache = asdict(self.cache.stats())
+        for name, n in self._lane_stats.items():
+            cache[name] += n
+        cache["size"] += len(self._lane_cache)
         return {
-            "cache": asdict(self.cache.stats()),
+            "cache": cache,
             "store": self.store.stats(),
             "tasks_done": self.tasks_done,
             "frames_oversized": self.frames_oversized,
@@ -166,16 +180,6 @@ class WorkerHost:
             csr.with_content_key(content_key, header.get("structure_key"))
         return cached_format(csr, kind.name, precision, by_content=True, cache=self.cache)
 
-    def _structure(self, key: str, bundle: list, shape: tuple) -> tuple:
-        """The pinned pattern ``bundle`` under ``key``, checked for
-        ``shape`` once while it stays pinned."""
-        memo = self.store.memo(key)
-        checked = memo.get(("csr", shape))
-        if checked is None:
-            indptr, indices = bundle
-            checked = memo[("csr", shape)] = check_csr_structure(indptr, indices, shape)
-        return checked
-
     def _lanes(self, header: dict, op, indptr, indices, data, precision: str) -> tuple:
         """The op's whole-matrix lane arrays for the pinned values, built
         once per (values, pattern, precision) and kept in a small LRU: a
@@ -184,25 +188,43 @@ class WorkerHost:
         key = (header["op"], header["store_structure"], header["store_values"], precision)
         lanes = self._lane_cache.get(key)
         if lanes is None:
+            self._lane_stats["misses"] += 1
             lanes = self._lane_cache[key] = op.csr_lanes(indptr, indices, data, precision)
             while len(self._lane_cache) > self.cache.maxsize:
                 self._lane_cache.popitem(last=False)
+                self._lane_stats["evictions"] += 1
         else:
+            self._lane_stats["hits"] += 1
             self._lane_cache.move_to_end(key)
         return lanes
 
     def _pin(self, header: dict, arrays: list, evicted: list) -> None:
         """Pin the bundles the task frame pushed, in buffer order,
-        collecting the keys each put evicted into ``evicted``."""
+        collecting the keys each put evicted into ``evicted``.  The task's
+        pattern is checked for the header's shape before it is pinned."""
         offset = 0
         for key, count in header.get("push") or ():
-            bundle = arrays[offset : offset + int(count)]
-            if len(bundle) != int(count):
+            key, count = str(key), int(count)
+            bundle = arrays[offset : offset + count]
+            if len(bundle) != count:
                 raise ValueError(f"push of {key!r} names {count} arrays past the frame's end")
-            evicted += self.store.put(str(key), bundle)
-            offset += int(count)
+            offset += count
+            if key == header.get("store_structure"):
+                shape = tuple(int(n) for n in header["shape"])
+                indptr, indices = bundle
+                evicted += self.store.put(key, check_csr_structure(indptr, indices, shape))
+                self._pattern_shapes[key] = shape
+            else:
+                evicted += self.store.put(key, bundle)
+        self._forget(*evicted)
         if offset != len(arrays):
             raise ValueError(f"task frame carries {len(arrays) - offset} unnamed buffers")
+
+    def _forget(self, *keys: str) -> None:
+        """Drop the checked shapes of bundles no longer pinned."""
+        for key in keys:
+            if key not in self.store:
+                self._pattern_shapes.pop(key, None)
 
     # ------------------------------------------------------------ task bodies
     def run_task(self, header: dict, arrays=()) -> tuple[dict, list]:
@@ -247,7 +269,9 @@ class WorkerHost:
                 "traceback": traceback.format_exc(),
             }
         finally:
-            self.store.discard(*(header.get("release") or ()))
+            released = header.get("release") or ()
+            self.store.discard(*released)
+            self._forget(*released)
         reply.update(task_id=header.get("task_id"), evicted=evicted, **self._status())
         return reply, payload
 
@@ -265,9 +289,12 @@ class WorkerHost:
             header["precision"], header.get("scale"), header.get("scale_by_mask", False)
         )
         kind = format_kind(header.get("fmt", "mebcrs"))  # unknown: ValueError
-        indptr, indices = self._structure(
-            header["store_structure"], structure, tuple(header["shape"])
-        )
+        checked = self._pattern_shapes.get(header["store_structure"])
+        if checked != tuple(header["shape"]):
+            raise ValueError(
+                f"pattern checked for shape {checked}, task names {header['shape']}"
+            )
+        indptr, indices = structure
         data = check_csr_values(data)
         if data.shape[0] != indptr[-1]:
             raise ValueError(
@@ -275,11 +302,10 @@ class WorkerHost:
             )
         r = ShardRange(int(header["lo"]), int(header["hi"]), int(header["w0"]), int(header["w1"]))
         if op.csr_lanes is None:
-            fmt = self._translate(header, indptr, indices, data)
-            sliced = op.slice(fmt, r, indptr, params)
+            source = self._translate(header, indptr, indices, data)
         else:
-            lanes = self._lanes(header, op, indptr, indices, data, params["precision"])
-            sliced = op.slice_lanes(lanes, r, kind.vector_size)
+            source = self._lanes(header, op, indptr, indices, data, params["precision"])
+        sliced = op.slice(source, r, kind.vector_size)
         outputs, timings = op.run(sliced, operands, params)
         reply = {"type": "result", "row0": sliced["row0"]}
         if timings:

@@ -14,9 +14,11 @@ from repro.precision.types import Precision
 #: Execution engines accepted by :class:`FlashSparseConfig`.
 ENGINES: tuple[str, ...] = ("batched", "reference")
 
-#: Counters one window partition keeps: a served pattern meets a few dense
-#: widths and precisions, a sweep one or two.
-_COST_MEMO_SIZE = 32
+#: Counters one window partition keeps.  The six end-to-end workloads put
+#: at most 3 distinct keys on one partition (``cost_sweep_cold``'s three
+#: configurations; a fused layer's SDDMM and SpMM passes are 2), counted
+#: over a 6 s run of each at two seeds; 8 leaves room for a few more widths.
+_COST_MEMO_SIZE = 8
 
 
 def memoised_cost(

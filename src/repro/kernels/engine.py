@@ -436,14 +436,15 @@ def layer_shard_rows(
 # Every carrier of a shard task — the in-process scheduler
 # (:mod:`repro.serve.scheduler`), the cluster head's in-parent fallback and
 # the TCP cluster (:mod:`repro.cluster.head` / :mod:`repro.cluster.worker`)
-# — executes a shard as ``op.run(sliced, operands, params)`` and differs
-# only in where the sliced arrays come from.  A carrier that holds the
-# translation calls ``op.slice(fmt, r, indptr, params)``.  A worker host
-# holds the CSR arrays the head pinned there: for SpMM and the fused layer
-# it slices ``op.csr_lanes`` (:func:`csr_lanes`, built once per matrix
-# values and precision) with :meth:`ShardOp.slice_lanes` — the same arrays,
-# so the same bits — and only SDDMM, whose output is laid out by the
-# window partition, translates.
+# — executes a shard as ``op.run(op.slice(source, r, v), operands, params)``
+# and differs only in where ``source`` comes from.  For SpMM and the fused
+# layer it is the whole matrix's ``(values, columns, offsets)`` built
+# straight from the CSR arrays (``op.csr_lanes``, :func:`csr_lanes`): a
+# carrier that holds the translation gets it from :meth:`ShardOp.source`,
+# once per translation and precision, and a worker host builds it from the
+# bundles the head pinned there, once per values and precision.  SDDMM's
+# output is laid out by the window partition, so its source is the
+# translation itself.
 #
 # ``params`` are the request's settings as :func:`shard_params` returns
 # them (plain types, so they travel as task header fields; each op reads
@@ -507,7 +508,7 @@ def csr_lanes(
     translation's views give (:meth:`BlockedVectorFormat.lanes_as_csr` /
     :meth:`~BlockedVectorFormat.quantized_lane_values` over the first
     ``n_rows`` rows, and ``vector_values`` gathered at the entry map), so a
-    shard cut from either source runs on the same bits.
+    served shard runs on the bits the one-shot kernels read.
     """
     precision = Precision(precision)
     if precision is Precision.FP16:
@@ -529,12 +530,11 @@ def csr_lanes(
     return quantize(stored, precision), indices, indptr
 
 
-def _cut_rows(
-    values: np.ndarray, columns: np.ndarray, offsets: np.ndarray, r: ShardRange, v: int
-) -> dict:
+def _cut_rows(lanes: tuple, r: ShardRange, v: int) -> dict:
     """The entries of a shard's rows ``[w0 · v, min(w1 · v, n_rows))`` out
-    of a whole matrix's ``(values, columns, offsets)``: the slice dict of
-    SpMM and the fused layer."""
+    of a whole matrix's ``lanes = (values, columns, offsets)``: the slice
+    of SpMM and the fused layer."""
+    values, columns, offsets = lanes
     row0, row1 = r.w0 * v, min(r.w1 * v, offsets.shape[0] - 1)
     lo, hi = int(offsets[row0]), int(offsets[row1])
     return {
@@ -545,18 +545,6 @@ def _cut_rows(
     }
 
 
-def _slice_spmm(fmt: BlockedVectorFormat, r: ShardRange, indptr, params: dict) -> dict:
-    del indptr
-    lanes = fmt.lanes_as_csr()
-    return _cut_rows(
-        fmt.quantized_lane_values(params["precision"]),
-        lanes.columns,
-        lanes.row_offsets[: fmt.shape[0] + 1],
-        r,
-        fmt.vector_size,
-    )
-
-
 def _run_spmm(s: dict, operands, params: dict) -> tuple[list, dict]:
     (b_q,) = operands
     del params
@@ -564,13 +552,12 @@ def _run_spmm(s: dict, operands, params: dict) -> tuple[list, dict]:
     return [rows], {}
 
 
-def _slice_sddmm(fmt: BlockedVectorFormat, r: ShardRange, indptr, params: dict) -> dict:
-    # The shard's lane entries, as for SpMM but with the raw stored values
-    # (the mask), plus where each one lands in the shard's own slab of
-    # ``vector_values`` — vectors ``window_ptr[w0]:window_ptr[w1]``, the
-    # "rows" ``place`` writes.
-    del indptr, params
-    lanes, v = fmt.lanes_as_csr(), fmt.vector_size
+def _slice_sddmm(fmt: BlockedVectorFormat, r: ShardRange, v: int) -> dict:
+    # The translation's lane entries in the shard's rows with the raw
+    # stored values (the mask), plus where each one lands in the shard's
+    # own slab of ``vector_values`` — vectors
+    # ``window_ptr[w0]:window_ptr[w1]``, the "rows" ``place`` writes.
+    lanes = fmt.lanes_as_csr()
     row0, row1 = r.w0 * v, r.w1 * v
     lo, hi = int(lanes.row_offsets[row0]), int(lanes.row_offsets[row1])
     vec_lo, vec_hi = int(fmt.partition.window_ptr[r.w0]), int(fmt.partition.window_ptr[r.w1])
@@ -601,22 +588,6 @@ def _run_sddmm(s: dict, operands, params: dict) -> tuple[list, dict]:
     return [slab], {}
 
 
-def _slice_layer(fmt: BlockedVectorFormat, r: ShardRange, indptr, params: dict) -> dict:
-    # The shard's CSR entries with the stored value as mask, gathered from
-    # the translation through the entry map for this shard alone.
-    del params
-    v = fmt.vector_size
-    row0, row1 = r.w0 * v, min(r.w1 * v, fmt.shape[0])
-    e0, e1 = int(indptr[row0]), int(indptr[row1])
-    slot = fmt.partition.entry_slot[e0:e1]
-    return {
-        "values": np.asarray(fmt.vector_values.reshape(-1)[slot], dtype=np.float32),
-        "columns": fmt.partition.vector_cols[slot // v],
-        "offsets": np.asarray(indptr[row0 : row1 + 1], dtype=np.int64) - e0,
-        "row0": row0,
-    }
-
-
 def _run_layer(s: dict, operands, params: dict) -> tuple[list, dict]:
     a_q, b_q, x_q = operands
     rows, timings = layer_shard_rows(
@@ -645,13 +616,31 @@ class ShardOp:
     cut on the SDDMM output grouping instead of the SpMM one.
     """
 
+    #: ``slice(source, r, vector_size)`` → the slice dict of range ``r``.
     slice: Callable[..., dict]
     run: Callable[..., tuple[list, dict]]
     sddmm: bool = False
     #: ``csr_lanes(indptr, indices, data, precision)`` → the whole matrix's
-    #: ``(values, columns, offsets)`` that :meth:`slice_lanes` cuts; ``None``
-    #: for the op that can only slice a translation.
+    #: ``(values, columns, offsets)``, the source :attr:`slice` cuts;
+    #: ``None`` for the op whose source is the translation.
     csr_lanes: Callable[..., tuple] | None = None
+
+    def source(
+        self, fmt: BlockedVectorFormat, csr, precision: Precision | str
+    ) -> BlockedVectorFormat | tuple:
+        """What :attr:`slice` cuts, for a carrier that holds ``fmt``, the
+        translation of the CSR matrix ``csr``.  SDDMM's source is ``fmt``;
+        the others' is :attr:`csr_lanes` of ``csr``, kept on ``fmt`` per
+        precision — translations are cached by content, so a warm content
+        key costs no cast."""
+        if self.csr_lanes is None:
+            return fmt
+        cache: dict = fmt.__dict__.setdefault("_csr_lanes_cache", {})
+        key = (self.csr_lanes, Precision(precision))
+        lanes = cache.get(key)
+        if lanes is None:
+            lanes = cache[key] = self.csr_lanes(csr.indptr, csr.indices, csr.data, precision)
+        return lanes
 
     def plan(
         self,
@@ -676,11 +665,6 @@ class ShardOp:
             target_blocks = max(1, -(-index.num_blocks // max(1, int(shards))))
         return window_aligned_ranges(index.window_offsets, target_blocks), out_shape
 
-    def slice_lanes(self, lanes: tuple, r: ShardRange, vector_size: int) -> dict:
-        """The slice of range ``r`` out of the arrays :attr:`csr_lanes`
-        built — equal to what :attr:`slice` cuts from the translation."""
-        return _cut_rows(*lanes, r, vector_size)
-
     def place(self, out: np.ndarray, sliced: dict, outputs: list) -> None:
         """Write one shard's ``outputs`` into the request's output array.
 
@@ -694,7 +678,7 @@ class ShardOp:
 
 #: The served kernels, by the ``op`` name task dicts and frame headers carry.
 SHARD_OPS = {
-    "spmm": ShardOp(_slice_spmm, _run_spmm, csr_lanes=partial(csr_lanes, spmm_operand=True)),
+    "spmm": ShardOp(_cut_rows, _run_spmm, csr_lanes=partial(csr_lanes, spmm_operand=True)),
     "sddmm": ShardOp(_slice_sddmm, _run_sddmm, sddmm=True),
-    "layer": ShardOp(_slice_layer, _run_layer, csr_lanes=csr_lanes),
+    "layer": ShardOp(_cut_rows, _run_layer, csr_lanes=csr_lanes),
 }

@@ -1046,16 +1046,17 @@ class Server:
             # The operands go to the scheduler as the callers passed them:
             # it quantises them — the cluster's only when a host lacks them.
             plan = self._plan_for(fmt, lead.op, operands[-1].shape[1])
-            kwargs: dict = {"target_blocks": plan.block_chunk}
+            # The shards slice the request's own CSR arrays.
+            kwargs: dict = {"target_blocks": plan.block_chunk, "csr": lead.csr}
             if self.backend == "cluster":
-                # The head routes by content key and ships the request's
-                # own CSR payload to the worker hosts; the operands'
-                # sources tell it which panels are repeats worth pinning.
-                # A coalesced concatenation has no single source.
+                # The head routes by content key and ships the CSR payload
+                # to the worker hosts; the operands' sources tell it which
+                # panels are repeats worth pinning.  A coalesced
+                # concatenation has no single source.
                 sources = list(lead.sources)
                 if concat and len(group) > 1:
                     sources[-1] = None
-                kwargs.update(csr=lead.csr, content_key=lead.key, sources=sources)
+                kwargs.update(content_key=lead.key, sources=sources)
             out, stages = row.run(self, fmt, operands, lead, kwargs)
             meta = {
                 "engine": "serve",

@@ -23,7 +23,6 @@ from repro.cluster.head import spawn_local_host
 from repro.cluster.membership import HostHealth
 from repro.core.api import spmm as api_spmm
 from repro.formats.mebcrs import MEBCRSMatrix
-from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK as FLASH_GROUP
 from repro.precision.types import Precision, quantize
 from repro.serve.scheduler import ShardScheduler
 from repro.serve.server import Server
@@ -165,18 +164,7 @@ def test_dead_host_readmitted_by_probe_with_warm_cache():
     probe re-dials, warm-up pings, and readmits — and because the worker
     process never died, its translation cache still serves the matrix
     without a second miss."""
-    # SDDMM: the op a worker translates for (SpMM and the fused layer run
-    # on the pinned CSR and never touch the translation cache).
-    csr, fmt, b_q, _ = _workload(seed=53)
-    a = np.random.default_rng(53).standard_normal((csr.shape[0], b_q.shape[1]))
-    a_q = quantize(a, Precision.FP16)
-    base = ShardScheduler().run_sddmm(fmt, a_q, b_q, Precision.FP16, FLASH_GROUP)
-
-    def run():
-        return sched.run_sddmm(
-            fmt, a_q, b_q, Precision.FP16, FLASH_GROUP, target_blocks=7, csr=csr, content_key=key
-        )
-
+    csr, fmt, b_q, base = _workload(seed=53)
     key = csr.content_key()
     plan = FaultPlan(seed=6)
     with ClusterScheduler(
@@ -187,13 +175,13 @@ def test_dead_host_readmitted_by_probe_with_warm_cache():
     ) as sched:
         victim = sched.affinity_host(key)
         # Warm the victim's cache with one clean request.
-        out = run()
+        out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr, content_key=key)
         np.testing.assert_array_equal(out, base)
         misses_before = sched.stats_snapshot()["hosts"][victim.host_id]["cache"]["misses"]
         # Kill the connection; 1 backoff re-dial + 2 probe dials refused.
         plan.drop_connection(nth=1, type="task", scope=victim.host_id)
         plan.refuse_connect(3, scope=victim.host_id)
-        out = run()
+        out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr, content_key=key)
         np.testing.assert_array_equal(out, base)  # failover covered the gap
         assert sched.stats_snapshot()["host_deaths"] == 1
         deadline = time.monotonic() + TIMEOUT
@@ -212,7 +200,7 @@ def test_dead_host_readmitted_by_probe_with_warm_cache():
         # traffic for the key lands on the readmitted host without a new
         # translation miss.
         assert sched.affinity_host(key).host_id == victim.host_id
-        out = run()
+        out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr, content_key=key)
         np.testing.assert_array_equal(out, base)
         # (The failover run cost the *survivor* a miss; the victim's own
         # cache must not have lost the translation across the outage.)

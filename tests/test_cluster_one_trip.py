@@ -22,7 +22,6 @@ from repro import spmm
 from repro.cluster import ClusterScheduler, head, store
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.kernels.engine import SHARD_OPS
-from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK as FLASH_GROUP
 from repro.precision.types import Precision, quantize
 from repro.serve import Server
 from repro.serve.scheduler import ShardScheduler
@@ -187,18 +186,15 @@ def test_one_shot_requests_leave_only_matrices_pinned(monkeypatch):
 def test_repeat_tasks_do_not_churn_the_worker_cache():
     """The worker finds a pinned matrix's translation by the header's
     content key: a hit builds no CSR and leaves no identity alias, so
-    repeat tasks neither grow the cache nor evict from it.  SDDMM is the
-    op a worker translates for."""
+    repeat tasks neither grow the cache nor evict from it."""
     csr = _matrix(seed=95)
     fmt = MEBCRSMatrix.from_csr(csr, precision="fp16")
-    rng = np.random.default_rng(95)
-    a_q = quantize(rng.standard_normal((csr.shape[0], 8)), Precision.FP16)
-    b_q = quantize(rng.standard_normal((csr.shape[1], 8)), Precision.FP16)
-    base = ShardScheduler().run_sddmm(fmt, a_q, b_q, Precision.FP16, FLASH_GROUP)
+    b_q = quantize(np.random.default_rng(95).standard_normal((150, 8)), Precision.FP16)
+    base = ShardScheduler().run_spmm(fmt, b_q, Precision.FP16)
     sizes = []
     with ClusterScheduler(hosts=1) as sched:
         for _ in range(40):  # 80 tasks: more than the cache's 32 entries
-            out = sched.run_sddmm(fmt, a_q, b_q, Precision.FP16, FLASH_GROUP, csr=csr)
+            out = sched.run_spmm(fmt, b_q, Precision.FP16, csr=csr)
             np.testing.assert_array_equal(out, base)
             (host,) = sched.stats_snapshot()["hosts"].values()
             sizes.append(host["cache"]["size"])

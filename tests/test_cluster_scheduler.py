@@ -173,17 +173,15 @@ def test_identity_derived_from_format_when_csr_omitted(cluster):
 
 # ---------------------------------------------------------------- affinity
 def test_content_affinity_routes_repeats_to_one_host_and_hits_its_cache():
-    # SDDMM: the op a worker translates for (SpMM and the fused layer run
-    # on the pinned CSR and never touch the translation cache).
-    csr, fmt, group, a_q, b_q, _, sbase = _workload(seed=13)
+    csr, fmt, _, _, b_q, base, _ = _workload(seed=13)
     with ClusterScheduler(hosts=2) as fresh:
         key = csr.content_key()
         target = fresh.affinity_host(key)
         for _ in range(3):
-            out = fresh.run_sddmm(
-                fmt, a_q, b_q, Precision.FP16, group, target_blocks=7, csr=csr, content_key=key
+            out = fresh.run_spmm(
+                fmt, b_q, Precision.FP16, target_blocks=7, csr=csr, content_key=key
             )
-            np.testing.assert_array_equal(out, sbase)
+            np.testing.assert_array_equal(out, base)
         snap = fresh.metrics.snapshot()
         per_host = snap["hosts"]
         # Every task went to the affinity host; the other host saw none.
@@ -276,7 +274,7 @@ def test_worker_survives_head_disconnect_and_reconnect():
         task = {
             "type": "task",
             "task_id": 0,
-            "op": "sddmm",  # the op a worker translates for
+            "op": "spmm",
             "fmt": "mebcrs",
             "precision": "fp16",
             "shape": list(csr.shape),
@@ -288,20 +286,19 @@ def test_worker_survives_head_disconnect_and_reconnect():
             "delay_s": 0.3,
         }
         fmt = MEBCRSMatrix.from_csr(csr, precision="fp16")
-        batch = fmt.blocks_as_arrays(FLASH_GROUP)
+        batch = fmt.blocks_as_arrays()
         task["hi"], task["w1"] = batch.num_blocks, fmt.num_windows
-        a_q, b_q = np.ones((60, 4), np.float32), np.ones((50, 4), np.float32)
+        b_q = np.ones((50, 4), np.float32)
         task["store_structure"], task["store_values"] = "struct/k@0", "vals/k@0"
-        task["store_operands"] = ["op/a@0", "op/b@0"]
+        task["store_operands"] = ["op/b@0"]
 
         first = socket_mod.create_connection(address, timeout=10)
         first.settimeout(10)
         client_handshake(first)
         # The first task frame pushes its bundles: [key, array count] in
         # buffer order, the arrays as the frame's buffers.
-        push = [["struct/k@0", 2], ["vals/k@0", 1], ["op/a@0", 1], ["op/b@0", 1]]
-        buffers = [csr.indptr, csr.indices, csr.data, a_q, b_q]
-        send_message(first, dict(task, push=push), buffers)
+        push = [["struct/k@0", 2], ["vals/k@0", 1], ["op/b@0", 1]]
+        send_message(first, dict(task, push=push), [csr.indptr, csr.indices, csr.data, b_q])
         first.close()  # vanish while the worker is still computing
         time.sleep(0.6)  # let the worker finish the task and hit the send
         assert process.is_alive(), "worker died on the reply-send failure"

@@ -168,9 +168,10 @@ def entry_map_cases(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=entry_map_cases(), target=st.integers(min_value=1, max_value=60))
 def test_every_view_of_the_format_is_a_gather_through_the_entry_map(case, target):
-    """The lane view, ``to_csr``, the fused layer's per-shard mask and
-    columns and ``gather_edge_values`` all read ``partition.entry_slot``;
-    each equals an oracle that derives the same view without it."""
+    """The lane view, ``to_csr`` and ``gather_edge_values`` all read
+    ``partition.entry_slot``; each equals an oracle that derives the same
+    view without it.  The fused layer's per-shard mask and columns, sliced
+    from the CSR of the entries read back that way, are those entries'."""
     csr, fmt = case
     lanes, oracle = fmt.lanes_as_csr(), lanes_by_sort(fmt)
     for name in ("row_offsets", "columns", "values", "slot"):
@@ -188,8 +189,9 @@ def test_every_view_of_the_format_is_a_gather_through_the_entry_map(case, target
     )
     layer = engine.SHARD_OPS["layer"]
     ranges, _ = layer.plan(fmt, [np.zeros((csr.shape[1], 1))], None, 1, target)
+    source = layer.source(fmt, csr.with_values(edges), fmt.precision)
     for r in ranges:
-        sliced = layer.slice(fmt, r, csr.indptr, engine.shard_params(fmt.precision))
+        sliced = layer.slice(source, r, fmt.vector_size)
         e0 = csr.indptr[sliced["row0"]]
         e1 = e0 + sliced["offsets"][-1]
         np.testing.assert_array_equal(sliced["values"], edges[e0:e1])
@@ -253,7 +255,7 @@ def test_sddmm_and_layer_any_window_aligned_cut_is_bit_identical_to_one_shot(cas
     csr, fmt, params, operands = case
     scores = run_sharded("sddmm", fmt, operands[:2], params, group=16, target_blocks=target)
     np.testing.assert_array_equal(scores, sddmm_batched(fmt, *operands[:2], params["scale_by_mask"]))
-    rows = run_sharded("layer", fmt, operands, params, indptr=csr.indptr, target_blocks=target)
+    rows = run_sharded("layer", fmt, operands, params, csr=csr, target_blocks=target)
     composed = composed_layer(
         csr, *operands, params["scale"], params["scale_by_mask"], params["precision"], type(fmt)
     )
@@ -273,7 +275,7 @@ def test_sddmm_and_layer_entry_chunk_is_bit_identical_to_one_shot(case):
             results.append(
                 (
                     sddmm_batched(fmt, *operands[:2], params["scale_by_mask"]),
-                    run_sharded("layer", fmt, operands, params, indptr=csr.indptr),
+                    run_sharded("layer", fmt, operands, params, csr=csr),
                 )
             )
     for scores, rows in results[1:]:

@@ -142,7 +142,8 @@ def test_planner_budget_enforced_by_tracemalloc():
     ranges, _ = op.plan(fmt, [b_q], None, 1, plan.block_chunk)
     assert len(ranges) == plan.num_shards
     params = {"precision": "fp16"}
-    sliced = [op.slice(fmt, r, None, params) for r in ranges]  # warms the lane view
+    source = op.source(fmt, fmt.to_csr(), "fp16")  # builds the lanes
+    sliced = [op.slice(source, r, fmt.vector_size) for r in ranges]
     op.run(sliced[0], [b_q], params)  # warm
 
     tracemalloc.start()

@@ -104,6 +104,7 @@ def test_window_aligned_shards_never_split_a_softmax_row_segment(seed, target):
     ranges = window_aligned_ranges(batch.window_offsets, target)
     v = fmt.partition.vector_size
     n_rows = csr.shape[0]
+    source = SHARD_OPS["layer"].source(fmt, csr, "fp16")
     covered_entries = 0
     prev_w1 = 0
     for shard in ranges:
@@ -112,7 +113,7 @@ def test_window_aligned_shards_never_split_a_softmax_row_segment(seed, target):
         r0 = shard.w0 * v
         r1 = min(shard.w1 * v, n_rows)
         assert r0 % v == 0  # row-aligned: no row (= softmax segment) split
-        sliced = SHARD_OPS["layer"].slice(fmt, shard, csr.indptr, shard_params("fp16"))
+        sliced = SHARD_OPS["layer"].slice(source, shard, v)
         local_indptr = sliced["offsets"]
         # The local CSR layout covers exactly the shard's rows and entries.
         assert sliced["row0"] == r0

@@ -112,7 +112,9 @@ def test_serve_trace_points_fire():
         "kernels.engine_spmm": 2,
         "kernels.engine_sddmm": 1,
         "kernels.layer_shard": 1,
-        "precision.quantize": 8,
+        # Six operands, the layer's attention weights, and the stored
+        # values' fp16 cast once per lane set (SpMM's and the layer's).
+        "precision.quantize": 9,
         "ops.segment_sum": 4,
         "ops.segment_softmax": 1,
     }

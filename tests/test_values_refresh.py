@@ -99,20 +99,31 @@ def test_csr_lanes_equal_the_translation_views(csr, precision, fmt_cls, target):
     np.testing.assert_array_equal(entry_columns, fmt.partition.vector_cols[slot // v])
     np.testing.assert_array_equal(indptr, csr.indptr)
 
-    params = shard_params(precision)
-    for name in ("spmm", "layer"):
+    # Every shard cut from the lanes is the translation views' rows.  SpMM
+    # lanes built from ``fmt.to_csr()`` (what a local carrier without the
+    # request's CSR builds them from) are the same arrays.
+    back = fmt.to_csr()
+    views = {
+        "spmm": (fmt.quantized_lane_values(precision), lanes.columns, lanes.row_offsets),
+        "layer": (fmt.vector_values.reshape(-1)[slot], fmt.partition.vector_cols[slot // v], indptr),
+    }
+    for name, (view_values, view_columns, view_offsets) in views.items():
         op = SHARD_OPS[name]
         with np.errstate(over="ignore"):
             whole = op.csr_lanes(csr.indptr, csr.indices, csr.data, precision)
+            again = op.csr_lanes(back.indptr, back.indices, back.data, precision)
+        if name == "spmm":
+            for built, rebuilt in zip(whole, again):
+                np.testing.assert_array_equal(_bits(built), _bits(rebuilt))
         ranges, _ = op.plan(fmt, [np.zeros((csr.shape[1], 1))], None, 1, target)
         for r in ranges:
-            from_csr = op.slice_lanes(whole, r, v)
-            from_fmt = op.slice(fmt, r, csr.indptr, params)
-            assert from_csr.keys() == from_fmt.keys()
-            assert from_csr["row0"] == from_fmt["row0"]
-            np.testing.assert_array_equal(_bits(from_csr["values"]), _bits(from_fmt["values"]))
-            np.testing.assert_array_equal(from_csr["columns"], from_fmt["columns"])
-            np.testing.assert_array_equal(from_csr["offsets"], from_fmt["offsets"])
+            sliced = op.slice(whole, r, v)
+            row0, row1 = r.w0 * v, min(r.w1 * v, n_rows)
+            lo, hi = int(view_offsets[row0]), int(view_offsets[row1])
+            assert sliced["row0"] == row0
+            np.testing.assert_array_equal(_bits(sliced["values"]), _bits(view_values[lo:hi]))
+            np.testing.assert_array_equal(sliced["columns"], view_columns[lo:hi])
+            np.testing.assert_array_equal(sliced["offsets"], view_offsets[row0 : row1 + 1] - lo)
 
 
 # ------------------------------------------------ served parity, edge values
@@ -226,6 +237,9 @@ def test_worker_runs_spmm_and_layer_on_the_pinned_csr(csr_builds):
     assert csr_builds == []
     stats = host.cache.stats()
     assert stats.misses == 0 and stats.size == 0
+    # The lane sets are the host's warm state for this traffic: the cache
+    # counters it reports count them (one build per op, then hits).
+    assert (reply["cache"]["misses"], reply["cache"]["hits"], reply["cache"]["size"]) == (2, 4, 2)
     # SDDMM still translates: its output is laid out by the partition.
     reply, _ = host.run_task(*_task(csr, "sddmm", [a, b]))
     assert reply["type"] == "result" and host.cache.stats().misses == 1
@@ -293,23 +307,28 @@ def test_corrupt_bundles_are_task_errors(monkeypatch, op_name, fault):
     assert reached == []
 
 
-def test_structure_check_is_forgotten_with_its_bundle():
+def test_pattern_is_checked_when_pinned_for_the_header_shape():
     csr = random_csr(40, 30, 0.2, seed=6)
     b = quantize(np.random.default_rng(6).standard_normal((30, 2)), "fp16")
     host = WorkerHost()
     header, arrays = _task(csr, "spmm", [b])
+    key = header["store_structure"]
     assert host.run_task(header, arrays)[0]["type"] == "result"
-    memo = host.store.memo(header["store_structure"])
-    assert list(memo) == [("csr", csr.shape)]
-    # A re-put of the key starts its memo afresh: a corrupt replacement is
-    # checked, not trusted.
+    # A task that names the pinned pattern with another shape is an error.
+    reply, _ = host.run_task(dict(header, push=[], shape=[40, 31]), [])
+    assert reply["type"] == "error" and "shape" in reply["message"]
+    # A corrupt replacement is checked, not trusted, and not pinned: the
+    # checked bundle stays and keeps serving.
     indices = csr.indices.copy()
     indices[0] = -1
     reply, _ = host.run_task(*_task(csr, "spmm", [b], structure=[csr.indptr, indices]))
-    assert reply["type"] == "error"
-    host.store.discard(header["store_structure"])
-    with pytest.raises(KeyError):
-        host.store.memo(header["store_structure"])
+    assert reply["type"] == "error" and "out of range" in reply["message"]
+    assert host.run_task(*_task(csr, "spmm", [b], push=False))[0]["type"] == "result"
+    # The checked shape goes with its bundle.
+    header, _ = _task(csr, "spmm", [b], push=False)
+    assert host.run_task(dict(header, release=[key]), [])[0]["type"] == "result"
+    assert key not in host.store and key not in host._pattern_shapes
+    assert host.run_task(header, [])[0]["type"] == "store_miss"
 
 
 # ------------------------------------------------------- head-side panels
