@@ -36,7 +36,7 @@ The serving frontend consumes it as a backend::
     with repro.start_server(backend="cluster", hosts=2) as server:
         result = server.submit_spmm(matrix, b).result()
 
-keeping bounded admission, deadlines, priorities, the crash guard and
+keeping bounded admission, deadlines, the crash guard and
 ``ServeMetrics`` unchanged; :class:`~repro.cluster.metrics.ClusterMetrics`
 adds the distributed signals (per-host tasks, failovers, remote cache hit
 rates, transport bytes).

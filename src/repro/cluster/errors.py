@@ -7,8 +7,9 @@ retrying elsewhere reproduces it) and the failures that indicate a head
 bug (shard results that do not reassemble into a complete output).
 
 Everything derives from :class:`ClusterError`, which derives from the
-serving layer's :class:`~repro.serve.errors.ServeError` so cluster-backed
-servers keep the one failure taxonomy clients already dispatch on.
+serving layer's :class:`~repro.serve.errors.ServeError` (defined below
+both packages, in :mod:`repro.utils.errors`) so cluster-backed servers
+keep the one failure taxonomy clients already dispatch on.
 
 The *wire-level* failures live in :mod:`repro.cluster.transport` and are
 re-exported here for one-stop imports: :class:`TransportError` (and its
@@ -39,7 +40,7 @@ from repro.cluster.transport import (  # noqa: F401 - re-exported taxonomy
     TransportError,
     VersionMismatchError,
 )
-from repro.serve.errors import ServeError
+from repro.utils.errors import ServeError
 
 
 class ClusterError(ServeError):

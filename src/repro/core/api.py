@@ -361,7 +361,7 @@ def start_server(
         print(server.snapshot().meta["scheduler"]["failovers"])
 
     Extra keyword arguments are forwarded to the ``Server`` constructor
-    (admission, deadlines, priorities, shedding — see its docstring).
+    (queue depth and admission policy, cluster options — see its docstring).
     """
     from repro.serve.server import Server
 

@@ -218,9 +218,8 @@ class ServedBackend:
 
     server: object
     adjacency: CSRMatrix
-    #: Queueing deadline / dispatch class forwarded to every submission.
+    #: Queueing deadline forwarded to every submission.
     timeout: float | None = None
-    priority: int = 0
     stats: OpStats = field(default_factory=OpStats)
 
     # ----------------------------------------------------------- layers
@@ -245,7 +244,6 @@ class ServedBackend:
             scale=scale,
             scale_by_mask=scale_by_mask,
             timeout=self.timeout,
-            priority=self.priority,
         )
         self.stats.sddmm_calls += 1
         self.stats.edge_softmax_calls += 1

@@ -24,12 +24,11 @@ The pieces:
 * :mod:`repro.serve.scheduler` — runs one operation's window-aligned
   shards one after another in the server process (bit-identical to the
   single-process one-shot engine);
-* :mod:`repro.serve.server` — the request frontend (futures, same-matrix
-  batching, per-request cost counters, bounded admission, request
-  deadlines, priority classes with earliest-deadline-first dispatch and
-  cost-aware load shedding for overload safety; ``backend="cluster"``
-  swaps the in-process scheduler for the multi-host head of
-  :mod:`repro.cluster`);
+* :mod:`repro.serve.server` — the request frontend (futures, dispatch in
+  arrival order with same-matrix batching, per-request cost counters, and
+  bounded admission and request deadlines for overload safety;
+  ``backend="cluster"`` swaps the in-process scheduler for the multi-host
+  head of :mod:`repro.cluster`);
 * :mod:`repro.serve.metrics` — latency percentiles (end-to-end plus the
   queue-wait / execution split), queue depth, overload counters and the
   translation-cache hit/miss counters;
@@ -40,7 +39,6 @@ The pieces:
 from repro.serve.errors import (
     DispatcherCrashedError,
     ServeError,
-    ServeShedError,
     ServeTimeoutError,
     ServerClosedError,
     ServerOverloadedError,
@@ -59,7 +57,6 @@ __all__ = [
     "ServeError",
     "ServeMetrics",
     "ServePlan",
-    "ServeShedError",
     "ServeTimeoutError",
     "ServerClosedError",
     "ServerOverloadedError",

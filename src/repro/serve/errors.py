@@ -3,8 +3,11 @@
 Every error the serving frontend raises (or resolves a future with)
 derives from :class:`ServeError`, which itself derives from
 ``RuntimeError`` so pre-existing callers that caught ``RuntimeError``
-around ``submit_*`` keep working.  The subclasses separate the three
-overload/lifecycle outcomes a client must tell apart:
+around ``submit_*`` keep working.  ``ServeError`` is defined in
+:mod:`repro.utils.errors`, below both this package and
+:mod:`repro.cluster`, whose :class:`~repro.cluster.errors.ClusterError`
+derives from it too.  The subclasses separate the overload/lifecycle
+outcomes a client must tell apart:
 
 * :class:`ServerOverloadedError` — admission control turned the request
   away at submit time (``max_queue_depth`` reached under the ``"reject"``
@@ -15,10 +18,6 @@ overload/lifecycle outcomes a client must tell apart:
   result nobody is waiting for only deepens an overload), or a
   ``close(timeout=...)`` drain did not finish in time.  Also a
   ``TimeoutError`` so generic timeout handlers see it.
-* :class:`ServeShedError` — the queue crossed the cost-shedding watermark
-  and this request was among the most expensive queued (by predicted
-  FLOPs), so the server dropped it to protect the cheap majority.  Retry
-  with backoff, against a less-loaded replica, or at a smaller width.
 * :class:`ServerClosedError` — submitted after :meth:`Server.close`.
 * :class:`DispatcherCrashedError` — the dispatch thread died; the original
   failure is attached as ``__cause__``.  Every queued/pending future is
@@ -28,9 +27,7 @@ overload/lifecycle outcomes a client must tell apart:
 
 from __future__ import annotations
 
-
-class ServeError(RuntimeError):
-    """Base class for every serving-layer failure."""
+from repro.utils.errors import ServeError
 
 
 class ServerOverloadedError(ServeError):
@@ -39,11 +36,6 @@ class ServerOverloadedError(ServeError):
 
 class ServeTimeoutError(ServeError, TimeoutError):
     """A request deadline (or a ``close`` drain deadline) expired."""
-
-
-class ServeShedError(ServeError):
-    """The request was shed by cost-aware load shedding (queue over the
-    watermark; this request was among the most expensive queued)."""
 
 
 class ServerClosedError(ServeError):

@@ -22,12 +22,10 @@ time stays flat — and the open-loop benchmark
 Overload outcomes get their own counters: ``rejected`` requests were
 turned away at admission (they never entered the queue and are *not*
 counted as submitted), ``timed_out`` requests expired in the queue and
-were shed before execution, ``cost_shed`` requests were dropped by
-cost-aware load shedding (queue over the watermark, most expensive
-first), and ``cancelled`` requests were resolved by the client
-(``Future.cancel``) while queued and dropped at dispatch.  The in-flight
-identity is therefore ``in_flight == submitted - completed - failed -
-timed_out - cost_shed - cancelled``.
+were shed before execution, and ``cancelled`` requests were resolved by
+the client (``Future.cancel``) while queued and dropped at dispatch.  The
+in-flight identity is therefore ``in_flight == submitted - completed -
+failed - timed_out - cancelled``.
 
 Everything is lock-guarded: clients resolve futures on pool threads while
 the dispatch thread updates queue gauges.
@@ -87,10 +85,6 @@ class MetricsSnapshot:
     #: Deadline expired in the queue; shed before execution with
     #: :class:`~repro.serve.errors.ServeTimeoutError`.
     requests_timed_out: int
-    #: Dropped by cost-aware shedding (queue over the watermark, most
-    #: expensive queued requests first) with
-    #: :class:`~repro.serve.errors.ServeShedError`.
-    requests_cost_shed: int
     #: Client-cancelled while queued; dropped at dispatch without
     #: execution (their future was already resolved by the client).
     requests_cancelled: int
@@ -116,9 +110,6 @@ class MetricsSnapshot:
     #: Translation-cache counters since this server's metrics were reset.
     cache: CacheStats
     meta: dict = field(default_factory=dict)
-    #: Pending requests promoted a full priority class by aging (waited at
-    #: least ``aging_halflife_s``); 0 when aging is disabled.
-    requests_aged: int = 0
     #: Fused layer requests completed (``submit_layer``).
     layer_requests: int = 0
     #: Scheduler round trips avoided versus per-kernel composition
@@ -141,16 +132,14 @@ class MetricsSnapshot:
             - self.requests_completed
             - self.requests_failed
             - self.requests_timed_out
-            - self.requests_cost_shed
             - self.requests_cancelled
         )
 
     @property
     def requests_shed(self) -> int:
         """Requests the server refused to execute under overload (rejected
-        at admission, timed out in the queue, or cost-shed over the
-        watermark)."""
-        return self.requests_rejected + self.requests_timed_out + self.requests_cost_shed
+        at admission or timed out in the queue)."""
+        return self.requests_rejected + self.requests_timed_out
 
 
 def _delta(now: CacheStats, base: CacheStats) -> CacheStats:
@@ -177,12 +166,10 @@ class ServeMetrics:
         self._failed = 0
         self._rejected = 0
         self._timed_out = 0
-        self._cost_shed = 0
         self._cancelled = 0
         self._batches = 0
         self._coalesced = 0
         self._queue_depth = 0
-        self._aged = 0
         self._layer_requests = 0
         self._round_trips_saved = 0
         self._operand_bytes_saved = 0
@@ -212,13 +199,6 @@ class ServeMetrics:
             self._timed_out += 1
             self._queue_waits.append(float(queue_wait_s))
 
-    def record_cost_shed(self, queue_wait_s: float) -> None:
-        """Count one request dropped by cost-aware shedding (its queue wait
-        is recorded like a timeout's — shed work is the overload signal)."""
-        with self._lock:
-            self._cost_shed += 1
-            self._queue_waits.append(float(queue_wait_s))
-
     def record_cancelled(self, n: int = 1) -> None:
         """Count ``n`` client-cancelled requests dropped at dispatch."""
         with self._lock:
@@ -230,12 +210,6 @@ class ServeMetrics:
             self._batches += 1
             if size > 1:
                 self._coalesced += size
-
-    def record_aged(self, n: int = 1) -> None:
-        """Count ``n`` pending requests aged up one full priority class
-        (each counted once, at the dispatch pass that first saw it)."""
-        with self._lock:
-            self._aged += n
 
     def record_layer(
         self,
@@ -304,13 +278,11 @@ class ServeMetrics:
                 requests_failed=self._failed,
                 requests_rejected=self._rejected,
                 requests_timed_out=self._timed_out,
-                requests_cost_shed=self._cost_shed,
                 requests_cancelled=self._cancelled,
                 batches_dispatched=self._batches,
                 requests_coalesced=self._coalesced,
                 queue_depth=self._queue_depth,
                 cache=_delta(format_cache_stats(), self._cache_base),
-                requests_aged=self._aged,
                 layer_requests=self._layer_requests,
                 round_trips_saved=self._round_trips_saved,
                 operand_bytes_saved=self._operand_bytes_saved,

@@ -7,9 +7,10 @@ executes them on the shared backend):
 
 * clients call :meth:`Server.submit_spmm` / :meth:`Server.submit_sddmm`
   from any thread and receive a :class:`concurrent.futures.Future`;
-* one dispatch thread drains the queue and groups requests by operation and
-  :meth:`~repro.formats.csr.CSRMatrix.content_key` — same-matrix SpMM
-  requests are concatenated column-wise and run as **one** engine pass, so
+* one dispatch thread takes requests in arrival order: each pass runs the
+  oldest waiting request together with the later ones that share its
+  operation and :meth:`~repro.formats.csr.CSRMatrix.content_key` — same-matrix
+  SpMM requests are concatenated column-wise and run as **one** engine pass, so
   they share one cached translation (content-keyed: serving payloads are
   deserialised fresh per request) and one walk over the sparse entries.
   The concatenation is numerically invisible: the engine accumulates every
@@ -57,46 +58,21 @@ measures):
   expiry is surfaced as :class:`~repro.serve.errors.ServeTimeoutError`
   (the drain keeps running — call ``close`` again to keep waiting).
 
-Priority-aware dispatch
------------------------
-Dispatch order is no longer FIFO.  The dispatcher keeps drained requests
-in a pending buffer and, each round, picks the group led by the best
-request under ``(priority desc, deadline asc, arrival)`` — i.e. strict
-priority classes (``submit_*(..., priority=)``, higher runs first) with
-**earliest-deadline-first** inside a class and FIFO as the tie-break.
-Because the buffer is re-drained and re-ordered between groups, a
-high-priority request submitted while a long batch runs overtakes every
-lower-priority request still waiting.  Same-matrix batching still applies
-within the picked group, so a low-priority sibling can ride along with a
-high-priority request for free.
-
-Cost-aware load shedding
-------------------------
-The planner knows a request's useful FLOPs (``2·nnz·width``) at submit
-time, so under overload the server sheds *smart*: when the pending buffer
-exceeds ``shed_watermark``, the most expensive queued requests are failed
-with :class:`~repro.serve.errors.ServeShedError` until the buffer is back
-at the watermark.  Shedding one huge request frees as much capacity as
-shedding dozens of small ones, and the small ones are the majority of
-waiting clients.
-
 Cluster backend
 ---------------
 ``backend="cluster"`` swaps the in-process
 :class:`~repro.serve.scheduler.ShardScheduler` for the multi-host
 :class:`~repro.cluster.head.ClusterScheduler` (``hosts`` loopback worker
 subprocesses; real deployments pass addresses through
-``cluster_options``).  Admission, deadlines, priorities, shedding, the
-crash guard and :class:`~repro.serve.metrics.ServeMetrics` apply
-unchanged; groups execute on a small thread pool (one thread per host)
-so independent matrices keep every host busy, and
-host death below the scheduler is recovered by shard failover — the
-server stays ``healthy`` through it.
+``cluster_options``).  Admission, deadlines, the crash guard and
+:class:`~repro.serve.metrics.ServeMetrics` apply unchanged; groups
+execute on a small thread pool (one thread per host) so independent
+matrices keep every host busy, and host death below the scheduler is
+recovered by shard failover — the server stays ``healthy`` through it.
 """
 
 from __future__ import annotations
 
-import math
 import queue
 import threading
 import time
@@ -123,7 +99,6 @@ from repro.perfmodel.model import sddmm_useful_flops, spmm_useful_flops
 from repro.precision.types import Precision
 from repro.serve.errors import (
     DispatcherCrashedError,
-    ServeShedError,
     ServeTimeoutError,
     ServerClosedError,
     ServerOverloadedError,
@@ -187,12 +162,8 @@ class ServeRequest:
     #: Absolute ``perf_counter`` deadline; ``None`` means wait forever.
     deadline: float | None = None
     dequeued_at: float = 0.0
-    #: Dispatch class: higher priorities execute first; EDF inside a class.
-    priority: int = 0
-    #: Arrival sequence number — the FIFO tie-break of the dispatch order.
-    seq: int = 0
-    #: Useful FLOPs (``2·nnz·width`` for an SpMM) — the cost-shedding key
-    #: and the result's ``useful_flops``.
+    #: Useful FLOPs (``2·nnz·width`` for an SpMM): the result's
+    #: ``useful_flops``.
     cost: int = 0
     #: Whether dequeue accounting already ran for this request (crash-path
     #: bookkeeping: stranded requests must be dequeue-accounted exactly once).
@@ -200,27 +171,6 @@ class ServeRequest:
     #: Whether the cancellation counter already saw this request (several
     #: drop sites can observe the same cancelled future).
     cancel_accounted: bool = False
-    #: Whether the aging counter already saw this request cross a full
-    #: half-life of queue wait (each promotion is counted once).
-    aged_accounted: bool = False
-
-    def dispatch_order(
-        self, now: float | None = None, aging_halflife_s: float | None = None
-    ) -> tuple:
-        """Sort key: priority class desc, then EDF, then arrival order.
-
-        With aging enabled, the class is the *effective* priority: the
-        static class plus one for every ``aging_halflife_s`` the request
-        has waited.  The boost is continuous, so within a starved class
-        the longest-waiting request climbs first, and any request
-        eventually outranks a sustained flood of strictly higher static
-        priority — bounded starvation instead of no guarantee.
-        """
-        priority = float(self.priority)
-        if aging_halflife_s is not None and now is not None:
-            priority += max(0.0, now - self.submitted_at) / aging_halflife_s
-        deadline = math.inf if self.deadline is None else self.deadline
-        return (-priority, deadline, self.seq)
 
 
 @dataclass(frozen=True)
@@ -359,17 +309,6 @@ class Server:
         Worker-host count for ``backend="cluster"`` (default 1; ``0``
         degrades to in-parent execution).  The planner divides the device
         memory budget across hosts.
-    shed_watermark:
-        Soft cap on the dispatcher's pending buffer: above it, the most
-        expensive pending requests (by predicted FLOPs) are shed with
-        :class:`~repro.serve.errors.ServeShedError` until the buffer is
-        back at the watermark.  ``None`` (default) disables cost shedding.
-    aging_halflife_s:
-        Priority aging: every queued request gains one effective priority
-        class per ``aging_halflife_s`` seconds waited, so a sustained
-        flood of high-priority traffic cannot starve lower classes
-        indefinitely (promotions are counted in ``requests_aged``).
-        ``None`` (default) keeps strict static classes.
     cluster_options:
         Extra keyword arguments for the
         :class:`~repro.cluster.head.ClusterScheduler` (heartbeat knobs,
@@ -393,9 +332,7 @@ class Server:
         admission: str = "block",
         backend: str = "local",
         hosts: int | None = None,
-        shed_watermark: int | None = None,
         cluster_options: dict | None = None,
-        aging_halflife_s: float | None = None,
     ):
         self.device = device if (device is None or isinstance(device, GPUSpec)) else get_device(device)
         self.precision = Precision(precision)
@@ -408,15 +345,9 @@ class Server:
             raise ValueError("max_queue_depth must be >= 1 (or None for unbounded)")
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        if shed_watermark is not None and int(shed_watermark) < 1:
-            raise ValueError("shed_watermark must be >= 1 (or None to disable)")
-        if aging_halflife_s is not None and float(aging_halflife_s) <= 0:
-            raise ValueError("aging_halflife_s must be > 0 (or None to disable aging)")
-        self.aging_halflife_s = None if aging_halflife_s is None else float(aging_halflife_s)
         self.max_queue_depth = None if max_queue_depth is None else int(max_queue_depth)
         self.admission = admission
         self.backend = backend
-        self.shed_watermark = None if shed_watermark is None else int(shed_watermark)
         self.metrics = ServeMetrics()
         if backend == "cluster":
             from repro.cluster.head import ClusterScheduler
@@ -457,13 +388,13 @@ class Server:
         self._submit_lock = threading.Lock()
         self._admission = threading.Condition(self._submit_lock)
         self._queued = 0  # authoritative queue depth for admission
-        self._seq = 0  # arrival sequence (FIFO tie-break), under the lock
         self._closed = False
         self.healthy = True
         self._crash_cause: BaseException | None = None
-        #: Requests drained from the queue but not yet picked for execution
-        #: (the dispatch-order buffer).  Dispatcher-thread private; the
-        #: crash handler runs on the same thread.
+        #: Requests drained from the queue but not yet picked for execution,
+        #: in arrival order (the queue is filled under ``_submit_lock``).
+        #: Dispatcher-thread private; the crash handler runs on the same
+        #: thread.
         self._pending: list[ServeRequest] = []
         #: Requests picked into groups that are executing right now —
         #: visible to the crash handler so a fault between pick and
@@ -482,15 +413,12 @@ class Server:
         matrix,
         b: np.ndarray,
         timeout: float | None = None,
-        priority: int = 0,
     ):
         """Enqueue ``matrix @ b``; returns a Future of :class:`SpmmResult`.
 
         ``timeout`` (seconds) is a queueing deadline: if the request is
         still waiting for dispatch when it expires, the server sheds it and
         the future raises :class:`~repro.serve.errors.ServeTimeoutError`.
-        ``priority`` picks the dispatch class (higher runs first; EDF
-        within a class — see the module docstring).
         """
         inp = _as_input(matrix)
         sources = (b,)
@@ -502,7 +430,6 @@ class Server:
                 key=inp.csr.content_key(),
                 operands=(b,),
                 sources=sources,
-                priority=int(priority),
                 cost=spmm_useful_flops(inp.csr.nnz, b.shape[1]),
             ),
             timeout,
@@ -515,11 +442,9 @@ class Server:
         b: np.ndarray,
         scale_by_mask: bool = False,
         timeout: float | None = None,
-        priority: int = 0,
     ):
         """Enqueue a sampled dense×dense; returns a Future of
-        :class:`SddmmResult`.  ``timeout`` / ``priority`` as for
-        :meth:`submit_spmm`."""
+        :class:`SddmmResult`.  ``timeout`` as for :meth:`submit_spmm`."""
         inp = _as_input(mask)
         sources = (a, b)
         a = check_dense_matrix(np.asarray(a), "a", n_rows=inp.shape[0])
@@ -535,7 +460,6 @@ class Server:
                 operands=(a, b),
                 sources=sources,
                 params={"scale_by_mask": params["scale_by_mask"]},
-                priority=int(priority),
                 cost=sddmm_useful_flops(inp.csr.nnz, a.shape[1]),
             ),
             timeout,
@@ -550,7 +474,6 @@ class Server:
         scale: float | None = None,
         scale_by_mask: bool = False,
         timeout: float | None = None,
-        priority: int = 0,
     ):
         """Enqueue one whole attention layer —
         ``spmm(edge_softmax(scale · sddmm(a, b)), x)`` — as a single
@@ -559,7 +482,7 @@ class Server:
         The layer executes as one fused pass per shard (one scheduler
         round trip — and on the cluster backend one wire round trip —
         instead of three), bit-identical to submitting the three kernels
-        separately.  ``timeout`` / ``priority`` as for :meth:`submit_spmm`.
+        separately.  ``timeout`` as for :meth:`submit_spmm`.
         Layer requests over the same matrix, logits panels and scale
         coalesce like SpMM requests: their ``x`` panels concatenate into
         one engine pass.
@@ -584,7 +507,6 @@ class Server:
                 operands=(a, b, x),
                 sources=sources,
                 params={"scale": scale, "scale_by_mask": scale_by_mask},
-                priority=int(priority),
                 cost=(
                     sddmm_useful_flops(nnz, a.shape[1])
                     + _edge_softmax_useful_flops(nnz)
@@ -622,8 +544,6 @@ class Server:
                     self._admission.wait()
                     self._check_open()
             self._queued += 1
-            self._seq += 1
-            req.seq = self._seq
             self.metrics.record_submitted()
             self._queue.put(req)
         return req.future
@@ -704,8 +624,8 @@ class Server:
             stopping = False
             while True:
                 # Top up the pending buffer.  Block only when idle: with
-                # work pending the drain is a peek, so a freshly arrived
-                # high-priority request joins the ordering immediately.
+                # work pending the drain is a peek, so a same-matrix request
+                # that arrived meanwhile can still join the next pass.
                 stopping = self._drain_queue(block=not self._pending and not stopping) or stopping
                 if not self._pending:
                     if stopping:
@@ -715,33 +635,17 @@ class Server:
                 if slots is not None:
                     # Reserve execution capacity *before* choosing a group:
                     # the pick below then sees every request that arrived
-                    # while capacity was busy, so a late high-priority
-                    # request still overtakes the waiting backlog — and
-                    # requests stay admission-accounted as queued while
-                    # they are genuinely waiting, not executing.
+                    # while capacity was busy, so later same-matrix arrivals
+                    # can still join the head's group — and requests stay
+                    # admission-accounted as queued while they are
+                    # genuinely waiting, not executing.
                     slots.acquire()
                     stopping = self._drain_queue(block=False) or stopping
                 try:
-                    now = time.perf_counter()
-                    self._pending = self._live(self._pending, now, dequeue=True)
-                    self._shed_over_watermark(now)
+                    self._pending = self._live(self._pending, time.perf_counter(), dequeue=True)
                     if not self._pending:
                         continue
-                    # Dispatch order: priority class, then EDF, then arrival
-                    # — with aging, the class is the waited-boosted one.
-                    halflife = self.aging_halflife_s
-                    if halflife is not None:
-                        for req in self._pending:
-                            if (
-                                not req.aged_accounted
-                                and now - req.submitted_at >= halflife
-                            ):
-                                req.aged_accounted = True
-                                self.metrics.record_aged()
-                    self._pending.sort(
-                        key=lambda req: req.dispatch_order(now, halflife)
-                    )
-                    group = self._group(self._pending)[0]
+                    group = self._group(self._pending)
                     chosen = {id(req) for req in group}
                     with self._dispatch_lock:
                         self._in_dispatch.extend(group)
@@ -799,38 +703,6 @@ class Server:
         except Exception:  # accounting must never break execution paths
             pass
 
-    def _account_shed_from_pending(self, req: ServeRequest) -> None:
-        """Dequeue accounting for a request leaving the buffer unexecuted."""
-        self.metrics.record_dequeued(1)
-        req.dequeued = True
-        with self._admission:
-            self._queued -= 1
-            self._admission.notify_all()
-
-    def _shed_over_watermark(self, now: float) -> None:
-        """Cost-aware shedding: over the watermark, drop the most expensive
-        pending requests first (the planner's FLOPs estimate is the cost)."""
-        if self.shed_watermark is None or len(self._pending) <= self.shed_watermark:
-            return
-        excess = len(self._pending) - self.shed_watermark
-        doomed = sorted(self._pending, key=lambda r: (-r.cost, r.seq))[:excess]
-        doomed_ids = {id(req) for req in doomed}
-        self._pending = [req for req in self._pending if id(req) not in doomed_ids]
-        for req in doomed:
-            self._account_shed_from_pending(req)
-            if not req.future.done():
-                waited = now - req.submitted_at
-                req.future.set_exception(
-                    ServeShedError(
-                        f"request shed: queue over watermark "
-                        f"({self.shed_watermark}) and this request's predicted "
-                        f"cost ({req.cost:.3g} FLOPs) ranked highest"
-                    )
-                )
-                self.metrics.record_cost_shed(waited)
-            else:  # client-cancelled while queued
-                self._record_cancelled(req)
-
     def _mark_dequeued(self, group: list[ServeRequest]) -> None:
         """Dequeue accounting for a group picked for execution."""
         now = time.perf_counter()
@@ -879,8 +751,12 @@ class Server:
             if not cancelled and (req.deadline is None or now <= req.deadline):
                 live.append(req)
                 continue
-            if dequeue:
-                self._account_shed_from_pending(req)
+            if dequeue:  # leaving the buffer unexecuted: free its slot
+                self.metrics.record_dequeued(1)
+                req.dequeued = True
+                with self._admission:
+                    self._queued -= 1
+                    self._admission.notify_all()
             if cancelled:
                 self._record_cancelled(req)
             else:
@@ -949,39 +825,33 @@ class Server:
         except Exception:
             pass
 
-    def _group(self, requests: list[ServeRequest]) -> list[list[ServeRequest]]:
-        """Group by (op, matrix content, operand compatibility), preserving
-        arrival order, capped at ``max_batch``.
+    def _group(self, pending: list[ServeRequest]) -> list[ServeRequest]:
+        """The next pass: the oldest pending request, then the later ones
+        with its (op, matrix content, operand height), capped at
+        ``max_batch``.
 
-        Layer requests that share (op, matrix, ``x`` height) coalesce only
-        when their tokens match too; the token is digested here, and only
-        for such a bucket of two or more — a lone layer pays no digest.
+        The sparse-output op may share a translation but not a pass, so it
+        runs alone.  Layer requests join only when their tokens match too;
+        a token is digested only once a second request with the key is
+        pending — a lone layer pays no digest.
         """
-        buckets: dict[tuple, list[ServeRequest]] = {}
-        for req in requests:
-            # The sparse-output op may share a translation but not a pass,
-            # so its group key is unique per request.
-            if SHARD_OPS[req.op].sddmm:
-                key = (id(req),)
-            else:
-                key = (req.op, req.key, req.operands[-1].shape[0])
-            buckets.setdefault(key, []).append(req)
-        groups: list[list[ServeRequest]] = []
-        for bucket in buckets.values():
-            if len(bucket) > 1 and bucket[0].op == "layer":
-                by_token: dict[str, list[ServeRequest]] = {}
-                for req in bucket:
-                    req.token = req.token or _layer_token(req)
-                    by_token.setdefault(req.token, []).append(req)
-                runs = list(by_token.values())
-            else:
-                runs = [bucket]
-            for run in runs:
-                step = self.max_batch
-                groups += [run[i : i + step] for i in range(0, len(run), step)]
-        arrival = {id(req): i for i, req in enumerate(requests)}
-        groups.sort(key=lambda group: arrival[id(group[0])])
-        return groups
+        head = pending[0]
+        if SHARD_OPS[head.op].sddmm:
+            return [head]
+        key = (head.op, head.key, head.operands[-1].shape[0])
+        group = [head]
+        for req in pending[1:]:
+            if len(group) == self.max_batch:
+                break
+            if (req.op, req.key, req.operands[-1].shape[0]) != key:
+                continue
+            if head.op == "layer":
+                head.token = head.token or _layer_token(head)
+                req.token = req.token or _layer_token(req)
+                if req.token != head.token:
+                    continue
+            group.append(req)
+        return group
 
     # ------------------------------------------------------------ execution
     def _plan_for(self, fmt: BlockedVectorFormat, op: str, width: int) -> ServePlan:

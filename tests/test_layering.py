@@ -37,9 +37,6 @@ TIER = {package: tier for tier, packages in enumerate(LAYERS) for package in pac
 #: Imports against the order that are still there, as
 #: ``(importing file, imported module)``.  This set may only shrink.
 ALLOWED = {
-    # ROADMAP item 13: the ``ServeError`` base of the cluster taxonomy
-    # still lives in ``serve``, not below both packages.
-    ("cluster/errors.py", "repro.serve.errors"),
     # ROADMAP item 13: the served SpMM / SDDMM results and ``_as_input``
     # still live in the ``core`` facade.
     ("serve/server.py", "repro.core.api"),

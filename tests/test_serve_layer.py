@@ -1,10 +1,10 @@
-"""Fused layer serving: parity, coalescing, aging.
+"""Fused layer serving: parity, coalescing, deadlines.
 
 The contract of ``Server.submit_layer``: one request runs the whole
 SDDMM → scale → edge-softmax → SpMM pipeline **bit-identically** to the
 three kernels run one after another (``helpers.composed_layer``: SDDMM →
 gather + scale → softmax → SpMM over the attention matrix), with the same
-coalescing / priority / deadline semantics as the per-kernel submissions.
+coalescing and deadline semantics as the per-kernel submissions.
 The parity grid below runs the fused shard scheduler across formats, shard
 sizes and concurrent callers against that oracle, and the server-level
 tests run the layer through :class:`repro.gnn.backends.ServedBackend`,
@@ -202,7 +202,8 @@ def test_fused_layer_over_duplicate_coo_triplets_matches_composition():
 
 
 def test_layer_priority_and_deadline_semantics_match_kernel_requests():
-    """A queued layer request sheds on deadline exactly like an SpMM."""
+    """A queued layer request sheds on deadline exactly like an SpMM: the
+    deadline is the only dispatch setting a request carries."""
     from repro.serve import ServeTimeoutError
 
     csr = random_csr(120, 120, 0.05, seed=13)
@@ -434,53 +435,3 @@ def test_snapshot_exposes_per_stage_latency_split():
         assert stats.count == 3
         assert stats.mean_s >= 0.0
         assert stats.p99_s >= stats.p50_s >= 0.0
-
-
-# ------------------------------------------------------------- priority aging
-def test_aging_promotes_a_starved_low_priority_request():
-    """With ``aging_halflife_s`` set, a low-priority request that waited a
-    few halflives outranks fresh high-priority traffic; without it, the
-    high-priority flood always wins."""
-    work = [
-        (random_csr(60, 50, 0.08, seed=200 + i),
-         np.random.default_rng(i).standard_normal((50, 4)).astype(np.float32))
-        for i in range(3)
-    ]
-    (m0, b0), (m1, b1), (m2, b2) = work
-
-    def run(halflife):
-        order = []
-        lock = threading.Lock()
-        with Server(workers=1, aging_halflife_s=halflife) as srv:
-            gate = _Gate(srv)
-            blocker = srv.submit_spmm(m0, b0)
-            gate.entered.wait(TIMEOUT)
-            old_low = srv.submit_spmm(m1, b1, priority=0)
-            time.sleep(0.4)  # many halflives: +priority ≫ the flood's 9
-            fresh_high = srv.submit_spmm(m2, b2, priority=9)
-            for label, fut in (("low", old_low), ("high", fresh_high)):
-                def record(f, label=label):
-                    with lock:
-                        order.append(label)
-                fut.add_done_callback(record)
-            gate.release.set()
-            blocker.result(TIMEOUT)
-            old_low.result(TIMEOUT)
-            fresh_high.result(TIMEOUT)
-            aged = srv.snapshot().requests_aged
-        return order, aged
-
-    order, aged = run(halflife=0.02)
-    assert order == ["low", "high"]
-    assert aged >= 1
-
-    order, aged = run(halflife=None)
-    assert order == ["high", "low"]
-    assert aged == 0
-
-
-def test_aging_halflife_validation():
-    with pytest.raises(ValueError):
-        Server(workers=1, aging_halflife_s=0.0)
-    with pytest.raises(ValueError):
-        Server(workers=1, aging_halflife_s=-1.0)

@@ -1,11 +1,12 @@
-"""Priority-aware dispatch and cost-aware load shedding.
+"""Dispatch order: arrival order, with same-matrix coalescing.
 
 The dispatcher is parked deterministically (the ``_execute_group`` gate of
 the overload suite) so a backlog builds under contention; releasing the
-gate then exposes the dispatch order: priority classes first, earliest
-deadline first within a class, FIFO as the tie-break — and, with a
-watermark set, the most expensive backlog entries shed before anything
-executes.
+gate then exposes the dispatch order.  Each pass runs the oldest waiting
+request plus its later same-matrix siblings: a later request never
+overtakes an earlier one, whatever its deadline, and a sibling rides in
+its head's pass while an unrelated request that arrived between them waits
+for the next one.  A cancelled request is dropped before its batch runs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from helpers import random_csr
 
 from repro.core.api import spmm
-from repro.serve import ServeShedError, Server
+from repro.serve import Server
 
 TIMEOUT = 120
 
@@ -62,47 +63,8 @@ def _completion_order(futures_by_label):
 
 
 # ------------------------------------------------------------------ ordering
-def test_priority_classes_override_fifo_under_contention():
-    (m0, b0), (m1, b1), (m2, b2), (m3, b3) = _distinct_workloads(4)
-    with Server(workers=1) as srv:
-        gate = _Gate(srv)
-        blocker = srv.submit_spmm(m0, b0)  # drained immediately, parks at gate
-        gate.entered.wait(TIMEOUT)
-        futures = {
-            "low": srv.submit_spmm(m1, b1, priority=0),
-            "mid": srv.submit_spmm(m2, b2, priority=5),
-            "high": srv.submit_spmm(m3, b3, priority=9),
-        }
-        order = _completion_order(futures)
-        gate.release.set()
-        for fut in futures.values():
-            fut.result(TIMEOUT)
-        blocker.result(TIMEOUT)
-    assert order == ["high", "mid", "low"]
-
-
-def test_edf_orders_within_a_priority_class():
-    (m0, b0), (m1, b1), (m2, b2), (m3, b3) = _distinct_workloads(4)
-    with Server(workers=1) as srv:
-        gate = _Gate(srv)
-        blocker = srv.submit_spmm(m0, b0)
-        gate.entered.wait(TIMEOUT)
-        futures = {
-            # Same class; deadlines 60s / 30s / none, submitted in the
-            # *opposite* of their deadline order.
-            "no_deadline": srv.submit_spmm(m1, b1, priority=3),
-            "loose": srv.submit_spmm(m2, b2, priority=3, timeout=60.0),
-            "tight": srv.submit_spmm(m3, b3, priority=3, timeout=30.0),
-        }
-        order = _completion_order(futures)
-        gate.release.set()
-        for fut in futures.values():
-            fut.result(TIMEOUT)
-        blocker.result(TIMEOUT)
-    assert order == ["tight", "loose", "no_deadline"]
-
-
 def test_fifo_tie_break_within_class_and_deadline():
+    """Distinct matrices run one pass each, in the order they arrived."""
     (m0, b0), (m1, b1), (m2, b2), (m3, b3) = _distinct_workloads(4)
     with Server(workers=1) as srv:
         gate = _Gate(srv)
@@ -121,89 +83,49 @@ def test_fifo_tie_break_within_class_and_deadline():
     assert order == ["first", "second", "third"]
 
 
-def test_late_high_priority_overtakes_waiting_backlog():
-    """A high-priority request submitted *while* a group runs must execute
-    before the lower-priority backlog that arrived earlier."""
-    workloads = _distinct_workloads(4)
-    (m0, b0), (m1, b1), (m2, b2), (m3, b3) = workloads
+def test_later_tighter_deadline_does_not_overtake():
+    """A deadline only sheds a request that waited too long; it does not
+    move a later request ahead of an earlier one."""
+    (m0, b0), (m1, b1), (m2, b2) = _distinct_workloads(3)
     with Server(workers=1) as srv:
         gate = _Gate(srv)
         blocker = srv.submit_spmm(m0, b0)
         gate.entered.wait(TIMEOUT)
-        futures = {}
-        futures["early_low_1"] = srv.submit_spmm(m1, b1, priority=0)
-        futures["early_low_2"] = srv.submit_spmm(m2, b2, priority=0)
-        futures["late_high"] = srv.submit_spmm(m3, b3, priority=7)
+        futures = {
+            "early": srv.submit_spmm(m1, b1),
+            "late_tight": srv.submit_spmm(m2, b2, timeout=60.0),
+        }
         order = _completion_order(futures)
         gate.release.set()
         for fut in futures.values():
             fut.result(TIMEOUT)
         blocker.result(TIMEOUT)
-    assert order[0] == "late_high"
+    assert order == ["early", "late_tight"]
 
 
-def test_same_matrix_batching_survives_priority_ordering():
-    """Same-key requests still coalesce into one engine pass when one of
-    them leads the dispatch order."""
-    (m0, b0), (m1, b1) = _distinct_workloads(2)
+def test_same_matrix_sibling_rides_in_the_heads_pass():
+    """A later same-matrix request joins the oldest request's pass; an
+    unrelated request that arrived between them waits for the next pass."""
+    (m0, b0), (m1, b1), (m2, b2) = _distinct_workloads(3)
     with Server(workers=1) as srv:
         gate = _Gate(srv)
         blocker = srv.submit_spmm(m0, b0)
         gate.entered.wait(TIMEOUT)
-        high = srv.submit_spmm(m1, b1, priority=9)
-        rider = srv.submit_spmm(m1, b1, priority=0)  # same matrix: rides along
+        futures = {
+            "head": srv.submit_spmm(m1, b1),
+            "unrelated": srv.submit_spmm(m2, b2),
+            "sibling": srv.submit_spmm(m1, b1),
+        }
+        order = _completion_order(futures)
         gate.release.set()
         ref = spmm(m1, b1).values
-        np.testing.assert_array_equal(high.result(TIMEOUT).values, ref)
-        np.testing.assert_array_equal(rider.result(TIMEOUT).values, ref)
+        np.testing.assert_array_equal(futures["head"].result(TIMEOUT).values, ref)
+        np.testing.assert_array_equal(futures["sibling"].result(TIMEOUT).values, ref)
+        futures["unrelated"].result(TIMEOUT)
         blocker.result(TIMEOUT)
-        assert gate.calls == 2  # blocker + one coalesced pass
+        assert gate.calls == 3  # blocker, head + sibling, unrelated
+    assert order == ["head", "sibling", "unrelated"]
     assert srv.snapshot().requests_coalesced == 2
-
-
-# ------------------------------------------------------------- cost shedding
-def test_watermark_sheds_most_expensive_first():
-    base = random_csr(90, 80, 0.08, seed=50)
-    rng = np.random.default_rng(50)
-    widths = {"tiny": 1, "huge": 64, "small": 2, "large": 48, "mid": 3}
-    with Server(workers=1, shed_watermark=2) as srv:
-        gate = _Gate(srv)
-        blocker = srv.submit_spmm(base, rng.standard_normal((80, 4)))
-        gate.entered.wait(TIMEOUT)
-        futures = {}
-        for seed, (label, width) in enumerate(widths.items()):
-            csr = random_csr(90, 80, 0.08, seed=200 + seed)
-            futures[label] = srv.submit_spmm(csr, rng.standard_normal((80, width)))
-        gate.release.set()
-        # 5 pending over a watermark of 2: the 3 most expensive (by FLOPs ∝
-        # width here) are shed, the cheap majority executes.
-        for label in ("huge", "large", "mid"):
-            with pytest.raises(ServeShedError):
-                futures[label].result(TIMEOUT)
-        for label in ("tiny", "small"):
-            assert futures[label].result(TIMEOUT) is not None
-        blocker.result(TIMEOUT)
-    snap = srv.snapshot()
-    assert snap.requests_cost_shed == 3
-    assert snap.requests_shed == 3
-    assert snap.requests_completed == 3  # blocker + tiny + small
-    assert snap.in_flight == 0
-    assert snap.queue_wait.count >= 3  # shed waits are the overload signal
-
-
-def test_no_shedding_at_or_under_watermark():
-    (m0, b0), (m1, b1), (m2, b2) = _distinct_workloads(3)
-    with Server(workers=1, shed_watermark=2) as srv:
-        gate = _Gate(srv)
-        blocker = srv.submit_spmm(m0, b0)
-        gate.entered.wait(TIMEOUT)
-        f1 = srv.submit_spmm(m1, b1)
-        f2 = srv.submit_spmm(m2, b2)
-        gate.release.set()
-        assert f1.result(TIMEOUT) is not None
-        assert f2.result(TIMEOUT) is not None
-        blocker.result(TIMEOUT)
-    assert srv.snapshot().requests_cost_shed == 0
 
 
 def _submit_op(srv, op, csr, b):
@@ -246,11 +168,6 @@ def test_cancelled_unexpired_request_does_not_poison_its_batch(op):
     # identity holds.
     assert snap.requests_cancelled == 1
     assert snap.in_flight == 0
-
-
-def test_shed_watermark_validated():
-    with pytest.raises(ValueError):
-        Server(workers=1, shed_watermark=0)
 
 
 def test_backend_and_hosts_validated():

@@ -118,16 +118,16 @@ def test_same_matrix_requests_coalesce_into_one_pass(workload):
             reqs.append(
                 ServeRequest(op="spmm", csr=twin, key=twin.content_key(), operands=(b,))
             )
-        groups = srv._group(reqs)
-        # All four requests share content and operand height: one group.
-        assert len(groups) == 1 and len(groups[0]) == len(bs)
-        # Mixed ops split; max_batch caps group size.
-        reqs2 = reqs + [
-            ServeRequest(op="sddmm", csr=csr, key=csr.content_key(), operands=(bs[0],))
-        ]
-        assert len(srv._group(reqs2)) == 2
+        # All four requests share content and operand height: one pass.
+        assert srv._group(reqs) == reqs
+        # Ops never mix: an SDDMM over the same matrix neither joins an
+        # SpMM head's pass nor takes SpMM riders when it leads.
+        other = ServeRequest(op="sddmm", csr=csr, key=csr.content_key(), operands=(bs[0],))
+        assert srv._group(reqs + [other]) == reqs
+        assert srv._group([other] + reqs) == [other]
+        # max_batch caps the pass, oldest first.
         srv.max_batch = 2
-        assert all(len(g) <= 2 for g in srv._group(reqs))
+        assert srv._group(reqs) == reqs[:2]
 
 
 def _assert_forced_batch_is_bit_identical(csr, bs):
