@@ -97,7 +97,7 @@ def _workload():
                 "fmt": fmt,
                 "key": key,
                 "primary": primary,
-                "oracle": oracle.run_spmm(fmt, b_q, Precision.FP16),
+                "oracle": oracle.run_spmm(fmt, b_q, Precision.FP16, csr),
             }
         )
     primaries = {m["primary"] for m in matrices}

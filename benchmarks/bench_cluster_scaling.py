@@ -15,9 +15,10 @@ Two CI gates ride on it:
   clear after paying per-task framing, transport and reassembly).  On a
   single-CPU runner the gate is skipped — there is nothing to scale onto.
 * **cache affinity** — a repeat-matrix workload must show a remote
-  translation-cache hit rate > ``MIN_AFFINITY_HIT_RATE``: content-key
-  routing sends every request for a matrix to the host that already holds
-  its translation, so only the first task per (matrix, host) may miss.
+  lane-cache hit rate > ``MIN_AFFINITY_HIT_RATE`` (a worker keeps each
+  pinned matrix's lane arrays per values and precision): content-key
+  routing sends every request for a matrix to the host that already built
+  its lanes, so only the first task per (matrix, host) may miss.
 * **push/pin** — the same repeat workload must ship matrix and operand
   bytes once per host (task frames reference keys): the bytes re-shipping
   them with every task would have moved — what was sent plus the head's
@@ -65,7 +66,7 @@ REQUESTS = 32
 AFFINITY_REQUESTS = 12
 #: Scaling gate: 2-host throughput over 1-host, on >= 2 CPUs.
 MIN_SCALING = 1.2
-#: Affinity gate: remote translation-cache hit rate on a repeat workload.
+#: Affinity gate: remote lane-cache hit rate on a repeat workload.
 MIN_AFFINITY_HIT_RATE = 0.8
 #: Repeat-matrix requests of the push/pin phase.
 PUSHPIN_REQUESTS = 12

@@ -21,8 +21,8 @@ surfaces as
 :class:`~repro.cluster.transport.FrameIntegrityError` and is recovered
 through the same retry machinery, never silently computed on.  Routing is
 by matrix content key under rendezvous
-hashing, so every host's own translation cache serves repeat requests
-for "its" matrices — the multi-host analogue of the serving frontend's
+hashing, so every host's own lane cache serves repeat requests for "its"
+matrices — the multi-host analogue of the serving frontend's
 content-keyed translation dedup.  On top of that, the data plane
 pushes matrix and operand bytes **once per (host, store key)**, inside the
 first task frame that needs them (:mod:`repro.cluster.store`): workers

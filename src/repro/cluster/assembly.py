@@ -5,8 +5,8 @@ shard's rows into its output as the shard finishes.  Across hosts the
 results come back as payloads over the transport, in any order, and the
 head must reassemble them.  Every op returns one row
 slice of its output per shard: the dense rows of the shard's window range
-for SpMM and the fused layer, the rows of ``vector_values`` — the nonzero
-vectors ``window_ptr[w0]:window_ptr[w1]`` — for SDDMM.
+for SpMM and the fused layer; for SDDMM, one value per CSR entry of those
+rows, an ``(entries, 1)`` block of the ``(nnz, 1)`` output.
 
 Correctness is enforced, not assumed: shards are window-aligned, so their
 output regions are disjoint by construction, and the head keeps exactly
@@ -26,7 +26,7 @@ from repro.cluster.errors import AssemblyError
 
 class SpmmAssembly:
     """Reassembles per-shard row slices into the ``(n_rows, n_dense)``
-    output of any served op (for SDDMM: ``fmt.vector_values.shape``).
+    output of any served op (for SDDMM: ``(nnz, 1)``).
 
     Rows not covered by any shard (trailing all-empty windows produce no
     shard) stay zero — exactly what the one-shot engine writes for them.

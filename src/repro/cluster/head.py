@@ -7,15 +7,15 @@ same execution interface (``run_spmm`` / ``run_sddmm`` / ``run_layer``,
 unchanged.  What changes underneath:
 
 * **Hosts, not processes.**  Each worker host is a separate process owning
-  its own translation cache, reached over a long-lived TCP connection
-  (loopback subprocesses here; the worker also runs standalone via
-  ``python -m repro.cluster.worker`` on real machines).
+  its own pin store and lane cache, reached over a long-lived TCP
+  connection (loopback subprocesses here; the worker also runs standalone
+  via ``python -m repro.cluster.worker`` on real machines).
 * **Content-affinity routing.**  Shards are routed by the matrix's
   :meth:`~repro.formats.csr.CSRMatrix.content_key` under rendezvous
   (highest-random-weight) hashing: the same matrix always lands on the
-  same host — whose translation cache then serves every later request for
-  it — while distinct matrices spread evenly, and removing a host only
-  remaps the keys that pointed at it (DGL's partition-affinity routing,
+  same host — whose pinned bundles and lane cache then serve every later
+  request for it — while distinct matrices spread evenly, and removing a
+  host only remaps the keys that pointed at it (DGL's partition-affinity routing,
   with rendezvous instead of a static partition book).
 * **Health state machine, not a dead flag.**  Every host moves through
   ``HEALTHY → SUSPECT → DEAD → RECOVERING → HEALTHY``
@@ -48,9 +48,9 @@ unchanged.  What changes underneath:
   a served shard costs one frame each way, with no separate push round
   trip.  A matrix ships as its pattern (keyed by structure) and its
   values (keyed by content), so new values on a pattern a host already
-  pinned cost one ``data`` push — and, on the worker, one cast: SpMM and
-  the fused layer run on the pinned CSR, not a translation.  A dense
-  panel is content-keyed (one sha256 over the caller's operand and the
+  pinned cost one ``data`` push — and, on the worker, one cast: every op
+  runs on the pinned CSR, never a translation.  A dense panel is
+  content-keyed (one sha256 over the caller's operand and the
   precision) only when its source array is an object the head saw in an
   earlier request; any other panel gets a request-scoped key with no
   digest, and the request's last task on each host releases it.  A panel
@@ -66,10 +66,9 @@ unchanged.  What changes underneath:
 
 Bit-exactness carries over from the in-process scheduler: workers run the
 same shard-table entries (:data:`repro.kernels.engine.SHARD_OPS`) on the
-same sources — lanes built from the same CSR arrays, or for SDDMM a
-bit-identical translation — so the cluster result equals the single-process
-one-shot result exactly, for any shard size, any host count, and across
-mid-shard host deaths and reconnects.
+same sources — lanes built from the same CSR arrays — so the cluster
+result equals the single-process one-shot result exactly, for any shard
+size, any host count, and across mid-shard host deaths and reconnects.
 """
 
 from __future__ import annotations
@@ -347,7 +346,7 @@ class _HostClient(threading.Thread):
         """Cache warm-up ping gating readmission (RECOVERING → HEALTHY).
 
         Verifies the host answers frames end to end, pulls its
-        translation-cache counters into the head's metrics, and re-warms
+        lane-cache counters into the head's metrics, and re-warms
         the pinned-store ledger from the inventory the pong reports — a
         worker that survived the outage keeps its pushed matrices without
         a re-push, while a restarted (cold) process reports an empty
@@ -1017,8 +1016,9 @@ class ClusterScheduler:
 
         Called by the :class:`MembershipProbe` (or directly by tests).  On
         success the host's client is replaced with a fresh connected one
-        and the host serves its affinity keys again — its translation
-        cache survived on the worker side, so repeat traffic hits warm.
+        and the host serves its affinity keys again — its pin store and
+        lane cache survived on the worker side, so repeat traffic hits
+        warm.
         """
         if self._closed or state.removed or state.client.state is not HostHealth.DEAD:
             return False
@@ -1212,14 +1212,15 @@ class ClusterScheduler:
         fmt: BlockedVectorFormat,
         operands: list[np.ndarray],
         params: dict,
+        csr: CSRMatrix,
         group: int | None = None,
         target_blocks: int | None = None,
-        csr: CSRMatrix | None = None,
         content_key: str | None = None,
         sources=None,
     ) -> tuple[np.ndarray, dict]:
         """Plan → dispatch → assemble for one table op (see
-        :data:`repro.kernels.engine.SHARD_OPS`).
+        :data:`repro.kernels.engine.SHARD_OPS`) over ``csr``, the matrix
+        ``fmt`` translates.
 
         ``params`` are the request's settings as
         :func:`~repro.kernels.engine.shard_params` returned them: every
@@ -1231,19 +1232,15 @@ class ClusterScheduler:
         summed.
         """
         op = SHARD_OPS[op_name]
-        # The worker's translation is named by the format's vector size,
-        # never its class (an SDDMM output is a plain ``BlockedVectorFormat``);
-        # an unknown size raises here, before anything is sent.
+        # The worker cuts its windows by the format's vector size, named
+        # by the format kind, never its class (an SDDMM output is a plain
+        # ``BlockedVectorFormat``); an unknown size raises here, before
+        # anything is sent.
         kind = format_kind(fmt.vector_size)
         shards = max(2, SHARDS_PER_HOST * max(1, len(self.hosts)))
         ranges, out_shape = op.plan(fmt, operands, group, shards, target_blocks)
         if not ranges:
             return np.zeros(out_shape, dtype=np.float32), {}
-        # The serving frontend passes the request's own CSR; direct callers
-        # may omit it, in which case the blocked format is converted back
-        # (an exact structural round-trip for these formats).
-        if csr is None:
-            csr = fmt.to_csr()
         if content_key is None:
             content_key = csr.content_key()
 
@@ -1270,7 +1267,6 @@ class ClusterScheduler:
             "op": op_name,
             "fmt": kind.name,
             "shape": list(csr.shape),
-            "structure_key": structure_key,
             "content_key": content_key,
             **params,
         }
@@ -1299,8 +1295,8 @@ class ClusterScheduler:
         fmt: BlockedVectorFormat,
         b_q: np.ndarray,
         precision: Precision,
+        csr: CSRMatrix,
         target_blocks: int | None = None,
-        csr: CSRMatrix | None = None,
         content_key: str | None = None,
         sources=None,
     ) -> np.ndarray:
@@ -1310,18 +1306,19 @@ class ClusterScheduler:
         quantised panel gives the same bits: quantisation is idempotent).
         The scheduler quantises it to ``precision`` in its own dtype — and
         only if a task frame has to push it or a shard runs in-parent.
-        ``csr`` / ``content_key`` identify the request payload for routing
-        (derived from ``fmt`` when omitted).  ``sources`` names the
-        caller's array behind each operand, which decides whether a panel
-        is worth a content key (see :meth:`_operand_keys`).
+        ``csr`` is the matrix ``fmt`` translates: its arrays ship to the
+        hosts and its ``content_key`` (computed when omitted) routes the
+        request.  ``sources`` names the caller's array behind each operand,
+        which decides whether a panel is worth a content key (see
+        :meth:`_operand_keys`).
         """
         out, _ = self._run(
             "spmm",
             fmt,
             [b_q],
             shard_params(precision),
+            csr,
             target_blocks=target_blocks,
-            csr=csr,
             content_key=content_key,
             sources=sources,
         )
@@ -1334,43 +1331,45 @@ class ClusterScheduler:
         b_q: np.ndarray,
         precision: Precision,
         group: int,
+        csr: CSRMatrix,
         scale_by_mask: bool = False,
         target_blocks: int | None = None,
-        csr: CSRMatrix | None = None,
         content_key: str | None = None,
         sources=None,
     ) -> np.ndarray:
         """Sampled dense×dense sharded across the cluster (bit-identical).
 
-        Returns the ``(num_nonzero_vectors, vector_size)`` value array in
-        the layout of ``fmt.vector_values``.  Operands (unquantised),
-        routing arguments and ``sources`` as for :meth:`run_spmm`.
+        Each shard returns one value per CSR entry of its rows; the
+        assembled entries are scattered once through the translation's
+        entry map, so the result is the ``(num_nonzero_vectors,
+        vector_size)`` value array in the layout of ``fmt.vector_values``.
+        Operands (unquantised), ``csr``, routing arguments and ``sources``
+        as for :meth:`run_spmm`.
         """
-        out, _ = self._run(
+        entries, _ = self._run(
             "sddmm",
             fmt,
             [a_q, b_q],
             shard_params(precision, scale_by_mask=scale_by_mask),
+            csr,
             group=int(group),
             target_blocks=target_blocks,
-            csr=csr,
             content_key=content_key,
             sources=sources,
         )
-        return out
+        return fmt.partition.scatter(entries[:, 0], np.float32)
 
     def run_layer(
         self,
         fmt: BlockedVectorFormat,
-        indptr: np.ndarray,
         a_q: np.ndarray,
         b_q: np.ndarray,
         x_q: np.ndarray,
         precision: Precision,
+        csr: CSRMatrix,
         scale: float | None = None,
         scale_by_mask: bool = False,
         target_blocks: int | None = None,
-        csr: CSRMatrix | None = None,
         content_key: str | None = None,
         sources=None,
     ) -> tuple[np.ndarray, dict]:
@@ -1382,9 +1381,9 @@ class ClusterScheduler:
         a pinned matrix ship no operand bytes at all), the worker runs the
         fused engine hook on the pinned CSR's lanes, and only the final
         dense rows come back — the SDDMM intermediate and the
-        per-evaluation attention matrix never touch the wire.  ``indptr``
-        is the mask's CSR row layout; the cluster reads it off ``csr``.
-        Operands (unquantised), routing arguments and ``sources`` as for
+        per-evaluation attention matrix never touch the wire.  Operands
+        (unquantised), ``csr`` (the mask, whose rows are the softmax
+        segments), routing arguments and ``sources`` as for
         :meth:`run_spmm`.
 
         Returns ``(rows, stage_seconds)`` — the dense layer output plus
@@ -1396,8 +1395,8 @@ class ClusterScheduler:
             fmt,
             [a_q, b_q, x_q],
             shard_params(precision, scale, scale_by_mask),
+            csr,
             target_blocks=target_blocks,
-            csr=csr,
             content_key=content_key,
             sources=sources,
         )

@@ -23,7 +23,7 @@ event.  Every worker host moves through a small state machine::
   failed over down the rendezvous order; the host takes no traffic.
 * **RECOVERING** — the membership probe re-dialled a DEAD host
   successfully.  The fresh client sends a cache warm-up ping (which also
-  pulls the host's translation-cache counters **and re-warms the pinned
+  pulls the host's lane-cache counters **and re-warms the pinned
   store ledger from the pong's key inventory** — a worker that survived
   the outage keeps its pushed matrices; a restarted cold process reports
   an empty inventory and is re-pushed on first use) before the host is

@@ -4,7 +4,7 @@ The head records what the single-host scheduler's ``stats`` dict recorded
 (requests, shards) plus the distributed-only signals: which host ran which
 shard, how many shards were re-dispatched after a host death, how often the
 head fell back to in-parent execution, and the transport byte volume.  Each
-worker host additionally reports its own translation-cache counters in
+worker host additionally reports its own lane-cache counters in
 every result and pong frame; the head keeps the latest per host, so the
 **remote cache hit rate** — the payoff of content-key affinity routing —
 is observable without a side channel (the cache-affinity benchmark gate
@@ -155,7 +155,7 @@ class ClusterMetrics:
         store: dict | None = None,
     ) -> None:
         """One shard result read back from ``host_id`` (with its latest
-        translation-cache, security and pin-store counters, when the worker
+        lane-cache, security and pin-store counters, when the worker
         attached them)."""
         with self._lock:
             self._counters["tasks_completed"] += 1
@@ -417,12 +417,16 @@ class ClusterMetrics:
             return snap
 
     def remote_cache_stats(self) -> CacheStats:
-        """Aggregate of the latest per-host translation-cache counters.
+        """Aggregate of the latest per-host lane-cache counters.
 
-        This is the cache-affinity signal: under content-key routing a
-        repeat-matrix workload should show a high remote hit rate because
-        every request for a matrix lands on the host that already holds its
-        translation.
+        A worker keeps each pinned matrix's lane arrays
+        (:func:`repro.kernels.engine.csr_lanes`) per values and precision
+        in a small LRU, so this is the cache-affinity signal: under
+        content-key routing a repeat-matrix workload should show a high
+        remote hit rate because every request for a matrix lands on the
+        host that already built its lanes.  Only ``hits``, ``misses``,
+        ``evictions`` and ``size`` are counted there; the other fields
+        stay zero.
         """
         totals = {counter.name: 0 for counter in fields(CacheStats)}
         with self._lock:

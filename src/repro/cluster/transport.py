@@ -61,9 +61,9 @@ Message types (the ``type`` header field) used by the cluster:
   row (SpMM, SDDMM or the fused attention layer).  ``store_structure`` /
   ``store_values`` / ``store_operands`` name the ``[indptr, indices]``
   bundle, the ``[data]`` and the dense panels in the worker's pin store
-  (:mod:`repro.cluster.store`), and ``structure_key`` / ``content_key``
-  carry the matrix's two digests so the worker adopts them instead of
-  rehashing.  The frame's buffers are the bundles the worker does not
+  (:mod:`repro.cluster.store`); ``shape`` is the matrix's and ``fmt``
+  its format kind, which sets the window height the shard range is cut
+  in.  The frame's buffers are the bundles the worker does not
   hold yet: ``push`` lists their store keys and array counts, in buffer
   order, and the worker pins them before it runs the shard.  ``release``
   names request-scoped keys the worker drops after this task.  The
@@ -77,7 +77,7 @@ Message types (the ``type`` header field) used by the cluster:
   failure (message + traceback text); like ``store_miss`` they name the
   store keys the task's pushes evicted,
 * ``ping`` / ``pong``: heartbeat probes; the pong carries the worker's
-  translation-cache, pinned-store and security counters (plus the store's
+  lane-cache, pinned-store and security counters (plus the store's
   key inventory, which re-warms a readmitting head's ledger),
 * ``shutdown`` (head → worker): drain and exit.
 """
@@ -105,8 +105,11 @@ _CRC = struct.Struct("!I")
 MAGIC = b"FSRP"
 #: The wire protocol version: the prefix byte of every frame this end
 #: writes, and the only one it reads.  Since version 8 a task frame carries
-#: the store bundles it pushes, and every buffer ends in a CRC32 trailer.
-VERSION = 8
+#: the store bundles it pushes, and every buffer ends in a CRC32 trailer;
+#: since version 9 an SDDMM result is one value per CSR entry of the
+#: shard's rows (an ``(entries, 1)`` block at its first entry), not a slab
+#: of ``vector_values``.
+VERSION = 9
 
 #: Bytes checksummed and then written (or read and then checksummed) per
 #: step — small enough that the second pass finds the chunk still in L2.

@@ -1,4 +1,4 @@
-"""Worker host: owns a translation cache, executes window-aligned shards.
+"""Worker host: pins the head's bundles, executes window-aligned shards.
 
 One worker host is one process serving shard tasks over the frame protocol
 of :mod:`repro.cluster.transport`.  Per task it
@@ -14,20 +14,14 @@ of :mod:`repro.cluster.transport`.  Per task it
    checked for, and the values are checked on every use (1-D, real,
    ``nnz`` long), so a corrupt bundle is this task's ``error``, never bad
    numerics,
-3. slices the task's window-aligned range.  SpMM and the fused layer run
-   on the pinned CSR itself: the op's lane arrays
+3. slices the task's window-aligned range out of the pinned CSR itself —
+   every op, never a translation: the op's lane arrays
    (:func:`repro.kernels.engine.csr_lanes` — the stored values, cast to the
-   storage precision; for SpMM its nonzeros, quantised) are built once per
-   (values, precision) and kept in a small LRU, so a repeat task does no
-   work and new values cost one cast (the LRU's hits and misses count in
-   the cache counters the host reports, with the translation cache's: the
-   affinity signal reads warm state whatever the op).  Only SDDMM,
-   whose output is laid out by the window partition, translates: it finds
-   the translation in the host's **own**
-   :class:`~repro.formats.cache.TranslationCache` by the header's content
-   key, or rebuilds the CSR from the two bundles and translates it,
-   reusing the pattern's cached window partition when only the values are
-   new (the cache counters travel back in every result and pong frame),
+   storage precision, which SDDMM and the fused layer share; for SpMM its
+   nonzeros, quantised) are built once per (values, precision) and kept in
+   a small LRU, so a repeat task does no work and new values cost one cast
+   (the LRU's counters travel back in every result and pong frame as the
+   host's ``cache`` stats, the affinity signal),
 4. runs the op's entry in the engine's shard table
    (:data:`repro.kernels.engine.SHARD_OPS`) — the same ``run`` the
    single-host scheduler and the head's in-parent fallback execute on the
@@ -36,8 +30,9 @@ of :mod:`repro.cluster.transport`.  Per task it
    and re-checked by :func:`repro.kernels.engine.shard_params`,
 5. drops the request-scoped keys the header lists in ``release``, and
 6. streams the shard output back: one row slice and its ``row0`` (dense
-   output rows for SpMM and fused layers, ``vector_values`` rows for SDDMM),
-   with the store keys its pushes evicted.
+   output rows for SpMM and fused layers; for SDDMM, one value per CSR
+   entry of the shard's rows, placed at its first entry), with the store
+   keys its pushes evicted.
 
 **Trust at the door.**  Every accepted connection must clear the
 HELLO/CHALLENGE handshake (the protocol version byte plus, when an
@@ -54,8 +49,8 @@ numerics.
 The host is single-threaded and serves one head connection at a time (the
 head holds one long-lived connection per host); a dropped connection sends
 it back to ``accept``, so a head that reconnects after a network blip finds
-the host — and its warm cache — still there.  A ``shutdown`` frame exits
-the process.
+the host — and its pinned bundles and lane cache — still there.  A
+``shutdown`` frame exits the process.
 
 Run in-process under a spawned subprocess (what the head and the tests
 do), or standalone on a real host::
@@ -72,7 +67,6 @@ import socket
 import time
 import traceback
 from collections import OrderedDict
-from dataclasses import asdict
 
 from repro.cluster.store import DEFAULT_STORE_BYTES, PinnedStore, StoreMissError
 from repro.cluster.transport import (
@@ -85,15 +79,9 @@ from repro.cluster.transport import (
     send_message,
     server_handshake,
 )
-from repro.formats.cache import (
-    FORMAT_CACHE_MAXSIZE,
-    TranslationCache,
-    cached_format,
-    format_kind,
-)
-from repro.formats.csr import CSRMatrix, check_csr_structure, check_csr_values
+from repro.formats.cache import FORMAT_CACHE_MAXSIZE, format_kind
+from repro.formats.csr import check_csr_structure, check_csr_values
 from repro.kernels.engine import SHARD_OPS, ShardRange, shard_params
-from repro.precision.types import Precision
 
 #: Environment variable the CLI reads the shared auth token from.
 AUTH_TOKEN_ENV = "REPRO_CLUSTER_AUTH_TOKEN"
@@ -105,7 +93,9 @@ DEFAULT_HANDSHAKE_TIMEOUT_S = 10.0
 
 
 class WorkerHost:
-    """State of one worker host: its translation cache and task counters."""
+    """State of one worker host: its pin store, the lane cache over it
+    (``cache_maxsize`` lane sets) and its task counters.  It holds no
+    translation: every op runs on lanes of the pinned CSR."""
 
     def __init__(
         self,
@@ -114,10 +104,9 @@ class WorkerHost:
         auth_token: str | None = None,
         store_bytes: int = DEFAULT_STORE_BYTES,
     ):
-        self.cache = TranslationCache(maxsize=cache_maxsize)
-        #: SpMM / layer lane arrays by (op, pattern key, values key,
-        #: precision), as many as the translation cache holds formats, and
-        #: the LRU's counters.
+        #: Lane arrays by (builder, pattern key, values key, precision), at
+        #: most ``cache_maxsize`` sets, and the LRU's counters.
+        self.cache_maxsize = int(cache_maxsize)
         self._lane_cache: OrderedDict[tuple, tuple] = OrderedDict()
         self._lane_stats = {"hits": 0, "misses": 0, "evictions": 0}
         #: The shape each pinned pattern bundle was checked for; an entry
@@ -144,14 +133,8 @@ class WorkerHost:
 
     # --------------------------------------------------------------- helpers
     def _status(self) -> dict:
-        # Lane sets are warm state for SpMM / layer traffic as translations
-        # are for SDDMM's: one set of counters covers both.
-        cache = asdict(self.cache.stats())
-        for name, n in self._lane_stats.items():
-            cache[name] += n
-        cache["size"] += len(self._lane_cache)
         return {
-            "cache": cache,
+            "cache": dict(self._lane_stats, size=len(self._lane_cache)),
             "store": self.store.stats(),
             "tasks_done": self.tasks_done,
             "frames_oversized": self.frames_oversized,
@@ -162,35 +145,19 @@ class WorkerHost:
             },
         }
 
-    def _translate(self, header: dict, indptr, indices, data):
-        kind = format_kind(header.get("fmt", "mebcrs"))
-        precision = Precision(header["precision"])
-        content_key = header.get("content_key")
-        if content_key:
-            fmt = self.cache.by_content(content_key, kind.name, precision)
-            if fmt is not None:
-                return fmt
-        csr = CSRMatrix(
-            indptr=indptr, indices=indices, data=data, shape=tuple(header["shape"])
-        )
-        if content_key:
-            # Adopt the digests the head already computed over these exact
-            # bytes: the cache's content and structure lookups then skip
-            # the O(nnz) rehash.
-            csr.with_content_key(content_key, header.get("structure_key"))
-        return cached_format(csr, kind.name, precision, by_content=True, cache=self.cache)
-
     def _lanes(self, header: dict, op, indptr, indices, data, precision: str) -> tuple:
         """The op's whole-matrix lane arrays for the pinned values, built
-        once per (values, pattern, precision) and kept in a small LRU: a
-        stream of fresh values then reuses the memory of the lanes it
-        evicts instead of growing the host by a lane set per request."""
-        key = (header["op"], header["store_structure"], header["store_values"], precision)
+        once per (builder, values, pattern, precision) — SDDMM and the
+        fused layer share a builder, so they share the set — and kept in a
+        small LRU: a stream of fresh values then reuses the memory of the
+        lanes it evicts instead of growing the host by a lane set per
+        request."""
+        key = (op.csr_lanes, header["store_structure"], header["store_values"], precision)
         lanes = self._lane_cache.get(key)
         if lanes is None:
             self._lane_stats["misses"] += 1
             lanes = self._lane_cache[key] = op.csr_lanes(indptr, indices, data, precision)
-            while len(self._lane_cache) > self.cache.maxsize:
+            while len(self._lane_cache) > self.cache_maxsize:
                 self._lane_cache.popitem(last=False)
                 self._lane_stats["evictions"] += 1
         else:
@@ -301,10 +268,7 @@ class WorkerHost:
                 f"values bundle holds {data.shape[0]} values for {indptr[-1]} entries"
             )
         r = ShardRange(int(header["lo"]), int(header["hi"]), int(header["w0"]), int(header["w1"]))
-        if op.csr_lanes is None:
-            source = self._translate(header, indptr, indices, data)
-        else:
-            source = self._lanes(header, op, indptr, indices, data, params["precision"])
+        source = self._lanes(header, op, indptr, indices, data, params["precision"])
         sliced = op.slice(source, r, kind.vector_size)
         outputs, timings = op.run(sliced, operands, params)
         reply = {"type": "result", "row0": sliced["row0"]}
@@ -482,7 +446,7 @@ def main(argv=None) -> None:  # pragma: no cover - thin CLI wrapper
         "--cache-size",
         type=int,
         default=FORMAT_CACHE_MAXSIZE,
-        help="translation-cache capacity (entries)",
+        help="lane-cache capacity (lane sets of pinned matrices)",
     )
     parser.add_argument(
         "--max-frame-bytes",

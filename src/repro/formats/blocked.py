@@ -151,10 +151,7 @@ class BlockedVectorFormat:
                 f"match this {matrix.n_rows}x{matrix.n_cols} matrix with {matrix.nnz} "
                 f"nonzeros at vector size {vector_size}"
             )
-        values = np.zeros(
-            (partition.num_nonzero_vectors, vector_size), dtype=dtype_for(precision)
-        )
-        values.reshape(-1)[partition.entry_slot] = matrix.data
+        values = partition.scatter(matrix.data, dtype_for(precision))
         return cls(partition=partition, vector_values=values, k=k, precision=precision, **kwargs)
 
     # ------------------------------------------------------------ properties

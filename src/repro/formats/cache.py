@@ -27,7 +27,11 @@ translation.  Identity lookup stays the fast path: the O(nnz) hash runs
 only on the first identity miss of a given object, after which the object's
 identity key aliases the shared entry.  The serving subsystem
 (:mod:`repro.serve`) keys by content by default — request payloads are
-deserialised fresh per request, so identity keys would never hit.
+deserialised fresh per request, so identity keys would never hit.  The
+server translates once per request group, for the plan and the cost pass;
+no shard reads a translation (every carrier slices lane arrays of the
+request's CSR, :func:`repro.kernels.engine.csr_lanes`), and a cluster
+worker host keeps no translation cache at all.
 
 Structure entries
 -----------------
@@ -163,25 +167,6 @@ class TranslationCache:
                 self._store(content_key, None, fmt)
             return fmt
 
-    def by_content(self, content_key: str, kind: str, precision: Precision):
-        """The translation cached under a content digest the caller already
-        holds (``kind`` is a format kind's wire name), or ``None``.
-
-        For a caller that has the digest but not yet a matrix — a cluster
-        worker reading it off a task header: a hit needs no
-        :class:`CSRMatrix` at all, so it validates no arrays and leaves no
-        identity alias behind.
-        """
-        key = ("content", content_key, kind, Precision(precision))
-        with self._lock:
-            entry = self._cache.get(key)
-            if entry is None:
-                return None
-            self._cache.move_to_end(key)
-            self._hits += 1
-            self._content_hits += 1
-            return entry[1]
-
     def partition(self, matrix: CSRMatrix, vector_size: int) -> WindowPartition:
         """``matrix``'s window partition at ``vector_size``, cached under its
         :meth:`~repro.formats.csr.CSRMatrix.structure_key` (see the module
@@ -271,9 +256,8 @@ def cached_format(
     ``by_content=True`` lets equal matrices share one translation, and a
     miss reuses the pattern's cached window partition (see the module
     docstring); the default keys by object identity only.  ``cache``
-    selects the cache instance — cluster worker hosts pass their own so
-    each host's working set (and hit-rate accounting) is isolated; the
-    default is the process-global cache.
+    selects the cache instance (tests and benchmarks pass an isolated one);
+    the default is the process-global cache.
     """
     kind = format_kind(kind)
     precision = Precision(precision)

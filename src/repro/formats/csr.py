@@ -228,22 +228,6 @@ class CSRMatrix:
             )
         return cached
 
-    def with_content_key(self, key: str, structure_key: str | None = None) -> "CSRMatrix":
-        """Adopt a precomputed content key (and, given, structure key);
-        returns ``self`` for chaining.
-
-        The cluster worker rebuilds matrices from head-shipped buffers and
-        the head already hashed those exact bytes — adopting its digests
-        skips the per-task O(nnz) rehash in :meth:`content_key` and
-        :meth:`structure_key`.  The caller vouches that the keys were
-        computed over this content; a wrong key aliases cache entries
-        exactly like a hash collision would.
-        """
-        self._content_key = str(key)
-        if structure_key is not None:
-            self._structure_key = str(structure_key)
-        return self
-
     def memory_footprint_bytes(self, value_bytes: int = 4, index_bytes: int = 4) -> int:
         """Bytes needed to store the CSR arrays."""
         return int(

@@ -66,6 +66,15 @@ class WindowPartition:
     entry_slot: np.ndarray
     nnz: int
 
+    def scatter(self, entries: np.ndarray, dtype) -> np.ndarray:
+        """``entries`` — one value per CSR entry, in CSR order — laid out as
+        a ``(num_nonzero_vectors, vector_size)`` value array of ``dtype``,
+        zero in the slots no entry maps to: a translation's value scatter
+        through the entry map."""
+        out = np.zeros((self.num_nonzero_vectors, self.vector_size), dtype=dtype)
+        out.reshape(-1)[self.entry_slot] = entries
+        return out
+
     # ------------------------------------------------------------ statistics
     @property
     def num_nonzero_vectors(self) -> int:

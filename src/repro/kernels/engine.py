@@ -136,29 +136,12 @@ def _sddmm_entries(
     for lo in range(0, rows.shape[0], step):
         hi = lo + step
         np.einsum("ek,ek->e", a_q[rows[lo:hi]], b_q[columns[lo:hi]], out=out[lo:hi])
-    out[mask == 0.0] = 0.0
     if scale_by_mask:
         out *= mask
-    return out
-
-
-def _sddmm_values(
-    values: np.ndarray,
-    columns: np.ndarray,
-    row_offsets: np.ndarray,
-    row0: int,
-    slot: np.ndarray,
-    out_shape: tuple,
-    a_q: np.ndarray,
-    b_q: np.ndarray,
-    scale_by_mask: bool,
-) -> np.ndarray:
-    """Sampled values of a run of lane entries, in ``vector_values`` layout:
-    entry ``e`` of row ``row0 + r`` lands at flat position ``slot[e]`` of
-    the zero-initialised ``out_shape`` array."""
-    rows = segment_ids(row_offsets) + row0
-    out = np.zeros(out_shape, dtype=np.float32)
-    out.reshape(-1)[slot] = _sddmm_entries(rows, columns, values, a_q, b_q, scale_by_mask)
+    # After the multiply: a mask stored as ``-0.0`` (or a NaN / inf dot
+    # product behind a stored zero) gives ``+0.0``, what the lane view —
+    # which has no lane there — leaves in the output.
+    out[mask == 0.0] = 0.0
     return out
 
 
@@ -209,17 +192,12 @@ def sddmm_batched(
     ``fmt.vector_values``, zero at the zero lanes.
     """
     lanes = fmt.lanes_as_csr()
-    return _sddmm_values(
-        lanes.values,
-        lanes.columns,
-        lanes.row_offsets,
-        0,
-        lanes.slot,
-        fmt.vector_values.shape,
-        a_q,
-        b_q,
-        scale_by_mask,
+    rows = segment_ids(lanes.row_offsets)
+    out = np.zeros(fmt.vector_values.shape, dtype=np.float32)
+    out.reshape(-1)[lanes.slot] = _sddmm_entries(
+        rows, lanes.columns, lanes.values, a_q, b_q, scale_by_mask
     )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +207,10 @@ def sddmm_batched(
 # (:mod:`repro.serve.scheduler`) runs in the server process and cluster
 # worker hosts run remotely.  They take plain ndarrays (cheap to ship in a
 # frame) and reproduce the one-shot batched path bit-for-bit:
-# a shard covers a *window-aligned* block range, hence whole output rows
-# (SpMM: each row is accumulated from its own entries only) and the
-# contiguous nonzero-vector range ``[window_ptr[w0], window_ptr[w1])``
-# (SDDMM: each entry is computed from its own two dense rows only).
+# a shard covers a *window-aligned* block range, hence whole matrix rows
+# and the contiguous run of their CSR entries (SpMM: each output row is
+# accumulated from its own entries only; SDDMM: each entry is computed
+# from its own two dense rows only).
 
 
 @dataclass(frozen=True)
@@ -311,39 +289,30 @@ def spmm_shard_rows(
 
 
 def sddmm_shard_values(
-    shard_values: np.ndarray,
-    shard_columns: np.ndarray,
+    entry_mask: np.ndarray,
+    entry_columns: np.ndarray,
     local_offsets: np.ndarray,
     row0: int,
-    local_slot: np.ndarray,
-    out_shape: tuple,
     a_q: np.ndarray,
     b_q: np.ndarray,
     scale_by_mask: bool,
 ) -> np.ndarray:
-    """Sampled values of one window-aligned SDDMM shard.
+    """Sampled values of one window-aligned SDDMM shard, one per CSR entry.
 
-    The first three arguments are the shard's :class:`LaneCSR` slice exactly
-    as for :func:`spmm_shard_rows` (``row0`` is the matrix row of the first
-    offset pair); ``local_slot`` is each entry's flat position in the
-    shard's own ``out_shape = (vectors, v)`` slab of ``fmt.vector_values``.
-    Returns that slab — the rows ``window_ptr[w0]:window_ptr[w1]`` of the
-    one-shot result, bit for bit.
+    The arguments are the shard's CSR entries as the fused layer's first
+    stage takes them (:func:`layer_shard_rows`): ``entry_mask`` the value
+    the translation stores for each entry, ``entry_columns`` its column and
+    ``local_offsets`` the shard-local row layout starting at matrix row
+    ``row0``.  An entry stored as zero samples to zero.  Scattered through
+    the partition's entry map (:meth:`WindowPartition.scatter
+    <repro.formats.windows.WindowPartition.scatter>`), the entries are the
+    one-shot result's ``vector_values``, bit for bit.
 
     A name of its own over the core it shares with :func:`sddmm_batched`,
     for the same reason as :func:`spmm_shard_rows`.
     """
-    return _sddmm_values(
-        shard_values,
-        shard_columns,
-        local_offsets,
-        row0,
-        local_slot,
-        out_shape,
-        a_q,
-        b_q,
-        scale_by_mask,
-    )
+    rows = segment_ids(local_offsets) + row0
+    return _sddmm_entries(rows, entry_columns, entry_mask, a_q, b_q, scale_by_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +336,14 @@ def sddmm_shard_values(
 # Everything a shard needs derives from the partition's entry map and the
 # CSR ``indptr``, so nothing extra travels on the cluster's task frames.
 #
-# The softmax runs over **CSR** entries, the SDDMM kernel over nonzero
-# *lanes*: a stored zero (or a value that underflows to zero in fp16) has a
-# CSR entry but no lane, and the composed path gives it logit ``0 · scale``
-# and a non-zero attention weight.  The fused stage therefore evaluates the
-# same core at the CSR entries with the *stored* value as mask
-# (``vector_values`` gathered at ``partition.entry_slot``): zero there, the
-# lane's dot product everywhere else.
+# The softmax runs over **CSR** entries, the one-shot SDDMM kernel over
+# nonzero *lanes*: a stored zero (or a value that underflows to zero in
+# fp16) has a CSR entry but no lane, and the composed path gives it logit
+# ``0 · scale`` and a non-zero attention weight.  The fused stage therefore
+# evaluates the same core at the CSR entries with the *stored* value as
+# mask (``vector_values`` gathered at ``partition.entry_slot``): zero there,
+# the lane's dot product everywhere else — what a served SDDMM shard
+# (:func:`sddmm_shard_values`) computes too.
 #
 # The three-call composition additionally *translates* the attention CSR
 # before the SpMM, which stores the values as ``dtype_for(precision)``, and
@@ -437,25 +407,27 @@ def layer_shard_rows(
 # (:mod:`repro.serve.scheduler`), the cluster head's in-parent fallback and
 # the TCP cluster (:mod:`repro.cluster.head` / :mod:`repro.cluster.worker`)
 # — executes a shard as ``op.run(op.slice(source, r, v), operands, params)``
-# and differs only in where ``source`` comes from.  For SpMM and the fused
-# layer it is the whole matrix's ``(values, columns, offsets)`` built
-# straight from the CSR arrays (``op.csr_lanes``, :func:`csr_lanes`): a
-# carrier that holds the translation gets it from :meth:`ShardOp.source`,
-# once per translation and precision, and a worker host builds it from the
-# bundles the head pinned there, once per values and precision.  SDDMM's
-# output is laid out by the window partition, so its source is the
-# translation itself.
+# and differs only in where ``source`` comes from.  For every op it is the
+# whole matrix's ``(values, columns, offsets)`` built straight from the CSR
+# arrays (``op.csr_lanes``, :func:`csr_lanes`): a carrier that holds the
+# translation gets it from :meth:`ShardOp.source`, once per CSR content and
+# precision, and a worker host builds it from the bundles the head pinned
+# there, once per values and precision.  SDDMM and the fused layer read the
+# same set — the stored values, unquantised, are the mask of both — and
+# SpMM its nonzeros, quantised.
 #
 # ``params`` are the request's settings as :func:`shard_params` returns
 # them (plain types, so they travel as task header fields; each op reads
-# the keys it needs).  A slice is a dict of plain ndarrays and ints; SpMM
-# and the fused layer share one schema — the shard's ``values``,
-# ``columns`` and shard-local ``offsets``, CSR-style, and ``row0`` — with
-# SpMM's values quantised and the layer's the stored mask.  ``run`` takes
-# that dict, the op's dense operands (already quantised) in wire order and
-# the settings and returns ``(outputs, stage_seconds)``.  The entries
-# reach the hooks above through their module-level names at call time, so a
-# tracer that rebinds ``engine.spmm_shard_rows`` sees every served shard.
+# the keys it needs).  A slice is a dict of plain ndarrays and ints, one
+# schema for every op — the shard's ``values``, ``columns`` and
+# shard-local ``offsets``, CSR-style, and ``row0``, where the shard's
+# output block starts: the matrix row of the first offset for SpMM and the
+# layer; for SDDMM, whose output holds one value per CSR entry, the first
+# entry, with that matrix row as ``a_row0``.  ``run`` takes that dict, the
+# op's dense operands (already quantised) in wire order and the settings
+# and returns ``(outputs, stage_seconds)``.  The entries reach the hooks
+# above through their module-level names at call time, so a tracer that
+# rebinds ``engine.spmm_shard_rows`` sees every served shard.
 
 
 def shard_params(
@@ -552,40 +524,21 @@ def _run_spmm(s: dict, operands, params: dict) -> tuple[list, dict]:
     return [rows], {}
 
 
-def _slice_sddmm(fmt: BlockedVectorFormat, r: ShardRange, v: int) -> dict:
-    # The translation's lane entries in the shard's rows with the raw
-    # stored values (the mask), plus where each one lands in the shard's
-    # own slab of ``vector_values`` — vectors
-    # ``window_ptr[w0]:window_ptr[w1]``, the "rows" ``place`` writes.
-    lanes = fmt.lanes_as_csr()
-    row0, row1 = r.w0 * v, r.w1 * v
-    lo, hi = int(lanes.row_offsets[row0]), int(lanes.row_offsets[row1])
-    vec_lo, vec_hi = int(fmt.partition.window_ptr[r.w0]), int(fmt.partition.window_ptr[r.w1])
-    return {
-        "values": lanes.values[lo:hi],
-        "columns": lanes.columns[lo:hi],
-        "local_offsets": lanes.row_offsets[row0 : row1 + 1] - lo,
-        "a_row0": row0,
-        "slot": lanes.slot[lo:hi] - vec_lo * v,
-        "out_shape": (vec_hi - vec_lo, v),
-        "row0": vec_lo,
-    }
+def _cut_entries(lanes: tuple, r: ShardRange, v: int) -> dict:
+    """SDDMM's slice: the shard's rows as :func:`_cut_rows` cuts them,
+    placed at their first entry — an SDDMM output block is one value per
+    CSR entry."""
+    s = _cut_rows(lanes, r, v)
+    s["a_row0"], s["row0"] = s["row0"], int(lanes[2][s["row0"]])
+    return s
 
 
 def _run_sddmm(s: dict, operands, params: dict) -> tuple[list, dict]:
     a_q, b_q = operands
-    slab = sddmm_shard_values(
-        s["values"],
-        s["columns"],
-        s["local_offsets"],
-        s["a_row0"],
-        s["slot"],
-        s["out_shape"],
-        a_q,
-        b_q,
-        params["scale_by_mask"],
+    values = sddmm_shard_values(
+        s["values"], s["columns"], s["offsets"], s["a_row0"], a_q, b_q, params["scale_by_mask"]
     )
-    return [slab], {}
+    return [values[:, None]], {}
 
 
 def _run_layer(s: dict, operands, params: dict) -> tuple[list, dict]:
@@ -611,36 +564,36 @@ class ShardOp:
 
     Every op places the same way: ``outputs[0]`` is a block of output rows
     starting at ``sliced["row0"]`` (the tail window clipped at the output's
-    height).  ``sddmm`` marks the op whose output is sparse — its rows are
-    the nonzero vectors of ``fmt.vector_values`` and its shard ranges are
-    cut on the SDDMM output grouping instead of the SpMM one.
+    height).  ``sddmm`` marks the op whose output is sparse — one row per
+    CSR entry, ``(nnz, 1)``, which the schedulers scatter into the layout
+    of ``fmt.vector_values`` — and whose shard ranges are cut on the SDDMM
+    output grouping instead of the SpMM one.
     """
 
     #: ``slice(source, r, vector_size)`` → the slice dict of range ``r``.
     slice: Callable[..., dict]
     run: Callable[..., tuple[list, dict]]
-    sddmm: bool = False
     #: ``csr_lanes(indptr, indices, data, precision)`` → the whole matrix's
-    #: ``(values, columns, offsets)``, the source :attr:`slice` cuts;
-    #: ``None`` for the op whose source is the translation.
-    csr_lanes: Callable[..., tuple] | None = None
+    #: ``(values, columns, offsets)``, the source :attr:`slice` cuts.
+    csr_lanes: Callable[..., tuple]
+    sddmm: bool = False
 
-    def source(
-        self, fmt: BlockedVectorFormat, csr, precision: Precision | str
-    ) -> BlockedVectorFormat | tuple:
+    def source(self, fmt: BlockedVectorFormat, csr, precision: Precision | str) -> tuple:
         """What :attr:`slice` cuts, for a carrier that holds ``fmt``, the
-        translation of the CSR matrix ``csr``.  SDDMM's source is ``fmt``;
-        the others' is :attr:`csr_lanes` of ``csr``, kept on ``fmt`` per
-        precision — translations are cached by content, so a warm content
-        key costs no cast."""
-        if self.csr_lanes is None:
-            return fmt
+        translation of the CSR matrix ``csr``: :attr:`csr_lanes` of
+        ``csr``, kept on ``fmt`` per builder and precision for the last CSR
+        content seen — translations are cached by content, so a warm
+        content key costs no cast, and another matrix's values on the same
+        translation are a rebuild, never a stale hit."""
         cache: dict = fmt.__dict__.setdefault("_csr_lanes_cache", {})
-        key = (self.csr_lanes, Precision(precision))
-        lanes = cache.get(key)
-        if lanes is None:
-            lanes = cache[key] = self.csr_lanes(csr.indptr, csr.indices, csr.data, precision)
-        return lanes
+        key, content = (self.csr_lanes, Precision(precision)), csr.content_key()
+        kept = cache.get(key)
+        if kept is None or kept[0] != content:
+            kept = cache[key] = (
+                content,
+                self.csr_lanes(csr.indptr, csr.indices, csr.data, precision),
+            )
+        return kept[1]
 
     def plan(
         self,
@@ -658,7 +611,7 @@ class ShardOp:
         """
         index = fmt.blocks_as_arrays(group if self.sddmm else None)
         width = operands[-1].shape[1]
-        out_shape = fmt.vector_values.shape if self.sddmm else (fmt.shape[0], width)
+        out_shape = (fmt.nnz, 1) if self.sddmm else (fmt.shape[0], width)
         if index.num_blocks == 0 or width == 0:
             return [], out_shape
         if target_blocks is None:
@@ -678,7 +631,7 @@ class ShardOp:
 
 #: The served kernels, by the ``op`` name task dicts and frame headers carry.
 SHARD_OPS = {
-    "spmm": ShardOp(_cut_rows, _run_spmm, csr_lanes=partial(csr_lanes, spmm_operand=True)),
-    "sddmm": ShardOp(_slice_sddmm, _run_sddmm, sddmm=True),
-    "layer": ShardOp(_cut_rows, _run_layer, csr_lanes=csr_lanes),
+    "spmm": ShardOp(_cut_rows, _run_spmm, partial(csr_lanes, spmm_operand=True)),
+    "sddmm": ShardOp(_cut_entries, _run_sddmm, csr_lanes, sddmm=True),
+    "layer": ShardOp(_cut_rows, _run_layer, csr_lanes),
 }

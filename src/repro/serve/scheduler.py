@@ -5,10 +5,12 @@ One request is cut into window-aligned shards
 after another in the calling process: the operands are quantised once,
 then for each range the op's entry in the engine's shard table
 (:data:`repro.kernels.engine.SHARD_OPS`) slices the shard out of the op's
-source (``op.source``: the CSR-built lanes for SpMM and the fused layer,
-kept on the translation; the translation for SDDMM), runs it and
-places its output rows into one zeroed output array — or, when one shard
-covers the request, its rows are the output.
+source (``op.source``: lane arrays built from the request's CSR, kept on
+the translation), runs it and places its output rows into one zeroed
+output array — or, when one shard covers the request, its rows are the
+output.  An SDDMM output is one value per CSR entry until
+:meth:`~ShardScheduler.run_sddmm` scatters it into the translation's
+``vector_values`` layout.
 Running shard by shard, not as one call, is what bounds the fused layer's
 per-shard SDDMM / softmax working set to the planner's shard size.
 
@@ -68,9 +70,9 @@ class ShardScheduler:
         fmt: BlockedVectorFormat,
         operands: list[np.ndarray],
         params: dict,
+        csr: CSRMatrix,
         group: int | None = None,
         target_blocks: int | None = None,
-        csr: CSRMatrix | None = None,
     ) -> tuple[np.ndarray, dict]:
         """Quantise → plan → slice / run / place each shard for one table
         op (see :data:`repro.kernels.engine.SHARD_OPS`).  Returns the
@@ -79,9 +81,9 @@ class ShardScheduler:
 
         The operands arrive unquantised and are quantised here, once per
         request, each in its own dtype.  The shards slice the op's source
-        (``op.source``: for SpMM and the fused layer, lanes of ``csr`` kept
-        on ``fmt``).  A plan of one shard covers every output row from row
-        0, so its rows are the output as they are.
+        (``op.source``: lanes of ``csr`` kept on ``fmt``).  A plan of one
+        shard covers every output row from row 0, so its rows are the
+        output as they are.
         """
         op = SHARD_OPS[op_name]
         operands = [quantize(operand, params["precision"]) for operand in operands]
@@ -107,22 +109,19 @@ class ShardScheduler:
         fmt: BlockedVectorFormat,
         b_q: np.ndarray,
         precision: Precision,
+        csr: CSRMatrix,
         target_blocks: int | None = None,
-        csr: CSRMatrix | None = None,
     ) -> np.ndarray:
         """``A @ B`` shard by shard; bit-identical to one-shot.
 
         ``b_q`` arrives as the caller has it, unquantised: the scheduler
         quantises it to ``precision`` (an already quantised panel gives the
-        same bits, since quantisation is idempotent).  ``target_blocks`` is
-        the shard size target from the planner.  ``csr`` is the matrix
-        ``fmt`` translates, whose arrays the shards slice (``fmt.to_csr()``
-        when omitted: it drops only entries stored as zero, which SpMM
-        drops too).
+        same bits, since quantisation is idempotent).  ``csr`` is the
+        matrix ``fmt`` translates, whose arrays the shards slice;
+        ``target_blocks`` is the shard size target from the planner.
         """
         params = shard_params(precision)
-        csr = fmt.to_csr() if csr is None else csr
-        out, _ = self._run("spmm", fmt, [b_q], params, target_blocks=target_blocks, csr=csr)
+        out, _ = self._run("spmm", fmt, [b_q], params, csr, target_blocks=target_blocks)
         return out
 
     def run_sddmm(
@@ -132,56 +131,50 @@ class ShardScheduler:
         b_q: np.ndarray,
         precision: Precision,
         group: int,
+        csr: CSRMatrix,
         scale_by_mask: bool = False,
         target_blocks: int | None = None,
-        csr: CSRMatrix | None = None,
     ) -> np.ndarray:
         """Sampled dense×dense shard by shard (bit-identical).
 
-        Returns the ``(num_nonzero_vectors, vector_size)`` value array in
-        the layout of ``fmt.vector_values``.  The operands arrive
-        unquantised and ``csr`` is taken, as for :meth:`run_spmm`; the
-        shards slice the translation, whose layout the output has.
+        The shards sample ``csr``'s entries; their values, one per entry,
+        are scattered once through the translation's entry map, so the
+        result is the ``(num_nonzero_vectors, vector_size)`` value array in
+        the layout of ``fmt.vector_values``.  Operands (unquantised) and
+        ``csr`` as for :meth:`run_spmm`.
         """
         params = shard_params(precision, scale_by_mask=scale_by_mask)
-        out, _ = self._run(
-            "sddmm", fmt, [a_q, b_q], params, group=group, target_blocks=target_blocks, csr=csr
+        entries, _ = self._run(
+            "sddmm", fmt, [a_q, b_q], params, csr, group=group, target_blocks=target_blocks
         )
-        return out
+        return fmt.partition.scatter(entries[:, 0], np.float32)
 
     def run_layer(
         self,
         fmt: BlockedVectorFormat,
-        indptr: np.ndarray,
         a_q: np.ndarray,
         b_q: np.ndarray,
         x_q: np.ndarray,
         precision: Precision,
+        csr: CSRMatrix,
         scale: float | None = None,
         scale_by_mask: bool = False,
         target_blocks: int | None = None,
-        csr: CSRMatrix | None = None,
     ) -> tuple[np.ndarray, dict]:
         """One fused layer (SDDMM → scale → softmax → SpMM) shard by shard
         — bit-identical to the three-call composition.
 
-        ``indptr`` is the mask's CSR row layout (the softmax segments);
-        ``a_q`` / ``b_q`` are the SDDMM operands and ``x_q`` the SpMM dense
-        operand, unquantised as for :meth:`run_spmm`.  Shards are cut on
-        the SpMM grouping's window offsets and all three stages run on the
-        shard's CSR entries, sliced from ``csr`` (when omitted, the entries
-        ``indptr`` lays out, read through the translation's entry map: a
-        mask keeps the entries it stores as zero).
+        ``a_q`` / ``b_q`` are the SDDMM operands and ``x_q`` the SpMM
+        dense operand, unquantised, and ``csr`` the mask, as for
+        :meth:`run_spmm`.  Shards are cut on the SpMM grouping's window
+        offsets and all three stages run on the shard's CSR entries (the
+        softmax segments are ``csr``'s rows).
 
         Returns ``(rows, stage_seconds)`` where ``stage_seconds`` sums each
         stage's wall clock across shards
         (``{"sddmm_s", "edge_softmax_s", "spmm_s"}``).
         """
         params = shard_params(precision, scale, scale_by_mask)
-        if csr is None:
-            slot = fmt.partition.entry_slot
-            columns = fmt.partition.vector_cols[slot // fmt.vector_size]
-            csr = CSRMatrix(indptr, columns, fmt.vector_values.reshape(-1)[slot], fmt.shape)
         return self._run(
-            "layer", fmt, [a_q, b_q, x_q], params, target_blocks=target_blocks, csr=csr
+            "layer", fmt, [a_q, b_q, x_q], params, csr, target_blocks=target_blocks
         )

@@ -214,7 +214,7 @@ def _run_sddmm(server, fmt, operands, lead, kwargs):
 
 def _run_layer(server, fmt, operands, lead, kwargs):
     out, stages = server.scheduler.run_layer(
-        fmt, lead.csr.indptr, *operands, server.precision, **lead.params, **kwargs
+        fmt, *operands, server.precision, **lead.params, **kwargs
     )
     server.metrics.record_layer(
         stages,

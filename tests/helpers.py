@@ -188,30 +188,30 @@ def edge_values_by_search(partition, csr: CSRMatrix, vector_values) -> np.ndarra
 def run_sharded(
     op_name: str,
     fmt,
+    csr: CSRMatrix,
     operands,
     params: dict,
     group: int | None = None,
-    csr=None,
     shards: int = 1,
     target_blocks: int | None = None,
 ) -> np.ndarray:
     """One request through the engine's shard table, in process: plan →
     (slice → run → place) per window-aligned range — what every carrier
     (pool, cluster, in-parent fallback) does, minus the carrier.  ``csr``
-    is the matrix ``fmt`` translates (``None``: ``fmt.to_csr()``, enough
-    for SpMM, which drops the entries stored as zero, and for SDDMM, which
-    slices the translation)."""
+    is the matrix ``fmt`` translates, whose lane arrays the shards slice.
+    An SDDMM result, one value per CSR entry, is scattered into the
+    ``vector_values`` layout as both schedulers scatter it."""
     from repro.kernels.engine import SHARD_OPS
 
     op = SHARD_OPS[op_name]
     ranges, out_shape = op.plan(fmt, operands, group, shards, target_blocks)
     out = np.zeros(out_shape, dtype=np.float32)
-    source = op.source(fmt, fmt.to_csr() if csr is None else csr, params["precision"])
+    source = op.source(fmt, csr, params["precision"])
     for r in ranges:
         sliced = op.slice(source, r, fmt.vector_size)
         outputs, _ = op.run(sliced, operands, params)
         op.place(out, sliced, outputs)
-    return out
+    return fmt.partition.scatter(out[:, 0], np.float32) if op.sddmm else out
 
 
 def composed_layer(

@@ -40,14 +40,13 @@ def _layer_workload(fmt_name="mebcrs", seed=4, rows=220, cols=200, k=20, n=12):
 def _run_layer(sched, csr, fmt, a_q, b_q, x_q, target=7, scale=0.8):
     out, stages = sched.run_layer(
         fmt,
-        csr.indptr,
         a_q,
         b_q,
         x_q,
         Precision.FP16,
+        csr,
         scale=scale,
         target_blocks=target,
-        csr=csr,
         content_key=csr.content_key(),
     )
     return out, stages

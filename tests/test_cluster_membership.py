@@ -36,7 +36,7 @@ def _workload(seed=50, n=17, rows=220, cols=200, density=0.06):
     fmt = MEBCRSMatrix.from_csr(csr, precision="fp16")
     rng = np.random.default_rng(seed)
     b_q = quantize(rng.standard_normal((cols, n)), Precision.FP16).astype(np.float32)
-    base = ShardScheduler().run_spmm(fmt, b_q, Precision.FP16)
+    base = ShardScheduler().run_spmm(fmt, b_q, Precision.FP16, csr)
     return csr, fmt, b_q, base
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from helpers import random_csr
 
-from repro import spmm
+from repro import sddmm, spmm
 from repro.cluster import ClusterScheduler, head, store
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.kernels.engine import SHARD_OPS
@@ -108,6 +108,32 @@ def test_repeated_source_gets_a_content_key_and_ships_once(frames, digests):
     assert digests["operand_store_key"] == 2
 
 
+def test_sddmm_results_ship_one_value_per_entry(monkeypatch):
+    """An SDDMM shard returns its CSR entries' values, not a slab of
+    ``vector_values``: a request's result buffers total ``4 · nnz`` bytes."""
+    received = []
+    real_recv = head.recv_message
+
+    def spy(*args, **kwargs):
+        header, arrays, nbytes = real_recv(*args, **kwargs)
+        if header.get("type") == "result":
+            received.append(sum(array.nbytes for array in arrays))
+        return header, arrays, nbytes
+
+    monkeypatch.setattr(head, "recv_message", spy)
+    csr = _matrix(seed=96)
+    rng = np.random.default_rng(96)
+    a = rng.standard_normal((csr.shape[0], 6)).astype(np.float32)
+    b = rng.standard_normal((csr.shape[1], 6)).astype(np.float32)
+    with Server(backend="cluster", hosts=1) as srv:
+        served = srv.submit_sddmm(csr, a, b).result(TIMEOUT)
+    np.testing.assert_array_equal(
+        served.output.vector_values, sddmm(csr, a, b).output.vector_values
+    )
+    assert received and sum(received) == 4 * csr.nnz
+    assert 4 * csr.nnz < served.output.vector_values.nbytes
+
+
 def test_layer_with_a_is_b_ships_one_bundle(frames):
     csr = _matrix(seed=92, rows=150, cols=150)
     rng = np.random.default_rng(92)
@@ -128,7 +154,7 @@ def test_four_shard_direct_run_spmm_ships_each_panel_once(frames):
     csr = random_csr(400, 300, 0.05, seed=93)
     fmt = MEBCRSMatrix.from_csr(csr, precision="fp16")
     b_q = quantize(np.random.default_rng(93).standard_normal((300, 16)), Precision.FP16)
-    base = ShardScheduler().run_spmm(fmt, b_q, Precision.FP16)
+    base = ShardScheduler().run_spmm(fmt, b_q, Precision.FP16, csr)
     # The smallest shard size that window alignment cuts into four shards.
     target = next(
         t for t in range(1, 10_000) if len(SHARD_OPS["spmm"].plan(fmt, [b_q], None, 4, t)[0]) == 4
@@ -190,7 +216,7 @@ def test_repeat_tasks_do_not_churn_the_worker_cache():
     csr = _matrix(seed=95)
     fmt = MEBCRSMatrix.from_csr(csr, precision="fp16")
     b_q = quantize(np.random.default_rng(95).standard_normal((150, 8)), Precision.FP16)
-    base = ShardScheduler().run_spmm(fmt, b_q, Precision.FP16)
+    base = ShardScheduler().run_spmm(fmt, b_q, Precision.FP16, csr)
     sizes = []
     with ClusterScheduler(hosts=1) as sched:
         for _ in range(40):  # 80 tasks: more than the cache's 32 entries

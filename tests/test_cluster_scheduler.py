@@ -49,8 +49,8 @@ def _workload(fmt_name="mebcrs", seed=4, n=33, rows=300, cols=280, density=0.05)
     b_q = quantize(rng.standard_normal((cols, n)), Precision.FP16).astype(np.float32)
     a_q = quantize(rng.standard_normal((rows, n)), Precision.FP16).astype(np.float32)
     ref = ShardScheduler()
-    base = ref.run_spmm(fmt, b_q, Precision.FP16)
-    sbase = ref.run_sddmm(fmt, a_q, b_q, Precision.FP16, group)
+    base = ref.run_spmm(fmt, b_q, Precision.FP16, csr)
+    sbase = ref.run_sddmm(fmt, a_q, b_q, Precision.FP16, group, csr)
     return csr, fmt, group, a_q, b_q, base, sbase
 
 
@@ -139,7 +139,7 @@ def test_zero_host_cluster_degrades_to_in_parent():
 def test_scale_by_mask_parity(cluster):
     csr, fmt, group, a_q, b_q, _, _ = _workload(seed=11)
     ref = ShardScheduler().run_sddmm(
-        fmt, a_q, b_q, Precision.FP16, group, scale_by_mask=True
+        fmt, a_q, b_q, Precision.FP16, group, csr, scale_by_mask=True
     )
     vals = cluster.run_sddmm(
         fmt,
@@ -163,12 +163,16 @@ def test_degenerate_empty_matrix(cluster):
     assert out.shape == (24, 5) and not out.any()
 
 
-def test_identity_derived_from_format_when_csr_omitted(cluster):
-    """Direct callers may omit the CSR payload; the head reconstructs it
-    from the blocked format and the result stays exact."""
-    _, fmt, _, _, b_q, base, _ = _workload(seed=12)
-    out = cluster.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7)
+def test_content_key_derived_from_csr_when_omitted(cluster):
+    """Direct callers may omit the routing key; the head digests the CSR
+    it ships, routes by that key, and the result stays exact."""
+    csr, fmt, _, _, b_q, base, _ = _workload(seed=12)
+    target = cluster.affinity_host(csr.content_key()).host_id
+    before = cluster.metrics.snapshot()["hosts"][target]["tasks_sent"]
+    out = cluster.run_spmm(fmt, b_q, Precision.FP16, csr, target_blocks=7)
     np.testing.assert_array_equal(out, base)
+    snap = cluster.metrics.snapshot()
+    assert snap["hosts"][target]["tasks_sent"] > before
 
 
 # ---------------------------------------------------------------- affinity
@@ -189,8 +193,8 @@ def test_content_affinity_routes_repeats_to_one_host_and_hits_its_cache():
         assert per_host[target.host_id]["tasks_sent"] == snap["tasks_sent"] > 0
         for other in others:
             assert per_host[other]["tasks_sent"] == 0
-        # The host's own translation cache dedups across tasks: one miss
-        # (the first shard) and a hit for every later shard of the matrix.
+        # The host's own lane cache dedups across tasks: one miss (the
+        # first shard) and a hit for every later shard of the matrix.
         cache = fresh.metrics.remote_cache_stats()
         assert cache.misses == 1
         assert cache.hits == snap["tasks_sent"] - 1

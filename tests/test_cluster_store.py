@@ -50,7 +50,7 @@ def _workload(seed=70, n=13, rows=200, cols=180, density=0.06):
     fmt = MEBCRSMatrix.from_csr(csr, precision="fp16")
     rng = np.random.default_rng(seed)
     b_q = quantize(rng.standard_normal((cols, n)), Precision.FP16).astype(np.float32)
-    base = ShardScheduler().run_spmm(fmt, b_q, Precision.FP16)
+    base = ShardScheduler().run_spmm(fmt, b_q, Precision.FP16, csr)
     return csr, fmt, b_q, base
 
 
@@ -157,9 +157,7 @@ def test_repeat_traffic_ships_matrix_bytes_once_per_host():
         # frame-size check at the bottom.
         a_q = np.ones((csr.shape[0], b_q.shape[1]), np.float32)
         sched.run_sddmm(fmt, a_q, b_q, Precision.FP16, FLASH_GROUP, target_blocks=7, csr=csr)
-        sched.run_layer(
-            fmt, csr.indptr, a_q, b_q, b_q, Precision.FP16, target_blocks=7, csr=csr
-        )
+        sched.run_layer(fmt, a_q, b_q, b_q, Precision.FP16, csr, target_blocks=7)
         all_ops = sched.stats_snapshot()
     # One push per (host, key): the pattern, the values and the dense panel
     # each crossed the wire exactly once, every later reference was a

@@ -43,9 +43,9 @@ def _fmt_and_operands(seed=4, n=33):
     return csr, fmt, a, b
 
 
-def _sharded_spmm(fmt, b, precision="fp16", **cut):
+def _sharded_spmm(fmt, csr, b, precision="fp16", **cut):
     """``A @ B`` through the shard table under the cut ``shards=`` / ``target_blocks=``."""
-    return run_sharded("spmm", fmt, [quantize(b, precision)], {"precision": precision}, **cut)
+    return run_sharded("spmm", fmt, csr, [quantize(b, precision)], {"precision": precision}, **cut)
 
 
 def _chunk_entries(monkeypatch, entries: int, k_dense: int) -> None:
@@ -56,9 +56,9 @@ def _chunk_entries(monkeypatch, entries: int, k_dense: int) -> None:
 @pytest.mark.parametrize("block_chunk", CHUNKS)
 @pytest.mark.parametrize("workers", WORKERS)
 def test_spmm_chunked_matches_one_shot(block_chunk, workers):
-    _, fmt, _, b = _fmt_and_operands()
+    csr, fmt, _, b = _fmt_and_operands()
     base = spmm_flash_execute(fmt, b, FlashSparseConfig(precision="fp16"))
-    out = _sharded_spmm(fmt, b, shards=workers, target_blocks=block_chunk)
+    out = _sharded_spmm(fmt, csr, b, shards=workers, target_blocks=block_chunk)
     np.testing.assert_array_equal(out, base.values)
     assert base.meta["engine"] == "batched"
 
@@ -68,7 +68,7 @@ def test_spmm_chunked_matches_one_shot(block_chunk, workers):
 def test_sddmm_chunked_is_bit_identical(block_chunk, workers, monkeypatch):
     """Entries are independent: any entry chunk, alone or under any shard
     cut, must be bit-exact — and invisible to the cost counter."""
-    _, fmt, a, b = _fmt_and_operands()
+    csr, fmt, a, b = _fmt_and_operands()
     base = sddmm_flash_execute(fmt, a, b, FlashSparseConfig(precision="fp16"))
     _chunk_entries(monkeypatch, block_chunk, a.shape[1])
     res = sddmm_flash_execute(fmt, a, b, FlashSparseConfig(precision="fp16"))
@@ -77,6 +77,7 @@ def test_sddmm_chunked_is_bit_identical(block_chunk, workers, monkeypatch):
     out = run_sharded(
         "sddmm",
         fmt,
+        csr,
         [quantize(a, "fp16"), quantize(b, "fp16")],
         {"precision": "fp16", "scale_by_mask": False},
         group=VECTORS_PER_OUTPUT_BLOCK,
@@ -92,55 +93,52 @@ def test_spmm_tcu16_chunked_parity(workers):
     b = np.random.default_rng(9).standard_normal((190, 17))
     base = spmm_tcu16_execute(csr, b, FlashSparseConfig(precision="tf32"))
     fmt = SGT16Matrix.from_csr(csr, precision="tf32")
-    out = _sharded_spmm(fmt, b, "tf32", shards=workers, target_blocks=3)
+    out = _sharded_spmm(fmt, csr, b, "tf32", shards=workers, target_blocks=3)
     np.testing.assert_array_equal(out, base.values)
 
 
 def test_max_intermediate_bytes_budget_streams_and_agrees():
     """A byte budget reaches the engine as the planner's shard size."""
-    _, fmt, _, b = _fmt_and_operands()
+    csr, fmt, _, b = _fmt_and_operands()
     base = spmm_flash_execute(fmt, b, FlashSparseConfig(precision="fp16"))
     plan = plan_spmm(fmt, b.shape[1], max_intermediate_bytes=40_000)
     # The derived shard honours the budget: chunk * bytes_per_block <= budget.
     assert 1 <= plan.block_chunk < fmt.num_tc_blocks
     assert plan.block_chunk * plan.bytes_per_block <= 40_000
-    out = _sharded_spmm(fmt, b, target_blocks=plan.block_chunk)
+    out = _sharded_spmm(fmt, csr, b, target_blocks=plan.block_chunk)
     np.testing.assert_array_equal(out, base.values)
 
 
 def test_workers_only_sharding_matches_one_shot():
     """A shard count with no shard size still shards (an even split)."""
-    _, fmt, _, b = _fmt_and_operands(seed=11)
+    csr, fmt, _, b = _fmt_and_operands(seed=11)
     base = spmm_flash_execute(fmt, b, FlashSparseConfig(precision="fp16"))
-    out = _sharded_spmm(fmt, b, shards=4)
+    out = _sharded_spmm(fmt, csr, b, shards=4)
     np.testing.assert_array_equal(out, base.values)
 
 
 def test_streaming_handles_empty_and_degenerate_matrices(monkeypatch):
     _chunk_entries(monkeypatch, 1, 5)
     cfg = FlashSparseConfig(precision="fp16")
-    empty = MEBCRSMatrix.from_csr(
-        random_csr(24, 18, 0.0, ensure_nonempty=False, seed=1), precision="fp16"
-    )
+    empty_csr = random_csr(24, 18, 0.0, ensure_nonempty=False, seed=1)
+    empty = MEBCRSMatrix.from_csr(empty_csr, precision="fp16")
     b = np.ones((18, 5))
     assert not spmm_flash_execute(empty, b, cfg).values.any()
     assert sddmm_flash_execute(empty, np.ones((24, 5)), b, cfg).output.vector_values.shape == (0, 8)
     params = {"precision": "fp16", "scale_by_mask": False}
-    assert not _sharded_spmm(empty, b, shards=4).any()
-    assert run_sharded(
-        "sddmm", empty, [np.ones((24, 5), np.float32), quantize(b, "fp16")], params, group=16
-    ).shape == (0, 8)
+    assert not _sharded_spmm(empty, empty_csr, b, shards=4).any()
+    operands = [np.ones((24, 5), np.float32), quantize(b, "fp16")]
+    assert run_sharded("sddmm", empty, empty_csr, operands, params, group=16).shape == (0, 8)
 
-    single = MEBCRSMatrix.from_csr(
-        random_csr(11, 9, 0.0, ensure_nonempty=True, seed=1), precision="fp16"
-    )  # one nonzero
+    single_csr = random_csr(11, 9, 0.0, ensure_nonempty=True, seed=1)  # one nonzero
+    single = MEBCRSMatrix.from_csr(single_csr, precision="fp16")
     ones = np.ones((9, 3), np.float32)
     base = spmm_flash_execute(single, ones, cfg)
-    out = _sharded_spmm(single, ones, shards=4, target_blocks=1)
+    out = _sharded_spmm(single, single_csr, ones, shards=4, target_blocks=1)
     np.testing.assert_array_equal(out, base.values)
     sbase = sddmm_flash_execute(single, np.ones((11, 3)), ones, cfg)
     sout = run_sharded(
-        "sddmm", single, [np.ones((11, 3), np.float32), ones], params, group=16, shards=4
+        "sddmm", single, single_csr, [np.ones((11, 3), np.float32), ones], params, group=16, shards=4
     )
     np.testing.assert_array_equal(sout, sbase.output.vector_values)
     assert np.count_nonzero(sout) == 1

@@ -157,12 +157,6 @@ def test_structure_key_ignores_values_and_keeps_shape():
     assert as_f64.content_key() != as_f32.content_key()
 
 
-def test_with_content_key_adopts_both_digests():
-    csr = CSRMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 2))
-    assert csr.with_content_key("c" * 32, "s" * 32) is csr
-    assert (csr.content_key(), csr.structure_key()) == ("c" * 32, "s" * 32)
-
-
 def test_to_scipy_matches(small_csr):
     scipy_matrix = small_csr.to_scipy()
     assert isinstance(scipy_matrix, sp.csr_matrix)

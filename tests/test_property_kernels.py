@@ -36,6 +36,10 @@ from repro.serve.program import gather_edge_values
 from test_property_formats import sparse_matrices
 
 
+def _bits(array) -> np.ndarray:
+    return np.ascontiguousarray(array, dtype=np.float32).view(np.uint32)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     addresses=st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=32),
@@ -128,9 +132,9 @@ K_DENSE = (1, 7, 32, 33)
 @st.composite
 def blocked_formats(draw):
     """``(rng, csr, fmt, precision)`` over a random CSR with empty windows, a
-    partial tail window, one hub window, a few explicit stored zeros and a
-    few values that underflow to zero in fp16 (CSR entries without a lane),
-    in fp16 / tf32 and vector size 8 / 16."""
+    partial tail window, one hub window, a few explicit stored zeros (every
+    other one ``-0.0``) and a few values that underflow to zero in fp16 (CSR
+    entries without a lane), in fp16 / tf32 and vector size 8 / 16."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
     n_rows = 16 * int(rng.integers(4, 8)) + int(rng.integers(1, 16))  # tail window
     n_cols = int(rng.integers(20, 120))
@@ -140,7 +144,9 @@ def blocked_formats(draw):
     dense[rng.random((n_rows, n_cols)) < 0.05] *= 1e-9
     csr = CSRMatrix.from_dense(dense)
     data = csr.data.copy()
-    data[rng.random(csr.nnz) < 0.03] = 0.0  # explicit stored zeros
+    zeros = rng.random(csr.nnz) < 0.03  # explicit stored zeros
+    data[zeros] = 0.0
+    data[zeros & (np.arange(csr.nnz) % 2 == 1)] = -0.0
     csr = CSRMatrix(csr.indptr, csr.indices, data, csr.shape)
     precision = Precision(draw(st.sampled_from(["fp16", "tf32"])))
     fmt_cls = draw(st.sampled_from([MEBCRSMatrix, SGT16Matrix]))
@@ -230,10 +236,10 @@ def _panels(b_q):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(case=spmm_cases(), target=st.integers(min_value=1, max_value=60))
 def test_spmm_any_window_aligned_cut_is_bit_identical_to_one_shot(case, target):
-    _, fmt, precision, b_q = case
+    csr, fmt, precision, b_q = case
     for _, _, panel in _panels(b_q):
         out = run_sharded(
-            "spmm", fmt, [panel], {"precision": precision.value}, target_blocks=target
+            "spmm", fmt, csr, [panel], {"precision": precision.value}, target_blocks=target
         )
         np.testing.assert_array_equal(out, spmm_batched(fmt, panel, precision))
 
@@ -253,9 +259,11 @@ def test_spmm_columns_do_not_depend_on_their_neighbours(case):
 @given(case=layer_cases(), target=st.integers(min_value=1, max_value=60))
 def test_sddmm_and_layer_any_window_aligned_cut_is_bit_identical_to_one_shot(case, target):
     csr, fmt, params, operands = case
-    scores = run_sharded("sddmm", fmt, operands[:2], params, group=16, target_blocks=target)
-    np.testing.assert_array_equal(scores, sddmm_batched(fmt, *operands[:2], params["scale_by_mask"]))
-    rows = run_sharded("layer", fmt, operands, params, csr=csr, target_blocks=target)
+    scores = run_sharded("sddmm", fmt, csr, operands[:2], params, group=16, target_blocks=target)
+    np.testing.assert_array_equal(
+        _bits(scores), _bits(sddmm_batched(fmt, *operands[:2], params["scale_by_mask"]))
+    )
+    rows = run_sharded("layer", fmt, csr, operands, params, target_blocks=target)
     composed = composed_layer(
         csr, *operands, params["scale"], params["scale_by_mask"], params["precision"], type(fmt)
     )
@@ -275,7 +283,7 @@ def test_sddmm_and_layer_entry_chunk_is_bit_identical_to_one_shot(case):
             results.append(
                 (
                     sddmm_batched(fmt, *operands[:2], params["scale_by_mask"]),
-                    run_sharded("layer", fmt, operands, params, csr=csr),
+                    run_sharded("layer", fmt, csr, operands, params),
                 )
             )
     for scores, rows in results[1:]:

@@ -63,11 +63,11 @@ def test_fused_layer_scheduler_parity_grid(fmt_name, target, callers):
     def call(_):
         return sched.run_layer(
             fmt,
-            csr.indptr,
             a_q,
             b_q,
             x_q,
             Precision.FP16,
+            csr,
             scale=0.8,
             target_blocks=target,
         )
@@ -87,11 +87,11 @@ def test_fused_layer_scale_variants(scale, by_mask):
     base = composed_layer(csr, a_q, b_q, x_q, scale, by_mask)
     out, _ = ShardScheduler().run_layer(
         fmt,
-        csr.indptr,
         a_q,
         b_q,
         x_q,
         Precision.FP16,
+        csr,
         scale=scale,
         scale_by_mask=by_mask,
         target_blocks=5,
@@ -104,11 +104,11 @@ def test_fused_layer_empty_matrix_yields_zeros():
     fmt = MEBCRSMatrix.from_csr(empty, precision="fp16")
     out, stages = ShardScheduler().run_layer(
         fmt,
-        empty.indptr,
         np.zeros((24, 4), np.float32),
         np.zeros((20, 4), np.float32),
         np.zeros((20, 3), np.float32),
         Precision.FP16,
+        empty,
     )
     assert out.shape == (24, 3) and not out.any()
     assert all(seconds == 0.0 for seconds in stages.values())
@@ -201,7 +201,7 @@ def test_fused_layer_over_duplicate_coo_triplets_matches_composition():
     np.testing.assert_array_equal(out, composed_layer(csr, a, b, x, 0.7))
 
 
-def test_layer_priority_and_deadline_semantics_match_kernel_requests():
+def test_layer_deadline_semantics_match_kernel_requests():
     """A queued layer request sheds on deadline exactly like an SpMM: the
     deadline is the only dispatch setting a request carries."""
     from repro.serve import ServeTimeoutError

@@ -63,7 +63,7 @@ def _completion_order(futures_by_label):
 
 
 # ------------------------------------------------------------------ ordering
-def test_fifo_tie_break_within_class_and_deadline():
+def test_distinct_matrices_run_in_arrival_order():
     """Distinct matrices run one pass each, in the order they arrived."""
     (m0, b0), (m1, b1), (m2, b2), (m3, b3) = _distinct_workloads(4)
     with Server(workers=1) as srv:

@@ -34,13 +34,13 @@ def _workload(seed=4, n=33, rows=300, cols=280, density=0.05):
     a_q = quantize(rng.standard_normal((rows, n)), Precision.FP16).astype(np.float32)
     base = spmm_flash_execute(fmt, b_q, FlashSparseConfig(precision="fp16"))
     sbase = sddmm_flash_execute(fmt, a_q, b_q, FlashSparseConfig(precision="fp16"))
-    return fmt, a_q, b_q, base.values, sbase.output.vector_values
+    return csr, fmt, a_q, b_q, base.values, sbase.output.vector_values
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_spmm_inline_sharding_is_bit_identical(target):
-    fmt, _, b_q, base, _ = _workload()
-    out = ShardScheduler().run_spmm(fmt, b_q, Precision.FP16, target_blocks=target)
+    csr, fmt, _, b_q, base, _ = _workload()
+    out = ShardScheduler().run_spmm(fmt, b_q, Precision.FP16, csr, target_blocks=target)
     np.testing.assert_array_equal(out, base)
 
 
@@ -48,10 +48,10 @@ def test_spmm_inline_sharding_is_bit_identical(target):
 def test_spmm_pool_sharding_is_bit_identical(target):
     """One scheduler over many requests, as a server holds it: bit-identical
     values, and the counters advance by the request and its shards."""
-    fmt, _, b_q, base, _ = _workload()
+    csr, fmt, _, b_q, base, _ = _workload()
     sched = ShardScheduler()
     for _ in range(2):
-        out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=target)
+        out = sched.run_spmm(fmt, b_q, Precision.FP16, csr, target_blocks=target)
         np.testing.assert_array_equal(out, base)
     shards, _ = SHARD_OPS["spmm"].plan(fmt, [b_q], None, 1, target)
     assert sched.stats_snapshot() == {"requests": 2, "shards": 2 * len(shards)}
@@ -59,15 +59,15 @@ def test_spmm_pool_sharding_is_bit_identical(target):
 
 @pytest.mark.parametrize("target", (1, 10_000))
 def test_sddmm_pool_sharding_is_bit_identical(target):
-    fmt, a_q, b_q, _, sbase = _workload()
+    csr, fmt, a_q, b_q, _, sbase = _workload()
     vals = ShardScheduler().run_sddmm(
-        fmt, a_q, b_q, Precision.FP16, VECTORS_PER_OUTPUT_BLOCK, target_blocks=target
+        fmt, a_q, b_q, Precision.FP16, VECTORS_PER_OUTPUT_BLOCK, csr, target_blocks=target
     )
     np.testing.assert_array_equal(vals, sbase)
 
 
 def test_sddmm_scale_by_mask_parity():
-    fmt, a_q, b_q, _, _ = _workload(seed=9)
+    csr, fmt, a_q, b_q, _, _ = _workload(seed=9)
     ref = sddmm_flash_execute(
         fmt, a_q, b_q, FlashSparseConfig(precision="fp16"), scale_by_mask=True
     )
@@ -77,6 +77,7 @@ def test_sddmm_scale_by_mask_parity():
         b_q,
         Precision.FP16,
         VECTORS_PER_OUTPUT_BLOCK,
+        csr,
         scale_by_mask=True,
         target_blocks=5,
     )
@@ -92,24 +93,23 @@ def test_randomized_parity_suite():
         rows = int(rng.integers(50, 400))
         cols = int(rng.integers(50, 400))
         n = int(rng.integers(1, 50))
-        fmt, a_q, b_q, base, sbase = _workload(
+        csr, fmt, a_q, b_q, base, sbase = _workload(
             seed=seed, n=n, rows=rows, cols=cols, density=0.06
         )
         target = int(rng.integers(1, 20))
-        out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=target)
+        out = sched.run_spmm(fmt, b_q, Precision.FP16, csr, target_blocks=target)
         np.testing.assert_array_equal(out, base)
         vals = sched.run_sddmm(
-            fmt, a_q, b_q, Precision.FP16, VECTORS_PER_OUTPUT_BLOCK, target_blocks=target
+            fmt, a_q, b_q, Precision.FP16, VECTORS_PER_OUTPUT_BLOCK, csr, target_blocks=target
         )
         np.testing.assert_array_equal(vals, sbase)
 
 
 def test_degenerate_inputs():
-    empty = MEBCRSMatrix.from_csr(
-        random_csr(24, 18, 0.0, ensure_nonempty=False, seed=1), precision="fp16"
-    )
+    empty_csr = random_csr(24, 18, 0.0, ensure_nonempty=False, seed=1)
+    empty = MEBCRSMatrix.from_csr(empty_csr, precision="fp16")
     sched = ShardScheduler()
-    out = sched.run_spmm(empty, np.ones((18, 5), np.float32), Precision.FP16)
+    out = sched.run_spmm(empty, np.ones((18, 5), np.float32), Precision.FP16, empty_csr)
     assert out.shape == (24, 5) and not out.any()
     vals = sched.run_sddmm(
         empty,
@@ -117,6 +117,7 @@ def test_degenerate_inputs():
         np.ones((18, 5), np.float32),
         Precision.FP16,
         VECTORS_PER_OUTPUT_BLOCK,
+        empty_csr,
     )
     assert vals.shape == empty.vector_values.shape
 

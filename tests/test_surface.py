@@ -35,7 +35,13 @@ OPTION_BUDGET = {
     ("repro.serve", "Server.submit_sddmm"): 5,
     ("repro.serve", "Server.submit_layer"): 7,
     ("repro.serve", "ShardScheduler"): 0,
+    ("repro.serve", "ShardScheduler.run_spmm"): 5,
+    ("repro.serve", "ShardScheduler.run_sddmm"): 8,
+    ("repro.serve", "ShardScheduler.run_layer"): 9,
     ("repro.cluster", "ClusterScheduler"): 15,
+    ("repro.cluster", "ClusterScheduler.run_spmm"): 7,
+    ("repro.cluster", "ClusterScheduler.run_sddmm"): 10,
+    ("repro.cluster", "ClusterScheduler.run_layer"): 11,
     ("repro.gnn", "SparseBackend"): 8,
 }
 

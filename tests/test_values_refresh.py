@@ -1,7 +1,8 @@
 """A values refresh costs a cast, not a translation.
 
-SpMM and fused-layer shards on a cluster worker run on the pinned CSR
-arrays (``engine.csr_lanes``), not on a translation; the head quantises a
+Every shard on every carrier — SpMM, SDDMM and the fused layer — runs on
+lane arrays of the CSR (``engine.csr_lanes``), not on a translation, and
+a cluster worker holds no translation at all; the head quantises a
 dense panel only when a frame pushes it; the cost counter is computed once
 per pattern; a lone layer request digests no coalescing token; and a
 one-shard local plan adopts the shard's rows.  Every served bit stays the
@@ -20,14 +21,15 @@ from hypothesis import given, settings, strategies as st
 from helpers import composed_layer, csr_with_zero_valued_entries, random_csr
 
 import repro
-from repro.cluster import ClusterScheduler, head, worker
+from repro.cluster import ClusterScheduler, head
 from repro.cluster.store import make_store_key, operand_store_key
 from repro.cluster.worker import WorkerHost
+from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
 from repro.formats.srbcrs import SRBCRSMatrix
-from repro.formats.windows import partition_windows
+from repro.formats.windows import WindowPartition, partition_windows
 from repro.kernels import engine, spmm as spmm_module
 from repro.kernels.common import FlashSparseConfig
 from repro.kernels.engine import SHARD_OPS, csr_lanes, shard_params
@@ -148,19 +150,28 @@ def _edge_case():
 @pytest.mark.parametrize("backend", ["local", "cluster"])
 def test_served_ops_match_one_shot_with_zeros_underflow_and_inf(backend, precision):
     csr, a, b, x = _edge_case()
+    # The explicit zero stored as ``-0.0``, sampled under scale_by_mask
+    # against the NaN row of ``b``: +0.0, as the one-shot lane view leaves
+    # an entry it has no lane for.
+    signed = csr.with_values(np.where(csr.data == 0.0, -0.0, csr.data))
     spmm_ref = repro.spmm(csr, b, precision=precision)
     assert not np.isnan(spmm_ref.values[1]).any()  # the zero-drop rule has teeth
     sddmm_ref = repro.sddmm(csr, a, a[: csr.shape[1]], precision=precision)
+    signed_ref = repro.sddmm(signed, a, b, precision=precision, scale_by_mask=True)
     layer_ref = composed_layer(csr, a, a[: csr.shape[1]], x, scale=0.5, precision=precision)
     options = {"hosts": 1} if backend == "cluster" else {}
     with Server(backend=backend, precision=precision, **options) as srv:
         served = srv.submit_spmm(csr, b).result(TIMEOUT)
         sddmm = srv.submit_sddmm(csr, a, a[: csr.shape[1]]).result(TIMEOUT)
+        signed_sddmm = srv.submit_sddmm(signed, a, b, scale_by_mask=True).result(TIMEOUT)
         layer = srv.submit_layer(csr, a, a[: csr.shape[1]], x, scale=0.5).result(TIMEOUT)
     np.testing.assert_array_equal(served.values, spmm_ref.values)
     assert served.counter.as_dict() == spmm_ref.counter.as_dict()
     np.testing.assert_array_equal(sddmm.output.vector_values, sddmm_ref.output.vector_values)
     assert sddmm.counter.as_dict() == sddmm_ref.counter.as_dict()
+    np.testing.assert_array_equal(
+        _bits(signed_sddmm.output.vector_values), _bits(signed_ref.output.vector_values)
+    )
     np.testing.assert_array_equal(layer.values, layer_ref)
 
 
@@ -182,7 +193,6 @@ def _task(
         "op": op_name,
         "fmt": "mebcrs",
         "shape": list(csr.shape),
-        "structure_key": csr.structure_key(),
         "content_key": csr.content_key(),
         "lo": r.lo,
         "hi": r.hi,
@@ -203,46 +213,56 @@ def _task(
     return header, [*structure, csr.data, *operands]
 
 
-@pytest.fixture()
-def csr_builds(monkeypatch):
-    """How often the worker module builds a ``CSRMatrix``."""
+def builds(monkeypatch):
+    """The names of the sparse records built from here on: any
+    ``CSRMatrix``, any ``WindowPartition`` (what ``partition_windows``
+    returns) and any ``BlockedVectorFormat`` (what ``from_csr`` returns)."""
     calls = []
-    real = worker.CSRMatrix
+    for cls in (CSRMatrix, WindowPartition, BlockedVectorFormat):
+        real = cls.__init__
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        def spy(self, *args, _real=real, _name=cls.__name__, **kwargs):
+            calls.append(_name)
+            _real(self, *args, **kwargs)
 
-    monkeypatch.setattr(worker, "CSRMatrix", spy)
+        monkeypatch.setattr(cls, "__init__", spy)
     return calls
 
 
-def test_worker_runs_spmm_and_layer_on_the_pinned_csr(csr_builds):
+def test_worker_runs_every_op_on_the_pinned_csr(monkeypatch):
     csr = random_csr(70, 60, 0.1, seed=3)
     rng = np.random.default_rng(3)
     a = quantize(rng.standard_normal((70, 6)), "fp16")
     b = quantize(rng.standard_normal((60, 6)), "fp16")
     x = quantize(rng.standard_normal((60, 4)), "fp16")
-    host = WorkerHost()
     local = ShardScheduler()
     fmt = MEBCRSMatrix.from_csr(csr, precision="fp16")
+    tasks = {
+        "spmm": _task(csr, "spmm", [b]),
+        "sddmm": _task(csr, "sddmm", [a, b]),
+        "layer": _task(csr, "layer", [a, b, x]),
+    }
+    expected = {
+        "spmm": local.run_spmm(fmt, b, Precision.FP16, csr),
+        "sddmm": local.run_sddmm(fmt, a, b, Precision.FP16, FLASH_GROUP, csr),
+        "layer": local.run_layer(fmt, a, b, x, Precision.FP16, csr, scale=0.5)[0],
+    }
+    np.testing.assert_array_equal(expected["sddmm"], engine.sddmm_batched(fmt, a, b))
+    built = builds(monkeypatch)
+    host = WorkerHost()
+    assert not hasattr(host, "cache")
     for _ in range(3):  # the first task pins and builds, the rest reuse
-        reply, (rows,) = host.run_task(*_task(csr, "spmm", [b]))
-        assert reply["type"] == "result", reply.get("message")
-        np.testing.assert_array_equal(rows, local.run_spmm(fmt, b, Precision.FP16))
-        reply, (rows,) = host.run_task(*_task(csr, "layer", [a, b, x]))
-        assert reply["type"] == "result", reply.get("message")
-        expected, _ = local.run_layer(fmt, csr.indptr, a, b, x, Precision.FP16, scale=0.5)
-        np.testing.assert_array_equal(rows, expected)
-    assert csr_builds == []
-    stats = host.cache.stats()
-    assert stats.misses == 0 and stats.size == 0
-    # The lane sets are the host's warm state for this traffic: the cache
-    # counters it reports count them (one build per op, then hits).
-    assert (reply["cache"]["misses"], reply["cache"]["hits"], reply["cache"]["size"]) == (2, 4, 2)
-    # SDDMM still translates: its output is laid out by the partition.
-    reply, _ = host.run_task(*_task(csr, "sddmm", [a, b]))
-    assert reply["type"] == "result" and host.cache.stats().misses == 1
+        for name, task in tasks.items():
+            reply, (rows,) = host.run_task(*task)
+            assert reply["type"] == "result", reply.get("message")
+            if name == "sddmm":  # one value per CSR entry, from entry 0
+                assert reply["row0"] == 0 and rows.shape == (csr.nnz, 1)
+                rows = fmt.partition.scatter(rows[:, 0], np.float32)
+            np.testing.assert_array_equal(rows, expected[name])
+    assert built == []
+    # The lane sets are the host's warm state: one build for SpMM's, one
+    # for the set SDDMM and the layer share, then hits.
+    assert (reply["cache"]["misses"], reply["cache"]["hits"], reply["cache"]["size"]) == (2, 7, 2)
 
 
 def test_worker_builds_lanes_once_per_values_and_precision(monkeypatch):
@@ -361,7 +381,7 @@ def test_panel_key_covers_the_precision():
         for precision in (Precision.FP16, Precision.TF32, Precision.FP16):
             fmt = MEBCRSMatrix.from_csr(csr, precision=precision)
             out = sched.run_spmm(fmt, b, precision, csr=csr)
-            np.testing.assert_array_equal(out, ShardScheduler().run_spmm(fmt, b, precision))
+            np.testing.assert_array_equal(out, ShardScheduler().run_spmm(fmt, b, precision, csr))
 
 
 def test_float64_panel_is_quantised_in_its_own_dtype():
@@ -375,6 +395,27 @@ def test_float64_panel_is_quantised_in_its_own_dtype():
 
 
 # ------------------------------------------------------ satellites
+def test_lanes_kept_on_a_translation_follow_the_csr_values():
+    """A translation keeps its carriers' lane sets, and another matrix's
+    values on the same translation are a rebuild, not the first matrix's
+    lanes."""
+    csr = random_csr(80, 70, 0.1, seed=12)
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((80, 5)), rng.standard_normal((70, 5))
+    tripled = csr.with_values(3 * csr.data)
+    fmt = MEBCRSMatrix.from_csr(csr, precision="fp16")
+    sched = ShardScheduler()
+    for matrix in (csr, tripled, csr):
+        np.testing.assert_array_equal(
+            sched.run_spmm(fmt, b, Precision.FP16, matrix), repro.spmm(matrix, b).values
+        )
+        scores = sched.run_sddmm(
+            fmt, a, b, Precision.FP16, FLASH_GROUP, matrix, scale_by_mask=True
+        )
+        expected = repro.sddmm(matrix, a, b, scale_by_mask=True).output.vector_values
+        np.testing.assert_array_equal(scores, expected)
+
+
 def test_lone_layer_request_digests_no_token(monkeypatch):
     digested = []
     real = server_module.digest16
@@ -405,11 +446,11 @@ def test_one_shard_local_plan_adopts_the_shard_rows(monkeypatch):
     csr = random_csr(61, 50, 0.1, seed=10)
     b = np.random.default_rng(10).standard_normal((50, 4)).astype(np.float32)
     fmt = MEBCRSMatrix.from_csr(csr, precision="fp16")
-    out = ShardScheduler().run_spmm(fmt, b, Precision.FP16)
+    out = ShardScheduler().run_spmm(fmt, b, Precision.FP16, csr)
     assert len(returned) == 1 and np.shares_memory(out, returned[0])
     assert out.shape == (61, 4) and out.dtype == np.float32
     np.testing.assert_array_equal(out, repro.spmm(csr, b).values)
-    empty = ShardScheduler().run_spmm(fmt, b[:, :0], Precision.FP16)
+    empty = ShardScheduler().run_spmm(fmt, b[:, :0], Precision.FP16, csr)
     assert empty.shape == (61, 0)
 
 
