@@ -119,7 +119,7 @@ from repro.cluster.worker import run_worker
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.cache import format_kind
 from repro.formats.csr import CSRMatrix
-from repro.kernels.engine import SHARD_OPS, shard_params
+from repro.kernels.engine import SHARD_OPS, lane_cache, shard_params
 from repro.precision.types import Precision, quantize
 
 #: Idle gap after which a host client probes its host with a ping.
@@ -352,23 +352,23 @@ class _HostClient(threading.Thread):
         a re-push, while a restarted (cold) process reports an empty
         inventory and gets everything pushed again on first use.
         """
+        self._ping()
+        self._set_state(HostHealth.HEALTHY)
+
+    def _ping(self) -> None:
+        """One ping / pong round.  The pong's key inventory is ground truth
+        for the ledger — a worker that restarted behind the same address
+        (cold store) stops looking warm at the next idle beat instead of
+        at the next store_miss — and its counters go to the metrics."""
         self._sock.settimeout(self.heartbeat_timeout_s)
         sent = send_message(self._sock, {"type": "ping"})
-        header, _, received = recv_message(
-            self._sock, max_frame_bytes=self.max_frame_bytes
-        )
-        self.metrics.record_transport_bytes(self.host_id, sent=sent, received=received)
+        self.metrics.record_transport_bytes(self.host_id, sent=sent)
+        header, _, received = recv_message(self._sock, max_frame_bytes=self.max_frame_bytes)
+        self.metrics.record_transport_bytes(self.host_id, received=received)
         if header.get("type") != "pong":
-            raise TransportError(f"unexpected warm-up reply {header.get('type')!r}")
+            raise TransportError(f"unexpected ping reply {header.get('type')!r}")
         self.ledger = set(header.get("store_keys") or ())
-        self.metrics.record_heartbeat(
-            self.host_id,
-            ok=True,
-            cache=header.get("cache"),
-            security=header.get("security"),
-            store=header.get("store"),
-        )
-        self._set_state(HostHealth.HEALTHY)
+        self.metrics.record_heartbeat(self.host_id, header)
 
     def submit(self, task: _Task) -> bool:
         """Enqueue a task; False when the host cannot take it (dead,
@@ -633,13 +633,7 @@ class _HostClient(threading.Thread):
                         )
                     )
                     return
-                self.metrics.record_task_completed(
-                    self.host_id,
-                    received,
-                    header.get("cache"),
-                    security=header.get("security"),
-                    store=header.get("store"),
-                )
+                self.metrics.record_task_completed(self.host_id, received, header)
                 task.future.set_result((header, arrays))
                 return
         finally:
@@ -649,35 +643,15 @@ class _HostClient(threading.Thread):
         if self._sock is None:  # pragma: no cover - defensive
             return
         try:
-            self._sock.settimeout(self.heartbeat_timeout_s)
-            sent = send_message(self._sock, {"type": "ping"})
-            self.metrics.record_transport_bytes(self.host_id, sent=sent)
-            header, _, received = recv_message(
-                self._sock, max_frame_bytes=self.max_frame_bytes
-            )
-            self.metrics.record_transport_bytes(self.host_id, received=received)
-            if header.get("type") != "pong":
-                raise TransportError(f"unexpected heartbeat reply {header.get('type')!r}")
+            self._ping()
         except Exception as exc:  # transport failure or unparseable pong
             if isinstance(exc, FrameIntegrityError):
                 self.metrics.record_integrity_failure(self.host_id)
             self.metrics.record_transport_bytes(
                 self.host_id, received=getattr(exc, "bytes_read", 0)
             )
-            self.metrics.record_heartbeat(self.host_id, ok=False)
+            self.metrics.record_heartbeat(self.host_id, None)
             self._recover_connection(exc)
-            return
-        # The pong's key inventory is ground truth for the ledger: a worker
-        # that restarted behind the same address (cold store) stops looking
-        # warm at the next idle beat instead of at the next store_miss.
-        self.ledger = set(header.get("store_keys") or ())
-        self.metrics.record_heartbeat(
-            self.host_id,
-            ok=True,
-            cache=header.get("cache"),
-            security=header.get("security"),
-            store=header.get("store"),
-        )
 
     def _shutdown_host(self) -> None:
         try:
@@ -840,6 +814,8 @@ class ClusterScheduler:
         self._seen_lock = threading.Lock()
         self._request_token = secrets.token_hex(8)
         self._request_ids = itertools.count()
+        #: Lane sets of the shards run in-parent (the fallback).
+        self._lanes = lane_cache()
         ssl_context = None
         if tls_cert is not None or tls_ca is not None:
             ssl_context = make_client_ssl_context(
@@ -1277,7 +1253,8 @@ class ClusterScheduler:
 
         def inline(task: dict) -> tuple:
             quantised = [panels[key].arrays()[0] for key in operand_keys]
-            source = op.source(fmt, csr, params["precision"])
+            arrays = (csr.indptr, csr.indices, csr.data)
+            source = op.lanes(self._lanes, csr.content_key(), arrays, params["precision"])
             sliced = op.slice(source, task["range"], fmt.vector_size)
             outputs, timings = op.run(sliced, quantised, params)
             return {"row0": sliced["row0"], "timings": timings}, outputs

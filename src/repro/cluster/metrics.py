@@ -146,29 +146,24 @@ class ClusterMetrics:
             self._frame_bytes("task", sent=nbytes)
             self._host(host_id)["tasks_sent"] += 1
 
-    def record_task_completed(
-        self,
-        host_id: str,
-        nbytes: int,
-        cache: dict | None,
-        security: dict | None = None,
-        store: dict | None = None,
-    ) -> None:
-        """One shard result read back from ``host_id`` (with its latest
-        lane-cache, security and pin-store counters, when the worker
-        attached them)."""
+    def _adopt_status(self, host_id: str, header: dict) -> None:
+        """Keep the worker's latest lane-cache, security and pin-store
+        counters a result or pong ``header`` carries; called under the
+        lock."""
+        entry = self._host(host_id)
+        for key, field in (("cache", "cache"), ("security", "remote_security"), ("store", "store")):
+            if header.get(key) is not None:
+                entry[field] = dict(header[key])
+
+    def record_task_completed(self, host_id: str, nbytes: int, header: dict) -> None:
+        """One shard result read back from ``host_id``, with the result
+        frame's ``header``."""
         with self._lock:
             self._counters["tasks_completed"] += 1
             self._counters["bytes_received"] += int(nbytes)
             self._frame_bytes("result", received=nbytes)
-            entry = self._host(host_id)
-            entry["tasks_completed"] += 1
-            if cache is not None:
-                entry["cache"] = dict(cache)
-            if security is not None:
-                entry["remote_security"] = dict(security)
-            if store is not None:
-                entry["store"] = dict(store)
+            self._host(host_id)["tasks_completed"] += 1
+            self._adopt_status(host_id, header)
 
     def record_task_failure(self, host_id: str) -> None:
         """One shard task that failed on ``host_id`` (host death or remote
@@ -349,27 +344,15 @@ class ClusterMetrics:
         with self._lock:
             self._counters["inline_fallbacks"] += int(shards)
 
-    def record_heartbeat(
-        self,
-        host_id: str,
-        ok: bool,
-        cache: dict | None = None,
-        security: dict | None = None,
-        store: dict | None = None,
-    ) -> None:
-        """One ping/pong exchange with ``host_id`` (or its failure)."""
+    def record_heartbeat(self, host_id: str, pong: dict | None) -> None:
+        """One ping/pong exchange with ``host_id``: the ``pong`` header, or
+        None for a failed one."""
         with self._lock:
             self._counters["heartbeats"] += 1
-            if not ok:
+            if pong is None:
                 self._counters["heartbeat_failures"] += 1
-                return
-            entry = self._host(host_id)
-            if cache is not None:
-                entry["cache"] = dict(cache)
-            if security is not None:
-                entry["remote_security"] = dict(security)
-            if store is not None:
-                entry["store"] = dict(store)
+            else:
+                self._adopt_status(host_id, pong)
 
     # -------------------------------------------------------------- snapshots
     def snapshot(self) -> dict:
@@ -420,13 +403,13 @@ class ClusterMetrics:
         """Aggregate of the latest per-host lane-cache counters.
 
         A worker keeps each pinned matrix's lane arrays
-        (:func:`repro.kernels.engine.csr_lanes`) per values and precision
-        in a small LRU, so this is the cache-affinity signal: under
-        content-key routing a repeat-matrix workload should show a high
-        remote hit rate because every request for a matrix lands on the
-        host that already built its lanes.  Only ``hits``, ``misses``,
-        ``evictions`` and ``size`` are counted there; the other fields
-        stay zero.
+        (:func:`repro.kernels.engine.csr_lanes`) per values key and
+        precision in its lane cache (:func:`repro.kernels.engine.lane_cache`),
+        so this is the cache-affinity signal: under content-key routing a
+        repeat-matrix workload should show a high remote hit rate because
+        every request for a matrix lands on the host that already built its
+        lanes.  Only ``hits``, ``misses``, ``evictions`` and ``size`` are
+        counted there; the other fields stay zero.
         """
         totals = {counter.name: 0 for counter in fields(CacheStats)}
         with self._lock:

@@ -1,11 +1,8 @@
 """Content-addressed matrix push/pin: ship operand bytes once per host.
 
-Before this module, every shard task re-shipped the matrix's full CSR
-buffers (indptr/indices/data) plus the dense operands over TCP, even
-though affinity routing sends all shards of a matrix to the same host and
-repeat traffic keeps hitting the same content key.  This module replaces
-that with the "place data once, reference it by name" shape of DGL's
-distributed kvstore, layered over the checksummed frame protocol:
+Affinity routing sends every shard of a matrix to the same host, so the
+matrix and its operands are placed there once and referenced by name —
+the shape of DGL's distributed kvstore, over the checksummed frames:
 
 * The head keeps a **per-host ledger** of which keys each worker has
   pinned (it lives on the host client, so a DEAD host's ledger dies with
@@ -50,10 +47,11 @@ roadmap item mutates matrices in place, and bumping the version is how a
 delta-translated matrix invalidates every pinned copy cluster-wide
 without a new digest scheme.
 
-The :class:`PinnedStore` itself is a byte-budgeted LRU: entries are
-evicted oldest-first once ``pinned_bytes`` exceeds the budget, except
-entries whose **refcount** is held by an in-flight task — those are never
-evicted, even if that leaves the store temporarily over budget.  Gauges
+The :class:`PinnedStore` itself is the package's one LRU counted in
+bytes: entries are evicted oldest-first once ``pinned_bytes`` exceeds the
+budget, except entries whose **refcount** is held by an in-flight task.
+A worker also unpins a pattern's previous ``vals`` bundle when a task
+pushes new values for it, so fresh values do not fill the budget.  Gauges
 (pinned bytes, entry count, put/hit/miss/eviction counters) travel in
 every status and pong frame, and the pong additionally reports the full
 key inventory so a readmitted host's ledger can be re-warmed from what
@@ -62,12 +60,10 @@ the worker actually still holds.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.utils.digest import digest16
+from repro.utils.lru import LRU, total_nbytes
 
 #: Default worker-side pin budget.  Sized so a handful of mid-sized serving
 #: matrices stay resident; override per worker with ``--store-bytes`` /
@@ -128,45 +124,28 @@ class StoreMissError(RuntimeError):
         super().__init__(f"store miss for {len(self.missing)} key(s): {self.missing}")
 
 
-class _Entry:
-    __slots__ = ("arrays", "nbytes", "refcount")
-
-    def __init__(self, arrays: list[np.ndarray], nbytes: int):
-        self.arrays = arrays
-        self.nbytes = nbytes
-        self.refcount = 0
-
-
-class PinnedStore:
-    """Byte-budgeted, refcounted LRU store of pinned ndarray bundles.
+class PinnedStore(LRU):
+    """Byte-budgeted, refcounted LRU store of pinned ndarray bundles: the
+    package's :class:`~repro.utils.lru.LRU`, each bundle weighing its bytes.
 
     One entry is one store key mapping to a list of arrays (two for a
     ``struct`` bundle, one for a ``vals`` bundle or a dense operand panel).
-    ``put`` pins a bundle and evicts least-recently-used zero-refcount
-    entries until the store is back under ``budget_bytes``; entries whose
-    refcount is held (an in-flight task is computing on them) are
-    **skipped** by eviction, so the store may sit over budget while such a
-    task runs — correctness over budget exactness.  A bundle larger than the whole budget is still
-    pinned (everything else evictable goes); it simply becomes the next
-    eviction candidate once unreferenced.
-
-    Thread-safe: the worker host is single-threaded today, but the store
-    is lock-guarded so nothing breaks when worker-side concurrency lands.
+    ``put`` pins a bundle and evicts least-recently-used entries until the
+    store is back under ``budget_bytes``, skipping those an in-flight task
+    has acquired — the store may sit over budget while such a task runs,
+    correctness over budget exactness.  A bundle larger than the whole
+    budget is still pinned (everything else evictable goes); it is the next
+    eviction candidate once unreferenced.  Lock-guarded, though the worker
+    host is single-threaded today.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_STORE_BYTES):
         if budget_bytes < 0:
             raise ValueError("budget_bytes must be >= 0")
+        super().__init__(budget_bytes, total_nbytes)
         self.budget_bytes = int(budget_bytes)
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        self._pinned_bytes = 0
         self._puts = 0
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
-    # ------------------------------------------------------------- mutation
     def put(self, key: str, arrays) -> list[str]:
         """Pin ``arrays`` under ``key``; returns the keys evicted to fit.
 
@@ -174,40 +153,9 @@ class PinnedStore:
         its refcount — an in-flight task holding the old arrays keeps
         them alive through its own references).
         """
-        arrays = [np.ascontiguousarray(a) for a in arrays]
-        nbytes = sum(a.nbytes for a in arrays)
-        with self._lock:
+        with self.lock:
             self._puts += 1
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._pinned_bytes += nbytes - entry.nbytes
-                entry.arrays, entry.nbytes = arrays, nbytes
-                self._entries.move_to_end(key)
-            else:
-                self._entries[key] = _Entry(arrays, nbytes)
-                self._pinned_bytes += nbytes
-            return self._evict_to_budget(keep=key)
-
-    def _evict_to_budget(self, keep: str) -> list[str]:
-        """Evict LRU zero-refcount entries (never ``keep``) until within
-        budget; called under the lock."""
-        evicted: list[str] = []
-        while self._pinned_bytes > self.budget_bytes:
-            victim = next(
-                (
-                    k
-                    for k, e in self._entries.items()
-                    if k != keep and e.refcount == 0
-                ),
-                None,
-            )
-            if victim is None:
-                break  # everything left is in use (or the fresh key): stay over budget
-            entry = self._entries.pop(victim)
-            self._pinned_bytes -= entry.nbytes
-            self._evictions += 1
-            evicted.append(victim)
-        return evicted
+            return super().put(key, [np.ascontiguousarray(a) for a in arrays])
 
     def acquire(self, *keys: str) -> list[list[np.ndarray]]:
         """Resolve ``keys`` and take one refcount on each (MRU-touching).
@@ -216,70 +164,24 @@ class PinnedStore:
         takes no refcounts — so the head re-pushes the full set in one
         round instead of discovering misses one by one.
         """
-        with self._lock:
-            missing = [k for k in keys if k not in self._entries]
-            if missing:
-                self._misses += len(missing)
-                self._hits += len(keys) - len(missing)
-                raise StoreMissError(missing)
-            bundles = []
-            for key in keys:
-                entry = self._entries[key]
-                entry.refcount += 1
-                self._entries.move_to_end(key)
-                bundles.append(entry.arrays)
-            self._hits += len(keys)
-            return bundles
-
-    def release(self, *keys: str) -> None:
-        """Drop one refcount per key (missing keys are ignored: the entry
-        may have been replaced while the task ran)."""
-        with self._lock:
-            for key in keys:
-                entry = self._entries.get(key)
-                if entry is not None and entry.refcount > 0:
-                    entry.refcount -= 1
-
-    def discard(self, *keys: str) -> None:
-        """Unpin ``keys`` now (a request-scoped panel after its request's
-        last task here).  Absent keys are ignored; a key an in-flight task
-        still holds stays until the next eviction pass finds it free."""
-        with self._lock:
-            for key in keys:
-                entry = self._entries.get(key)
-                if entry is not None and entry.refcount == 0:
-                    del self._entries[key]
-                    self._pinned_bytes -= entry.nbytes
-
-    # -------------------------------------------------------------- queries
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def keys(self) -> list[str]:
-        """Pinned keys, LRU-first — the inventory a pong frame reports so
-        a readmitting head re-warms its ledger from ground truth."""
-        with self._lock:
-            return list(self._entries)
+        try:
+            return super().acquire(*keys)
+        except KeyError as exc:
+            raise StoreMissError(exc.args[0]) from None
 
     @property
     def pinned_bytes(self) -> int:
-        with self._lock:
-            return self._pinned_bytes
+        return self.weight
 
     def stats(self) -> dict:
         """Gauges for status/pong frames (and the head's per-host view)."""
-        with self._lock:
+        with self.lock:
             return {
-                "pinned_bytes": self._pinned_bytes,
+                "pinned_bytes": self.weight,
                 "budget_bytes": self.budget_bytes,
-                "entries": len(self._entries),
+                "entries": len(self),
                 "puts": self._puts,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
             }

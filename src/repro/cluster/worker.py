@@ -7,9 +7,10 @@ of :mod:`repro.cluster.transport`.  Per task it
    store keys and array counts, in buffer order) — a pattern bundle gets
    :class:`~repro.formats.csr.CSRMatrix`'s checks
    (:func:`~repro.formats.csr.check_csr_structure`) for the header's shape
-   once, here, and the checked arrays are what is pinned — and acquires
-   every key the task names: the matrix's pattern and values and the
-   dense panels (already quantised by the head),
+   once, here, and the checked arrays are what is pinned; new values unpin
+   the pattern's previous ones — and acquires every key the task names:
+   the matrix's pattern and values and the dense panels (already quantised
+   by the head),
 2. checks the matrix: the header's shape must be the one its pattern was
    checked for, and the values are checked on every use (1-D, real,
    ``nnz`` long), so a corrupt bundle is this task's ``error``, never bad
@@ -18,10 +19,11 @@ of :mod:`repro.cluster.transport`.  Per task it
    every op, never a translation: the op's lane arrays
    (:func:`repro.kernels.engine.csr_lanes` — the stored values, cast to the
    storage precision, which SDDMM and the fused layer share; for SpMM its
-   nonzeros, quantised) are built once per (values, precision) and kept in
-   a small LRU, so a repeat task does no work and new values cost one cast
-   (the LRU's counters travel back in every result and pong frame as the
-   host's ``cache`` stats, the affinity signal),
+   nonzeros, quantised) are built once per (values key, precision) in the
+   host's lane cache (:meth:`~repro.kernels.engine.ShardOp.lanes`, bounded
+   in bytes), so a repeat task does no work and new values cost one cast
+   (its counters travel back in every result and pong frame as the host's
+   ``cache`` stats, the affinity signal),
 4. runs the op's entry in the engine's shard table
    (:data:`repro.kernels.engine.SHARD_OPS`) — the same ``run`` the
    single-host scheduler and the head's in-parent fallback execute on the
@@ -32,7 +34,7 @@ of :mod:`repro.cluster.transport`.  Per task it
 6. streams the shard output back: one row slice and its ``row0`` (dense
    output rows for SpMM and fused layers; for SDDMM, one value per CSR
    entry of the shard's rows, placed at its first entry), with the store
-   keys its pushes evicted.
+   keys its pushes evicted or superseded.
 
 **Trust at the door.**  Every accepted connection must clear the
 HELLO/CHALLENGE handshake (the protocol version byte plus, when an
@@ -66,8 +68,6 @@ import os
 import socket
 import time
 import traceback
-from collections import OrderedDict
-
 from repro.cluster.store import DEFAULT_STORE_BYTES, PinnedStore, StoreMissError
 from repro.cluster.transport import (
     AuthenticationError,
@@ -79,9 +79,9 @@ from repro.cluster.transport import (
     send_message,
     server_handshake,
 )
-from repro.formats.cache import FORMAT_CACHE_MAXSIZE, format_kind
+from repro.formats.cache import format_kind
 from repro.formats.csr import check_csr_structure, check_csr_values
-from repro.kernels.engine import SHARD_OPS, ShardRange, shard_params
+from repro.kernels.engine import SHARD_OPS, ShardRange, lane_cache, shard_params
 
 #: Environment variable the CLI reads the shared auth token from.
 AUTH_TOKEN_ENV = "REPRO_CLUSTER_AUTH_TOKEN"
@@ -94,24 +94,21 @@ DEFAULT_HANDSHAKE_TIMEOUT_S = 10.0
 
 class WorkerHost:
     """State of one worker host: its pin store, the lane cache over it
-    (``cache_maxsize`` lane sets) and its task counters.  It holds no
-    translation: every op runs on lanes of the pinned CSR."""
+    (lane sets by values key, bounded in bytes) and its task counters.  It
+    holds no translation: every op runs on lanes of the pinned CSR."""
 
     def __init__(
         self,
-        cache_maxsize: int = FORMAT_CACHE_MAXSIZE,
         max_frame_bytes: int | None = None,
         auth_token: str | None = None,
         store_bytes: int = DEFAULT_STORE_BYTES,
     ):
-        #: Lane arrays by (builder, pattern key, values key, precision), at
-        #: most ``cache_maxsize`` sets, and the LRU's counters.
-        self.cache_maxsize = int(cache_maxsize)
-        self._lane_cache: OrderedDict[tuple, tuple] = OrderedDict()
-        self._lane_stats = {"hits": 0, "misses": 0, "evictions": 0}
-        #: The shape each pinned pattern bundle was checked for; an entry
-        #: goes with its bundle.
+        #: Lane sets by (builder, values key, precision).
+        self._lanes = lane_cache()
+        #: The shape each pinned pattern bundle was checked for, and the
+        #: values key last pushed for it; both go with the pattern bundle.
         self._pattern_shapes: dict[str, tuple] = {}
+        self._pattern_values: dict[str, str] = {}
         #: Pin store: CSR bundles and dense operand panels the head pushed
         #: once, referenced by key per task.
         self.store = PinnedStore(budget_bytes=store_bytes)
@@ -134,7 +131,7 @@ class WorkerHost:
     # --------------------------------------------------------------- helpers
     def _status(self) -> dict:
         return {
-            "cache": dict(self._lane_stats, size=len(self._lane_cache)),
+            "cache": self._lanes.stats(),
             "store": self.store.stats(),
             "tasks_done": self.tasks_done,
             "frames_oversized": self.frames_oversized,
@@ -145,53 +142,45 @@ class WorkerHost:
             },
         }
 
-    def _lanes(self, header: dict, op, indptr, indices, data, precision: str) -> tuple:
-        """The op's whole-matrix lane arrays for the pinned values, built
-        once per (builder, values, pattern, precision) — SDDMM and the
-        fused layer share a builder, so they share the set — and kept in a
-        small LRU: a stream of fresh values then reuses the memory of the
-        lanes it evicts instead of growing the host by a lane set per
-        request."""
-        key = (op.csr_lanes, header["store_structure"], header["store_values"], precision)
-        lanes = self._lane_cache.get(key)
-        if lanes is None:
-            self._lane_stats["misses"] += 1
-            lanes = self._lane_cache[key] = op.csr_lanes(indptr, indices, data, precision)
-            while len(self._lane_cache) > self.cache_maxsize:
-                self._lane_cache.popitem(last=False)
-                self._lane_stats["evictions"] += 1
-        else:
-            self._lane_stats["hits"] += 1
-            self._lane_cache.move_to_end(key)
-        return lanes
-
     def _pin(self, header: dict, arrays: list, evicted: list) -> None:
         """Pin the bundles the task frame pushed, in buffer order,
         collecting the keys each put evicted into ``evicted``.  The task's
-        pattern is checked for the header's shape before it is pinned."""
+        pattern is checked for the header's shape before it is pinned.
+        Values pushed for a pinned pattern supersede its previous values,
+        which are unpinned (and listed in ``evicted``) unless a task holds
+        them: a stream of fresh values keeps one values bundle per
+        pattern."""
         offset = 0
+        pattern = header.get("store_structure")
         for key, count in header.get("push") or ():
             key, count = str(key), int(count)
             bundle = arrays[offset : offset + count]
             if len(bundle) != count:
                 raise ValueError(f"push of {key!r} names {count} arrays past the frame's end")
             offset += count
-            if key == header.get("store_structure"):
+            if key == pattern:
                 shape = tuple(int(n) for n in header["shape"])
                 indptr, indices = bundle
                 evicted += self.store.put(key, check_csr_structure(indptr, indices, shape))
                 self._pattern_shapes[key] = shape
+                self._pattern_values.pop(key, None)
             else:
                 evicted += self.store.put(key, bundle)
+                if key == header.get("store_values") and pattern in self.store:
+                    previous = self._pattern_values.get(pattern, key)
+                    if previous != key:
+                        evicted += self.store.discard(previous)
+                    self._pattern_values[pattern] = key
         self._forget(*evicted)
         if offset != len(arrays):
             raise ValueError(f"task frame carries {len(arrays) - offset} unnamed buffers")
 
     def _forget(self, *keys: str) -> None:
-        """Drop the checked shapes of bundles no longer pinned."""
+        """Drop the records of pattern bundles no longer pinned."""
         for key in keys:
             if key not in self.store:
                 self._pattern_shapes.pop(key, None)
+                self._pattern_values.pop(key, None)
 
     # ------------------------------------------------------------ task bodies
     def run_task(self, header: dict, arrays=()) -> tuple[dict, list]:
@@ -268,7 +257,8 @@ class WorkerHost:
                 f"values bundle holds {data.shape[0]} values for {indptr[-1]} entries"
             )
         r = ShardRange(int(header["lo"]), int(header["hi"]), int(header["w0"]), int(header["w1"]))
-        source = self._lanes(header, op, indptr, indices, data, params["precision"])
+        arrays = (indptr, indices, data)
+        source = op.lanes(self._lanes, header["store_values"], arrays, params["precision"])
         sliced = op.slice(source, r, kind.vector_size)
         outputs, timings = op.run(sliced, operands, params)
         reply = {"type": "result", "row0": sliced["row0"]}
@@ -358,7 +348,6 @@ def run_worker(
     host: str = "127.0.0.1",
     port: int = 0,
     ready=None,
-    cache_maxsize: int = FORMAT_CACHE_MAXSIZE,
     max_frame_bytes: int | None = None,
     socket_wrapper=None,
     auth_token: str | None = None,
@@ -388,7 +377,6 @@ def run_worker(
     ``store_bytes`` budgets the pin store (push/pin).
     """
     state = WorkerHost(
-        cache_maxsize=cache_maxsize,
         max_frame_bytes=max_frame_bytes,
         auth_token=auth_token,
         store_bytes=store_bytes,
@@ -443,12 +431,6 @@ def main(argv=None) -> None:  # pragma: no cover - thin CLI wrapper
     parser.add_argument("--host", default="127.0.0.1", help="interface to bind")
     parser.add_argument("--port", type=int, default=0, help="port (0 = kernel-picked)")
     parser.add_argument(
-        "--cache-size",
-        type=int,
-        default=FORMAT_CACHE_MAXSIZE,
-        help="lane-cache capacity (lane sets of pinned matrices)",
-    )
-    parser.add_argument(
         "--max-frame-bytes",
         type=int,
         default=None,
@@ -484,7 +466,6 @@ def main(argv=None) -> None:  # pragma: no cover - thin CLI wrapper
         host=args.host,
         port=args.port,
         ready=lambda addr: print(f"worker host listening on {addr[0]}:{addr[1]}", flush=True),
-        cache_maxsize=args.cache_size,
         max_frame_bytes=args.max_frame_bytes,
         auth_token=args.auth_token,
         tls_cert=args.tls_cert,

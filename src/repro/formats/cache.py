@@ -47,6 +47,9 @@ partition object — which the serving plan cache keys on — is shared by
 every translation of the pattern.  Structure entries pin no source matrix.
 Identity-only callers never touch them.
 
+The cache is the package's one LRU (:class:`repro.utils.lru.LRU`), every
+entry one unit of :data:`FORMAT_CACHE_MAXSIZE`.
+
 Observability
 -------------
 The cache counts hits, misses and evictions (:meth:`TranslationCache.stats`,
@@ -57,9 +60,7 @@ report translation-dedup effectiveness.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from threading import RLock
 from typing import Callable
 
 from repro.formats.blocked import BlockedVectorFormat
@@ -68,9 +69,11 @@ from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
 from repro.formats.windows import WindowPartition, partition_windows
 from repro.precision.types import Precision
+from repro.utils.lru import LRU
 
-#: Maximum number of cached translations (each entry pins its source CSR and
-#: the translated format in memory, so the cap bounds the working set).
+#: Maximum number of cache entries — translations, identity aliases and
+#: partitions (each entry pins its source CSR and the translated format in
+#: memory, so the cap bounds the working set).
 FORMAT_CACHE_MAXSIZE = 32
 
 
@@ -106,32 +109,23 @@ class CacheStats:
 
 
 class TranslationCache:
-    """LRU of CSR → blocked-format translations with hit/miss accounting.
+    """LRU of CSR → blocked-format translations with hit/miss accounting:
+    the package's one LRU (:class:`repro.utils.lru.LRU`), one unit per
+    entry, ``maxsize`` units.
 
     A module-level default instance backs the ``cached_*`` functions; the
     class is separate so tests (and a future per-server cache) can hold an
-    isolated instance.  All operations take the instance lock — the serving
+    isolated instance.  All operations take the LRU's lock — the serving
     frontend looks up translations from its dispatch thread while clients
     submit from theirs.
     """
 
     def __init__(self, maxsize: int = FORMAT_CACHE_MAXSIZE):
         self.maxsize = int(maxsize)
-        self._cache: "OrderedDict[tuple, tuple[CSRMatrix | None, object]]" = OrderedDict()
-        self._lock = RLock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        #: ``key → (source CSR or None, translation or partition)``.
+        self._entries = LRU(self.maxsize)
         self._content_hits = 0
         self._structure_hits = 0
-
-    # ------------------------------------------------------------- internals
-    def _store(self, key: tuple, source: CSRMatrix | None, fmt: object) -> None:
-        self._cache[key] = (source, fmt)
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.maxsize:
-            self._cache.popitem(last=False)
-            self._evictions += 1
 
     def lookup(
         self,
@@ -141,30 +135,29 @@ class TranslationCache:
         content_key: tuple | None = None,
     ):
         """Return the cached translation for ``key``, building it on a miss."""
-        with self._lock:
-            entry = self._cache.get(key)
+        entries = self._entries
+        with entries.lock:
+            entry = entries.get(key)
             if entry is not None and entry[0] is source:
-                self._cache.move_to_end(key)
-                self._hits += 1
+                entries.hits += 1
                 return entry[1]
             if content_key is not None:
                 # Content entries pin no source: equality is established by
                 # the digest, not by object identity, so any equal matrix may
                 # hit.
-                entry = self._cache.get(content_key)
+                entry = entries.get(content_key)
                 if entry is not None:
-                    self._cache.move_to_end(content_key)
                     # Alias this object's identity key to the shared
                     # translation so its next lookup skips the hash entirely.
-                    self._store(key, source, entry[1])
-                    self._hits += 1
+                    entries.put(key, (source, entry[1]))
+                    entries.hits += 1
                     self._content_hits += 1
                     return entry[1]
             fmt = build()
-            self._misses += 1
-            self._store(key, source, fmt)
+            entries.misses += 1
+            entries.put(key, (source, fmt))
             if content_key is not None:
-                self._store(content_key, None, fmt)
+                entries.put(content_key, (None, fmt))
             return fmt
 
     def partition(self, matrix: CSRMatrix, vector_size: int) -> WindowPartition:
@@ -172,43 +165,37 @@ class TranslationCache:
         :meth:`~repro.formats.csr.CSRMatrix.structure_key` (see the module
         docstring): built on the pattern's first use, shared after."""
         key = ("structure", matrix.structure_key(), int(vector_size))
-        with self._lock:
-            entry = self._cache.get(key)
+        with self._entries.lock:
+            entry = self._entries.get(key)
             if entry is not None:
-                self._cache.move_to_end(key)
                 self._structure_hits += 1
                 return entry[1]
             partition = partition_windows(matrix, vector_size)
-            self._store(key, None, partition)
+            self._entries.put(key, (None, partition))
             return partition
 
     # ------------------------------------------------------------ public API
     def stats(self) -> CacheStats:
         """Snapshot of the hit/miss/eviction counters."""
-        with self._lock:
+        with self._entries.lock:
             return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
+                **self._entries.stats(),
                 content_hits=self._content_hits,
-                size=len(self._cache),
                 structure_hits=self._structure_hits,
             )
 
     def reset_stats(self) -> None:
         """Zero the counters (entries are kept)."""
-        with self._lock:
-            self._hits = self._misses = self._evictions = 0
+        with self._entries.lock:
+            self._entries.hits = self._entries.misses = self._entries.evictions = 0
             self._content_hits = self._structure_hits = 0
 
     def clear(self) -> None:
         """Drop every cached translation (and the pinned source matrices)."""
-        with self._lock:
-            self._cache.clear()
+        self._entries.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._cache)
+        return len(self._entries)
 
 
 #: The process-wide default cache every kernel entry point goes through.

@@ -10,6 +10,7 @@ import numpy as np
 from repro.formats.blocked import BlockedVectorFormat
 from repro.gpu.counters import CostCounter
 from repro.precision.types import Precision
+from repro.utils.lru import LRU
 
 #: Execution engines accepted by :class:`FlashSparseConfig`.
 ENGINES: tuple[str, ...] = ("batched", "reference")
@@ -31,16 +32,12 @@ def memoised_cost(
     histogram — and their settings, never the values, so every translation
     of one pattern shares the memo, a values-only request's included.  It
     lives on the partition under the no-mutation contract of the format's
-    other caches; ``key`` must name everything else the counter reads.
+    other caches, as an :class:`~repro.utils.lru.LRU` of
+    ``_COST_MEMO_SIZE`` counters; ``key`` must name everything else the
+    counter reads.
     """
-    memo: dict = fmt.partition.__dict__.setdefault("_cost_memo", {})
-    counter = memo.get(key)
-    if counter is None:
-        counter = compute()
-        if len(memo) >= _COST_MEMO_SIZE:
-            memo.pop(next(iter(memo), None), None)
-        memo[key] = counter
-    return counter.copy()
+    memo = fmt.partition.__dict__.setdefault("_cost_memo", LRU(_COST_MEMO_SIZE))
+    return memo.lookup(key, compute).copy()
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ import scipy.sparse as sp
 from repro.formats.blocked import BlockedVectorFormat
 from repro.ops import segment_ids, segment_softmax
 from repro.precision.types import Precision, dtype_for, quantize
+from repro.utils.lru import LRU, total_nbytes
 
 
 def spmm_bytes_per_block(vector_size: int, group: int, n_dense: int) -> int:
@@ -409,11 +410,11 @@ def layer_shard_rows(
 # — executes a shard as ``op.run(op.slice(source, r, v), operands, params)``
 # and differs only in where ``source`` comes from.  For every op it is the
 # whole matrix's ``(values, columns, offsets)`` built straight from the CSR
-# arrays (``op.csr_lanes``, :func:`csr_lanes`): a carrier that holds the
-# translation gets it from :meth:`ShardOp.source`, once per CSR content and
-# precision, and a worker host builds it from the bundles the head pinned
-# there, once per values and precision.  SDDMM and the fused layer read the
-# same set — the stored values, unquantised, are the mask of both — and
+# arrays (``op.csr_lanes``, :func:`csr_lanes`), which every carrier gets
+# from :meth:`ShardOp.lanes` over its own :func:`lane_cache`: built once
+# per values and precision — from the request's CSR in process, from the
+# bundles the head pinned on a worker host.  SDDMM and the fused layer read
+# the same set — the stored values, unquantised, are the mask of both — and
 # SpMM its nonzeros, quantised.
 #
 # ``params`` are the request's settings as :func:`shard_params` returns
@@ -578,22 +579,17 @@ class ShardOp:
     csr_lanes: Callable[..., tuple]
     sddmm: bool = False
 
-    def source(self, fmt: BlockedVectorFormat, csr, precision: Precision | str) -> tuple:
-        """What :attr:`slice` cuts, for a carrier that holds ``fmt``, the
-        translation of the CSR matrix ``csr``: :attr:`csr_lanes` of
-        ``csr``, kept on ``fmt`` per builder and precision for the last CSR
-        content seen — translations are cached by content, so a warm
-        content key costs no cast, and another matrix's values on the same
-        translation are a rebuild, never a stale hit."""
-        cache: dict = fmt.__dict__.setdefault("_csr_lanes_cache", {})
-        key, content = (self.csr_lanes, Precision(precision)), csr.content_key()
-        kept = cache.get(key)
-        if kept is None or kept[0] != content:
-            kept = cache[key] = (
-                content,
-                self.csr_lanes(csr.indptr, csr.indices, csr.data, precision),
-            )
-        return kept[1]
+    def lanes(self, cache: LRU, values_key, arrays: tuple, precision: Precision | str) -> tuple:
+        """What :attr:`slice` cuts: :attr:`csr_lanes` of the CSR ``arrays``
+        ``(indptr, indices, data)``, built once per (builder, ``values_key``,
+        precision) in the carrier's ``cache`` (:func:`lane_cache`).
+        ``values_key`` names the pattern and values — ``csr.content_key()``
+        in process, the ``vals`` store key on a worker host — so new values
+        are a rebuild, never a stale hit.  SDDMM and the fused layer share a
+        builder, and so a set."""
+        precision = Precision(precision)
+        key = (self.csr_lanes, values_key, precision)
+        return cache.lookup(key, lambda: self.csr_lanes(*arrays, precision))
 
     def plan(
         self,
@@ -627,6 +623,17 @@ class ShardOp:
         rows, row0 = outputs[0], sliced["row0"]
         stop = min(row0 + rows.shape[0], out.shape[0])
         out[row0:stop] = rows[: stop - row0]
+
+
+#: Byte budget of one carrier's lane sets (:meth:`ShardOp.lanes`): a set is
+#: 0.33 MiB at the cluster workloads' 4096 rows and 0.66 MiB at 8192.
+LANE_CACHE_BYTES = 8 * 1024 * 1024
+
+
+def lane_cache() -> LRU:
+    """One carrier's lane sets: an LRU of :data:`LANE_CACHE_BYTES`, each set
+    charged the bytes of all its arrays."""
+    return LRU(LANE_CACHE_BYTES, total_nbytes)
 
 
 #: The served kernels, by the ``op`` name task dicts and frame headers carry.

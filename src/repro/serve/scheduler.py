@@ -5,8 +5,8 @@ One request is cut into window-aligned shards
 after another in the calling process: the operands are quantised once,
 then for each range the op's entry in the engine's shard table
 (:data:`repro.kernels.engine.SHARD_OPS`) slices the shard out of the op's
-source (``op.source``: lane arrays built from the request's CSR, kept on
-the translation), runs it and places its output rows into one zeroed
+lanes (``op.lanes``: lane arrays of the request's CSR, kept in the
+scheduler's lane cache), runs it and places its output rows into one zeroed
 output array — or, when one shard covers the request, its rows are the
 output.  An SDDMM output is one value per CSR entry until
 :meth:`~ShardScheduler.run_sddmm` scatters it into the translation's
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
-from repro.kernels.engine import SHARD_OPS, shard_params
+from repro.kernels.engine import SHARD_OPS, lane_cache, shard_params
 from repro.precision.types import Precision, quantize
 
 
@@ -51,6 +51,8 @@ class ShardScheduler:
         #: any thread.
         self.stats = {"shards": 0, "requests": 0}
         self._stats_lock = threading.Lock()
+        #: Lane sets by (builder, content key, precision).
+        self._lanes = lane_cache()
 
     def close(self) -> None:
         """Nothing to release; kept for the scheduler interface."""
@@ -80,10 +82,9 @@ class ShardScheduler:
         for single-stage ops).
 
         The operands arrive unquantised and are quantised here, once per
-        request, each in its own dtype.  The shards slice the op's source
-        (``op.source``: lanes of ``csr`` kept on ``fmt``).  A plan of one
-        shard covers every output row from row 0, so its rows are the
-        output as they are.
+        request, each in its own dtype.  The shards slice the op's lanes of
+        ``csr`` (``op.lanes``).  A plan of one shard covers every output row
+        from row 0, so its rows are the output as they are.
         """
         op = SHARD_OPS[op_name]
         operands = [quantize(operand, params["precision"]) for operand in operands]
@@ -92,7 +93,10 @@ class ShardScheduler:
         self._count("shards", len(ranges))
         stage_seconds = {"sddmm_s": 0.0, "edge_softmax_s": 0.0, "spmm_s": 0.0}
         out = None if len(ranges) == 1 else np.zeros(out_shape, dtype=np.float32)
-        source = op.source(fmt, csr, params["precision"]) if ranges else None
+        source = None
+        if ranges:
+            arrays = (csr.indptr, csr.indices, csr.data)
+            source = op.lanes(self._lanes, csr.content_key(), arrays, params["precision"])
         for r in ranges:
             sliced = op.slice(source, r, fmt.vector_size)
             outputs, timings = op.run(sliced, operands, params)

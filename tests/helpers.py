@@ -201,12 +201,13 @@ def run_sharded(
     is the matrix ``fmt`` translates, whose lane arrays the shards slice.
     An SDDMM result, one value per CSR entry, is scattered into the
     ``vector_values`` layout as both schedulers scatter it."""
-    from repro.kernels.engine import SHARD_OPS
+    from repro.kernels.engine import SHARD_OPS, lane_cache
 
     op = SHARD_OPS[op_name]
     ranges, out_shape = op.plan(fmt, operands, group, shards, target_blocks)
     out = np.zeros(out_shape, dtype=np.float32)
-    source = op.source(fmt, csr, params["precision"])
+    arrays = (csr.indptr, csr.indices, csr.data)
+    source = op.lanes(lane_cache(), csr.content_key(), arrays, params["precision"])
     for r in ranges:
         sliced = op.slice(source, r, fmt.vector_size)
         outputs, _ = op.run(sliced, operands, params)

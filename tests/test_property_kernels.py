@@ -195,7 +195,7 @@ def test_every_view_of_the_format_is_a_gather_through_the_entry_map(case, target
     )
     layer = engine.SHARD_OPS["layer"]
     ranges, _ = layer.plan(fmt, [np.zeros((csr.shape[1], 1))], None, 1, target)
-    source = layer.source(fmt, csr.with_values(edges), fmt.precision)
+    source = layer.lanes(engine.lane_cache(), 0, (csr.indptr, csr.indices, edges), fmt.precision)
     for r in ranges:
         sliced = layer.slice(source, r, fmt.vector_size)
         e0 = csr.indptr[sliced["row0"]]

@@ -23,7 +23,7 @@ from repro.core.api import FlashSparseMatrix, spmm
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.gpu.device import RTX4090, GPUSpec
 from repro.gpu.memory import MemoryBudget, derive_budget
-from repro.kernels.engine import SHARD_OPS, spmm_bytes_per_block
+from repro.kernels.engine import SHARD_OPS, lane_cache, spmm_bytes_per_block
 from repro.serve import Server
 from repro.serve.planner import plan_sddmm, plan_spmm
 
@@ -142,7 +142,8 @@ def test_planner_budget_enforced_by_tracemalloc():
     ranges, _ = op.plan(fmt, [b_q], None, 1, plan.block_chunk)
     assert len(ranges) == plan.num_shards
     params = {"precision": "fp16"}
-    source = op.source(fmt, fmt.to_csr(), "fp16")  # builds the lanes
+    back = fmt.to_csr()
+    source = op.lanes(lane_cache(), 0, (back.indptr, back.indices, back.data), "fp16")  # builds
     sliced = [op.slice(source, r, fmt.vector_size) for r in ranges]
     op.run(sliced[0], [b_q], params)  # warm
 

@@ -18,7 +18,7 @@ from helpers import random_csr
 
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
-from repro.kernels.engine import SHARD_OPS, shard_params, window_aligned_ranges
+from repro.kernels.engine import SHARD_OPS, lane_cache, shard_params, window_aligned_ranges
 from repro.precision.types import Precision, quantize
 from repro.serve.program import attention_csr, gather_edge_values
 
@@ -104,7 +104,7 @@ def test_window_aligned_shards_never_split_a_softmax_row_segment(seed, target):
     ranges = window_aligned_ranges(batch.window_offsets, target)
     v = fmt.partition.vector_size
     n_rows = csr.shape[0]
-    source = SHARD_OPS["layer"].source(fmt, csr, "fp16")
+    source = SHARD_OPS["layer"].lanes(lane_cache(), 0, (csr.indptr, csr.indices, csr.data), "fp16")
     covered_entries = 0
     prev_w1 = 0
     for shard in ranges:

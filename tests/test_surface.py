@@ -26,9 +26,9 @@ EXPORT_BUDGET = {
     "repro.gnn": 19,
 }
 
-#: Upper bounds on constructor parameters (``self`` excluded), and on the
+#: Upper bounds on constructor parameters (``self`` excluded), on the
 #: parameters of the request methods (``Class.method``), so a dispatch knob
-#: cannot return to ``submit_*`` unseen.
+#: cannot return to ``submit_*`` unseen, and on a few functions'.
 OPTION_BUDGET = {
     ("repro.serve", "Server"): 8,
     ("repro.serve", "Server.submit_spmm"): 3,
@@ -42,6 +42,8 @@ OPTION_BUDGET = {
     ("repro.cluster", "ClusterScheduler.run_spmm"): 7,
     ("repro.cluster", "ClusterScheduler.run_sddmm"): 10,
     ("repro.cluster", "ClusterScheduler.run_layer"): 11,
+    ("repro.cluster", "WorkerHost"): 3,
+    ("repro.cluster", "run_worker"): 11,
     ("repro.gnn", "SparseBackend"): 8,
 }
 
@@ -69,8 +71,18 @@ def test_constructor_options_stay_within_budget(module, name):
         target = getattr(target, part)
     if inspect.isclass(target):
         target = target.__init__
-    params = list(inspect.signature(target).parameters)[1:]
+    params = [p for p in inspect.signature(target).parameters if p != "self"]
     assert len(params) <= OPTION_BUDGET[(module, name)]
+
+
+def test_worker_cli_lists_the_worker_options(capsys):
+    from repro.cluster.worker import main
+
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--store-bytes" in usage and "--cache-size" not in usage
 
 
 @pytest.mark.parametrize("module, name", sorted(FIELD_BUDGET))

@@ -289,6 +289,49 @@ def test_worker_builds_lanes_once_per_values_and_precision(monkeypatch):
     assert built == ["fp16", "fp16", "tf32"]
 
 
+def test_fresh_values_leave_one_values_bundle_per_pattern():
+    """New values pushed for a pinned pattern unpin its previous values and
+    name them in the reply's ``evicted``; a pattern pushed again starts
+    its values afresh."""
+    csr = random_csr(50, 40, 0.1, seed=13)
+    b = quantize(np.random.default_rng(13).standard_normal((40, 3)), "fp16")
+    host = WorkerHost()
+    header, arrays = _task(csr, "spmm", [b])
+    assert host.run_task(header, arrays)[0]["type"] == "result"
+    previous = header["store_values"]
+    for scale in (2, 3, 4):
+        fresh = csr.with_values(csr.data * scale)
+        header, _ = _task(fresh, "spmm", [b])
+        # What a head sends once the pattern and panel are pinned: the values.
+        header["push"] = [[header["store_values"], 1]]
+        reply, (rows,) = host.run_task(header, [fresh.data])
+        assert reply["type"] == "result" and reply["evicted"] == [previous]
+        np.testing.assert_array_equal(rows, repro.spmm(fresh, b).values)
+        assert [key for key in host.store.keys() if key.startswith("vals/")] == [
+            header["store_values"]
+        ]
+        previous = header["store_values"]
+
+
+def test_alternating_values_on_one_pattern_stay_exact():
+    csr = random_csr(90, 80, 0.08, seed=14)
+    other = csr.with_values(-2 * csr.data)
+    rng = np.random.default_rng(14)
+    a, b = rng.standard_normal((90, 4)), rng.standard_normal((80, 4))
+    with ClusterScheduler(hosts=1) as sched:
+        for matrix in (csr, other) * 3:
+            fmt = MEBCRSMatrix.from_csr(matrix, precision="fp16")
+            np.testing.assert_array_equal(
+                sched.run_spmm(fmt, b, Precision.FP16, csr=matrix), repro.spmm(matrix, b).values
+            )
+            np.testing.assert_array_equal(
+                sched.run_layer(fmt, a, b, b, Precision.FP16, csr=matrix, scale=0.5)[0],
+                composed_layer(matrix, a, b, b, scale=0.5),
+            )
+        (host,) = sched.stats_snapshot()["hosts"].values()
+    assert host["store_misses"] == 0
+
+
 @pytest.mark.parametrize("op_name", ["spmm", "layer"])
 @pytest.mark.parametrize("fault", ["indptr", "index", "values"])
 def test_corrupt_bundles_are_task_errors(monkeypatch, op_name, fault):
@@ -395,10 +438,10 @@ def test_float64_panel_is_quantised_in_its_own_dtype():
 
 
 # ------------------------------------------------------ satellites
-def test_lanes_kept_on_a_translation_follow_the_csr_values():
-    """A translation keeps its carriers' lane sets, and another matrix's
-    values on the same translation are a rebuild, not the first matrix's
-    lanes."""
+def test_lanes_follow_the_csr_content_key():
+    """A carrier keeps lane sets by the CSR's content key, so another
+    matrix's values on the same translation are a rebuild, not the first
+    matrix's lanes."""
     csr = random_csr(80, 70, 0.1, seed=12)
     rng = np.random.default_rng(12)
     a, b = rng.standard_normal((80, 5)), rng.standard_normal((70, 5))
