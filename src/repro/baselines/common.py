@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
-from repro.kernels.common import SddmmKernelResult, SpmmKernelResult
+from repro.kernels.common import SddmmResult, SpmmResult
 from repro.ops import segment_ids
 from repro.perfmodel.model import KernelProfile, sddmm_useful_flops, spmm_useful_flops
 from repro.precision.types import Precision
@@ -40,9 +40,9 @@ class Baseline:
     granularity: str  # "CUDA cores", "16x1 on TCU", ...
     profile: KernelProfile
     spmm_cost: Callable[[CSRMatrix, int], CostCounter]
-    spmm_execute: Callable[[CSRMatrix, np.ndarray], SpmmKernelResult] | None = None
+    spmm_execute: Callable[[CSRMatrix, np.ndarray], SpmmResult] | None = None
     sddmm_cost: Callable[[CSRMatrix, int], CostCounter] | None = None
-    sddmm_execute: Callable[[CSRMatrix, np.ndarray, np.ndarray], SddmmKernelResult] | None = None
+    sddmm_execute: Callable[[CSRMatrix, np.ndarray, np.ndarray], SddmmResult] | None = None
     notes: str = field(default="")
 
     @property
@@ -69,13 +69,13 @@ def csr_sddmm_reference(matrix: CSRMatrix, a: np.ndarray, b: np.ndarray) -> CSRM
 
 def make_spmm_execute(
     name: str, cost_fn: Callable[[CSRMatrix, int], CostCounter]
-) -> Callable[[CSRMatrix, np.ndarray], SpmmKernelResult]:
+) -> Callable[[CSRMatrix, np.ndarray], SpmmResult]:
     """Wrap a cost function into an execute function returning values + costs."""
 
-    def execute(matrix: CSRMatrix, b: np.ndarray) -> SpmmKernelResult:
+    def execute(matrix: CSRMatrix, b: np.ndarray) -> SpmmResult:
         values = csr_spmm_reference(matrix, b)
         counter = cost_fn(matrix, int(np.asarray(b).shape[1]))
-        return SpmmKernelResult(
+        return SpmmResult(
             values=values,
             counter=counter,
             kernel=name,
@@ -88,16 +88,16 @@ def make_spmm_execute(
 
 def make_sddmm_execute(
     name: str, cost_fn: Callable[[CSRMatrix, int], CostCounter]
-) -> Callable[[CSRMatrix, np.ndarray, np.ndarray], SddmmKernelResult]:
+) -> Callable[[CSRMatrix, np.ndarray, np.ndarray], SddmmResult]:
     """Wrap an SDDMM cost function into an execute function."""
     from repro.formats.mebcrs import MEBCRSMatrix
 
-    def execute(matrix: CSRMatrix, a: np.ndarray, b: np.ndarray) -> SddmmKernelResult:
+    def execute(matrix: CSRMatrix, a: np.ndarray, b: np.ndarray) -> SddmmResult:
         sampled = csr_sddmm_reference(matrix, a, b)
         counter = cost_fn(matrix, int(np.asarray(a).shape[1]))
         # Package the CSR output in a blocked container for API parity.
         blocked = MEBCRSMatrix.from_csr(sampled, precision=Precision.FP32, k=8)
-        return SddmmKernelResult(
+        return SddmmResult(
             output=blocked,
             counter=counter,
             kernel=name,

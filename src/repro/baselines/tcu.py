@@ -24,7 +24,7 @@ from repro.baselines.common import Baseline
 from repro.formats.csr import CSRMatrix
 from repro.formats.sgt16 import SGT16Matrix
 from repro.gpu.counters import CostCounter
-from repro.kernels.common import FlashSparseConfig, SpmmKernelResult, SddmmKernelResult
+from repro.kernels.common import FlashSparseConfig, SpmmResult, SddmmResult
 from repro.kernels.granularity import TCU16, ceil_div
 from repro.kernels.sddmm_tcu16 import sddmm_tcu16_cost, sddmm_tcu16_execute
 from repro.kernels.spmm_tcu16 import spmm_tcu16_cost, spmm_tcu16_execute
@@ -64,7 +64,7 @@ def dtc_spmm_cost(matrix: CSRMatrix | SGT16Matrix, n_dense: int) -> CostCounter:
     return spmm_tcu16_cost(matrix, n_dense, config, api="mma")
 
 
-def dtc_spmm_execute(matrix: CSRMatrix | SGT16Matrix, b: np.ndarray) -> SpmmKernelResult:
+def dtc_spmm_execute(matrix: CSRMatrix | SGT16Matrix, b: np.ndarray) -> SpmmResult:
     """Execute DTC-SpMM (numerics + cost)."""
     config = _TCU16_BATCHED_CONFIG
     result = spmm_tcu16_execute(matrix, b, config, api="mma")
@@ -119,7 +119,7 @@ def tcgnn_spmm_cost(matrix: CSRMatrix | SGT16Matrix, n_dense: int) -> CostCounte
     return counter
 
 
-def tcgnn_spmm_execute(matrix: CSRMatrix | SGT16Matrix, b: np.ndarray) -> SpmmKernelResult:
+def tcgnn_spmm_execute(matrix: CSRMatrix | SGT16Matrix, b: np.ndarray) -> SpmmResult:
     """Execute TC-GNN's SpMM (numerics + cost including position checks)."""
     config = _TCU16_BATCHED_CONFIG
     result = spmm_tcu16_execute(matrix, b, config, api="wmma")
@@ -139,7 +139,7 @@ def tcgnn_sddmm_cost(matrix: CSRMatrix | SGT16Matrix, k_dense: int) -> CostCount
     return counter
 
 
-def tcgnn_sddmm_execute(matrix: CSRMatrix | SGT16Matrix, a: np.ndarray, b: np.ndarray) -> SddmmKernelResult:
+def tcgnn_sddmm_execute(matrix: CSRMatrix | SGT16Matrix, a: np.ndarray, b: np.ndarray) -> SddmmResult:
     """Execute TC-GNN's SDDMM (numerics + cost)."""
     config = _TCU16_BATCHED_CONFIG
     result = sddmm_tcu16_execute(matrix, a, b, config)

@@ -44,9 +44,15 @@ rates, transport bytes).
 In tests and benchmarks the hosts are loopback subprocesses; on real
 machines run ``python -m repro.cluster.worker`` per host and hand the
 addresses to :class:`ClusterScheduler`.
+
+The package exports what a caller uses: the scheduler, its
+:class:`RetryPolicy`, the :class:`HostHealth` states its snapshots report,
+:func:`run_worker`, and the errors a public call can raise.  The
+machinery — the pin store, the frame codec, the handshakes, assembly,
+metrics — is reached through its own module.  (A ``store_miss`` never
+reaches a caller: the head runs that shard in-parent instead.)
 """
 
-from repro.cluster.assembly import SpmmAssembly
 from repro.cluster.errors import (
     AssemblyError,
     ClusterError,
@@ -54,15 +60,8 @@ from repro.cluster.errors import (
     MembershipError,
     WorkerTaskError,
 )
-from repro.cluster.head import ClusterScheduler, HostState, rendezvous_rank
-from repro.cluster.membership import HostHealth, MembershipProbe
-from repro.cluster.metrics import ClusterMetrics
-from repro.cluster.store import (
-    PinnedStore,
-    StoreMissError,
-    make_store_key,
-    operand_store_key,
-)
+from repro.cluster.head import ClusterScheduler
+from repro.cluster.membership import HostHealth
 from repro.cluster.transport import (
     AuthenticationError,
     ConnectionClosedError,
@@ -72,46 +71,25 @@ from repro.cluster.transport import (
     RetryPolicy,
     TransportError,
     VersionMismatchError,
-    client_handshake,
-    make_client_ssl_context,
-    make_server_ssl_context,
-    recv_message,
-    send_message,
-    server_handshake,
 )
 from repro.cluster.worker import WorkerHost, run_worker
 
 __all__ = [
-    "AssemblyError",
-    "AuthenticationError",
-    "ClusterError",
-    "ClusterMetrics",
     "ClusterScheduler",
-    "ConnectionClosedError",
-    "FrameIntegrityError",
-    "FrameTooLargeError",
-    "HandshakeError",
-    "HostDeadError",
-    "HostHealth",
-    "HostState",
-    "MembershipError",
-    "MembershipProbe",
-    "PinnedStore",
     "RetryPolicy",
-    "SpmmAssembly",
-    "StoreMissError",
-    "TransportError",
-    "VersionMismatchError",
-    "WorkerHost",
-    "WorkerTaskError",
-    "client_handshake",
-    "make_client_ssl_context",
-    "make_server_ssl_context",
-    "make_store_key",
-    "operand_store_key",
-    "recv_message",
-    "rendezvous_rank",
+    "HostHealth",
     "run_worker",
-    "send_message",
-    "server_handshake",
+    # The errors a public call can raise.
+    "ClusterError",
+    "HostDeadError",
+    "MembershipError",
+    "WorkerTaskError",
+    "AssemblyError",
+    "TransportError",
+    "ConnectionClosedError",
+    "FrameTooLargeError",
+    "FrameIntegrityError",
+    "HandshakeError",
+    "AuthenticationError",
+    "VersionMismatchError",
 ]

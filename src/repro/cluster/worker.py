@@ -8,7 +8,8 @@ of :mod:`repro.cluster.transport`.  Per task it
    :class:`~repro.formats.csr.CSRMatrix`'s checks
    (:func:`~repro.formats.csr.check_csr_structure`) for the header's shape
    once, here, and the checked arrays are what is pinned; new values unpin
-   the pattern's previous ones — and acquires every key the task names:
+   the pattern's previous ones, and a values bundle that leaves the store
+   takes its lane sets with it — and acquires every key the task names:
    the matrix's pattern and values and the dense panels (already quantised
    by the head),
 2. checks the matrix: the header's shape must be the one its pattern was
@@ -176,11 +177,15 @@ class WorkerHost:
             raise ValueError(f"task frame carries {len(arrays) - offset} unnamed buffers")
 
     def _forget(self, *keys: str) -> None:
-        """Drop the records of pattern bundles no longer pinned."""
-        for key in keys:
-            if key not in self.store:
-                self._pattern_shapes.pop(key, None)
-                self._pattern_values.pop(key, None)
+        """Drop what was kept for bundles no longer pinned: a pattern's
+        records, and the lane sets built from a values bundle."""
+        gone = {key for key in keys if key not in self.store}
+        for key in gone:
+            self._pattern_shapes.pop(key, None)
+            self._pattern_values.pop(key, None)
+        if gone:
+            # A lane set is keyed (builder, values key, precision).
+            self._lanes.discard(*(lane for lane in self._lanes.keys() if lane[1] in gone))
 
     # ------------------------------------------------------------ task bodies
     def run_task(self, header: dict, arrays=()) -> tuple[dict, list]:

@@ -2,11 +2,18 @@
 
 The typical flow mirrors how the paper integrates FlashSparse into PyTorch:
 
-1. build a :class:`FlashSparseMatrix` from any sparse input (scipy, CSR
-   arrays, dense); this runs the sparse-matrix translation into ME-BCRS,
+1. build a :class:`~repro.formats.matrix.FlashSparseMatrix` from any sparse
+   input (scipy, CSR, dense); kernel calls translate it into ME-BCRS once,
+   through the shared cache,
 2. call :func:`spmm` / :func:`sddmm` with dense operands,
 3. inspect the result's ``values``, ``counter`` (simulated hardware cost)
    and, when a device is requested, the estimated runtime and GFLOPS.
+
+The matrix type lives in :mod:`repro.formats.matrix` and the result types
+(:class:`~repro.kernels.common.SpmmResult`,
+:class:`~repro.kernels.common.SddmmResult`) in :mod:`repro.kernels.common`:
+this facade re-exports them, and every path — a kernel entry point, a
+baseline, these functions, a served request — returns those same types.
 
 >>> import numpy as np, scipy.sparse as sp
 >>> from repro import FlashSparseMatrix, spmm
@@ -20,28 +27,15 @@ The typical flow mirrors how the paper integrates FlashSparse into PyTorch:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-import scipy.sparse as sp
 
-from repro.formats.blocked import BlockedVectorFormat
-from repro.formats.cache import cached_mebcrs, cached_sgt16
-from repro.formats.csr import CSRMatrix
-from repro.formats.mebcrs import MEBCRSMatrix
-from repro.formats.sgt16 import SGT16Matrix
+from repro.formats.matrix import FlashSparseMatrix, _as_input
 from repro.gpu.counters import CostCounter
 from repro.gpu.device import GPUSpec, get_device
-from repro.kernels.common import FlashSparseConfig
+from repro.kernels.common import FlashSparseConfig, SddmmResult, SpmmResult
 from repro.kernels.sddmm_flash import FLASH_SDDMM_PROFILE, sddmm_flash_cost, sddmm_flash_execute
 from repro.kernels.spmm_flash import FLASH_SPMM_PROFILE, spmm_flash_cost, spmm_flash_execute
-from repro.perfmodel.model import (
-    TimeEstimate,
-    estimate_time,
-    gflops,
-    sddmm_useful_flops,
-    spmm_useful_flops,
-)
+from repro.perfmodel.model import estimate_time
 from repro.precision.types import Precision
 
 #: Public alias: the kernel configuration object.
@@ -54,176 +48,6 @@ def _resolve_device(device: str | GPUSpec | None) -> GPUSpec | None:
     if isinstance(device, GPUSpec):
         return device
     return get_device(device)
-
-
-@dataclass
-class FlashSparseMatrix:
-    """A sparse matrix prepared for FlashSparse kernels.
-
-    Holds the CSR interchange form; the translated ME-BCRS (and, when
-    needed, the 16×1) representations are memoised per precision in the
-    shared LRU of :mod:`repro.formats.cache`, so repeated kernel calls do
-    not re-run the preprocessing (static-sparsity scenario of Section 4.4)
-    — even when the same CSR is re-wrapped by a new ``FlashSparseMatrix``.
-    """
-
-    csr: CSRMatrix
-
-    # ---------------------------------------------------------- constructors
-    @classmethod
-    def from_scipy(cls, matrix: sp.spmatrix | sp.sparray) -> "FlashSparseMatrix":
-        """Build from any scipy sparse matrix."""
-        return cls(csr=CSRMatrix.from_scipy(matrix))
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "FlashSparseMatrix":
-        """Build from a dense array (zeros dropped)."""
-        return cls(csr=CSRMatrix.from_dense(dense))
-
-    @classmethod
-    def from_csr_arrays(
-        cls, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, shape: tuple[int, int]
-    ) -> "FlashSparseMatrix":
-        """Build from raw CSR arrays.
-
-        The rows must be canonical — column indices strictly increasing
-        within each row — or :class:`~repro.formats.csr.CSRMatrix` raises
-        ``ValueError``; :meth:`from_scipy` accepts duplicates and any order.
-        """
-        return cls(csr=CSRMatrix(indptr, indices, data, shape))
-
-    # ------------------------------------------------------------ properties
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Matrix shape."""
-        return self.csr.shape
-
-    @property
-    def nnz(self) -> int:
-        """Number of nonzeros."""
-        return self.csr.nnz
-
-    # ------------------------------------------------------------- translate
-    def mebcrs(
-        self, precision: Precision | str = Precision.FP16, by_content: bool = False
-    ) -> MEBCRSMatrix:
-        """The ME-BCRS translation at ``precision`` (cached).
-
-        ``by_content=True`` deduplicates the translation across structurally
-        equal matrices loaded as distinct objects (content-hash cache key).
-        """
-        return cached_mebcrs(self.csr, precision, by_content=by_content)
-
-    def sgt16(
-        self, precision: Precision | str = Precision.TF32, by_content: bool = False
-    ) -> SGT16Matrix:
-        """The 16×1 baseline translation at ``precision`` (cached)."""
-        return cached_sgt16(self.csr, precision, by_content=by_content)
-
-    def to_scipy(self) -> sp.csr_matrix:
-        """Back to a scipy CSR matrix."""
-        return self.csr.to_scipy()
-
-    # --------------------------------------------------------------- serving
-    def content_key(self) -> str:
-        """Content fingerprint of the underlying CSR (the serving subsystem's
-        batching and translation-dedup handle)."""
-        return self.csr.content_key()
-
-    def plan(
-        self,
-        n_dense: int,
-        op: str = "spmm",
-        device: str | GPUSpec | None = None,
-        precision: Precision | str = Precision.FP16,
-        **kwargs,
-    ):
-        """Derive a :class:`~repro.serve.planner.ServePlan` for this matrix.
-
-        ``op`` selects :func:`~repro.serve.planner.plan_spmm` (``n_dense``
-        is the dense width N) or :func:`~repro.serve.planner.plan_sddmm`
-        (``n_dense`` is the inner dimension K); extra keyword arguments are
-        forwarded to the planner.
-        """
-        from repro.serve.planner import plan_sddmm, plan_spmm
-
-        if op == "spmm":
-            return plan_spmm(self.csr, n_dense, device=device, precision=precision, **kwargs)
-        if op == "sddmm":
-            return plan_sddmm(self.csr, n_dense, device=device, precision=precision, **kwargs)
-        raise ValueError(f"op must be 'spmm' or 'sddmm', got {op!r}")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FlashSparseMatrix(shape={self.shape}, nnz={self.nnz})"
-
-
-@dataclass
-class SpmmResult:
-    """Result of :func:`spmm`."""
-
-    #: Dense product ``A @ B`` (float32).
-    values: np.ndarray
-    #: Simulated hardware cost.
-    counter: CostCounter
-    #: Useful FLOPs (2 * nnz * N).
-    useful_flops: int
-    #: Estimated runtime on the requested device (None when no device given).
-    estimate: TimeEstimate | None = None
-    #: Extra information from the kernel.
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def gflops(self) -> float | None:
-        """Estimated throughput in GFLOP/s (None without a device)."""
-        if self.estimate is None:
-            return None
-        return gflops(self.useful_flops, self.estimate.total_time_s)
-
-
-@dataclass
-class SddmmResult:
-    """Result of :func:`sddmm`."""
-
-    #: Sparse output in blocked form (same pattern as the mask).
-    output: BlockedVectorFormat
-    #: Simulated hardware cost.
-    counter: CostCounter
-    #: Useful FLOPs (2 * nnz * K).
-    useful_flops: int
-    #: Estimated runtime on the requested device (None when no device given).
-    estimate: TimeEstimate | None = None
-    #: Extra information from the kernel.
-    meta: dict = field(default_factory=dict)
-
-    def to_csr(self) -> CSRMatrix:
-        """The sparse output as CSR."""
-        return self.output.to_csr()
-
-    def to_scipy(self) -> sp.csr_matrix:
-        """The sparse output as a scipy CSR matrix."""
-        return self.output.to_csr().to_scipy()
-
-    @property
-    def gflops(self) -> float | None:
-        """Estimated throughput in GFLOP/s (None without a device)."""
-        if self.estimate is None:
-            return None
-        return gflops(self.useful_flops, self.estimate.total_time_s)
-
-
-def _as_input(matrix) -> FlashSparseMatrix:
-    if isinstance(matrix, FlashSparseMatrix):
-        return matrix
-    if isinstance(matrix, CSRMatrix):
-        return FlashSparseMatrix(csr=matrix)
-    if sp.issparse(matrix):
-        return FlashSparseMatrix.from_scipy(matrix)
-    if isinstance(matrix, np.ndarray):
-        return FlashSparseMatrix.from_dense(matrix)
-    raise TypeError(
-        "expected FlashSparseMatrix, CSRMatrix, scipy sparse matrix or ndarray, "
-        f"got {type(matrix).__name__}"
-    )
 
 
 def spmm(
@@ -262,14 +86,9 @@ def spmm(
     fmt = inp.mebcrs(config.precision)
     result = spmm_flash_execute(fmt, b, config)
     spec = _resolve_device(device)
-    estimate = estimate_time(result.counter, spec, FLASH_SPMM_PROFILE) if spec else None
-    return SpmmResult(
-        values=result.values,
-        counter=result.counter,
-        useful_flops=result.useful_flops,
-        estimate=estimate,
-        meta=result.meta,
-    )
+    if spec is not None:
+        result.estimate = estimate_time(result.counter, spec, FLASH_SPMM_PROFILE)
+    return result
 
 
 def sddmm(
@@ -294,14 +113,9 @@ def sddmm(
     fmt = inp.mebcrs(config.precision)
     result = sddmm_flash_execute(fmt, a, b, config, scale_by_mask=scale_by_mask)
     spec = _resolve_device(device)
-    estimate = estimate_time(result.counter, spec, FLASH_SDDMM_PROFILE) if spec else None
-    return SddmmResult(
-        output=result.output,
-        counter=result.counter,
-        useful_flops=result.useful_flops,
-        estimate=estimate,
-        meta=result.meta,
-    )
+    if spec is not None:
+        result.estimate = estimate_time(result.counter, spec, FLASH_SDDMM_PROFILE)
+    return result
 
 
 def spmm_cost(

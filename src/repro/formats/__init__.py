@@ -18,7 +18,14 @@ baselines rely on:
 * :mod:`repro.formats.stats` — redundancy statistics (zero fill, MMA
   counts, data-access cost) used for Figures 1, 12 and Table 2;
 * :mod:`repro.formats.cache` — an LRU cache of CSR → blocked translations
-  shared by the kernel entry points.
+  shared by the kernel entry points;
+* :mod:`repro.formats.matrix` — :class:`~repro.formats.matrix.FlashSparseMatrix`,
+  the user-facing matrix (a CSR and its cached translations) that
+  :func:`repro.spmm`, :func:`repro.sddmm` and the server accept; the
+  package facade :mod:`repro` exports it.
+
+A translator's default TC-block width ``k`` is the ``k`` of the MMA its
+kernels issue, read from the instruction tables of :mod:`repro.gpu.mma`.
 """
 
 from repro.formats.csr import CSRMatrix

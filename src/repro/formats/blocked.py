@@ -16,7 +16,6 @@ the memory-footprint accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -239,11 +238,6 @@ class BlockedVectorFormat:
         # vector_values is (vectors, vector_size); the TC block is
         # (vector_size rows, width vectors).
         return np.asarray(self.vector_values[lo:hi].T)
-
-    def iter_window_blocks(self, window: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(block_columns, block_values)`` for every block of a window."""
-        for block in range(self.window_blocks(window)):
-            yield self.block_columns(window, block), self.block_values(window, block)
 
     # -------------------------------------------------------- batched access
     def blocks_as_arrays(self, group: int | None = None) -> BlockBatch:

@@ -184,12 +184,6 @@ class TranslationCache:
                 structure_hits=self._structure_hits,
             )
 
-    def reset_stats(self) -> None:
-        """Zero the counters (entries are kept)."""
-        with self._entries.lock:
-            self._entries.hits = self._entries.misses = self._entries.evictions = 0
-            self._content_hits = self._structure_hits = 0
-
     def clear(self) -> None:
         """Drop every cached translation (and the pinned source matrices)."""
         self._entries.clear()

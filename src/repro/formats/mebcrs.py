@@ -21,26 +21,11 @@ from dataclasses import dataclass
 
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
+from repro.gpu.mma import FLASH_SHAPES, block_k
 from repro.precision.types import Precision
 
 #: Vector granularity enabled by the swap-and-transpose MMA strategy.
 FLASH_VECTOR_SIZE = 8
-
-
-def default_block_k(precision: Precision | str) -> int:
-    """TC-block width ``k`` used by FlashSparse for a given precision.
-
-    FP16 uses ``mma.m16n8k8`` so the sparse TC block A is 8×8 (``k=8``);
-    TF32 uses ``mma.m16n8k4`` so the sparse TC block A is 8×4 (``k=4``).
-    """
-    precision = Precision(precision)
-    if precision is Precision.FP16:
-        return 8
-    if precision is Precision.TF32:
-        return 4
-    # FP32 is not a tensor-core precision; the CSR baselines handle it.  For
-    # format experiments at FP32 we fall back to the FP16 blocking.
-    return 8
 
 
 @dataclass
@@ -60,12 +45,13 @@ class MEBCRSMatrix(BlockedVectorFormat):
     ) -> "MEBCRSMatrix":
         """Translate CSR into ME-BCRS.
 
-        ``k`` defaults to the precision-appropriate TC-block width
-        (:func:`default_block_k`).
+        ``k`` defaults to the TC-block width of the MMA FlashSparse issues
+        at ``precision`` (:data:`~repro.gpu.mma.FLASH_SHAPES`): 8 for FP16,
+        4 for TF32.
         """
         precision = Precision(precision)
         if k is None:
-            k = default_block_k(precision)
+            k = block_k(FLASH_SHAPES, precision)
         return super().from_csr(matrix, vector_size=vector_size, k=k, precision=precision, **kwargs)
 
     def memory_footprint_bytes(self, index_bytes: int = 4) -> int:

@@ -14,21 +14,11 @@ from dataclasses import dataclass
 
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
+from repro.gpu.mma import TCU16_SHAPES, block_k
 from repro.precision.types import Precision
 
 #: Vector granularity imposed by using the sparse matrix as the MMA left operand.
 SGT_VECTOR_SIZE = 16
-
-
-def default_block_k_16(precision: Precision | str) -> int:
-    """TC-block width for the 16×1 approaches.
-
-    DTC-SpMM uses ``mma.m16n8k8`` TF32 (``k=8``); the FP16 ablation baseline
-    uses ``mma.m16n8k8`` FP16 (``k=8``) to mirror FlashSparse's instruction
-    mix at the larger granularity.
-    """
-    del precision
-    return 8
 
 
 @dataclass
@@ -46,8 +36,12 @@ class SGT16Matrix(BlockedVectorFormat):
         precision: Precision | str = Precision.TF32,
         **kwargs,
     ) -> "SGT16Matrix":
-        """Translate CSR into the 16×1 blocked format."""
+        """Translate CSR into the 16×1 blocked format.
+
+        ``k`` defaults to the TC-block width of the 16×1 approaches' MMA
+        (:data:`~repro.gpu.mma.TCU16_SHAPES`): 8 at every precision.
+        """
         precision = Precision(precision)
         if k is None:
-            k = default_block_k_16(precision)
+            k = block_k(TCU16_SHAPES, precision)
         return super().from_csr(matrix, vector_size=vector_size, k=k, precision=precision, **kwargs)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
-from repro.formats.mebcrs import FLASH_VECTOR_SIZE, default_block_k
+from repro.formats.mebcrs import FLASH_VECTOR_SIZE
+from repro.gpu.mma import FLASH_SHAPES, block_k
 from repro.precision.types import Precision
 
 
@@ -40,7 +39,7 @@ class SRBCRSMatrix(BlockedVectorFormat):
         """Translate CSR into SR-BCRS (same partition; padding is accounted, not stored)."""
         precision = Precision(precision)
         if k is None:
-            k = default_block_k(precision)
+            k = block_k(FLASH_SHAPES, precision)
         return super().from_csr(matrix, vector_size=vector_size, k=k, precision=precision, **kwargs)
 
     # ---------------------------------------------------------------- padding
@@ -53,20 +52,6 @@ class SRBCRSMatrix(BlockedVectorFormat):
     def num_stored_vectors(self) -> int:
         """Vectors physically stored, including padding."""
         return self.num_nonzero_vectors + self.num_padded_vectors
-
-    def padded_column_indices(self) -> np.ndarray:
-        """Column indices array including padded entries (padding repeats 0)."""
-        counts = self.partition.vectors_per_window
-        blocks = self.partition.tc_blocks_per_window(self.k)
-        out = np.zeros(int((blocks * self.k).sum()), dtype=np.int32)
-        write = 0
-        read = 0
-        for count, nblocks in zip(counts, blocks):
-            stored = int(nblocks * self.k)
-            out[write:write + count] = self.partition.vector_cols[read:read + count]
-            write += stored
-            read += count
-        return out
 
     # --------------------------------------------------------------- metrics
     def memory_footprint_bytes(self, index_bytes: int = 4) -> int:

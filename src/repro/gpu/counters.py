@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict
 
 import numpy as np
 
@@ -127,12 +127,6 @@ class CostCounter:
             useful_bytes=int(np.sum(useful_bytes, dtype=np.int64)),
         )
 
-    def add_bytes_read(self, nbytes: int) -> None:
-        """Record logically-read bytes without transaction bookkeeping."""
-        if nbytes < 0:
-            raise ValueError("byte count must be non-negative")
-        self.bytes_read += int(nbytes)
-
     def set_read_footprint(self, nbytes: int) -> None:
         """Record the unique bytes this kernel must read from DRAM."""
         if nbytes < 0:
@@ -192,21 +186,6 @@ class CostCounter:
     def footprint_bytes(self) -> int:
         """Unique bytes touched (compulsory DRAM traffic, reads + writes)."""
         return self.footprint_read_bytes + self.footprint_write_bytes
-
-    def mma_flops(self, shapes: Mapping[str, tuple[int, int, int]] | None = None) -> int:
-        """FLOPs executed on tensor cores (2*m*n*k per MMA).
-
-        ``shapes`` maps shape names to ``(m, n, k)``; when omitted the shape
-        name is parsed (names follow the ``m16n8k8`` convention).
-        """
-        total = 0
-        for (shape_name, _), count in self.mma_invocations.items():
-            if shapes and shape_name in shapes:
-                m, n, k = shapes[shape_name]
-            else:
-                m, n, k = _parse_shape_name(shape_name)
-            total += 2 * m * n * k * count
-        return total
 
     # ------------------------------------------------------------ arithmetic
     def merge(self, other: "CostCounter") -> "CostCounter":

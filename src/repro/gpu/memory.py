@@ -66,11 +66,6 @@ class TransactionReport:
         return int(sum(self.transaction_sizes))
 
     @property
-    def wasted_bytes(self) -> int:
-        """Bytes moved but not requested by any thread."""
-        return self.bytes_moved - min(self.useful_bytes, self.bytes_moved)
-
-    @property
     def efficiency(self) -> float:
         """Fraction of moved bytes that were useful (0 < efficiency <= 1)."""
         if self.bytes_moved == 0:

@@ -20,6 +20,7 @@ fragments are laid out.  This module models that layer faithfully:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -92,24 +93,31 @@ SUPPORTED_SHAPES: tuple[MMAShape, ...] = (
 )
 
 
-def get_shape(name: str, precision: str, api: str = "mma") -> MMAShape:
-    """Look up a supported shape by ``name``/``precision``/``api``."""
-    for shape in SUPPORTED_SHAPES:
-        if shape.name == name and shape.precision == precision and shape.api == api:
-            return shape
-    raise KeyError(f"unsupported MMA shape: {name} {precision} ({api})")
+#: The instruction FlashSparse's 8×1 swap-and-transpose kernels issue, by
+#: ``(precision, api)``: ``m16n8k8`` FP16 and ``m16n8k4`` TF32 (Section
+#: 2.1), so the sparse TC block is 8×8 / 8×4.
+FLASH_SHAPES: dict[tuple[Precision, str], MMAShape] = {
+    (Precision.FP16, "mma"): MMA_M16N8K8_FP16,
+    (Precision.TF32, "mma"): MMA_M16N8K4_TF32,
+}
+
+#: The instructions of the prior 16×1 approaches, by ``(precision, api)``:
+#: DTC-SpMM issues ``mma.m16n8k8`` TF32, TC-GNN the WMMA ``m16n16k8`` (TF32
+#: only); the FP16 row is the ablation baseline of Figure 14.  Every row
+#: has ``k = 8``.
+TCU16_SHAPES: dict[tuple[Precision, str], MMAShape] = {
+    (Precision.FP16, "mma"): MMA_M16N8K8_FP16,
+    (Precision.TF32, "mma"): MMA_M16N8K8_TF32,
+    (Precision.TF32, "wmma"): WMMA_M16N16K8_TF32,
+}
 
 
-def default_shape(precision: str) -> MMAShape:
-    """The shape FlashSparse uses for a precision: ``m16n8k8`` for FP16 and
-    ``m16n8k4`` for TF32.  (The 16x1 baselines' instructions are the
-    :data:`repro.kernels.granularity.TCU16` table.)
-    """
-    if precision == "fp16":
-        return MMA_M16N8K8_FP16
-    if precision == "tf32":
-        return MMA_M16N8K4_TF32
-    raise ValueError(f"unsupported precision {precision!r}")
+def block_k(shapes: Mapping[tuple[Precision, str], MMAShape], precision: Precision | str) -> int:
+    """The TC-block width ``k`` of the ``mma`` instruction ``shapes`` issue
+    at ``precision``.  FP32 is no tensor-core precision (the CSR baselines
+    serve it); format experiments at FP32 take the FP16 row."""
+    shape = shapes.get((Precision(precision), "mma")) or shapes[Precision.FP16, "mma"]
+    return shape.k
 
 
 # --------------------------------------------------------------------------

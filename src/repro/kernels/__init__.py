@@ -13,6 +13,11 @@ declarations over them — a profile, a binding and two entry points:
 * ``cost`` produces the same counter from the format's block structure
   alone (the per-matrix benchmark sweeps, where only costs are needed).
 
+``execute`` returns :class:`~repro.kernels.common.SpmmResult` /
+:class:`~repro.kernels.common.SddmmResult`, the one result type per op
+that the baselines, :func:`repro.spmm` / :func:`repro.sddmm` and a served
+request return as well.
+
 Every ``execute`` dispatches on ``FlashSparseConfig.engine``:
 
 * ``engine="reference"`` walks the TC-block structure with a per-(window,
@@ -42,8 +47,8 @@ translation twice.
 
 from repro.kernels.common import (
     FlashSparseConfig,
-    SpmmKernelResult,
-    SddmmKernelResult,
+    SpmmResult,
+    SddmmResult,
 )
 from repro.kernels.engine import sddmm_batched, spmm_batched
 from repro.kernels.thread_mapping import (
@@ -75,8 +80,8 @@ from repro.kernels.sddmm_tcu16 import (
 
 __all__ = [
     "FlashSparseConfig",
-    "SpmmKernelResult",
-    "SddmmKernelResult",
+    "SpmmResult",
+    "SddmmResult",
     "spmm_batched",
     "sddmm_batched",
     "ThreadMapping",

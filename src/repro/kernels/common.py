@@ -1,4 +1,11 @@
-"""Shared kernel configuration and result containers."""
+"""Shared kernel configuration and the one result type per op.
+
+:class:`SpmmResult` and :class:`SddmmResult` are what every path returns:
+the kernel entry points (8×1 and 16×1), the CSR baselines,
+:func:`repro.spmm` / :func:`repro.sddmm` (which add an ``estimate`` when
+given a device) and a served request.  A product and its cost, whichever
+path computed them.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +13,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.formats.blocked import BlockedVectorFormat
+from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
+from repro.perfmodel.model import TimeEstimate, gflops
 from repro.precision.types import Precision
 from repro.utils.lru import LRU
 
@@ -81,8 +91,13 @@ class FlashSparseConfig:
 
 
 @dataclass
-class SpmmKernelResult:
-    """Output of a simulated SpMM kernel."""
+class SpmmResult:
+    """The result of an SpMM: the product and its simulated cost.
+
+    Every path returns this one type — the kernel entry points, the
+    baselines, :func:`repro.spmm` and a served request (``kernel`` reads
+    ``"flashsparse_spmm"`` there).
+    """
 
     #: Dense output matrix C = A @ B, shape (M, N), float32.
     values: np.ndarray
@@ -92,13 +107,23 @@ class SpmmKernelResult:
     kernel: str
     #: Useful FLOPs of the operation (2 * nnz * N).
     useful_flops: int
+    #: Estimated runtime on a device (None when no device was given).
+    estimate: TimeEstimate | None = None
     #: Extra metadata (precision, mapping, vector size, ...).
     meta: dict = field(default_factory=dict)
 
+    @property
+    def gflops(self) -> float | None:
+        """Estimated throughput in GFLOP/s (None without an estimate)."""
+        if self.estimate is None:
+            return None
+        return gflops(self.useful_flops, self.estimate.total_time_s)
+
 
 @dataclass
-class SddmmKernelResult:
-    """Output of a simulated SDDMM kernel."""
+class SddmmResult:
+    """The result of an SDDMM: the sampled output and its simulated cost
+    (one type on every path, as :class:`SpmmResult`)."""
 
     #: Sparse output in the same blocked format as the input mask (values
     #: replaced by the sampled dot products).
@@ -109,9 +134,22 @@ class SddmmKernelResult:
     kernel: str
     #: Useful FLOPs of the operation (2 * nnz * K).
     useful_flops: int
+    #: Estimated runtime on a device (None when no device was given).
+    estimate: TimeEstimate | None = None
     #: Extra metadata.
     meta: dict = field(default_factory=dict)
 
-    def to_csr(self):
+    def to_csr(self) -> CSRMatrix:
         """The sparse output as a CSR matrix."""
         return self.output.to_csr()
+
+    def to_scipy(self) -> sp.csr_matrix:
+        """The sparse output as a scipy CSR matrix."""
+        return self.to_csr().to_scipy()
+
+    @property
+    def gflops(self) -> float | None:
+        """Estimated throughput in GFLOP/s (None without an estimate)."""
+        if self.estimate is None:
+            return None
+        return gflops(self.useful_flops, self.estimate.total_time_s)

@@ -20,11 +20,9 @@ from repro.formats import cache as format_cache
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.gpu.mma import (
-    MMA_M16N8K8_FP16,
-    MMA_M16N8K8_TF32,
-    WMMA_M16N16K8_TF32,
+    FLASH_SHAPES,
+    TCU16_SHAPES,
     MMAShape,
-    default_shape,
     mma_execute,
     mma_execute_swapped,
 )
@@ -92,21 +90,9 @@ class Granularity:
 
 
 #: FlashSparse: 8×1 vectors over ME-BCRS, ``m16n8k8`` FP16 / ``m16n8k4`` TF32.
-FLASH = Granularity(
-    swapped=True,
-    shapes={(p, "mma"): default_shape(p.value) for p in (Precision.FP16, Precision.TF32)},
-    translator="cached_mebcrs",
-)
+FLASH = Granularity(swapped=True, shapes=FLASH_SHAPES, translator="cached_mebcrs")
 
-#: The prior TCU approaches: 16×1 vectors over SGT-16.  DTC-SpMM issues
-#: ``mma.m16n8k8`` TF32, TC-GNN the WMMA ``m16n16k8`` (TF32 only); the FP16
-#: row is the ablation baseline of Figure 14.
-TCU16 = Granularity(
-    swapped=False,
-    shapes={
-        (Precision.FP16, "mma"): MMA_M16N8K8_FP16,
-        (Precision.TF32, "mma"): MMA_M16N8K8_TF32,
-        (Precision.TF32, "wmma"): WMMA_M16N16K8_TF32,
-    },
-    translator="cached_sgt16",
-)
+#: The prior TCU approaches: 16×1 vectors over SGT-16 (DTC-SpMM's
+#: ``mma.m16n8k8`` TF32, TC-GNN's WMMA ``m16n16k8``, and the FP16 ablation
+#: row of Figure 14).
+TCU16 = Granularity(swapped=False, shapes=TCU16_SHAPES, translator="cached_sgt16")

@@ -21,7 +21,7 @@ from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
 from repro.gpu.mma import MMAShape
-from repro.kernels.common import FlashSparseConfig, SddmmKernelResult, memoised_cost
+from repro.kernels.common import FlashSparseConfig, SddmmResult, memoised_cost
 from repro.kernels.engine import sddmm_batched
 from repro.kernels.granularity import Granularity, ceil_div
 from repro.perfmodel.model import sddmm_useful_flops
@@ -54,7 +54,7 @@ def sddmm_execute(
     config: FlashSparseConfig | None = None,
     scale_by_mask: bool = False,
     relayout: Callable[[np.ndarray, Precision], np.ndarray] | None = None,
-) -> SddmmKernelResult:
+) -> SddmmResult:
     """Execute SDDMM under binding ``g``, reporting as ``kernel``:
     ``out[i, j] = <a[i, :], b[j, :]>`` at the mask's nonzeros.
 
@@ -87,7 +87,7 @@ def sddmm_execute(
         precision=Precision.FP32,
         format_name=f"{fmt.format_name}-sddmm-out",
     )
-    return SddmmKernelResult(
+    return SddmmResult(
         output=output,
         counter=counter,
         kernel=kernel,

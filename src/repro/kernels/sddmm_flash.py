@@ -16,7 +16,7 @@ from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
 from repro.gpu.device import WARP_SIZE
-from repro.kernels.common import FlashSparseConfig, SddmmKernelResult
+from repro.kernels.common import FlashSparseConfig, SddmmResult
 from repro.kernels.granularity import FLASH
 from repro.kernels.sddmm import sddmm_cost, sddmm_execute
 from repro.perfmodel.model import KernelProfile
@@ -88,7 +88,7 @@ def sddmm_flash_execute(
     b: np.ndarray,
     config: FlashSparseConfig | None = None,
     scale_by_mask: bool = False,
-) -> SddmmKernelResult:
+) -> SddmmResult:
     """Execute SDDMM: ``out[i, j] = <a[i, :], b[j, :]>`` at the mask's nonzeros.
 
     Parameters

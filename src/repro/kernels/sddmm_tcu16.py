@@ -13,7 +13,7 @@ import numpy as np
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
-from repro.kernels.common import FlashSparseConfig, SddmmKernelResult
+from repro.kernels.common import FlashSparseConfig, SddmmResult
 from repro.kernels.granularity import TCU16
 from repro.kernels.sddmm import sddmm_cost, sddmm_execute
 from repro.perfmodel.model import KernelProfile
@@ -39,7 +39,7 @@ def sddmm_tcu16_execute(
     b: np.ndarray,
     config: FlashSparseConfig | None = None,
     scale_by_mask: bool = False,
-) -> SddmmKernelResult:
+) -> SddmmResult:
     """Execute SDDMM at 16×1 granularity (see :func:`sddmm_flash_execute`)."""
     return sddmm_execute(
         TCU16, "tcu16_sddmm", sddmm_tcu16_cost, mask, a, b, config, scale_by_mask

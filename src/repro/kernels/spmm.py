@@ -27,7 +27,7 @@ from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
 from repro.gpu.mma import MMAShape
-from repro.kernels.common import FlashSparseConfig, SpmmKernelResult, memoised_cost
+from repro.kernels.common import FlashSparseConfig, SpmmResult, memoised_cost
 from repro.kernels.engine import spmm_batched
 from repro.kernels.granularity import Granularity, ceil_div
 from repro.kernels.thread_mapping import b_tile_transactions, get_mapping
@@ -102,7 +102,7 @@ def spmm_execute(
     b: np.ndarray,
     config: FlashSparseConfig | None = None,
     api: str = "mma",
-) -> SpmmKernelResult:
+) -> SpmmResult:
     """Execute ``C = A @ B`` under binding ``g``, reporting as ``kernel``.
 
     ``cost`` is the calling entry point's own public cost function: the
@@ -124,7 +124,7 @@ def spmm_execute(
         counter = cost(fmt, n_dense, config)
     else:
         out, counter = _spmm_reference(g, fmt, b_q, config, shape)
-    return SpmmKernelResult(
+    return SpmmResult(
         values=out,
         counter=counter,
         kernel=kernel,

@@ -13,7 +13,7 @@ import numpy as np
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
-from repro.kernels.common import FlashSparseConfig, SpmmKernelResult
+from repro.kernels.common import FlashSparseConfig, SpmmResult
 from repro.kernels.granularity import FLASH
 from repro.kernels.spmm import spmm_cost, spmm_execute
 from repro.perfmodel.model import KernelProfile
@@ -36,7 +36,7 @@ def spmm_flash_execute(
     a: BlockedVectorFormat | CSRMatrix,
     b: np.ndarray,
     config: FlashSparseConfig | None = None,
-) -> SpmmKernelResult:
+) -> SpmmResult:
     """Execute C = A @ B with the FlashSparse SpMM kernel.
 
     Parameters

@@ -17,7 +17,7 @@ import numpy as np
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
-from repro.kernels.common import FlashSparseConfig, SpmmKernelResult
+from repro.kernels.common import FlashSparseConfig, SpmmResult
 from repro.kernels.granularity import TCU16
 from repro.kernels.spmm import spmm_cost, spmm_execute
 from repro.perfmodel.model import KernelProfile
@@ -43,7 +43,7 @@ def spmm_tcu16_execute(
     b: np.ndarray,
     config: FlashSparseConfig | None = None,
     api: str = "mma",
-) -> SpmmKernelResult:
+) -> SpmmResult:
     """Execute C = A @ B with the 16×1-vector TCU kernel."""
     kernel = "tcu16_spmm" if api == "mma" else "tcu16_wmma_spmm"
     return spmm_execute(TCU16, kernel, partial(spmm_tcu16_cost, api=api), a, b, config, api)

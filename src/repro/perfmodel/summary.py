@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,9 +43,3 @@ def speedup_distribution(speedups: Sequence[float]) -> dict[str, float]:
     out["max"] = float(arr.max())
     return out
 
-
-def summarize_by_group(
-    speedups: Mapping[str, Sequence[float]],
-) -> dict[str, dict[str, float]]:
-    """Apply :func:`speedup_distribution` to each named group."""
-    return {name: speedup_distribution(values) for name, values in speedups.items()}

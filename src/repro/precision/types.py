@@ -18,11 +18,6 @@ class Precision(str, Enum):
     TF32 = "tf32"
     FP16 = "fp16"
 
-    @property
-    def input_bytes(self) -> int:
-        """Bytes per input element stored in memory."""
-        return element_bytes(self)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

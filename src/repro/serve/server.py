@@ -21,10 +21,16 @@ executes them on the shared backend):
   (matrix, width) from the server's device budget and memoised in a small
   LRU — and runs its shards one after another in the server process on
   the :class:`~repro.serve.scheduler.ShardScheduler`;
-* every request resolves with a result carrying the same ``values`` /
-  ``counter`` / ``useful_flops`` a direct :func:`repro.core.api.spmm` call
-  would produce: cost counters come from the closed-form cost pass, which
-  is exactly independent of batching and sharding.
+* every SpMM / SDDMM request resolves with the result type a direct
+  :func:`repro.spmm` / :func:`repro.sddmm` call returns
+  (:class:`~repro.kernels.common.SpmmResult` /
+  :class:`~repro.kernels.common.SddmmResult`), carrying the same
+  ``values`` / ``counter`` / ``useful_flops`` and the same ``kernel``
+  name: cost counters come from the closed-form cost pass, which is
+  exactly independent of batching and sharding.  The result types and
+  the matrix wrapper come from :mod:`repro.kernels.common` and
+  :mod:`repro.formats.matrix`, below the server: it imports nothing from
+  the API facade above it.
 
 Overload behaviour
 ------------------
@@ -84,11 +90,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.api import SddmmResult, SpmmResult, _as_input
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.cache import cached_mebcrs
+from repro.formats.matrix import _as_input
 from repro.gpu.device import GPUSpec, get_device
-from repro.kernels.common import FlashSparseConfig
+from repro.kernels.common import FlashSparseConfig, SddmmResult, SpmmResult
 from repro.kernels.engine import SHARD_OPS, shard_params
 from repro.kernels.sddmm_flash import (
     VECTORS_PER_OUTPUT_BLOCK,
@@ -228,7 +234,9 @@ def _spmm_result(server, fmt, values, req, meta):
     counter = spmm_flash_cost(
         fmt, values.shape[1], FlashSparseConfig(precision=server.precision)
     )
-    return SpmmResult(values=values, counter=counter, useful_flops=req.cost, meta=meta)
+    return SpmmResult(
+        values=values, counter=counter, kernel="flashsparse_spmm", useful_flops=req.cost, meta=meta
+    )
 
 
 def _sddmm_result(server, fmt, values, req, meta):
@@ -242,7 +250,9 @@ def _sddmm_result(server, fmt, values, req, meta):
     counter = sddmm_flash_cost(
         fmt, req.operands[0].shape[1], FlashSparseConfig(precision=server.precision)
     )
-    return SddmmResult(output=output, counter=counter, useful_flops=req.cost, meta=meta)
+    return SddmmResult(
+        output=output, counter=counter, kernel="flashsparse_sddmm", useful_flops=req.cost, meta=meta
+    )
 
 
 def _layer_result(server, fmt, values, req, meta):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import repro
 from repro import FlashSparseMatrix, KernelConfig, spmm, sddmm
 from repro.core.api import sddmm_cost, spmm_cost
+from repro.formats.csr import CSRMatrix
 from repro.gpu.device import RTX4090
 from repro.precision.types import Precision
 
@@ -22,8 +23,8 @@ def test_flashsparse_matrix_constructors(rng):
     scipy_matrix = sp.random(50, 40, density=0.1, format="csr", random_state=0)
     m1 = FlashSparseMatrix.from_scipy(scipy_matrix)
     m2 = FlashSparseMatrix.from_dense(np.asarray(scipy_matrix.todense()))
-    m3 = FlashSparseMatrix.from_csr_arrays(
-        m1.csr.indptr, m1.csr.indices, m1.csr.data, m1.csr.shape
+    m3 = FlashSparseMatrix(
+        csr=CSRMatrix(m1.csr.indptr, m1.csr.indices, m1.csr.data, m1.csr.shape)
     )
     assert m1.shape == m2.shape == m3.shape == (50, 40)
     assert m1.nnz == m2.nnz == m3.nnz

@@ -177,7 +177,7 @@ def test_blocks_as_arrays_matches_per_block_accessors():
     b = 0
     for w in range(fmt.num_windows):
         assert batch.window_offsets[w] == b
-        b += len(list(fmt.iter_window_blocks(w)))
+        b += fmt.window_blocks(w)
     assert batch.window_offsets[-1] == b == batch.num_blocks
     wide = fmt.blocks_as_arrays(16)
     np.testing.assert_array_equal(
@@ -210,7 +210,9 @@ def test_lanes_as_csr_matches_per_block_accessors(fmt_cls):
     assert np.unique(lanes.slot).shape == lanes.slot.shape == (np.count_nonzero(flat),)
     np.testing.assert_array_equal(fmt.partition.vector_cols[lanes.slot // v], lanes.columns)
     for w in range(fmt.num_windows):
-        blocks = list(fmt.iter_window_blocks(w))
+        blocks = [
+            (fmt.block_columns(w, i), fmt.block_values(w, i)) for i in range(fmt.window_blocks(w))
+        ]
         cols = np.concatenate([c for c, _ in blocks]) if blocks else np.zeros(0, dtype=np.int32)
         vals = np.concatenate([b for _, b in blocks], axis=1) if blocks else np.zeros((v, 0))
         for r in range(v):

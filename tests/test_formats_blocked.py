@@ -5,9 +5,10 @@ import pytest
 
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
-from repro.formats.mebcrs import FLASH_VECTOR_SIZE, MEBCRSMatrix, default_block_k
-from repro.formats.sgt16 import SGT16Matrix, SGT_VECTOR_SIZE, default_block_k_16
+from repro.formats.mebcrs import FLASH_VECTOR_SIZE, MEBCRSMatrix
+from repro.formats.sgt16 import SGT16Matrix, SGT_VECTOR_SIZE
 from repro.formats.srbcrs import SRBCRSMatrix, footprint_reduction
+from repro.gpu.mma import FLASH_SHAPES
 from repro.precision.types import Precision
 
 from helpers import random_csr
@@ -35,7 +36,8 @@ def test_block_values_and_columns_consistent(small_csr):
     dense = small_csr.to_dense()
     for w in range(fmt.num_windows):
         row0, row1 = fmt.partition.window_row_range(w)
-        for cols, values in fmt.iter_window_blocks(w):
+        for block in range(fmt.window_blocks(w)):
+            cols, values = fmt.block_columns(w, block), fmt.block_values(w, block)
             assert values.shape == (8, cols.shape[0])
             for j, c in enumerate(cols):
                 expected = np.zeros(8)
@@ -103,18 +105,19 @@ def test_row_pointers_and_column_indices_exposed(small_csr):
 # ---------------------------------------------------------------------------
 # ME-BCRS
 # ---------------------------------------------------------------------------
-def test_mebcrs_defaults():
+def test_mebcrs_defaults(small_csr):
+    # k is the MMA's: m16n8k8 at FP16, m16n8k4 at TF32; FP32 takes FP16's.
     assert FLASH_VECTOR_SIZE == 8
-    assert default_block_k("fp16") == 8
-    assert default_block_k("tf32") == 4
-    assert default_block_k("fp32") == 8
+    for precision, k in (("fp16", 8), ("tf32", 4), ("fp32", 8)):
+        assert MEBCRSMatrix.from_csr(small_csr, precision=precision).k == k
+        assert SRBCRSMatrix.from_csr(small_csr, precision=precision).k == k
 
 
 @pytest.mark.parametrize("precision", ["fp16", "tf32"])
 def test_mebcrs_from_csr(small_csr, precision):
     fmt = MEBCRSMatrix.from_csr(small_csr, precision=precision)
     assert fmt.vector_size == 8
-    assert fmt.k == default_block_k(precision)
+    assert fmt.k == FLASH_SHAPES[Precision(precision), "mma"].k
     np.testing.assert_allclose(fmt.to_dense(), small_csr.to_dense(), rtol=1e-2, atol=1e-2)
 
 
@@ -146,15 +149,6 @@ def test_srbcrs_padding_counts(medium_csr):
     assert sr.num_stored_vectors % 1 == 0
 
 
-def test_srbcrs_padded_column_indices_length(medium_csr):
-    sr = SRBCRSMatrix.from_csr(medium_csr, precision="fp16")
-    padded = sr.padded_column_indices()
-    assert padded.shape[0] == sr.num_stored_vectors
-    # Each window's stored count is a multiple of k.
-    blocks = sr.partition.tc_blocks_per_window(sr.k)
-    assert padded.shape[0] == int((blocks * sr.k).sum())
-
-
 def test_mebcrs_never_larger_than_srbcrs(medium_csr, skewed_csr):
     """The Table 7 invariant: ME-BCRS always saves memory vs SR-BCRS."""
     for csr in (medium_csr, skewed_csr):
@@ -176,7 +170,8 @@ def test_footprint_reduction_edge_cases():
 # ---------------------------------------------------------------------------
 def test_sgt16_defaults(small_csr):
     assert SGT_VECTOR_SIZE == 16
-    assert default_block_k_16("tf32") == 8
+    for precision in ("fp16", "tf32", "fp32"):  # every 16x1 row is a k=8 MMA
+        assert SGT16Matrix.from_csr(small_csr, precision=precision).k == 8
     fmt = SGT16Matrix.from_csr(small_csr)
     assert fmt.vector_size == 16
     assert fmt.k == 8

@@ -28,7 +28,7 @@ def test_half_empty_sector_wastes_half_the_transaction():
     assert report.num_transactions == 1
     assert report.transaction_sizes == (32,)
     assert report.useful_bytes == 16
-    assert report.wasted_bytes == 16
+    assert report.bytes_moved - report.useful_bytes == 16
     assert report.efficiency == 0.5
 
 
@@ -107,6 +107,6 @@ def test_transaction_report_properties():
     report = TransactionReport(transaction_sizes=(32, 64), useful_bytes=48)
     assert report.num_transactions == 2
     assert report.bytes_moved == 96
-    assert report.wasted_bytes == 48
+    assert report.bytes_moved - report.useful_bytes == 48
     assert 0 < report.efficiency <= 1
     assert MAX_TRANSACTION_BYTES == 128

@@ -5,22 +5,24 @@ import pytest
 
 from repro.gpu.counters import CostCounter
 from repro.gpu.mma import (
+    FLASH_SHAPES,
     MMA_M16N8K4_TF32,
     MMA_M16N8K8_FP16,
     MMA_M16N8K8_TF32,
     MMA_M16N8K16_FP16,
     SUPPORTED_SHAPES,
+    TCU16_SHAPES,
     WMMA_M16N16K8_TF32,
-    default_shape,
+    block_k,
     distribute_fragment,
     gather_fragment,
-    get_shape,
     layout_a,
     layout_b,
     layout_c,
     mma_execute,
     mma_execute_swapped,
 )
+from repro.precision.types import Precision
 
 ALL_SHAPES = list(SUPPORTED_SHAPES)
 
@@ -37,17 +39,22 @@ def test_table1_shapes_are_supported():
 
 def test_flashsparse_default_shapes():
     # FlashSparse uses m16n8k4 for TF32 and m16n8k8 for FP16 (Section 2.1).
-    assert default_shape("fp16") is MMA_M16N8K8_FP16
-    assert default_shape("tf32") is MMA_M16N8K4_TF32
+    assert FLASH_SHAPES[Precision.FP16, "mma"] is MMA_M16N8K8_FP16
+    assert FLASH_SHAPES[Precision.TF32, "mma"] is MMA_M16N8K4_TF32
+    assert (block_k(FLASH_SHAPES, "fp16"), block_k(FLASH_SHAPES, "tf32")) == (8, 4)
+    assert block_k(FLASH_SHAPES, "fp32") == 8  # FP32 takes the FP16 row
     with pytest.raises(ValueError):
-        default_shape("fp64")
+        block_k(FLASH_SHAPES, "fp64")
 
 
-def test_get_shape_lookup():
-    assert get_shape("m16n8k8", "fp16") is MMA_M16N8K8_FP16
-    assert get_shape("m16n16k8", "tf32", api="wmma") is WMMA_M16N16K8_TF32
-    with pytest.raises(KeyError):
-        get_shape("m8n8k8", "fp16")
+def test_tcu16_shape_table():
+    # The 16x1 approaches: DTC-SpMM's m16n8k8 and TC-GNN's WMMA m16n16k8.
+    assert TCU16_SHAPES[Precision.FP16, "mma"] is MMA_M16N8K8_FP16
+    assert TCU16_SHAPES[Precision.TF32, "mma"] is MMA_M16N8K8_TF32
+    assert TCU16_SHAPES[Precision.TF32, "wmma"] is WMMA_M16N16K8_TF32
+    assert {shape.k for shape in TCU16_SHAPES.values()} == {8}
+    assert [block_k(TCU16_SHAPES, p) for p in ("fp16", "tf32", "fp32")] == [8, 8, 8]
+    assert set(FLASH_SHAPES.values()) | set(TCU16_SHAPES.values()) <= set(SUPPORTED_SHAPES)
 
 
 def test_shape_properties():

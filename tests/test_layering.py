@@ -35,12 +35,9 @@ LAYERS = (
 TIER = {package: tier for tier, packages in enumerate(LAYERS) for package in packages}
 
 #: Imports against the order that are still there, as
-#: ``(importing file, imported module)``.  This set may only shrink.
-ALLOWED = {
-    # ROADMAP item 13: the served SpMM / SDDMM results and ``_as_input``
-    # still live in the ``core`` facade.
-    ("serve/server.py", "repro.core.api"),
-}
+#: ``(importing file, imported module)``.  This set may only shrink: it is
+#: empty, so every package imports only from its left.
+ALLOWED: set[tuple[str, str]] = set()
 
 
 def _repro_imports(path: Path):

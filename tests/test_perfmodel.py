@@ -14,7 +14,7 @@ from repro.perfmodel.model import (
     sddmm_useful_flops,
     spmm_useful_flops,
 )
-from repro.perfmodel.summary import geometric_mean, speedup_distribution, summarize_by_group
+from repro.perfmodel.summary import geometric_mean, speedup_distribution
 
 
 def make_counter(mma=0, fma=0, load_bytes=0, footprint=None, index_ops=0, warps=1000):
@@ -161,9 +161,3 @@ def test_speedup_distribution_sums_to_100():
     dist = speedup_distribution(rng.uniform(0.2, 10, 1000))
     assert dist["<1"] + dist["1-1.5"] + dist["1.5-2"] + dist[">=2"] == pytest.approx(100.0)
 
-
-def test_summarize_by_group():
-    groups = {"a": [1.0, 2.0], "b": [3.0, 4.0]}
-    out = summarize_by_group(groups)
-    assert set(out) == {"a", "b"}
-    assert out["b"]["geomean"] > out["a"]["geomean"]

@@ -26,7 +26,6 @@ def test_element_bytes():
     assert element_bytes(Precision.FP16) == 2
     assert element_bytes(Precision.TF32) == 4
     assert element_bytes(Precision.FP32) == 4
-    assert Precision.FP16.input_bytes == 2
 
 
 def test_dtype_for():

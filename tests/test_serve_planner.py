@@ -111,14 +111,12 @@ def test_planned_run_matches_unplanned_values_and_counters():
 def test_matrix_plan_integration():
     m = FlashSparseMatrix.from_scipy(random_csr(128, 128, 0.08, seed=6).to_scipy())
     assert m.content_key() == m.csr.content_key()
-    plan = m.plan(32, op="spmm", max_intermediate_bytes=50_000)
+    # A matrix's own translation plans as its CSR does on the serving path.
+    plan = plan_spmm(m.mebcrs("fp16"), 32, max_intermediate_bytes=50_000)
     assert plan == plan_spmm(m.csr, 32, max_intermediate_bytes=50_000)
     assert plan.max_intermediate_bytes == 50_000
     assert plan.block_chunk * plan.bytes_per_block <= 50_000
-    sp = m.plan(16, op="sddmm")
-    assert sp.op == "sddmm"
-    with pytest.raises(ValueError):
-        m.plan(16, op="gemm")
+    assert plan_sddmm(m.mebcrs("fp16"), 16) == plan_sddmm(m.csr, 16)
 
 
 def test_planner_budget_enforced_by_tracemalloc():

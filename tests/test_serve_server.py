@@ -16,9 +16,12 @@ import pytest
 
 from helpers import random_csr
 
+import repro
 from repro.core.api import sddmm, spmm
 from repro.formats.cache import clear_format_cache
 from repro.formats.csr import CSRMatrix
+from repro.kernels.sddmm_flash import sddmm_flash_execute
+from repro.kernels.spmm_flash import spmm_flash_execute
 from repro.serve import Server
 
 TIMEOUT = 120  # generous: CI runners fork slowly under load
@@ -236,3 +239,29 @@ def test_close_drains_queued_requests(workload):
     srv.close()  # must resolve everything already queued
     for b, f in zip(bs, futures):
         np.testing.assert_array_equal(f.result(5).values, spmm(csr, b).values)
+
+
+@pytest.mark.parametrize("backend", ["local", "cluster"])
+def test_every_path_returns_the_one_result_type(backend):
+    """The API, the kernel entry point and a served request return the same
+    result class per op, and name the same kernel."""
+    csr = random_csr(60, 50, 0.1, seed=8)
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((60, 4)), rng.standard_normal((50, 4))
+    x = rng.standard_normal((50, 3))
+    options = {"backend": backend, "hosts": 1} if backend == "cluster" else {}
+    with Server(**options) as srv:
+        served = (
+            srv.submit_spmm(csr, x).result(TIMEOUT),
+            srv.submit_sddmm(csr, a, b).result(TIMEOUT),
+        )
+    spmm_results = [repro.spmm(csr, x), spmm_flash_execute(csr, x), served[0]]
+    sddmm_results = [repro.sddmm(csr, a, b), sddmm_flash_execute(csr, a, b), served[1]]
+    assert all(type(res) is repro.SpmmResult for res in spmm_results)
+    assert all(type(res) is repro.SddmmResult for res in sddmm_results)
+    assert {res.kernel for res in spmm_results} == {"flashsparse_spmm"}
+    assert {res.kernel for res in sddmm_results} == {"flashsparse_sddmm"}
+    np.testing.assert_array_equal(served[0].values, spmm_results[0].values)
+    np.testing.assert_array_equal(
+        served[1].to_scipy().toarray(), sddmm_results[0].to_scipy().toarray()
+    )

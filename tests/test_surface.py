@@ -19,7 +19,7 @@ EXPORT_BUDGET = {
     "repro": 8,
     "repro.kernels": 21,
     "repro.serve": 17,
-    "repro.cluster": 32,
+    "repro.cluster": 16,
     "repro.formats": 18,
     "repro.gpu": 23,
     "repro.ops": 9,

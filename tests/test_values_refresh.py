@@ -313,6 +313,26 @@ def test_fresh_values_leave_one_values_bundle_per_pattern():
         previous = header["store_values"]
 
 
+def test_superseded_values_take_their_lane_sets_with_them():
+    """A stream of fresh values on one pattern keeps one lane set on the
+    host: the lanes of an unpinned values bundle leave the lane cache."""
+    csr = random_csr(50, 40, 0.1, seed=15)
+    b = quantize(np.random.default_rng(15).standard_normal((40, 3)), "fp16")
+    host = WorkerHost()
+    assert host.run_task(*_task(csr, "spmm", [b]))[0]["type"] == "result"
+    for scale in range(2, 32):
+        fresh = csr.with_values(csr.data * scale)
+        header, _ = _task(fresh, "spmm", [b])
+        header["push"] = [[header["store_values"], 1]]  # the pattern is pinned
+        reply, (rows,) = host.run_task(header, [fresh.data])
+        assert reply["type"] == "result", reply.get("message")
+    np.testing.assert_array_equal(rows, repro.spmm(fresh, b).values)
+    assert reply["cache"]["size"] == 1
+    assert [lane[1] for lane in host._lanes.keys()] == [
+        key for key in host.store.keys() if key.startswith("vals/")
+    ]
+
+
 def test_alternating_values_on_one_pattern_stay_exact():
     csr = random_csr(90, 80, 0.08, seed=14)
     other = csr.with_values(-2 * csr.data)
