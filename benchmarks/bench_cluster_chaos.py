@@ -190,7 +190,7 @@ def run_cluster_chaos() -> dict:
     plan = FaultPlan(seed=CHAOS_SEED)
     with ClusterScheduler(
         hosts=HOSTS,
-        fault_plan=plan,
+        faults=plan,
         retry_policy=RetryPolicy(max_attempts=1, base_delay_s=0.02, seed=CHAOS_SEED),
         probe_interval_s=0.2,
     ) as sched:
@@ -252,16 +252,20 @@ def run_trusted_chaos() -> dict:
 
     A fresh authenticated (and, when the local toolchain can mint a
     loopback certificate, TLS-wrapped) cluster serves the same open-loop
-    mix while seeded ``corrupt_payload`` faults flip bits in both
-    directions: a head-side task frame (caught by the worker's CRC check)
-    and each worker's first result frame (caught by the head's).  The
+    mix while one seeded plan's ``corrupt_payload`` faults flip bits in
+    both directions: a head-side task frame (caught by the worker's CRC
+    check) and each worker's first result frame (caught by the head's).
+    The plan's ``fired`` log is the head's, so it lists the task fault.  The
     gates: every response bit-identical to the oracle, zero failed
     requests, and ``integrity_failures >= 1`` — corruption costs a retry,
     never numerics and never an error.
     """
     matrices, b_q = _workload()
-    head_plan = FaultPlan(seed=CHAOS_SEED + 1).corrupt_payload(nth=2, type="task")
-    worker_plan = FaultPlan(seed=CHAOS_SEED + 2).corrupt_payload(nth=1, type="result")
+    plan = (
+        FaultPlan(seed=CHAOS_SEED + 1)
+        .corrupt_payload(nth=2, type="task")
+        .corrupt_payload(nth=1, type="result")
+    )
     tls = tls_available()
     tls_kwargs = {}
     if tls:
@@ -269,19 +273,18 @@ def run_trusted_chaos() -> dict:
         tls_kwargs = {"tls_cert": cert, "tls_key": key}
     with ClusterScheduler(
         hosts=HOSTS,
-        fault_plan=head_plan,
-        worker_fault_plan=worker_plan,
+        faults=plan,
         auth_token=TRUSTED_TOKEN,
         retry_policy=RetryPolicy(base_delay_s=0.02, seed=CHAOS_SEED),
         probe_interval_s=0.2,
         **tls_kwargs,
     ) as sched:
-        drive = _drive(sched, head_plan, matrices, b_q, requests=TRUSTED_REQUESTS)
+        drive = _drive(sched, plan, matrices, b_q, requests=TRUSTED_REQUESTS)
         snap = sched.stats_snapshot()
     return {
         "config": {"hosts": HOSTS, "requests": TRUSTED_REQUESTS, "tls": tls},
         "drive": drive,
-        "fired": head_plan.fired_kinds(),
+        "fired": plan.fired_kinds(),
         "security": {
             "integrity_failures": snap["integrity_failures"],
             "auth_rejects": snap["auth_rejects"],

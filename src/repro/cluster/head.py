@@ -247,7 +247,7 @@ class _HostClient(threading.Thread):
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         connect_timeout_s: float = 10.0,
         retry_policy: RetryPolicy | None = None,
-        fault_plan=None,
+        faults=None,
         max_frame_bytes: int | None = None,
         auth_token: str | None = None,
         ssl_context=None,
@@ -261,7 +261,7 @@ class _HostClient(threading.Thread):
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.connect_timeout_s = connect_timeout_s
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.fault_plan = fault_plan
+        self.faults = faults
         self.max_frame_bytes = max_frame_bytes
         self.auth_token = auth_token
         self.ssl_context = ssl_context
@@ -315,15 +315,15 @@ class _HostClient(threading.Thread):
         is recorded (``auth_rejects`` / ``handshake_failures``) and
         re-raised — to the retry machinery it is one more failed dial.
         """
-        if self.fault_plan is not None:
-            self.fault_plan.check_connect(scope=self.host_id)
+        if self.faults is not None:
+            self.faults.check_connect(scope=self.host_id)
         sock = socket.create_connection(self.address, timeout=self.connect_timeout_s)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self.ssl_context is not None:
                 sock = self.ssl_context.wrap_socket(sock)
-            if self.fault_plan is not None:
-                sock = self.fault_plan.wrap(sock, scope=self.host_id)
+            if self.faults is not None:
+                sock = self.faults.wrap(sock, scope=self.host_id)
             sent, received = client_handshake(sock, auth_token=self.auth_token)
         except BaseException as exc:
             try:
@@ -741,18 +741,20 @@ class ClusterScheduler:
         :class:`~repro.cluster.transport.RetryPolicy` for transient
         transport failures (default: 3 attempts, 50 ms base, 2 s cap).
         ``RetryPolicy(max_attempts=0)`` restores fail-fast host death.
-    probe_interval_s / auto_readmit:
-        Readmission probe cadence; ``auto_readmit=False`` disables the
-        probe thread entirely (DEAD hosts then stay dead until
-        ``add_host`` re-registers them).
-    fault_plan:
-        Optional :class:`repro.testing.faults.FaultPlan` wrapped around
-        every head-side connection (deterministic fault injection).
-    worker_fault_plan:
-        Optional :class:`~repro.testing.faults.FaultPlan` installed on the
-        *worker* side of every spawned loopback host (scoped by host id) —
-        the hook that lets tests corrupt result frames where they are
-        written.  Requires a platform where hosts fork.
+    probe_interval_s:
+        Readmission probe cadence; ``None`` runs no probe thread (DEAD
+        hosts then stay dead until a ``try_readmit`` call brings them
+        back).
+    faults:
+        Optional :class:`repro.testing.faults.FaultPlan` (deterministic
+        fault injection).  It wraps every head-side connection, scoped by
+        host id, and every spawned loopback host serves behind its
+        :meth:`~repro.testing.faults.FaultPlan.socket_wrapper` under the
+        same scope.  A frame-typed fault fires at the end that sends that
+        frame type (``task`` at the head, ``result`` at a worker);
+        recv-side faults and ``refuse_connect`` fire at the head only.  A
+        host forks with its copy of the plan, so the copy is fixed when the
+        host is spawned: faults armed later reach the head alone.
     max_frame_bytes:
         Per-connection bound on declared frame sizes, enforced on both
         the head side and spawned loopback workers (see
@@ -784,10 +786,8 @@ class ClusterScheduler:
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         retry_policy: RetryPolicy | None = None,
-        probe_interval_s: float = DEFAULT_PROBE_INTERVAL_S,
-        auto_readmit: bool = True,
-        fault_plan=None,
-        worker_fault_plan=None,
+        probe_interval_s: float | None = DEFAULT_PROBE_INTERVAL_S,
+        faults=None,
         max_frame_bytes: int | None = None,
         auth_token: str | None = None,
         tls_cert: str | None = None,
@@ -798,10 +798,6 @@ class ClusterScheduler:
         if addresses is None and int(hosts) < 0:
             raise ValueError("hosts must be >= 0")
         self.metrics = ClusterMetrics()
-        #: Test hook: seconds every dispatched task asks the worker to sleep
-        #: before executing (widens the kill-mid-shard window).  Stamped per
-        #: dispatch round, so clearing it spares the failover re-dispatch.
-        self.inject_task_delay_s = 0.0
         self.max_frame_bytes = max_frame_bytes
         self.auth_token = auth_token
         #: Source arrays of earlier requests' dense operands, by ``id`` (see
@@ -836,7 +832,7 @@ class ClusterScheduler:
             "heartbeat_interval_s": heartbeat_interval_s,
             "heartbeat_timeout_s": heartbeat_timeout_s,
             "retry_policy": retry_policy if retry_policy is not None else RetryPolicy(),
-            "fault_plan": fault_plan,
+            "faults": faults,
             "max_frame_bytes": max_frame_bytes,
             "auth_token": auth_token,
             "ssl_context": ssl_context,
@@ -861,15 +857,13 @@ class ClusterScheduler:
                 for _ in range(int(hosts)):
                     host_id = self._new_host_id()
                     kwargs = dict(worker_kwargs)
-                    if worker_fault_plan is not None:
-                        kwargs["socket_wrapper"] = worker_fault_plan.socket_wrapper(
-                            scope=host_id
-                        )
+                    if faults is not None:
+                        kwargs["socket_wrapper"] = faults.socket_wrapper(scope=host_id)
                     process, address = spawn_local_host(
                         self._mp_context, host_id, **kwargs
                     )
                     self._register(host_id, address, process)
-            if auto_readmit:
+            if probe_interval_s is not None:
                 self.membership = MembershipProbe(self, interval_s=probe_interval_s)
                 self.membership.start()
         except Exception:
@@ -903,10 +897,6 @@ class ClusterScheduler:
     def _hosts_view(self) -> list[HostState]:
         with self._hosts_lock:
             return list(self.hosts)
-
-    def live_hosts(self) -> list[HostState]:
-        """Hosts currently considered usable."""
-        return [h for h in self._hosts_view() if h.alive]
 
     def dead_hosts(self) -> list[HostState]:
         """Registered hosts currently DEAD (the readmission probe's input)."""
@@ -1032,12 +1022,7 @@ class ClusterScheduler:
     # -------------------------------------------------------------- snapshot
     def stats_snapshot(self) -> dict:
         """Lifetime counters (superset of the single-host scheduler's)."""
-        snap = self.metrics.snapshot()
-        # The single-host scheduler's vocabulary, so dashboards and the
-        # serving snapshot read both backends uniformly.
-        snap["retries"] = snap["shards_failed_over"]
-        snap["fallbacks"] = snap["inline_fallbacks"]
-        return snap
+        return self.metrics.snapshot()
 
     def close(self) -> None:
         """Shut every host down (idempotent): graceful shutdown frame,
@@ -1107,12 +1092,9 @@ class ClusterScheduler:
                 self.metrics.record_failover(len(pending))
             first_attempt = False
             submitted: list[tuple[int, _Task]] = []
-            delay = float(self.inject_task_delay_s)  # read per round: a test may clear it
             for index in pending:
                 frame = tasks[index]["frame"]
                 header = frame["header"]
-                if delay:
-                    header = dict(header, delay_s=delay)
                 if index == pending[-1]:
                     # This host's last task of the request: the worker
                     # drops the request-scoped panels after it.

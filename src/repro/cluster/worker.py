@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import os
 import socket
-import time
 import traceback
 from repro.cluster.store import DEFAULT_STORE_BYTES, PinnedStore, StoreMissError
 from repro.cluster.transport import (
@@ -204,9 +203,6 @@ class WorkerHost:
         evicted: list[str] = []
         payload: list = []
         try:
-            delay = float(header.get("delay_s") or 0.0)
-            if delay > 0.0:  # failure-injection hook for the kill-mid-shard tests
-                time.sleep(delay)
             self._pin(header, list(arrays), evicted)
             keys = (header["store_structure"], header["store_values"], *header["store_operands"])
             bundles = self.store.acquire(*keys)
@@ -369,9 +365,11 @@ def run_worker(
     lets the kernel pick a free port, which is how the head spawns loopback
     hosts without port coordination.  ``max_frame_bytes`` bounds what any
     single incoming frame may declare; ``socket_wrapper`` wraps each
-    accepted connection (the fault-injection hook — e.g.
-    ``lambda c: plan.wrap(c, scope="worker-0")``) *above* TLS, so injected
-    faults hit plaintext frames exactly as on a clear stream.
+    accepted connection (the fault-injection hook: a
+    :class:`~repro.testing.faults.FaultPlan`'s ``socket_wrapper(scope)``,
+    its worker end, or ``lambda c: plan.wrap(c, scope="worker-0")`` for
+    every fault of the plan) *above* TLS, so injected faults hit
+    plaintext frames exactly as on a clear stream.
 
     ``auth_token`` arms the connection handshake; ``tls_cert``/``tls_key``
     serve the stream over TLS (``tls_ca`` demands client certificates

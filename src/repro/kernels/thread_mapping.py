@@ -242,25 +242,3 @@ def b_tile_transactions(
         accesses = filtered
     return model.coalesce_many(accesses)
 
-
-def output_tile_store_transactions(
-    rows: int,
-    cols: int,
-    value_bytes: int = 4,
-    model: MemoryTransactionModel | None = None,
-) -> TransactionReport:
-    """Transactions for writing a dense output tile back to global memory.
-
-    The output C^T shares the coalesced layout of B^T, so consecutive lanes
-    write consecutive addresses within each row; the store of an
-    ``rows × cols`` FP32 tile therefore moves ``rows`` fully-used segments of
-    ``cols * value_bytes`` bytes.
-    """
-    model = model or MemoryTransactionModel()
-    accesses = []
-    row_bytes = cols * value_bytes
-    for r in range(rows):
-        start = r * 4096  # distinct rows of C live far apart; stride is irrelevant
-        addrs = tuple(range(start, start + row_bytes, 4))
-        accesses.append(WarpAccess(addrs, 4))
-    return model.coalesce_many(accesses)

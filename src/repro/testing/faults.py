@@ -13,7 +13,12 @@ into the transport through an injectable socket wrapper:
   ``refuse_connect``, ``kill_host``) and each fires exactly once, at a
   deterministic point: the *n*-th transport frame of a matching message
   type within a matching scope (scopes are arbitrary labels — the head
-  names them after host ids, a worker after itself).
+  names them after host ids, a worker after itself).  One plan serves
+  both ends of a connection: a frame-typed send fault fires at the end
+  that sends that frame type (the head sends ``task``, ``ping`` and
+  ``shutdown``; a worker ``result``, ``error``, ``store_miss`` and
+  ``pong``), while recv-side faults, untyped faults and
+  ``refuse_connect`` fire at the head only.
 * :class:`FaultSocket` wraps a real socket.  The transport announces each
   frame boundary through the ``notify_frame_send`` / ``notify_frame_recv``
   hooks (see :mod:`repro.cluster.transport`), so fault schedules count
@@ -80,9 +85,11 @@ class FaultPlan:
     """A seeded, deterministic schedule of named transport faults.
 
     Build the schedule with the chainable fault methods, hand the plan to
-    the component under test (``ClusterScheduler(fault_plan=plan)`` wraps
-    every head-side connection; ``run_worker(socket_wrapper=plan.wrap)``
-    wraps the worker side), then assert on :attr:`fired`.
+    the component under test (``ClusterScheduler(faults=plan)`` wraps every
+    head-side connection and serves every host it spawns behind
+    :meth:`socket_wrapper`), then assert on :attr:`fired`.  That log is
+    this process's: a spawned host fires faults in its own copy of the
+    plan, taken when it starts.
     """
 
     def __init__(self, seed: int = 0):
@@ -288,30 +295,34 @@ class FaultPlan:
         fault.fired = True
         self.fired.append(FaultEvent(kind=fault.kind, scope=fault.scope, detail=detail))
 
-    def _take(self, side: str, scope: str | None, frame_type: str | None) -> list[_ArmedFault]:
-        """Count this event against matching armed faults; return the firing ones."""
+    def _take(
+        self, side: str, scope: str | None, frame_type: str | None, typed_only: bool = False
+    ) -> list[_ArmedFault]:
+        """Count this event against matching armed faults; return the firing
+        ones (``typed_only``: only faults that name a frame type)."""
         firing: list[_ArmedFault] = []
         with self._lock:
             for fault in self._armed:
                 if fault.side != side or not fault.matches(scope, frame_type):
+                    continue
+                if typed_only and fault.frame_type is None:
                     continue
                 fault.remaining -= 1
                 if fault.remaining == 0:
                     firing.append(fault)
         return firing
 
-    def wrap(self, sock, scope: str | None = None):
-        """Wrap ``sock`` so this plan's schedule applies to its frames."""
-        return FaultSocket(self, sock, scope=scope)
+    def wrap(self, sock, scope: str | None = None, *, worker_end: bool = False):
+        """Wrap ``sock`` so this plan's schedule applies to its frames
+        (``worker_end``: only the send faults that name a frame type)."""
+        return FaultSocket(self, sock, scope=scope, worker_end=worker_end)
 
     def socket_wrapper(self, scope: str | None = None) -> "PlanSocketWrapper":
-        """A reusable ``socket_wrapper`` callable bound to ``scope``.
-
-        Unlike a lambda over :meth:`wrap`, the returned object survives
-        crossing into a forked worker process (``ClusterScheduler``'s
-        ``worker_fault_plan`` hands one to each spawned host), letting a
-        test corrupt frames on the *worker* side of the wire.
-        """
+        """The worker end of this plan, bound to ``scope``: a
+        ``socket_wrapper`` for ``run_worker`` that applies the frame-typed
+        send faults and leaves recv-side and untyped faults to the head.
+        A spawned host forks with it, so it needs a platform where hosts
+        fork."""
         return PlanSocketWrapper(self, scope)
 
     def check_connect(self, scope: str | None = None) -> None:
@@ -373,9 +384,10 @@ class FaultSocket:
     target.  Everything else is delegated to the wrapped socket.
     """
 
-    def __init__(self, plan: FaultPlan, sock, scope: str | None = None):
+    def __init__(self, plan: FaultPlan, sock, scope: str | None = None, worker_end: bool = False):
         self.plan = plan
         self.scope = scope
+        self.worker_end = worker_end
         self._sock = sock
         self._part: tuple[str, int | None] = ("prefix", None)
         self._faults: list[_ArmedFault] = []
@@ -383,7 +395,7 @@ class FaultSocket:
     # ----------------------------------------------------- frame-boundary hooks
     def notify_frame_send(self, header: dict) -> None:
         frame_type = header.get("type")
-        self._faults = self.plan._take("send", self.scope, frame_type)
+        self._faults = self.plan._take("send", self.scope, frame_type, self.worker_end)
         for fault in self._faults:
             with self.plan._lock:
                 self.plan._record(fault, f"frame type={frame_type!r} scope={self.scope}")
@@ -392,6 +404,8 @@ class FaultSocket:
         self._part = (part, index)
 
     def notify_frame_recv(self) -> None:
+        if self.worker_end:
+            return
         for fault in self.plan._take("recv", self.scope, None):
             with self.plan._lock:
                 self.plan._record(fault, f"recv frame scope={self.scope}")
@@ -479,19 +493,12 @@ class FaultSocket:
 
 
 class PlanSocketWrapper:
-    """Picklable ``socket_wrapper``: wraps each socket under one plan/scope.
-
-    A plain ``lambda sock: plan.wrap(sock, scope=...)`` would work for
-    in-process use but not as a spawned worker's ``socket_wrapper`` — this
-    class-based callable crosses a ``fork`` into the worker process intact,
-    which is how ``ClusterScheduler(worker_fault_plan=...)`` injects faults
-    on the worker side of the wire.  (The forked copy keeps its own fired
-    log; the parent observes the faults through the head's metrics.)
-    """
+    """A ``socket_wrapper`` that wraps each socket as the worker end of one
+    plan, under one scope (see :meth:`FaultPlan.socket_wrapper`)."""
 
     def __init__(self, plan: FaultPlan, scope: str | None = None):
         self.plan = plan
         self.scope = scope
 
     def __call__(self, sock) -> FaultSocket:
-        return self.plan.wrap(sock, scope=self.scope)
+        return self.plan.wrap(sock, scope=self.scope, worker_end=True)

@@ -97,6 +97,29 @@ def test_delay_send_sleeps_the_scheduled_milliseconds():
     a.close(), b.close()
 
 
+def test_worker_end_fires_only_frame_typed_send_faults():
+    """One plan serves both ends: the worker end (``socket_wrapper``)
+    applies the faults aimed at a frame type it sends and leaves recv-side
+    and untyped faults to the head."""
+    plan = (
+        FaultPlan(seed=0)
+        .drop_connection(nth=1, side="recv")
+        .drop_connection(nth=1, type=None)
+        .corrupt_checksum(nth=1, type="result")
+    )
+    a, b = _pair()
+    wrapped = plan.socket_wrapper(scope="h0")(a)
+    send_message(b, {"type": "task"})
+    recv_message(wrapped)  # the recv-side drop is the head's
+    send_message(wrapped, {"type": "pong"})  # so is the untyped drop
+    recv_message(b)
+    send_message(wrapped, {"type": "result"}, [np.arange(4, dtype=np.float32)])
+    with pytest.raises(FrameIntegrityError):
+        recv_message(b)
+    assert plan.fired_kinds() == ["corrupt_checksum"]
+    a.close(), b.close()
+
+
 def test_truncate_frame_leaves_peer_with_midframe_eof():
     plan = FaultPlan(seed=0).truncate_frame(nth=1, type="task")
     a, b = _pair()

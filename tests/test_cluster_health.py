@@ -69,7 +69,7 @@ def test_transient_drop_recovers_with_zero_user_visible_errors():
     plan = FaultPlan(seed=1)
     with ClusterScheduler(
         hosts=2,
-        fault_plan=plan,
+        faults=plan,
         retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.02, seed=1),
     ) as sched:
         victim = sched.affinity_host(key)
@@ -98,9 +98,9 @@ def test_exhausted_retries_declare_dead_with_failover_and_forensics():
     plan = FaultPlan(seed=2)
     with ClusterScheduler(
         hosts=2,
-        fault_plan=plan,
+        faults=plan,
         retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.02, seed=2),
-        auto_readmit=False,  # keep DEAD stable for the assertions
+        probe_interval_s=None,  # keep DEAD stable for the assertions
     ) as sched:
         victim = sched.affinity_host(key)
         plan.drop_connection(nth=1, type="task", scope=victim.host_id)
@@ -134,9 +134,9 @@ def test_close_is_prompt_after_a_dropped_connection():
     plan = FaultPlan(seed=6)
     sched = ClusterScheduler(
         hosts=2,
-        fault_plan=plan,
+        faults=plan,
         retry_policy=RetryPolicy(max_attempts=0),  # the first drop is fatal
-        auto_readmit=False,
+        probe_interval_s=None,
     )
     try:
         victim = sched.affinity_host(key)
@@ -162,7 +162,7 @@ def test_dropped_task_connection_completes_within_the_default_backoff():
     csr, fmt, b_q, base = _workload(seed=44)
     key = csr.content_key()
     plan = FaultPlan(seed=4)
-    with ClusterScheduler(hosts=2, fault_plan=plan) as sched:
+    with ClusterScheduler(hosts=2, faults=plan) as sched:
         victim = sched.affinity_host(key)
         plan.drop_connection(nth=1, type="task", scope=victim.host_id)
         t0 = time.perf_counter()
@@ -192,7 +192,7 @@ def test_head_side_frame_limit_bounds_result_frames_then_fails_over():
             addresses=[address],
             retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.01, seed=5),
             max_frame_bytes=4096,  # far below the dense result rows
-            auto_readmit=False,
+            probe_interval_s=None,
         ) as sched:
             out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=10_000, csr=csr)
             np.testing.assert_array_equal(out, base)
@@ -229,7 +229,7 @@ def test_head_side_frame_limit_also_bounds_the_shutdown_reply():
         addresses=[address],
         max_frame_bytes=4096,
         heartbeat_timeout_s=30.0,  # what an unbounded read would sit out
-        auto_readmit=False,
+        probe_interval_s=None,
     )
     tracemalloc.start()
     started = time.monotonic()

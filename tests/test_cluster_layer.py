@@ -133,7 +133,7 @@ def test_fused_layer_survives_dropped_connection_bit_identically():
     plan = FaultPlan(seed=1)
     with ClusterScheduler(
         hosts=2,
-        fault_plan=plan,
+        faults=plan,
         retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.02, seed=1),
     ) as sched:
         victim = sched.affinity_host(csr.content_key())
@@ -153,9 +153,9 @@ def test_fused_layer_fails_over_when_retries_exhaust():
     plan = FaultPlan(seed=2)
     with ClusterScheduler(
         hosts=2,
-        fault_plan=plan,
+        faults=plan,
         retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.02, seed=2),
-        auto_readmit=False,
+        probe_interval_s=None,
     ) as sched:
         victim = sched.affinity_host(csr.content_key())
         plan.drop_connection(nth=1, type="task", scope=victim.host_id)

@@ -19,7 +19,7 @@ import pytest
 from helpers import random_csr
 
 from repro.cluster import ClusterScheduler, MembershipError, RetryPolicy
-from repro.cluster.head import spawn_local_host
+from repro.cluster.head import rendezvous_rank, spawn_local_host
 from repro.cluster.membership import HostHealth
 from repro.core.api import spmm as api_spmm
 from repro.formats.mebcrs import MEBCRSMatrix
@@ -87,9 +87,13 @@ def test_remove_host_drains_in_flight_shards():
     the leaving host: the caller sees an exact result and no host death."""
     csr, fmt, b_q, base = _workload(seed=52)
     key = csr.content_key()
-    with ClusterScheduler(hosts=2) as sched:
+    # The key's host (known before the spawn: host ids are deterministic)
+    # holds its first result 200 ms, so the shard is in flight at removal.
+    victim_id = rendezvous_rank(key, ["host-0", "host-1"])[0]
+    plan = FaultPlan().delay_send(200, type="result", scope=victim_id)
+    with ClusterScheduler(hosts=2, faults=plan) as sched:
         victim = sched.affinity_host(key)
-        sched.inject_task_delay_s = 0.2  # keep shards in flight during removal
+        assert victim.host_id == victim_id
         result = {}
         t = threading.Thread(
             target=lambda: result.update(
@@ -113,7 +117,6 @@ def test_remove_host_drains_in_flight_shards():
         assert snap["host_deaths"] == 0, "a drained removal is not a death"
         assert snap["hosts"][victim.host_id]["state"] == "removed"
         # The survivor serves follow-up traffic.
-        sched.inject_task_delay_s = 0.0
         out2 = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
         np.testing.assert_array_equal(out2, base)
         with pytest.raises(MembershipError):
@@ -127,9 +130,12 @@ def test_remove_host_without_drain_fails_queued_shards_over():
     ends DEAD with its socket closed, and no death is recorded."""
     csr, fmt, b_q, base = _workload(seed=53)
     key = csr.content_key()
-    with ClusterScheduler(hosts=2, auto_readmit=False) as sched:
+    # The key's host holds its first result 200 ms: the rest queue behind it.
+    victim_id = rendezvous_rank(key, ["host-0", "host-1"])[0]
+    plan = FaultPlan().delay_send(200, type="result", scope=victim_id)
+    with ClusterScheduler(hosts=2, faults=plan, probe_interval_s=None) as sched:
         victim = sched.affinity_host(key)
-        sched.inject_task_delay_s = 0.2  # keep shards queued during removal
+        assert victim.host_id == victim_id
         result = {}
         t = threading.Thread(
             target=lambda: result.update(
@@ -145,7 +151,6 @@ def test_remove_host_without_drain_fails_queued_shards_over():
             assert time.monotonic() < deadline
             time.sleep(0.01)
         assert victim.client._inbox.qsize() > 0, "no shard queued behind the first"
-        sched.inject_task_delay_s = 0.0  # spare the failover round
         sched.remove_host(victim.host_id, drain=False)
         t.join(10.0)
         assert not t.is_alive(), "queued shards never failed over"
@@ -169,7 +174,7 @@ def test_dead_host_readmitted_by_probe_with_warm_cache():
     plan = FaultPlan(seed=6)
     with ClusterScheduler(
         hosts=2,
-        fault_plan=plan,
+        faults=plan,
         retry_policy=RetryPolicy(max_attempts=1, base_delay_s=0.01, seed=6),
         probe_interval_s=0.1,
     ) as sched:
@@ -214,9 +219,9 @@ def test_auto_readmit_off_leaves_dead_hosts_dead():
     plan = FaultPlan(seed=7)
     with ClusterScheduler(
         hosts=2,
-        fault_plan=plan,
+        faults=plan,
         retry_policy=RetryPolicy(max_attempts=1, base_delay_s=0.01, seed=7),
-        auto_readmit=False,
+        probe_interval_s=None,
     ) as sched:
         victim = sched.affinity_host(key)
         plan.drop_connection(nth=1, type="task", scope=victim.host_id)

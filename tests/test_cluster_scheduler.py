@@ -19,6 +19,7 @@ import pytest
 from helpers import random_csr
 
 from repro.cluster import ClusterScheduler
+from repro.cluster.head import rendezvous_rank
 from repro.core.api import spmm as api_spmm
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.mebcrs import MEBCRSMatrix
@@ -28,6 +29,7 @@ from repro.kernels.sddmm_tcu16 import VECTORS_PER_OUTPUT_BLOCK as TCU16_GROUP
 from repro.precision.types import Precision, quantize
 from repro.serve.scheduler import ShardScheduler
 from repro.serve.server import Server
+from repro.testing import FaultPlan
 
 TIMEOUT = 120
 
@@ -205,9 +207,13 @@ def test_content_affinity_routes_repeats_to_one_host_and_hits_its_cache():
 def test_kill_host_mid_shard_fails_over_bit_identically():
     csr, fmt, _, _, b_q, base, _ = _workload(seed=14)
     key = csr.content_key()
-    with ClusterScheduler(hosts=2) as fresh:
+    # Host ids are deterministic, so the key's host is known before the
+    # spawn: its first result waits 1 s, holding the shard in flight.
+    victim_id = rendezvous_rank(key, ["host-0", "host-1"])[0]
+    plan = FaultPlan().delay_send(1000, type="result", scope=victim_id)
+    with ClusterScheduler(hosts=2, faults=plan) as fresh:
         victim = fresh.affinity_host(key)
-        fresh.inject_task_delay_s = 1.0  # hold the shard in flight
+        assert victim.host_id == victim_id
         result = {}
         t = threading.Thread(
             target=lambda: result.update(
@@ -222,7 +228,6 @@ def test_kill_host_mid_shard_fails_over_bit_identically():
             assert time.monotonic() < deadline, "no task ever reached the victim"
             time.sleep(0.01)
         victim.process.kill()  # SIGKILL: no goodbye, the socket just resets
-        fresh.inject_task_delay_s = 0.0  # the survivor's re-dispatch runs at once
         t.join(TIMEOUT)
         assert not t.is_alive(), "run_spmm hung after the host died"
         np.testing.assert_array_equal(result["out"], base)
@@ -258,7 +263,7 @@ def test_idle_host_death_detected_by_heartbeat():
             time.sleep(0.02)
         assert not victim.alive, "heartbeat never declared the idle host dead"
         assert fresh.stats_snapshot()["host_deaths"] == 1
-        assert len(fresh.live_hosts()) == 1
+        assert len([h for h in fresh.hosts if h.alive]) == 1
 
 
 def test_worker_survives_head_disconnect_and_reconnect():
@@ -272,7 +277,9 @@ def test_worker_survives_head_disconnect_and_reconnect():
     from repro.cluster.transport import client_handshake, recv_message, send_message
 
     ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
-    process, address = spawn_local_host(ctx, "reconnect-test")
+    # The worker holds its first result 300 ms: the head is gone by then.
+    slow_reply = FaultPlan().delay_send(300, type="result").socket_wrapper()
+    process, address = spawn_local_host(ctx, "reconnect-test", socket_wrapper=slow_reply)
     try:
         csr = random_csr(60, 50, 0.1, seed=30)
         task = {
@@ -287,7 +294,6 @@ def test_worker_survives_head_disconnect_and_reconnect():
             "hi": 10**9,
             "w0": 0,
             "w1": 10**9,
-            "delay_s": 0.3,
         }
         fmt = MEBCRSMatrix.from_csr(csr, precision="fp16")
         batch = fmt.blocks_as_arrays()
@@ -303,14 +309,14 @@ def test_worker_survives_head_disconnect_and_reconnect():
         # buffer order, the arrays as the frame's buffers.
         push = [["struct/k@0", 2], ["vals/k@0", 1], ["op/b@0", 1]]
         send_message(first, dict(task, push=push), [csr.indptr, csr.indices, csr.data, b_q])
-        first.close()  # vanish while the worker is still computing
+        first.close()  # vanish before the worker replies
         time.sleep(0.6)  # let the worker finish the task and hit the send
         assert process.is_alive(), "worker died on the reply-send failure"
 
         second = socket_mod.create_connection(address, timeout=10)
         second.settimeout(10)
         client_handshake(second)
-        send_message(second, dict(task, delay_s=0.0))
+        send_message(second, task)
         header, arrays, _ = recv_message(second)
         assert header["type"] == "result"
         # The warm cache served the repeat: the first task's miss, this hit
@@ -385,22 +391,23 @@ def test_server_survives_host_death_mid_shard():
     csr = random_csr(260, 240, 0.06, seed=21)
     b = np.random.default_rng(21).standard_normal((240, 16))
     ref = api_spmm(csr, b)
-    with Server(backend="cluster", hosts=2) as srv:
+    plan = FaultPlan()
+    with Server(backend="cluster", hosts=2, cluster_options={"faults": plan}) as srv:
         # Warm one request through so the plan/translation are resident and
         # the kill window covers only the victim's in-flight shard.
         np.testing.assert_array_equal(
             srv.submit_spmm(csr, b).result(TIMEOUT).values, ref.values
         )
         victim = srv.scheduler.affinity_host(csr.content_key())
-        srv.scheduler.inject_task_delay_s = 1.0
-        sent_before = srv.scheduler.metrics.snapshot()["tasks_sent"]
+        # Armed now, the delay reaches the head alone: the victim's next
+        # task frame waits 1 s on its way out, and the host dies meanwhile.
+        plan.delay_send(1000, type="task", scope=victim.host_id)
         fut = srv.submit_spmm(csr, b)
         deadline = time.monotonic() + TIMEOUT
-        while srv.scheduler.metrics.snapshot()["tasks_sent"] <= sent_before:
+        while not plan.fired:
             assert time.monotonic() < deadline, "request never reached the host"
             time.sleep(0.01)
         victim.process.kill()
-        srv.scheduler.inject_task_delay_s = 0.0  # the survivor's re-dispatch runs at once
         res = fut.result(TIMEOUT)
         np.testing.assert_array_equal(res.values, ref.values)
         snap = srv.scheduler.stats_snapshot()

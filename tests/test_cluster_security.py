@@ -304,7 +304,7 @@ def test_post_handshake_v1_result_never_reaches_assembly():
     with ClusterScheduler(
         addresses=[address],
         retry_policy=RetryPolicy(max_attempts=1, base_delay_s=0.01, seed=6),
-        auto_readmit=False,
+        probe_interval_s=None,
     ) as sched:
         out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=10_000, csr=csr)
         snap = sched.stats_snapshot()
@@ -339,10 +339,10 @@ def test_head_refuses_wrong_token_cluster_but_worker_survives():
         ClusterScheduler(
             addresses=[box["addr"]],
             auth_token="wrong-" + TOKEN,
-            auto_readmit=False,
+            probe_interval_s=None,
         )
     with ClusterScheduler(
-        addresses=[box["addr"]], auth_token=TOKEN, auto_readmit=False
+        addresses=[box["addr"]], auth_token=TOKEN, probe_interval_s=None
     ) as sched:
         csr, fmt, _, _, b_q, base, _ = _workload(seed=22)
         out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
@@ -460,7 +460,7 @@ def test_corrupted_result_frame_recovers_bit_identically():
     plan = FaultPlan(seed=3).corrupt_payload(nth=1, type="result")
     with ClusterScheduler(
         hosts=2,
-        worker_fault_plan=plan,
+        faults=plan,
         retry_policy=RetryPolicy(seed=0),
     ) as sched:
         out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
@@ -484,7 +484,7 @@ def test_corrupted_task_frame_detected_by_worker_and_recovered():
     plan = FaultPlan(seed=5).corrupt_payload(nth=1, type="task", buffer=3)
     with ClusterScheduler(
         hosts=2,
-        fault_plan=plan,
+        faults=plan,
         retry_policy=RetryPolicy(seed=0),
     ) as sched:
         out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
@@ -494,6 +494,26 @@ def test_corrupted_task_frame_detected_by_worker_and_recovered():
     assert snap["integrity_failures"] >= 1
     assert snap["task_failures"] == 0
     assert plan.fired_kinds().count("corrupt_payload") == 1
+
+
+def test_one_fault_plan_corrupts_both_directions():
+    """One ``faults=`` plan serves both ends of the wire: the ``task``
+    fault fires where the head writes task frames, the ``result`` fault
+    where a worker writes its first result.  Both are caught by a CRC
+    check and cost a resend; the request still completes exactly."""
+    csr, fmt, _, _, b_q, base, _ = _workload(seed=28)
+    plan = (
+        FaultPlan(seed=17)
+        .corrupt_payload(nth=1, type="task", buffer=3)
+        .corrupt_checksum(nth=1, type="result")
+    )
+    with ClusterScheduler(hosts=2, faults=plan, retry_policy=RetryPolicy(seed=0)) as sched:
+        out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
+        snap = sched.stats_snapshot()
+    np.testing.assert_array_equal(out, base)
+    assert snap["integrity_failures"] >= 2
+    assert snap["task_failures"] == 0
+    assert plan.fired_kinds() == ["corrupt_payload"]
 
 
 @pytest.mark.parametrize(
@@ -515,8 +535,7 @@ def test_trailer_faults_recover_bit_identically(side, fault):
     csr, fmt, _, _, b_q, base, _ = _workload(seed=29)
     params = dict(fault)
     plan = getattr(FaultPlan(seed=7), params.pop("kind"))(nth=1, **params)
-    plans = {"fault_plan": plan} if side == "head" else {"worker_fault_plan": plan}
-    with ClusterScheduler(hosts=2, retry_policy=RetryPolicy(seed=0), **plans) as sched:
+    with ClusterScheduler(hosts=2, retry_policy=RetryPolicy(seed=0), faults=plan) as sched:
         out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
         snap = sched.stats_snapshot()
     np.testing.assert_array_equal(out, base)
@@ -524,8 +543,8 @@ def test_trailer_faults_recover_bit_identically(side, fault):
     assert snap["reconnects"] >= 1
     if fault["kind"] == "corrupt_checksum":
         assert snap["integrity_failures"] >= 1
-    if side == "head":
-        assert len(plan.fired) == 1
+    # The plan's log is the head's: a worker-end fault fires in the host's copy.
+    assert len(plan.fired) == (1 if side == "head" else 0)
 
 
 def test_lying_checksum_is_rejected_like_corruption():
@@ -578,7 +597,7 @@ def test_frame_too_large_pre_scan_names_offending_descriptor():
 def test_handshake_bytes_counted_into_transport_totals():
     """Connecting alone (no tasks) must already move the byte counters:
     the handshake crossed the socket and the snapshot reconciles it."""
-    with ClusterScheduler(hosts=1, auth_token=TOKEN, auto_readmit=False) as sched:
+    with ClusterScheduler(hosts=1, auth_token=TOKEN, probe_interval_s=None) as sched:
         snap = sched.stats_snapshot()
     assert snap["tasks_sent"] == 0
     assert snap["bytes_sent"] > 0

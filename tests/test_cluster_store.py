@@ -285,7 +285,7 @@ def test_store_put_transport_fault_recovers_and_stays_exact():
     plan = FaultPlan(seed=3)
     with ClusterScheduler(
         hosts=2,
-        fault_plan=plan,
+        faults=plan,
         retry_policy=RetryPolicy(seed=3),
     ) as sched:
         victim = sched.affinity_host(key)
@@ -308,9 +308,9 @@ def test_failover_after_push_re_pushes_to_fallback_host():
     plan = FaultPlan(seed=4)
     with ClusterScheduler(
         hosts=2,
-        fault_plan=plan,
+        faults=plan,
         retry_policy=RetryPolicy(max_attempts=1, base_delay_s=0.01, seed=4),
-        auto_readmit=False,
+        probe_interval_s=None,
     ) as sched:
         victim = sched.affinity_host(key)
         survivor = next(h for h in sched.hosts if h.host_id != victim.host_id)
@@ -340,7 +340,7 @@ def test_readmission_rewarm_ledger_from_reported_inventory():
     plan = FaultPlan(seed=5)
     with ClusterScheduler(
         hosts=2,
-        fault_plan=plan,
+        faults=plan,
         retry_policy=RetryPolicy(max_attempts=1, base_delay_s=0.01, seed=5),
         probe_interval_s=0.1,
     ) as sched:

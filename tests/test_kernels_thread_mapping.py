@@ -8,7 +8,6 @@ from repro.kernels.thread_mapping import (
     coalesced_mapping,
     direct_mapping,
     get_mapping,
-    output_tile_store_transactions,
 )
 from repro.precision.types import Precision
 
@@ -106,10 +105,3 @@ def test_thread_addresses_generate_packed_accesses():
     accesses_direct = direct.thread_addresses(np.arange(8) * (1 << 12))
     assert len(accesses_direct) == 4
     assert all(a.access_bytes == 2 for a in accesses_direct)
-
-
-def test_output_tile_store_transactions():
-    report = output_tile_store_transactions(rows=8, cols=16)
-    # 8 rows x 64 bytes fully coalesced -> 8 transactions of 64 bytes.
-    assert report.useful_bytes == 8 * 16 * 4
-    assert report.bytes_moved == report.useful_bytes

@@ -38,7 +38,7 @@ OPTION_BUDGET = {
     ("repro.serve", "ShardScheduler.run_spmm"): 5,
     ("repro.serve", "ShardScheduler.run_sddmm"): 8,
     ("repro.serve", "ShardScheduler.run_layer"): 9,
-    ("repro.cluster", "ClusterScheduler"): 15,
+    ("repro.cluster", "ClusterScheduler"): 13,
     ("repro.cluster", "ClusterScheduler.run_spmm"): 7,
     ("repro.cluster", "ClusterScheduler.run_sddmm"): 10,
     ("repro.cluster", "ClusterScheduler.run_layer"): 11,
