@@ -45,11 +45,6 @@ class Baseline:
     sddmm_execute: Callable[[CSRMatrix, np.ndarray, np.ndarray], SddmmResult] | None = None
     notes: str = field(default="")
 
-    @property
-    def supports_sddmm(self) -> bool:
-        """Whether the baseline provides an SDDMM kernel."""
-        return self.sddmm_cost is not None
-
 
 def csr_spmm_reference(matrix: CSRMatrix, b: np.ndarray) -> np.ndarray:
     """FP32 CSR SpMM reference result (what every CUDA-core baseline computes)."""

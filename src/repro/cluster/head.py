@@ -753,8 +753,8 @@ class ClusterScheduler:
         same scope.  A frame-typed fault fires at the end that sends that
         frame type (``task`` at the head, ``result`` at a worker);
         recv-side faults and ``refuse_connect`` fire at the head only.  A
-        host forks with its copy of the plan, so the copy is fixed when the
-        host is spawned: faults armed later reach the head alone.
+        host starts with its own copy of the plan, fixed when the host is
+        spawned: faults armed later reach the head alone.
     max_frame_bytes:
         Per-connection bound on declared frame sizes, enforced on both
         the head side and spawned loopback workers (see

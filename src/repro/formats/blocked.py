@@ -245,20 +245,21 @@ class BlockedVectorFormat:
 
         ``group`` is the number of vectors per block and defaults to the
         format's MMA width :attr:`k`; the SDDMM kernels pass their output-tile
-        width instead.  Cached on the instance per ``group``; assumes the
-        block structure is not mutated after the first call, which holds for
-        every translation produced by :meth:`from_csr`.
+        width instead.  Structure only, so it is memoised on the partition
+        (:meth:`~repro.formats.windows.WindowPartition.memo`) per ``group``:
+        every translation of one pattern shares it.
         """
         group = self.k if group is None else int(group)
         if group <= 0:
             raise ValueError("group must be positive")
-        cache: dict[int, BlockBatch] = self.__dict__.setdefault("_block_batch_cache", {})
-        batch = cache.get(group)
-        if batch is None:
-            offsets = np.zeros(self.num_windows + 1, dtype=np.int64)
-            np.cumsum(self.partition.tc_blocks_per_window(group), out=offsets[1:])
-            batch = cache[group] = BlockBatch(group=group, window_offsets=offsets)
-        return batch
+        part = self.partition
+
+        def build() -> BlockBatch:
+            offsets = np.zeros(part.num_windows + 1, dtype=np.int64)
+            np.cumsum(part.tc_blocks_per_window(group), out=offsets[1:])
+            return BlockBatch(group=group, window_offsets=offsets)
+
+        return part.memo(("block_index", group), build)
 
     def lanes_as_csr(self) -> LaneCSR:
         """The nonzero lanes as a row-wise CSR (see :class:`LaneCSR`).
@@ -268,8 +269,8 @@ class BlockedVectorFormat:
         already storage order, since the source CSR is canonical.  The
         values are read from :attr:`vector_values`, never the source CSR,
         so a translation bug shows in the numerics.  Built on first use and
-        cached on the instance under the same no-mutation assumption as
-        :meth:`blocks_as_arrays`.
+        cached on the instance: a translation is not mutated after
+        :meth:`from_csr`.
         """
         view = self.__dict__.get("_lane_csr_cache")
         if view is not None:

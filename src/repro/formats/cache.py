@@ -43,8 +43,10 @@ only ``indptr`` / ``indices``, so it is cached in the same LRU under
 alone.  A matrix that keeps a cached pattern and brings new values (an
 attention layer's weights, evaluation after evaluation) translates as one
 value scatter through the cached entry map: no sort, and the
-partition object — which the serving plan cache keys on — is shared by
-every translation of the pattern.  Structure entries pin no source matrix.
+partition object — with its memo of what the pattern implies (block
+indexes, cost counters, serving plans;
+:meth:`~repro.formats.windows.WindowPartition.memo`) — is shared by every
+translation of the pattern.  Structure entries pin no source matrix.
 Identity-only callers never touch them.
 
 The cache is the package's one LRU (:class:`repro.utils.lru.LRU`), every

@@ -191,9 +191,10 @@ class CSRMatrix:
         """Structure fingerprint: a hex digest over the shape, ``indptr`` and
         ``indices`` — the sparsity pattern, whatever the values.
 
-        Everything a translation derives from the pattern alone (the window
-        partition and its entry map, a serving plan, the pinned index
-        arrays of a cluster host) is keyed by it, so a matrix that keeps its
+        Everything derived from the pattern alone is keyed by it: the
+        window partition and its entry map — and, through the partition's
+        memo, its block indexes, cost counters and serving plans — and the
+        pinned index arrays of a cluster host.  So a matrix that keeps its
         pattern and changes its values (an attention layer's per-evaluation
         weights) reuses all of that.  Memoised on the instance, under the
         same no-mutation contract as :meth:`content_key`.

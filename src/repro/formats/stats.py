@@ -83,8 +83,8 @@ def vector_stats(matrix: CSRMatrix | WindowPartition, vector_size: int | None = 
 class BlockHistogram:
     """Distribution of TC-block widths across the windows of a partition.
 
-    The *block-width histogram* is the shared currency of the closed-form
-    cost estimators, the batched engine and the serving planner: every
+    A summary of :meth:`~repro.formats.windows.WindowPartition.block_widths`,
+    the per-block widths the closed-form cost estimators read: every
     per-block quantity (bytes loaded, intermediate slab size, MMAs issued)
     is a function of the block's width, so the histogram determines cost and
     memory behaviour without touching values.  The per-window aggregates are

@@ -21,10 +21,19 @@ gives the same partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Hashable
 
 import numpy as np
 
 from repro.formats.csr import CSRMatrix
+from repro.utils.lru import LRU
+
+#: Entries one partition's memo (:meth:`WindowPartition.memo`) keeps.  The
+#: six end-to-end workloads put at most 5 distinct keys on one partition
+#: (``pool_layer``: two block indexes, the layer's plan and an SpMM and an
+#: SDDMM cost counter; 3 on every other workload), counted over a 6 s run
+#: of each at two seeds; 8 leaves room for a few more widths.
+PATTERN_MEMO_SIZE = 8
 
 
 @dataclass
@@ -74,6 +83,23 @@ class WindowPartition:
         out = np.zeros((self.num_nonzero_vectors, self.vector_size), dtype=dtype)
         out.reshape(-1)[self.entry_slot] = entries
         return out
+
+    def memo(self, key: Hashable, build: Callable[[], object]):
+        """``build()``'s value, computed once per partition and ``key``.
+
+        The one memo of what a sparsity pattern implies: everything derived
+        from the partition alone — a grouping's block index, a closed-form
+        cost counter, a serving plan — is computed on first use and shared
+        by every translation of the pattern, a values-only request's
+        included.  ``key`` must name every other input ``build`` reads; a
+        caller hands out a copy of a mutable value.  An
+        :class:`~repro.utils.lru.LRU` of :data:`PATTERN_MEMO_SIZE` entries,
+        kept beside the fields under the partition's no-mutation contract.
+        """
+        memo = self.__dict__.get("_memo")
+        if memo is None:
+            memo = self.__dict__.setdefault("_memo", LRU(PATTERN_MEMO_SIZE))
+        return memo.lookup(key, build)
 
     # ------------------------------------------------------------ statistics
     @property

@@ -61,10 +61,6 @@ class Tensor:
         """The underlying array (no copy)."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        """A new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
         self.grad = None

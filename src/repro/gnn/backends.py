@@ -87,12 +87,6 @@ class SparseBackend:
     _spmm_profile: KernelProfile = field(repr=False, default=None)
     _sddmm_profile: KernelProfile = field(repr=False, default=None)
     stats: OpStats = field(default_factory=OpStats)
-    #: Memoised kernel-time estimates keyed by (op, dense width, device spec).
-    #: The adjacency is static during training, so each (op, width, device)
-    #: combination is priced exactly once per run instead of once per epoch;
-    #: the CSR→blocked translation underneath is additionally shared through
-    #: the LRU cache of :mod:`repro.formats.cache`.
-    _time_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         indices = self.adjacency.indices
@@ -165,38 +159,18 @@ class SparseBackend:
         return segment_softmax_backward(softmax, grad_out, self.adjacency.indptr)
 
     # --------------------------------------------------------- cost model
-    def _cached_time(self, key: tuple, device: GPUSpec, compute) -> float:
-        # GPUSpec carries an unhashable `extra` dict, so the key uses id();
-        # the entry pins the device object so the id cannot be recycled, and
-        # an identity check guards against a different spec under a stale key.
-        entry = self._time_cache.get(key)
-        if entry is None or entry[0] is not device:
-            entry = (device, compute())
-            self._time_cache[key] = entry
-        return entry[1]
-
     def spmm_time(self, n_dense: int, device: GPUSpec) -> float:
         """Estimated time of one SpMM call with an ``n_dense``-wide operand."""
-        return self._cached_time(
-            ("spmm", int(n_dense), id(device)),
-            device,
-            lambda: estimate_time(
-                self._spmm_cost(self.adjacency, n_dense), device, self._spmm_profile
-            ).total_time_s,
-        )
+        cost = self._spmm_cost(self.adjacency, n_dense)
+        return estimate_time(cost, device, self._spmm_profile).total_time_s
 
     def sddmm_time(self, k_dense: int, device: GPUSpec) -> float:
         """Estimated time of one SDDMM call over a ``k_dense`` feature dim."""
         if self._sddmm_cost is None:
             # Backends without a dedicated SDDMM fall back to an SpMM-shaped cost.
             return self.spmm_time(k_dense, device)
-        return self._cached_time(
-            ("sddmm", int(k_dense), id(device)),
-            device,
-            lambda: estimate_time(
-                self._sddmm_cost(self.adjacency, k_dense), device, self._sddmm_profile
-            ).total_time_s,
-        )
+        cost = self._sddmm_cost(self.adjacency, k_dense)
+        return estimate_time(cost, device, self._sddmm_profile).total_time_s
 
     @property
     def framework_overhead_us(self) -> float:

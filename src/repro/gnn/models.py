@@ -47,11 +47,6 @@ class GCN(Module):
                 h = ag.dropout(h, self.dropout, self._rng, training=self.training)
         return ag.log_softmax(h, axis=1)
 
-    @property
-    def num_spmm_per_forward(self) -> int:
-        """Sparse aggregations per forward pass (one per layer)."""
-        return len(self.layers)
-
 
 class AGNN(Module):
     """Attention-based GNN: a linear embedding, K attention layers, a classifier.
@@ -86,8 +81,3 @@ class AGNN(Module):
             h = layer(backend, h)
         out = self.classify(h)
         return ag.log_softmax(out, axis=1)
-
-    @property
-    def num_attention(self) -> int:
-        """Number of attention (SDDMM + SpMM) layers."""
-        return len(self.attention_layers)

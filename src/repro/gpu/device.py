@@ -180,8 +180,3 @@ def get_device(name: str) -> GPUSpec:
         raise KeyError(
             f"unknown device {name!r}; available: {sorted(set(_DEVICES))}"
         ) from exc
-
-
-def available_devices() -> list[str]:
-    """Names of the devices the simulator knows about."""
-    return sorted({spec.name for spec in _DEVICES.values()})

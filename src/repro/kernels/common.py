@@ -9,7 +9,6 @@ path computed them.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,35 +19,9 @@ from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
 from repro.perfmodel.model import TimeEstimate, gflops
 from repro.precision.types import Precision
-from repro.utils.lru import LRU
 
 #: Execution engines accepted by :class:`FlashSparseConfig`.
 ENGINES: tuple[str, ...] = ("batched", "reference")
-
-#: Counters one window partition keeps.  The six end-to-end workloads put
-#: at most 3 distinct keys on one partition (``cost_sweep_cold``'s three
-#: configurations; a fused layer's SDDMM and SpMM passes are 2), counted
-#: over a 6 s run of each at two seeds; 8 leaves room for a few more widths.
-_COST_MEMO_SIZE = 8
-
-
-def memoised_cost(
-    fmt: BlockedVectorFormat, key: tuple, compute: Callable[[], CostCounter]
-) -> CostCounter:
-    """A fresh copy of the counter ``compute()`` returns, computed once per
-    window partition and ``key``.
-
-    The closed-form cost passes read the pattern — its block-width
-    histogram — and their settings, never the values, so every translation
-    of one pattern shares the memo, a values-only request's included.  It
-    lives on the partition under the no-mutation contract of the format's
-    other caches, as an :class:`~repro.utils.lru.LRU` of
-    ``_COST_MEMO_SIZE`` counters; ``key`` must name everything else the
-    counter reads.
-    """
-    memo = fmt.partition.__dict__.setdefault("_cost_memo", LRU(_COST_MEMO_SIZE))
-    return memo.lookup(key, compute).copy()
-
 
 @dataclass(frozen=True)
 class FlashSparseConfig:

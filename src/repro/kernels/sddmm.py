@@ -21,7 +21,7 @@ from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
 from repro.gpu.mma import MMAShape
-from repro.kernels.common import FlashSparseConfig, SddmmResult, memoised_cost
+from repro.kernels.common import FlashSparseConfig, SddmmResult
 from repro.kernels.engine import sddmm_batched
 from repro.kernels.granularity import Granularity, ceil_div
 from repro.perfmodel.model import sddmm_useful_flops
@@ -183,8 +183,8 @@ def sddmm_cost(
 ) -> CostCounter:
     """Analytic cost of the SDDMM under binding ``g`` (matches
     :func:`_sddmm_reference`), computed once per sparsity pattern and
-    settings (:func:`~repro.kernels.common.memoised_cost`); each call
-    returns a fresh copy."""
+    settings (:meth:`~repro.formats.windows.WindowPartition.memo`); each
+    call returns a fresh copy."""
     precision = (config or FlashSparseConfig()).precision
     shape = g.shape_for(precision)
     fmt = g.resolve(mask, precision)
@@ -192,7 +192,7 @@ def sddmm_cost(
     if k_dense <= 0:
         raise ValueError("k_dense must be positive")
     key = ("sddmm", g.swapped, shape, k_dense, precision)
-    return memoised_cost(fmt, key, lambda: _sddmm_cost(g, fmt, shape, k_dense, precision))
+    return fmt.partition.memo(key, lambda: _sddmm_cost(g, fmt, shape, k_dense, precision)).copy()
 
 
 def _sddmm_cost(

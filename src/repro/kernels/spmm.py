@@ -27,7 +27,7 @@ from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import CostCounter
 from repro.gpu.mma import MMAShape
-from repro.kernels.common import FlashSparseConfig, SpmmResult, memoised_cost
+from repro.kernels.common import FlashSparseConfig, SpmmResult
 from repro.kernels.engine import spmm_batched
 from repro.kernels.granularity import Granularity, ceil_div
 from repro.kernels.thread_mapping import b_tile_transactions, get_mapping
@@ -216,8 +216,8 @@ def spmm_cost(
     Produces exactly the counter :func:`_spmm_reference` would produce, but
     vectorised over the block structure so large matrices are cheap to
     sweep — and computed once per sparsity pattern and settings
-    (:func:`~repro.kernels.common.memoised_cost`); each call returns a
-    fresh copy.
+    (:meth:`~repro.formats.windows.WindowPartition.memo`); each call
+    returns a fresh copy.
     """
     config = config or FlashSparseConfig()
     fmt, shape = _bind(g, a, config, api)
@@ -228,7 +228,7 @@ def spmm_cost(
         "spmm", g.swapped, shape, api, n_dense, config.precision, config.coalesced,
         type(fmt), fmt.k, fmt.value_element_bytes(),
     )
-    return memoised_cost(fmt, key, lambda: _spmm_cost(g, fmt, shape, n_dense, config))
+    return fmt.partition.memo(key, lambda: _spmm_cost(g, fmt, shape, n_dense, config)).copy()
 
 
 def _spmm_cost(

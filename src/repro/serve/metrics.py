@@ -74,7 +74,13 @@ def _summarise(samples: deque) -> LatencyStats:
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """Point-in-time view of a server's metrics."""
+    """Point-in-time view of a server's metrics.
+
+    The fused-layer counters (``layer_requests``, ``round_trips_saved``,
+    ``operand_bytes_saved``) advance once per resolved layer request, so
+    three requests coalesced into one pass count three; ``stage_latency``
+    takes one sample per fused pass.
+    """
 
     requests_submitted: int
     requests_completed: int
@@ -110,18 +116,21 @@ class MetricsSnapshot:
     #: Translation-cache counters since this server's metrics were reset.
     cache: CacheStats
     meta: dict = field(default_factory=dict)
-    #: Fused layer requests completed (``submit_layer``).
+    #: Fused layer requests completed (``submit_layer``), one per request
+    #: however many were coalesced into one pass.
     layer_requests: int = 0
     #: Scheduler round trips avoided versus per-kernel composition
-    #: (two per fused layer: SDDMM and edge-softmax stop being requests).
+    #: (two per fused layer request: SDDMM and edge-softmax stop being
+    #: requests).
     round_trips_saved: int = 0
     #: Intermediate operand traffic (bytes) the composed path would have
-    #: moved between scheduler and server per layer and the fused path
-    #: did not (SDDMM output out, attention matrix back in).
+    #: moved between scheduler and server per layer request and the fused
+    #: path did not (SDDMM output out, attention matrix back in).
     operand_bytes_saved: int = 0
-    #: Per-stage latency split of fused layer requests, keyed by stage
+    #: Per-stage latency split of fused layer passes, keyed by stage
     #: (``sddmm`` / ``edge_softmax`` / ``spmm``), each under the same
-    #: :class:`LatencyStats` shape as ``queue_wait`` / ``execution``.
+    #: :class:`LatencyStats` shape as ``queue_wait`` / ``execution``: one
+    #: sample per fused pass, so coalesced requests share one.
     stage_latency: dict = field(default_factory=dict)
 
     @property
@@ -211,25 +220,25 @@ class ServeMetrics:
             if size > 1:
                 self._coalesced += size
 
-    def record_layer(
-        self,
-        stage_seconds: dict | None = None,
-        round_trips_saved: int = 0,
-        operand_bytes_saved: int = 0,
-    ) -> None:
-        """Count one fused layer request: its per-stage wall clock and the
-        round trips / intermediate bytes it avoided versus composition."""
+    def record_stages(self, stage_seconds: dict) -> None:
+        """Record one fused layer pass's per-stage wall clock: one sample a
+        pass, however many coalesced requests it served."""
         with self._lock:
-            self._layer_requests += 1
-            self._round_trips_saved += int(round_trips_saved)
-            self._operand_bytes_saved += int(operand_bytes_saved)
-            for stage, seconds in (stage_seconds or {}).items():
+            for stage, seconds in stage_seconds.items():
                 name = str(stage).removesuffix("_s")
                 reservoir = self._stage_times.get(name)
                 if reservoir is None:
                     reservoir = deque(maxlen=LATENCY_RESERVOIR)
                     self._stage_times[name] = reservoir
                 reservoir.append(float(seconds))
+
+    def record_layer(self, round_trips_saved: int = 0, operand_bytes_saved: int = 0) -> None:
+        """Count one resolved fused layer request and the round trips /
+        intermediate bytes it avoided versus composition."""
+        with self._lock:
+            self._layer_requests += 1
+            self._round_trips_saved += int(round_trips_saved)
+            self._operand_bytes_saved += int(operand_bytes_saved)
 
     def record_completed(
         self,

@@ -1,4 +1,4 @@
-"""Memory-budget planner: GPUSpec + block histogram → shard size.
+"""Memory-budget planner: GPUSpec + block index → shard size.
 
 The numeric engine has no memory knobs: SpMM accumulates row-wise and holds
 no intermediate, SDDMM works in fixed L2-sized entry chunks.  What a served
@@ -16,10 +16,11 @@ handed to a worker host — covers.  Given the device's declared memory capacity
    block touches (:func:`~repro.kernels.engine.spmm_bytes_per_block` /
    :func:`~repro.kernels.engine.sddmm_bytes_per_block` — the figure sizes
    *work per shard task*), and
-4. snaps the resulting shard target to the format's block-width histogram
-   (:func:`repro.formats.stats.block_width_histogram`): shards are
-   window-aligned, so a window with more blocks than the target becomes a
-   shard of its own and the plan reports the true peak.
+4. snaps the resulting shard target to the format's block index
+   (:meth:`~repro.formats.blocked.BlockedVectorFormat.blocks_as_arrays`,
+   the one the shard cut reads): shards are window-aligned, so a window
+   with more blocks than the target becomes a shard of its own and the
+   plan reports the true peak.
 
 The planner is deliberately conservative — a serving process co-hosts
 several in-flight requests — and fully deterministic: the same matrix,
@@ -36,7 +37,6 @@ import numpy as np
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.cache import cached_mebcrs
 from repro.formats.csr import CSRMatrix
-from repro.formats.stats import BlockHistogram, block_width_histogram
 from repro.gpu.device import GPUSpec, get_device
 from repro.gpu.memory import DEFAULT_WORKSPACE_FRACTION, MemoryBudget, derive_budget
 from repro.kernels.engine import (
@@ -129,10 +129,8 @@ def _plan(
     max_intermediate_bytes: int | None,
     hosts: int = 1,
 ) -> ServePlan:
-    hist: BlockHistogram = block_width_histogram(fmt.partition, group)
-    offsets = np.zeros(hist.num_windows + 1, dtype=np.int64)
-    np.cumsum(hist.blocks_per_window, out=offsets[1:])
-    num_blocks = hist.num_blocks
+    offsets = fmt.blocks_as_arrays(group).window_offsets
+    num_blocks = int(offsets[-1])
     hosts = max(1, int(hosts))
 
     budget: MemoryBudget | None = None
@@ -197,7 +195,7 @@ def _plan(
         meta={
             "resident_bytes": resident_bytes,
             "one_shot": False,
-            "max_blocks_in_window": hist.max_blocks_in_window,
+            "max_blocks_in_window": int(np.diff(offsets).max()) if fmt.num_windows else 0,
         },
     )
 

@@ -53,7 +53,8 @@ def attention_csr(csr: CSRMatrix, data: np.ndarray) -> CSRMatrix:
     The three-call layer feeds this to its SpMM.  It is
     ``csr.with_values``: the index arrays and the structure key are
     ``csr``'s own, so the attention matrix reuses the mask's cached window
-    partition and serving plan, and on the cluster only its ``data``
+    partition and all it memoises (block index, cost counters, serving
+    plan), and on the cluster only its ``data``
     crosses the wire — its content key differs from the mask's (the values
     differ per layer evaluation), its structure key does not.
     """

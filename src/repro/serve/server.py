@@ -18,9 +18,9 @@ executes them on the shared backend):
   neighbours or the operand's width, so the split results are bit-identical
   to running each request alone;
 * execution honours a :class:`~repro.serve.planner.ServePlan` — derived per
-  (matrix, width) from the server's device budget and memoised in a small
-  LRU — and runs its shards one after another in the server process on
-  the :class:`~repro.serve.scheduler.ShardScheduler`;
+  (pattern, width) from the server's device budget and memoised on the
+  pattern's window partition — and runs its shards one after another in
+  the server process on the :class:`~repro.serve.scheduler.ShardScheduler`;
 * every SpMM / SDDMM request resolves with the result type a direct
   :func:`repro.spmm` / :func:`repro.sddmm` call returns
   (:class:`~repro.kernels.common.SpmmResult` /
@@ -82,8 +82,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-import weakref
-from collections import OrderedDict
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -121,12 +119,6 @@ from repro.utils.validation import check_dense_matrix
 #: batch to fill (the dispatch loop never waits — it batches whatever is
 #: already queued — so this is a width cap, not a time window).
 DEFAULT_MAX_BATCH = 8
-
-#: Memoised (format, op, width) → plan entries kept per server.  Eviction is
-#: LRU (mirroring :class:`~repro.formats.cache.TranslationCache`): a hot
-#: plan — the same graph served at the same width on every request — stays
-#: resident however many cold one-off widths pass through.
-PLAN_CACHE_CAPACITY = 256
 
 #: Admission policies for a full queue (see :class:`Server`).
 ADMISSION_POLICIES = ("block", "reject")
@@ -222,11 +214,7 @@ def _run_layer(server, fmt, operands, lead, kwargs):
     out, stages = server.scheduler.run_layer(
         fmt, *operands, server.precision, **lead.params, **kwargs
     )
-    server.metrics.record_layer(
-        stages,
-        round_trips_saved=2,
-        operand_bytes_saved=composed_intermediate_bytes(fmt, lead.csr),
-    )
+    server.metrics.record_stages(stages)
     return out, stages
 
 
@@ -383,13 +371,6 @@ class Server:
         #: cluster independent matrices route to different hosts and would
         #: otherwise idle them.
         self.group_concurrency = max(1, self.hosts)
-        #: (op, id(fmt.partition), fmt.k, width, hosts) -> (weakref to the
-        #: partition, plan).  Weak, so the plan cache never keeps a
-        #: translation's structure alive after the translation cache's own
-        #: (smaller) LRU let it go.
-        self._plans: "OrderedDict[tuple, tuple[weakref.ref, ServePlan]]" = OrderedDict()
-        self._plan_capacity = PLAN_CACHE_CAPACITY
-        self._plans_lock = threading.Lock()
         self._queue: "queue.SimpleQueue[ServeRequest | _Stop]" = queue.SimpleQueue()
         # Serialises submit vs close vs crash: nothing can enter the queue
         # after the _Stop sentinel (or after the crash handler drained it),
@@ -865,44 +846,33 @@ class Server:
 
     # ------------------------------------------------------------ execution
     def _plan_for(self, fmt: BlockedVectorFormat, op: str, width: int) -> ServePlan:
-        # Lock-guarded end to end: with ``group_concurrency > 1`` (the
-        # cluster default) concurrent group threads share this OrderedDict,
-        # and an unguarded move_to_end/popitem interleaving corrupts it.
-        # Planning itself is cheap and memoised, so holding the lock across
-        # a miss is simpler than double-compute-and-race on the store.
         hosts = self.hosts
         if self.backend == "cluster":
             # Membership is live (add_host / remove_host, readmissions), so
-            # plans follow the *current* host count — the count is part of
-            # the cache key, so a membership change simply plans afresh
-            # instead of serving a stale per-host split.
+            # plans follow the *current* host count, which the key names: a
+            # membership change plans afresh.
             hosts = max(1, len(self.scheduler.hosts))
-        # A plan reads the format's structure only (its block histogram and
-        # footprint), so it is keyed by the window partition, which every
-        # translation of one pattern shares (the translation cache's
-        # structure entries): a values-only request re-uses its plan.
-        partition = fmt.partition
-        with self._plans_lock:
-            key = (op, id(partition), fmt.k, width, hosts)
-            entry = self._plans.get(key)
-            # The identity check guards against id reuse (a collected
-            # partition's id recycled by a different matrix); a dead
-            # referent is simply a miss.
-            if entry is not None and entry[0]() is partition:
-                self._plans.move_to_end(key)
-                return entry[1]
-            planner = plan_sddmm if SHARD_OPS[op].sddmm else plan_spmm
-            kwargs = {"workers": self.requested_workers, "hosts": hosts}
-            if self.backend == "cluster" and self.requested_workers is None:
-                # A worker host executes one shard at a time: plan per-host
-                # chunks for a single consumer, not a local thread pool.
-                kwargs["workers"] = 1
-            plan = planner(fmt, width, device=self.device, precision=self.precision, **kwargs)
-            self._plans[key] = (weakref.ref(partition), plan)
-            self._plans.move_to_end(key)
-            while len(self._plans) > self._plan_capacity:
-                self._plans.popitem(last=False)
-            return plan
+        workers = self.requested_workers
+        if self.backend == "cluster" and workers is None:
+            # A worker host executes one shard at a time: plan per-host
+            # chunks for a single consumer, not a local thread pool.
+            workers = 1
+        planner = plan_sddmm if SHARD_OPS[op].sddmm else plan_spmm
+        # A plan reads the pattern (its block index and footprint) and the
+        # settings below, never the values, so it is memoised on the window
+        # partition every translation of the pattern shares, beside its
+        # cost counters.  Every server in the process shares that memo, so
+        # the key names all the planner reads: of the device, derive_budget
+        # reads the capacity only.
+        memory = None if self.device is None else self.device.memory_bytes
+        key = ("plan", op, fmt.k, self.precision, width, hosts, workers, memory)
+        return fmt.partition.memo(
+            key,
+            lambda: planner(
+                fmt, width, device=self.device, precision=self.precision,
+                workers=workers, hosts=hosts,
+            ),
+        )
 
     def _execute_group(self, group: list[ServeRequest]) -> None:
         """Run one group through its op's :data:`_SERVED_OPS` row:
@@ -961,6 +931,11 @@ class Server:
                 except InvalidStateError:  # cancelled after the live check
                     self._record_cancelled(req)
                     continue
+                if stages is not None:  # a fused layer: what composition would pay
+                    self.metrics.record_layer(
+                        round_trips_saved=2,
+                        operand_bytes_saved=composed_intermediate_bytes(fmt, lead.csr),
+                    )
                 self.metrics.record_completed(
                     now - req.submitted_at,
                     queue_wait_s=req.dequeued_at - req.submitted_at,

@@ -101,6 +101,16 @@ class FaultPlan:
         #: Audit log of every fault that fired, in firing order.
         self.fired: list[FaultEvent] = []
 
+    def __getstate__(self) -> dict:
+        # A lock cannot be pickled: a copy (a spawned host's) gets its own.
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.RLock()
+
     # ------------------------------------------------------------- scheduling
     def _arm(self, fault: _ArmedFault) -> "FaultPlan":
         if fault.remaining < 1:
@@ -321,8 +331,8 @@ class FaultPlan:
         """The worker end of this plan, bound to ``scope``: a
         ``socket_wrapper`` for ``run_worker`` that applies the frame-typed
         send faults and leaves recv-side and untyped faults to the head.
-        A spawned host forks with it, so it needs a platform where hosts
-        fork."""
+        It pickles, so a host spawned by fork or by spawn takes its own
+        copy of the plan."""
         return PlanSocketWrapper(self, scope)
 
     def check_connect(self, scope: str | None = None) -> None:

@@ -3,9 +3,10 @@ caller's units.
 
 Every cache that keeps request-derived memory is an :class:`LRU`: the
 format translations (:class:`repro.formats.cache.TranslationCache`, one
-unit an entry), a partition's cost counters
-(:func:`repro.kernels.common.memoised_cost`, one unit), each carrier's
-shard lane sets (:func:`repro.kernels.engine.lane_cache`, bytes) and a
+unit an entry), what a sparsity pattern implies — block indexes, cost
+counters, serving plans — on its partition
+(:meth:`repro.formats.windows.WindowPartition.memo`, one unit), each
+carrier's shard lane sets (:func:`repro.kernels.engine.lane_cache`, bytes) and a
 worker host's pin store (:class:`repro.cluster.store.PinnedStore`, bytes).
 A put evicts least-recently-used entries until the total weight fits the
 capacity, passing over the entries a caller holds (:meth:`LRU.acquire`,

@@ -11,6 +11,7 @@ counted in its status frames.
 
 from __future__ import annotations
 
+import pickle
 import socket
 import threading
 import time
@@ -117,6 +118,21 @@ def test_worker_end_fires_only_frame_typed_send_faults():
     with pytest.raises(FrameIntegrityError):
         recv_message(b)
     assert plan.fired_kinds() == ["corrupt_checksum"]
+    a.close(), b.close()
+
+
+def test_an_unpickled_worker_end_fires_its_own_copy_of_the_plan():
+    """A host started by spawn receives its wrapper pickled: the copy
+    carries the armed fault and a lock of its own, and what it fires is
+    logged in the copy, not in the head's plan."""
+    plan = FaultPlan(seed=0).corrupt_checksum(nth=1, type="result")
+    copy = pickle.loads(pickle.dumps(plan.socket_wrapper(scope="h0")))
+    a, b = _pair()
+    send_message(copy(a), {"type": "result"}, [np.arange(4, dtype=np.float32)])
+    with pytest.raises(FrameIntegrityError):
+        recv_message(b)
+    assert copy.plan.fired_kinds() == ["corrupt_checksum"]
+    assert plan.fired == []
     a.close(), b.close()
 
 

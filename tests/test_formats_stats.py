@@ -161,7 +161,7 @@ def test_tf32_data_access_doubles_element_size(medium_csr):
 
 
 # ---------------------------------------------------------------------------
-# Block-width histogram (the serving planner's input, rebased on repro.ops)
+# Block-width histogram (rebased on repro.ops)
 # ---------------------------------------------------------------------------
 def test_block_width_histogram_matches_partition(medium_csr):
     from repro.formats.stats import block_width_histogram

@@ -41,7 +41,6 @@ def test_tensor_basics(rng):
     t = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     assert t.shape == (3, 4)
     assert t.ndim == 2
-    assert t.detach().requires_grad is False
     assert isinstance(Parameter(np.zeros(2)).requires_grad, bool)
     assert Parameter(np.zeros(2)).requires_grad
 

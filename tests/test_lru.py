@@ -19,6 +19,7 @@ import pytest
 from helpers import random_csr
 
 from repro.formats.mebcrs import MEBCRSMatrix
+from repro.formats.windows import PATTERN_MEMO_SIZE, partition_windows
 from repro.kernels.engine import LANE_CACHE_BYTES, SHARD_OPS, lane_cache
 from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK as FLASH_GROUP
 from repro.precision.types import Precision
@@ -93,6 +94,32 @@ def test_concurrent_lookups_keep_the_counts_and_the_weight():
     stats = entries.stats()
     assert stats["hits"] + stats["misses"] == 8 * 2000 and stats["misses"] == len(built)
     assert entries.weight == sum(len(entries.get(key)) for key in entries.keys()) <= 40
+
+
+def test_a_fresh_partition_memo_builds_each_key_once_under_threads():
+    """The memo is made on a partition's first lookup, racing threads
+    included: they share one LRU, so every key is built once."""
+    partition = partition_windows(random_csr(64, 64, 0.1, seed=1), 8)
+    built, start = [], threading.Barrier(8)
+
+    def work(seed):
+        start.wait(timeout=60)
+        for i in range(200):
+            key = (seed + i) % PATTERN_MEMO_SIZE
+            partition.memo(key, lambda key=key: built.append(key) or object())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(built) == list(range(PATTERN_MEMO_SIZE))
 
 
 def _lanes_of(csr, name="layer", precision="fp16"):

@@ -25,6 +25,7 @@ import pytest
 
 from helpers import composed_layer, csr_with_zero_valued_entries, random_csr
 
+from repro.formats.cache import cached_mebcrs
 from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
@@ -32,6 +33,7 @@ from repro.gnn import ServedBackend
 from repro.gpu.device import RTX4090
 from repro.precision.types import Precision, quantize
 from repro.serve import LatencyStats, Server, ShardScheduler, plan_spmm
+from repro.serve.program import composed_intermediate_bytes
 
 TIMEOUT = 120
 
@@ -271,6 +273,35 @@ def test_same_layer_requests_coalesce_into_one_fused_pass():
         assert snap.requests_coalesced >= 2
         assert r1.meta["batched_with"] == 1
         assert r2.meta["batched_with"] == 1
+
+
+def test_coalesced_layer_requests_each_count_their_saved_round_trips():
+    """Three layer requests coalesced into one pass bank three requests'
+    round trips and intermediate bytes; the stage split keeps one sample
+    for the one pass."""
+    csr = random_csr(120, 120, 0.05, seed=16)
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal((120, 12)).astype(np.float32)
+    xs = [rng.standard_normal((120, n)).astype(np.float32) for n in (3, 4, 5)]
+    with Server(workers=1) as srv:
+        gate = _Gate(srv)
+        blocker = srv.submit_spmm(
+            random_csr(50, 40, 0.1, seed=98), rng.standard_normal((40, 4)).astype(np.float32)
+        )
+        gate.entered.wait(TIMEOUT)
+        futures = [srv.submit_layer(csr, a, a, x, scale=0.9) for x in xs]
+        gate.release.set()
+        blocker.result(TIMEOUT)
+        assert all(fut.result(TIMEOUT).meta["batched_with"] == 2 for fut in futures)
+        deadline = time.monotonic() + TIMEOUT
+        while srv.snapshot().requests_completed < 4 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        snap = srv.snapshot()
+        fmt = cached_mebcrs(csr, srv.precision, by_content=True)
+    assert snap.layer_requests == 3
+    assert snap.round_trips_saved == 6
+    assert snap.operand_bytes_saved == 3 * composed_intermediate_bytes(fmt, csr)
+    assert snap.stage_latency["spmm"].count == 1
 
 
 def test_coalesced_layer_panels_of_any_width_match_their_solo_runs():

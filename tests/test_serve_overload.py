@@ -14,7 +14,7 @@ capacity or a component dies mid-flight:
   under an in-flight batch; a bounded ``close`` surfaces the expiry
   instead of abandoning the drain),
 * the scheduler's stats counters under concurrent snapshots, and
-* LRU (not wholesale) eviction of the server's plan cache.
+* LRU (not wholesale) eviction of the plans in the pattern's memo.
 
 The dispatcher is blocked *deterministically* by wrapping the server's
 ``_execute_group`` with an event gate — no sleep-based races.
@@ -32,6 +32,9 @@ from helpers import random_csr
 
 from repro.core.api import spmm
 from repro.formats.cache import cached_mebcrs
+from repro.formats.windows import PATTERN_MEMO_SIZE
+from repro.gpu.device import RTX4090
+from repro.kernels.spmm_flash import spmm_flash_cost
 from repro.serve import (
     DispatcherCrashedError,
     ServeTimeoutError,
@@ -361,48 +364,49 @@ def test_server_snapshot_reads_scheduler_stats_safely(workload):
 
 
 def test_plan_cache_evicts_lru_not_wholesale():
+    """Plans live in the pattern's memo: a sweep of cold widths past its
+    capacity evicts the coldest plan, never the hot one touched between."""
     csr = random_csr(96, 96, 0.1, seed=3)
     srv = Server(workers=1)
     try:
         fmt = cached_mebcrs(csr, srv.precision, by_content=True)
-        srv._plan_capacity = 4
-        hot_key = ("spmm", id(fmt.partition), fmt.k, 8, srv.hosts)
-        hot_plan = srv._plan_for(fmt, "spmm", 8)
-        # Seven cold widths overflow a capacity-4 cache; the hot key is
-        # touched between insertions, so LRU must keep it.
-        for width in (1, 2, 3, 4, 5, 6, 7):
+        hot_plan = srv._plan_for(fmt, "spmm", 64)
+        coldest = srv._plan_for(fmt, "spmm", 1)
+        for width in range(2, PATTERN_MEMO_SIZE + 2):
             srv._plan_for(fmt, "spmm", width)
-            assert srv._plan_for(fmt, "spmm", 8) is hot_plan
-        assert len(srv._plans) <= 4
-        assert hot_key in srv._plans
+            assert srv._plan_for(fmt, "spmm", 64) is hot_plan
         # The coldest width was evicted; re-planning it is a fresh entry.
-        assert ("spmm", id(fmt.partition), fmt.k, 1, srv.hosts) not in srv._plans
+        assert srv._plan_for(fmt, "spmm", 1) is not coldest
+        assert srv._plan_for(fmt, "spmm", 64) is hot_plan
     finally:
         srv.close()
 
 
 def test_plan_cache_hot_key_survives_default_capacity_overflow():
-    """Same property against the real capacity bound (no wholesale clear)."""
+    """Same property with the memo shared: a second server on another
+    device and the cost pass sweep the partition the hot plan lives on."""
     csr = random_csr(64, 64, 0.1, seed=5)
     srv = Server(workers=1)
+    other = Server(device=RTX4090, workers=1)
     try:
         fmt = cached_mebcrs(csr, srv.precision, by_content=True)
         hot_plan = srv._plan_for(fmt, "spmm", 16)
-        for width in range(1, srv._plan_capacity + 10):
+        assert other._plan_for(fmt, "spmm", 16) is not hot_plan
+        for width in range(1, 2 * PATTERN_MEMO_SIZE):
             if width == 16:
                 continue
-            srv._plan_for(fmt, "spmm", width)
-            srv._plan_for(fmt, "spmm", 16)
-        assert srv._plan_for(fmt, "spmm", 16) is hot_plan
-        assert len(srv._plans) <= srv._plan_capacity
+            other._plan_for(fmt, "spmm", width)
+            spmm_flash_cost(fmt, width)
+            assert srv._plan_for(fmt, "spmm", 16) is hot_plan
     finally:
         srv.close()
+        other.close()
 
 
 def test_plan_cache_does_not_pin_translated_formats():
-    """The plan cache (capacity 256) must not keep a translation alive after
-    the translation cache's own, smaller LRU dropped it — otherwise every
-    fresh matrix a long-running server sees stays resident."""
+    """A memoised plan must not keep a translation alive after the
+    translation cache's LRU dropped it — otherwise every fresh matrix a
+    long-running server sees stays resident."""
     import gc
     import weakref
 

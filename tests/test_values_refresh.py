@@ -25,6 +25,7 @@ from repro.cluster import ClusterScheduler, head
 from repro.cluster.store import make_store_key, operand_store_key
 from repro.cluster.worker import WorkerHost
 from repro.formats.blocked import BlockedVectorFormat
+from repro.formats.cache import cached_mebcrs
 from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
@@ -551,3 +552,21 @@ def test_cost_counter_is_memoised_per_pattern_and_settings():
     config = FlashSparseConfig(precision="tf32")
     wmma = spmm_tcu16_cost(sgt, 32, config, api="wmma").as_dict()
     assert wmma != spmm_tcu16_cost(sgt, 32, config).as_dict()
+
+
+def test_one_pattern_shares_its_block_index_and_serving_plan():
+    """Two values of one pattern share what the pattern implies, memoised
+    on their one window partition: the block index the planner and the
+    shard cut read, and the server's plan."""
+    csr = random_csr(120, 100, 0.06, seed=12)
+    other = csr.with_values(csr.data * 2 + 1)
+    fa = cached_mebcrs(csr, "fp16", by_content=True)
+    fb = cached_mebcrs(other, "fp16", by_content=True)
+    assert fa is not fb and fa.partition is fb.partition
+    assert fa.blocks_as_arrays() is fb.blocks_as_arrays()
+    assert fa.blocks_as_arrays(FLASH_GROUP) is fb.blocks_as_arrays(FLASH_GROUP)
+    b = np.ones((100, 8), np.float32)
+    with Server(workers=1) as srv:
+        first = srv.submit_spmm(csr, b).result(TIMEOUT)
+        second = srv.submit_spmm(other, b).result(TIMEOUT)
+    assert first.meta["plan"] is second.meta["plan"]
