@@ -52,13 +52,14 @@ unchanged.  What changes underneath:
   runs on the pinned CSR, never a translation.  A dense panel is
   content-keyed (one sha256 over the caller's operand and the
   precision) only when its source array is an object the head saw in an
-  earlier request; any other panel gets a request-scoped key with no
-  digest, and the request's last task on each host releases it.  A panel
-  is quantised only when a frame pushes it.  A ``store_miss`` (eviction,
-  cold restart) is handled like a transient transport failure — re-push,
-  bounded; a shard whose store keeps missing (a budget smaller than one
-  request's working set) runs in-parent instead, so a thrashing store
-  costs throughput, never the request.
+  earlier request, and an unchanged repeat reuses that key after a byte
+  compare with the copy the digest kept; any other panel gets a
+  request-scoped key with no digest, and the request's last task on each
+  host releases it.  A panel is quantised only when a frame pushes it.
+  A ``store_miss`` (eviction, cold restart) is handled like a transient
+  transport failure — re-push, bounded; a shard whose store keeps missing
+  (a budget smaller than one request's working set) runs in-parent
+  instead, so a thrashing store costs throughput, never the request.
 * **Checked assembly.**  Shard results return as transport payloads and
   are reassembled by :mod:`repro.cluster.assembly` with
   overlap/completeness checks — a result that arrives twice or never is
@@ -121,6 +122,7 @@ from repro.formats.cache import format_kind
 from repro.formats.csr import CSRMatrix
 from repro.kernels.engine import SHARD_OPS, lane_cache, shard_params
 from repro.precision.types import Precision, quantize
+from repro.utils.lru import LRU
 
 #: Idle gap after which a host client probes its host with a ping.
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.5
@@ -133,6 +135,9 @@ DEFAULT_TASK_TIMEOUT_S = 120.0
 #: Default shards per request, as a multiple of the host count: fine enough
 #: that a mid-request host death loses only a slice of the work.
 SHARDS_PER_HOST = 2
+#: Bytes of content-keyed panels the head keeps copies of, so an unchanged
+#: repeat costs a compare, not a digest (:meth:`ClusterScheduler._content_key`).
+PANEL_COPY_BYTES = 16 * 1024 * 1024
 
 
 def rendezvous_rank(content_key: str, host_ids) -> list[str]:
@@ -173,6 +178,18 @@ class _Bundle:
     def arrays(self) -> list:
         """The bundle's arrays, in push order."""
         return self._arrays
+
+
+def _same_bytes(kept: np.ndarray, operand: np.ndarray) -> bool:
+    """Whether ``operand`` has ``kept``'s dtype, shape and bytes — compared
+    as integers, since a float compare calls NaN unequal to itself and
+    ``-0.0`` equal to ``0.0``."""
+    if kept.dtype != operand.dtype or kept.shape != operand.shape:
+        return False
+    word = np.uint64 if kept.nbytes % 8 == 0 else np.uint8
+    return np.array_equal(
+        kept.reshape(-1).view(word), np.ascontiguousarray(operand).reshape(-1).view(word)
+    )
 
 
 class _Panel(_Bundle):
@@ -808,6 +825,8 @@ class ClusterScheduler:
             weakref.WeakValueDictionary()
         )
         self._seen_lock = threading.Lock()
+        #: Per repeat source ``id``: ``(copy, precision, key)`` of its last digest.
+        self._keyed_panels = LRU(PANEL_COPY_BYTES, weigh=lambda kept: kept[0].nbytes)
         self._request_token = secrets.token_hex(8)
         self._request_ids = itertools.count()
         #: Lane sets of the shards run in-parent (the fallback).
@@ -1133,16 +1152,18 @@ class ClusterScheduler:
         was made from, or ``None`` (a coalesced concatenation has no single
         source).  A panel whose source is an object this head saw in an
         earlier request is likely to come back, so it gets a content key
-        (:func:`~repro.cluster.store.operand_store_key`: one sha256 over
-        the operand's dtype, shape and bytes plus ``precision``, the width
-        it ships at) and stays pinned across requests — a key a host holds
-        then costs that digest and no quantise.  Any other panel gets a
-        request-scoped key with no digest; operands sharing a source share
-        a key, so an ``a is b`` layer ships one bundle.  Without
-        ``sources`` (a direct ``run_*`` caller) every panel is
-        content-keyed.
+        (:func:`~repro.cluster.store.operand_store_key` over the operand's
+        dtype, shape and bytes plus ``precision``, the width it ships at)
+        and stays pinned across requests — a key a host holds then costs
+        no quantise.  The digest is paid once per distinct panel
+        (:meth:`_content_key`): an unchanged repeat costs a byte compare.
+        Any other panel gets a request-scoped key with no digest; operands
+        sharing a source share a key, so an ``a is b`` layer ships one
+        bundle.  Without ``sources`` (a direct ``run_*`` caller) every
+        panel is digested.
         """
         if sources is None:
+            self.metrics.record_operand_keys(digests=len(operands))
             return [operand_store_key(o, precision) for o in operands]
         request = f"{self._request_token}.{next(self._request_ids)}"
         keys: list[str] = []
@@ -1157,12 +1178,30 @@ class ClusterScheduler:
                     seen = self._seen.get(id(source)) is source
                     self._seen[id(source)] = source
                 if seen:
-                    key = operand_store_key(operand, precision)
+                    key = self._content_key(id(source), operand, precision)
                 else:
                     key = request_store_key(request, i)
                 by_source[id(source)] = key
             keys.append(key)
         return keys
+
+    def _content_key(self, source_id: int, operand: np.ndarray, precision: str) -> str:
+        """The content key of a repeat source's panel: the key of the copy
+        its last digest kept (in a byte-bounded LRU) while dtype, shape,
+        precision and bytes still match it, else the digest of a new copy
+        — so a key always names exactly the bytes it was computed from.
+        A panel over :data:`PANEL_COPY_BYTES` keeps no copy."""
+        kept = self._keyed_panels.get(source_id)
+        if kept is not None and kept[1] == precision and _same_bytes(kept[0], operand):
+            self.metrics.record_operand_keys(reuses=1)
+            return kept[2]
+        self.metrics.record_operand_keys(digests=1)
+        if operand.nbytes > PANEL_COPY_BYTES:
+            return operand_store_key(operand, precision)
+        copy = np.array(operand, order="C")
+        key = operand_store_key(copy, precision)
+        self._keyed_panels.put(source_id, (copy, precision, key))
+        return key
 
     def _run(
         self,

@@ -81,6 +81,10 @@ class ClusterMetrics:
             "store_hits": 0,
             "store_misses": 0,
             "bytes_saved": 0,
+            # Panel content keys computed by a sha256, and those reused
+            # after a byte compare with the copy a digest kept.
+            "operand_digests": 0,
+            "operand_key_reuses": 0,
         }
         self._per_host: dict[str, dict] = {}
         self._death_log: list[dict] = []
@@ -281,6 +285,12 @@ class ClusterMetrics:
         with self._lock:
             self._counters["store_misses"] += 1
             self._host(host_id)["store_misses"] += 1
+
+    def record_operand_keys(self, digests: int = 0, reuses: int = 0) -> None:
+        """Panel content keys digested, and reused after a compare."""
+        with self._lock:
+            self._counters["operand_digests"] += int(digests)
+            self._counters["operand_key_reuses"] += int(reuses)
 
     def record_integrity_failure(self, host_id: str) -> None:
         """A frame from ``host_id`` failed its payload CRC32 check."""

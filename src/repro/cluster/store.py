@@ -35,7 +35,9 @@ four kinds:
 * ``op`` — a **content-keyed** dense panel, by :func:`operand_store_key`.
   The head pays the sha256 only for a panel worth pinning across
   requests: one whose source array it has seen in an earlier request (or
-  any panel of a caller that names no sources);
+  any panel of a caller that names no sources).  It keeps a copy of the
+  bytes it digested, so an unchanged repeat reuses the key after a byte
+  compare, and a panel changed in place is digested again;
 * ``req`` — a **request-scoped** panel, by :func:`request_store_key`: no
   digest at all.  It is pushed once per host per request, and the last
   task of the request on that host lists it in ``release``, so the worker

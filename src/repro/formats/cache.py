@@ -26,12 +26,12 @@ graph deserialised twice, replicas in a serving fleet) share one
 translation.  Identity lookup stays the fast path: the O(nnz) hash runs
 only on the first identity miss of a given object, after which the object's
 identity key aliases the shared entry.  The serving subsystem
-(:mod:`repro.serve`) keys by content by default — request payloads are
-deserialised fresh per request, so identity keys would never hit.  The
-server translates once per request group, for the plan and the cost pass;
-no shard reads a translation (every carrier slices lane arrays of the
-request's CSR, :func:`repro.kernels.engine.csr_lanes`), and a cluster
-worker host keeps no translation cache at all.
+(:mod:`repro.serve`) plans from the pattern instead: the plan, the cost
+pass and the SDDMM scatter read the window partition only, so the server
+takes a values-free record of it (:func:`pattern_format`) and translates
+no values.  No shard reads a translation either (every carrier slices
+lane arrays of the request's CSR, :func:`repro.kernels.engine.csr_lanes`),
+and a cluster worker host keeps no translation cache at all.
 
 Structure entries
 -----------------
@@ -65,12 +65,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.csr import CSRMatrix
-from repro.formats.mebcrs import MEBCRSMatrix
+from repro.formats.mebcrs import FLASH_VECTOR_SIZE, MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
 from repro.formats.windows import WindowPartition, partition_windows
-from repro.precision.types import Precision
+from repro.gpu.mma import FLASH_SHAPES, block_k
+from repro.precision.types import Precision, dtype_for
 from repro.utils.lru import LRU
 
 #: Maximum number of cache entries — translations, identity aliases and
@@ -285,6 +288,26 @@ def cached_sgt16(
 ) -> SGT16Matrix:
     """The SGT (16×1) translation of ``matrix``: :func:`cached_format` at 16."""
     return cached_format(matrix, 16, precision, by_content, cache)
+
+
+def pattern_format(matrix: CSRMatrix, precision: Precision | str) -> MEBCRSMatrix:
+    """``matrix``'s ME-BCRS structure at ``precision`` without its values
+    (a read-only zero-stride view of one zero, so its lane view is empty):
+    what a plan, a cost pass and an SDDMM scatter read.  Memoised on the
+    cached partition, so every matrix of the pattern shares it."""
+    precision = Precision(precision)
+    partition = DEFAULT_CACHE.partition(matrix, FLASH_VECTOR_SIZE)
+
+    def build() -> MEBCRSMatrix:
+        shape = (partition.num_nonzero_vectors, partition.vector_size)
+        return MEBCRSMatrix(
+            partition=partition,
+            vector_values=np.broadcast_to(np.zeros((), dtype_for(precision)), shape),
+            k=block_k(FLASH_SHAPES, precision),
+            precision=precision,
+        )
+
+    return partition.memo(("pattern_format", precision), build)
 
 
 def clear_format_cache() -> None:

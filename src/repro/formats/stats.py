@@ -22,11 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.formats.csr import CSRMatrix
 from repro.formats.windows import WindowPartition, partition_windows
-from repro.ops import segment_count, segment_mean, segment_min
 from repro.precision.types import Precision, element_bytes
 
 
@@ -76,85 +73,6 @@ def vector_stats(matrix: CSRMatrix | WindowPartition, vector_size: int | None = 
         num_nonzero_vectors=part.num_nonzero_vectors,
         zero_fill=part.zero_fill,
         num_windows=part.num_windows,
-    )
-
-
-@dataclass(frozen=True)
-class BlockHistogram:
-    """Distribution of TC-block widths across the windows of a partition.
-
-    A summary of :meth:`~repro.formats.windows.WindowPartition.block_widths`,
-    the per-block widths the closed-form cost estimators read: every
-    per-block quantity (bytes loaded, intermediate slab size, MMAs issued)
-    is a function of the block's width, so the histogram determines cost and
-    memory behaviour without touching values.  The per-window aggregates are
-    segment reductions over the storage-ordered ``widths`` array
-    (:mod:`repro.ops`), the same layout the engine streams over.
-    """
-
-    vector_size: int
-    k: int
-    num_blocks: int
-    num_windows: int
-    #: ``width_counts[w]`` — number of blocks holding exactly ``w`` vectors
-    #: (index 0 unused; widths are 1..k).
-    width_counts: np.ndarray
-    #: Blocks per window (``(num_windows,)``).
-    blocks_per_window: np.ndarray
-    #: Mean / min block width within each window (0 for empty windows).
-    mean_width_per_window: np.ndarray
-    min_width_per_window: np.ndarray
-
-    @property
-    def full_blocks(self) -> int:
-        """Blocks holding the full ``k`` vectors."""
-        return int(self.width_counts[self.k]) if self.num_blocks else 0
-
-    @property
-    def residue_blocks(self) -> int:
-        """Blocks narrower than ``k`` (at most one per window)."""
-        return self.num_blocks - self.full_blocks
-
-    @property
-    def total_vectors(self) -> int:
-        """Stored nonzero vectors (the histogram's first moment)."""
-        return int((np.arange(self.width_counts.shape[0]) * self.width_counts).sum())
-
-    @property
-    def max_blocks_in_window(self) -> int:
-        """Largest per-window block count — the window-aligned chunk floor."""
-        return int(self.blocks_per_window.max()) if self.num_windows else 0
-
-
-def block_width_histogram(
-    matrix: CSRMatrix | WindowPartition, k: int, vector_size: int | None = None
-) -> BlockHistogram:
-    """Compute the :class:`BlockHistogram` of a matrix at granularity ``k``.
-
-    Accepts a CSR matrix (partitioned on the fly at ``vector_size``) or a
-    precomputed :class:`WindowPartition`.
-    """
-    if isinstance(matrix, WindowPartition):
-        part = matrix
-        if vector_size is not None and vector_size != part.vector_size:
-            raise ValueError("vector_size disagrees with the provided partition")
-    else:
-        if vector_size is None:
-            raise ValueError("vector_size is required when passing a CSR matrix")
-        part = partition_windows(matrix, vector_size)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    widths, _, first_block = part.block_widths(k)
-    offsets = first_block  # indptr-style block ranges per window
-    return BlockHistogram(
-        vector_size=part.vector_size,
-        k=int(k),
-        num_blocks=int(widths.shape[0]),
-        num_windows=part.num_windows,
-        width_counts=np.bincount(widths, minlength=k + 1),
-        blocks_per_window=segment_count(offsets),
-        mean_width_per_window=segment_mean(widths, offsets),
-        min_width_per_window=segment_min(widths, offsets, empty_value=0).astype(np.int64),
     )
 
 

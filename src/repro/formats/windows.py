@@ -29,10 +29,10 @@ from repro.formats.csr import CSRMatrix
 from repro.utils.lru import LRU
 
 #: Entries one partition's memo (:meth:`WindowPartition.memo`) keeps.  The
-#: six end-to-end workloads put at most 5 distinct keys on one partition
-#: (``pool_layer``: two block indexes, the layer's plan and an SpMM and an
-#: SDDMM cost counter; 3 on every other workload), counted over a 6 s run
-#: of each at two seeds; 8 leaves room for a few more widths.
+#: six end-to-end workloads put at most 4 distinct keys on one partition
+#: (a served pattern: its values-free format, a block index, a plan and a
+#: cost counter), counted over a 4 s run of each; 8 leaves room for a few
+#: more widths.
 PATTERN_MEMO_SIZE = 8
 
 
@@ -89,7 +89,8 @@ class WindowPartition:
 
         The one memo of what a sparsity pattern implies: everything derived
         from the partition alone — a grouping's block index, a closed-form
-        cost counter, a serving plan — is computed on first use and shared
+        cost counter, a serving plan, the server's values-free format — is
+        computed on first use and shared
         by every translation of the pattern, a values-only request's
         included.  ``key`` must name every other input ``build`` reads; a
         caller hands out a copy of a mutable value.  An

@@ -48,8 +48,8 @@ The SpMM and SDDMM engines do not reduce through this package: the batched
 SpMM accumulates row-wise inside the product (:mod:`repro.kernels.engine`),
 in a fixed per-row order, which is what makes served results bit-identical
 under sharding, chunking and operand coalescing.  The segment ops serve the
-edge softmax, degree normalisation and the format statistics, where the
-tolerances above apply.
+edge softmax and degree normalisation, where the tolerances above apply,
+and the formats' lane view (:func:`segment_ids`).
 """
 
 from repro.ops.segment import (
@@ -57,8 +57,6 @@ from repro.ops.segment import (
     segment_count,
     segment_ids,
     segment_max,
-    segment_mean,
-    segment_min,
     segment_softmax,
     segment_softmax_backward,
     segment_sum,
@@ -69,8 +67,6 @@ __all__ = [
     "segment_count",
     "segment_ids",
     "segment_max",
-    "segment_mean",
-    "segment_min",
     "segment_softmax",
     "segment_softmax_backward",
     "segment_sum",

@@ -4,8 +4,9 @@ This package turns the kernel library into a serving system for the paper's
 end-to-end workloads (the GNN inference traffic of Figure 16): a
 :class:`~repro.serve.server.Server` accepts concurrent requests for the
 paper's operators — SpMM, SDDMM and the fused attention layer built from
-them — deduplicates translations across requests that carry the same
-matrix (content-hash keyed), batches same-matrix SpMM and layer requests
+them — plans every request from its matrix's cached sparsity pattern
+(shared by every request with the pattern, whatever its values, so no
+request translates), batches same-matrix SpMM and layer requests
 into one engine pass, and executes large operations as window-aligned shards sized
 by a device memory budget — in the server process, or across worker hosts
 with ``backend="cluster"``.
@@ -15,7 +16,7 @@ The pieces:
 * :mod:`repro.serve.planner` — derives a request's shard size
   (``ServePlan.block_chunk``, in TC blocks) and worker count from a
   :class:`~repro.gpu.device.GPUSpec` memory budget and the format's
-  block-width histogram;
+  block index;
 * :mod:`repro.serve.program` — the fused layer's result type and the
   helpers that build the same layer from three calls (the bit-identity
   reference and the byte baseline); a whole layer is one request
@@ -31,7 +32,8 @@ The pieces:
   head of :mod:`repro.cluster`);
 * :mod:`repro.serve.metrics` — latency percentiles (end-to-end plus the
   queue-wait / execution split), queue depth, overload counters and the
-  translation-cache hit/miss counters;
+  translation-cache counters (the served path's are its pattern lookups,
+  ``structure_hits``);
 * :mod:`repro.serve.errors` — the failure taxonomy clients dispatch on
   (overloaded / timed out / closed / dispatcher crashed).
 """

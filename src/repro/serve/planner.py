@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.formats.blocked import BlockedVectorFormat
-from repro.formats.cache import cached_mebcrs
+from repro.formats.cache import pattern_format
 from repro.formats.csr import CSRMatrix
 from repro.gpu.device import GPUSpec, get_device
 from repro.gpu.memory import DEFAULT_WORKSPACE_FRACTION, MemoryBudget, derive_budget
@@ -101,9 +101,8 @@ def _resolve_format(
 ) -> BlockedVectorFormat:
     if isinstance(matrix, BlockedVectorFormat):
         return matrix
-    # Serving path: content-hash keyed so request payloads deserialised
-    # fresh per request still share one translation.
-    return cached_mebcrs(matrix, precision, by_content=True)
+    # A plan reads the pattern only, as the server's does.
+    return pattern_format(matrix, precision)
 
 
 def _default_workers(requested: int | None, num_shards: int) -> int:
@@ -215,8 +214,8 @@ def plan_spmm(
     Parameters
     ----------
     matrix:
-        The sparse operand (CSR inputs are translated through the
-        content-keyed cache, as the serving path does).
+        The sparse operand (a CSR input is planned from its cached
+        pattern, :func:`~repro.formats.cache.pattern_format`).
     n_dense:
         Dense-operand width ``N``.
     device:

@@ -11,8 +11,10 @@ executes them on the shared backend):
   oldest waiting request together with the later ones that share its
   operation and :meth:`~repro.formats.csr.CSRMatrix.content_key` — same-matrix
   SpMM requests are concatenated column-wise and run as **one** engine pass, so
-  they share one cached translation (content-keyed: serving payloads are
-  deserialised fresh per request) and one walk over the sparse entries.
+  they share one plan and one walk over the sparse entries.  No request
+  translates: the plan and the cost pass read the pattern
+  (:func:`~repro.formats.cache.pattern_format`, shared by fresh values),
+  and the shards slice the request's own CSR.
   The concatenation is numerically invisible: the engine accumulates every
   output column from its own column of the dense operand, whatever its
   neighbours or the operand's width, so the split results are bit-identical
@@ -89,7 +91,7 @@ from typing import Callable
 import numpy as np
 
 from repro.formats.blocked import BlockedVectorFormat
-from repro.formats.cache import cached_mebcrs
+from repro.formats.cache import pattern_format
 from repro.formats.matrix import _as_input
 from repro.gpu.device import GPUSpec, get_device
 from repro.kernels.common import FlashSparseConfig, SddmmResult, SpmmResult
@@ -186,7 +188,7 @@ class _ServedOp:
     engine.
 
     Rows reach the scheduler as ``server.scheduler.run_*`` and every other
-    helper (translation, planner, cost pass) through this module's global
+    helper (pattern, planner, cost pass) through this module's global
     names, both looked up per call: a row never holds a
     function object captured at import, so rebinding a module name — as the
     benchmark's tracer does — reaches every served request.
@@ -821,7 +823,7 @@ class Server:
         with its (op, matrix content, operand height), capped at
         ``max_batch``.
 
-        The sparse-output op may share a translation but not a pass, so it
+        The sparse-output op may share a pattern but not a pass, so it
         runs alone.  Layer requests join only when their tokens match too;
         a token is digested only once a second request with the key is
         pending — a lone layer pays no digest.
@@ -876,7 +878,7 @@ class Server:
 
     def _execute_group(self, group: list[ServeRequest]) -> None:
         """Run one group through its op's :data:`_SERVED_OPS` row:
-        translate → plan → run (the scheduler quantises) → split → build
+        pattern → plan → run (the scheduler quantises) → split → build
         each result → resolve, or record the cancellation that beat the
         resolve."""
         # Re-check at execution time: earlier groups of the same drain may
@@ -892,7 +894,7 @@ class Server:
             operands = list(lead.operands)
             if concat and len(group) > 1:
                 operands[-1] = np.concatenate([req.operands[-1] for req in group], axis=1)
-            fmt = cached_mebcrs(lead.csr, self.precision, by_content=True)
+            fmt = pattern_format(lead.csr, self.precision)
             # The operands go to the scheduler as the callers passed them:
             # it quantises them — the cluster's only when a host lacks them.
             plan = self._plan_for(fmt, lead.op, operands[-1].shape[1])

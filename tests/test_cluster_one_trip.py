@@ -3,10 +3,10 @@ the digest, and the pin store holds matrices, not dead panels.
 
 The keying rule under test (see :meth:`ClusterScheduler._operand_keys`):
 a dense panel gets a sha256 content key only when its source array is an
-object the head saw in an earlier request; any other panel gets a
-request-scoped key, is pushed once per host per request and is released
-by the request's last task there.  Every result stays bit-identical to
-the in-process one.
+object the head saw in an earlier request, and an unchanged repeat reuses
+that key after a byte compare; any other panel gets a request-scoped key,
+is pushed once per host per request and is released by the request's
+last task there.  Every result stays bit-identical to the in-process one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_csr
+from helpers import composed_layer, random_csr
 
 from repro import sddmm, spmm
 from repro.cluster import ClusterScheduler, head, store
@@ -99,13 +99,16 @@ def test_repeated_source_gets_a_content_key_and_ships_once(frames, digests):
             np.testing.assert_array_equal(srv.submit_spmm(csr, b).result(TIMEOUT).values, expected)
             requests.append([bundle for _, pushed in frames for bundle in pushed])
             frames.clear()
+        snap = srv.scheduler.stats_snapshot()
     first, second, third = requests
     # First sighting: request-scoped, no digest.  Second: the object is a
-    # repeat, so it is content-keyed and pinned.  Third: nothing ships.
+    # repeat, so it is content-keyed and pinned.  Third: its bytes match
+    # the copy the second digest kept, so no digest, and nothing ships.
     assert [key[:4] for key in _operand_keys(first)] == ["req/"]
     assert [key[:3] for key in _operand_keys(second)] == ["op/"]
     assert third == []
-    assert digests["operand_store_key"] == 2
+    assert digests["operand_store_key"] == 1
+    assert (snap["operand_digests"], snap["operand_key_reuses"]) == (1, 1)
 
 
 def test_sddmm_results_ship_one_value_per_entry(monkeypatch):
@@ -227,3 +230,73 @@ def test_repeat_tasks_do_not_churn_the_worker_cache():
     assert host["cache"]["evictions"] == 0
     assert host["cache"]["misses"] == 1
     assert len(set(sizes)) == 1
+
+
+def _repeat_requests(frames, submit, mutate):
+    """Run ``submit(srv)`` four times on one cluster host, calling
+    ``mutate()`` before the fourth; returns, per request, the
+    ``store_operands`` of its first task, the operand keys its frames
+    pushed and the cluster stats after it."""
+    out = []
+    with Server(backend="cluster", hosts=1) as srv:
+        for i in range(4):
+            if i == 3:
+                mutate()
+            submit(srv)
+            header, _ = frames[0]
+            pushed = [key for _, bundles in frames for key in _operand_keys(bundles)]
+            out.append((header["store_operands"], pushed, srv.scheduler.stats_snapshot()))
+            frames.clear()
+    return out
+
+
+def test_panel_mutated_in_place_gets_a_new_key_and_ships_again(frames):
+    """The kept copy guards the key: a repeat source written in place
+    between requests is digested again, ships under its new key, and the
+    served values are the one-shot kernel's on the new bytes."""
+    csr = _matrix(seed=97)
+    rng = np.random.default_rng(97)
+    b = rng.standard_normal((csr.shape[1], 8)).astype(np.float32)
+
+    def submit(srv):
+        served = srv.submit_spmm(csr, b).result(TIMEOUT)
+        np.testing.assert_array_equal(served.values, spmm(csr, b).values)
+
+    def mutate():
+        b[...] = rng.standard_normal(b.shape)
+
+    (k1, _, _), (k2, p2, s2), (k3, p3, s3), (k4, p4, s4) = _repeat_requests(
+        frames, submit, mutate
+    )
+    assert k1[0].startswith("req/") and k2[0].startswith("op/")
+    assert k3 == k2 and p3 == [] and p2 == k2
+    assert k4 != k2 and k4[0].startswith("op/") and p4 == k4
+    assert (s2["operand_digests"], s3["operand_digests"], s4["operand_digests"]) == (1, 1, 2)
+    assert (s3["operand_key_reuses"], s4["operand_key_reuses"]) == (1, 1)
+
+
+def test_layer_panel_mutated_in_place_with_a_is_b(frames):
+    """``a is b``: the one source keys both logits panels; writing it in
+    place re-keys and re-ships that panel alone — ``x``, unchanged, keeps
+    its key — and the fused layer matches the composition on the new
+    bytes."""
+    csr = _matrix(seed=98, rows=150, cols=150)
+    rng = np.random.default_rng(98)
+    a = rng.standard_normal((150, 6)).astype(np.float32)
+    x = rng.standard_normal((150, 5)).astype(np.float32)
+
+    def submit(srv):
+        served = srv.submit_layer(csr, a, a, x, scale=0.5).result(TIMEOUT)
+        np.testing.assert_array_equal(served.values, composed_layer(csr, a, a, x, 0.5))
+
+    def mutate():
+        a[5:9] *= -2.0
+
+    _, (k2, _, _), (k3, p3, _), (k4, p4, s4) = _repeat_requests(frames, submit, mutate)
+    assert k2[0] == k2[1] != k2[2] and k2[0].startswith("op/")
+    assert k3 == k2 and p3 == []
+    assert k4[0] == k4[1] != k2[0] and k4[2] == k2[2]
+    assert p4 == [k4[0]]
+    # Two sources keyed in request 2, both compared in 3, and in 4 one
+    # re-digested and one reused.
+    assert (s4["operand_digests"], s4["operand_key_reuses"]) == (3, 3)

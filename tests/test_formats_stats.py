@@ -158,46 +158,3 @@ def test_tf32_data_access_doubles_element_size(medium_csr):
     fp16 = spmm_data_access_bytes(medium_csr, k=8, n_dense=64, precision="fp16", vector_size=8)
     tf32 = spmm_data_access_bytes(medium_csr, k=8, n_dense=64, precision="tf32", vector_size=8)
     assert tf32 == 2 * fp16
-
-
-# ---------------------------------------------------------------------------
-# Block-width histogram (rebased on repro.ops)
-# ---------------------------------------------------------------------------
-def test_block_width_histogram_matches_partition(medium_csr):
-    from repro.formats.stats import block_width_histogram
-
-    part = partition_windows(medium_csr, 8)
-    hist = block_width_histogram(part, 8)
-    widths, _, first_block = part.block_widths(8)
-    assert hist.num_blocks == widths.shape[0]
-    assert hist.num_windows == part.num_windows
-    np.testing.assert_array_equal(hist.width_counts, np.bincount(widths, minlength=9))
-    np.testing.assert_array_equal(hist.blocks_per_window, np.diff(first_block))
-    assert hist.full_blocks + hist.residue_blocks == hist.num_blocks
-    assert hist.total_vectors == part.num_nonzero_vectors
-    assert hist.max_blocks_in_window == int(np.diff(first_block).max())
-    # Per-window aggregates agree with a plain per-window loop.
-    for w in range(part.num_windows):
-        seg = widths[first_block[w] : first_block[w + 1]]
-        if seg.size:
-            assert hist.mean_width_per_window[w] == pytest.approx(seg.mean())
-            assert hist.min_width_per_window[w] == seg.min()
-        else:
-            assert hist.mean_width_per_window[w] == 0.0
-            assert hist.min_width_per_window[w] == 0
-
-
-def test_block_width_histogram_from_csr_and_validation(medium_csr):
-    from repro.formats.stats import block_width_histogram
-
-    hist = block_width_histogram(medium_csr, 8, vector_size=8)
-    from_part = block_width_histogram(partition_windows(medium_csr, 8), 8)
-    assert hist.num_blocks == from_part.num_blocks
-    np.testing.assert_array_equal(hist.width_counts, from_part.width_counts)
-    np.testing.assert_array_equal(hist.blocks_per_window, from_part.blocks_per_window)
-    with pytest.raises(ValueError):
-        block_width_histogram(medium_csr, 8)  # vector_size required for CSR
-    with pytest.raises(ValueError):
-        block_width_histogram(partition_windows(medium_csr, 8), 0)
-    with pytest.raises(ValueError):
-        block_width_histogram(partition_windows(medium_csr, 8), 8, vector_size=16)

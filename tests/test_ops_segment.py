@@ -21,12 +21,11 @@ from repro.ops import (
     segment_count,
     segment_ids,
     segment_max,
-    segment_mean,
-    segment_min,
     segment_softmax,
     segment_softmax_backward,
     segment_sum,
 )
+from repro.ops.segment import segment_mean, segment_min
 
 #: (name, segment lengths) covering the layouts the ISSUE calls out.
 LAYOUTS = {

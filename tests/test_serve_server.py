@@ -196,11 +196,12 @@ def test_metrics_latency_queue_and_cache_counters(workload):
     assert snap.latency_p50_s > 0.0
     assert snap.latency_p95_s >= snap.latency_p50_s
     assert snap.latency_p99_s >= snap.latency_p95_s
-    # The serving path keys by content: the first request translates, the
-    # rest hit (identity aliases or content hits).
-    assert snap.cache.misses == 1
-    assert snap.cache.hits >= 3
-    assert snap.cache.hit_rate > 0.5
+    # The serving path reads the pattern, never a translation: the first
+    # request builds the one structure entry, the rest hit it (each twin is
+    # a fresh object with the same pattern).
+    assert snap.cache.size == 1
+    assert snap.cache.structure_hits == 3
+    assert snap.cache.misses == 0
     assert snap.meta["workers"] == 1
 
 

@@ -22,7 +22,7 @@ EXPORT_BUDGET = {
     "repro.cluster": 16,
     "repro.formats": 18,
     "repro.gpu": 23,
-    "repro.ops": 9,
+    "repro.ops": 7,
     "repro.gnn": 19,
 }
 

@@ -76,9 +76,10 @@ def test_kernel_trace_points_fire():
 
 def test_serve_trace_points_fire():
     """The serving twin: the server's execution body must reach the
-    translation, planner, scheduler and cost pass — and the scheduler the
-    quantiser — through their module-level names.  One SpMM, one SDDMM and
-    one fused layer through an inline server open exactly these spans."""
+    planner, scheduler and cost pass — and the scheduler the quantiser —
+    through their module-level names, and no translation: it plans from
+    the pattern.  One SpMM, one SDDMM and one fused layer through an
+    inline server open exactly these spans."""
     import numpy as np
 
     from helpers import random_csr
@@ -107,7 +108,6 @@ def test_serve_trace_points_fire():
     assert {name: count for name, count in fired.items() if count} == {
         "serve.scheduler.run": 3,
         "serve.planner.plan": 3,
-        "formats.cache_lookup": 3,
         "kernels.cost_pass": 2,
         "kernels.engine_spmm": 2,
         "kernels.engine_sddmm": 1,

@@ -25,7 +25,8 @@ from repro.cluster import ClusterScheduler, head
 from repro.cluster.store import make_store_key, operand_store_key
 from repro.cluster.worker import WorkerHost
 from repro.formats.blocked import BlockedVectorFormat
-from repro.formats.cache import cached_mebcrs
+from repro.formats import cache as cache_module, matrix as matrix_module
+from repro.formats.cache import TranslationCache, cached_mebcrs
 from repro.formats.csr import CSRMatrix
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.sgt16 import SGT16Matrix
@@ -166,6 +167,9 @@ def test_served_ops_match_one_shot_with_zeros_underflow_and_inf(backend, precisi
         sddmm = srv.submit_sddmm(csr, a, a[: csr.shape[1]]).result(TIMEOUT)
         signed_sddmm = srv.submit_sddmm(signed, a, b, scale_by_mask=True).result(TIMEOUT)
         layer = srv.submit_layer(csr, a, a[: csr.shape[1]], x, scale=0.5).result(TIMEOUT)
+    # The served counters come from the values-free pattern on the cached
+    # structure entry, the one-shot ones from a translation of the values
+    # on a partition of its own: the stored zeros change neither.
     np.testing.assert_array_equal(served.values, spmm_ref.values)
     assert served.counter.as_dict() == spmm_ref.counter.as_dict()
     np.testing.assert_array_equal(sddmm.output.vector_values, sddmm_ref.output.vector_values)
@@ -570,3 +574,36 @@ def test_one_pattern_shares_its_block_index_and_serving_plan():
         first = srv.submit_spmm(csr, b).result(TIMEOUT)
         second = srv.submit_spmm(other, b).result(TIMEOUT)
     assert first.meta["plan"] is second.meta["plan"]
+
+
+@pytest.mark.parametrize("backend", ["local", "cluster"])
+def test_served_requests_translate_nothing(monkeypatch, backend):
+    """The served path plans, costs and scatters from the pattern: no
+    request of any op looks up a translation, on either backend, while the
+    one-shot kernel still translates."""
+    calls = {"cached_mebcrs": 0, "lookup": 0}
+    real_mebcrs, real_lookup = cache_module.cached_mebcrs, TranslationCache.lookup
+
+    def mebcrs(*args, **kwargs):
+        calls["cached_mebcrs"] += 1
+        return real_mebcrs(*args, **kwargs)
+
+    def lookup(self, *args, **kwargs):
+        calls["lookup"] += 1
+        return real_lookup(self, *args, **kwargs)
+
+    # Every binding of the name: the cache module's and the importers'.
+    for module in (cache_module, matrix_module):
+        monkeypatch.setattr(module, "cached_mebcrs", mebcrs)
+    monkeypatch.setattr(TranslationCache, "lookup", lookup)
+    csr = random_csr(96, 80, 0.08, seed=14)
+    rng = np.random.default_rng(14)
+    a, b = rng.standard_normal((96, 6)), rng.standard_normal((80, 6))
+    options = {"hosts": 1} if backend == "cluster" else {}
+    with Server(backend=backend, **options) as srv:
+        served = srv.submit_spmm(csr, b).result(TIMEOUT)
+        srv.submit_sddmm(csr, a, b).result(TIMEOUT)
+        srv.submit_layer(csr, a, b, b, scale=0.5).result(TIMEOUT)
+    assert calls == {"cached_mebcrs": 0, "lookup": 0}
+    np.testing.assert_array_equal(served.values, repro.spmm(csr, b).values)
+    assert calls["cached_mebcrs"] == 1 and calls["lookup"] == 1
